@@ -599,32 +599,35 @@ func BenchmarkAblationNoCampaigns(b *testing.B) {
 }
 
 // BenchmarkQueryIngest measures the live aggregation engine's ingest
-// rate: the sustained records/s internal/query folds into its partial
-// aggregates (sealing once at the end, as the WAL follower does after a
-// drain cycle).
+// rate, the sustained records/s internal/query folds into its partial
+// aggregates: "sealonce" seals once at the end, as the WAL follower
+// does after a drain cycle; "autoseal" seals every 2,000 records over
+// 500-record batches, as cmd/shard runs it.
 func BenchmarkQueryIngest(b *testing.B) {
 	d := benchDataset(b)
 	recs := d.Store.Records()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng := query.New(query.Config{
-			Epoch:    DefaultEpoch,
-			NumPots:  d.NumPots,
-			Registry: d.Registry,
-			Tagger:   analysis.Tagger(defaultTagger()),
-		})
-		for j := 0; j < len(recs); j += 1024 {
-			k := j + 1024
-			if k > len(recs) {
-				k = len(recs)
+	for _, c := range []struct {
+		name         string
+		every, batch int
+	}{{"sealonce", 0, 1024}, {"autoseal", 2000, 500}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				eng := query.New(query.Config{
+					Epoch:         DefaultEpoch,
+					NumPots:       d.NumPots,
+					Registry:      d.Registry,
+					Tagger:        analysis.Tagger(defaultTagger()),
+					SnapshotEvery: c.every,
+				})
+				for j := 0; j < len(recs); j += c.batch {
+					eng.Ingest(recs[j:min(j+c.batch, len(recs))])
+				}
+				eng.Seal()
 			}
-			eng.Ingest(recs[j:k])
-		}
-		eng.Seal()
+			b.ReportMetric(float64(len(recs))*float64(b.N)/b.Elapsed().Seconds(), "records/s")
+		})
 	}
-	b.StopTimer()
-	b.ReportMetric(float64(len(recs))*float64(b.N)/b.Elapsed().Seconds(), "records/s")
 }
 
 // BenchmarkSnapshotServe measures the serving layer's request latency

@@ -35,12 +35,14 @@ func (c ClientStat) NumCategoriesSeen() int {
 	return n
 }
 
-// clientAcc is one client IP's partial aggregate.
+// clientAcc is one client IP's partial aggregate. touched is set while
+// the IP sits in its ClientAccum's touched list.
 type clientAcc struct {
 	sessions int
 	pots     map[int]struct{}
 	days     map[int]struct{}
 	cats     uint8
+	touched  bool
 }
 
 // ComputeClientStats aggregates every client IP. Pass cat = -1 for all

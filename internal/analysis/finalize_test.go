@@ -1,0 +1,258 @@
+package analysis
+
+import (
+	"bytes"
+	"math/rand"
+	"reflect"
+	"testing"
+	"testing/quick"
+
+	"honeyfarm/internal/honeypot"
+	"honeyfarm/internal/wire"
+)
+
+// foldStep is one step of a random accumulator history.
+type foldStep struct {
+	kind int // stepAdd … stepFinalize
+	recs []dayRec
+	// sealed: the merged-in bundle was itself finalized first, so the
+	// entries the destination adopts arrive with their flags cleared.
+	sealed bool
+}
+
+const (
+	stepAdd = iota
+	stepMergeFolded
+	stepMergeDecoded
+	stepFinalize
+	numStepKinds
+)
+
+// quickHistory is a random interleaving of Add, Merge and Finalize.
+// Finalize steps land anywhere, including first (empty accumulators)
+// and back to back (nothing touched since the last call); record draws
+// may be empty or a single record.
+type quickHistory struct{ steps []foldStep }
+
+func (quickHistory) Generate(r *rand.Rand, size int) reflect.Value {
+	steps := make([]foldStep, r.Intn(12)+1)
+	for i := range steps {
+		steps[i].kind = r.Intn(numStepKinds)
+		steps[i].sealed = r.Intn(2) == 0
+		if steps[i].kind != stepFinalize {
+			f, _ := quickFold{}.Generate(r, size/4).Interface().(quickFold)
+			steps[i].recs = f.recs
+		}
+	}
+	return reflect.ValueOf(quickHistory{steps})
+}
+
+// TestIncrementalFinalizeEquivalence is the dirty-tracking contract:
+// whatever mix of Add, Merge (of directly folded and of wire-decoded
+// bundles, finalized before the merge or not) and Finalize an
+// accumulator has been through, every Finalize equals a from-scratch
+// fold of the records so far — for the client and hash tables, whose
+// Finalize reuses its previous output, and the rest of the bundle.
+func TestIncrementalFinalizeEquivalence(t *testing.T) {
+	reg, _ := quickRegistry()
+	prop := func(h quickHistory) bool {
+		live := NewPartials(quickNumPots, reg, true)
+		var prefix []dayRec
+		check := func() bool {
+			want := finalizeAll(t, foldBundle(prefix, reg, true))
+			if got := finalizeAll(t, live); !bytes.Equal(got, want) {
+				t.Logf("after %d records:\n got %s\nwant %s", len(prefix), got, want)
+				return false
+			}
+			return live.Clients.Pending() == 0 && live.Hashes.Pending() == 0
+		}
+		for _, s := range h.steps {
+			prefix = append(prefix, s.recs...)
+			switch s.kind {
+			case stepAdd:
+				for _, dr := range s.recs {
+					live.Add(dr.rec, dr.day)
+				}
+			case stepMergeFolded, stepMergeDecoded:
+				src := foldBundle(s.recs, reg, true)
+				if s.kind == stepMergeDecoded {
+					src = decodeBundle(t, encodeBundle(src))
+				}
+				if s.sealed {
+					finalizeAll(t, src)
+				}
+				if err := live.Merge(src); err != nil {
+					t.Fatalf("merge: %v", err)
+				}
+			case stepFinalize:
+				if !check() {
+					return false
+				}
+			}
+		}
+		// Twice: the second call has nothing touched.
+		return check() && check()
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 150}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestHashFinalizeTaggerChange: HashAccum caches rows that embed the
+// tagger's labels, so a call with another tagger must relabel every
+// row, touched or not, and the same tagger again must rebuild nothing.
+func TestHashFinalizeTaggerChange(t *testing.T) {
+	labeller := func(label string) Tagger {
+		return func(string) string { return label }
+	}
+	red, blue := labeller("red"), labeller("blue")
+	a := NewHashAccum()
+	addFile := func(hash string) {
+		a.Add(mk{day: 1, pot: 1, ip: "10.0.0.1", logins: okLogin(),
+			files: []honeypot.FileRecord{{Path: "/tmp/a", Hash: hash, Op: "wget"}}}.rec(), 1)
+	}
+	wantTags := func(step string, got []HashStat, n int, tag string) {
+		t.Helper()
+		if len(got) != n {
+			t.Fatalf("%s: %d rows, want %d", step, len(got), n)
+		}
+		for _, h := range got {
+			if h.Tag != tag {
+				t.Errorf("%s: hash %s tagged %q, want %q", step, h.Hash, h.Tag, tag)
+			}
+		}
+	}
+	addFile("aa")
+	addFile("bb")
+	wantTags("first", a.Finalize(red), 2, "red")
+	wantTags("other tagger, nothing touched", a.Finalize(blue), 2, "blue")
+	addFile("cc")
+	wantTags("other tagger, one touched", a.Finalize(red), 3, "red")
+	wantTags("nil tagger", a.Finalize(nil), 3, "unknown")
+	wantTags("back from nil", a.Finalize(blue), 3, "blue")
+	addFile("aa")
+	if a.Pending() != 1 {
+		t.Fatalf("pending = %d, want 1", a.Pending())
+	}
+	wantTags("same tagger", a.Finalize(blue), 3, "blue")
+	// Two closures of one literal share their code pointer; they are
+	// still different taggers.
+	if sameTagger(red, blue) || !sameTagger(red, red) || !sameTagger(nil, nil) || sameTagger(nil, red) {
+		t.Error("sameTagger does not tell function values apart")
+	}
+}
+
+// rawFrame hand-builds a Partials frame around the given table bodies,
+// so a test can write what Encode never would.
+func rawFrame(clients, hashes func(*wire.Builder), potClients func(*wire.Builder), countries func(*wire.Builder)) []byte {
+	b := wire.NewBuilder(256)
+	b.Byte(partialsWireVersion)
+	b.Bool(countries != nil)
+	encodeCats(b, new(CategoryAccum))
+	b.Uint32(1) // one pot
+	b.Uint64(0)
+	potClients(b)
+	rawStrings(b)
+	b.Uint32(^uint32(0)) // client table: cat -1, all categories
+	clients(b)
+	if countries != nil {
+		countries(b)
+	}
+	hashes(b)
+	return b.Bytes()
+}
+
+func rawStrings(b *wire.Builder, keys ...string) {
+	b.Uint32(uint32(len(keys)))
+	for _, k := range keys {
+		b.Text(k)
+	}
+}
+
+func rawInts(b *wire.Builder, keys ...int) {
+	b.Uint32(uint32(len(keys)))
+	for _, k := range keys {
+		b.Uint64(uint64(int64(k)))
+	}
+}
+
+func rawClients(pots []int, ips ...string) func(*wire.Builder) {
+	return func(b *wire.Builder) {
+		b.Uint32(uint32(len(ips)))
+		for _, ip := range ips {
+			b.Text(ip)
+			b.Uint64(1)
+			rawInts(b, pots...)
+			rawInts(b, 0)
+			b.Byte(1)
+		}
+	}
+}
+
+func rawHashes(hashes ...string) func(*wire.Builder) {
+	return func(b *wire.Builder) {
+		b.Uint32(uint32(len(hashes)))
+		for _, h := range hashes {
+			b.Text(h)
+			b.Uint64(1)
+			rawStrings(b, "10.0.0.1")
+			rawInts(b, 0)
+			rawInts(b, 0)
+			b.Uint64(0)
+			b.Uint64(0)
+		}
+	}
+}
+
+func rawCountries(codes ...string) func(*wire.Builder) {
+	return func(b *wire.Builder) {
+		b.Uint32(uint32(len(codes)))
+		for _, c := range codes {
+			b.Text(c)
+			rawStrings(b, "10.0.0.1")
+		}
+	}
+}
+
+// TestPartialsDecodeRejectsUnsortedKeys: Encode writes every table and
+// set in strictly ascending key order, so a frame that repeats a key or
+// steps backwards is not one a shard produced. Decoding used to let the
+// last duplicate win; now it is a decode error, which also keeps the
+// touched lists built at decode time duplicate-free.
+func TestPartialsDecodeRejectsUnsortedKeys(t *testing.T) {
+	noStrings := func(b *wire.Builder) { rawStrings(b) }
+	cases := []struct {
+		name  string
+		frame []byte
+		ok    bool
+	}{
+		{"ascending", rawFrame(rawClients([]int{0, 3}, "10.0.0.1", "10.0.0.2"), rawHashes("aa", "bb"),
+			func(b *wire.Builder) { rawStrings(b, "10.0.0.1", "10.0.0.2") }, rawCountries("CN", "US")), true},
+		{"client repeated", rawFrame(rawClients([]int{0}, "10.0.0.1", "10.0.0.1"), rawHashes(), noStrings, nil), false},
+		{"client descending", rawFrame(rawClients([]int{0}, "10.0.0.2", "10.0.0.1"), rawHashes(), noStrings, nil), false},
+		{"hash repeated", rawFrame(rawClients(nil), rawHashes("aa", "aa"), noStrings, nil), false},
+		{"hash descending", rawFrame(rawClients(nil), rawHashes("bb", "aa"), noStrings, nil), false},
+		{"country repeated", rawFrame(rawClients(nil), rawHashes(), noStrings, rawCountries("US", "US")), false},
+		{"string set repeated", rawFrame(rawClients(nil), rawHashes(),
+			func(b *wire.Builder) { rawStrings(b, "10.0.0.1", "10.0.0.1") }, nil), false},
+		{"int set repeated", rawFrame(rawClients([]int{3, 3}, "10.0.0.1"), rawHashes(), noStrings, nil), false},
+		{"int set descending", rawFrame(rawClients([]int{3, -1}, "10.0.0.1"), rawHashes(), noStrings, nil), false},
+	}
+	for _, c := range cases {
+		r := wire.NewReader(c.frame)
+		r.SetMaxStringLen(len(c.frame))
+		p, err := DecodePartials(r)
+		if c.ok {
+			if err != nil || r.Remaining() != 0 {
+				t.Fatalf("%s: err %v, %d bytes left — the hand-built frame is wrong", c.name, err, r.Remaining())
+			}
+			if !bytes.Equal(c.frame, encodeBundle(p)) {
+				t.Errorf("%s: re-encoding the decoded frame changed it", c.name)
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("%s: decoded", c.name)
+		}
+	}
+}

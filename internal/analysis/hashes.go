@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"sort"
+	"unsafe"
 
 	"honeyfarm/internal/honeypot"
 	"honeyfarm/internal/stats"
@@ -12,6 +13,17 @@ import (
 // paper's VirusTotal/ClamAV cross-check: mirai, trojan, miner,
 // malicious, suspicious, unknown).
 type Tagger func(hash string) string
+
+// sameTagger reports whether a and b are one function value: both nil,
+// or the same function or closure object. Go compares function values
+// only against nil and reflect exposes only the code pointer, which
+// every closure of one literal shares (malware.NewTagger(x) and
+// NewTagger(y) would look equal), so this compares the words the two
+// values hold — the pointer to the closure. Distinct closures that
+// behave alike compare unequal, which only costs HashAccum a rebuild.
+func sameTagger(a, b Tagger) bool {
+	return *(*unsafe.Pointer)(unsafe.Pointer(&a)) == *(*unsafe.Pointer)(unsafe.Pointer(&b))
+}
 
 // HashStat aggregates one file hash across the dataset — one row of the
 // paper's Tables 4, 5 and 6.
@@ -26,7 +38,8 @@ type HashStat struct {
 	Tag       string
 }
 
-// hashAcc is one hash's partial aggregate.
+// hashAcc is one hash's partial aggregate. touched is set while the
+// hash sits in its HashAccum's touched list.
 type hashAcc struct {
 	sessions int
 	ips      map[string]struct{}
@@ -34,6 +47,7 @@ type hashAcc struct {
 	pots     map[int]struct{}
 	first    int
 	last     int
+	touched  bool
 }
 
 // ComputeHashStats scans the dataset once and aggregates every hash.

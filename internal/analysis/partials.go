@@ -13,6 +13,7 @@ package analysis
 // property test.
 
 import (
+	"slices"
 	"sort"
 
 	"honeyfarm/internal/geo"
@@ -125,9 +126,17 @@ func (a *PotAccum) Finalize() []PerHoneypot {
 
 // ClientAccum accumulates per-client-IP stats. cat restricts to one
 // category (-1 for all), mirroring ComputeClientStats.
+//
+// Finalize is incremental: out is the table the last call returned
+// (sorted by IP and never written again — published snapshots alias
+// it), touched the IPs whose entry changed since, each listed once
+// (clientAcc.touched is the membership flag). Add, Merge and the wire
+// decoder all mark what they change.
 type ClientAccum struct {
-	cat int
-	m   map[string]*clientAcc
+	cat     int
+	m       map[string]*clientAcc
+	touched []string
+	out     []ClientStat
 }
 
 // NewClientAccum creates a client accumulator; pass cat = -1 for all
@@ -136,14 +145,24 @@ func NewClientAccum(cat int) *ClientAccum {
 	return &ClientAccum{cat: cat, m: make(map[string]*clientAcc)}
 }
 
-// Add folds one record in. day is the record's day bucket (store.Day).
-func (a *ClientAccum) Add(r *honeypot.SessionRecord, day int) {
+func (a *ClientAccum) touch(ip string, acc *clientAcc) {
+	if !acc.touched {
+		acc.touched = true
+		a.touched = append(a.touched, ip)
+	}
+}
+
+// Add folds one record in and reports whether it was the first the
+// accumulator kept for its client IP. day is the record's day bucket
+// (store.Day).
+func (a *ClientAccum) Add(r *honeypot.SessionRecord, day int) (first bool) {
 	c := Classify(r)
 	if a.cat >= 0 && c != Category(a.cat) {
-		return
+		return false
 	}
 	acc := a.m[r.ClientIP]
 	if acc == nil {
+		first = true
 		acc = &clientAcc{pots: make(map[int]struct{}), days: make(map[int]struct{})}
 		a.m[r.ClientIP] = acc
 	}
@@ -151,6 +170,8 @@ func (a *ClientAccum) Add(r *honeypot.SessionRecord, day int) {
 	acc.pots[r.HoneypotID] = struct{}{}
 	acc.days[day] = struct{}{}
 	acc.cats |= 1 << c
+	a.touch(r.ClientIP, acc)
+	return first
 }
 
 // Merge folds another accumulator in. The source accumulator's entries
@@ -159,31 +180,71 @@ func (a *ClientAccum) Merge(b *ClientAccum) {
 	for ip, sa := range b.m {
 		da := a.m[ip]
 		if da == nil {
+			// Adopted: the flag spoke for b's list, a's has yet to name it.
+			sa.touched = false
 			a.m[ip] = sa
+			a.touch(ip, sa)
 			continue
 		}
 		da.sessions += sa.sessions
 		unionInto(da.pots, sa.pots)
 		unionInto(da.days, sa.days)
 		da.cats |= sa.cats
+		a.touch(ip, da)
 	}
 }
 
 // Len returns the number of distinct client IPs accumulated.
 func (a *ClientAccum) Len() int { return len(a.m) }
 
-// Finalize renders the per-client table, sorted by IP.
+// Pending returns how many entries changed since the last Finalize —
+// the rows the next one rebuilds.
+func (a *ClientAccum) Pending() int { return len(a.touched) }
+
+// Finalize renders the per-client table, sorted by IP. The returned
+// slice is immutable: the accumulator keeps reading it to build the
+// next one.
 func (a *ClientAccum) Finalize() []ClientStat {
-	out := make([]ClientStat, 0, len(a.m))
-	for ip, acc := range a.m {
-		out = append(out, ClientStat{
-			IP: ip, Sessions: acc.sessions,
-			Honeypots: len(acc.pots), ActiveDays: len(acc.days),
-			Categories: acc.cats,
+	slices.Sort(a.touched)
+	a.out = mergeTouched(a.out, a.touched, len(a.m),
+		func(c *ClientStat) string { return c.IP },
+		func(ip string) ClientStat {
+			acc := a.m[ip]
+			acc.touched = false
+			return ClientStat{
+				IP: ip, Sessions: acc.sessions,
+				Honeypots: len(acc.pots), ActiveDays: len(acc.days),
+				Categories: acc.cats,
+			}
 		})
+	a.touched = a.touched[:0]
+	return a.out
+}
+
+// mergeTouched builds a key-sorted table of n rows from prev, the
+// previous table, and touched, the sorted keys whose rows are new or
+// changed: runs of prev between touched keys are copied in bulk and
+// row builds the rest. prev is only read. With prev empty every row is
+// built, so a first Finalize is this same path.
+func mergeTouched[T any](prev []T, touched []string, n int, key func(*T) string, row func(string) T) []T {
+	out := make([]T, 0, n)
+	for _, k := range touched {
+		// Gallop, then bisect: O(log gap), whether the touched keys are
+		// a few among many rows or most of them.
+		lo, step := 0, 1
+		for lo+step <= len(prev) && key(&prev[lo+step-1]) < k {
+			lo, step = lo+step, step*2
+		}
+		run := prev[lo:min(lo+step-1, len(prev))]
+		j := lo + sort.Search(len(run), func(i int) bool { return key(&run[i]) >= k })
+		out = append(out, prev[:j]...)
+		prev = prev[j:]
+		if len(prev) > 0 && key(&prev[0]) == k {
+			prev = prev[1:]
+		}
+		out = append(out, row(k))
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].IP < out[j].IP })
-	return out
+	return append(out, prev...)
 }
 
 // CountryAccum accumulates unique client IPs per country (Figure
@@ -242,9 +303,14 @@ func (a *CountryAccum) Finalize() []CountryCount {
 	return out
 }
 
-// HashAccum accumulates per-file-hash stats (Tables 4–6).
+// HashAccum accumulates per-file-hash stats (Tables 4–6). Finalize is
+// incremental exactly as ClientAccum's is; tag is the tagger out's
+// rows were labelled by.
 type HashAccum struct {
-	m map[string]*hashAcc
+	m       map[string]*hashAcc
+	touched []string
+	out     []HashStat
+	tag     Tagger
 }
 
 // NewHashAccum creates a hash accumulator.
@@ -252,19 +318,24 @@ func NewHashAccum() *HashAccum {
 	return &HashAccum{m: make(map[string]*hashAcc)}
 }
 
+func (a *HashAccum) touch(h string, acc *hashAcc) {
+	if !acc.touched {
+		acc.touched = true
+		a.touched = append(a.touched, h)
+	}
+}
+
 // Add folds one record in. day is the record's day bucket. A session
 // touching the same hash via several file events counts once per
 // distinct hash, matching the batch scan.
 func (a *HashAccum) Add(r *honeypot.SessionRecord, day int) {
-	if len(r.Files) == 0 {
-		return
-	}
-	seen := make(map[string]struct{}, len(r.Files))
-	for _, f := range r.Files {
-		if _, dup := seen[f.Hash]; dup {
-			continue
+files:
+	for i, f := range r.Files {
+		for _, g := range r.Files[:i] {
+			if g.Hash == f.Hash {
+				continue files
+			}
 		}
-		seen[f.Hash] = struct{}{}
 		acc := a.m[f.Hash]
 		if acc == nil {
 			acc = &hashAcc{
@@ -286,6 +357,7 @@ func (a *HashAccum) Add(r *honeypot.SessionRecord, day int) {
 		if day > acc.last {
 			acc.last = day
 		}
+		a.touch(f.Hash, acc)
 	}
 }
 
@@ -295,7 +367,10 @@ func (a *HashAccum) Merge(b *HashAccum) {
 	for h, sa := range b.m {
 		da := a.m[h]
 		if da == nil {
+			// Adopted: the flag spoke for b's list, a's has yet to name it.
+			sa.touched = false
 			a.m[h] = sa
+			a.touch(h, sa)
 			continue
 		}
 		da.sessions += sa.sessions
@@ -308,32 +383,50 @@ func (a *HashAccum) Merge(b *HashAccum) {
 		if sa.last > da.last {
 			da.last = sa.last
 		}
+		a.touch(h, da)
 	}
 }
 
 // Len returns the number of distinct hashes accumulated.
 func (a *HashAccum) Len() int { return len(a.m) }
 
+// Pending returns how many entries changed since the last Finalize —
+// the rows the next one rebuilds, given the same tagger.
+func (a *HashAccum) Pending() int { return len(a.touched) }
+
 // Finalize renders the hash table, sorted by hash. tag may be nil (tags
-// become "unknown").
+// become "unknown"). The returned slice is immutable: the accumulator
+// keeps reading it to build the next one. Its rows embed tag's labels,
+// so a call with a tagger other than the previous call's rebuilds
+// every row.
 func (a *HashAccum) Finalize(tag Tagger) []HashStat {
-	out := make([]HashStat, 0, len(a.m))
-	for h, acc := range a.m {
-		hs := HashStat{
-			Hash:      h,
-			Sessions:  acc.sessions,
-			ClientIPs: len(acc.ips),
-			Days:      len(acc.days),
-			Honeypots: len(acc.pots),
-			FirstDay:  acc.first,
-			LastDay:   acc.last,
-			Tag:       "unknown",
+	if !sameTagger(tag, a.tag) {
+		for i := range a.out {
+			a.touch(a.out[i].Hash, a.m[a.out[i].Hash])
 		}
-		if tag != nil {
-			hs.Tag = tag(h)
-		}
-		out = append(out, hs)
+		a.out, a.tag = nil, tag
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Hash < out[j].Hash })
-	return out
+	slices.Sort(a.touched)
+	a.out = mergeTouched(a.out, a.touched, len(a.m),
+		func(h *HashStat) string { return h.Hash },
+		func(h string) HashStat {
+			acc := a.m[h]
+			acc.touched = false
+			hs := HashStat{
+				Hash:      h,
+				Sessions:  acc.sessions,
+				ClientIPs: len(acc.ips),
+				Days:      len(acc.days),
+				Honeypots: len(acc.pots),
+				FirstDay:  acc.first,
+				LastDay:   acc.last,
+				Tag:       "unknown",
+			}
+			if tag != nil {
+				hs.Tag = tag(h)
+			}
+			return hs
+		})
+	a.touched = a.touched[:0]
+	return a.out
 }

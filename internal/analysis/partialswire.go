@@ -79,11 +79,14 @@ func (p *Partials) NumPots() int { return len(p.Pots.sessions) }
 
 // Add folds one record into every accumulator, exactly as the
 // incremental engine does. day is the record's day bucket (store.Day).
+// The client and country tables both cover every category, so the
+// country table already holds (or could not locate) any IP the client
+// table has seen: an IP is located once, by its first record.
 func (p *Partials) Add(r *honeypot.SessionRecord, day int) {
 	p.Cats.Add(r)
 	p.Pots.Add(r)
-	p.Clients.Add(r, day)
-	if p.Countries != nil {
+	first := p.Clients.Add(r, day)
+	if first && p.Countries != nil {
 		p.Countries.Add(r)
 	}
 	p.Hashes.Add(r, day)
@@ -226,14 +229,21 @@ func decodeClients(r *wire.Reader) *ClientAccum {
 		r.SetErrf("partials client table truncated")
 		return a
 	}
+	a.touched = make([]string, 0, n)
 	for i := uint32(0); i < n; i++ {
 		ip := r.Text()
+		if i > 0 && ip <= a.touched[i-1] {
+			r.SetErrf("partials client key %q not ascending", ip)
+			return a
+		}
 		a.m[ip] = &clientAcc{
 			sessions: int(int64(r.Uint64())),
 			pots:     decodeIntSet(r),
 			days:     decodeIntSet(r),
 			cats:     r.Byte(),
+			touched:  true,
 		}
+		a.touched = append(a.touched, ip)
 	}
 	return a
 }
@@ -260,8 +270,14 @@ func decodeCountries(r *wire.Reader) *CountryAccum {
 		r.SetErrf("partials country table truncated")
 		return a
 	}
+	prev := ""
 	for i := uint32(0); i < n; i++ {
 		c := r.Text()
+		if i > 0 && c <= prev {
+			r.SetErrf("partials country key %q not ascending", c)
+			return a
+		}
+		prev = c
 		a.m[c] = decodeStringSet(r)
 	}
 	return a
@@ -293,8 +309,13 @@ func decodeHashes(r *wire.Reader) *HashAccum {
 		r.SetErrf("partials hash table truncated")
 		return a
 	}
+	a.touched = make([]string, 0, n)
 	for i := uint32(0); i < n; i++ {
 		h := r.Text()
+		if i > 0 && h <= a.touched[i-1] {
+			r.SetErrf("partials hash key %q not ascending", h)
+			return a
+		}
 		a.m[h] = &hashAcc{
 			sessions: int(int64(r.Uint64())),
 			ips:      decodeStringSet(r),
@@ -302,7 +323,9 @@ func decodeHashes(r *wire.Reader) *HashAccum {
 			pots:     decodeIntSet(r),
 			first:    int(int64(r.Uint64())),
 			last:     int(int64(r.Uint64())),
+			touched:  true,
 		}
+		a.touched = append(a.touched, h)
 	}
 	return a
 }
@@ -328,8 +351,15 @@ func decodeStringSet(r *wire.Reader) map[string]struct{} {
 		return map[string]struct{}{}
 	}
 	set := make(map[string]struct{}, n)
+	prev := ""
 	for i := uint32(0); i < n; i++ {
-		set[r.Text()] = struct{}{}
+		k := r.Text()
+		if i > 0 && k <= prev {
+			r.SetErrf("partials string set key %q not ascending", k)
+			return set
+		}
+		prev = k
+		set[k] = struct{}{}
 	}
 	return set
 }
@@ -353,8 +383,15 @@ func decodeIntSet(r *wire.Reader) map[int]struct{} {
 		return map[int]struct{}{}
 	}
 	set := make(map[int]struct{}, n)
+	prev := 0
 	for i := uint32(0); i < n; i++ {
-		set[int(int64(r.Uint64()))] = struct{}{}
+		k := int(int64(r.Uint64()))
+		if i > 0 && k <= prev {
+			r.SetErrf("partials int set key %d not ascending", k)
+			return set
+		}
+		prev = k
+		set[k] = struct{}{}
 	}
 	return set
 }

@@ -95,6 +95,7 @@ type Engine struct {
 	sinceSeal int
 	parts     *analysis.Partials
 	seals     atomic.Uint64 // snapshots sealed (including the empty one)
+	rebuilt   atomic.Uint64 // client + hash rows those seals rebuilt
 
 	cur atomic.Pointer[Snapshot]
 }
@@ -150,10 +151,12 @@ func (e *Engine) Seal() *Snapshot {
 	return e.sealLocked()
 }
 
-// sealLocked materializes and publishes under e.mu. The Finalize calls
-// copy everything out of the accumulators, so the snapshot stays
-// immutable while ingest keeps folding into them.
+// sealLocked materializes and publishes under e.mu. Every Finalize
+// call returns a fresh slice, so the snapshot stays immutable while
+// ingest keeps folding into the accumulators; the client and hash
+// tables rebuild only the rows touched since the previous seal.
 func (e *Engine) sealLocked() *Snapshot {
+	e.rebuilt.Add(uint64(e.parts.Clients.Pending() + e.parts.Hashes.Pending()))
 	snap := MaterializeSnapshot(e.parts, e.seq, e.maxDay+1, e.cfg.Tagger, e.cfg.Faults)
 	e.sinceSeal = 0
 	e.cur.Store(snap)
@@ -166,8 +169,10 @@ func (e *Engine) sealLocked() *Snapshot {
 // THE materialization path: the engine's seal calls it for single-node
 // snapshots and the distributed merge coordinator calls it over merged
 // shard bundles, so the two can never disagree about how accumulators
-// become tables. The Finalize calls copy everything out of the bundle;
-// the snapshot stays immutable while callers keep folding into it.
+// become tables. Every Finalize call returns a slice nothing writes
+// again (the bundle keeps a read-only reference to its client and hash
+// tables, to build the next ones from); the snapshot stays immutable
+// while callers keep folding into the bundle.
 func MaterializeSnapshot(p *analysis.Partials, seq uint64, days int, tagger analysis.Tagger, rep *faults.Report) *Snapshot {
 	snap := &Snapshot{
 		Seq:     seq,
@@ -220,4 +225,11 @@ func (e *Engine) Seq() uint64 {
 // snapshot-seal counter of the /metrics plane.
 func (e *Engine) Seals() uint64 {
 	return e.seals.Load()
+}
+
+// SealRebuiltEntries returns how many client and hash rows those seals
+// rebuilt in total: the entries touched between consecutive seals, the
+// work a seal does beyond copying the rows that did not change.
+func (e *Engine) SealRebuiltEntries() uint64 {
+	return e.rebuilt.Load()
 }

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
+	"unsafe"
 
 	"honeyfarm"
 	"honeyfarm/internal/analysis"
@@ -138,28 +140,88 @@ func TestSnapshotCadence(t *testing.T) {
 }
 
 // TestSnapshotIsolation: a snapshot held across further ingest must not
-// change — its JSON encoding is stable while the engine moves on.
+// change — its JSON encoding is stable while the engine moves on. The
+// client and hash accumulators build each table from the previous
+// one, so every auto-sealed snapshot is held across all the seals after
+// it (120 in all) while a reader keeps walking the published one (run
+// under -race by check.sh), and no two snapshots' tables may overlap in
+// memory unless they say the same thing.
 func TestSnapshotIsolation(t *testing.T) {
-	const numPots = 5
+	const numPots, every = 5, 10
 	d, err := honeyfarm.Simulate(honeyfarm.SimulateConfig{
-		Seed: 5, TotalSessions: 600, Days: 10, NumPots: numPots,
+		Seed: 5, TotalSessions: 1200, Days: 10, NumPots: numPots,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := d.Store.Records()
-	eng := query.New(query.Config{Epoch: honeyfarm.DefaultEpoch, NumPots: numPots, Registry: d.Registry})
-	eng.Ingest(recs[:300])
-	held := eng.Seal()
-	before := mustJSON(t, held)
-	eng.Ingest(recs[300:])
-	eng.Seal()
-	if !bytes.Equal(before, mustJSON(t, held)) {
-		t.Fatal("held snapshot mutated by later ingest")
+	recs := d.Store.Records()[:1200]
+	eng := query.New(query.Config{
+		Epoch: honeyfarm.DefaultEpoch, NumPots: numPots, Registry: d.Registry,
+		Tagger: analysis.Tagger(malware.NewTagger(nil)), SnapshotEvery: every,
+	})
+
+	stop, readerDone := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(readerDone)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			snap := eng.Snapshot()
+			if _, err := json.Marshal(snap); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+
+	var held []*query.Snapshot
+	var before [][]byte
+	for lo := 0; lo < len(recs); lo += every {
+		eng.Ingest(recs[lo:min(lo+every, len(recs))])
+		snap := eng.Snapshot()
+		if snap.Seq != uint64(min(lo+every, len(recs))) {
+			t.Fatalf("auto-seal after %d records published seq %d", lo+every, snap.Seq)
+		}
+		held = append(held, snap)
+		before = append(before, mustJSON(t, snap))
 	}
-	if cur := eng.Snapshot(); cur.Seq != uint64(len(recs)) {
-		t.Fatalf("current snapshot seq = %d, want %d", cur.Seq, len(recs))
+	close(stop)
+	<-readerDone
+
+	if len(held) < 100 {
+		t.Fatalf("only %d snapshots held", len(held))
 	}
+	if last := held[len(held)-1]; len(last.Hashes) == 0 || len(last.Clients) == 0 {
+		t.Fatalf("dataset too small to say anything: %d clients, %d hashes", len(last.Clients), len(last.Hashes))
+	}
+	for i, snap := range held {
+		if !bytes.Equal(before[i], mustJSON(t, snap)) {
+			t.Fatalf("snapshot %d (seq %d) mutated by later ingest", i, snap.Seq)
+		}
+		for _, later := range held[i+1:] {
+			if overlap(snap.Clients, later.Clients) && !reflect.DeepEqual(snap.Clients, later.Clients) {
+				t.Fatalf("snapshots at seq %d and %d share a client table backing array", snap.Seq, later.Seq)
+			}
+			if overlap(snap.Hashes, later.Hashes) && !reflect.DeepEqual(snap.Hashes, later.Hashes) {
+				t.Fatalf("snapshots at seq %d and %d share a hash table backing array", snap.Seq, later.Seq)
+			}
+		}
+	}
+}
+
+// overlap reports whether two slices' backing arrays (to capacity)
+// share any element.
+func overlap[T any](a, b []T) bool {
+	if cap(a) == 0 || cap(b) == 0 {
+		return false
+	}
+	a, b = a[:cap(a)], b[:cap(b)]
+	size := unsafe.Sizeof(a[0])
+	a0, b0 := uintptr(unsafe.Pointer(&a[0])), uintptr(unsafe.Pointer(&b[0]))
+	return a0 < b0+uintptr(len(b))*size && b0 < a0+uintptr(len(a))*size
 }
 
 // waitUntil polls cond (bounded) with a short sleep; fails the test on

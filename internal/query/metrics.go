@@ -47,13 +47,23 @@ func RegisterSourceMetrics(reg *metrics.Registry, src Source, numPots int) {
 	}
 }
 
-// RegisterEngineMetrics exports the engine-only rows (the seal
-// counter) — call alongside RegisterSourceMetrics when the source is a
-// local Engine.
+// RegisterEngineMetrics exports the engine-only rows — the seal
+// counter, the rows seals rebuilt and the rows held, so work per seal
+// over state is (refinalized ÷ seals) ÷ entries — call alongside
+// RegisterSourceMetrics when the source is a local Engine.
 func RegisterEngineMetrics(reg *metrics.Registry, eng *Engine) {
 	reg.CounterFunc("honeyfarm_snapshot_seals_total",
 		"Snapshots sealed over the engine lifetime.",
 		nil, func() float64 { return float64(eng.Seals()) })
+	reg.CounterFunc("honeyfarm_seal_refinalized_entries_total",
+		"Client and hash table rows rebuilt by seals (entries touched since the previous seal).",
+		nil, func() float64 { return float64(eng.SealRebuiltEntries()) })
+	reg.GaugeFunc("honeyfarm_engine_state_entries",
+		"Client and hash table rows held as of the published snapshot.",
+		nil, func() float64 {
+			snap := eng.Snapshot()
+			return float64(len(snap.Clients) + len(snap.Hashes))
+		})
 }
 
 // RegisterFollowerMetrics exports the WAL tail position and gap losses
