@@ -350,8 +350,8 @@ func (f *Farm) bindLocked(i int) error {
 	st.up = true
 	st.listeners = []*netsim.Listener{sshL, telL}
 	pot := f.pots[i]
-	f.serve(sshL, i, pot.ServeSSH)
-	f.serve(telL, i, pot.ServeTelnet)
+	f.serve(sshL, i, st.gen, pot.ServeSSH)
+	f.serve(telL, i, st.gen, pot.ServeTelnet)
 	return nil
 }
 
@@ -376,7 +376,12 @@ func (f *Farm) installFaultHook() {
 	})
 }
 
-func (f *Farm) serve(l *netsim.Listener, pot int, handle func(net.Conn)) {
+// serve runs l's accept loop for pot under generation gen, the one the
+// listener was bound in. A takedown bumps the generation before it
+// sweeps f.conns, so a connection the sweep missed — accepted, not yet
+// registered — finds the generation stale once it is, and is closed
+// here instead.
+func (f *Farm) serve(l *netsim.Listener, pot, gen int, handle func(net.Conn)) {
 	f.wg.Add(1)
 	go func() {
 		defer f.wg.Done()
@@ -388,6 +393,12 @@ func (f *Farm) serve(l *netsim.Listener, pot int, handle func(net.Conn)) {
 			f.connMu.Lock()
 			f.conns[c] = pot
 			f.connMu.Unlock()
+			f.mu.Lock()
+			stale := f.states[pot].gen != gen
+			f.mu.Unlock()
+			if stale {
+				_ = c.Close()
+			}
 			f.wg.Add(1)
 			go func() {
 				defer f.wg.Done()

@@ -94,8 +94,13 @@ type Engine struct {
 	maxDay    int
 	sinceSeal int
 	parts     *analysis.Partials
-	seals     atomic.Uint64 // snapshots sealed (including the empty one)
-	rebuilt   atomic.Uint64 // client + hash rows those seals rebuilt
+	// pending folds the records in (cut, seq] a second time, so a pull
+	// by the peer that holds the first cut records ships only those. Nil
+	// until a pull makes a cut, and again once it outgrows the drop rule.
+	pending *analysis.Partials
+	cut     uint64
+	seals   atomic.Uint64 // snapshots sealed (including the empty one)
+	rebuilt atomic.Uint64 // client + hash rows those seals rebuilt
 
 	cur atomic.Pointer[Snapshot]
 }
@@ -107,12 +112,17 @@ func New(cfg Config) *Engine {
 		cfg:    cfg,
 		epoch:  store.NormalizeEpoch(cfg.Epoch),
 		maxDay: -1,
-		parts:  analysis.NewPartials(cfg.NumPots, cfg.Registry, cfg.Registry != nil),
 	}
+	e.parts = e.newPartials()
 	e.mu.Lock()
 	e.sealLocked()
 	e.mu.Unlock()
 	return e
+}
+
+// newPartials creates an empty bundle of the engine's shape.
+func (e *Engine) newPartials() *analysis.Partials {
+	return analysis.NewPartials(e.cfg.NumPots, e.cfg.Registry, e.cfg.Registry != nil)
 }
 
 // Epoch returns the engine's normalized day-bucketing epoch.
@@ -128,12 +138,22 @@ func (e *Engine) Ingest(recs []*honeypot.SessionRecord) {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	pending := e.pending
 	for _, r := range recs {
 		day := store.DayOf(e.epoch, r.Start)
 		if day > e.maxDay {
 			e.maxDay = day
 		}
 		e.parts.Add(r, day)
+		if pending != nil {
+			pending.Add(r, day)
+		}
+	}
+	// A puller that went away must not cost unbounded memory: past half
+	// the main client table the second fold is dropped, and whoever pulls
+	// next gets the full bundle.
+	if pending != nil && 2*pending.Clients.Len() > e.parts.Clients.Len() {
+		e.pending = nil
 	}
 	e.seq += uint64(len(recs))
 	e.sinceSeal += len(recs)
@@ -204,6 +224,48 @@ func (e *Engine) EncodePartials(b *wire.Builder) (seq uint64, days int) {
 	defer e.mu.Unlock()
 	e.parts.Encode(b)
 	return e.seq, e.maxDay + 1
+}
+
+// CutPartials answers one pull by a peer that holds the bundle of the
+// engine's first since records (held false: it holds nothing). It
+// appends to b the bundle of the records in (from, seq] and makes seq
+// the cut the next pull is measured against. When since is the cut the
+// previous pull made, that bundle is the pending one: it is swapped out
+// under the ingest mutex and encoded outside it, nothing else holding
+// it any more. Otherwise — first contact, a lost response, a second
+// puller, or pending dropped — from is 0 and the bundle is the full
+// one, encoded under the mutex exactly as EncodePartials does. Either
+// way merging the bytes into the bundle of the first from records
+// yields the bundle of the first seq.
+func (e *Engine) CutPartials(b *wire.Builder, since uint64, held bool) (from, seq uint64, days int) {
+	e.mu.Lock()
+	delta := e.pending
+	if delta != nil && held && since == e.cut {
+		from = e.cut
+	} else {
+		delta = nil
+		e.parts.Encode(b)
+	}
+	e.pending = e.newPartials()
+	e.cut = e.seq
+	seq, days = e.seq, e.maxDay+1
+	e.mu.Unlock()
+	if delta != nil {
+		delta.Encode(b)
+	}
+	return from, seq, days
+}
+
+// PendingEntries returns how many client and hash entries the pending
+// bundle holds: what the next delta pull ships, 0 while no puller is
+// being tracked.
+func (e *Engine) PendingEntries() int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.pending == nil {
+		return 0
+	}
+	return e.pending.Clients.Len() + e.pending.Hashes.Len()
 }
 
 // Snapshot returns the most recently sealed snapshot. It never blocks

@@ -49,8 +49,9 @@ func RegisterSourceMetrics(reg *metrics.Registry, src Source, numPots int) {
 
 // RegisterEngineMetrics exports the engine-only rows — the seal
 // counter, the rows seals rebuilt and the rows held, so work per seal
-// over state is (refinalized ÷ seals) ÷ entries — call alongside
-// RegisterSourceMetrics when the source is a local Engine.
+// over state is (refinalized ÷ seals) ÷ entries, and the rows the next
+// delta pull ships — call alongside RegisterSourceMetrics when the
+// source is a local Engine.
 func RegisterEngineMetrics(reg *metrics.Registry, eng *Engine) {
 	reg.CounterFunc("honeyfarm_snapshot_seals_total",
 		"Snapshots sealed over the engine lifetime.",
@@ -64,6 +65,9 @@ func RegisterEngineMetrics(reg *metrics.Registry, eng *Engine) {
 			snap := eng.Snapshot()
 			return float64(len(snap.Clients) + len(snap.Hashes))
 		})
+	reg.GaugeFunc("honeyfarm_engine_pending_entries",
+		"Client and hash entries folded since the last pull's cut (0 while no puller is tracked).",
+		nil, func() float64 { return float64(eng.PendingEntries()) })
 }
 
 // RegisterFollowerMetrics exports the WAL tail position and gap losses

@@ -1,34 +1,39 @@
 package shard
 
 // The merge coordinator: one puller goroutine per shard walks the pull
-// API on a fixed cadence, installs monotonically newer partials frames,
-// and a single merger goroutine folds the installed frames into a
-// global snapshot. Supervision reuses the farm's generation-deduped
-// restart machinery (faults.Restarter): FailAfter consecutive failures
-// mark a shard down and hand it to a capped-exponential probe loop;
-// the regular puller skips a down shard so the two never race.
+// API on a fixed cadence and folds what each pull brings — normally the
+// delta since the previous one — into that shard's bundle and into one
+// long-lived merged bundle; a single merger goroutine materializes the
+// merged bundle into a global snapshot. Supervision reuses the farm's
+// generation-deduped restart machinery (faults.Restarter): FailAfter
+// consecutive failures mark a shard down and hand it to a
+// capped-exponential probe loop; the regular puller skips a down shard
+// so the two never race.
 //
 // Two invariants carry the robustness story:
 //
-//   - Monotonic resumption: a frame whose seq is below the shard's
-//     installed seq is ignored (the shard restarted and is replaying
-//     its WAL); the installed state keeps serving until the shard
-//     catches back up, so the merged snapshot never moves backwards.
+//   - Monotonic resumption: a full frame whose seq is not above the
+//     shard's installed seq is ignored (the shard restarted and is
+//     replaying its WAL); the installed state keeps serving until the
+//     shard catches back up, so the merged snapshot never moves
+//     backwards.
 //   - Degradation without regression: a down shard's last installed
-//     frame stays in the merge, so the global snapshot keeps covering
+//     state stays in the merge, so the global snapshot keeps covering
 //     every record it ever covered. The staleness is surfaced per shard
 //     (ShardStatuses → /v1/healthz "degraded:shard"), never hidden.
 //
-// The installed unit is the frame's raw bytes, not a decoded bundle:
-// accumulator Merge adopts entries by reference, so every merge decodes
-// fresh copies from the bytes. That makes merges idempotent and keeps
-// the installed state immutable.
+// Accumulator Merge adopts entries by reference, so a frame is decoded
+// once per bundle it is folded into: the shard's and the merged one
+// share nothing. The per-shard bundles exist for the one case a fold
+// cannot express — a full frame replacing state already merged — where
+// the merged bundle is rebuilt from copies of them.
 
 import (
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -38,6 +43,7 @@ import (
 	"honeyfarm/internal/query"
 	"honeyfarm/internal/stats"
 	"honeyfarm/internal/store"
+	"honeyfarm/internal/wire"
 )
 
 // Config parameterizes a Coordinator.
@@ -77,11 +83,15 @@ type shardState struct {
 	url string
 	up  bool
 	gen int // bumped on every mark-down; stale probe attempts are dropped
-	// frame is the latest installed partials frame (nil before first
-	// contact). Immutable once installed; merges decode fresh copies.
-	frame    []byte
-	seq      uint64
-	days     int
+	// parts is the bundle of the shard's first seq records (guarded by
+	// Coordinator.mergeMu, as merged is): what the merged bundle holds of
+	// this shard, kept apart so the merged one can be rebuilt.
+	parts *analysis.Partials
+	seq   uint64
+	days  int
+	// resync makes the next pull ask for the full frame: the last delta
+	// did not continue from seq.
+	resync   bool
 	lastOK   int64
 	failures int
 	lastErr  string
@@ -89,6 +99,8 @@ type shardState struct {
 	// resets on success) these only grow.
 	pulls     uint64
 	pullFails uint64
+	fullPulls uint64
+	pullBytes uint64
 }
 
 // Coordinator supervises a shard fleet and publishes merged snapshots.
@@ -98,6 +110,13 @@ type Coordinator struct {
 	cfg    Config
 	epoch  time.Time
 	client *http.Client
+
+	// mergeMu serializes everything that reads or writes the bundles:
+	// installs (the pullers) and materialization (the merger). It is
+	// taken before mu, never under it.
+	mergeMu  sync.Mutex
+	merged   *analysis.Partials // the fold of every shards[i].parts
+	rebuilds atomic.Uint64      // times merged was rebuilt from the shard bundles
 
 	mu      sync.Mutex
 	shards  []shardState
@@ -145,9 +164,10 @@ func New(cfg Config) (*Coordinator, error) {
 		stopCh:  make(chan struct{}),
 	}
 	for i, url := range cfg.Shards {
-		c.shards[i] = shardState{url: url, up: true}
+		c.shards[i] = shardState{url: url, up: true, parts: c.emptyBundle()}
 	}
-	c.cur.Store(query.MaterializeSnapshot(c.emptyBundle(), 0, 0, cfg.Tagger, nil))
+	c.merged = c.emptyBundle()
+	c.publish()
 	c.restarter = faults.NewRestarter(faults.RestarterConfig{
 		Backoff: cfg.Retry.Backoff,
 		Try:     c.tryProbe,
@@ -203,9 +223,8 @@ func (c *Coordinator) ShardStatuses() []query.ShardStatus {
 	return out
 }
 
-// emptyBundle is the merge destination: shaped exactly like a shard's
-// bundle so an empty merge materializes byte-identically to an empty
-// single-node engine.
+// emptyBundle is a bundle shaped exactly like a shard's, so an empty
+// merge materializes byte-identically to an empty single-node engine.
 func (c *Coordinator) emptyBundle() *analysis.Partials {
 	return analysis.NewPartials(c.cfg.NumPots, nil, c.cfg.Countries)
 }
@@ -238,22 +257,29 @@ func (c *Coordinator) pullLoop(i int) {
 func PullLatencyBuckets() []float64 { return stats.LogBuckets(1e-3, 10, 12) }
 
 // pullOnce performs one pull of shard i and reports whether the shard
-// answered with an installable (or already-installed) frame. Latency
-// is observed only when the coordinator has a clock (Config.Now), so
-// clockless deterministic runs render an empty histogram.
+// answered with a frame that continues (or is covered by) the installed
+// state. Latency is observed only when the coordinator has a clock
+// (Config.Now), so clockless deterministic runs render an empty
+// histogram.
 func (c *Coordinator) pullOnce(i int) bool {
 	var t0 time.Time
 	if c.cfg.Now != nil {
 		t0 = c.cfg.Now()
 	}
 	frame, err := c.fetch(i)
+	full := false
 	if err == nil {
-		err = c.install(i, frame)
+		full, err = c.install(i, frame)
 	}
 	c.mu.Lock()
-	c.shards[i].pulls++
+	st := &c.shards[i]
+	st.pulls++
+	st.pullBytes += uint64(len(frame))
+	if full {
+		st.fullPulls++
+	}
 	if err != nil {
-		c.shards[i].pullFails++
+		st.pullFails++
 	} else if c.cfg.Now != nil {
 		c.pullLat.Observe(c.cfg.Now().Sub(t0).Seconds())
 	}
@@ -269,6 +295,10 @@ func (c *Coordinator) pullOnce(i int) bool {
 type PullStats struct {
 	Pulls    uint64
 	Failures uint64
+	// Full counts the pulls answered with a full frame, not a delta.
+	Full uint64
+	// Bytes sums the frame bytes received.
+	Bytes uint64
 }
 
 // PullStatsAll returns per-shard cumulative pull counters.
@@ -277,10 +307,16 @@ func (c *Coordinator) PullStatsAll() []PullStats {
 	defer c.mu.Unlock()
 	out := make([]PullStats, len(c.shards))
 	for i := range c.shards {
-		out[i] = PullStats{Pulls: c.shards[i].pulls, Failures: c.shards[i].pullFails}
+		st := &c.shards[i]
+		out[i] = PullStats{Pulls: st.pulls, Failures: st.pullFails, Full: st.fullPulls, Bytes: st.pullBytes}
 	}
 	return out
 }
+
+// MergeRebuilds returns how many times the merged bundle was rebuilt
+// from the per-shard ones — once per full frame that replaced a shard's
+// installed state.
+func (c *Coordinator) MergeRebuilds() uint64 { return c.rebuilds.Load() }
 
 // PullLatency returns a merged copy of the successful-pull latency
 // histogram.
@@ -297,12 +333,17 @@ func (c *Coordinator) PullLatency() *stats.Histogram {
 	return cp
 }
 
-// fetch GETs shard i's current partials frame.
+// fetch GETs a frame from shard i: the delta since the installed seq
+// when there is one to continue from, else the full frame.
 func (c *Coordinator) fetch(i int) ([]byte, error) {
 	c.mu.Lock()
-	url := c.shards[i].url
+	st := &c.shards[i]
+	url := st.url + PartialsPath
+	if st.seq > 0 && !st.resync {
+		url += "?since=" + strconv.FormatUint(st.seq, 10)
+	}
 	c.mu.Unlock()
-	resp, err := c.client.Get(url + PartialsPath)
+	resp, err := c.client.Get(url)
 	if err != nil {
 		return nil, err
 	}
@@ -313,48 +354,115 @@ func (c *Coordinator) fetch(i int) ([]byte, error) {
 	return io.ReadAll(resp.Body)
 }
 
-// install validates the frame and installs it if it advances shard i's
-// sequence. A frame behind the installed seq is the shard replaying its
-// WAL after a restart: the pull still counts as healthy contact, but
-// the installed state stands until the shard catches up.
-func (c *Coordinator) install(i int, frame []byte) error {
-	seq, days, parts, err := DecodePartialsFrame(frame)
+// install validates the frame, folds it into shard i's state and wakes
+// the merger if that advanced the shard's sequence; full reports an
+// accepted full frame.
+func (c *Coordinator) install(i int, frame []byte) (full bool, err error) {
+	from, seq, days, parts, err := decodeFrame(frame)
 	if err != nil {
-		return err
+		return false, err
 	}
 	if parts.NumPots() != c.cfg.NumPots {
-		return fmt.Errorf("shard: bundle sized for %d pots, fleet has %d", parts.NumPots(), c.cfg.NumPots)
+		return false, fmt.Errorf("shard: bundle sized for %d pots, fleet has %d", parts.NumPots(), c.cfg.NumPots)
 	}
 	if (parts.Countries != nil) != c.cfg.Countries {
-		return fmt.Errorf("shard: bundle country-table presence %v, fleet wants %v", parts.Countries != nil, c.cfg.Countries)
+		return false, fmt.Errorf("shard: bundle country-table presence %v, fleet wants %v", parts.Countries != nil, c.cfg.Countries)
 	}
-	c.mu.Lock()
-	st := &c.shards[i]
-	st.up = true
-	st.failures = 0
-	st.lastErr = ""
-	if c.cfg.Now != nil {
-		st.lastOK = c.cfg.Now().Unix()
-	}
-	advanced := st.frame == nil || seq > st.seq
-	if advanced {
-		st.frame = frame
-		st.seq = seq
-		st.days = days
-		var sum uint64
-		for j := range c.shards {
-			sum += c.shards[j].seq
-		}
-		c.seq = sum
-	}
-	c.mu.Unlock()
+	c.mergeMu.Lock()
+	advanced, err := c.foldLocked(i, frame, from, seq, days, parts)
+	c.mergeMu.Unlock()
 	if advanced {
 		select {
 		case c.dirty <- struct{}{}:
 		default:
 		}
 	}
-	return nil
+	return from == 0 && err == nil, err
+}
+
+// foldLocked applies a validated frame — parts, the bundle of the
+// records in (from, seq], decoded from frame — to shard i:
+//
+//   - from is the installed seq — a delta, or any frame for a shard
+//     with nothing installed: the frame is decoded a second time and
+//     the two copies merged into the shard's bundle and the merged one.
+//   - a full frame past the installed seq (a restarted shard caught up,
+//     or the shard fell back to full) replaces the shard's bundle, and
+//     the merged bundle is rebuilt.
+//   - a full frame at or behind the installed seq is the shard replaying
+//     its WAL after a restart: the pull still counts as healthy contact,
+//     but the installed state stands until the shard catches up.
+//   - a delta from anywhere else is a failed pull, and the next one asks
+//     for the full frame.
+//
+// Caller holds mergeMu, under which alone a shard's seq, days and parts
+// change.
+func (c *Coordinator) foldLocked(i int, frame []byte, from, seq uint64, days int, parts *analysis.Partials) (advanced bool, err error) {
+	st := &c.shards[i]
+	advanced = seq > st.seq
+	switch {
+	case from == st.seq:
+		if advanced {
+			_, _, _, again, err := decodeFrame(frame)
+			if err != nil {
+				return false, err // unreachable: the same bytes just decoded
+			}
+			if err := st.parts.Merge(parts); err != nil {
+				return false, err // unreachable: install validated the shape
+			}
+			if err := c.merged.Merge(again); err != nil {
+				return false, err
+			}
+		}
+	case from == 0:
+		if advanced {
+			st.parts = parts
+			c.rebuildLocked()
+		}
+	default:
+		c.mu.Lock()
+		st.resync = true
+		c.mu.Unlock()
+		return false, fmt.Errorf("shard: delta from seq %d, installed seq is %d", from, st.seq)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	st.up = true
+	st.failures = 0
+	st.lastErr = ""
+	st.resync = false
+	if c.cfg.Now != nil {
+		st.lastOK = c.cfg.Now().Unix()
+	}
+	if advanced {
+		c.seq += seq - st.seq
+		st.seq = seq
+		st.days = days
+	}
+	return advanced, nil
+}
+
+// rebuildLocked replaces the merged bundle with the fold of a copy
+// (encode→decode: Merge adopts its source) of every shard's bundle.
+// Caller holds mergeMu.
+func (c *Coordinator) rebuildLocked() {
+	dest := c.emptyBundle()
+	b := wire.NewBuilder(64 << 10)
+	for i := range c.shards {
+		b.Reset()
+		c.shards[i].parts.Encode(b)
+		r := wire.NewReader(b.Bytes())
+		r.SetMaxStringLen(b.Len())
+		cp, err := analysis.DecodePartials(r)
+		if err != nil {
+			panic("shard: installed bundle does not round-trip: " + err.Error())
+		}
+		if err := dest.Merge(cp); err != nil {
+			panic("shard: installed bundle changed shape: " + err.Error())
+		}
+	}
+	c.merged = dest
+	c.rebuilds.Add(1)
 }
 
 // noteFailure counts one failed pull; FailAfter consecutive failures
@@ -394,9 +502,9 @@ func (c *Coordinator) tryProbe(i, gen, _ int) faults.RestartOutcome {
 	return faults.RestartRetry
 }
 
-// mergeLoop folds the installed frames into a published snapshot
-// whenever an install advances a shard. Coalescing through the
-// one-slot dirty channel means a burst of installs costs one merge.
+// mergeLoop publishes a snapshot whenever an install advances a shard.
+// Coalescing through the one-slot dirty channel means a burst of
+// installs costs one materialization.
 func (c *Coordinator) mergeLoop() {
 	defer c.wg.Done()
 	for running := true; running; {
@@ -410,36 +518,19 @@ func (c *Coordinator) mergeLoop() {
 	}
 }
 
-// publish decodes every installed frame fresh, folds the bundles into
-// one, and materializes through the same path as a single-node seal —
-// so the merged snapshot is byte-identical (after JSON encoding) to an
-// engine that ingested all shards' records directly.
+// publish materializes the merged bundle through the same path as a
+// single-node seal — so the merged snapshot is byte-identical (after
+// JSON encoding) to an engine that ingested all shards' records
+// directly. The bundle lives on between publishes, so its Finalize
+// rebuilds only the rows the installs since the last one touched.
 func (c *Coordinator) publish() {
+	c.mergeMu.Lock()
+	defer c.mergeMu.Unlock()
 	c.mu.Lock()
-	frames := make([][]byte, 0, len(c.shards))
-	var seq uint64
-	days := 0
+	seq, days := c.seq, 0
 	for i := range c.shards {
-		st := &c.shards[i]
-		if st.frame == nil {
-			continue
-		}
-		frames = append(frames, st.frame)
-		seq += st.seq
-		if st.days > days {
-			days = st.days
-		}
+		days = max(days, c.shards[i].days)
 	}
 	c.mu.Unlock()
-	dest := c.emptyBundle()
-	for _, frame := range frames {
-		_, _, parts, err := DecodePartialsFrame(frame)
-		if err != nil {
-			continue // unreachable: install validated the bytes
-		}
-		if err := dest.Merge(parts); err != nil {
-			continue // unreachable: install validated the shape
-		}
-	}
-	c.cur.Store(query.MaterializeSnapshot(dest, seq, days, c.cfg.Tagger, nil))
+	c.cur.Store(query.MaterializeSnapshot(c.merged, seq, days, c.cfg.Tagger, nil))
 }

@@ -5,20 +5,24 @@
 // byte-identical to a single-node run over the same records.
 //
 // The wire unit is a partials frame: the WAL frame envelope (length +
-// CRC-32C + kind byte, wal.FrameKindPartials) around a payload of
+// CRC-32C + kind byte) around the bundle of the records in (from, seq]
+// of the shard's stream. A full frame (wal.FrameKindPartials, from = 0)
+// carries
 //
-//	uint64 seq   — records folded into the bundle (a stream prefix)
-//	uint64 days  — day buckets covered (engine's maxDay+1)
+//	uint64 seq   — records folded into the shard so far (a stream prefix)
+//	uint64 days  — day buckets the shard covers (engine's maxDay+1)
 //	bytes  ...   — the analysis.Partials wire encoding
 //
-// The triple is cut under the shard engine's ingest mutex, so decoding
-// a frame yields exactly the state of the shard's first seq records.
-// Because the partials encoding walks every map in sorted key order,
-// a given accumulator state has one exact byte string — a pull that
-// observes no new records returns bit-identical bytes.
+// and a delta frame (wal.FrameKindPartialsDelta) puts uint64 from > 0
+// before the same three. The cut is made under the shard engine's
+// ingest mutex, so merging a frame into the bundle of the shard's first
+// from records yields exactly the bundle of its first seq. Because the
+// partials encoding walks every map in sorted key order, a given
+// accumulator state has one exact byte string.
 package shard
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -29,47 +33,89 @@ import (
 	"honeyfarm/internal/wire"
 )
 
-// PartialsPath is the shard pull API's endpoint: a GET returns the
-// shard's current partials frame as an octet stream.
+// PartialsPath is the shard pull API's endpoint: a GET returns a
+// partials frame as an octet stream. ?since=<seq> names the sequence
+// the puller's copy of this shard covers; when that is the cut the
+// previous pull made the answer is a delta frame from it, otherwise
+// (or with no since) the full frame.
 const PartialsPath = "/shard/v1/partials"
 
 // EncodePartialsFrame cuts the engine's current accumulator state into
-// a self-contained partials frame.
+// a self-contained full frame.
 func EncodePartialsFrame(eng *query.Engine) []byte {
 	body := wire.NewBuilder(64 << 10)
 	seq, days := eng.EncodePartials(body)
-	payload := wire.NewBuilder(16 + body.Len())
-	payload.Uint64(seq)
-	payload.Uint64(uint64(int64(days)))
-	payload.Raw(body.Bytes())
-	return wal.EncodeRawFrame(nil, wal.FrameKindPartials, payload.Bytes())
+	return encodeFrame(0, seq, days, body.Bytes())
 }
 
-// DecodePartialsFrame validates one partials frame (envelope CRC, kind
+// encodeFrame wraps the encoded bundle of the records in (from, seq]:
+// a full frame when from is 0, else a delta frame.
+func encodeFrame(from, seq uint64, days int, bundle []byte) []byte {
+	kind := byte(wal.FrameKindPartials)
+	payload := wire.NewBuilder(24 + len(bundle))
+	if from != 0 {
+		kind = wal.FrameKindPartialsDelta
+		payload.Uint64(from)
+	}
+	payload.Uint64(seq)
+	payload.Uint64(uint64(int64(days)))
+	payload.Raw(bundle)
+	return wal.EncodeRawFrame(nil, kind, payload.Bytes())
+}
+
+// DecodePartialsFrame validates one full frame (envelope CRC, kind
 // byte, exact-length payload) and decodes it back to the bundle plus
 // the (seq, days) cut it covers.
 func DecodePartialsFrame(frame []byte) (seq uint64, days int, parts *analysis.Partials, err error) {
-	payload, _, err := wal.DecodeRawFrame(frame, wal.FrameKindPartials)
+	from, seq, days, parts, err := decodeFrame(frame)
+	if err == nil && from != 0 {
+		err = errors.New("shard: delta frame where a full one was expected")
+	}
 	if err != nil {
 		return 0, 0, nil, err
+	}
+	return seq, days, parts, nil
+}
+
+// decodeFrame validates a frame of either kind — the one decoder that
+// takes fleet bytes off the network — and decodes the bundle of the
+// records in (from, seq] it carries; from is 0 for a full frame.
+func decodeFrame(frame []byte) (from, seq uint64, days int, parts *analysis.Partials, err error) {
+	kind, payload, _, err := wal.DecodeRawFrameKind(frame)
+	if err != nil {
+		return 0, 0, 0, nil, err
 	}
 	r := wire.NewReader(payload)
 	// Partials payloads scale with the client table, far past the SSH
 	// string cap; the frame CRC already vouches for the bytes.
 	r.SetMaxStringLen(len(payload))
+	switch kind {
+	case wal.FrameKindPartials:
+	case wal.FrameKindPartialsDelta:
+		from = r.Uint64()
+	default:
+		return 0, 0, 0, nil, fmt.Errorf("shard: frame kind %#x is not a partials frame", kind)
+	}
 	seq = r.Uint64()
 	days = int(int64(r.Uint64()))
+	// The cut is checked before the bundle is decoded: a contradictory
+	// header costs nothing more.
+	if r.Err() == nil {
+		if days < 0 {
+			return 0, 0, 0, nil, fmt.Errorf("shard: negative day span %d", days)
+		}
+		if kind == wal.FrameKindPartialsDelta && (from == 0 || from > seq) {
+			return 0, 0, 0, nil, fmt.Errorf("shard: delta frame from %d to %d", from, seq)
+		}
+	}
 	parts, err = analysis.DecodePartials(r)
 	if err != nil {
-		return 0, 0, nil, err
+		return 0, 0, 0, nil, err
 	}
 	if r.Remaining() != 0 {
-		return 0, 0, nil, fmt.Errorf("shard: %d trailing bytes after partials payload", r.Remaining())
+		return 0, 0, 0, nil, fmt.Errorf("shard: %d trailing bytes after partials payload", r.Remaining())
 	}
-	if days < 0 {
-		return 0, 0, nil, fmt.Errorf("shard: negative day span %d", days)
-	}
-	return seq, days, parts, nil
+	return from, seq, days, parts, nil
 }
 
 // NewHandler returns the shard-side pull API over eng. It is mounted
@@ -83,11 +129,15 @@ func NewHandler(eng *query.Engine) http.Handler {
 			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 			return
 		}
-		frame := EncodePartialsFrame(eng)
+		// An absent or unreadable since is a puller that holds nothing.
+		since, err := strconv.ParseUint(r.URL.Query().Get("since"), 10, 64)
+		body := wire.NewBuilder(64 << 10)
+		from, seq, days := eng.CutPartials(body, since, err == nil)
+		frame := encodeFrame(from, seq, days, body.Bytes())
 		w.Header().Set("Content-Type", "application/octet-stream")
 		w.Header().Set("Content-Length", strconv.Itoa(len(frame)))
 		if _, err := w.Write(frame); err != nil {
-			return // client went away mid-write; nothing to recover
+			return // client went away mid-write; its next since will not match the cut
 		}
 	})
 	return mux

@@ -3,10 +3,13 @@ package shard_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -193,7 +196,9 @@ func startCoordinator(t *testing.T, urls []string, client *http.Client) *shard.C
 // contract to N nodes: the merged snapshot over N shard partitions is
 // byte-identical (after JSON encoding) to a single-node engine over
 // the full record stream — for N ∈ {1, 2, 4} and either generation
-// worker count.
+// worker count, whether the coordinator meets shards that already hold
+// everything (one full pull each) or ones still being fed (a full pull,
+// then deltas).
 func TestShardedSnapshotEquivalence(t *testing.T) {
 	base := runtime.NumGoroutine()
 	for _, workers := range []int{1, 7} {
@@ -231,7 +236,181 @@ func TestShardedSnapshotEquivalence(t *testing.T) {
 			}
 			client.CloseIdleConnections()
 		}
+		for _, n := range []int{1, 2, 4} {
+			liveFeedEquivalence(t, d, n, want)
+		}
 	}
+	waitGoroutines(t, base)
+}
+
+// liveFeedEquivalence feeds n shards while a 5 ms-cadence coordinator
+// pulls them. Each shard starts with half its partition and gets the
+// rest in small batches, the next one once the coordinator has
+// installed the last — so pending never nears the drop rule and the
+// path each pull takes is determined: one full frame per shard, deltas
+// from then on, the merged bundle never rebuilt.
+func liveFeedEquivalence(t *testing.T, d *honeyfarm.Dataset, n int, want []byte) {
+	t.Helper()
+	const batch = 25
+	recs := d.Store.Records()
+	client := &http.Client{Timeout: 5 * time.Second}
+	engines := make([]*query.Engine, n)
+	parts := make([][]*honeypot.SessionRecord, n)
+	shards := make([]*testShard, n)
+	urls := make([]string, n)
+	for i := range shards {
+		parts[i] = partition(recs, n, i)
+		engines[i] = newEngine(d)
+		engines[i].Ingest(parts[i][:len(parts[i])/2])
+		shards[i] = startShard(t, engines[i])
+		urls[i] = shards[i].url()
+	}
+	coord := startCoordinator(t, urls, client)
+
+	var feeders sync.WaitGroup
+	stop := make(chan struct{})
+	var regressed atomic.Bool
+	feeders.Add(1)
+	go func() { // the published sequence only ever grows
+		defer feeders.Done()
+		var last uint64
+		for {
+			select {
+			case <-stop:
+				return
+			case <-time.After(time.Millisecond):
+			}
+			seq := coord.Snapshot().Seq
+			if seq < last {
+				regressed.Store(true)
+			}
+			last = seq
+		}
+	}()
+	for i := range shards {
+		feeders.Add(1)
+		go func() {
+			defer feeders.Done()
+			for off := len(parts[i]) / 2; off < len(parts[i]); off += batch {
+				installed := func() bool { return coord.ShardStatuses()[i].LastSeq == uint64(off) }
+				for !installed() {
+					select {
+					case <-stop:
+						return
+					case <-time.After(time.Millisecond):
+					}
+				}
+				engines[i].Ingest(parts[i][off:min(off+batch, len(parts[i]))])
+			}
+		}()
+	}
+	ok := func() bool { return coord.Snapshot().Seq == uint64(len(recs)) }
+	deadline := time.Now().Add(30 * time.Second)
+	for !ok() && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	close(stop)
+	feeders.Wait()
+	if !ok() {
+		t.Fatalf("live n=%d: merged snapshot at %d, want %d", n, coord.Snapshot().Seq, len(recs))
+	}
+	if got := mustJSON(t, coord.Snapshot()); !bytes.Equal(got, want) {
+		t.Errorf("live n=%d: merged snapshot differs from single-node (%d vs %d bytes)", n, len(got), len(want))
+	}
+	if regressed.Load() {
+		t.Errorf("live n=%d: published snapshot sequence regressed", n)
+	}
+	for i, ps := range coord.PullStatsAll() {
+		if deltas := ps.Pulls - ps.Failures - ps.Full; ps.Full != 1 || deltas < 1 || ps.Failures != 0 {
+			t.Errorf("live n=%d shard %d: %d full pulls, %d deltas, %d failures; want 1, ≥1, 0", n, i, ps.Full, deltas, ps.Failures)
+		}
+	}
+	if r := coord.MergeRebuilds(); r != 0 {
+		t.Errorf("live n=%d: merged bundle rebuilt %d times with no shard restarted", n, r)
+	}
+	coord.Stop()
+	for _, s := range shards {
+		s.kill()
+	}
+	client.CloseIdleConnections()
+}
+
+// TestCoordinatorLostResponse: a shard makes its cut and the connection
+// resets mid-body, so the delta it cut is gone. The coordinator's next
+// since no longer names the shard's cut, the answer is the full frame,
+// it replaces the shard's bundle, the merged bundle is rebuilt — and
+// deltas resume on top of it, byte-identical to a single node.
+func TestCoordinatorLostResponse(t *testing.T) {
+	base := runtime.NumGoroutine()
+	d := dataset(t, 1)
+	recs := d.Store.Records()
+	parts := [][]*honeypot.SessionRecord{partition(recs, 2, 0), partition(recs, 2, 1)}
+	engines := []*query.Engine{newEngine(d), newEngine(d)}
+	fed := func() uint64 { return engines[0].Seq() + engines[1].Seq() }
+	// Three feeds per shard, the later two small enough beside the first
+	// that pending stays under the drop rule.
+	feed := func(i, k int) {
+		cuts := []int{0, len(parts[i]) * 3 / 5, len(parts[i]) * 4 / 5, len(parts[i])}
+		engines[i].Ingest(parts[i][cuts[k]:cuts[k+1]])
+	}
+	feed(0, 0)
+	feed(1, 0)
+
+	var lose, lost atomic.Bool
+	inner := shard.NewHandler(engines[1])
+	lossy := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if !lose.CompareAndSwap(true, false) {
+			inner.ServeHTTP(w, r)
+			return
+		}
+		feed(1, 1) // so the answer about to be lost is not an empty delta
+		rec := httptest.NewRecorder()
+		inner.ServeHTTP(rec, r) // the cut is made
+		conn, buf, err := w.(http.Hijacker).Hijack()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		body := rec.Body.Bytes()
+		fmt.Fprintf(buf, "HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n", len(body))
+		_, _ = buf.Write(body[:len(body)/2])
+		_ = buf.Flush()
+		_ = conn.Close()
+		lost.Store(true)
+	})
+	client := &http.Client{Timeout: 5 * time.Second}
+	s0 := startShard(t, engines[0])
+	s1 := startShard(t, engines[1])
+	s1.kill()
+	s1.restart(lossy)
+	coord := startCoordinator(t, []string{s0.url(), s1.url()}, client)
+	converged := func() bool { return coord.Snapshot().Seq == fed() }
+	waitFor(t, 10*time.Second, converged, "first contact")
+
+	feed(0, 1)
+	lose.Store(true)
+	waitFor(t, 10*time.Second, func() bool { return lost.Load() && converged() }, "catch-up after the lost response")
+	ps := coord.PullStatsAll()
+	if ps[1].Failures != 1 || ps[1].Full != 2 || ps[0].Full != 1 || coord.MergeRebuilds() != 1 {
+		t.Errorf("after one lost response: pulls %+v, %d rebuilds; want 1 failure and a second full pull on shard 1 only, 1 rebuild",
+			ps, coord.MergeRebuilds())
+	}
+
+	feed(0, 2)
+	feed(1, 2)
+	waitFor(t, 10*time.Second, converged, "deltas on top of the rebuilt bundle")
+	single := newEngine(d)
+	single.Ingest(recs)
+	if got, want := mustJSON(t, coord.Snapshot()), mustJSON(t, single.Seal()); !bytes.Equal(got, want) {
+		t.Errorf("merged snapshot differs from single-node (%d vs %d bytes)", len(got), len(want))
+	}
+	if ps := coord.PullStatsAll(); ps[1].Full != 2 || coord.MergeRebuilds() != 1 {
+		t.Errorf("deltas did not resume: pulls %+v, %d rebuilds", ps, coord.MergeRebuilds())
+	}
+	coord.Stop()
+	s0.kill()
+	s1.kill()
+	client.CloseIdleConnections()
 	waitGoroutines(t, base)
 }
 

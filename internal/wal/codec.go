@@ -101,6 +101,12 @@ func DecodeBatchFrame(data []byte) (Batch, int, error) {
 // written into a segment is rejected as unknown.
 const FrameKindPartials = 0x70
 
+// FrameKindPartialsDelta tags a raw frame carrying the bundle of only
+// the records a shard folded since the puller's previous cut — the pull
+// protocol's steady-state unit, prefixed with the sequence it continues
+// from.
+const FrameKindPartialsDelta = 0x71
+
 // EncodeRawFrame wraps an arbitrary payload in the WAL's frame envelope
 // (length prefix + CRC-32C + kind byte), appending to dst and returning
 // the extended slice. It is the generic sibling of EncodeBatchFrame:
@@ -126,17 +132,28 @@ func EncodeRawFrame(dst []byte, kind byte, body []byte) []byte {
 // error — raw frames cross process boundaries, so a bad frame means the
 // transfer is corrupt, not that scanning should stop quietly.
 func DecodeRawFrame(data []byte, kind byte) (body []byte, n int, err error) {
+	got, body, n, err := DecodeRawFrameKind(data)
+	if err != nil {
+		return nil, 0, err
+	}
+	if got != kind {
+		return nil, 0, fmt.Errorf("wal: frame kind %#x, want %#x", got, kind)
+	}
+	return body, n, nil
+}
+
+// DecodeRawFrameKind is DecodeRawFrame for a reader that accepts more
+// than one kind: it validates the envelope and reports the kind byte it
+// found beside the body.
+func DecodeRawFrameKind(data []byte) (kind byte, body []byte, n int, err error) {
 	payload, next, ok := nextFrame(data, 0)
 	if !ok {
-		return nil, 0, errors.New("wal: truncated or corrupt frame")
+		return 0, nil, 0, errors.New("wal: truncated or corrupt frame")
 	}
 	if len(payload) == 0 {
-		return nil, 0, errors.New("wal: empty frame payload")
+		return 0, nil, 0, errors.New("wal: empty frame payload")
 	}
-	if payload[0] != kind {
-		return nil, 0, fmt.Errorf("wal: frame kind %#x, want %#x", payload[0], kind)
-	}
-	return payload[1:], int(next), nil
+	return payload[0], payload[1:], int(next), nil
 }
 
 // encodeBatchV2 appends a v2 batch body to b: tag, record count, then

@@ -35,7 +35,11 @@
 #                restarted on the same address/WAL; after re-convergence
 #                every /v1 endpoint must compare byte-identical against
 #                a single-node run over the same dataset, healthz must
-#                return to "ok", and every process must drain leak-free
+#                return to "ok", the merge node's /metrics must show the
+#                untouched shards pulled in full once and in deltas
+#                after, the restarted one again — and the merged bundle
+#                rebuilt if its WAL held more than had been merged —
+#                and every process must drain leak-free
 #   loadgen smoke  a 2-shard wire fleet (cmd/shard -wire, built with
 #                -race) behind a merge node and a WAL-tailing serve is
 #                driven by cmd/loadgen's open-loop schedule; the
@@ -257,6 +261,25 @@ for i in 0 1 2; do
     eval "s${i}_pid=\$!"
     poll_file "$tmp/s$i-addr" "shard $i"
 done
+# Give every shard a head start, so that what it folds between two pulls
+# stays small beside what it holds (the drop rule would otherwise answer
+# some early pulls in full, and the path assertions below count those).
+for i in 0 1 2; do
+    j=0
+    until [ "$(curl -s "http://$(cat "$tmp/s$i-addr")/metrics" |
+        awk '$1 == "honeyfarm_ingested_records_total" {print $2}')" -ge 1500 ] 2>/dev/null; do
+        j=$((j + 1))
+        if [ "$j" -gt 300 ]; then
+            echo "merge smoke: shard $i never ingested 1500 records" >&2
+            cat "$tmp/s$i.log" >&2
+            exit 1
+        fi
+        sleep 0.1 2>/dev/null || sleep 1
+    done
+done
+# A full frame of shard 0 as of now: no larger than the first one the
+# merge will pull from it.
+s0_frame=$(curl -fsS "http://$(cat "$tmp/s0-addr")/shard/v1/partials" | wc -c)
 "$tmp/merge" -shards "http://$(cat "$tmp/s0-addr"),http://$(cat "$tmp/s1-addr"),http://$(cat "$tmp/s2-addr")" \
     -pots 97 -pull-every 50ms -fail-after 2 \
     -addr 127.0.0.1:0 -addr-file "$tmp/merge-addr" \
@@ -269,12 +292,12 @@ merge_addr=$(cat "$tmp/merge-addr")
 i=0
 while :; do
     seq=$(curl -s "http://$merge_addr/v1/healthz" | grep -o '"snapshot_seq":[0-9]*' | cut -d: -f2)
-    if [ "${seq:-0}" -ge 1000 ]; then
+    if [ "${seq:-0}" -ge 9000 ]; then
         break
     fi
     i=$((i + 1))
     if [ "$i" -gt 300 ]; then
-        echo "merge smoke: merge never reached seq 1000 (at ${seq:-?})" >&2
+        echo "merge smoke: merge never reached seq 9000 (at ${seq:-?})" >&2
         cat "$tmp/merge.log" >&2
         exit 1
     fi
@@ -296,6 +319,9 @@ until curl -s "http://$merge_addr/v1/healthz" | grep -q '"status":"degraded:shar
     sleep 0.1 2>/dev/null || sleep 1
 done
 curl -fsS "http://$merge_addr/v1/summary" >/dev/null
+# What the merge holds of the dead shard: frozen until it is back.
+s1_installed=$(curl -fsS "http://$merge_addr/metrics" |
+    awk '$1 == "honeyfarm_shard_last_seq{shard=\"1\"}" {print $2}')
 
 # Restart the killed shard on its recorded address: the WAL recovers,
 # feeding resumes from the first unpersisted record, and the
@@ -328,6 +354,35 @@ for ep in summary pots clients countries availability; do
     curl -fsS "http://$merge_addr/v1/$ep" >"$tmp/merge-$ep.json"
     cmp "$tmp/ref-$ep.json" "$tmp/merge-$ep.json"
 done
+
+# The path, not only the bytes: the untouched shards were pulled in full
+# exactly once and in deltas ever after, the killed one again after its
+# restart, and the mean frame from an untouched shard is far below its
+# first. When the restarted shard's WAL held more than the merge had
+# installed of it, its full frame replaced merged state: one rebuild at
+# least. (When it held exactly as much, deltas just carry on.)
+merge_metrics=$(curl -fsS "http://$merge_addr/metrics")
+metric() { printf '%s\n' "$merge_metrics" | awk -v k="$1" '$1 == k {print $2}'; }
+full0=$(metric 'honeyfarm_shard_full_pulls_total{shard="0"}')
+full1=$(metric 'honeyfarm_shard_full_pulls_total{shard="1"}')
+full2=$(metric 'honeyfarm_shard_full_pulls_total{shard="2"}')
+rebuilds=$(metric 'honeyfarm_merge_rebuilds_total')
+s1_recovered=$(grep -o 'recovered [0-9]*' "$tmp/s1-restart.log" | cut -d' ' -f2)
+want_rebuilds=0
+if [ "${s1_recovered:-0}" -gt "${s1_installed:-0}" ]; then
+    want_rebuilds=1
+fi
+pulls0=$(metric 'honeyfarm_shard_pulls_total{shard="0"}')
+bytes0=$(metric 'honeyfarm_shard_pull_bytes_total{shard="0"}')
+if [ "${full0:-0}" -ne 1 ] || [ "${full2:-0}" -ne 1 ] || [ "${full1:-0}" -lt 2 ] ||
+    [ "${rebuilds:-0}" -lt "$want_rebuilds" ] || [ "${pulls0:-0}" -lt 10 ] ||
+    [ $((${bytes0:-0} / ${pulls0:-1} * 3)) -ge "$s0_frame" ]; then
+    echo "merge smoke: wrong pull path: full pulls $full0/$full1/$full2 (want 1/>=2/1)," \
+        "$rebuilds rebuild(s) (want >=$want_rebuilds: shard 1 recovered $s1_recovered, merge held $s1_installed)," \
+        "shard 0 mean frame $bytes0/$pulls0 B against a first frame of >=$s0_frame B (want under a third)" >&2
+    printf '%s\n' "$merge_metrics" | grep -E '^honeyfarm_(shard|merge)_' >&2
+    exit 1
+fi
 
 # Drain everything; each process verifies its own goroutine baseline
 # and only prints the clean-drain line after a leak-free exit.
