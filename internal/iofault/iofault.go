@@ -78,38 +78,14 @@ func (osFS) Stat(name string) (fs.FileInfo, error)        { return os.Stat(name)
 func (osFS) MkdirAll(name string, perm fs.FileMode) error { return os.MkdirAll(name, perm) }
 
 // ReadFile reads the whole of name through fsys — os.ReadFile for an
-// abstracted filesystem. Like os.ReadFile it sizes the buffer from Stat:
-// growing from 512 B by doubling, as io.ReadAll does, copies an 8 MiB WAL
-// segment about twice and leaves twice its size in garbage, which was
-// half of wal.Open's time. The size is a hint only; a file that grew
-// since the Stat is still read to EOF.
+// abstracted filesystem.
 func ReadFile(fsys FS, name string) ([]byte, error) {
 	f, err := fsys.OpenFile(name, os.O_RDONLY, 0)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	var size int64
-	if fi, err := fsys.Stat(name); err == nil {
-		size = fi.Size()
-	}
-	if size < 0 || size != int64(int(size)) {
-		size = 0
-	}
-	// One spare byte, so the Read that reports EOF does not grow the buffer.
-	data := make([]byte, 0, int(size)+1)
-	for err == nil {
-		if len(data) == cap(data) {
-			data = append(data, 0)[:len(data)]
-		}
-		var n int
-		n, err = f.Read(data[len(data):cap(data)])
-		data = data[:len(data)+n]
-	}
-	if err == io.EOF {
-		err = nil
-	}
-	return data, err
+	return io.ReadAll(f)
 }
 
 // Transient reports whether a disk error is worth a bounded retry:

@@ -1,7 +1,6 @@
 package iofault
 
 import (
-	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -223,131 +222,5 @@ func TestPlanValidate(t *testing.T) {
 	}
 	if _, err := New(OS, Plan{ENOSPCRate: 2}); err == nil {
 		t.Fatal("New accepted an invalid plan")
-	}
-}
-
-// staleStatFS reports every file as size bytes long, whatever it holds:
-// the Stat ReadFile sizes its buffer from is a hint, not a contract.
-type staleStatFS struct {
-	FS
-	size int64
-}
-
-type fixedSize struct {
-	os.FileInfo
-	size int64
-}
-
-func (s fixedSize) Size() int64 { return s.size }
-
-func (s staleStatFS) Stat(name string) (os.FileInfo, error) {
-	fi, err := s.FS.Stat(name)
-	if err != nil {
-		return nil, err
-	}
-	return fixedSize{fi, s.size}, nil
-}
-
-// failingReadFS fails the read after the first n bytes of any file.
-type failingReadFS struct {
-	FS
-	n int
-}
-
-type failingReadFile struct {
-	File
-	left int
-}
-
-func (f failingReadFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
-	inner, err := f.FS.OpenFile(name, flag, perm)
-	if err != nil {
-		return nil, err
-	}
-	return &failingReadFile{inner, f.n}, nil
-}
-
-func (f *failingReadFile) Read(p []byte) (int, error) {
-	if f.left == 0 {
-		return 0, syscall.EIO
-	}
-	if len(p) > f.left {
-		p = p[:f.left]
-	}
-	n, err := f.File.Read(p)
-	f.left -= n
-	return n, err
-}
-
-func TestReadFileSizedFromStat(t *testing.T) {
-	dir := t.TempDir()
-	want := make([]byte, 3<<20+17)
-	for i := range want {
-		want[i] = byte(i * 7)
-	}
-	path := filepath.Join(dir, "seg")
-	if err := os.WriteFile(path, want, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	inj, err := New(OS, Plan{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		name string
-		fsys FS
-	}{
-		{"os", OS},
-		{"injector", inj},
-		{"stat-too-small", staleStatFS{OS, 100}},
-		{"stat-zero", staleStatFS{OS, 0}},
-		{"stat-too-large", staleStatFS{OS, 8 << 20}},
-		{"stat-negative", staleStatFS{OS, -1}},
-	} {
-		got, err := ReadFile(tc.fsys, path)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("%s: read %d bytes, want %d identical", tc.name, len(got), len(want))
-		}
-	}
-
-	// An honest Stat means one buffer of size+1 and no regrowth: the
-	// doubling io.ReadAll did here is what halved WAL recovery.
-	got, err := ReadFile(OS, path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cap(got) != len(want)+1 {
-		t.Errorf("cap = %d, want exactly size+1 = %d", cap(got), len(want)+1)
-	}
-	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := ReadFile(OS, path); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > 8 {
-		t.Errorf("ReadFile of a %d-byte file made %.0f allocations; the buffer is being regrown", len(want), allocs)
-	}
-
-	empty := filepath.Join(dir, "empty")
-	if err := os.WriteFile(empty, nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := ReadFile(OS, empty); err != nil || len(got) != 0 {
-		t.Errorf("empty file: %d bytes, err %v", len(got), err)
-	}
-	if _, err := ReadFile(OS, filepath.Join(dir, "absent")); !errors.Is(err, os.ErrNotExist) {
-		t.Errorf("absent file: err = %v, want ErrNotExist", err)
-	}
-
-	// A read fault still surfaces, with the bytes read before it.
-	got, err = ReadFile(failingReadFS{OS, 1000}, path)
-	if !errors.Is(err, syscall.EIO) {
-		t.Fatalf("failing read: err = %v, want EIO", err)
-	}
-	if !bytes.Equal(got, want[:1000]) {
-		t.Errorf("failing read returned %d bytes, want the first 1000", len(got))
 	}
 }
