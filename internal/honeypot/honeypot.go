@@ -269,6 +269,9 @@ reqLoop:
 	if execCmd != "" {
 		rc := sh.Run(execCmd)
 		data := crlf(out.Bytes())
+		// Output, exit status, EOF, CLOSE and the disconnect are the
+		// server's last words and wait for no answer: one segment.
+		sconn.HoldWrites()
 		//lint:ignore error-discard best-effort delivery; the record is already complete
 		_, _ = sess.Write(data)
 		h.appendTranscript(rec, data)
@@ -276,6 +279,7 @@ reqLoop:
 		_ = sess.SendExitStatus(uint32(rc))
 		_ = sess.CloseWrite()
 		_ = sess.Close()
+		_ = sconn.Close()
 		h.finish(rec, TermClient)
 		return
 	}
@@ -290,7 +294,9 @@ reqLoop:
 		_, err := sess.Write([]byte(s))
 		return err
 	})
+	sconn.HoldWrites()
 	_ = sess.Close()
+	_ = sconn.Close()
 	h.finish(rec, term)
 }
 

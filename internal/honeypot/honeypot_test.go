@@ -220,6 +220,12 @@ func TestSSHScannerNoCred(t *testing.T) {
 	if r.Termination != TermClient {
 		t.Errorf("termination = %v", r.Termination)
 	}
+	// The record takes its client version from a completed handshake, and
+	// a scanner's never completes: that the client's NEWKEYS now reaches
+	// the server before the hang-up must not change what is recorded.
+	if r.ClientVersion != "" || r.LoggedIn() || len(r.Commands) != 0 {
+		t.Errorf("NO_CRED record = version %q, logged in %v, %d commands", r.ClientVersion, r.LoggedIn(), len(r.Commands))
+	}
 }
 
 func TestSSHFailedLoginsThreeStrikes(t *testing.T) {

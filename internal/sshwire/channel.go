@@ -81,12 +81,21 @@ type mux struct {
 	done     chan struct{}
 }
 
+// newMux ends the handshake: it clears the transport's hold, which sends
+// whatever the handshake's last step queued (the server's
+// USERAUTH_SUCCESS), and starts the reader goroutine. From here every
+// writePacket flushes at once unless its owner holds the transport again.
 func newMux(t *transport) *mux {
 	m := &mux{
 		t:        t,
 		channels: make(map[uint32]*Channel),
 		accept:   make(chan *Channel, 4),
 		done:     make(chan struct{}),
+	}
+	t.handshaking = false
+	if err := t.release(); err != nil {
+		m.fail(err)
+		return m
 	}
 	go m.run()
 	return m
@@ -407,6 +416,15 @@ func (ch *Channel) Write(p []byte) (int, error) {
 	total := 0
 	for len(p) > 0 {
 		ch.mu.Lock()
+		if ch.remoteWindow == 0 && !ch.closed {
+			// The peer reopens the window only after reading what we sent:
+			// nothing may sit in a held transport while we wait for that.
+			ch.mu.Unlock()
+			if err := ch.mux.t.flush(); err != nil {
+				return total, err
+			}
+			ch.mu.Lock()
+		}
 		for ch.remoteWindow == 0 && !ch.closed {
 			ch.cond.Wait()
 		}
@@ -444,16 +462,29 @@ func (ch *Channel) SendRequest(reqType string, wantReply bool, extra func(*wire.
 	if extra != nil {
 		extra(b)
 	}
-	if err := ch.mux.t.writePacket(b.Bytes()); err != nil {
+	// A reply answers this packet, so it may not wait in a held transport.
+	if err := ch.mux.t.send(b.Bytes(), wantReply); err != nil {
 		return false, err
 	}
 	if !wantReply {
 		return true, nil
 	}
+	return ch.awaitReply()
+}
+
+// awaitReply waits for the peer's answer to a request or channel open. A
+// reply that arrived before the connection died still counts: a server
+// that answers and hangs up in one segment has answered.
+func (ch *Channel) awaitReply() (bool, error) {
 	select {
 	case ok := <-ch.replyCh:
 		return ok, nil
 	case <-ch.mux.done:
+	}
+	select {
+	case ok := <-ch.replyCh:
+		return ok, nil
+	default:
 		return false, ch.mux.errLocked()
 	}
 }

@@ -1,6 +1,8 @@
 package sshwire
 
 import (
+	"bytes"
+	"crypto/ecdh"
 	"crypto/ed25519"
 	"errors"
 	"fmt"
@@ -62,13 +64,15 @@ func NewClientConn(nc net.Conn, cfg *ClientConfig) (*ClientConn, error) {
 		t.Close()
 		return nil, err
 	}
-	if err := t.exchangeVersions(version, true); err != nil {
-		return fail(err)
-	}
-	if err := clientKex(t, cfg); err != nil {
+	if err := clientKex(t, cfg, version); err != nil {
 		return fail(err)
 	}
 	if cfg.SkipAuth {
+		// The server's NEWKEYS arrived with its KEX reply, so no read has
+		// flushed ours, and the caller may close the socket next.
+		if err := t.flush(); err != nil {
+			return fail(err)
+		}
 		return &ClientConn{t: t, serverVersion: t.remoteVersion}, nil
 	}
 	if err := clientAuth(t, cfg); err != nil {
@@ -80,7 +84,8 @@ func NewClientConn(nc net.Conn, cfg *ClientConfig) (*ClientConn, error) {
 // checkHostKey applies the configured host-key acceptance policy.
 func checkHostKey(cfg *ClientConfig, algo string, blob []byte) error {
 	if cfg.RawHostKeyCallback != nil {
-		if err := cfg.RawHostKeyCallback(algo, blob); err != nil {
+		// blob aliases the transport's read buffer; a callback may keep it.
+		if err := cfg.RawHostKeyCallback(algo, bytes.Clone(blob)); err != nil {
 			return err
 		}
 	}
@@ -94,16 +99,9 @@ func checkHostKey(cfg *ClientConfig, algo string, blob []byte) error {
 	return nil
 }
 
-func clientKex(t *transport, cfg *ClientConfig) error {
+func clientKex(t *transport, cfg *ClientConfig, version string) error {
 	clientInit := localKexInit(cfg.KexAlgos, cfg.HostKeyAlgos)
-	if err := t.writePacket(clientInit.marshal()); err != nil {
-		return err
-	}
-	payload, err := t.readPacket()
-	if err != nil {
-		return err
-	}
-	serverInit, err := parseKexInit(payload)
+	eph, serverInit, err := openKex(t, version, clientInit, true)
 	if err != nil {
 		return err
 	}
@@ -122,7 +120,7 @@ func clientKex(t *transport, cfg *ClientConfig) error {
 	var secret, h []byte
 	switch kexAlgo {
 	case algoKex, algoKexLibC:
-		secret, h, err = clientKexECDH(t, cfg, hostAlgo, clientInit, serverInit)
+		secret, h, err = clientKexECDH(t, cfg, eph, hostAlgo, clientInit, serverInit)
 	case algoKexDH14:
 		secret, h, err = clientKexDH(t, cfg, hostAlgo, clientInit, serverInit)
 	default:
@@ -134,12 +132,9 @@ func clientKex(t *transport, cfg *ClientConfig) error {
 	return finishKex(t, secret, h, true)
 }
 
-// clientKexECDH runs curve25519-sha256 from the client side.
-func clientKexECDH(t *transport, cfg *ClientConfig, hostAlgo string, clientInit, serverInit *kexInit) (secret, h []byte, err error) {
-	priv, err := generateECDH()
-	if err != nil {
-		return nil, nil, err
-	}
+// clientKexECDH runs curve25519-sha256 from the client side, with the
+// ephemeral key openKex made for this connection.
+func clientKexECDH(t *transport, cfg *ClientConfig, priv *ecdh.PrivateKey, hostAlgo string, clientInit, serverInit *kexInit) (secret, h []byte, err error) {
 	qC := priv.PublicKey().Bytes()
 	b := wire.NewBuilder(64)
 	b.Byte(msgKexECDHInit).String(qC)
@@ -276,15 +271,14 @@ func (c *ClientConn) OpenSession() (*Channel, error) {
 	if err := c.t.writePacket(b.Bytes()); err != nil {
 		return nil, err
 	}
-	select {
-	case ok := <-ch.replyCh:
-		if !ok {
-			return nil, errors.New("sshwire: session channel open rejected")
-		}
-		return ch, nil
-	case <-c.mux.done:
-		return nil, c.mux.errLocked()
+	ok, err := ch.awaitReply()
+	if err != nil {
+		return nil, err
 	}
+	if !ok {
+		return nil, errors.New("sshwire: session channel open rejected")
+	}
+	return ch, nil
 }
 
 // RequestPTY asks for a pseudo-terminal on the session channel.

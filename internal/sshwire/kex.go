@@ -103,6 +103,41 @@ func parseKexInit(payload []byte) (*kexInit, error) {
 	return k, nil
 }
 
+// openKex runs the opening of the handshake, which is the same on both
+// sides and waits for nothing: our identification string and KEXINIT
+// leave as one flight (RFC 4253 §7.1 lets KEXINIT follow the
+// identification at once; Conch and Dropbear send it so), then the
+// peer's identification and KEXINIT are read.
+//
+// Between the two it makes the connection's ephemeral X25519 key. The
+// peer is doing the same at that moment, so the two key generations run
+// side by side where they used to run one after the other. The key is
+// handed to the ECDH exchange and dropped if group14 is negotiated. It is
+// made for this connection and never kept: a Q_S seen on two connections
+// would identify the honeypot.
+func openKex(t *transport, version string, local *kexInit, client bool) (*ecdh.PrivateKey, *kexInit, error) {
+	t.sendVersion(version)
+	if err := t.send(local.marshal(), true); err != nil {
+		return nil, nil, err
+	}
+	eph, err := generateECDH()
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := t.readVersion(client); err != nil {
+		return nil, nil, err
+	}
+	payload, err := t.readPacket()
+	if err != nil {
+		return nil, nil, err
+	}
+	remote, err := parseKexInit(payload)
+	if err != nil {
+		return nil, nil, err
+	}
+	return eph, remote, nil
+}
+
 // negotiate picks the first client algorithm present in the server list
 // (RFC 4253 §7.1).
 func negotiate(client, server []string, what string) (string, error) {

@@ -1,11 +1,13 @@
 package sshwire
 
 import (
+	"crypto/ecdh"
 	"crypto/ed25519"
 	"crypto/rsa"
 	"errors"
 	"fmt"
 	"net"
+	"sync"
 
 	"honeyfarm/internal/wire"
 )
@@ -48,6 +50,9 @@ type ServerConn struct {
 
 	user          string
 	clientVersion string
+
+	closeOnce sync.Once
+	closeErr  error
 }
 
 // User returns the authenticated username.
@@ -78,10 +83,7 @@ func NewServerConn(nc net.Conn, cfg *ServerConfig) (*ServerConn, error) {
 		t.Close()
 		return nil, err
 	}
-	if err := t.exchangeVersions(version, false); err != nil {
-		return fail(err)
-	}
-	if err := serverKex(t, cfg); err != nil {
+	if err := serverKex(t, cfg, version); err != nil {
 		return fail(err)
 	}
 	user, err := serverAuth(t, cfg, maxTries)
@@ -90,29 +92,22 @@ func NewServerConn(nc net.Conn, cfg *ServerConfig) (*ServerConn, error) {
 	}
 	return &ServerConn{
 		t:             t,
-		mux:           newMux(t),
+		mux:           newMux(t), // ends the hold: USERAUTH_SUCCESS leaves here
 		user:          user,
 		clientVersion: t.remoteVersion,
 	}, nil
 }
 
-// serverKex negotiates and runs the key exchange: curve25519-sha256 or
-// diffie-hellman-group14-sha256, signed with the honeypot's ed25519 or
-// RSA host key as negotiated.
-func serverKex(t *transport, cfg *ServerConfig) error {
+// serverKex exchanges identification strings, then negotiates and runs
+// the key exchange: curve25519-sha256 or diffie-hellman-group14-sha256,
+// signed with the honeypot's ed25519 or RSA host key as negotiated.
+func serverKex(t *transport, cfg *ServerConfig, version string) error {
 	hostKeyAlgos := []string{algoHostKey}
 	if cfg.RSAHostKey != nil {
 		hostKeyAlgos = append(hostKeyAlgos, algoHostKeyRSA)
 	}
 	serverInit := localKexInit(nil, hostKeyAlgos)
-	if err := t.writePacket(serverInit.marshal()); err != nil {
-		return err
-	}
-	payload, err := t.readPacket()
-	if err != nil {
-		return err
-	}
-	clientInit, err := parseKexInit(payload)
+	eph, clientInit, err := openKex(t, version, serverInit, false)
 	if err != nil {
 		return err
 	}
@@ -136,7 +131,7 @@ func serverKex(t *transport, cfg *ServerConfig) error {
 	var secret, h []byte
 	switch kexAlgo {
 	case algoKex, algoKexLibC:
-		secret, h, err = serverKexECDH(t, signer, clientInit, serverInit)
+		secret, h, err = serverKexECDH(t, signer, eph, clientInit, serverInit)
 	case algoKexDH14:
 		secret, h, err = serverKexDH(t, signer, clientInit, serverInit)
 	default:
@@ -148,8 +143,9 @@ func serverKex(t *transport, cfg *ServerConfig) error {
 	return finishKex(t, secret, h, false)
 }
 
-// serverKexECDH runs curve25519-sha256 after KEXINIT exchange.
-func serverKexECDH(t *transport, signer HostSigner, clientInit, serverInit *kexInit) (secret, h []byte, err error) {
+// serverKexECDH runs curve25519-sha256 after KEXINIT exchange, with the
+// ephemeral key openKex made for this connection.
+func serverKexECDH(t *transport, signer HostSigner, priv *ecdh.PrivateKey, clientInit, serverInit *kexInit) (secret, h []byte, err error) {
 	payload, err := t.readPacket()
 	if err != nil {
 		return nil, nil, err
@@ -163,10 +159,6 @@ func serverKexECDH(t *transport, signer HostSigner, clientInit, serverInit *kexI
 		return nil, nil, err
 	}
 
-	priv, err := generateECDH()
-	if err != nil {
-		return nil, nil, err
-	}
 	qS := priv.PublicKey().Bytes()
 	secret, err = ecdhShared(priv, qC)
 	if err != nil {
@@ -315,8 +307,20 @@ func (c *ServerConn) AcceptSession() (*Channel, error) {
 	return ch, nil
 }
 
-// Close tears down the connection.
+// HoldWrites queues everything written from here on — channel data, exit
+// status, EOF, CLOSE — until Close, whose DISCONNECT takes it all to the
+// socket in one write. It is for the end of a session, when nothing the
+// server sends waits for an answer: a channel write that runs out of
+// window, or a request that wants a reply, flushes first.
+func (c *ServerConn) HoldWrites() { c.t.hold() }
+
+// Close tears down the connection. The disconnect notice and anything
+// held before it leave together. Later calls return the first result, so
+// a deferred Close behind an explicit one sends nothing.
 func (c *ServerConn) Close() error {
-	c.t.sendDisconnect(disconnectByApplication, "closed")
-	return c.t.Close()
+	c.closeOnce.Do(func() {
+		c.t.sendDisconnect(disconnectByApplication, "closed")
+		c.closeErr = c.t.Close()
+	})
+	return c.closeErr
 }

@@ -531,6 +531,66 @@ func BenchmarkHandshake(b *testing.B) {
 	}
 }
 
+// BenchmarkHandshakeTCP is BenchmarkHandshake over loopback TCP, where a
+// Write is a segment, with both ends counted: writes/op and reads/op per
+// side repeat exactly from run to run, which the ns/op beside them does
+// not, and scripts/check.sh holds the writes to the flight counts that
+// TestFlightWrites pins.
+func BenchmarkHandshakeTCP(b *testing.B) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := &ServerConfig{HostKey: testHostKey(b), PasswordCallback: cowrieAuth}
+	var server, client ioCount
+	var handlers sync.WaitGroup
+	accepting := make(chan struct{})
+	go func() {
+		defer close(accepting)
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			handlers.Add(1)
+			go func() {
+				defer handlers.Done()
+				sc, err := NewServerConn(countConn{c, &server}, cfg)
+				if err != nil {
+					return
+				}
+				// Leave after the client has: DISCONNECT is then the last
+				// Write, and the count does not depend on who closed first.
+				//lint:ignore error-discard waiting for the client's hang-up, which is the error
+				_, _ = sc.AcceptSession()
+				sc.Close()
+			}()
+		}
+	}()
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		c, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			b.Fatal(err)
+		}
+		cc, err := NewClientConn(countConn{c, &client}, &ClientConfig{User: "root", Password: "pw"})
+		if err != nil {
+			b.Fatal(err)
+		}
+		cc.Close()
+	}
+	b.StopTimer()
+	ln.Close()
+	<-accepting
+	handlers.Wait()
+	n := float64(b.N)
+	b.ReportMetric(float64(server.writes.Load())/n, "server-writes/op")
+	b.ReportMetric(float64(client.writes.Load())/n, "client-writes/op")
+	b.ReportMetric(float64(server.reads.Load())/n, "server-reads/op")
+	b.ReportMetric(float64(client.reads.Load())/n, "client-reads/op")
+}
+
 func BenchmarkEncryptedThroughput(b *testing.B) {
 	cli, srv := pipePair(b)
 	srvCh := startServer(b, srv, &ServerConfig{HostKey: testHostKey(b), PasswordCallback: cowrieAuth})

@@ -10,8 +10,19 @@ import (
 	"honeyfarm/internal/netsim"
 )
 
+// exchangeVersions is the handshake's opening without a KEXINIT: queue
+// our identification, put it on the wire, read the peer's.
+func exchangeVersions(tr *transport, local string, client bool) error {
+	tr.sendVersion(local)
+	if err := tr.flush(); err != nil {
+		return err
+	}
+	return tr.readVersion(client)
+}
+
 // transportPair returns two transports wired together over netsim with
-// versions already exchanged.
+// versions already exchanged and the handshake's hold released, so each
+// writePacket reaches the peer at once.
 func transportPair(t *testing.T) (client, server *transport) {
 	t.Helper()
 	f := netsim.NewFabric(0)
@@ -36,13 +47,18 @@ func transportPair(t *testing.T) (client, server *transport) {
 	server = newTransport(srvConn)
 	errCh := make(chan error, 1)
 	go func() {
-		errCh <- server.exchangeVersions("SSH-2.0-server", false)
+		errCh <- exchangeVersions(server, "SSH-2.0-server", false)
 	}()
-	if err := client.exchangeVersions("SSH-2.0-client", true); err != nil {
+	if err := exchangeVersions(client, "SSH-2.0-client", true); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-errCh; err != nil {
 		t.Fatal(err)
+	}
+	for _, tr := range []*transport{client, server} {
+		if err := tr.release(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return client, server
 }
@@ -178,7 +194,7 @@ func TestVersionLineTooLong(t *testing.T) {
 	}
 	defer nc.Close()
 	tr := newTransport(nc)
-	if err := tr.exchangeVersions("SSH-2.0-x", true); err == nil {
+	if err := exchangeVersions(tr, "SSH-2.0-x", true); err == nil {
 		t.Error("endless identification line should fail")
 	}
 }
@@ -195,7 +211,7 @@ func TestServerRejectsBannerFromClient(t *testing.T) {
 			return
 		}
 		tr := newTransport(c)
-		errCh <- tr.exchangeVersions("SSH-2.0-server", false)
+		errCh <- exchangeVersions(tr, "SSH-2.0-server", false)
 	}()
 	nc, err := f.Dial("10.2.2.2", netsim.Addr{IP: "10.0.0.1", Port: 22})
 	if err != nil {
@@ -228,7 +244,7 @@ func TestOldProtocolVersionRejected(t *testing.T) {
 	}
 	defer nc.Close()
 	tr := newTransport(nc)
-	if err := tr.exchangeVersions("SSH-2.0-x", true); err == nil {
+	if err := exchangeVersions(tr, "SSH-2.0-x", true); err == nil {
 		t.Error("SSH-1.5 peer should be rejected")
 	}
 }

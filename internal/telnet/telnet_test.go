@@ -5,6 +5,7 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -290,6 +291,75 @@ func BenchmarkLoginFlow(b *testing.B) {
 		}
 		nc.Close()
 	}
+}
+
+// ioCount tallies the Read and Write calls of one side's conns.
+type ioCount struct{ reads, writes atomic.Int64 }
+
+type countConn struct {
+	net.Conn
+	*ioCount
+}
+
+func (c countConn) Read(p []byte) (int, error) {
+	c.reads.Add(1)
+	return c.Conn.Read(p)
+}
+
+func (c countConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+// BenchmarkLoginFlowTCP is BenchmarkLoginFlow over loopback TCP with both
+// ends counted, the same way sshwire.BenchmarkHandshakeTCP counts: the
+// control row beside it, on a path no sshwire change touches.
+func BenchmarkLoginFlowTCP(b *testing.B) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := &ServerConfig{Auth: cowrieAuth}
+	var server, client ioCount
+	var handlers sync.WaitGroup
+	accepting := make(chan struct{})
+	go func() {
+		defer close(accepting)
+		for {
+			nc, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			handlers.Add(1)
+			go func() {
+				defer handlers.Done()
+				defer nc.Close()
+				_, _ = Handshake(countConn{nc, &server}, cfg)
+			}()
+		}
+	}()
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		nc, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			b.Fatal(err)
+		}
+		c := NewConn(countConn{nc, &client}, false)
+		if ok, err := ClientLogin(c, "root", "1234"); err != nil || !ok {
+			b.Fatalf("login ok=%v err=%v", ok, err)
+		}
+		nc.Close()
+	}
+	b.StopTimer()
+	ln.Close()
+	<-accepting
+	handlers.Wait()
+	n := float64(b.N)
+	b.ReportMetric(float64(server.writes.Load())/n, "server-writes/op")
+	b.ReportMetric(float64(client.writes.Load())/n, "client-writes/op")
+	b.ReportMetric(float64(server.reads.Load())/n, "server-reads/op")
+	b.ReportMetric(float64(client.reads.Load())/n, "client-reads/op")
 }
 
 // Property: arbitrary binary payloads survive IAC escaping end to end.

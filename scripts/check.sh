@@ -56,6 +56,12 @@
 #                contract the injected-fault suite pins
 #   bench smoke  every benchmark runs once (-benchtime=1x), so a broken
 #                benchmark cannot sit undetected until a baseline run
+#   flight gate  sshwire.BenchmarkHandshakeTCP counts the Write calls
+#                each side makes for an accepted login + close on
+#                loopback TCP; more than the pinned flight count (5 per
+#                side) fails. A count repeats exactly, unlike the ns/op
+#                beside it; telnet.BenchmarkLoginFlowTCP is printed as
+#                the control
 #   bench gate   BenchmarkWALAppendRecover/append is re-run (best of
 #                three samples, since machine load is one-sided noise)
 #                and must stay within 20% of the latest checked-in
@@ -562,6 +568,35 @@ fi
 
 echo "==> benchmark smoke (go test -bench=. -benchtime=1x)"
 go test -run='^$' -bench=. -benchtime=1x ./... >/dev/null
+
+echo "==> SSH flight gate (Writes per accepted login + close, per side)"
+# A count, not a timing: it repeats exactly on any machine under any
+# load. The pins are loginServerWrites / loginClientWrites in
+# internal/sshwire/flight_test.go; the Telnet row is printed beside them
+# as the control that no sshwire change moves.
+max_ssh_writes=5
+# io_counts <package> <benchmark>: the per-side Read/Write counts the
+# benchmark reports, as "name=value " pairs on one line.
+io_counts() {
+    go test -run '^$' -bench "$2\$" -benchtime 20x "$1" |
+        awk -v b="Benchmark$2" 'index($1, b) == 1 {
+            for (i = 4; i <= NF; i++) if ($i ~ /^(server|client)-(writes|reads)\/op$/) printf "%s=%s ", $i, $(i - 1)
+        }'
+}
+flights=$(io_counts ./internal/sshwire HandshakeTCP)
+if [ -z "$flights" ]; then
+    echo "flight gate: BenchmarkHandshakeTCP reported no writes/op" >&2
+    exit 1
+fi
+echo "    ssh:    ${flights}"
+echo "    telnet: $(io_counts ./internal/telnet LoginFlowTCP)"
+for side in server client; do
+    got=$(printf '%s\n' "$flights" | tr ' ' '\n' | sed -n "s|^${side}-writes/op=||p")
+    if [ -z "$got" ] || ! awk -v got="$got" -v max="$max_ssh_writes" 'BEGIN { exit !(got + 0 <= max + 0) }'; then
+        echo "flight gate: ${side} made ${got:-no} Writes per SSH login, the pinned flight count is ${max_ssh_writes}" >&2
+        exit 1
+    fi
+done
 
 echo "==> WAL append gate (>=80% of latest BENCH_<n>.json)"
 baseline=""
