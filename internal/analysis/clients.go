@@ -39,8 +39,8 @@ func (c ClientStat) NumCategoriesSeen() int {
 // the IP sits in its ClientAccum's touched list.
 type clientAcc struct {
 	sessions int
-	pots     map[int]struct{}
-	days     map[int]struct{}
+	pots     intSet
+	days     intSet
 	cats     uint8
 	touched  bool
 }

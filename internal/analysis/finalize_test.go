@@ -64,7 +64,8 @@ func TestIncrementalFinalizeEquivalence(t *testing.T) {
 				t.Logf("after %d records:\n got %s\nwant %s", len(prefix), got, want)
 				return false
 			}
-			return live.Clients.Pending() == 0 && live.Hashes.Pending() == 0
+			return potsMatchReference(t, live, prefix) &&
+				live.Clients.Pending() == 0 && live.Hashes.Pending() == 0
 		}
 		for _, s := range h.steps {
 			prefix = append(prefix, s.recs...)
@@ -142,18 +143,15 @@ func TestHashFinalizeTaggerChange(t *testing.T) {
 	}
 }
 
-// rawFrame hand-builds a Partials frame around the given table bodies,
-// so a test can write what Encode never would.
-func rawFrame(clients, hashes func(*wire.Builder), potClients func(*wire.Builder), countries func(*wire.Builder)) []byte {
+// rawFrame hand-builds a Partials frame of one pot around the given
+// table bodies, so a test can write what Encode never would.
+func rawFrame(clients, hashes, countries func(*wire.Builder)) []byte {
 	b := wire.NewBuilder(256)
 	b.Byte(partialsWireVersion)
 	b.Bool(countries != nil)
 	encodeCats(b, new(CategoryAccum))
 	b.Uint32(1) // one pot
 	b.Uint64(0)
-	potClients(b)
-	rawStrings(b)
-	b.Uint32(^uint32(0)) // client table: cat -1, all categories
 	clients(b)
 	if countries != nil {
 		countries(b)
@@ -190,26 +188,28 @@ func rawClients(pots []int, ips ...string) func(*wire.Builder) {
 }
 
 func rawHashes(hashes ...string) func(*wire.Builder) {
+	return rawHashesOn([]int{0}, hashes...)
+}
+
+func rawHashesOn(days []int, hashes ...string) func(*wire.Builder) {
 	return func(b *wire.Builder) {
 		b.Uint32(uint32(len(hashes)))
 		for _, h := range hashes {
 			b.Text(h)
 			b.Uint64(1)
 			rawStrings(b, "10.0.0.1")
+			rawInts(b, days...)
 			rawInts(b, 0)
-			rawInts(b, 0)
-			b.Uint64(0)
-			b.Uint64(0)
 		}
 	}
 }
 
-func rawCountries(codes ...string) func(*wire.Builder) {
+func rawCountries(ips []string, codes ...string) func(*wire.Builder) {
 	return func(b *wire.Builder) {
 		b.Uint32(uint32(len(codes)))
 		for _, c := range codes {
 			b.Text(c)
-			rawStrings(b, "10.0.0.1")
+			rawStrings(b, ips...)
 		}
 	}
 }
@@ -220,23 +220,24 @@ func rawCountries(codes ...string) func(*wire.Builder) {
 // last duplicate win; now it is a decode error, which also keeps the
 // touched lists built at decode time duplicate-free.
 func TestPartialsDecodeRejectsUnsortedKeys(t *testing.T) {
-	noStrings := func(b *wire.Builder) { rawStrings(b) }
+	oneIP := []string{"10.0.0.1"}
 	cases := []struct {
 		name  string
 		frame []byte
 		ok    bool
 	}{
 		{"ascending", rawFrame(rawClients([]int{0, 3}, "10.0.0.1", "10.0.0.2"), rawHashes("aa", "bb"),
-			func(b *wire.Builder) { rawStrings(b, "10.0.0.1", "10.0.0.2") }, rawCountries("CN", "US")), true},
-		{"client repeated", rawFrame(rawClients([]int{0}, "10.0.0.1", "10.0.0.1"), rawHashes(), noStrings, nil), false},
-		{"client descending", rawFrame(rawClients([]int{0}, "10.0.0.2", "10.0.0.1"), rawHashes(), noStrings, nil), false},
-		{"hash repeated", rawFrame(rawClients(nil), rawHashes("aa", "aa"), noStrings, nil), false},
-		{"hash descending", rawFrame(rawClients(nil), rawHashes("bb", "aa"), noStrings, nil), false},
-		{"country repeated", rawFrame(rawClients(nil), rawHashes(), noStrings, rawCountries("US", "US")), false},
+			rawCountries([]string{"10.0.0.1", "10.0.0.2"}, "CN", "US")), true},
+		{"client repeated", rawFrame(rawClients([]int{0}, "10.0.0.1", "10.0.0.1"), rawHashes(), nil), false},
+		{"client descending", rawFrame(rawClients([]int{0}, "10.0.0.2", "10.0.0.1"), rawHashes(), nil), false},
+		{"hash repeated", rawFrame(rawClients(nil), rawHashes("aa", "aa"), nil), false},
+		{"hash descending", rawFrame(rawClients(nil), rawHashes("bb", "aa"), nil), false},
+		{"country repeated", rawFrame(rawClients(nil), rawHashes(), rawCountries(oneIP, "US", "US")), false},
 		{"string set repeated", rawFrame(rawClients(nil), rawHashes(),
-			func(b *wire.Builder) { rawStrings(b, "10.0.0.1", "10.0.0.1") }, nil), false},
-		{"int set repeated", rawFrame(rawClients([]int{3, 3}, "10.0.0.1"), rawHashes(), noStrings, nil), false},
-		{"int set descending", rawFrame(rawClients([]int{3, -1}, "10.0.0.1"), rawHashes(), noStrings, nil), false},
+			rawCountries([]string{"10.0.0.1", "10.0.0.1"}, "US")), false},
+		{"int set repeated", rawFrame(rawClients([]int{3, 3}, "10.0.0.1"), rawHashes(), nil), false},
+		{"int set descending", rawFrame(rawClients([]int{3, -1}, "10.0.0.1"), rawHashes(), nil), false},
+		{"int set descending across chunks", rawFrame(rawClients([]int{64, 3}, "10.0.0.1"), rawHashes(), nil), false},
 	}
 	for _, c := range cases {
 		r := wire.NewReader(c.frame)

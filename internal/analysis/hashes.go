@@ -38,23 +38,21 @@ type HashStat struct {
 	Tag       string
 }
 
-// hashAcc is one hash's partial aggregate. touched is set while the
-// hash sits in its HashAccum's touched list.
+// hashAcc is one hash's partial aggregate; its first and last day are
+// days.min() and days.max(). touched is set while the hash sits in its
+// HashAccum's touched list.
 type hashAcc struct {
 	sessions int
 	ips      map[string]struct{}
-	days     map[int]struct{}
-	pots     map[int]struct{}
-	first    int
-	last     int
+	days     intSet
+	pots     intSet
 	touched  bool
 }
 
 // ComputeHashStats scans the dataset once and aggregates every hash.
 // tag may be nil (tags become "unknown"). The scan fans out over record
-// ranges into HashAccum partials — counts sum, sets union, first/last
-// days min/max in the reduce — and the output sort by hash pins the
-// order.
+// ranges into HashAccum partials — counts sum, sets union in the
+// reduce — and the output sort by hash pins the order.
 func ComputeHashStats(s *store.Store, tag Tagger) []HashStat {
 	acc := mapReduce(s.Records(),
 		func(recs []*honeypot.SessionRecord) *HashAccum {

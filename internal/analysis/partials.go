@@ -28,8 +28,10 @@ type CategoryAccum struct {
 }
 
 // Add folds one record in.
-func (a *CategoryAccum) Add(r *honeypot.SessionRecord) {
-	c := Classify(r)
+func (a *CategoryAccum) Add(r *honeypot.SessionRecord) { a.add(r, Classify(r)) }
+
+// add folds in one record already classified as c.
+func (a *CategoryAccum) add(r *honeypot.SessionRecord, c Category) {
 	a.Counts[c]++
 	if r.Protocol == honeypot.SSH {
 		a.SSHCounts[c]++
@@ -67,8 +69,12 @@ func (a *CategoryAccum) Finalize() CategoryShares {
 	return out
 }
 
-// PotAccum accumulates per-honeypot totals (Figures 2, 14, 18, 19).
-// IDs outside [0, numPots) are ignored.
+// PotAccum accumulates per-honeypot totals (Figures 2, 14, 18, 19) for
+// the batch scan. IDs outside [0, numPots) are ignored. A Partials
+// bundle does not hold one: its client and hash tables already know
+// which pots each row touched and count per pot as they go
+// (FinalizePots), which leaves this fold as the reference that shares
+// no code with those counters.
 type PotAccum struct {
 	sessions []int
 	clients  []map[string]struct{}
@@ -132,11 +138,17 @@ func (a *PotAccum) Finalize() []PerHoneypot {
 // it), touched the IPs whose entry changed since, each listed once
 // (clientAcc.touched is the membership flag). Add, Merge and the wire
 // decoder all mark what they change.
+//
+// perPot, set only on a Partials bundle's table, counts for each pot
+// the rows whose pot set holds it: every path that puts a pot in a
+// row's set (Add, Merge's unions and adoptions, the wire decoder)
+// counts the bits that are new to the table.
 type ClientAccum struct {
 	cat     int
 	m       map[string]*clientAcc
 	touched []string
 	out     []ClientStat
+	perPot  []int
 }
 
 // NewClientAccum creates a client accumulator; pass cat = -1 for all
@@ -156,19 +168,25 @@ func (a *ClientAccum) touch(ip string, acc *clientAcc) {
 // accumulator kept for its client IP. day is the record's day bucket
 // (store.Day).
 func (a *ClientAccum) Add(r *honeypot.SessionRecord, day int) (first bool) {
-	c := Classify(r)
+	return a.add(r, day, Classify(r))
+}
+
+// add is Add for a record already classified as c.
+func (a *ClientAccum) add(r *honeypot.SessionRecord, day int, c Category) (first bool) {
 	if a.cat >= 0 && c != Category(a.cat) {
 		return false
 	}
 	acc := a.m[r.ClientIP]
 	if acc == nil {
 		first = true
-		acc = &clientAcc{pots: make(map[int]struct{}), days: make(map[int]struct{})}
+		acc = new(clientAcc)
 		a.m[r.ClientIP] = acc
 	}
 	acc.sessions++
-	acc.pots[r.HoneypotID] = struct{}{}
-	acc.days[day] = struct{}{}
+	if acc.pots.add(r.HoneypotID) {
+		countPot(a.perPot, r.HoneypotID)
+	}
+	acc.days.add(day)
 	acc.cats |= 1 << c
 	a.touch(r.ClientIP, acc)
 	return first
@@ -177,6 +195,7 @@ func (a *ClientAccum) Add(r *honeypot.SessionRecord, day int) (first bool) {
 // Merge folds another accumulator in. The source accumulator's entries
 // may be adopted by reference; do not reuse it afterwards.
 func (a *ClientAccum) Merge(b *ClientAccum) {
+	count := potCounter(a.perPot)
 	for ip, sa := range b.m {
 		da := a.m[ip]
 		if da == nil {
@@ -184,11 +203,14 @@ func (a *ClientAccum) Merge(b *ClientAccum) {
 			sa.touched = false
 			a.m[ip] = sa
 			a.touch(ip, sa)
+			if count != nil {
+				sa.pots.each(count)
+			}
 			continue
 		}
 		da.sessions += sa.sessions
-		unionInto(da.pots, sa.pots)
-		unionInto(da.days, sa.days)
+		da.pots.union(sa.pots, count)
+		da.days.union(sa.days, nil)
 		da.cats |= sa.cats
 		a.touch(ip, da)
 	}
@@ -213,12 +235,29 @@ func (a *ClientAccum) Finalize() []ClientStat {
 			acc.touched = false
 			return ClientStat{
 				IP: ip, Sessions: acc.sessions,
-				Honeypots: len(acc.pots), ActiveDays: len(acc.days),
+				Honeypots: acc.pots.len(), ActiveDays: acc.days.len(),
 				Categories: acc.cats,
 			}
 		})
 	a.touched = a.touched[:0]
 	return a.out
+}
+
+// countPot counts one more row holding pot id; ids outside the table
+// (and every id when there is no table) are ignored, PotAccum's rule.
+func countPot(perPot []int, id int) {
+	if uint(id) < uint(len(perPot)) {
+		perPot[id]++
+	}
+}
+
+// potCounter returns countPot bound to perPot, nil when there is no
+// table to count into.
+func potCounter(perPot []int) func(int) {
+	if perPot == nil {
+		return nil
+	}
+	return func(id int) { countPot(perPot, id) }
 }
 
 // mergeTouched builds a key-sorted table of n rows from prev, the
@@ -305,12 +344,14 @@ func (a *CountryAccum) Finalize() []CountryCount {
 
 // HashAccum accumulates per-file-hash stats (Tables 4–6). Finalize is
 // incremental exactly as ClientAccum's is; tag is the tagger out's
-// rows were labelled by.
+// rows were labelled by, and perPot counts rows per pot as
+// ClientAccum's does.
 type HashAccum struct {
 	m       map[string]*hashAcc
 	touched []string
 	out     []HashStat
 	tag     Tagger
+	perPot  []int
 }
 
 // NewHashAccum creates a hash accumulator.
@@ -338,24 +379,14 @@ files:
 		}
 		acc := a.m[f.Hash]
 		if acc == nil {
-			acc = &hashAcc{
-				ips:   make(map[string]struct{}),
-				days:  make(map[int]struct{}),
-				pots:  make(map[int]struct{}),
-				first: day,
-				last:  day,
-			}
+			acc = &hashAcc{ips: make(map[string]struct{})}
 			a.m[f.Hash] = acc
 		}
 		acc.sessions++
 		acc.ips[r.ClientIP] = struct{}{}
-		acc.days[day] = struct{}{}
-		acc.pots[r.HoneypotID] = struct{}{}
-		if day < acc.first {
-			acc.first = day
-		}
-		if day > acc.last {
-			acc.last = day
+		acc.days.add(day)
+		if acc.pots.add(r.HoneypotID) {
+			countPot(a.perPot, r.HoneypotID)
 		}
 		a.touch(f.Hash, acc)
 	}
@@ -364,6 +395,7 @@ files:
 // Merge folds another accumulator in. The source accumulator's entries
 // may be adopted by reference; do not reuse it afterwards.
 func (a *HashAccum) Merge(b *HashAccum) {
+	count := potCounter(a.perPot)
 	for h, sa := range b.m {
 		da := a.m[h]
 		if da == nil {
@@ -371,18 +403,15 @@ func (a *HashAccum) Merge(b *HashAccum) {
 			sa.touched = false
 			a.m[h] = sa
 			a.touch(h, sa)
+			if count != nil {
+				sa.pots.each(count)
+			}
 			continue
 		}
 		da.sessions += sa.sessions
 		unionInto(da.ips, sa.ips)
-		unionInto(da.days, sa.days)
-		unionInto(da.pots, sa.pots)
-		if sa.first < da.first {
-			da.first = sa.first
-		}
-		if sa.last > da.last {
-			da.last = sa.last
-		}
+		da.days.union(sa.days, nil)
+		da.pots.union(sa.pots, count)
 		a.touch(h, da)
 	}
 }
@@ -416,10 +445,10 @@ func (a *HashAccum) Finalize(tag Tagger) []HashStat {
 				Hash:      h,
 				Sessions:  acc.sessions,
 				ClientIPs: len(acc.ips),
-				Days:      len(acc.days),
-				Honeypots: len(acc.pots),
-				FirstDay:  acc.first,
-				LastDay:   acc.last,
+				Days:      acc.days.len(),
+				Honeypots: acc.pots.len(),
+				FirstDay:  acc.days.min(),
+				LastDay:   acc.days.max(),
 				Tag:       "unknown",
 			}
 			if tag != nil {

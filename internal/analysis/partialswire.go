@@ -19,7 +19,19 @@ package analysis
 //     bytes a shard puts on the wire.
 //
 // The bundle is versioned (partialsWireVersion) so a fleet can refuse a
-// peer speaking a different layout instead of misdecoding it.
+// peer speaking a different layout instead of misdecoding it. Version 2:
+//
+//	version | hasCountries | cats
+//	pots:      n, n × sessions
+//	clients:   n, n × (ip, sessions, pots, days, cats)
+//	countries: n, n × (code, ips)            — only if hasCountries
+//	hashes:    n, n × (hash, sessions, ips, days, pots)
+//
+// with every set as count, ascending members. Nothing per pot but the
+// session counts travels: the distinct-client and distinct-hash columns
+// are recounted from the rows' pot sets as they are decoded, and a
+// hash's first and last day are the ends of its day set, so a frame
+// cannot state any of them at odds with the rows beside them.
 
 import (
 	"fmt"
@@ -32,10 +44,14 @@ import (
 
 // partialsWireVersion tags the Partials wire layout. Bump on any change
 // to the encoded field set so mixed-version fleets fail loudly.
-const partialsWireVersion = 1
+const partialsWireVersion = 2
 
-// Partials bundles one instance of every mergeable accumulator — the
-// complete foldable state behind a query snapshot. The incremental
+// Partials is the complete foldable state behind a query snapshot: two
+// keyed tables (clients, hashes), the country table, and counters. Every
+// per-honeypot column is a counter — sessions here, distinct clients and
+// hashes maintained by the two tables from their rows' pot sets
+// (FinalizePots) — so no (client, pot) or (hash, pot) pair is stored
+// anywhere but in its row. The incremental
 // engine folds records into a bundle; a shard serves its bundle over
 // the wire; the merge coordinator folds decoded bundles together. All
 // three paths share these methods, so the fold semantics cannot drift
@@ -43,9 +59,6 @@ const partialsWireVersion = 1
 type Partials struct {
 	// Cats is Table 1's category × protocol accumulator.
 	Cats *CategoryAccum
-	// Pots is the per-honeypot accumulator, sized for the full farm
-	// (every shard sizes it identically so bundles merge index-aligned).
-	Pots *PotAccum
 	// Clients is the per-client-IP accumulator (all categories).
 	Clients *ClientAccum
 	// Countries is the per-country unique-client accumulator; nil when
@@ -53,6 +66,9 @@ type Partials struct {
 	Countries *CountryAccum
 	// Hashes is the per-file-hash accumulator.
 	Hashes *HashAccum
+	// sessions counts sessions per honeypot, sized for the full farm
+	// (every shard sizes it identically so bundles merge index-aligned).
+	sessions []int
 }
 
 // NewPartials creates an empty bundle sized for numPots honeypots.
@@ -63,11 +79,13 @@ type Partials struct {
 // without a registry.
 func NewPartials(numPots int, reg *geo.Registry, countries bool) *Partials {
 	p := &Partials{
-		Cats:    new(CategoryAccum),
-		Pots:    NewPotAccum(numPots),
-		Clients: NewClientAccum(-1),
-		Hashes:  NewHashAccum(),
+		Cats:     new(CategoryAccum),
+		Clients:  NewClientAccum(-1),
+		Hashes:   NewHashAccum(),
+		sessions: make([]int, numPots),
 	}
+	p.Clients.perPot = make([]int, numPots)
+	p.Hashes.perPot = make([]int, numPots)
 	if countries {
 		p.Countries = NewCountryAccum(reg, nil)
 	}
@@ -75,7 +93,22 @@ func NewPartials(numPots int, reg *geo.Registry, countries bool) *Partials {
 }
 
 // NumPots returns the per-honeypot table size the bundle was built for.
-func (p *Partials) NumPots() int { return len(p.Pots.sessions) }
+func (p *Partials) NumPots() int { return len(p.sessions) }
+
+// FinalizePots renders the per-honeypot table, exactly what a PotAccum
+// folded over the same records finalizes to: IDs outside [0, NumPots)
+// are in no row of it.
+func (p *Partials) FinalizePots() []PerHoneypot {
+	out := make([]PerHoneypot, len(p.sessions))
+	for i := range out {
+		out[i] = PerHoneypot{
+			Sessions: p.sessions[i],
+			Clients:  p.Clients.perPot[i],
+			Hashes:   p.Hashes.perPot[i],
+		}
+	}
+	return out
+}
 
 // Add folds one record into every accumulator, exactly as the
 // incremental engine does. day is the record's day bucket (store.Day).
@@ -83,9 +116,10 @@ func (p *Partials) NumPots() int { return len(p.Pots.sessions) }
 // country table already holds (or could not locate) any IP the client
 // table has seen: an IP is located once, by its first record.
 func (p *Partials) Add(r *honeypot.SessionRecord, day int) {
-	p.Cats.Add(r)
-	p.Pots.Add(r)
-	first := p.Clients.Add(r, day)
+	c := Classify(r)
+	p.Cats.add(r, c)
+	countPot(p.sessions, r.HoneypotID)
+	first := p.Clients.add(r, day, c)
 	if first && p.Countries != nil {
 		p.Countries.Add(r)
 	}
@@ -104,7 +138,9 @@ func (p *Partials) Merge(q *Partials) error {
 		return fmt.Errorf("analysis: merging partials with mismatched country tables")
 	}
 	p.Cats.Merge(q.Cats)
-	p.Pots.Merge(q.Pots)
+	for i, n := range q.sessions {
+		p.sessions[i] += n
+	}
 	p.Clients.Merge(q.Clients)
 	if p.Countries != nil {
 		p.Countries.Merge(q.Countries)
@@ -120,7 +156,7 @@ func (p *Partials) Encode(b *wire.Builder) {
 	b.Byte(partialsWireVersion)
 	b.Bool(p.Countries != nil)
 	encodeCats(b, p.Cats)
-	encodePots(b, p.Pots)
+	encodePotSessions(b, p.sessions)
 	encodeClients(b, p.Clients)
 	if p.Countries != nil {
 		encodeCountries(b, p.Countries)
@@ -136,15 +172,12 @@ func DecodePartials(r *wire.Reader) (*Partials, error) {
 		return nil, fmt.Errorf("analysis: partials wire version %d, want %d", v, partialsWireVersion)
 	}
 	hasCountries := r.Bool()
-	p := &Partials{
-		Cats:    decodeCats(r),
-		Pots:    decodePots(r),
-		Clients: decodeClients(r),
-	}
+	p := &Partials{Cats: decodeCats(r), sessions: decodePotSessions(r)}
+	p.Clients = decodeClients(r, len(p.sessions))
 	if hasCountries {
 		p.Countries = decodeCountries(r)
 	}
-	p.Hashes = decodeHashes(r)
+	p.Hashes = decodeHashes(r, len(p.sessions))
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("analysis: decoding partials: %w", err)
 	}
@@ -180,32 +213,27 @@ func decodeCats(r *wire.Reader) *CategoryAccum {
 	return a
 }
 
-func encodePots(b *wire.Builder, a *PotAccum) {
-	b.Uint32(uint32(len(a.sessions)))
-	for i := range a.sessions {
-		b.Uint64(uint64(int64(a.sessions[i])))
-		encodeStringSet(b, a.clients[i])
-		encodeStringSet(b, a.hashes[i])
+func encodePotSessions(b *wire.Builder, sessions []int) {
+	b.Uint32(uint32(len(sessions)))
+	for _, n := range sessions {
+		b.Uint64(uint64(int64(n)))
 	}
 }
 
-func decodePots(r *wire.Reader) *PotAccum {
+func decodePotSessions(r *wire.Reader) []int {
 	n := r.Uint32()
-	if r.Err() != nil || !fitsRemaining(r, n, 8+4+4) {
+	if r.Err() != nil || !fitsRemaining(r, n, 8) {
 		r.SetErrf("partials pot table truncated")
-		return NewPotAccum(0)
+		return nil
 	}
-	a := NewPotAccum(int(n))
-	for i := range a.sessions {
-		a.sessions[i] = int(int64(r.Uint64()))
-		a.clients[i] = decodeStringSet(r)
-		a.hashes[i] = decodeStringSet(r)
+	sessions := make([]int, n)
+	for i := range sessions {
+		sessions[i] = int(int64(r.Uint64()))
 	}
-	return a
+	return sessions
 }
 
 func encodeClients(b *wire.Builder, a *ClientAccum) {
-	b.Uint32(uint32(int32(a.cat)))
 	ips := sortedStringKeys(len(a.m), func(f func(string)) {
 		for ip := range a.m {
 			f(ip)
@@ -222,27 +250,34 @@ func encodeClients(b *wire.Builder, a *ClientAccum) {
 	}
 }
 
-func decodeClients(r *wire.Reader) *ClientAccum {
-	a := NewClientAccum(int(int32(r.Uint32())))
+// decodeClients reads the client table of a bundle of numPots pots:
+// always the all-categories table, the only one a bundle holds.
+func decodeClients(r *wire.Reader, numPots int) *ClientAccum {
+	a := NewClientAccum(-1)
+	a.perPot = make([]int, numPots)
 	n := r.Uint32()
 	if r.Err() != nil || !fitsRemaining(r, n, 4+8+4+4+1) {
 		r.SetErrf("partials client table truncated")
 		return a
 	}
 	a.touched = make([]string, 0, n)
+	var scratch intSet
+	count := potCounter(a.perPot)
 	for i := uint32(0); i < n; i++ {
 		ip := r.Text()
 		if i > 0 && ip <= a.touched[i-1] {
 			r.SetErrf("partials client key %q not ascending", ip)
 			return a
 		}
-		a.m[ip] = &clientAcc{
+		acc := &clientAcc{
 			sessions: int(int64(r.Uint64())),
-			pots:     decodeIntSet(r),
-			days:     decodeIntSet(r),
+			pots:     decodeIntSet(r, &scratch),
+			days:     decodeIntSet(r, &scratch),
 			cats:     r.Byte(),
 			touched:  true,
 		}
+		acc.pots.each(count)
+		a.m[ip] = acc
 		a.touched = append(a.touched, ip)
 	}
 	return a
@@ -297,34 +332,35 @@ func encodeHashes(b *wire.Builder, a *HashAccum) {
 		encodeStringSet(b, acc.ips)
 		encodeIntSet(b, acc.days)
 		encodeIntSet(b, acc.pots)
-		b.Uint64(uint64(int64(acc.first)))
-		b.Uint64(uint64(int64(acc.last)))
 	}
 }
 
-func decodeHashes(r *wire.Reader) *HashAccum {
+func decodeHashes(r *wire.Reader, numPots int) *HashAccum {
 	a := NewHashAccum()
+	a.perPot = make([]int, numPots)
 	n := r.Uint32()
-	if r.Err() != nil || !fitsRemaining(r, n, 4+8+4+4+4+8+8) {
+	if r.Err() != nil || !fitsRemaining(r, n, 4+8+4+4+4) {
 		r.SetErrf("partials hash table truncated")
 		return a
 	}
 	a.touched = make([]string, 0, n)
+	var scratch intSet
+	count := potCounter(a.perPot)
 	for i := uint32(0); i < n; i++ {
 		h := r.Text()
 		if i > 0 && h <= a.touched[i-1] {
 			r.SetErrf("partials hash key %q not ascending", h)
 			return a
 		}
-		a.m[h] = &hashAcc{
+		acc := &hashAcc{
 			sessions: int(int64(r.Uint64())),
 			ips:      decodeStringSet(r),
-			days:     decodeIntSet(r),
-			pots:     decodeIntSet(r),
-			first:    int(int64(r.Uint64())),
-			last:     int(int64(r.Uint64())),
+			days:     decodeIntSet(r, &scratch),
+			pots:     decodeIntSet(r, &scratch),
 			touched:  true,
 		}
+		acc.pots.each(count)
+		a.m[h] = acc
 		a.touched = append(a.touched, h)
 	}
 	return a
@@ -364,36 +400,37 @@ func decodeStringSet(r *wire.Reader) map[string]struct{} {
 	return set
 }
 
-func encodeIntSet(b *wire.Builder, set map[int]struct{}) {
-	keys := make([]int, 0, len(set))
-	for k := range set {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	b.Uint32(uint32(len(keys)))
-	for _, k := range keys {
-		b.Uint64(uint64(int64(k)))
-	}
+func encodeIntSet(b *wire.Builder, set intSet) {
+	b.Uint32(uint32(set.len()))
+	set.each(func(k int) { b.Uint64(uint64(int64(k))) })
 }
 
-func decodeIntSet(r *wire.Reader) map[int]struct{} {
+// decodeIntSet reads one set, sized exactly; scratch is where it is
+// assembled and may be handed to the next call.
+func decodeIntSet(r *wire.Reader, scratch *intSet) intSet {
 	n := r.Uint32()
 	if r.Err() != nil || !fitsRemaining(r, n, 8) {
 		r.SetErrf("partials int set truncated")
-		return map[int]struct{}{}
+		return nil
 	}
-	set := make(map[int]struct{}, n)
+	set := (*scratch)[:0]
 	prev := 0
 	for i := uint32(0); i < n; i++ {
 		k := int(int64(r.Uint64()))
 		if i > 0 && k <= prev {
 			r.SetErrf("partials int set key %d not ascending", k)
-			return set
+			return nil
 		}
 		prev = k
-		set[k] = struct{}{}
+		// Ascending members: k is in the last chunk or opens the next.
+		if last := len(set) - 1; last >= 0 && set[last].key == k>>6 {
+			set[last].bits |= 1 << (uint(k) & 63)
+		} else {
+			set = append(set, intChunk{key: k >> 6, bits: 1 << (uint(k) & 63)})
+		}
 	}
-	return set
+	*scratch = set
+	return append(intSet(nil), set...)
 }
 
 // sortedStringKeys collects keys via the visit callback and returns

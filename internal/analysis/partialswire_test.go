@@ -3,8 +3,11 @@ package analysis
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math/rand"
+	"os"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -45,7 +48,9 @@ type dayRec struct {
 // quickFold wraps a random fold input so testing/quick can generate it.
 // The draws deliberately collide: a small IP pool (some resolvable in
 // the registry), a small hash pool, and a small day range, so merges
-// actually exercise set-union paths instead of disjoint inserts.
+// actually exercise set-union paths instead of disjoint inserts. One
+// draw in eight is a pot or a day far outside the tables — the IDs and
+// timestamps an imported log or a hostile peer can carry.
 type quickFold struct{ recs []dayRec }
 
 func (quickFold) Generate(r *rand.Rand, size int) reflect.Value {
@@ -58,6 +63,12 @@ func (quickFold) Generate(r *rand.Rand, size int) reflect.Value {
 			day: r.Intn(9) - 1,            // include day -1: sets must carry negatives
 			pot: r.Intn(quickNumPots + 2), // some out of table range
 			ip:  ips[r.Intn(len(ips))],
+		}
+		switch r.Intn(16) {
+		case 0:
+			m.pot = []int{-1, quickNumPots + 1, 1 << 40}[r.Intn(3)]
+		case 1:
+			m.day = []int{-100_000, 100_000}[r.Intn(2)]
 		}
 		switch r.Intn(4) {
 		case 1:
@@ -87,6 +98,22 @@ func foldBundle(recs []dayRec, reg *geo.Registry, countries bool) *Partials {
 	return p
 }
 
+// potsMatchReference holds a bundle's pot table — counters its client
+// and hash tables keep — to a PotAccum folded over the same records,
+// which shares no code with them.
+func potsMatchReference(t *testing.T, p *Partials, recs []dayRec) bool {
+	t.Helper()
+	ref := NewPotAccum(quickNumPots)
+	for _, dr := range recs {
+		ref.Add(dr.rec)
+	}
+	if got, want := p.FinalizePots(), ref.Finalize(); !reflect.DeepEqual(got, want) {
+		t.Logf("pot table after %d records:\n got %+v\nwant %+v", len(recs), got, want)
+		return false
+	}
+	return true
+}
+
 // finalizeAll materializes every table of a bundle, JSON-encoded so
 // equality means byte-identity of the served artifact.
 func finalizeAll(t *testing.T, p *Partials) []byte {
@@ -99,7 +126,7 @@ func finalizeAll(t *testing.T, p *Partials) []byte {
 		Hashes    []HashStat
 	}{
 		Summary: p.Cats.Finalize(),
-		Pots:    p.Pots.Finalize(),
+		Pots:    p.FinalizePots(),
 		Clients: p.Clients.Finalize(),
 		Hashes:  p.Hashes.Finalize(nil),
 	}
@@ -142,7 +169,8 @@ func TestPartialsWireMergeEquivalence(t *testing.T) {
 	reg, _ := quickRegistry()
 	for _, countries := range []bool{true, false} {
 		prop := func(a, b quickFold) bool {
-			direct := foldBundle(append(append([]dayRec{}, a.recs...), b.recs...), reg, countries)
+			all := append(append([]dayRec{}, a.recs...), b.recs...)
+			direct := foldBundle(all, reg, countries)
 			dest := NewPartials(quickNumPots, nil, countries)
 			for _, f := range []quickFold{a, b} {
 				enc := encodeBundle(foldBundle(f.recs, reg, countries))
@@ -150,7 +178,8 @@ func TestPartialsWireMergeEquivalence(t *testing.T) {
 					t.Fatalf("merge: %v", err)
 				}
 			}
-			return bytes.Equal(finalizeAll(t, direct), finalizeAll(t, dest))
+			return bytes.Equal(finalizeAll(t, direct), finalizeAll(t, dest)) &&
+				potsMatchReference(t, direct, all) && potsMatchReference(t, dest, all)
 		}
 		if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
 			t.Errorf("countries=%v: %v", countries, err)
@@ -220,6 +249,50 @@ func TestPartialsDecodeRejects(t *testing.T) {
 		}
 	}
 
+	// Two things a v1 frame could assert and nobody checked: which
+	// category its client table was filtered to, and a hash's first and
+	// last day beside the day set they are the ends of. v2 has no field
+	// for either, and a frame that still carries one is not a v2 frame.
+	decode := func(frame []byte) (*Partials, error) {
+		r := wire.NewReader(frame)
+		r.SetMaxStringLen(len(frame))
+		p, err := DecodePartials(r)
+		if err == nil && r.Remaining() != 0 {
+			err = fmt.Errorf("%d bytes left over", r.Remaining())
+		}
+		return p, err
+	}
+	clients := rawClients([]int{0}, "10.0.0.1")
+	hashes := rawHashesOn([]int{2, 5, 70}, "aa")
+	p, err := decode(rawFrame(clients, hashes, nil))
+	if err != nil {
+		t.Fatalf("hand-built v2 frame: %v", err)
+	}
+	if p.Clients.cat != -1 {
+		t.Errorf("decoded client table filters category %d, want all (-1)", p.Clients.cat)
+	}
+	if hs := p.Hashes.Finalize(nil); len(hs) != 1 || hs[0].FirstDay != 2 || hs[0].LastDay != 70 || hs[0].Days != 3 {
+		t.Errorf("hash over days {2,5,70} finalized to %+v", hs)
+	}
+	if pots := p.FinalizePots(); len(pots) != 1 || pots[0].Clients != 1 || pots[0].Hashes != 1 {
+		t.Errorf("pot table %+v, want the one client and one hash the rows name", pots)
+	}
+	withCat := func(b *wire.Builder) {
+		b.Uint32(3) // v1: the client table's category filter
+		clients(b)
+	}
+	if _, err := decode(rawFrame(withCat, hashes, nil)); err == nil {
+		t.Error("a client table stating a category filter decoded")
+	}
+	withFirstLast := func(b *wire.Builder) {
+		hashes(b)
+		b.Uint64(9) // v1: first day
+		b.Uint64(1) // v1: last day, before it
+	}
+	if _, err := decode(rawFrame(clients, withFirstLast, nil)); err == nil {
+		t.Error("a hash row stating its own first/last day decoded")
+	}
+
 	// Shape mismatches refuse to merge.
 	with := NewPartials(quickNumPots, reg, true)
 	without := NewPartials(quickNumPots, nil, false)
@@ -229,5 +302,27 @@ func TestPartialsDecodeRejects(t *testing.T) {
 	small := NewPartials(quickNumPots-1, nil, true)
 	if err := with.Merge(small); err == nil {
 		t.Error("pot-table size mismatch merged")
+	}
+}
+
+// TestPartialsRefusesOtherVersion: a bundle in last release's layout
+// (checked-in bytes, from an engine that folded 30 records) is refused
+// by name — the error says what it got and what it wants — and not
+// misread as a v2 bundle.
+func TestPartialsRefusesOtherVersion(t *testing.T) {
+	raw, err := os.ReadFile("testdata/partials_v1.bundle")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := wire.NewReader(raw)
+	r.SetMaxStringLen(len(raw))
+	p, err := DecodePartials(r)
+	if p != nil || err == nil {
+		t.Fatalf("v1 bundle decoded: %v, %v", p, err)
+	}
+	for _, want := range []string{"version 1", fmt.Sprintf("want %d", partialsWireVersion)} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not say %q", err, want)
+		}
 	}
 }

@@ -198,7 +198,7 @@ func MaterializeSnapshot(p *analysis.Partials, seq uint64, days int, tagger anal
 		Seq:     seq,
 		Days:    days,
 		Summary: p.Cats.Finalize(),
-		Pots:    p.Pots.Finalize(),
+		Pots:    p.FinalizePots(),
 		Clients: p.Clients.Finalize(),
 		Hashes:  p.Hashes.Finalize(tagger),
 	}

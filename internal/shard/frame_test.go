@@ -101,6 +101,10 @@ func frameSeeds(t testing.TB) map[string]struct {
 	}
 	badCRC := bytes.Clone(full)
 	badCRC[len(badCRC)-1] ^= 0x40
+	v1, err := os.ReadFile(v1BundlePath)
+	if err != nil {
+		t.Fatal(err)
+	}
 	type seed = struct {
 		frame []byte
 		ok    bool
@@ -115,10 +119,15 @@ func frameSeeds(t testing.TB) map[string]struct {
 		"wrong_kind":    {wal.EncodeRawFrame(nil, 0x7f, payload(1)[8:]), false},
 		"bad_crc":       {badCRC, false},
 		"trailing":      {wal.EncodeRawFrame(nil, wal.FrameKindPartialsDelta, append(payload(1), 0)), false},
+		"old_version":   {shard.EncodeFrame(0, seq, days, v1), false},
 	}
 }
 
 const frameCorpusDir = "testdata/fuzz/FuzzDecodePartialsFrame"
+
+// v1BundlePath is the same 30 records' bundle as a partials wire v1
+// engine encoded it: what a shard one release behind still sends.
+const v1BundlePath = "../analysis/testdata/partials_v1.bundle"
 
 // TestFrameSeedCorpus keeps the checked-in corpus equal to what
 // frameSeeds builds (-update rewrites it) and holds each seed to its

@@ -7,7 +7,9 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -410,6 +412,83 @@ func TestCoordinatorLostResponse(t *testing.T) {
 	coord.Stop()
 	s0.kill()
 	s1.kill()
+	client.CloseIdleConnections()
+	waitGoroutines(t, base)
+}
+
+// TestPartialsRefusesOtherVersion: a shard one release behind answers
+// in partials wire v1. Every such pull fails by name (pull-failure
+// counter, last_err), nothing of it is installed, and the merge node
+// goes on serving its last merged snapshot; the moment the shard speaks
+// this version again a single full pull heals it — the refused pulls
+// moved the shard's cut, so whatever since says the answer is full.
+func TestPartialsRefusesOtherVersion(t *testing.T) {
+	base := runtime.NumGoroutine()
+	d := dataset(t, 1)
+	recs := d.Store.Records()
+	eng := newEngine(d)
+	eng.Ingest(recs[:2000])
+
+	v1, err := os.ReadFile(v1BundlePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var old atomic.Bool
+	var feedMore sync.Once
+	inner := shard.NewHandler(eng)
+	handler := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if !old.Load() {
+			inner.ServeHTTP(w, r)
+			return
+		}
+		// The shard keeps collecting and makes its cut as ever.
+		feedMore.Do(func() { eng.Ingest(recs[2000:2500]) })
+		inner.ServeHTTP(httptest.NewRecorder(), r)
+		_, _ = w.Write(shard.EncodeFrame(0, eng.Seq(), 60, v1))
+	})
+	client := &http.Client{Timeout: 5 * time.Second}
+	s := startShard(t, eng)
+	s.kill()
+	s.restart(handler)
+	coord := startCoordinator(t, []string{s.url()}, client)
+	waitFor(t, 10*time.Second, func() bool { return coord.Snapshot().Seq == 2000 }, "first contact")
+	before := mustJSON(t, coord.Snapshot())
+
+	old.Store(true)
+	waitFor(t, 10*time.Second, func() bool { return coord.PullStatsAll()[0].Failures >= 3 }, "refused pulls")
+	st := coord.ShardStatuses()[0]
+	if st.LastSeq != 2000 || !strings.Contains(st.LastErr, "version 1, want 2") {
+		t.Errorf("after refused pulls: installed seq %d, last_err %q; want 2000 and both versions named", st.LastSeq, st.LastErr)
+	}
+	if !bytes.Equal(mustJSON(t, coord.Snapshot()), before) {
+		t.Error("merged snapshot changed while every pull was refused")
+	}
+	api := query.NewServer(query.ServerConfig{Source: coord, Shards: coord.ShardStatuses})
+	metrics := string(shard.BuildMergeRegistry(coord, api, testPots, nil).Render())
+	if strings.Contains(metrics, `honeyfarm_shard_pull_failures_total{shard="0"} 0`+"\n") ||
+		!strings.Contains(metrics, `honeyfarm_shard_last_seq{shard="0"} 2000`+"\n") {
+		t.Errorf("metrics do not show the refused pulls:\n%s", metrics)
+	}
+	if code, body := healthz(t, api); code != http.StatusServiceUnavailable || !strings.Contains(body, "version 1, want 2") {
+		t.Errorf("healthz %d %s, want the shard reported degraded with the version error", code, body)
+	}
+
+	fullBefore := coord.PullStatsAll()[0].Full
+	old.Store(false)
+	waitFor(t, 10*time.Second, func() bool { return coord.Snapshot().Seq == 2500 }, "heal")
+	if ps := coord.PullStatsAll()[0]; ps.Full != fullBefore+1 {
+		t.Errorf("healing took %d full pulls, want 1", ps.Full-fullBefore)
+	}
+	single := newEngine(d)
+	single.Ingest(recs[:2500])
+	if got, want := mustJSON(t, coord.Snapshot()), mustJSON(t, single.Seal()); !bytes.Equal(got, want) {
+		t.Errorf("healed snapshot differs from single-node (%d vs %d bytes)", len(got), len(want))
+	}
+	if st := coord.ShardStatuses()[0]; !st.Up || st.LastErr != "" {
+		t.Errorf("healed shard still reported %+v", st)
+	}
+	coord.Stop()
+	s.kill()
 	client.CloseIdleConnections()
 	waitGoroutines(t, base)
 }

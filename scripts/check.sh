@@ -11,6 +11,12 @@
 #                baseline, the warm run must be 100% cache hits with
 #                byte-identical output
 #   go test -race  full test suite under the race detector
+#   fuzz smoke   FuzzDecodePartialsFrame — the decoder that takes fleet
+#                bytes off the network — mutates its checked-in corpus
+#                for a fixed 10 s: no panic, allocation bounded by input
+#                length, error or a bundle that re-encodes to a fixed
+#                point. A crasher it finds lands in testdata/fuzz/ and
+#                fails plain go test from then on
 #   chaos smoke  the fault-injection suite (supervisor restarts, outage
 #                windows, bounded drain) once more under -race — the
 #                tests most sensitive to goroutine leaks and deadlocks
@@ -105,6 +111,9 @@ cmp "$tmp/lint-cold.json" "$tmp/lint-warm.json"
 
 echo "==> go test -race ./..."
 go test -race ./...
+
+echo "==> fuzz smoke (FuzzDecodePartialsFrame, 10s)"
+go test ./internal/shard -run '^$' -fuzz FuzzDecodePartialsFrame -fuzztime 10s
 
 chaos_run='TestChaos|TestStop|TestKill|TestOutage|TestFault|TestConnFault|TestBackoff|TestDropsSession|TestPotDown|TestCoordinator|TestRestarter'
 echo "==> chaos smoke (go test -race -count=1 -run '$chaos_run')"
