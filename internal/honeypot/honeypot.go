@@ -7,6 +7,7 @@ import (
 	"crypto/rsa"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strconv"
 	"strings"
@@ -196,7 +197,7 @@ func (h *Honeypot) ServeSSH(nc net.Conn) {
 	rec := h.newRecord(SSH, nc.RemoteAddr())
 	var mu sync.Mutex
 
-	_ = nc.SetReadDeadline(time.Now().Add(h.cfg.PreAuthTimeout))
+	_ = nc.SetDeadline(time.Now().Add(h.cfg.PreAuthTimeout))
 	sconn, err := sshwire.NewServerConn(nc, &sshwire.ServerConfig{
 		HostKey:    h.hostKey,
 		RSAHostKey: h.cfg.RSAHostKey,
@@ -216,10 +217,8 @@ func (h *Honeypot) ServeSSH(nc net.Conn) {
 	})
 	if err != nil {
 		// Classify: no credentials at all vs failed logins.
-		term := TermClient
-		if isTimeout(err) {
-			term = TermTimeout
-		} else if len(rec.Logins) >= 3 {
+		term := termOf(err)
+		if term == TermClient && len(rec.Logins) >= 3 {
 			term = TermAuthFailure
 		}
 		h.finish(rec, term)
@@ -228,14 +227,10 @@ func (h *Honeypot) ServeSSH(nc net.Conn) {
 	rec.ClientVersion = sconn.ClientVersion()
 	defer sconn.Close()
 
-	_ = nc.SetReadDeadline(time.Now().Add(h.cfg.PostAuthTimeout))
+	_ = nc.SetDeadline(time.Now().Add(h.cfg.PostAuthTimeout))
 	sess, err := sconn.AcceptSession()
 	if err != nil {
-		term := TermClient
-		if isTimeout(err) {
-			term = TermTimeout
-		}
-		h.finish(rec, term)
+		h.finish(rec, termOf(err))
 		return
 	}
 
@@ -289,11 +284,7 @@ reqLoop:
 	}
 
 	// Interactive shell loop.
-	term := h.shellLoop(nc, sess, sh, &out, func(s string) error {
-		h.appendTranscript(rec, []byte(s))
-		_, err := sess.Write([]byte(s))
-		return err
-	})
+	term := h.shellLoop(nc, rec, sh, &out, lineReader(sess), sess)
 	sconn.HoldWrites()
 	_ = sess.Close()
 	_ = sconn.Close()
@@ -304,26 +295,31 @@ reqLoop:
 type lineSource func() (string, error)
 
 // shellLoop drives the prompt/read/execute cycle shared by SSH and
-// Telnet sessions. It resets the inactivity deadline before each read.
-func (h *Honeypot) shellLoop(nc net.Conn, reader interface{ Read([]byte) (int, error) }, sh *shell.Shell, out *bytes.Buffer, write func(string) error) Termination {
-	lines := lineReader(reader)
+// Telnet sessions. The prompt is written before each line is read, as a
+// shell on a pty does, so a peer that has hung up ends the session at the
+// prompt even when more of its lines are waiting. Both directions of the
+// inactivity deadline are reset before each read: a peer that stops
+// reading is as idle as one that stops writing.
+func (h *Honeypot) shellLoop(nc net.Conn, rec *SessionRecord, sh *shell.Shell, out *bytes.Buffer, lines lineSource, w io.Writer) Termination {
+	emit := func(p []byte) error {
+		h.appendTranscript(rec, p)
+		_, err := w.Write(p)
+		return err
+	}
 	for {
-		if err := write(sh.Prompt()); err != nil {
-			return TermClient
+		if err := emit([]byte(sh.Prompt())); err != nil {
+			return termOf(err)
 		}
-		_ = nc.SetReadDeadline(time.Now().Add(h.cfg.PostAuthTimeout))
+		_ = nc.SetDeadline(time.Now().Add(h.cfg.PostAuthTimeout))
 		line, err := lines()
 		if err != nil {
-			if isTimeout(err) {
-				return TermTimeout
-			}
-			return TermClient
+			return termOf(err)
 		}
 		out.Reset()
 		sh.Run(line)
 		if out.Len() > 0 {
-			if err := write(string(crlf(out.Bytes()))); err != nil {
-				return TermClient
+			if err := emit(crlf(out.Bytes())); err != nil {
+				return termOf(err)
 			}
 		}
 		if sh.Exited() {
@@ -331,8 +327,6 @@ func (h *Honeypot) shellLoop(nc net.Conn, reader interface{ Read([]byte) (int, e
 		}
 	}
 }
-
-// (shell output reaches the transcript through the write callback.)
 
 // lineReader adapts a byte stream into newline-delimited lines.
 func lineReader(r interface{ Read([]byte) (int, error) }) lineSource {
@@ -376,7 +370,7 @@ func (h *Honeypot) ServeTelnet(nc net.Conn) {
 	rec := h.newRecord(Telnet, nc.RemoteAddr())
 	var mu sync.Mutex
 
-	_ = nc.SetReadDeadline(time.Now().Add(h.cfg.PreAuthTimeout))
+	_ = nc.SetDeadline(time.Now().Add(h.cfg.PreAuthTimeout))
 	sess, err := telnet.Handshake(nc, &telnet.ServerConfig{
 		Banner: "Debian GNU/Linux 10",
 		Auth:   h.cfg.Auth,
@@ -388,10 +382,8 @@ func (h *Honeypot) ServeTelnet(nc net.Conn) {
 		MaxTries: 3,
 	})
 	if err != nil {
-		term := TermClient
-		if isTimeout(err) {
-			term = TermTimeout
-		} else if err == telnet.ErrTooManyTries {
+		term := termOf(err)
+		if err == telnet.ErrTooManyTries {
 			term = TermAuthFailure
 		}
 		h.finish(rec, term)
@@ -404,37 +396,21 @@ func (h *Honeypot) ServeTelnet(nc net.Conn) {
 	sh := shell.New(fs, &out, srec)
 	sh.Fetch = h.cfg.Fetch
 
-	term := h.telnetShellLoop(nc, sess.Conn, sh, &out, rec)
+	// Each ReadLine flushes what the loop queued since the last one, so a
+	// command's output and the next prompt are one Write.
+	term := h.shellLoop(nc, rec, sh, &out, sess.Conn.ReadLine, sess.Conn)
+	//lint:ignore error-discard the last command's output is best-effort; the record is already complete
+	_ = sess.Conn.Flush()
 	h.finish(rec, term)
 }
 
-func (h *Honeypot) telnetShellLoop(nc net.Conn, c *telnet.Conn, sh *shell.Shell, out *bytes.Buffer, rec *SessionRecord) Termination {
-	for {
-		h.appendTranscript(rec, []byte(sh.Prompt()))
-		if err := c.WriteString(sh.Prompt()); err != nil {
-			return TermClient
-		}
-		_ = nc.SetReadDeadline(time.Now().Add(h.cfg.PostAuthTimeout))
-		line, err := c.ReadLine()
-		if err != nil {
-			if isTimeout(err) {
-				return TermTimeout
-			}
-			return TermClient
-		}
-		out.Reset()
-		sh.Run(line)
-		if out.Len() > 0 {
-			data := crlf(out.Bytes())
-			h.appendTranscript(rec, data)
-			if _, err := c.Write(data); err != nil {
-				return TermClient
-			}
-		}
-		if sh.Exited() {
-			return TermExit
-		}
+// termOf classifies the error that ended a session: a deadline that ran
+// out in either direction is a timeout, anything else is the client's doing.
+func termOf(err error) Termination {
+	if isTimeout(err) {
+		return TermTimeout
 	}
+	return TermClient
 }
 
 func isTimeout(err error) bool {

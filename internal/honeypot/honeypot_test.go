@@ -320,6 +320,9 @@ func TestTelnetIntrusion(t *testing.T) {
 	if err := c.WriteString("exit\r\n"); err != nil {
 		t.Fatal(err)
 	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	recs := rig.wait(t)
 	r := recs[0]
 	if r.Protocol != Telnet {

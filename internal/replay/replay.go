@@ -216,7 +216,12 @@ func (r *Replayer) replayTelnet(rec *honeypot.SessionRecord) error {
 				return nil
 			}
 		}
-		return c.WriteString("exit\r\n")
+		if err := c.WriteString("exit\r\n"); err != nil {
+			return err
+		}
+		// Nothing is read back, so nothing else would put the lines on
+		// the wire before the caller hangs up.
+		return c.Flush()
 	}
 }
 

@@ -6,12 +6,11 @@
 package telnet
 
 import (
-	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"net"
-	"strings"
 )
 
 // Telnet protocol bytes.
@@ -41,176 +40,273 @@ type AuthAttempt struct {
 	Accepted bool
 }
 
-// Conn wraps a net.Conn with telnet IAC processing: negotiation commands
-// are consumed (and answered on the server side), data bytes pass
-// through, and writes escape IAC bytes.
+// Conn wraps a net.Conn with telnet IAC processing. Reads decode a block
+// at a time: negotiation is consumed and answered, subnegotiations are
+// dropped, data bytes pass through. Writes escape IAC and are queued;
+// everything queued — data and negotiation replies alike — leaves in one
+// Write of the underlying conn when this side next reads a line, is about
+// to block in a read, or calls Flush or Close. There is no other write
+// path, so what one side says between two of its own reads is one segment.
 type Conn struct {
-	nc     net.Conn
-	br     *bufio.Reader
+	nc net.Conn
+
+	// rbuf[r:w] holds decoded data bytes not yet consumed. Decoding is in
+	// place (it never lengthens a block), so this is the only read buffer.
+	rbuf [1024]byte
+	r, w int
+
+	wbuf []byte
+
+	// us holds the options enabled (or offered) on this side, him those
+	// enabled on the peer's: RFC 854 option state, one bit per code.
+	us, him optSet
+
 	server bool
+	state  decodeState // where in an IAC sequence the last block ended
+	verb   byte        // WILL/WONT/DO/DONT awaiting its option byte
+	skipLF bool        // a CR ended the last line; its LF or NUL is still to come
 }
 
-// NewConn wraps nc. Server connections answer negotiation; clients
-// refuse all options.
+// maxPending is the queued-output size at which Write flushes by itself,
+// and the most write buffer a Conn keeps between flushes.
+const maxPending = 4096
+
+// decodeState is the IAC state machine's position between two bytes.
+type decodeState uint8
+
+const (
+	stData  decodeState = iota
+	stIAC               // after IAC
+	stOpt               // after IAC WILL/WONT/DO/DONT
+	stSB                // inside IAC SB ... IAC SE
+	stSBIAC             // after an IAC inside a subnegotiation
+)
+
+// optSet is one bit per option code.
+type optSet [4]uint64
+
+func (s *optSet) has(opt byte) bool { return s[opt>>6]&(1<<(opt&63)) != 0 }
+
+func (s *optSet) set(opt byte, on bool) {
+	if on {
+		s[opt>>6] |= 1 << (opt & 63)
+	} else {
+		s[opt>>6] &^= 1 << (opt & 63)
+	}
+}
+
+// NewConn wraps nc. Server connections will ECHO and SUPPRESS-GO-AHEAD
+// and refuse everything else; clients accept whatever the server offers
+// to do and do nothing themselves.
 func NewConn(nc net.Conn, server bool) *Conn {
-	return &Conn{nc: nc, br: bufio.NewReaderSize(nc, 1024), server: server}
+	return &Conn{nc: nc, server: server}
 }
 
 // NetConn returns the underlying connection (for deadline control).
 func (c *Conn) NetConn() net.Conn { return c.nc }
 
-// ReadByte returns the next data byte, transparently handling IAC
-// sequences.
-func (c *Conn) ReadByte() (byte, error) {
-	for {
-		b, err := c.br.ReadByte()
-		if err != nil {
-			return 0, err
-		}
-		if b != cmdIAC {
-			return b, nil
-		}
-		cmd, err := c.br.ReadByte()
-		if err != nil {
-			return 0, err
-		}
-		switch cmd {
-		case cmdIAC:
-			return cmdIAC, nil // escaped 0xFF data byte
-		case cmdWILL, cmdWONT, cmdDO, cmdDONT:
-			opt, err := c.br.ReadByte()
-			if err != nil {
-				return 0, err
+// decode processes one raw block in place: negotiation is answered into
+// wbuf, subnegotiations are dropped, and the data bytes are compacted to
+// the front of the block. It returns how many there are.
+func (c *Conn) decode(raw []byte) int {
+	n := 0
+	for _, b := range raw {
+		switch c.state {
+		case stData:
+			if b == cmdIAC {
+				c.state = stIAC
+			} else {
+				raw[n] = b
+				n++
 			}
-			if err := c.answer(cmd, opt); err != nil {
-				return 0, err
+		case stIAC:
+			c.state = stData
+			switch b {
+			case cmdIAC: // escaped 0xFF data byte
+				raw[n] = b
+				n++
+			case cmdWILL, cmdWONT, cmdDO, cmdDONT:
+				c.verb, c.state = b, stOpt
+			case cmdSB:
+				c.state = stSB
 			}
-		case cmdSB:
-			// Skip subnegotiation until IAC SE.
-			var prev byte
-			for {
-				x, err := c.br.ReadByte()
-				if err != nil {
-					return 0, err
-				}
-				if prev == cmdIAC && x == cmdSE {
-					break
-				}
-				prev = x
-			}
-		default:
 			// Other commands (NOP, AYT, ...) are ignored.
+		case stOpt:
+			c.state = stData
+			c.negotiate(c.verb, b)
+		case stSB:
+			if b == cmdIAC {
+				c.state = stSBIAC
+			}
+		case stSBIAC:
+			// IAC SE ends the subnegotiation; IAC IAC is an escaped 0xFF
+			// inside it, so a 240 that follows is a parameter byte.
+			c.state = stSB
+			if b == cmdSE {
+				c.state = stData
+			}
 		}
 	}
+	return n
 }
 
-// answer implements a minimal negotiation policy: the server agrees to
-// ECHO and SUPPRESS-GO-AHEAD (what a real telnetd offers) and refuses
-// everything else; the client refuses everything.
-func (c *Conn) answer(cmd, opt byte) error {
-	var reply byte
-	switch cmd {
-	case cmdDO:
-		if c.server && (opt == optEcho || opt == optSuppressGoAhead) {
-			reply = cmdWILL
-		} else {
-			reply = cmdWONT
-		}
-	case cmdDONT:
-		reply = cmdWONT
-	case cmdWILL:
-		if c.server {
-			reply = cmdDONT
-		} else {
-			reply = cmdDO // client accepts server options (echo etc.)
-		}
-	case cmdWONT:
-		reply = cmdDONT
-	default:
-		return nil
+// negotiate applies RFC 854's rule to one request: a request to enter the
+// state an option is already in is not acknowledged; any other is
+// answered exactly once, and the answer waits in wbuf for the next flush.
+// Replies are therefore never longer than the requests that drew them,
+// and two Conns cannot acknowledge each other's acknowledgements.
+func (c *Conn) negotiate(verb, opt byte) {
+	// DO/DONT ask about this side's half of the option, WILL/WONT
+	// announce the peer's.
+	side, yes, no := &c.us, byte(cmdWILL), byte(cmdWONT)
+	agree := c.server && (opt == optEcho || opt == optSuppressGoAhead)
+	if verb == cmdWILL || verb == cmdWONT {
+		side, yes, no = &c.him, cmdDO, cmdDONT
+		agree = !c.server
 	}
-	// Negotiation replies are advisory: if the peer has already closed
-	// (e.g. it disconnected right after login), dropping the reply is
-	// harmless — the data path will surface EOF on the next read.
-	//lint:ignore error-discard advisory negotiation reply; EOF surfaces on the data path
-	_, _ = c.nc.Write([]byte{cmdIAC, reply, opt})
-	return nil
+	enable := verb == cmdDO || verb == cmdWILL
+	if enable == side.has(opt) {
+		return
+	}
+	reply := no
+	if enable && agree {
+		reply = yes
+	}
+	side.set(opt, reply == yes)
+	c.wbuf = append(c.wbuf, cmdIAC, reply, opt)
 }
 
-// ReadLine reads a CR/LF-terminated line of data bytes, tolerating the
-// CR NUL and bare-LF forms bots send. The returned line excludes the
-// terminator.
-func (c *Conn) ReadLine() (string, error) {
-	var b strings.Builder
-	for b.Len() < 4096 {
-		x, err := c.ReadByte()
+// fill blocks until the peer has sent at least one data byte. What this
+// side has queued leaves first: the peer's next bytes are the answer to it.
+func (c *Conn) fill() error {
+	for {
+		if err := c.Flush(); err != nil {
+			return err
+		}
+		n, err := c.nc.Read(c.rbuf[:])
+		c.r, c.w = 0, c.decode(c.rbuf[:n])
+		if c.w > 0 {
+			return nil
+		}
 		if err != nil {
-			if err == io.EOF && b.Len() > 0 {
-				return b.String(), nil
+			return err
+		}
+	}
+}
+
+// readByte returns the next data byte without flushing first, so a
+// caller that loops over it writes at most once per read of the conn.
+func (c *Conn) readByte() (byte, error) {
+	for {
+		if c.r == c.w {
+			if err := c.fill(); err != nil {
+				return 0, err
+			}
+		}
+		b := c.rbuf[c.r]
+		c.r++
+		if c.skipLF {
+			c.skipLF = false
+			if b == '\n' || b == 0 {
+				continue
+			}
+		}
+		return b, nil
+	}
+}
+
+// ReadByte flushes what is queued and returns the next data byte,
+// transparently handling IAC sequences.
+func (c *Conn) ReadByte() (byte, error) {
+	if err := c.Flush(); err != nil {
+		return 0, err
+	}
+	return c.readByte()
+}
+
+// ReadLine flushes what is queued, then reads a CR/LF-terminated line of
+// data bytes, tolerating the CR NUL and bare-LF forms bots send. The
+// returned line excludes the terminator.
+func (c *Conn) ReadLine() (string, error) {
+	if err := c.Flush(); err != nil {
+		return "", err
+	}
+	line := make([]byte, 0, 64)
+	for len(line) < 4096 {
+		x, err := c.readByte()
+		if err != nil {
+			if err == io.EOF && len(line) > 0 {
+				return string(line), nil
 			}
 			return "", err
 		}
 		switch x {
 		case '\r':
-			// Peek for \n or NUL and consume it.
-			nx, err := c.br.Peek(1)
-			if err == nil && (nx[0] == '\n' || nx[0] == 0) {
-				//lint:ignore error-discard ReadByte cannot fail after a successful Peek(1)
-				_, _ = c.br.ReadByte()
-			}
-			return b.String(), nil
+			c.skipLF = true
+			return string(line), nil
 		case '\n':
-			return b.String(), nil
+			return string(line), nil
 		case 0x7f, '\b':
 			// Backspace editing, as interactive bots sometimes emit.
-			s := b.String()
-			if len(s) > 0 {
-				b.Reset()
-				b.WriteString(s[:len(s)-1])
+			if len(line) > 0 {
+				line = line[:len(line)-1]
 			}
 		case 0:
 			// NUL padding is ignored.
 		default:
-			b.WriteByte(x)
+			line = append(line, x)
 		}
 	}
-	return b.String(), nil
+	return string(line), nil
 }
 
-// Write sends data bytes, escaping IAC.
+// Write queues data bytes, escaping IAC. It reaches the underlying conn
+// only once maxPending bytes are waiting.
 func (c *Conn) Write(p []byte) (int, error) {
-	// Fast path: no IAC bytes.
-	needEscape := false
-	for _, x := range p {
-		if x == cmdIAC {
-			needEscape = true
+	for rest := p; ; {
+		i := bytes.IndexByte(rest, cmdIAC)
+		if i < 0 {
+			c.wbuf = append(c.wbuf, rest...)
 			break
 		}
+		c.wbuf = append(append(c.wbuf, rest[:i+1]...), cmdIAC)
+		rest = rest[i+1:]
 	}
-	if !needEscape {
-		return c.nc.Write(p)
-	}
-	out := make([]byte, 0, len(p)+8)
-	for _, x := range p {
-		out = append(out, x)
-		if x == cmdIAC {
-			out = append(out, cmdIAC)
+	if len(c.wbuf) >= maxPending {
+		if err := c.Flush(); err != nil {
+			return 0, err
 		}
-	}
-	if _, err := c.nc.Write(out); err != nil {
-		return 0, err
 	}
 	return len(p), nil
 }
 
-// WriteString sends a string.
+// WriteString queues a string.
 func (c *Conn) WriteString(s string) error {
 	_, err := c.Write([]byte(s))
 	return err
 }
 
-// Close closes the underlying connection.
-func (c *Conn) Close() error { return c.nc.Close() }
+// Flush hands everything queued to the underlying conn in one Write.
+func (c *Conn) Flush() error {
+	if len(c.wbuf) == 0 {
+		return nil
+	}
+	_, err := c.nc.Write(c.wbuf)
+	c.wbuf = c.wbuf[:0]
+	if cap(c.wbuf) > maxPending {
+		c.wbuf = nil // one large output does not stay resident for the session
+	}
+	return err
+}
+
+// Close flushes and closes the underlying connection.
+func (c *Conn) Close() error {
+	ferr := c.Flush()
+	if err := c.nc.Close(); err != nil {
+		return err
+	}
+	return ferr
+}
 
 // ServerConfig configures the telnet login flow.
 type ServerConfig struct {
@@ -244,11 +340,11 @@ func Handshake(nc net.Conn, cfg *ServerConfig) (*ServerSession, error) {
 		maxTries = 3
 	}
 	c := NewConn(nc, true)
-	// Offer ECHO + SGA like a real telnetd; clients answer at their leisure
-	// and the answers are consumed by ReadByte during the prompt reads.
-	if _, err := nc.Write([]byte{cmdIAC, cmdWILL, optEcho, cmdIAC, cmdWILL, optSuppressGoAhead}); err != nil {
-		return nil, err
-	}
+	// Offer ECHO + SGA like a real telnetd. An offer counts as entering
+	// the state, so the client's DO that acknowledges it draws no reply.
+	c.us.set(optEcho, true)
+	c.us.set(optSuppressGoAhead, true)
+	c.wbuf = append(c.wbuf, cmdIAC, cmdWILL, optEcho, cmdIAC, cmdWILL, optSuppressGoAhead)
 	if cfg.Banner != "" {
 		if err := c.WriteString(cfg.Banner + "\r\n"); err != nil {
 			return nil, err
@@ -279,11 +375,19 @@ func Handshake(nc net.Conn, cfg *ServerConfig) (*ServerSession, error) {
 			if err := c.WriteString("\r\nLast login: Tue Jun  1 12:01:32 UTC 2022 from 10.0.0.2 on pts/0\r\n"); err != nil {
 				return nil, err
 			}
+			// The caller may never read again (a probe that closes the
+			// socket after login), so the motd cannot wait for one.
+			if err := c.Flush(); err != nil {
+				return nil, err
+			}
 			return &ServerSession{Conn: c, User: user}, nil
 		}
 		if err := c.WriteString("\r\nLogin incorrect\r\n"); err != nil {
 			return nil, err
 		}
+	}
+	if err := c.Flush(); err != nil {
+		return nil, err
 	}
 	return nil, ErrTooManyTries
 }
@@ -293,57 +397,69 @@ func Handshake(nc net.Conn, cfg *ServerConfig) (*ServerSession, error) {
 // password, and reports whether login succeeded (no "Login incorrect"
 // before the next prompt). The conn stays open either way.
 func ClientLogin(c *Conn, user, password string) (bool, error) {
-	if err := waitFor(c, "login:"); err != nil {
+	if _, err := c.waitFor(4096, "login:"); err != nil {
 		return false, err
 	}
 	if err := c.WriteString(user + "\r\n"); err != nil {
 		return false, err
 	}
-	if err := waitFor(c, "Password:"); err != nil {
+	if _, err := c.waitFor(4096, "Password:"); err != nil {
 		return false, err
 	}
 	if err := c.WriteString(password + "\r\n"); err != nil {
 		return false, err
 	}
 	// Success: the "Last login" motd line. Failure: "Login incorrect".
-	var seen strings.Builder
-	for seen.Len() < 512 {
-		b, err := c.ReadByte()
-		if err != nil {
-			return false, err
-		}
-		seen.WriteByte(b)
-		s := seen.String()
-		if strings.Contains(s, "Login incorrect") {
-			return false, nil
-		}
-		if strings.Contains(s, "Last login") {
-			// Consume the rest of the motd line so the shell stream
-			// starts clean for the caller.
-			for {
-				x, err := c.ReadByte()
-				if err != nil || x == '\n' {
-					break
-				}
-			}
-			return true, nil
-		}
+	which, err := c.waitFor(512, "Login incorrect", "Last login")
+	if err != nil || which == 0 {
+		return false, err
 	}
-	return false, errors.New("telnet: login response not recognized")
+	// Consume the rest of the motd line so the shell stream starts clean
+	// for the caller.
+	if _, err := c.waitFor(4096, "\n"); err != nil {
+		return false, err
+	}
+	return true, nil
 }
 
-// waitFor consumes bytes until the marker appears.
-func waitFor(c *Conn, marker string) error {
-	var seen strings.Builder
-	for seen.Len() < 4096 {
-		b, err := c.ReadByte()
-		if err != nil {
-			return err
-		}
-		seen.WriteByte(b)
-		if strings.Contains(seen.String(), marker) {
-			return nil
-		}
+// maxMarker bounds the markers waitFor is given ("Login incorrect" is the
+// longest).
+const maxMarker = 16
+
+// waitFor flushes what is queued, then consumes data up to and including
+// the first of the markers to appear and reports which it was, giving up
+// once limit bytes have gone by. Each block is scanned once: only the
+// len(marker)-1 bytes a marker could straddle are carried between blocks.
+func (c *Conn) waitFor(limit int, markers ...string) (int, error) {
+	if err := c.Flush(); err != nil {
+		return 0, err
 	}
-	return fmt.Errorf("telnet: marker %q not seen", marker)
+	keep := 0
+	for _, m := range markers {
+		keep = max(keep, len(m)-1)
+	}
+	var win [maxMarker + len(c.rbuf)]byte // carry, then one block
+	carry := 0
+	for seen := 0; seen < limit; {
+		if c.r == c.w {
+			if err := c.fill(); err != nil {
+				return 0, err
+			}
+		}
+		n := copy(win[carry:], c.rbuf[c.r:min(c.w, c.r+limit-seen)])
+		w := win[:carry+n]
+		which, end := -1, len(w)
+		for i, m := range markers {
+			if j := bytes.Index(w, []byte(m)); j >= 0 && j+len(m) <= end {
+				which, end = i, j+len(m)
+			}
+		}
+		c.r += end - carry
+		seen += end - carry
+		if which >= 0 {
+			return which, nil
+		}
+		carry = copy(win[:], w[max(0, len(w)-keep):])
+	}
+	return 0, fmt.Errorf("telnet: none of %q seen in %d bytes", markers, limit)
 }

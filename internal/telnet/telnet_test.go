@@ -84,6 +84,7 @@ func TestLoginSuccess(t *testing.T) {
 			return
 		}
 		_ = res.sess.Conn.WriteString("you said: " + line + "\r\n")
+		_ = res.sess.Conn.Flush()
 	}()
 	if err := c.WriteString("uname -a\r\n"); err != nil {
 		t.Fatal(err)
@@ -173,6 +174,7 @@ func TestIACEscaping(t *testing.T) {
 	payload := []byte{1, 2, cmdIAC, 3, cmdIAC, cmdIAC}
 	go func() {
 		_, _ = sc.Write(payload)
+		_ = sc.Flush()
 	}()
 	got := make([]byte, len(payload))
 	for i := range got {
@@ -312,8 +314,9 @@ func (c countConn) Write(p []byte) (int, error) {
 }
 
 // BenchmarkLoginFlowTCP is BenchmarkLoginFlow over loopback TCP with both
-// ends counted, the same way sshwire.BenchmarkHandshakeTCP counts: the
-// control row beside it, on a path no sshwire change touches.
+// ends counted, the same way sshwire.BenchmarkHandshakeTCP counts:
+// scripts/check.sh's flight gate reads the writes/op and fails above
+// loginServerWrites / loginClientWrites.
 func BenchmarkLoginFlowTCP(b *testing.B) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -375,6 +378,7 @@ func TestQuickIACEscapingRoundTrip(t *testing.T) {
 		cc := NewConn(cli, false)
 		go func() {
 			_, _ = sc.Write(payload)
+			_ = sc.Flush()
 		}()
 		got := make([]byte, len(payload))
 		for i := range got {

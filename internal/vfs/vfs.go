@@ -11,6 +11,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"maps"
 	"path"
 	"sort"
 	"strings"
@@ -55,7 +56,9 @@ type FileEvent struct {
 	Time time.Time
 }
 
-// Node is one entry in the tree.
+// Node is one entry in the tree. A node may be shared by a template and
+// every filesystem cloned from it, so it is read-only outside this
+// package, and inside it only the FS whose tag it carries writes it.
 type Node struct {
 	Name    string
 	Dir     bool
@@ -66,7 +69,12 @@ type Node struct {
 	MTime   time.Time
 
 	children map[string]*Node
+	owner    *tag // the FS that made this node and may write it in place
 }
+
+// tag identifies the nodes one FS owns. It has a size so that every
+// new(tag) is a distinct address.
+type tag struct{ _ byte }
 
 // IsDir reports whether the node is a directory.
 func (n *Node) IsDir() bool { return n.Dir }
@@ -82,9 +90,16 @@ func (n *Node) Size() int {
 // FS is a mutable fake filesystem. It is safe for concurrent use; each
 // honeypot session gets its own FS (cloned from a template) so intruders
 // cannot observe each other.
+//
+// Clones are copy-on-write. A node is written in place only by the FS
+// whose tag it carries; every other node is immutable, whoever else can
+// reach it. Before a write, the path from the root to the node is
+// replaced by copies this FS owns (writable), so what a clone changes is
+// reachable from its own root only.
 type FS struct {
 	mu     sync.Mutex
 	root   *Node
+	tag    *tag // nil until the first write after New or Clone
 	events []FileEvent
 	now    func() time.Time
 }
@@ -96,10 +111,8 @@ func New(now func() time.Time) *FS {
 	if now == nil {
 		now = time.Now
 	}
-	fs := &FS{
-		root: &Node{Name: "/", Dir: true, Mode: 0o755, children: map[string]*Node{}},
-		now:  now,
-	}
+	fs := &FS{tag: new(tag), now: now}
+	fs.root = &Node{Name: "/", Dir: true, Mode: 0o755, children: map[string]*Node{}, owner: fs.tag}
 	seed(fs)
 	return fs
 }
@@ -140,6 +153,46 @@ func (fs *FS) lookup(abs string) (*Node, error) {
 		n = child
 	}
 	return n, nil
+}
+
+// own returns n if this FS may write it in place, else a copy that it
+// may: the copy shares n's children and content, and clamps the content's
+// capacity so that an append reallocates instead of writing into an array
+// other filesystems can see.
+func (fs *FS) own(n *Node) *Node {
+	if n.owner == fs.tag {
+		return n
+	}
+	c := *n
+	c.owner = fs.tag
+	c.Content = n.Content[:len(n.Content):len(n.Content)]
+	c.children = maps.Clone(n.children)
+	return &c
+}
+
+// writable returns the node lookup has just found at abs, after replacing
+// every node on the way to it that this FS does not own with a copy that
+// it does. Mutators validate with lookup first, so an operation that
+// fails copies nothing.
+func (fs *FS) writable(abs string) *Node {
+	if fs.tag == nil {
+		fs.tag = new(tag)
+	}
+	fs.root = fs.own(fs.root)
+	n := fs.root
+	for part, rest := "", strings.TrimPrefix(abs, "/"); rest != ""; {
+		part, rest, _ = strings.Cut(rest, "/")
+		child := fs.own(n.children[part])
+		n.children[part] = child
+		n = child
+	}
+	return n
+}
+
+// newDir returns an empty directory owned by this FS, which must already
+// hold a tag: call it after writable.
+func (fs *FS) newDir(name string, mode uint32) *Node {
+	return &Node{Name: name, Dir: true, Mode: mode, MTime: fs.now(), children: map[string]*Node{}, owner: fs.tag}
 }
 
 // Stat returns the node at the path (resolved against cwd).
@@ -197,6 +250,9 @@ func (fs *FS) Mkdir(cwd, p string, mode uint32) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	abs := normalize(cwd, p)
+	if abs == "/" {
+		return ErrExist
+	}
 	dir, base := path.Split(abs)
 	parent, err := fs.lookup(path.Clean(dir))
 	if err != nil {
@@ -208,7 +264,8 @@ func (fs *FS) Mkdir(cwd, p string, mode uint32) error {
 	if _, ok := parent.children[base]; ok {
 		return ErrExist
 	}
-	parent.children[base] = &Node{Name: base, Dir: true, Mode: mode, MTime: fs.now(), children: map[string]*Node{}}
+	parent = fs.writable(path.Clean(dir))
+	parent.children[base] = fs.newDir(base, mode)
 	return nil
 }
 
@@ -223,14 +280,20 @@ func (fs *FS) MkdirAll(cwd, p string, mode uint32) error {
 	}
 	parts := strings.Split(strings.TrimPrefix(abs, "/"), "/")
 	n := fs.root
-	for _, part := range parts {
+	for i, part := range parts {
 		if !n.Dir {
 			return ErrNotDir
 		}
 		child, ok := n.children[part]
 		if !ok {
-			child = &Node{Name: part, Dir: true, Mode: mode, MTime: fs.now(), children: map[string]*Node{}}
-			n.children[part] = child
+			// Everything before parts[i] exists; the rest is new.
+			n = fs.writable("/" + strings.Join(parts[:i], "/"))
+			for _, part := range parts[i:] {
+				child = fs.newDir(part, mode)
+				n.children[part] = child
+				n = child
+			}
+			return nil
 		}
 		n = child
 	}
@@ -271,13 +334,17 @@ func (fs *FS) writeLocked(cwd, p string, content []byte, mode uint32, appendTo b
 	}
 	op := OpModify
 	n, ok := parent.children[base]
-	if !ok {
-		op = OpCreate
-		n = &Node{Name: base, Mode: mode}
-		parent.children[base] = n
-	} else if n.Dir {
+	if ok && n.Dir {
 		return FileEvent{}, ErrIsDir
 	}
+	parent = fs.writable(path.Clean(dir))
+	if ok {
+		n = fs.own(n)
+	} else {
+		op = OpCreate
+		n = &Node{Name: base, Mode: mode, owner: fs.tag}
+	}
+	parent.children[base] = n
 	if appendTo {
 		n.Content = append(n.Content, content...)
 	} else {
@@ -315,7 +382,7 @@ func (fs *FS) Remove(cwd, p string) error {
 	if n.Dir && len(n.children) > 0 {
 		return fmt.Errorf("vfs: directory not empty")
 	}
-	delete(parent.children, base)
+	delete(fs.writable(path.Clean(dir)).children, base)
 	return nil
 }
 
@@ -335,7 +402,9 @@ func (fs *FS) RemoveAll(cwd, p string) error {
 		}
 		return err
 	}
-	delete(parent.children, base)
+	if _, ok := parent.children[base]; ok {
+		delete(fs.writable(path.Clean(dir)).children, base)
+	}
 	return nil
 }
 
@@ -343,11 +412,11 @@ func (fs *FS) RemoveAll(cwd, p string) error {
 func (fs *FS) Chmod(cwd, p string, mode uint32) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	n, err := fs.lookup(normalize(cwd, p))
-	if err != nil {
+	abs := normalize(cwd, p)
+	if _, err := fs.lookup(abs); err != nil {
 		return err
 	}
-	n.Mode = mode
+	fs.writable(abs).Mode = mode
 	return nil
 }
 
@@ -358,24 +427,14 @@ func HashContent(content []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// Clone returns a deep copy of the filesystem with an empty event log,
-// used to give each session a pristine system image.
+// Clone returns a filesystem with the same content and an empty event
+// log, used to give each session a pristine system image. It copies
+// nothing: the clone starts on the receiver's root, and the receiver gives
+// up its tag, so from here on each side copies a path before it first
+// writes to it and neither can change what the other sees.
 func (fs *FS) Clone() *FS {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	return &FS{root: cloneNode(fs.root), now: fs.now}
-}
-
-func cloneNode(n *Node) *Node {
-	c := &Node{
-		Name: n.Name, Dir: n.Dir, Mode: n.Mode, UID: n.UID, GID: n.GID,
-		Content: append([]byte(nil), n.Content...), MTime: n.MTime,
-	}
-	if n.children != nil {
-		c.children = make(map[string]*Node, len(n.children))
-		for name, child := range n.children {
-			c.children[name] = cloneNode(child)
-		}
-	}
-	return c
+	fs.tag = nil
+	return &FS{root: fs.root, now: fs.now}
 }

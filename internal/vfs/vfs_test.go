@@ -177,27 +177,6 @@ func TestReadFileErrors(t *testing.T) {
 	}
 }
 
-func TestCloneIsolation(t *testing.T) {
-	base := New(fixedNow)
-	c := base.Clone()
-	if _, err := c.WriteFile("/tmp", "mal.bin", []byte("malware"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if base.Exists("/", "/tmp/mal.bin") {
-		t.Error("write to clone leaked into base")
-	}
-	if len(base.Events()) != 0 {
-		t.Error("clone events leaked into base")
-	}
-	if len(c.Events()) != 1 {
-		t.Error("clone should record its own events")
-	}
-	// Baseline files are present in the clone.
-	if !c.Exists("/", "/etc/passwd") {
-		t.Error("clone missing baseline files")
-	}
-}
-
 func TestHashContentStable(t *testing.T) {
 	h1 := HashContent([]byte("abc"))
 	h2 := HashContent([]byte("abc"))

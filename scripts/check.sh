@@ -16,7 +16,11 @@
 #                for a fixed 10 s: no panic, allocation bounded by input
 #                length, error or a bundle that re-encodes to a fixed
 #                point. A crasher it finds lands in testdata/fuzz/ and
-#                fails plain go test from then on
+#                fails plain go test from then on. FuzzTelnetConn — the
+#                IAC state machine every Telnet byte goes through — gets
+#                the same 10 s: no panic, lines bounded, never more bytes
+#                out than in, at most one Write per Read, the same result
+#                however the input is cut into reads
 #   chaos smoke  the fault-injection suite (supervisor restarts, outage
 #                windows, bounded drain) once more under -race — the
 #                tests most sensitive to goroutine leaks and deadlocks
@@ -62,12 +66,12 @@
 #                contract the injected-fault suite pins
 #   bench smoke  every benchmark runs once (-benchtime=1x), so a broken
 #                benchmark cannot sit undetected until a baseline run
-#   flight gate  sshwire.BenchmarkHandshakeTCP counts the Write calls
-#                each side makes for an accepted login + close on
-#                loopback TCP; more than the pinned flight count (5 per
-#                side) fails. A count repeats exactly, unlike the ns/op
-#                beside it; telnet.BenchmarkLoginFlowTCP is printed as
-#                the control
+#   flight gate  sshwire.BenchmarkHandshakeTCP and
+#                telnet.BenchmarkLoginFlowTCP count the Write calls each
+#                side makes for an accepted login + close on loopback
+#                TCP; more than the pinned flight count (SSH 5 per side,
+#                Telnet 3 server / 2 client) fails. A count repeats
+#                exactly, unlike the ns/op beside it
 #   bench gate   BenchmarkWALAppendRecover/append is re-run (best of
 #                three samples, since machine load is one-sided noise)
 #                and must stay within 20% of the latest checked-in
@@ -112,8 +116,12 @@ cmp "$tmp/lint-cold.json" "$tmp/lint-warm.json"
 echo "==> go test -race ./..."
 go test -race ./...
 
-echo "==> fuzz smoke (FuzzDecodePartialsFrame, 10s)"
+echo "==> fuzz smoke (FuzzDecodePartialsFrame, FuzzTelnetConn, 10s each)"
 go test ./internal/shard -run '^$' -fuzz FuzzDecodePartialsFrame -fuzztime 10s
+# The Telnet seeds are kilobytes long by design (a 1 KiB option storm, a
+# 5,000-byte line); at the default minimizer budget of 60 s per new input
+# the smoke would minimize one and mutate nothing.
+go test ./internal/telnet -run '^$' -fuzz FuzzTelnetConn -fuzztime 10s -fuzzminimizetime 1s
 
 chaos_run='TestChaos|TestStop|TestKill|TestOutage|TestFault|TestConnFault|TestBackoff|TestDropsSession|TestPotDown|TestCoordinator|TestRestarter'
 echo "==> chaos smoke (go test -race -count=1 -run '$chaos_run')"
@@ -578,12 +586,10 @@ fi
 echo "==> benchmark smoke (go test -bench=. -benchtime=1x)"
 go test -run='^$' -bench=. -benchtime=1x ./... >/dev/null
 
-echo "==> SSH flight gate (Writes per accepted login + close, per side)"
+echo "==> flight gate (Writes per accepted login + close, per side)"
 # A count, not a timing: it repeats exactly on any machine under any
 # load. The pins are loginServerWrites / loginClientWrites in
-# internal/sshwire/flight_test.go; the Telnet row is printed beside them
-# as the control that no sshwire change moves.
-max_ssh_writes=5
+# internal/sshwire/flight_test.go and internal/telnet/flight_test.go.
 # io_counts <package> <benchmark>: the per-side Read/Write counts the
 # benchmark reports, as "name=value " pairs on one line.
 io_counts() {
@@ -592,20 +598,26 @@ io_counts() {
             for (i = 4; i <= NF; i++) if ($i ~ /^(server|client)-(writes|reads)\/op$/) printf "%s=%s ", $i, $(i - 1)
         }'
 }
-flights=$(io_counts ./internal/sshwire HandshakeTCP)
-if [ -z "$flights" ]; then
-    echo "flight gate: BenchmarkHandshakeTCP reported no writes/op" >&2
-    exit 1
-fi
-echo "    ssh:    ${flights}"
-echo "    telnet: $(io_counts ./internal/telnet LoginFlowTCP)"
-for side in server client; do
-    got=$(printf '%s\n' "$flights" | tr ' ' '\n' | sed -n "s|^${side}-writes/op=||p")
-    if [ -z "$got" ] || ! awk -v got="$got" -v max="$max_ssh_writes" 'BEGIN { exit !(got + 0 <= max + 0) }'; then
-        echo "flight gate: ${side} made ${got:-no} Writes per SSH login, the pinned flight count is ${max_ssh_writes}" >&2
+# flight_gate <protocol> <package> <benchmark> <server pin> <client pin>
+flight_gate() {
+    flights=$(io_counts "$2" "$3")
+    if [ -z "$flights" ]; then
+        echo "flight gate: Benchmark$3 reported no writes/op" >&2
         exit 1
     fi
-done
+    echo "    $1: ${flights}"
+    for pin in "server=$4" "client=$5"; do
+        side=${pin%=*}
+        max=${pin#*=}
+        got=$(printf '%s\n' "$flights" | tr ' ' '\n' | sed -n "s|^${side}-writes/op=||p")
+        if [ -z "$got" ] || ! awk -v got="$got" -v max="$max" 'BEGIN { exit !(got + 0 <= max + 0) }'; then
+            echo "flight gate: ${side} made ${got:-no} Writes per $1 login, the pinned flight count is ${max}" >&2
+            exit 1
+        fi
+    done
+}
+flight_gate ssh ./internal/sshwire HandshakeTCP 5 5
+flight_gate telnet ./internal/telnet LoginFlowTCP 3 2
 
 echo "==> WAL append gate (>=80% of latest BENCH_<n>.json)"
 baseline=""
