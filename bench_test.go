@@ -14,26 +14,13 @@ package honeyfarm
 import (
 	"fmt"
 	"io"
-	"net"
-	"net/http"
-	"net/http/httptest"
 	"runtime"
-	"strconv"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"honeyfarm/internal/analysis"
-	"honeyfarm/internal/farm"
-	"honeyfarm/internal/geo"
 	"honeyfarm/internal/lint"
-	"honeyfarm/internal/loadgen"
-	"honeyfarm/internal/netsim"
-	"honeyfarm/internal/query"
-	"honeyfarm/internal/replay"
 	"honeyfarm/internal/report"
-	"honeyfarm/internal/wal"
 	"honeyfarm/internal/workload"
 )
 
@@ -325,7 +312,7 @@ func BenchmarkFigure22CampaignLengthECDF(b *testing.B) {
 // throughput across scales (the substitution's cost model).
 func BenchmarkAblationGenerateScale(b *testing.B) {
 	for _, total := range []int{10_000, 50_000, 200_000} {
-		b.Run(sizeName(total), func(b *testing.B) {
+		b.Run(fmt.Sprintf("%dk", total/1000), func(b *testing.B) {
 			reg := NewRegistry(1)
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -344,8 +331,7 @@ func BenchmarkAblationGenerateScale(b *testing.B) {
 // BenchmarkGenerateWorkers measures the sharded pipeline's scaling: one
 // 200k-session generation per worker count. The rows are byte-identical
 // in output (see TestWorkersByteIdentical), so they differ only in
-// wall-clock; scripts/bench.sh records them into BENCH_<n>.json
-// baselines alongside the machine's core count.
+// wall-clock.
 func BenchmarkGenerateWorkers(b *testing.B) {
 	reg := NewRegistry(1)
 	counts := []int{1, 2, 4}
@@ -365,113 +351,6 @@ func BenchmarkGenerateWorkers(b *testing.B) {
 			b.ReportMetric(200_000/b.Elapsed().Seconds()*float64(b.N), "sessions/s")
 		})
 	}
-}
-
-// BenchmarkWALAppendRecover measures the durability tax, split into the
-// stages that compose it: "encode" is the pure v2 batch codec (no I/O),
-// "append" is the end-to-end write path with pipelined group commit
-// (the fsync of batch N overlaps the encode of batch N+1), "fsync" is
-// the same stream with a blocking Sync after every batch (the
-// un-pipelined worst case — the gap between the two rows is what the
-// commit pipeline buys), and "recover" is a full scan + replay.
-// scripts/bench.sh records all rows into BENCH_<n>.json, and
-// scripts/check.sh gates the "append" row against the latest baseline.
-func BenchmarkWALAppendRecover(b *testing.B) {
-	recs := benchDataset(b).Store.Records()
-	if len(recs) > 65536 {
-		recs = recs[:65536]
-	}
-	const batch = 4096
-	writeAll := func(dir string, syncEach bool) {
-		b.Helper()
-		log, _, err := wal.Open(dir, wal.Options{Epoch: DefaultEpoch})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for lo := 0; lo < len(recs); lo += batch {
-			hi := lo + batch
-			if hi > len(recs) {
-				hi = len(recs)
-			}
-			if err := log.AppendTagged(uint64(lo/batch), recs[lo:hi]); err != nil {
-				b.Fatal(err)
-			}
-			if syncEach {
-				if err := log.Sync(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-		if err := log.Close(); err != nil {
-			b.Fatal(err)
-		}
-	}
-
-	b.Run("encode", func(b *testing.B) {
-		b.ReportAllocs()
-		var buf []byte
-		for i := 0; i < b.N; i++ {
-			for lo := 0; lo < len(recs); lo += batch {
-				hi := lo + batch
-				if hi > len(recs) {
-					hi = len(recs)
-				}
-				buf = wal.EncodeBatchFrame(buf[:0], uint64(lo/batch), recs[lo:hi])
-			}
-		}
-		b.ReportMetric(float64(len(recs))/b.Elapsed().Seconds()*float64(b.N), "records/s")
-	})
-	b.Run("append", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			dir := b.TempDir()
-			b.StartTimer()
-			writeAll(dir, false)
-		}
-		b.ReportMetric(float64(len(recs))/b.Elapsed().Seconds()*float64(b.N), "records/s")
-	})
-	b.Run("fsync", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			dir := b.TempDir()
-			b.StartTimer()
-			writeAll(dir, true)
-		}
-		b.ReportMetric(float64(len(recs))/b.Elapsed().Seconds()*float64(b.N), "records/s")
-	})
-	b.Run("recover", func(b *testing.B) {
-		dir := b.TempDir()
-		writeAll(dir, false)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			log, rec, err := wal.Open(dir, wal.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if got := rec.Replay().Len(); got != len(recs) {
-				b.Fatalf("recovered %d records, want %d", got, len(recs))
-			}
-			if err := log.Close(); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(len(recs))/b.Elapsed().Seconds()*float64(b.N), "records/s")
-	})
-}
-
-func sizeName(n int) string {
-	switch {
-	case n >= 1_000_000:
-		return "1M"
-	case n >= 200_000:
-		return "200k"
-	case n >= 50_000:
-		return "50k"
-	}
-	return "10k"
 }
 
 // BenchmarkAblationFreshnessWindows compares Figure 17's three window
@@ -530,60 +409,6 @@ func BenchmarkExtensionBlockingImpact(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationWireVsRecord contrasts the record-level generator's
-// throughput with full wire-level replay (real SSH handshakes against
-// in-process honeypots) — the cost model that justifies the record-level
-// path for 400k-session datasets.
-func BenchmarkAblationWireVsRecord(b *testing.B) {
-	reg := NewRegistry(1)
-	res, err := workload.Generate(workload.Config{
-		Seed: 5, TotalSessions: 2000, Days: 10, NumPots: 8, Registry: reg,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	recs := res.Store.Records()
-
-	b.Run("record-level", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := workload.Generate(workload.Config{
-				Seed: int64(i), TotalSessions: 2000, Days: 10, NumPots: 8, Registry: reg,
-			}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(2000/b.Elapsed().Seconds()*float64(b.N), "sessions/s")
-	})
-
-	b.Run("wire-level", func(b *testing.B) {
-		f, err := farm.New(farm.Config{
-			Seed: 5, NumPots: 8, NumASes: 8,
-			Countries: geo.HoneyfarmCountries[:8], Registry: reg,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := f.Start(); err != nil {
-			b.Fatal(err)
-		}
-		defer f.Stop()
-		r := &replay.Replayer{Farm: f, Concurrency: 16}
-		const sample = 20 // replay every 20th record per iteration
-		b.ResetTimer()
-		b.ReportAllocs()
-		replayed := 0
-		for i := 0; i < b.N; i++ {
-			stats, err := r.ReplaySample(recs, sample)
-			if err != nil {
-				b.Fatal(err)
-			}
-			replayed += stats.Replayed
-		}
-		b.ReportMetric(float64(replayed)/b.Elapsed().Seconds(), "sessions/s")
-	})
-}
-
 // BenchmarkAblationNoCampaigns isolates the campaign machinery's cost
 // and lets Figure 17/22 be compared against a campaign-free background.
 func BenchmarkAblationNoCampaigns(b *testing.B) {
@@ -596,97 +421,6 @@ func BenchmarkAblationNoCampaigns(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkQueryIngest measures the live aggregation engine's ingest
-// rate, the sustained records/s internal/query folds into its partial
-// aggregates: "sealonce" seals once at the end, as the WAL follower
-// does after a drain cycle; "autoseal" seals every 2,000 records over
-// 500-record batches, as cmd/shard runs it.
-func BenchmarkQueryIngest(b *testing.B) {
-	d := benchDataset(b)
-	recs := d.Store.Records()
-	for _, c := range []struct {
-		name         string
-		every, batch int
-	}{{"sealonce", 0, 1024}, {"autoseal", 2000, 500}} {
-		b.Run(c.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				eng := query.New(query.Config{
-					Epoch:         DefaultEpoch,
-					NumPots:       d.NumPots,
-					Registry:      d.Registry,
-					Tagger:        analysis.Tagger(defaultTagger()),
-					SnapshotEvery: c.every,
-				})
-				for j := 0; j < len(recs); j += c.batch {
-					eng.Ingest(recs[j:min(j+c.batch, len(recs))])
-				}
-				eng.Seal()
-			}
-			b.ReportMetric(float64(len(recs))*float64(b.N)/b.Elapsed().Seconds(), "records/s")
-		})
-	}
-}
-
-// BenchmarkSnapshotServe measures the serving layer's request latency
-// over a sealed snapshot: "uncached" pays the first render of a
-// (sequence, key) pair on a fresh server, "cached" hits the rendered
-// body, and "revalidated" is the 304 If-None-Match path.
-func BenchmarkSnapshotServe(b *testing.B) {
-	d := benchDataset(b)
-	eng := query.New(query.Config{
-		Epoch:    DefaultEpoch,
-		NumPots:  d.NumPots,
-		Registry: d.Registry,
-		Tagger:   analysis.Tagger(defaultTagger()),
-	})
-	eng.Ingest(d.Store.Records())
-	eng.Seal()
-	get := func(b *testing.B, h http.Handler, etag string) *httptest.ResponseRecorder {
-		req := httptest.NewRequest(http.MethodGet, "/v1/pots", nil)
-		if etag != "" {
-			req.Header.Set("If-None-Match", etag)
-		}
-		rr := httptest.NewRecorder()
-		h.ServeHTTP(rr, req)
-		return rr
-	}
-	b.Run("uncached", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			h := query.NewServer(query.ServerConfig{Source: eng}).Handler()
-			if rr := get(b, h, ""); rr.Code != http.StatusOK {
-				b.Fatalf("status %d", rr.Code)
-			}
-		}
-	})
-	b.Run("cached", func(b *testing.B) {
-		h := query.NewServer(query.ServerConfig{Source: eng}).Handler()
-		get(b, h, "") // warm the render cache
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if rr := get(b, h, ""); rr.Code != http.StatusOK {
-				b.Fatalf("status %d", rr.Code)
-			}
-		}
-	})
-	b.Run("revalidated", func(b *testing.B) {
-		h := query.NewServer(query.ServerConfig{Source: eng}).Handler()
-		etag := get(b, h, "").Header().Get("ETag")
-		if etag == "" {
-			b.Fatal("no ETag")
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if rr := get(b, h, etag); rr.Code != http.StatusNotModified {
-				b.Fatalf("status %d", rr.Code)
-			}
-		}
-	})
 }
 
 // BenchmarkLintRepo measures the repository's own analyzer suite over
@@ -729,81 +463,4 @@ func BenchmarkLintRepo(b *testing.B) {
 		}
 		b.ReportMetric(float64(pkgs)/b.Elapsed().Seconds(), "pkgs/s")
 	})
-}
-
-// BenchmarkLoadgenWirePath measures the open-loop harness end to end:
-// cmd/loadgen's driver replaying a seeded session mix (real SSH/Telnet
-// handshakes through internal/sshwire and internal/telnet) against a
-// supervised netsim farm — the same path `loadgen -self-pots` drives.
-// Sleep is a no-op so the schedule collapses to back-to-back arrivals:
-// the number is the wire path's sustainable session rate at the
-// driver's concurrency bound, not the offered rate.
-func BenchmarkLoadgenWirePath(b *testing.B) {
-	const numPots = 8
-	f, err := farm.New(farm.Config{
-		Seed: 3, NumPots: numPots, NumASes: numPots,
-		Countries: geo.HoneyfarmCountries[:numPots], Registry: NewRegistry(3),
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := f.Start(); err != nil {
-		b.Fatal(err)
-	}
-	defer f.Stop()
-
-	targets := make([]loadgen.Target, numPots)
-	for i := 0; i < numPots; i++ {
-		ssh, tel := f.SSHAddr(i), f.TelnetAddr(i)
-		targets[i] = loadgen.Target{
-			Pot:        i,
-			SSHAddr:    net.JoinHostPort(ssh.IP, strconv.Itoa(ssh.Port)),
-			TelnetAddr: net.JoinHostPort(tel.IP, strconv.Itoa(tel.Port)),
-		}
-	}
-	var srcSeq atomic.Uint64
-	dial := func(t loadgen.Target, ssh bool) (net.Conn, error) {
-		addr := t.SSHAddr
-		if !ssh {
-			addr = t.TelnetAddr
-		}
-		host, portStr, err := net.SplitHostPort(addr)
-		if err != nil {
-			return nil, err
-		}
-		port, err := strconv.Atoi(portStr)
-		if err != nil {
-			return nil, err
-		}
-		src := fmt.Sprintf("198.51.100.%d", srcSeq.Add(1)%254+1)
-		return f.Fabric().Dial(src, netsim.Addr{IP: host, Port: port})
-	}
-
-	plan, err := loadgen.BuildPlan(loadgen.PlanConfig{
-		Seed: 3, Rate: 200, Duration: time.Second, Targets: targets,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-
-	b.ResetTimer()
-	b.ReportAllocs()
-	completed := 0
-	for i := 0; i < b.N; i++ {
-		res, err := loadgen.Run(loadgen.Config{
-			Plan:        plan,
-			Dial:        dial,
-			Concurrency: 32,
-			Now:         time.Now,
-			Sleep:       func(time.Duration) {},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Errors) > 0 {
-			b.Fatalf("wire path errors: %v", res.Errors)
-		}
-		completed += res.Completed
-	}
-	b.ReportMetric(float64(completed)/b.Elapsed().Seconds(), "sessions/s")
 }

@@ -1,7 +1,19 @@
 // Command attack is the client-side tool: it connects to a honeypot
-// (this repository's, or any SSH/Telnet server) and behaves like one of
-// the paper's client types — a scanner (connect and leave), a scouter
-// (failed logins), or an intruder (log in and run a command script).
+// (this repository's, or any SSH/Telnet server) and enacts one session
+// through internal/loadgen's script executor. What the flags select:
+//
+//   - -scan: a scanner — handshake (SSH) or banner (Telnet), no
+//     credentials, leave (NO_CRED).
+//   - neither -cmd nor -script: log in with -user/-pass, open a shell,
+//     say nothing, leave (NO_CMD).
+//   - -cmd and/or -script: an intruder — log in and run the lines (CMD,
+//     or CMD+URI if a line downloads something). Over SSH exactly one
+//     line is sent as an exec request and several are typed into a shell
+//     on a pty; over Telnet each line is typed at a prompt. The peer's
+//     output is printed.
+//
+// A login the server rejects ends the run with an error; there is no
+// flag for a session of failed logins only.
 //
 // Usage:
 //
@@ -14,15 +26,14 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"net"
 	"os"
 	"strings"
 	"time"
 
-	"honeyfarm/internal/sshwire"
-	"honeyfarm/internal/telnet"
+	"honeyfarm/internal/analysis"
+	"honeyfarm/internal/loadgen"
 )
 
 func main() {
@@ -37,6 +48,9 @@ func main() {
 	timeout := flag.Duration("timeout", 30*time.Second, "connection timeout")
 	flag.Parse()
 
+	if *proto != "ssh" && *proto != "telnet" {
+		log.Fatalf("unknown protocol %q", *proto)
+	}
 	lines, err := commandLines(*command, *script)
 	if err != nil {
 		log.Fatal(err)
@@ -51,14 +65,24 @@ func main() {
 		log.Fatalf("setting deadline: %v", err)
 	}
 
-	switch *proto {
-	case "ssh":
-		runSSH(nc, *user, *pass, *version, *scan, lines)
-	case "telnet":
-		runTelnet(nc, *user, *pass, *scan, lines)
-	default:
-		log.Fatalf("unknown protocol %q", *proto)
+	s := loadgen.Script{
+		SSH: *proto == "ssh", User: *user, Password: *pass, Commands: lines,
+		Client: &loadgen.Client{
+			Version: *version, Exec: len(lines) == 1, PTY: len(lines) != 1, Output: os.Stdout,
+		},
 	}
+	switch {
+	case *scan:
+		s.Category = analysis.NoCred
+	case len(lines) == 0:
+		s.Category = analysis.NoCmd
+	default:
+		s.Category = analysis.Cmd
+	}
+	if err := loadgen.Execute(nc, s); err != nil {
+		log.Fatalf("%s: %v", *proto, err)
+	}
+	fmt.Fprintf(os.Stderr, "%v session complete\n", s.Category)
 }
 
 func commandLines(command, script string) ([]string, error) {
@@ -83,113 +107,4 @@ func commandLines(command, script string) ([]string, error) {
 		}
 	}
 	return lines, nil
-}
-
-func runSSH(nc net.Conn, user, pass, version string, scan bool, lines []string) {
-	cc, err := sshwire.NewClientConn(nc, &sshwire.ClientConfig{
-		User: user, Password: pass, Version: version, SkipAuth: scan,
-	})
-	if err != nil {
-		log.Fatalf("ssh: %v", err)
-	}
-	if scan {
-		fmt.Printf("scan complete: server %s\n", cc.ServerVersion())
-		cc.Close()
-		return
-	}
-	defer cc.Close()
-	fmt.Fprintf(os.Stderr, "logged in to %s\n", cc.ServerVersion())
-
-	if len(lines) == 1 {
-		sess, err := cc.OpenSession()
-		if err != nil {
-			log.Fatalf("session: %v", err)
-		}
-		if err := sshwire.RequestExec(sess, lines[0]); err != nil {
-			log.Fatalf("exec: %v", err)
-		}
-		out, err := io.ReadAll(sess)
-		if err != nil && !sshwire.IsGracefulDisconnect(err) {
-			log.Fatalf("reading exec output: %v", err)
-		}
-		if _, err := os.Stdout.Write(out); err != nil {
-			log.Fatalf("writing output: %v", err)
-		}
-		if status, ok := sess.ExitStatus(); ok {
-			fmt.Fprintf(os.Stderr, "exit status %d\n", status)
-		}
-		return
-	}
-
-	sess, err := cc.OpenSession()
-	if err != nil {
-		log.Fatalf("session: %v", err)
-	}
-	if err := sshwire.RequestPTY(sess, "xterm", 80, 24); err != nil {
-		log.Fatalf("pty: %v", err)
-	}
-	if err := sshwire.RequestShell(sess); err != nil {
-		log.Fatalf("shell: %v", err)
-	}
-	// The writer runs concurrently with the output reader below; closing
-	// writeDone joins it before the process exits.
-	writeDone := make(chan struct{})
-	go func() {
-		defer close(writeDone)
-		for _, l := range append(lines, "exit") {
-			if _, err := sess.Write([]byte(l + "\n")); err != nil {
-				// The session ended under us; the reader sees the close.
-				return
-			}
-		}
-	}()
-	out, err := io.ReadAll(sess)
-	<-writeDone
-	if err != nil && !sshwire.IsGracefulDisconnect(err) {
-		log.Fatalf("reading shell output: %v", err)
-	}
-	if _, err := os.Stdout.Write(out); err != nil {
-		log.Fatalf("writing output: %v", err)
-	}
-}
-
-func runTelnet(nc net.Conn, user, pass string, scan bool, lines []string) {
-	c := telnet.NewConn(nc, false)
-	if scan {
-		// Read the banner/prompt and leave; an immediate close still
-		// counts as a completed probe.
-		buf := make([]byte, 256)
-		if _, err := nc.Read(buf); err != nil && err != io.EOF {
-			log.Fatalf("reading banner: %v", err)
-		}
-		fmt.Println("scan complete")
-		return
-	}
-	ok, err := telnet.ClientLogin(c, user, pass)
-	if err != nil {
-		log.Fatalf("telnet login: %v", err)
-	}
-	if !ok {
-		log.Fatal("telnet login rejected")
-	}
-	fmt.Fprintln(os.Stderr, "logged in")
-	for _, l := range append(lines, "exit") {
-		if err := c.WriteString(l + "\r\n"); err != nil {
-			log.Fatalf("write: %v", err)
-		}
-		// Read until the next prompt (or connection close on exit).
-		var out strings.Builder
-		for {
-			b, err := c.ReadByte()
-			if err != nil {
-				fmt.Print(out.String())
-				return
-			}
-			out.WriteByte(b)
-			if strings.HasSuffix(out.String(), "# ") {
-				break
-			}
-		}
-		fmt.Print(out.String())
-	}
 }

@@ -29,7 +29,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"honeyfarm/internal/atomicio"
@@ -179,21 +178,15 @@ func crossCheckWAL(dir string, want int) bool {
 func printWAL(dir string, rec *wal.Recovery) {
 	fmt.Printf("%s: %d segments, %d batches, %d records, epoch %s\n",
 		dir, len(rec.Segments), len(rec.Batches), rec.Records(), rec.Epoch.Format("2006-01-02"))
-	fmt.Printf("  %-16s %-6s %-8s %-9s %-10s %-11s %s\n",
-		"segment", "format", "frames", "records", "bytes", "good_bytes", "state")
+	fmt.Printf("  %-16s %-8s %-9s %-10s %-11s %s\n",
+		"segment", "frames", "records", "bytes", "good_bytes", "state")
 	for _, s := range rec.Segments {
 		state := "ok"
 		if s.Torn {
 			state = fmt.Sprintf("TORN (%d bytes)", s.TornBytes)
 		}
-		// "v1"/"v2" from the recorded format name; "?" when the meta
-		// frame itself was torn.
-		format := "?"
-		if i := strings.LastIndex(s.Format, "-"); i >= 0 {
-			format = s.Format[i+1:]
-		}
-		fmt.Printf("  %-16s %-6s %-8d %-9d %-10d %-11d %s\n",
-			s.Name, format, s.Frames, s.Records, s.Bytes, s.GoodBytes, state)
+		fmt.Printf("  %-16s %-8d %-9d %-10d %-11d %s\n",
+			s.Name, s.Frames, s.Records, s.Bytes, s.GoodBytes, state)
 	}
 	// Outage gaps are not damage — they are the degraded writer's own
 	// count-and-drop accounting — but an operator auditing a log needs

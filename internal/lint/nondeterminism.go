@@ -11,7 +11,7 @@ import (
 // randomness must flow through an explicitly seeded *rand.Rand and all
 // timestamps must derive from the configured epoch, so that one seed
 // always regenerates the identical dataset. The wire path (honeypot,
-// sshwire, telnet, netsim, farm, replay) is exempt: it serves real
+// sshwire, telnet, netsim, farm) is exempt: it serves real
 // connections and legitimately reads the clock.
 var DeterministicPkgSuffixes = []string{
 	"honeyfarm", // module root: Simulate and the artifact pipeline

@@ -18,10 +18,7 @@ import (
 	"sync"
 	"time"
 
-	"honeyfarm/internal/analysis"
-	"honeyfarm/internal/sshwire"
 	"honeyfarm/internal/stats"
-	"honeyfarm/internal/telnet"
 )
 
 // Error taxonomy buckets. Every failed session lands in exactly one.
@@ -179,108 +176,7 @@ func runSession(t Target, s Script, dial Dialer, deadline time.Time) error {
 	}
 	defer nc.Close()
 	nc.SetDeadline(deadline)
-	if s.SSH {
-		return runSSH(nc, s)
-	}
-	return runTelnet(nc, s)
-}
-
-func runSSH(nc net.Conn, s Script) error {
-	switch s.Category {
-	case analysis.NoCred:
-		cc, err := sshwire.NewClientConn(nc, &sshwire.ClientConfig{SkipAuth: true, Version: "SSH-2.0-loadgen"})
-		if err != nil {
-			return err
-		}
-		return cc.Close()
-	case analysis.FailLog:
-		cc, err := sshwire.NewClientConn(nc, &sshwire.ClientConfig{SkipAuth: true, Version: "SSH-2.0-loadgen"})
-		if err != nil {
-			return err
-		}
-		defer cc.Close()
-		for i := 0; i < s.FailedAttempts; i++ {
-			// root/root is the one password CowrieAuth always rejects.
-			if _, err := cc.TryPasswords("root", []string{"root"}); err != nil {
-				// Three-strike disconnect ends the session by design.
-				return nil
-			}
-		}
-		return nil
-	default:
-		cc, err := sshwire.NewClientConn(nc, &sshwire.ClientConfig{User: s.User, Password: s.Password, Version: "SSH-2.0-loadgen"})
-		if err != nil {
-			return err
-		}
-		defer cc.Close()
-		sess, err := cc.OpenSession()
-		if err != nil {
-			return err
-		}
-		if err := sshwire.RequestShell(sess); err != nil {
-			return err
-		}
-		if len(s.Commands) == 0 {
-			return sess.Close()
-		}
-		writeDone := make(chan struct{})
-		go func() {
-			defer close(writeDone)
-			for _, c := range append(append([]string(nil), s.Commands...), "exit") {
-				if _, err := sess.Write([]byte(c + "\n")); err != nil {
-					return
-				}
-			}
-		}()
-		_, err = io.Copy(io.Discard, sess)
-		<-writeDone
-		if err != nil && !sshwire.IsGracefulDisconnect(err) {
-			return err
-		}
-		return nil
-	}
-}
-
-func runTelnet(nc net.Conn, s Script) error {
-	c := telnet.NewConn(nc, false)
-	switch s.Category {
-	case analysis.NoCred:
-		buf := make([]byte, 64)
-		if _, err := nc.Read(buf); err != nil && err != io.EOF {
-			return err
-		}
-		return nil
-	case analysis.FailLog:
-		for i := 0; i < s.FailedAttempts; i++ {
-			ok, err := telnet.ClientLogin(c, "root", "root")
-			if err != nil {
-				return nil // server hung up on the strikes, as recorded sessions do
-			}
-			if ok {
-				return fmt.Errorf("loadgen: root/root accepted")
-			}
-		}
-		return nil
-	default:
-		ok, err := telnet.ClientLogin(c, s.User, s.Password)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return fmt.Errorf("loadgen: login rejected for %s", s.User)
-		}
-		for _, cmd := range s.Commands {
-			if err := c.WriteString(cmd + "\r\n"); err != nil {
-				return nil
-			}
-		}
-		if err := c.WriteString("exit\r\n"); err != nil {
-			return err
-		}
-		// Nothing is read back, so nothing else would put the lines on
-		// the wire before the caller hangs up.
-		return c.Flush()
-	}
+	return Execute(nc, s)
 }
 
 // dialError wraps a connection-establishment failure so classify can

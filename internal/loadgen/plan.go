@@ -17,6 +17,11 @@
 // scripts, and the same plan digest, on any machine. Only the Driver
 // (driver.go) touches the wall clock, through an injected Now/Sleep
 // pair.
+//
+// What a session does on the wire is one function, Execute
+// (execute.go): the repository's only SSH/Telnet client for the paper's
+// five categories. The driver, the record replay (FromRecord) and
+// cmd/attack all go through it.
 package loadgen
 
 import (
@@ -24,10 +29,12 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"io"
 	"math/rand"
 	"time"
 
 	"honeyfarm/internal/analysis"
+	"honeyfarm/internal/honeypot"
 	"honeyfarm/internal/workload"
 )
 
@@ -53,6 +60,34 @@ type Script struct {
 	FailedAttempts int
 	// Commands are the shell lines a CMD/CMD+URI session types.
 	Commands []string
+
+	// Client is what a caller other than the plan knows about the
+	// client it wants enacted. BuildPlan leaves it nil, Digest does not
+	// cover it, and nil — like the zero Client — is the plan's behaviour.
+	// It is a pointer so that a plan's arrivals stay the size they were.
+	Client *Client
+}
+
+// Client is the part of a session the plan has no opinion about: how the
+// client identifies itself, which doomed credentials it has at hand, how
+// it asks for its shell, and whether anyone reads what comes back.
+type Client struct {
+	// Version is the SSH identification string ("" sends
+	// "SSH-2.0-loadgen").
+	Version string
+	// Logins are the pairs a FAIL_LOG session tries, in order, when the
+	// caller has them (FromRecord does); nil means Script.FailedAttempts
+	// times root/root. Success is not read.
+	Logins []honeypot.LoginAttempt
+	// Exec sends Commands[0] as an SSH exec request instead of typing
+	// the commands into a shell; PTY asks for a terminal before the
+	// shell. Telnet has neither.
+	Exec, PTY bool
+	// Output, when set, receives what the peer prints after login, and a
+	// Telnet session then waits for a prompt before each line and for the
+	// pot's hang-up after exit. Nil discards the output, and a Telnet
+	// session writes every line at once and hangs up without reading.
+	Output io.Writer
 }
 
 // Arrival is one scheduled session: when it starts, which target it

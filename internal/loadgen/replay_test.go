@@ -1,19 +1,22 @@
-package replay
+package loadgen
 
 import (
+	"net"
 	"testing"
 	"time"
 
 	"honeyfarm/internal/analysis"
 	"honeyfarm/internal/farm"
 	"honeyfarm/internal/geo"
+	"honeyfarm/internal/netsim"
 	"honeyfarm/internal/workload"
 )
 
 // TestReplayAgreement generates a record-level dataset, replays a sample
-// over the wire, and checks that the wire-level honeypots re-derive the
-// same classifications — the central consistency claim between the two
-// execution paths.
+// over the wire — every sampled record one arrival whose script is
+// FromRecord's, driven by Run through the farm's fabric — and checks
+// that the wire-level honeypots re-derive the same classifications: the
+// central consistency claim between the two execution paths.
 func TestReplayAgreement(t *testing.T) {
 	reg := geo.NewRegistry(geo.Config{Seed: 1})
 	res, err := workload.Generate(workload.Config{
@@ -43,22 +46,45 @@ func TestReplayAgreement(t *testing.T) {
 	}
 	defer f.Stop()
 
-	r := &Replayer{Farm: f, Concurrency: 8}
 	const stride = 40
-	stats, err := r.ReplaySample(res.Store.Records(), stride)
+	plan := &Plan{Targets: make([]Target, 10)}
+	for i := range plan.Targets {
+		plan.Targets[i].Pot = i
+	}
+	// byCategory counts the *source* records replayed per category.
+	var byCategory [analysis.NumCategories]int
+	recs := res.Store.Records()
+	for i := 0; i < len(recs); i += stride {
+		plan.Arrivals = append(plan.Arrivals, Arrival{Target: recs[i].HoneypotID, Script: FromRecord(recs[i])})
+		byCategory[analysis.Classify(recs[i])]++
+	}
+	run, err := Run(Config{
+		Plan: plan,
+		Dial: func(t Target, ssh bool) (net.Conn, error) {
+			port := 23
+			if ssh {
+				port = 22
+			}
+			return f.Fabric().Dial("198.51.100.7", netsim.Addr{IP: f.SSHAddr(t.Pot).IP, Port: port})
+		},
+		Concurrency: 8,
+		Now:         time.Now,
+		Sleep:       time.Sleep,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Replayed < 50 {
-		t.Fatalf("replayed only %d sessions", stats.Replayed)
+	replayed, failed := run.Started, run.Started-run.Completed
+	if replayed < 50 {
+		t.Fatalf("replayed only %d sessions", replayed)
 	}
-	if stats.Errors > stats.Replayed/10 {
-		t.Fatalf("replay errors: %d of %d", stats.Errors, stats.Replayed)
+	if failed > replayed/10 {
+		t.Fatalf("replay errors: %d of %d (%v)", failed, replayed, run.Errors)
 	}
 
 	// Wait for the farm to flush its records.
 	deadline := time.Now().Add(15 * time.Second)
-	for f.Collector().Len() < stats.Replayed-stats.Errors && time.Now().Before(deadline) {
+	for f.Collector().Len() < replayed-failed && time.Now().Before(deadline) {
 		time.Sleep(20 * time.Millisecond)
 	}
 
@@ -69,9 +95,10 @@ func TestReplayAgreement(t *testing.T) {
 	for _, rec := range f.Collector().Records() {
 		wire[analysis.Classify(rec)]++
 	}
+	t.Logf("replayed %v with errors %v, recorded %v", byCategory, run.Errors, wire)
 	for c := analysis.Category(0); c < analysis.NumCategories; c++ {
-		if stats.ByCategory[c] > 3 && wire[c] == 0 {
-			t.Errorf("category %v: %d replayed but none recorded on the wire", c, stats.ByCategory[c])
+		if byCategory[c] > 3 && wire[c] == 0 {
+			t.Errorf("category %v: %d replayed but none recorded on the wire", c, byCategory[c])
 		}
 	}
 	// Aggregate counts line up within the error budget.
@@ -79,8 +106,8 @@ func TestReplayAgreement(t *testing.T) {
 	for _, n := range wire {
 		total += n
 	}
-	if total < stats.Replayed-stats.Errors {
-		t.Errorf("wire records = %d, want ≥ %d", total, stats.Replayed-stats.Errors)
+	if total < replayed-failed {
+		t.Errorf("wire records = %d, want ≥ %d", total, replayed-failed)
 	}
 	// CMD replays must reproduce commands; CMD+URI replays must reproduce
 	// URIs (the honeypot's shell re-extracts them from the typed input).
@@ -99,17 +126,10 @@ func TestReplayAgreement(t *testing.T) {
 	if !sawCmd {
 		t.Error("no wire-level CMD sessions")
 	}
-	if stats.ByCategory[analysis.CmdURI] > 0 && !sawURI {
+	if byCategory[analysis.CmdURI] > 0 && !sawURI {
 		t.Error("no wire-level CMD+URI sessions despite replaying some")
 	}
-	if stats.ByCategory[analysis.CmdURI] > 0 && !sawFile {
+	if byCategory[analysis.CmdURI] > 0 && !sawFile {
 		t.Error("URI replays should produce downloaded-file hashes")
-	}
-}
-
-func TestReplayRequiresFarm(t *testing.T) {
-	r := &Replayer{}
-	if _, err := r.ReplaySample(nil, 1); err == nil {
-		t.Fatal("nil farm should error")
 	}
 }

@@ -330,74 +330,3 @@ func TestFollowerEpochMismatch(t *testing.T) {
 		t.Fatalf("mismatched-epoch records were ingested (seq %d)", eng.Snapshot().Seq)
 	}
 }
-
-// TestFollowerTailsMixedFormatWAL upgrades the WAL codec mid-tail: the
-// durable prefix is written by a v1 (JSON-codec) log, the live suffix
-// by a reopened v2 (binary-codec) log, so the follower crosses a
-// format boundary while running. The snapshot must equal direct ingest
-// regardless.
-func TestFollowerTailsMixedFormatWAL(t *testing.T) {
-	const numPots = 5
-	d, err := honeyfarm.Simulate(honeyfarm.SimulateConfig{
-		Seed: 11, TotalSessions: 600, Days: 10, NumPots: numPots,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs := d.Store.Records()
-	dir := t.TempDir()
-	half := len(recs) / 2
-
-	l, _, err := wal.Open(dir, wal.Options{
-		Epoch: honeyfarm.DefaultEpoch, Format: wal.FormatName,
-		SegmentBytes: 8 << 10, SyncEvery: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < half; i += 60 {
-		j := min(i+60, half)
-		if err := l.Append(recs[i:j]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// The upgraded writer: v2 default, same directory.
-	l, _, err = wal.Open(dir, wal.Options{
-		Epoch: honeyfarm.DefaultEpoch, SegmentBytes: 8 << 10, SyncEvery: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	eng := query.New(query.Config{Epoch: honeyfarm.DefaultEpoch, NumPots: numPots, Registry: d.Registry})
-	f, err := query.NewFollower(eng, dir, 2*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Start()
-	waitUntil(t, "v1 prefix", func() bool { return eng.Snapshot().Seq == uint64(half) })
-
-	for i := half; i < len(recs); i += 60 {
-		j := min(i+60, len(recs))
-		if err := l.Append(recs[i:j]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	waitUntil(t, "v2 suffix", func() bool { return eng.Snapshot().Seq == uint64(len(recs)) })
-	if err := f.Stop(); err != nil {
-		t.Fatal(err)
-	}
-
-	direct := query.New(query.Config{Epoch: honeyfarm.DefaultEpoch, NumPots: numPots, Registry: d.Registry})
-	direct.Ingest(recs)
-	if !bytes.Equal(mustJSON(t, eng.Snapshot()), mustJSON(t, direct.Seal())) {
-		t.Fatal("mixed-format tail diverges from direct ingest")
-	}
-}

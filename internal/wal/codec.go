@@ -1,11 +1,8 @@
 package wal
 
-// The v2 batch codec: length-prefixed binary records in SSH wire style
-// (internal/wire) instead of v1's JSON bodies. The frame envelope
-// (length + CRC-32C + kind byte) is identical in both formats; only the
-// body encoding differs, and each segment declares its body format in
-// its meta frame, so a directory may mix v1 and v2 segments freely —
-// readers dispatch per segment.
+// The batch codec: length-prefixed binary records in SSH wire style
+// (internal/wire) inside the frame envelope (length + CRC-32C + kind
+// byte) every frame shares.
 //
 // The codec is defined field by field against honeypot.SessionRecord
 // and must match JSON's observable semantics exactly: a record decoded
@@ -17,7 +14,6 @@ package wal
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"hash/crc32"
 	"sync"
 	"time"
@@ -126,25 +122,11 @@ func EncodeRawFrame(dst []byte, kind byte, body []byte) []byte {
 	return out
 }
 
-// DecodeRawFrame validates one frame produced by EncodeRawFrame against
-// the expected kind and returns its body (aliasing data) plus the bytes
-// consumed. A truncated buffer, CRC mismatch, or wrong kind byte is an
-// error — raw frames cross process boundaries, so a bad frame means the
-// transfer is corrupt, not that scanning should stop quietly.
-func DecodeRawFrame(data []byte, kind byte) (body []byte, n int, err error) {
-	got, body, n, err := DecodeRawFrameKind(data)
-	if err != nil {
-		return nil, 0, err
-	}
-	if got != kind {
-		return nil, 0, fmt.Errorf("wal: frame kind %#x, want %#x", got, kind)
-	}
-	return body, n, nil
-}
-
-// DecodeRawFrameKind is DecodeRawFrame for a reader that accepts more
-// than one kind: it validates the envelope and reports the kind byte it
-// found beside the body.
+// DecodeRawFrameKind validates one frame produced by EncodeRawFrame and
+// returns its kind byte and body (aliasing data) plus the bytes consumed.
+// A truncated buffer or CRC mismatch is an error — raw frames cross
+// process boundaries, so a bad frame means the transfer is corrupt, not
+// that scanning should stop quietly.
 func DecodeRawFrameKind(data []byte) (kind byte, body []byte, n int, err error) {
 	payload, next, ok := nextFrame(data, 0)
 	if !ok {
@@ -175,7 +157,7 @@ func decodeBatchV2(payload []byte) (Batch, bool) {
 	}
 	r := wire.NewReader(payload[1:])
 	// Batch payloads legitimately exceed the SSH string cap (a 4096-
-	// record generation shard is ~1.4 MB in v1); the frame CRC already
+	// record generation shard is over a megabyte); the frame CRC already
 	// vouches for the bytes, so only the buffer bound applies.
 	r.SetMaxStringLen(len(payload))
 	tag := r.Uint64()

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -12,6 +14,7 @@ import (
 	"time"
 
 	"honeyfarm/internal/honeypot"
+	"honeyfarm/internal/iofault"
 	"honeyfarm/internal/wire"
 )
 
@@ -84,9 +87,8 @@ func binaryRoundTrip(t *testing.T, tag uint64, recs []*honeypot.SessionRecord) B
 	t.Helper()
 	b := getFrameBuilder()
 	defer putFrameBuilder(b)
-	if err := encodeBatchFrame(b, FormatNameV2, tag, recs); err != nil {
-		t.Fatal(err)
-	}
+	b.Byte(kindBatch)
+	encodeBatchV2(b, tag, recs)
 	frame := finishFrame(b)
 	payload, next, ok := nextFrame(frame, 0)
 	if !ok || next != int64(len(frame)) {
@@ -236,11 +238,11 @@ func TestLargeBatchRoundTrip(t *testing.T) {
 	}
 }
 
-// writeFormatted writes n tagged batches to a fresh or existing log in
-// the given format and returns what was appended.
-func writeFormatted(t *testing.T, dir, format string, firstTag uint64, n int, segBytes int64) []Batch {
+// writeTagged writes n tagged batches to a fresh or existing log and
+// returns what was appended.
+func writeTagged(t *testing.T, dir string, firstTag uint64, n int, segBytes int64) []Batch {
 	t.Helper()
-	l, _, err := Open(dir, Options{Epoch: testEpoch, Format: format, SegmentBytes: segBytes})
+	l, _, err := Open(dir, Options{Epoch: testEpoch, SegmentBytes: segBytes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,8 +261,9 @@ func writeFormatted(t *testing.T, dir, format string, firstTag uint64, n int, se
 	return out
 }
 
-// iterateAll drains an Iterator over a quiescent directory.
-func iterateAll(t *testing.T, dir string) []Batch {
+// iterate drains an Iterator over a quiescent directory and returns what
+// it read before it caught up or failed.
+func iterate(t *testing.T, dir string) ([]Batch, error) {
 	t.Helper()
 	it, err := NewIterator(dir)
 	if err != nil {
@@ -270,140 +273,106 @@ func iterateAll(t *testing.T, dir string) []Batch {
 	var out []Batch
 	for {
 		b, ok, err := it.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			return out
+		if err != nil || !ok {
+			return out, err
 		}
 		out = append(out, b)
 	}
 }
 
-// TestCrossFormatRead pins the compatibility contract: a pure v1
-// directory, a pure v2 directory, and a mixed v1→v2 directory (a
-// mid-run upgrade: reopened with the v2 default, forced through a
-// rotation) must recover identically through Open, Verify, and the
-// Iterator, and the recorded segment formats must be what each writer
-// declared.
+// TestCrossFormatRead pins what readers do with the two formats this
+// package has had: a v2 directory recovers identically through Open,
+// Verify and the Iterator, and a segment that declares the retired JSON
+// format — hand-built here, nothing has written one since v2 landed —
+// is refused by all three, alone or behind v2 segments, as corruption
+// whose error names the format and fsck.
 func TestCrossFormatRead(t *testing.T) {
-	const segBytes = 1024 // small segments: every fixture spans several
-
-	t.Run("v1", func(t *testing.T) {
-		dir := t.TempDir()
-		want := writeFormatted(t, dir, FormatName, 0, 20, segBytes)
-		_, rec, err := Open(dir, Options{})
+	const (
+		segBytes = 1024 // small segments: every fixture spans several
+		v1       = "honeyfarm-wal-v1"
+	)
+	// v1Segment writes segment seq the way the JSON codec did: a meta
+	// frame naming the format, then one batch frame with a JSON body.
+	v1Segment := func(t *testing.T, dir string, seq uint64) {
+		t.Helper()
+		body, err := json.Marshal(struct {
+			Tag     uint64                    `json:"tag"`
+			Records []*honeypot.SessionRecord `json:"records"`
+		}{7, mkRecords(1, 2)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameBatches(t, rec.Batches, want)
-		for _, seg := range rec.Segments {
-			if seg.Format != FormatName {
-				t.Fatalf("segment %s has format %q, want v1", seg.Name, seg.Format)
-			}
+		seg := EncodeRawFrame(nil, kindMeta, metaPayload(t, v1, seq)[1:])
+		seg = EncodeRawFrame(seg, kindBatch, body)
+		if err := os.WriteFile(filepath.Join(dir, segmentName(seq)), seg, 0o644); err != nil {
+			t.Fatal(err)
 		}
-		sameBatches(t, iterateAll(t, dir), want)
+	}
+	refused := func(t *testing.T, reader string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), v1) || !strings.Contains(err.Error(), "fsck") {
+			t.Errorf("%s: err = %v, want a refusal naming %s and fsck", reader, err, v1)
+		}
+	}
+	t.Run("v1", func(t *testing.T) {
+		dir := t.TempDir()
+		v1Segment(t, dir, 1)
+		_, _, err := Open(dir, Options{})
+		refused(t, "Open", err)
+		_, err = Verify(dir, time.Time{})
+		refused(t, "Verify", err)
+		_, err = iterate(t, dir)
+		refused(t, "Iterator", err)
 	})
 
 	t.Run("v2", func(t *testing.T) {
 		dir := t.TempDir()
-		want := writeFormatted(t, dir, FormatNameV2, 0, 20, segBytes)
+		want := writeTagged(t, dir, 0, 20, segBytes)
 		_, rec, err := Open(dir, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameBatches(t, rec.Batches, want)
-		for _, seg := range rec.Segments {
-			if seg.Format != FormatNameV2 {
-				t.Fatalf("segment %s has format %q, want v2", seg.Name, seg.Format)
-			}
+		if len(rec.Segments) < 2 {
+			t.Fatalf("fixture has %d segment(s), want several", len(rec.Segments))
 		}
-		sameBatches(t, iterateAll(t, dir), want)
+		sameBatches(t, rec.Batches, want)
+		vrec, err := Verify(dir, time.Time{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameBatches(t, vrec.Batches, want)
+		got, err := iterate(t, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameBatches(t, got, want)
 	})
 
+	// A directory that mixes formats is refused, not half-read: Open and
+	// Verify return nothing, and the Iterator stops with the error at the
+	// segment boundary, after the v2 batches before it.
 	t.Run("mixed-upgrade", func(t *testing.T) {
 		dir := t.TempDir()
-		want := writeFormatted(t, dir, FormatName, 0, 10, segBytes)
-		// Upgrade mid-run: the reopened log resumes the v1 tail segment in
-		// v1 and switches to v2 at the next rotation.
-		want = append(want, writeFormatted(t, dir, FormatNameV2, 10, 10, segBytes)...)
-
-		rec, err := Verify(dir, time.Time{})
+		want := writeTagged(t, dir, 0, 10, segBytes)
+		segs, err := listSegments(iofault.OS, dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sawV1, sawV2 := false, false
-		upgraded := false
-		for _, seg := range rec.Segments {
-			switch seg.Format {
-			case FormatName:
-				sawV1 = true
-				if upgraded {
-					t.Fatalf("v1 segment %s after the v2 switch", seg.Name)
-				}
-			case FormatNameV2:
-				sawV2 = true
-				upgraded = true
-			default:
-				t.Fatalf("segment %s has format %q", seg.Name, seg.Format)
-			}
-		}
-		if !sawV1 || !sawV2 {
-			t.Fatalf("fixture is not mixed: v1=%v v2=%v (%d segments)", sawV1, sawV2, len(rec.Segments))
-		}
-		sameBatches(t, rec.Batches, want)
-
-		_, orec, err := Open(dir, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameBatches(t, orec.Batches, want)
-		sameBatches(t, iterateAll(t, dir), want)
+		v1Segment(t, dir, segs[len(segs)-1].Seq+1)
+		_, _, err = Open(dir, Options{})
+		refused(t, "Open", err)
+		_, err = Verify(dir, time.Time{})
+		refused(t, "Verify", err)
+		got, err := iterate(t, dir)
+		refused(t, "Iterator", err)
+		sameBatches(t, got, want)
 	})
 }
 
-// TestResumedSegmentKeepsFormat pins the homogeneity rule: appends to a
-// resumed v1 segment stay v1 even when the log is configured for v2, so
-// a segment never holds two codecs.
-func TestResumedSegmentKeepsFormat(t *testing.T) {
-	dir := t.TempDir()
-	// Large segment threshold: everything lands in wal-00000001.seg.
-	want := writeFormatted(t, dir, FormatName, 0, 3, 8<<20)
-
-	l, _, err := Open(dir, Options{}) // v2 default
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs := mkRecords(900, 2)
-	if err := l.AppendTagged(99, recs); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	want = append(want, Batch{Tag: 99, Records: recs})
-
-	rec, err := Verify(dir, time.Time{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rec.Segments) != 1 {
-		t.Fatalf("expected a single segment, got %d", len(rec.Segments))
-	}
-	if rec.Segments[0].Format != FormatName {
-		t.Fatalf("resumed segment flipped to %q", rec.Segments[0].Format)
-	}
-	sameBatches(t, rec.Batches, want)
-}
-
-// TestUnknownFormatRefused: an Options format outside the two known
-// names is a configuration error, and a meta frame declaring an unknown
-// format is corruption, not a tear.
+// TestUnknownFormatRefused: a meta frame declaring a format this package
+// never had is corruption, not a tear.
 func TestUnknownFormatRefused(t *testing.T) {
-	if _, _, err := Open(t.TempDir(), Options{Epoch: testEpoch, Format: "honeyfarm-wal-v9"}); err == nil {
-		t.Fatal("Open accepted an unknown format option")
-	}
-	if _, _, _, err := decodeMeta(metaPayload(t, "honeyfarm-wal-v9", 1), segmentName(1), 1, time.Time{}); err == nil {
+	if _, _, err := decodeMeta(metaPayload(t, "honeyfarm-wal-v9", 1), segmentName(1), 1, time.Time{}); err == nil {
 		t.Fatal("decodeMeta accepted an unknown recorded format")
 	}
 }

@@ -66,15 +66,13 @@ func sameDirState(t *testing.T, got, want map[string][]byte, label string) {
 // cut after its Kth mutating filesystem op for every K, and recovery
 // must always succeed, admit exactly an append-order prefix, keep the
 // Sync barrier's batches once the barrier op has executed, leave the
-// manifest whole-file atomic, and sweep stranded *.tmp files. It runs
-// per codec, like the byte-level test.
+// manifest whole-file atomic, and sweep stranded *.tmp files. The subtest
+// is named after the format, like the byte-level test's.
 func TestCrashAtEverySyscall(t *testing.T) {
-	for _, format := range []string{FormatName, FormatNameV2} {
-		t.Run(format, func(t *testing.T) { testCrashAtEverySyscall(t, format) })
-	}
+	t.Run(FormatNameV2, testCrashAtEverySyscall)
 }
 
-func testCrashAtEverySyscall(t *testing.T, format string) {
+func testCrashAtEverySyscall(t *testing.T) {
 	// Fault-free reference run: learn the schedule length, the barrier
 	// position, and the full outcome.
 	ref, err := iofault.New(iofault.OS, iofault.Plan{Seed: 1})
@@ -86,7 +84,7 @@ func testCrashAtEverySyscall(t *testing.T, format string) {
 		t.Helper()
 		l, _, oerr := Open(dir, Options{
 			Epoch: testEpoch, SegmentBytes: 512, SyncEvery: 1 << 20, FS: fsys,
-			Format: format, RetryPlan: tinyBackoff,
+			RetryPlan: tinyBackoff,
 		})
 		if oerr != nil {
 			t.Fatalf("open: %v", oerr)

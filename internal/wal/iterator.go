@@ -47,7 +47,6 @@ type Iterator struct {
 	f       iofault.File // current segment, nil before open / after advance
 	buf     []byte       // bytes read beyond off, not yet consumed
 	sawMeta bool         // current segment's meta frame has been consumed
-	format  string       // current segment's batch codec (from its meta frame)
 	gaps    []Gap        // gap frames crossed so far, in log order
 }
 
@@ -119,7 +118,7 @@ func (it *Iterator) Next() (Batch, bool, error) {
 		it.buf = it.buf[n:]
 		it.off += n
 		if !it.sawMeta {
-			epoch, format, intact, err := decodeMeta(payload, segmentName(it.seq), it.seq, it.epoch)
+			epoch, intact, err := decodeMeta(payload, segmentName(it.seq), it.seq, it.epoch)
 			if err != nil {
 				return Batch{}, false, err
 			}
@@ -128,7 +127,6 @@ func (it *Iterator) Next() (Batch, bool, error) {
 				return Batch{}, false, fmt.Errorf("wal: segment %s does not start with a meta frame", segmentName(it.seq))
 			}
 			it.epoch = epoch
-			it.format = format
 			it.sawMeta = true
 			continue
 		}
@@ -139,7 +137,7 @@ func (it *Iterator) Next() (Batch, bool, error) {
 			it.gaps = append(it.gaps, g)
 			continue
 		}
-		b, intact := decodeBatch(payload, it.format)
+		b, intact := decodeBatchV2(payload)
 		if !intact {
 			return Batch{}, false, fmt.Errorf("wal: segment %s has an undecodable frame at offset %d", segmentName(it.seq), it.off-n)
 		}

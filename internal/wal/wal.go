@@ -15,14 +15,12 @@
 //	uint32 LE  CRC-32C (Castagnoli) of the payload
 //	n bytes    payload: 1 kind byte + body
 //
-// The meta frame's body is always JSON, and its Format field declares
-// how the segment's batch bodies are encoded: "honeyfarm-wal-v1" is
-// JSON, "honeyfarm-wal-v2" is the binary record codec (codec.go). A
-// directory may mix segment formats — an upgraded collector resumes a
-// v1 tail in v1 and switches to v2 at the next rotation — and every
-// reader (Open, Verify, Repair, Iterator, fsck) dispatches per segment.
-// Gap frames (also JSON in every format) record degraded-mode outages;
-// see below.
+// The meta frame's body is JSON and its Format field names the one
+// format there is, "honeyfarm-wal-v2": batch bodies in the binary record
+// codec (codec.go). A segment declaring anything else is refused by
+// every reader (Open, Verify, Repair, Iterator, fsck) — read as
+// corruption, not as a tear. Gap frames (JSON, like the meta frame)
+// record degraded-mode outages; see below.
 //
 // Appends go to the highest segment; when it exceeds the configured
 // byte threshold it is fsynced, closed, and a new segment is opened.
@@ -79,24 +77,18 @@ import (
 	"honeyfarm/internal/honeypot"
 	"honeyfarm/internal/iofault"
 	"honeyfarm/internal/store"
-	"honeyfarm/internal/wire"
 )
 
-// Format names recorded in segment meta frames. The name selects the
-// batch-body codec for every frame in that segment.
-const (
-	// FormatName is the v1 format: JSON batch bodies.
-	FormatName = "honeyfarm-wal-v1"
-	// FormatNameV2 is the v2 format: binary batch bodies in SSH wire
-	// style (internal/wire). The default for newly created segments.
-	FormatNameV2 = "honeyfarm-wal-v2"
-)
+// FormatNameV2 is the format name every segment's meta frame records:
+// binary batch bodies in SSH wire style (internal/wire). Its JSON
+// predecessor is gone; a segment that names it is refused.
+const FormatNameV2 = "honeyfarm-wal-v2"
 
 // Frame kinds (first payload byte).
 const (
 	kindMeta  = 1 // segment header: format, sequence, epoch
 	kindBatch = 2 // session-record batch
-	kindGap   = 3 // degraded-mode outage record (JSON in every format)
+	kindGap   = 3 // degraded-mode outage record (JSON)
 )
 
 // frameHeaderSize is the fixed prefix of every frame: length + CRC.
@@ -126,11 +118,6 @@ type Options struct {
 	// so the flush schedule is a deterministic function of the append
 	// stream. 1 syncs every append.
 	SyncEvery int
-	// Format selects the codec for newly created segments: FormatNameV2
-	// (the default) or FormatName for the JSON codec. A resumed segment
-	// always keeps its recorded format until rotation, whatever this
-	// says, so frames within one segment are homogeneous.
-	Format string
 	// FS is the filesystem the log reads and writes through (default
 	// the real one). Tests inject deterministic disk faults here.
 	FS iofault.FS
@@ -149,18 +136,12 @@ type Options struct {
 	ProbeEvery int
 }
 
-func (o Options) withDefaults() (Options, error) {
+func (o Options) withDefaults() Options {
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 8 << 20
 	}
 	if o.SyncEvery <= 0 {
 		o.SyncEvery = 512
-	}
-	if o.Format == "" {
-		o.Format = FormatNameV2
-	}
-	if o.Format != FormatName && o.Format != FormatNameV2 {
-		return o, fmt.Errorf("wal: unknown format %q", o.Format)
 	}
 	if o.FS == nil {
 		o.FS = iofault.OS
@@ -171,7 +152,7 @@ func (o Options) withDefaults() (Options, error) {
 	if o.ProbeEvery <= 0 {
 		o.ProbeEvery = 64
 	}
-	return o, nil
+	return o
 }
 
 // Batch is one recovered record batch. Tag carries the caller's label
@@ -182,14 +163,7 @@ type Batch struct {
 	Records []*honeypot.SessionRecord
 }
 
-// batchBody is the JSON body of a v1 batch frame.
-type batchBody struct {
-	Tag     uint64                    `json:"tag"`
-	Records []*honeypot.SessionRecord `json:"records"`
-}
-
-// metaBody is the JSON body of a segment meta frame (JSON in every
-// format — it is what declares the format).
+// metaBody is the JSON body of a segment meta frame.
 type metaBody struct {
 	Format  string    `json:"format"`
 	Segment uint64    `json:"segment"`
@@ -199,7 +173,7 @@ type metaBody struct {
 // Gap is one recorded degraded-mode outage: the frame a recovery probe
 // writes at the head of its fresh segment, so every reader sees how
 // many batches the outage dropped instead of silently missing them.
-// The body is JSON in every segment format, like the meta frame.
+// The body is JSON, like the meta frame's.
 type Gap struct {
 	// Reason classifies the failure that opened the outage, e.g.
 	// "append: enospc" or "group commit fsync: eio". Deliberately free
@@ -241,9 +215,6 @@ type SegmentStat struct {
 	Name string
 	// Seq is the segment sequence number parsed from the name.
 	Seq uint64
-	// Format is the codec the segment's meta frame declares (empty when
-	// the meta frame itself was torn).
-	Format string
 	// Frames and Records count the intact batch frames and the records
 	// they carry (the meta frame is not counted).
 	Frames  int
@@ -327,7 +298,6 @@ type Log struct {
 	f       iofault.File // current segment (nil while degraded)
 	seq     uint64       // current segment sequence number
 	size    int64        // current segment's frame-aligned size
-	format  string       // current segment's batch codec
 	pending int          // records appended since the last sync request
 	closed  bool
 
@@ -397,10 +367,7 @@ func listSegments(fsys iofault.FS, dir string) ([]SegmentStat, error) {
 // corruption, not a crash artifact; use Repair to salvage the intact
 // prefix.
 func Open(dir string, opts Options) (*Log, *Recovery, error) {
-	opts, err := opts.withDefaults()
-	if err != nil {
-		return nil, nil, err
-	}
+	opts = opts.withDefaults()
 	fsys := opts.FS
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("wal: creating %s: %w", dir, err)
@@ -444,14 +411,10 @@ func Open(dir string, opts Options) (*Log, *Recovery, error) {
 			f.Close()
 			return nil, nil, fmt.Errorf("wal: seeking segment end: %w", err)
 		}
-		// A resumed segment keeps the codec its meta frame declares, so
-		// frames within it stay homogeneous; the configured format takes
-		// over at the next rotation.
-		l.f, l.seq, l.size, l.format = f, last.Seq, last.GoodBytes, last.Format
+		l.f, l.seq, l.size = f, last.Seq, last.GoodBytes
 		// A fully torn final segment lost even its meta frame; rewrite it
 		// so the segment stands alone again.
 		if l.size == 0 {
-			l.format = l.opts.Format
 			if err := l.writeMetaLocked(); err != nil {
 				f.Close()
 				return nil, nil, err
@@ -504,8 +467,7 @@ func scan(fsys iofault.FS, dir string, epoch time.Time, truncating bool) (*Recov
 // returning its intact batches. The first frame must be a meta frame
 // whose format and sequence match; an epoch mismatch against an already
 // established epoch is an error, a zero established epoch adopts the
-// recorded one. Batch frames decode with the codec the meta frame
-// declares; gap frames are collected into rec.Gaps.
+// recorded one. Gap frames are collected into rec.Gaps.
 func scanSegment(fsys iofault.FS, dir string, seg *SegmentStat, rec *Recovery) ([]Batch, error) {
 	data, err := iofault.ReadFile(fsys, filepath.Join(dir, seg.Name))
 	if err != nil {
@@ -522,7 +484,7 @@ func scanSegment(fsys iofault.FS, dir string, seg *SegmentStat, rec *Recovery) (
 			break
 		}
 		if first {
-			epoch, format, intact, err := decodeMeta(payload, seg.Name, seg.Seq, rec.Epoch)
+			epoch, intact, err := decodeMeta(payload, seg.Name, seg.Seq, rec.Epoch)
 			if err != nil {
 				return nil, err
 			}
@@ -530,7 +492,6 @@ func scanSegment(fsys iofault.FS, dir string, seg *SegmentStat, rec *Recovery) (
 				break // damaged meta frame: treat as torn at offset 0
 			}
 			rec.Epoch = epoch
-			seg.Format = format
 			first = false
 			off = next
 			continue
@@ -544,7 +505,7 @@ func scanSegment(fsys iofault.FS, dir string, seg *SegmentStat, rec *Recovery) (
 			off = next
 			continue
 		}
-		b, intact := decodeBatch(payload, seg.Format)
+		b, intact := decodeBatchV2(payload)
 		if !intact {
 			break // unknown kind or undecodable body: stop at the last understood frame
 		}
@@ -562,29 +523,28 @@ func scanSegment(fsys iofault.FS, dir string, seg *SegmentStat, rec *Recovery) (
 // decodeMeta validates a segment's leading meta-frame payload against
 // the segment's name and sequence and an already-established epoch (a
 // zero established epoch adopts the recorded one; the returned epoch is
-// the established one either way), and returns the batch codec the
-// segment declares. intact is false when the payload is not a decodable
-// meta frame — damaged bytes the caller treats as a torn tail. err
-// reports format, sequence or epoch mismatches: those frames decoded
-// fine, so the damage is corruption, not a tear.
-func decodeMeta(payload []byte, name string, seq uint64, established time.Time) (epoch time.Time, format string, intact bool, err error) {
+// the established one either way). intact is false when the payload is
+// not a decodable meta frame — damaged bytes the caller treats as a torn
+// tail. err reports format, sequence or epoch mismatches: those frames
+// decoded fine, so the damage is corruption, not a tear.
+func decodeMeta(payload []byte, name string, seq uint64, established time.Time) (epoch time.Time, intact bool, err error) {
 	var meta metaBody
 	if len(payload) == 0 || payload[0] != kindMeta || json.Unmarshal(payload[1:], &meta) != nil {
-		return time.Time{}, "", false, nil
+		return time.Time{}, false, nil
 	}
-	if meta.Format != FormatName && meta.Format != FormatNameV2 {
-		return time.Time{}, "", false, fmt.Errorf("wal: segment %s has unknown format %q", name, meta.Format)
+	if meta.Format != FormatNameV2 {
+		return time.Time{}, false, fmt.Errorf("wal: segment %s has unknown format %q: only %q is read, and fsck cannot repair it", name, meta.Format, FormatNameV2)
 	}
 	if meta.Segment != seq {
-		return time.Time{}, "", false, fmt.Errorf("wal: segment %s records sequence %d", name, meta.Segment)
+		return time.Time{}, false, fmt.Errorf("wal: segment %s records sequence %d", name, meta.Segment)
 	}
 	if established.IsZero() {
-		return meta.Epoch, meta.Format, true, nil
+		return meta.Epoch, true, nil
 	}
 	if !meta.Epoch.Equal(established) {
-		return time.Time{}, "", false, fmt.Errorf("wal: segment %s epoch %s does not match %s", name, meta.Epoch, established)
+		return time.Time{}, false, fmt.Errorf("wal: segment %s epoch %s does not match %s", name, meta.Epoch, established)
 	}
-	return established, meta.Format, true, nil
+	return established, true, nil
 }
 
 // decodeGap recognizes and decodes a gap-frame payload. isGap reports
@@ -597,40 +557,6 @@ func decodeGap(payload []byte) (g Gap, isGap, intact bool) {
 		return Gap{}, true, false
 	}
 	return g, true, true
-}
-
-// decodeBatch decodes a batch-frame payload with the segment's codec.
-// intact is false for an unknown frame kind or an undecodable body.
-func decodeBatch(payload []byte, format string) (Batch, bool) {
-	if format == FormatNameV2 {
-		return decodeBatchV2(payload)
-	}
-	if len(payload) == 0 || payload[0] != kindBatch {
-		return Batch{}, false
-	}
-	var body batchBody
-	if err := json.Unmarshal(payload[1:], &body); err != nil {
-		return Batch{}, false
-	}
-	return Batch{Tag: body.Tag, Records: body.Records}, true
-}
-
-// encodeBatchFrame builds a complete batch frame for the given format
-// into b (which holds a reserved header, see getFrameBuilder). The kind
-// byte and body are appended directly to the frame buffer — no
-// intermediate payload copy in either format.
-func encodeBatchFrame(b *wire.Builder, format string, tag uint64, recs []*honeypot.SessionRecord) error {
-	b.Byte(kindBatch)
-	if format == FormatNameV2 {
-		encodeBatchV2(b, tag, recs)
-		return nil
-	}
-	body, err := json.Marshal(batchBody{Tag: tag, Records: recs})
-	if err != nil {
-		return fmt.Errorf("wal: encoding batch: %w", err)
-	}
-	b.Raw(body)
-	return nil
 }
 
 // nextFrame validates the frame at off and returns its payload and the
@@ -695,10 +621,9 @@ func (l *Log) AppendTagged(tag uint64, recs []*honeypot.SessionRecord) error {
 	// half of the pipeline that overlaps the committer's fsync.
 	b := getFrameBuilder()
 	defer putFrameBuilder(b)
-	format := l.formatHint()
-	if err := encodeBatchFrame(b, format, tag, recs); err != nil {
-		return err
-	}
+	b.Byte(kindBatch)
+	encodeBatchV2(b, tag, recs)
+	frame := finishFrame(b)
 
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -711,19 +636,6 @@ func (l *Log) AppendTagged(tag uint64, recs []*honeypot.SessionRecord) error {
 			return fmt.Errorf("%w (batch of %d records dropped): %w", ErrDegraded, len(recs), l.degraded)
 		}
 	}
-	if l.format != format {
-		// A rotation between the hint and the lock switched codecs (at
-		// most once per log lifetime, on a v1→v2 upgrade — or a recovery
-		// probe just rolled a fresh segment in the configured format);
-		// re-encode for the segment the frame will actually land in.
-		b.Reset()
-		var hdr [frameHeaderSize]byte
-		b.Raw(hdr[:])
-		if err := encodeBatchFrame(b, l.format, tag, recs); err != nil {
-			return err
-		}
-	}
-	frame := finishFrame(b)
 	if err := l.appendFrameLocked(frame); err != nil {
 		l.dropLocked(len(recs))
 		return err
@@ -905,25 +817,25 @@ func (l *Log) probeLocked() error {
 	if err != nil {
 		return err
 	}
-	prevSeq, prevSize, prevFormat := l.seq, l.size, l.format
-	l.f, l.seq, l.size, l.format = f, seq, 0, l.opts.Format
+	prevSeq, prevSize := l.seq, l.size
+	l.f, l.seq, l.size = f, seq, 0
 	gap := Gap{Reason: l.reason, Batches: l.outageB, Records: l.outageR}
 	werr := l.writeMetaLocked()
 	if werr == nil {
 		werr = l.writeGapLocked(gap)
 	}
-	return l.finishProbeLocked(werr, path, prevSeq, prevSize, prevFormat)
+	return l.finishProbeLocked(werr, path, prevSeq, prevSize)
 }
 
 // finishProbeLocked commits or rolls back the probe's fresh segment.
-func (l *Log) finishProbeLocked(err error, path string, prevSeq uint64, prevSize int64, prevFormat string) error {
+func (l *Log) finishProbeLocked(err error, path string, prevSeq uint64, prevSize int64) error {
 	if err != nil {
 		l.f.Close()
 		if rerr := l.fs.Remove(path); rerr != nil {
 			// Leftover half-created successor; the next probe clears it
 			// via the O_EXCL+Remove path before re-creating.
 		}
-		l.f, l.seq, l.size, l.format = nil, prevSeq, prevSize, prevFormat
+		l.f, l.seq, l.size = nil, prevSeq, prevSize
 		return err
 	}
 	l.degraded = nil
@@ -957,8 +869,7 @@ func (l *Log) sealOldLocked() error {
 	return nil
 }
 
-// writeGapLocked appends and fsyncs one gap frame. Like the meta frame
-// it is JSON in every segment format.
+// writeGapLocked appends and fsyncs one gap frame.
 func (l *Log) writeGapLocked(g Gap) error {
 	body, err := json.Marshal(g)
 	if err != nil {
@@ -977,14 +888,6 @@ func (l *Log) writeGapLocked(g Gap) error {
 	}
 	l.size += int64(len(frame))
 	return nil
-}
-
-// formatHint reads the current segment's codec for the out-of-lock
-// encode. It is only a hint: AppendTagged re-checks under the lock.
-func (l *Log) formatHint() string {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.format
 }
 
 // committer is the group-commit goroutine: it performs every
@@ -1152,24 +1055,23 @@ func (l *Log) rollLocked(seq uint64) error {
 	if err != nil {
 		return fmt.Errorf("wal: creating segment: %w", err)
 	}
-	prevSeq, prevSize, prevFormat := l.seq, l.size, l.format
-	l.f, l.seq, l.size, l.format = f, seq, 0, l.opts.Format
+	prevSeq, prevSize := l.seq, l.size
+	l.f, l.seq, l.size = f, seq, 0
 	if err := l.writeMetaLocked(); err != nil {
 		f.Close()
 		if rerr := l.fs.Remove(path); rerr != nil {
 			// Leftover half-created segment; a later probe clears it
 			// before re-creating.
 		}
-		l.f, l.seq, l.size, l.format = nil, prevSeq, prevSize, prevFormat
+		l.f, l.seq, l.size = nil, prevSeq, prevSize
 		return err
 	}
 	return nil
 }
 
-// writeMetaLocked writes (and syncs) the current segment's meta frame,
-// declaring the segment's batch codec.
+// writeMetaLocked writes (and syncs) the current segment's meta frame.
 func (l *Log) writeMetaLocked() error {
-	body, err := json.Marshal(metaBody{Format: l.format, Segment: l.seq, Epoch: l.opts.Epoch})
+	body, err := json.Marshal(metaBody{Format: FormatNameV2, Segment: l.seq, Epoch: l.opts.Epoch})
 	if err != nil {
 		return fmt.Errorf("wal: encoding meta: %w", err)
 	}

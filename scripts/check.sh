@@ -65,19 +65,8 @@
 #                ENOSPC, checking the same degrade/recover/gap-frame
 #                contract the injected-fault suite pins
 #   bench smoke  every benchmark runs once (-benchtime=1x), so a broken
-#                benchmark cannot sit undetected until a baseline run
-#   flight gate  sshwire.BenchmarkHandshakeTCP and
-#                telnet.BenchmarkLoginFlowTCP count the Write calls each
-#                side makes for an accepted login + close on loopback
-#                TCP; more than the pinned flight count (SSH 5 per side,
-#                Telnet 3 server / 2 client) fails. A count repeats
-#                exactly, unlike the ns/op beside it
-#   bench gate   BenchmarkWALAppendRecover/append is re-run (best of
-#                three samples, since machine load is one-sided noise)
-#                and must stay within 20% of the latest checked-in
-#                BENCH_<n>.json baseline, so a WAL write-path regression
-#                fails the gate instead of waiting for someone to
-#                re-record baselines
+#                benchmark cannot sit undetected; the numbers are
+#                go run ./bench's business (bench/README.md)
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -585,73 +574,5 @@ fi
 
 echo "==> benchmark smoke (go test -bench=. -benchtime=1x)"
 go test -run='^$' -bench=. -benchtime=1x ./... >/dev/null
-
-echo "==> flight gate (Writes per accepted login + close, per side)"
-# A count, not a timing: it repeats exactly on any machine under any
-# load. The pins are loginServerWrites / loginClientWrites in
-# internal/sshwire/flight_test.go and internal/telnet/flight_test.go.
-# io_counts <package> <benchmark>: the per-side Read/Write counts the
-# benchmark reports, as "name=value " pairs on one line.
-io_counts() {
-    go test -run '^$' -bench "$2\$" -benchtime 20x "$1" |
-        awk -v b="Benchmark$2" 'index($1, b) == 1 {
-            for (i = 4; i <= NF; i++) if ($i ~ /^(server|client)-(writes|reads)\/op$/) printf "%s=%s ", $i, $(i - 1)
-        }'
-}
-# flight_gate <protocol> <package> <benchmark> <server pin> <client pin>
-flight_gate() {
-    flights=$(io_counts "$2" "$3")
-    if [ -z "$flights" ]; then
-        echo "flight gate: Benchmark$3 reported no writes/op" >&2
-        exit 1
-    fi
-    echo "    $1: ${flights}"
-    for pin in "server=$4" "client=$5"; do
-        side=${pin%=*}
-        max=${pin#*=}
-        got=$(printf '%s\n' "$flights" | tr ' ' '\n' | sed -n "s|^${side}-writes/op=||p")
-        if [ -z "$got" ] || ! awk -v got="$got" -v max="$max" 'BEGIN { exit !(got + 0 <= max + 0) }'; then
-            echo "flight gate: ${side} made ${got:-no} Writes per $1 login, the pinned flight count is ${max}" >&2
-            exit 1
-        fi
-    done
-}
-flight_gate ssh ./internal/sshwire HandshakeTCP 5 5
-flight_gate telnet ./internal/telnet LoginFlowTCP 3 2
-
-echo "==> WAL append gate (>=80% of latest BENCH_<n>.json)"
-baseline=""
-n=1
-while [ -e "BENCH_${n}.json" ]; do
-    baseline="BENCH_${n}.json"
-    n=$((n + 1))
-done
-if [ -z "$baseline" ]; then
-    echo "    no BENCH_<n>.json baseline checked in; skipping"
-else
-    want=$(grep -o '"name": "BenchmarkWALAppendRecover/append[^}]*' "$baseline" |
-        grep -o '"records_per_sec": [0-9.eE+]*' | head -1 | awk '{print $2}')
-    if [ -z "$want" ]; then
-        echo "bench gate: $baseline has no BenchmarkWALAppendRecover/append row" >&2
-        exit 1
-    fi
-    # Best of three samples: container load is one-sided noise (it only
-    # ever lowers throughput), so the max is the honest estimate of what
-    # the code can do, and a single sample landing in a load spike does
-    # not fail the gate spuriously.
-    got=$(go test -run '^$' -bench 'WALAppendRecover/append$' -benchtime 3x -count 3 . |
-        awk '$1 ~ /^BenchmarkWALAppendRecover\/append/ {
-            for (i = 4; i <= NF; i++) if ($i == "records/s" && $(i - 1) + 0 > best) best = $(i - 1)
-        } END { if (best) print best }')
-    if [ -z "$got" ]; then
-        echo "bench gate: benchmark produced no records/s metric" >&2
-        exit 1
-    fi
-    echo "    append: ${got} records/s now vs ${want} in ${baseline}"
-    if ! awk -v got="$got" -v want="$want" 'BEGIN { exit !(got + 0 >= 0.8 * (want + 0)) }'; then
-        echo "bench gate: append throughput dropped >20% vs ${baseline}" >&2
-        exit 1
-    fi
-fi
 
 echo "all checks passed"
