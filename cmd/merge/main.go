@@ -1,10 +1,12 @@
 // Command merge runs the fault-tolerant distributed merge over a fleet
-// of collector shards: it pulls each shard's partial-aggregate frames,
-// folds them into one global snapshot byte-identical to a single-node
-// run over the same records, and serves the regular query API plus
-// per-shard staleness through /v1/healthz (status "degraded:shard"
-// while any shard is down; the merged snapshot keeps serving from
-// healthy shards plus the down shard's last installed state).
+// of collector shards: it keeps one pull of each shard's
+// partial-aggregate frames outstanding (the shard answers as soon as it
+// has news), folds them into one global snapshot byte-identical to a
+// single-node run over the same records, and serves the regular query
+// API plus per-shard staleness through /v1/healthz (status
+// "degraded:shard" while any shard is down; the merged snapshot keeps
+// serving from healthy shards plus the down shard's last installed
+// state).
 //
 // Usage:
 //
@@ -42,7 +44,7 @@ func main() {
 	addrFile := flag.String("addr-file", "", "write the bound address to this file once listening (for scripts)")
 	shardsArg := flag.String("shards", "", "comma-separated shard base URLs (required)")
 	pots := flag.Int("pots", 221, "fleet-wide farm size; must match the shards'")
-	pullEvery := flag.Duration("pull-every", 250*time.Millisecond, "per-shard pull cadence")
+	pullEvery := flag.Duration("pull-every", 250*time.Millisecond, "idle heartbeat and retry spacing: the longest a pull waits at its shard for news, and the gap after one that failed or brought none")
 	failAfter := flag.Int("fail-after", 3, "consecutive pull failures before a shard is marked down")
 	maxInflight := flag.Int("max-inflight", 64, "bound on concurrently rendered responses")
 	clientRows := flag.Int("client-rows", 100, "maximum rows served by /v1/clients")

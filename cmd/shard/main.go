@@ -153,7 +153,13 @@ func main() {
 	}
 	log.Printf("shard %d: listening on %s, wal %s", *index, ln.Addr(), *walDir)
 
-	srv := &http.Server{Handler: mux}
+	// Shutdown leaves request contexts alone, and a pull parked for news
+	// would hold the drain for as long as it waits: ending the base context
+	// as the shutdown begins lets it go.
+	reqCtx, wakeParked := context.WithCancel(context.Background())
+	defer wakeParked()
+	srv := &http.Server{Handler: mux, BaseContext: func(net.Listener) context.Context { return reqCtx }}
+	srv.RegisterOnShutdown(wakeParked)
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 

@@ -168,3 +168,80 @@ func TestCutPartialsDropRule(t *testing.T) {
 		t.Fatalf("replica at %d diverges from the engine at %d", rep.seq, seq)
 	}
 }
+
+func released(ch <-chan struct{}) bool {
+	select {
+	case <-ch:
+		return true
+	default:
+		return false
+	}
+}
+
+// TestNewsWake: a waiter registered at the engine's sequence is
+// released by the next Ingest and by nothing else — not a Seal, not a
+// cut — however those interleave; one registered at any other sequence
+// does not wait at all.
+func TestNewsWake(t *testing.T) {
+	d, recs := cutFixture(t)
+	eng := cutEngine(d)
+	if !released(eng.News(1)) {
+		t.Fatal("News(1) on an empty engine waits: the engine is not at 1")
+	}
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() { // sealing and cutting all the while
+		defer close(done)
+		for b := wire.NewBuilder(1 << 10); ; b.Reset() {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			eng.Seal()
+			eng.CutPartials(b, eng.Seq(), true)
+		}
+	}()
+	for i, r := range recs[:500] {
+		since := eng.Seq()
+		first, second := eng.News(since), eng.News(since)
+		eng.Seal()
+		if released(first) || released(second) {
+			t.Fatalf("round %d: waiter at %d released with nothing ingested", i, since)
+		}
+		woken := make(chan struct{})
+		go func() { <-first; <-second; close(woken) }()
+		eng.Ingest([]*honeypot.SessionRecord{r})
+		<-woken // a lost wake-up hangs here, and the test times out
+		if !released(eng.News(since)) {
+			t.Fatalf("round %d: News(%d) waits with the engine at %d", i, since, eng.Seq())
+		}
+	}
+	close(stop)
+	<-done
+}
+
+// TestNewsFreeWhenUnused: with nobody waiting the wait primitive is one
+// nil test in Ingest — a batch that touches no new row allocates
+// nothing, as it did before there was one, also after waiters have come
+// and gone — and asking about a sequence the engine is not at allocates
+// nothing either.
+func TestNewsFreeWhenUnused(t *testing.T) {
+	d, recs := cutFixture(t)
+	eng := cutEngine(d)
+	eng.Ingest(recs[:100])
+	batch := recs[:1]
+	if a := testing.AllocsPerRun(200, func() { eng.Ingest(batch) }); a != 0 {
+		t.Errorf("Ingest allocates %v times per call on an engine nothing waited on", a)
+	}
+	for i := 0; i < 3; i++ {
+		ch := eng.News(eng.Seq())
+		eng.Ingest(batch)
+		<-ch
+	}
+	if a := testing.AllocsPerRun(200, func() { eng.Ingest(batch) }); a != 0 {
+		t.Errorf("Ingest allocates %v times per call after waiters came and went", a)
+	}
+	if a := testing.AllocsPerRun(200, func() { eng.News(0) }); a != 0 {
+		t.Errorf("News at another sequence allocates %v times", a)
+	}
+}

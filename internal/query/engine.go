@@ -99,6 +99,9 @@ type Engine struct {
 	// until a pull makes a cut, and again once it outgrows the drop rule.
 	pending *analysis.Partials
 	cut     uint64
+	// news is closed by the next Ingest: what a parked pull waits on. Nil
+	// while nobody waits, so Ingest pays one pointer test for it.
+	news    chan struct{}
 	seals   atomic.Uint64 // snapshots sealed (including the empty one)
 	rebuilt atomic.Uint64 // client + hash rows those seals rebuilt
 
@@ -156,6 +159,10 @@ func (e *Engine) Ingest(recs []*honeypot.SessionRecord) {
 		e.pending = nil
 	}
 	e.seq += uint64(len(recs))
+	if e.news != nil {
+		close(e.news)
+		e.news = nil
+	}
 	e.sinceSeal += len(recs)
 	if e.cfg.SnapshotEvery > 0 && e.sinceSeal >= e.cfg.SnapshotEvery {
 		e.sealLocked()
@@ -254,6 +261,28 @@ func (e *Engine) CutPartials(b *wire.Builder, since uint64, held bool) (from, se
 		delta.Encode(b)
 	}
 	return from, seq, days
+}
+
+// noWait is what News hands a caller that has nothing to wait for.
+var noWait = make(chan struct{})
+
+func init() { close(noWait) }
+
+// News returns a channel that is closed once the engine's sequence is
+// not since: at once when it already differs, else by the next Ingest.
+// Registering and closing both happen under the ingest mutex, so a
+// waiter that registers at seq == since is released by the very next
+// batch; the wait itself is the caller's, outside the mutex.
+func (e *Engine) News(since uint64) <-chan struct{} {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.seq != since {
+		return noWait
+	}
+	if e.news == nil {
+		e.news = make(chan struct{})
+	}
+	return e.news
 }
 
 // PendingEntries returns how many client and hash entries the pending

@@ -1,14 +1,14 @@
 package shard
 
-// The merge coordinator: one puller goroutine per shard walks the pull
-// API on a fixed cadence and folds what each pull brings — normally the
-// delta since the previous one — into that shard's bundle and into one
-// long-lived merged bundle; a single merger goroutine materializes the
-// merged bundle into a global snapshot. Supervision reuses the farm's
-// generation-deduped restart machinery (faults.Restarter): FailAfter
-// consecutive failures mark a shard down and hand it to a
-// capped-exponential probe loop; the regular puller skips a down shard
-// so the two never race.
+// The merge coordinator: one puller goroutine per shard keeps one pull
+// of it outstanding, which the shard parks until it has news, and folds
+// what each pull brings — normally the delta since the previous one —
+// into that shard's bundle and into one long-lived merged bundle; a
+// single merger goroutine materializes the merged bundle into a global
+// snapshot. Supervision reuses the farm's generation-deduped restart
+// machinery (faults.Restarter): FailAfter consecutive failures mark a
+// shard down and hand it to a capped-exponential probe loop; the regular
+// puller skips a down shard so the two never race.
 //
 // Two invariants carry the robustness story:
 //
@@ -29,6 +29,7 @@ package shard
 // the merged bundle is rebuilt from copies of them.
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -62,11 +63,15 @@ type Config struct {
 	Epoch time.Time
 	// Tagger labels file hashes at materialization; nil tags "unknown".
 	Tagger analysis.Tagger
-	// PullEvery is the per-shard pull cadence (default 250ms).
+	// PullEvery (default 250ms) is the longest a pull waits at the shard
+	// for news — the idle heartbeat that keeps last_ok fresh — and the
+	// spacing after a pull that brought none (see pullLoop). It is capped
+	// at half the Client's timeout, so that an idle pull never reads as a
+	// failed one.
 	PullEvery time.Duration
 	// FailAfter is the consecutive-failure count that marks a shard down
-	// (default 3). Down shards leave the pull cadence for the probe
-	// loop's capped-exponential backoff.
+	// (default 3). Down shards leave the pull loop for the probe loop's
+	// capped-exponential backoff.
 	FailAfter int
 	// Retry shapes the probe backoff for down shards via Plan.Backoff;
 	// nil uses the plan's deterministic defaults.
@@ -100,6 +105,7 @@ type shardState struct {
 	pulls     uint64
 	pullFails uint64
 	fullPulls uint64
+	idlePulls uint64
 	pullBytes uint64
 }
 
@@ -121,12 +127,14 @@ type Coordinator struct {
 	mu      sync.Mutex
 	shards  []shardState
 	seq     uint64           // sum of installed shard seqs
-	pullLat *stats.Histogram // successful-pull latency (empty without a clock)
+	pullLat *stats.Histogram // headers-to-installed time of successful pulls (empty without a clock)
 
-	cur       atomic.Pointer[query.Snapshot]
-	dirty     chan struct{}
-	stopCh    chan struct{}
-	stopOnce  sync.Once
+	cur   atomic.Pointer[query.Snapshot]
+	dirty chan struct{}
+	// ctx ends with Stop: it is every goroutine's stop signal and cuts a
+	// parked pull short.
+	ctx       context.Context
+	cancel    context.CancelFunc
 	restarter *faults.Restarter
 	wg        sync.WaitGroup
 }
@@ -150,6 +158,9 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.Client == nil {
 		cfg.Client = &http.Client{Timeout: 5 * time.Second}
 	}
+	if t := cfg.Client.Timeout; t > 0 {
+		cfg.PullEvery = min(cfg.PullEvery, t/2)
+	}
 	pullLat, err := stats.NewHistogram(PullLatencyBuckets())
 	if err != nil {
 		return nil, fmt.Errorf("shard: %w", err)
@@ -161,8 +172,8 @@ func New(cfg Config) (*Coordinator, error) {
 		shards:  make([]shardState, len(cfg.Shards)),
 		pullLat: pullLat,
 		dirty:   make(chan struct{}, 1),
-		stopCh:  make(chan struct{}),
 	}
+	c.ctx, c.cancel = context.WithCancel(context.Background())
 	for i, url := range cfg.Shards {
 		c.shards[i] = shardState{url: url, up: true, parts: c.emptyBundle()}
 	}
@@ -171,7 +182,7 @@ func New(cfg Config) (*Coordinator, error) {
 	c.restarter = faults.NewRestarter(faults.RestarterConfig{
 		Backoff: cfg.Retry.Backoff,
 		Try:     c.tryProbe,
-		Stop:    c.stopCh,
+		Stop:    c.ctx.Done(),
 		Pending: 2*len(cfg.Shards) + 8,
 	})
 	for i := range c.shards {
@@ -183,9 +194,10 @@ func New(cfg Config) (*Coordinator, error) {
 	return c, nil
 }
 
-// Stop ends the pullers, probes, and merger, and joins them all.
+// Stop ends the pullers, probes, and merger, and joins them all; a
+// pull parked at its shard is abandoned, not waited for.
 func (c *Coordinator) Stop() {
-	c.stopOnce.Do(func() { close(c.stopCh) })
+	c.cancel()
 	c.restarter.Wait()
 	c.wg.Wait()
 }
@@ -229,26 +241,38 @@ func (c *Coordinator) emptyBundle() *analysis.Partials {
 	return analysis.NewPartials(c.cfg.NumPots, nil, c.cfg.Countries)
 }
 
-// pullLoop walks shard i's pull API on the configured cadence. Down
-// shards are skipped — the probe loop owns them until they recover.
+// pullLoop keeps one pull of shard i outstanding. A pull that brought
+// news is followed by the next at once: the shard parks that one until
+// it has more, so the loop is clocked by the shard's ingest, and what
+// arrives during a round trip rides the next delta. After any other
+// pull — failed, stale, a full frame where a delta was asked for (two
+// pullers moving each other's cut), or nothing new, be it from a shard
+// that waited PullEvery for news or one that ignores wait and answers
+// at once — the next starts PullEvery after that one started: at once
+// after an idle wait, at the old tick's rate after the rest. Down shards
+// are skipped — the probe loop owns them until they recover. The first
+// pull comes PullEvery after the start, as it always has: a shard that
+// starts with its coordinator holds little yet, and full frames follow
+// a first one until what it folds between two pulls is small beside
+// what it holds.
 func (c *Coordinator) pullLoop(i int) {
 	defer c.wg.Done()
-	timer := time.NewTimer(c.cfg.PullEvery)
-	defer timer.Stop()
-	for running := true; running; {
-		select {
-		case <-c.stopCh:
-			running = false
-			continue
-		case <-timer.C:
-		}
+	for started := false; c.ctx.Err() == nil; started = true {
+		spacing := time.NewTimer(c.cfg.PullEvery)
 		c.mu.Lock()
 		up := c.shards[i].up
 		c.mu.Unlock()
-		if up {
-			c.pullOnce(i)
+		if started && up {
+			if _, news := c.pullOnce(i); news {
+				spacing.Stop()
+				continue
+			}
 		}
-		timer.Reset(c.cfg.PullEvery)
+		select {
+		case <-c.ctx.Done():
+			spacing.Stop()
+		case <-spacing.C:
+		}
 	}
 }
 
@@ -256,23 +280,30 @@ func (c *Coordinator) pullLoop(i int) {
 // coordinator's pull-latency histogram: 1ms to 10s, log-spaced.
 func PullLatencyBuckets() []float64 { return stats.LogBuckets(1e-3, 10, 12) }
 
-// pullOnce performs one pull of shard i and reports whether the shard
+// pullOnce performs one pull of shard i. ok reports that the shard
 // answered with a frame that continues (or is covered by) the installed
-// state. Latency is observed only when the coordinator has a clock
-// (Config.Now), so clockless deterministic runs render an empty
-// histogram.
-func (c *Coordinator) pullOnce(i int) bool {
-	var t0 time.Time
-	if c.cfg.Now != nil {
-		t0 = c.cfg.Now()
-	}
-	frame, err := c.fetch(i)
-	full := false
-	if err == nil {
-		full, err = c.install(i, frame)
-	}
+// state; news, that the frame advanced the shard and was the kind asked
+// for. Latency runs from the response's headers — the end of any wait
+// at the shard — to the frame installed, and is observed only when the
+// coordinator has a clock (Config.Now), so clockless deterministic runs
+// render an empty histogram.
+func (c *Coordinator) pullOnce(i int) (ok, news bool) {
 	c.mu.Lock()
 	st := &c.shards[i]
+	var since uint64 // 0 asks for the full frame
+	if !st.resync {
+		since = st.seq
+	}
+	c.mu.Unlock()
+	frame, t0, err := c.fetch(st.url, since)
+	var full, advanced bool
+	if err == nil {
+		full, advanced, err = c.install(i, frame)
+	}
+	if c.ctx.Err() != nil {
+		return false, false // Stop cut the pull short: no failure of the shard's
+	}
+	c.mu.Lock()
 	st.pulls++
 	st.pullBytes += uint64(len(frame))
 	if full {
@@ -280,15 +311,20 @@ func (c *Coordinator) pullOnce(i int) bool {
 	}
 	if err != nil {
 		st.pullFails++
-	} else if c.cfg.Now != nil {
-		c.pullLat.Observe(c.cfg.Now().Sub(t0).Seconds())
+	} else {
+		if !advanced {
+			st.idlePulls++
+		}
+		if c.cfg.Now != nil {
+			c.pullLat.Observe(c.cfg.Now().Sub(t0).Seconds())
+		}
 	}
 	c.mu.Unlock()
 	if err != nil {
 		c.noteFailure(i, err)
-		return false
+		return false, false
 	}
-	return true
+	return true, advanced && (!full || since == 0)
 }
 
 // PullStats is one shard's cumulative pull accounting.
@@ -297,6 +333,8 @@ type PullStats struct {
 	Failures uint64
 	// Full counts the pulls answered with a full frame, not a delta.
 	Full uint64
+	// Idle counts the answered pulls that brought nothing new.
+	Idle uint64
 	// Bytes sums the frame bytes received.
 	Bytes uint64
 }
@@ -308,7 +346,7 @@ func (c *Coordinator) PullStatsAll() []PullStats {
 	out := make([]PullStats, len(c.shards))
 	for i := range c.shards {
 		st := &c.shards[i]
-		out[i] = PullStats{Pulls: st.pulls, Failures: st.pullFails, Full: st.fullPulls, Bytes: st.pullBytes}
+		out[i] = PullStats{Pulls: st.pulls, Failures: st.pullFails, Full: st.fullPulls, Idle: st.idlePulls, Bytes: st.pullBytes}
 	}
 	return out
 }
@@ -319,7 +357,7 @@ func (c *Coordinator) PullStatsAll() []PullStats {
 func (c *Coordinator) MergeRebuilds() uint64 { return c.rebuilds.Load() }
 
 // PullLatency returns a merged copy of the successful-pull latency
-// histogram.
+// histogram: transfer, decode and merge, not the wait for news.
 func (c *Coordinator) PullLatency() *stats.Histogram {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -333,43 +371,50 @@ func (c *Coordinator) PullLatency() *stats.Histogram {
 	return cp
 }
 
-// fetch GETs a frame from shard i: the delta since the installed seq
-// when there is one to continue from, else the full frame.
-func (c *Coordinator) fetch(i int) ([]byte, error) {
-	c.mu.Lock()
-	st := &c.shards[i]
-	url := st.url + PartialsPath
-	if st.seq > 0 && !st.resync {
-		url += "?since=" + strconv.FormatUint(st.seq, 10)
+// fetch GETs a frame from the shard at url: the delta since seq since,
+// awaited there for up to PullEvery, or with since 0 the full frame at
+// once. t0 is when the response's headers arrived (zero without a
+// clock).
+func (c *Coordinator) fetch(url string, since uint64) (frame []byte, t0 time.Time, err error) {
+	url += PartialsPath
+	if since > 0 {
+		url += "?since=" + strconv.FormatUint(since, 10) + "&wait=" + c.cfg.PullEvery.String()
 	}
-	c.mu.Unlock()
-	resp, err := c.client.Get(url)
+	req, err := http.NewRequestWithContext(c.ctx, http.MethodGet, url, nil)
 	if err != nil {
-		return nil, err
+		return nil, t0, err
+	}
+	resp, err := c.client.Do(req)
+	if err != nil {
+		return nil, t0, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("shard: pull status %s", resp.Status)
+	if c.cfg.Now != nil {
+		t0 = c.cfg.Now()
 	}
-	return io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusOK {
+		return nil, t0, fmt.Errorf("shard: pull status %s", resp.Status)
+	}
+	frame, err = io.ReadAll(resp.Body)
+	return frame, t0, err
 }
 
 // install validates the frame, folds it into shard i's state and wakes
 // the merger if that advanced the shard's sequence; full reports an
 // accepted full frame.
-func (c *Coordinator) install(i int, frame []byte) (full bool, err error) {
+func (c *Coordinator) install(i int, frame []byte) (full, advanced bool, err error) {
 	from, seq, days, parts, err := decodeFrame(frame)
 	if err != nil {
-		return false, err
+		return false, false, err
 	}
 	if parts.NumPots() != c.cfg.NumPots {
-		return false, fmt.Errorf("shard: bundle sized for %d pots, fleet has %d", parts.NumPots(), c.cfg.NumPots)
+		return false, false, fmt.Errorf("shard: bundle sized for %d pots, fleet has %d", parts.NumPots(), c.cfg.NumPots)
 	}
 	if (parts.Countries != nil) != c.cfg.Countries {
-		return false, fmt.Errorf("shard: bundle country-table presence %v, fleet wants %v", parts.Countries != nil, c.cfg.Countries)
+		return false, false, fmt.Errorf("shard: bundle country-table presence %v, fleet wants %v", parts.Countries != nil, c.cfg.Countries)
 	}
 	c.mergeMu.Lock()
-	advanced, err := c.foldLocked(i, frame, from, seq, days, parts)
+	advanced, err = c.foldLocked(i, frame, from, seq, days, parts)
 	c.mergeMu.Unlock()
 	if advanced {
 		select {
@@ -377,7 +422,7 @@ func (c *Coordinator) install(i int, frame []byte) (full bool, err error) {
 		default:
 		}
 	}
-	return from == 0 && err == nil, err
+	return from == 0 && err == nil, advanced, err
 }
 
 // foldLocked applies a validated frame — parts, the bundle of the
@@ -496,7 +541,7 @@ func (c *Coordinator) tryProbe(i, gen, _ int) faults.RestartOutcome {
 	if stale {
 		return faults.RestartDone
 	}
-	if c.pullOnce(i) {
+	if ok, _ := c.pullOnce(i); ok {
 		return faults.RestartDone
 	}
 	return faults.RestartRetry
@@ -509,7 +554,7 @@ func (c *Coordinator) mergeLoop() {
 	defer c.wg.Done()
 	for running := true; running; {
 		select {
-		case <-c.stopCh:
+		case <-c.ctx.Done():
 			running = false
 			continue
 		case <-c.dirty:

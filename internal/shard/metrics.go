@@ -18,9 +18,10 @@ import (
 // RegisterCoordinatorMetrics exports the merge coordinator's per-shard
 // pull health: up/seq/staleness gauges, cumulative pull counters (how
 // many pulls were full frames and the bytes they all carried say which
-// path ran), the merged-bundle rebuild counter, and the pull-latency
-// histogram. now supplies the wall clock for the
-// staleness gauges; nil renders them 0 (deterministic tests).
+// path ran, pulls less idle pulls how often there was news), the
+// merged-bundle rebuild counter, and the pull-latency histogram. now
+// supplies the wall clock for the staleness gauges; nil renders them 0
+// (deterministic tests).
 func RegisterCoordinatorMetrics(reg *metrics.Registry, c *Coordinator, now func() time.Time) {
 	n := len(c.cfg.Shards)
 	for i := 0; i < n; i++ {
@@ -62,6 +63,9 @@ func RegisterCoordinatorMetrics(reg *metrics.Registry, c *Coordinator, now func(
 		reg.CounterFunc("honeyfarm_shard_full_pulls_total",
 			"Pulls the shard answered with its full bundle instead of a delta.",
 			labels, func() float64 { return float64(c.PullStatsAll()[shard].Full) })
+		reg.CounterFunc("honeyfarm_shard_idle_pulls_total",
+			"Answered pulls that brought nothing new: the shard waited its time out, or answered at once with no records past the installed sequence.",
+			labels, func() float64 { return float64(c.PullStatsAll()[shard].Idle) })
 		reg.CounterFunc("honeyfarm_shard_pull_bytes_total",
 			"Frame bytes received from the shard.",
 			labels, func() float64 { return float64(c.PullStatsAll()[shard].Bytes) })
@@ -70,7 +74,7 @@ func RegisterCoordinatorMetrics(reg *metrics.Registry, c *Coordinator, now func(
 		"Times the merged bundle was rebuilt because a full frame replaced a shard's installed state.",
 		nil, func() float64 { return float64(c.MergeRebuilds()) })
 	reg.HistogramFunc("honeyfarm_shard_pull_latency_seconds",
-		"Latency of successful shard pulls (observed only with a clock).",
+		"Response headers to frame installed, for successful shard pulls: transfer, decode and merge, not the wait for news (observed only with a clock).",
 		nil, func() *stats.Histogram { return c.PullLatency() })
 }
 

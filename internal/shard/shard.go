@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+	"time"
 
 	"honeyfarm/internal/analysis"
 	"honeyfarm/internal/query"
@@ -37,7 +38,10 @@ import (
 // partials frame as an octet stream. ?since=<seq> names the sequence
 // the puller's copy of this shard covers; when that is the cut the
 // previous pull made the answer is a delta frame from it, otherwise
-// (or with no since) the full frame.
+// (or with no since) the full frame. &wait=<duration> beside a since
+// the shard's sequence has not passed parks the pull until a record
+// arrives, or for that long: the puller hears of news in one round
+// trip, and an idle shard is asked once per wait.
 const PartialsPath = "/shard/v1/partials"
 
 // EncodePartialsFrame cuts the engine's current accumulator state into
@@ -130,7 +134,23 @@ func NewHandler(eng *query.Engine) http.Handler {
 			return
 		}
 		// An absent or unreadable since is a puller that holds nothing.
-		since, err := strconv.ParseUint(r.URL.Query().Get("since"), 10, 64)
+		q := r.URL.Query()
+		since, err := strconv.ParseUint(q.Get("since"), 10, 64)
+		// The cut is made after the wake and never for a request whose
+		// context has ended — the client went away, or the server is
+		// draining (cmd/shard cancels its base context): the delta cut for
+		// it would be lost with it.
+		if wait, werr := time.ParseDuration(q.Get("wait")); err == nil && werr == nil && wait > 0 {
+			timer := time.NewTimer(wait)
+			defer timer.Stop()
+			select {
+			case <-eng.News(since):
+			case <-timer.C:
+			case <-r.Context().Done():
+				http.Error(w, "pull abandoned", http.StatusServiceUnavailable)
+				return
+			}
+		}
 		body := wire.NewBuilder(64 << 10)
 		from, seq, days := eng.CutPartials(body, since, err == nil)
 		frame := encodeFrame(from, seq, days, body.Bytes())

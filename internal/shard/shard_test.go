@@ -178,13 +178,20 @@ func (s *testShard) restart(h http.Handler) {
 // fast pull cadence and aggressive probing, suitable for tests.
 func startCoordinator(t *testing.T, urls []string, client *http.Client) *shard.Coordinator {
 	t.Helper()
+	return coordinatorEvery(t, 5*time.Millisecond, client, urls...)
+}
+
+// coordinatorEvery is startCoordinator at a PullEvery of the test's
+// choosing.
+func coordinatorEvery(t *testing.T, every time.Duration, client *http.Client, urls ...string) *shard.Coordinator {
+	t.Helper()
 	coord, err := shard.New(shard.Config{
 		Shards:    urls,
 		NumPots:   testPots,
 		Countries: true,
 		Epoch:     honeyfarm.DefaultEpoch,
 		Tagger:    testTagger(),
-		PullEvery: 5 * time.Millisecond,
+		PullEvery: every,
 		FailAfter: 2,
 		Client:    client,
 	})

@@ -8,9 +8,9 @@ import (
 	"time"
 )
 
-// Flights pinned by TestFlightWrites and by scripts/check.sh's bench gate:
-// the Write calls each side makes for one accepted login followed by
-// Close. It was 10 and 10 when every packet and every MAC was a Write.
+// Flights pinned by TestFlightWrites: the Write calls each side makes
+// for one accepted login followed by Close. It was 10 and 10 when every
+// packet and every MAC was a Write.
 const (
 	loginServerWrites = 5 // [ident+KEXINIT] [KEX reply+NEWKEYS] [SERVICE_ACCEPT] [USERAUTH_SUCCESS] [DISCONNECT]
 	loginClientWrites = 5 // [ident+KEXINIT] [KEX init] [NEWKEYS+SERVICE_REQUEST] [USERAUTH_REQUEST] [DISCONNECT]

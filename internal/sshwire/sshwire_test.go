@@ -534,8 +534,7 @@ func BenchmarkHandshake(b *testing.B) {
 // BenchmarkHandshakeTCP is BenchmarkHandshake over loopback TCP, where a
 // Write is a segment, with both ends counted: writes/op and reads/op per
 // side repeat exactly from run to run, which the ns/op beside them does
-// not, and scripts/check.sh holds the writes to the flight counts that
-// TestFlightWrites pins.
+// not; TestFlightWrites pins the writes.
 func BenchmarkHandshakeTCP(b *testing.B) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

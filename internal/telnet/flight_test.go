@@ -10,9 +10,9 @@ import (
 	"unsafe"
 )
 
-// Flights pinned by TestFlightWrites and printed by scripts/check.sh's
-// flight gate: the Write calls each side makes for one accepted login. It
-// was 8 and 8 when every prompt and every 3-byte IAC answer was a Write.
+// Flights pinned by TestFlightWrites: the Write calls each side makes
+// for one accepted login. It was 8 and 8 when every prompt and every
+// 3-byte IAC answer was a Write.
 const (
 	loginServerWrites = 3 // [offers+banner+login:] [Password:] [motd]
 	loginClientWrites = 2 // [DO ECHO+DO SGA+user] [password]

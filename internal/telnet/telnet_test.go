@@ -314,9 +314,9 @@ func (c countConn) Write(p []byte) (int, error) {
 }
 
 // BenchmarkLoginFlowTCP is BenchmarkLoginFlow over loopback TCP with both
-// ends counted, the same way sshwire.BenchmarkHandshakeTCP counts:
-// scripts/check.sh's flight gate reads the writes/op and fails above
-// loginServerWrites / loginClientWrites.
+// ends counted, the same way sshwire.BenchmarkHandshakeTCP counts;
+// TestFlightWrites holds the writes to loginServerWrites /
+// loginClientWrites.
 func BenchmarkLoginFlowTCP(b *testing.B) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
