@@ -424,43 +424,20 @@ func BenchmarkAblationNoCampaigns(b *testing.B) {
 }
 
 // BenchmarkLintRepo measures the repository's own analyzer suite over
-// the whole module — the cost every check.sh run pays. The cold case
-// type-checks and analyzes all packages from scratch; the warm case is
-// served from the content-hash result cache and bounds the incremental
-// cost of an unchanged tree.
+// the whole module — the cost every check.sh run pays: all packages
+// type-checked and analyzed from scratch.
 func BenchmarkLintRepo(b *testing.B) {
 	root, err := lint.FindModuleRoot(".")
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("cold", func(b *testing.B) {
-		pkgs := 0
-		for i := 0; i < b.N; i++ {
-			res, err := lint.NewLoader(root).Check(lint.CheckOptions{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			pkgs += res.Packages
-		}
-		b.ReportMetric(float64(pkgs)/b.Elapsed().Seconds(), "pkgs/s")
-	})
-	b.Run("warm", func(b *testing.B) {
-		cache := b.TempDir()
-		if _, err := lint.NewLoader(root).Check(lint.CheckOptions{CacheDir: cache}); err != nil {
+	pkgs := 0
+	for i := 0; i < b.N; i++ {
+		res, err := lint.NewLoader(root).Check(lint.CheckOptions{})
+		if err != nil {
 			b.Fatal(err)
 		}
-		b.ResetTimer()
-		pkgs := 0
-		for i := 0; i < b.N; i++ {
-			res, err := lint.NewLoader(root).Check(lint.CheckOptions{CacheDir: cache})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if res.CacheMisses != 0 {
-				b.Fatalf("warm run missed %d package(s); the cache key is unstable", res.CacheMisses)
-			}
-			pkgs += res.Packages
-		}
-		b.ReportMetric(float64(pkgs)/b.Elapsed().Seconds(), "pkgs/s")
-	})
+		pkgs += res.Packages
+	}
+	b.ReportMetric(float64(pkgs)/b.Elapsed().Seconds(), "pkgs/s")
 }

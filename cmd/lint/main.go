@@ -3,20 +3,15 @@
 // path, goroutine hygiene, error discards, lock copies, wire codec
 // symmetry, loop bounds) and the cross-package contract rules
 // (determinism-taint, atomicio-bypass, timer-commit, snapshot-mutation,
-// lock-across-blocking) driven by the parallel, cached analysis engine.
+// lock-across-blocking) driven by the parallel analysis engine.
 //
 // Usage:
 //
-//	lint [-json] [-rules nondeterminism,error-discard] [-baseline file|off]
-//	     [-cache-dir dir] [-no-cache] [packages]
+//	lint [-json] [-rules nondeterminism,error-discard] [-baseline file|off] [packages]
 //
 // With no packages it analyzes ./.... Findings covered by the baseline
 // (default <module>/lint.baseline.json when present; -baseline off
-// disables) are grandfathered; everything else is reported. Results are
-// cached per package under -cache-dir (default <module>/.lintcache)
-// keyed by source content, rule set and dependency facts, so a warm run
-// over an unchanged tree re-analyzes nothing; cache hit/miss counts go
-// to stderr, never stdout.
+// disables) are grandfathered; everything else is reported.
 //
 // Exit codes:
 //
@@ -50,8 +45,6 @@ func run(dir string, args []string, stdout, stderr io.Writer) int {
 	rules := fs.String("rules", "", "comma-separated rule subset (default: all rules)")
 	ruleAlias := fs.String("rule", "", "alias for -rules")
 	baselinePath := fs.String("baseline", "", "baseline file (default <module>/lint.baseline.json if present; \"off\" disables)")
-	cacheDir := fs.String("cache-dir", "", "result cache directory (default <module>/.lintcache)")
-	noCache := fs.Bool("no-cache", false, "disable the result cache")
 	list := fs.Bool("list", false, "list available rules and exit")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -80,26 +73,13 @@ func run(dir string, args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	cache := *cacheDir
-	if cache == "" {
-		cache = filepath.Join(root, ".lintcache")
-	}
-	if *noCache {
-		cache = ""
-	}
-
 	res, err := lint.NewLoader(root).Check(lint.CheckOptions{
 		Patterns:  fs.Args(),
 		Analyzers: analyzers,
-		CacheDir:  cache,
 	})
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
-	}
-	if cache != "" {
-		fmt.Fprintf(stderr, "lint: cache: %d hit(s), %d miss(es) across %d package(s)\n",
-			res.CacheHits, res.CacheMisses, res.Packages)
 	}
 
 	findings := res.Findings

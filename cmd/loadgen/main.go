@@ -38,6 +38,7 @@ import (
 	"time"
 
 	"honeyfarm/internal/atomicio"
+	"honeyfarm/internal/daemon"
 	"honeyfarm/internal/farm"
 	"honeyfarm/internal/geo"
 	"honeyfarm/internal/loadgen"
@@ -74,11 +75,22 @@ func main() {
 	switch {
 	case *selfPots > 0:
 		var err error
-		f, targets, dial, err = startSelfFarm(*seed, *selfPots, *metricsAddr)
+		f, targets, dial, err = startSelfFarm(*seed, *selfPots)
 		if err != nil {
 			log.Fatalf("loadgen: self-farm: %v", err)
 		}
 		defer f.Stop()
+		if *metricsAddr != "" {
+			reg := metrics.NewRegistry()
+			farm.RegisterFarmMetrics(reg, f)
+			ml, err := daemon.Listen(*metricsAddr, "", daemon.Mux("loadgen", reg, http.NotFoundHandler()))
+			if err != nil {
+				f.Stop()
+				log.Fatalf("loadgen: metrics listener: %v", err)
+			}
+			defer ml.Drain(time.Second)
+			log.Printf("loadgen: farm /metrics on http://%s/metrics", ml.Addr())
+		}
 	case *targetsFlag != "":
 		var err error
 		targets, err = readTargets(strings.Split(*targetsFlag, ","))
@@ -181,9 +193,8 @@ func readTargets(paths []string) ([]loadgen.Target, error) {
 }
 
 // startSelfFarm runs an in-process netsim farm and returns its targets
-// and fabric dialer. When metricsAddr is non-empty the farm
-// supervisor's /metrics is mounted there over real TCP.
-func startSelfFarm(seed int64, pots int, metricsAddr string) (*farm.Farm, []loadgen.Target, loadgen.Dialer, error) {
+// and fabric dialer.
+func startSelfFarm(seed int64, pots int) (*farm.Farm, []loadgen.Target, loadgen.Dialer, error) {
 	f, err := farm.New(farm.Config{
 		Seed:     seed,
 		NumPots:  pots,
@@ -222,24 +233,6 @@ func startSelfFarm(seed int64, pots int, metricsAddr string) (*farm.Farm, []load
 		}
 		src := fmt.Sprintf("198.51.100.%d", srcSeq.Add(1)%254+1)
 		return f.Fabric().Dial(src, netsim.Addr{IP: host, Port: port})
-	}
-	if metricsAddr != "" {
-		reg := metrics.NewRegistry()
-		farm.RegisterFarmMetrics(reg, f)
-		ln, err := net.Listen("tcp", metricsAddr)
-		if err != nil {
-			f.Stop()
-			return nil, nil, nil, err
-		}
-		mux := http.NewServeMux()
-		mux.Handle("/metrics", reg.Handler())
-		//lint:ignore goroutine-hygiene process-lifetime metrics listener; it dies with the harness, there is nothing to join before exit
-		go func() {
-			if err := http.Serve(ln, mux); err != nil {
-				log.Printf("loadgen: metrics server: %v", err)
-			}
-		}()
-		log.Printf("loadgen: farm /metrics on http://%s/metrics", ln.Addr())
 	}
 	return f, targets, dial, nil
 }

@@ -17,30 +17,24 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"log"
-	"net"
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof/ on DefaultServeMux; exposed only behind -pprof
 	"os"
-	"os/signal"
-	"runtime"
-	"syscall"
 	"time"
 
 	"honeyfarm"
 	"honeyfarm/internal/analysis"
-	"honeyfarm/internal/atomicio"
+	"honeyfarm/internal/daemon"
 	"honeyfarm/internal/malware"
 	"honeyfarm/internal/query"
 )
 
 func main() {
-	addr := flag.String("addr", "127.0.0.1:8080", "listen address (use :0 for an ephemeral port)")
-	addrFile := flag.String("addr-file", "", "write the bound address to this file once listening (for scripts)")
+	addr, addrFile, drain := daemon.Flags("127.0.0.1:8080", "listen address (use :0 for an ephemeral port)")
 	walDir := flag.String("wal-dir", "", "WAL directory to tail (required)")
 	epochArg := flag.String("epoch", "", "store epoch as YYYY-MM-DD (default: the paper's 2021-12-01); must match the WAL's")
 	pots := flag.Int("pots", 221, "farm size: rows in the per-pot and availability tables")
@@ -49,7 +43,6 @@ func main() {
 	poll := flag.Duration("poll", 200*time.Millisecond, "tail poll interval once caught up")
 	maxInflight := flag.Int("max-inflight", 64, "bound on concurrently rendered responses")
 	clientRows := flag.Int("client-rows", 100, "maximum rows served by /v1/clients")
-	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown deadline for in-flight requests")
 	pprofFlag := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ on the same listener")
 	flag.Parse()
 
@@ -66,13 +59,7 @@ func main() {
 		epoch = t
 	}
 
-	// Register the signal handler before taking the goroutine baseline:
-	// os/signal starts a permanent runtime goroutine on first Notify,
-	// which would otherwise read as a leak.
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	baseline := runtime.NumGoroutine()
-
+	proc := daemon.Start("serve")
 	engine := query.New(query.Config{
 		Epoch:         epoch,
 		NumPots:       *pots,
@@ -92,67 +79,26 @@ func main() {
 		MaxInflight: *maxInflight,
 		ClientRows:  *clientRows,
 	})
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		log.Fatalf("serve: listen: %v", err)
-	}
-	if *addrFile != "" {
-		// Written atomically: the check.sh smoke test (and any supervisor)
-		// polls this file and must never read a half-written address.
-		if err := atomicio.WriteFileBytes(*addrFile, []byte(ln.Addr().String()+"\n")); err != nil {
-			log.Fatalf("serve: writing -addr-file: %v", err)
-		}
-	}
-	log.Printf("serve: listening on %s, tailing %s", ln.Addr(), *walDir)
-
-	reg := query.BuildServeRegistry(engine, follower, api, *pots)
-	outer := http.NewServeMux()
-	outer.Handle("/metrics", reg.Handler())
-	outer.Handle("/", api.Handler())
+	mux := daemon.Mux("serve", query.BuildServeRegistry(engine, follower, api, *pots), api.Handler())
 	if *pprofFlag {
-		// The pprof mux registers itself on http.DefaultServeMux at
-		// import time; mount it beside the API so a live process can be
-		// profiled without a second listener. Off by default: the API is
-		// cacheable public data, a heap profile is not.
-		outer.Handle("/debug/pprof/", http.DefaultServeMux)
+		// Beside the API, so a live process can be profiled without a
+		// second listener. Off by default: the API is cacheable public
+		// data, a heap profile is not.
+		mux.Handle("/debug/pprof/", http.DefaultServeMux)
 	}
-	handler := http.Handler(outer)
-	srv := &http.Server{Handler: handler}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(ln) }()
-
-	select {
-	case err := <-errc:
-		log.Fatalf("serve: %v", err)
-	case sig := <-sigc:
-		log.Printf("serve: %v: draining...", sig)
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), *drain)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		log.Fatalf("serve: drain: %v", err)
-	}
-	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
+	l, err := daemon.Listen(*addr, *addrFile, mux)
+	if err != nil {
 		log.Fatalf("serve: %v", err)
 	}
-	if err := follower.Stop(); err != nil {
-		log.Fatalf("serve: follower: %v", err)
-	}
+	log.Printf("serve: listening on %s, tailing %s", l.Addr(), *walDir)
 
-	// Leak check: every goroutine we started must be gone before exit.
-	// (net/http worker goroutines unwind asynchronously after Shutdown
-	// returns, hence the bounded settle loop.)
-	leaked := 0
-	for i := 0; i < 200; i++ {
-		leaked = runtime.NumGoroutine() - baseline
-		if leaked <= 0 {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
+	proc.Wait(l)
+	err = l.Drain(*drain)
+	if ferr := follower.Stop(); ferr != nil {
+		err = errors.Join(err, fmt.Errorf("follower: %w", ferr))
 	}
-	if leaked > 0 {
-		log.Fatalf("serve: %d goroutines leaked after drain", leaked)
+	if err = errors.Join(err, proc.CheckLeaks()); err != nil {
+		log.Fatalf("serve: %v", err)
 	}
 	seq, off := follower.Position()
 	log.Printf("serve: drained cleanly at snapshot seq %d (wal %d+%d)", engine.Snapshot().Seq, seq, off)

@@ -21,22 +21,16 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"log"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
-	"runtime"
-	"syscall"
 	"time"
 
 	"honeyfarm"
 	"honeyfarm/internal/analysis"
-	"honeyfarm/internal/atomicio"
+	"honeyfarm/internal/daemon"
 	"honeyfarm/internal/honeypot"
 	"honeyfarm/internal/malware"
 	"honeyfarm/internal/query"
@@ -45,8 +39,7 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", "127.0.0.1:0", "listen address")
-	addrFile := flag.String("addr-file", "", "write the bound address to this file once listening (for scripts)")
+	addr, addrFile, drain := daemon.Flags("127.0.0.1:0", "listen address")
 	walDir := flag.String("wal-dir", "", "this shard's WAL directory (required)")
 	shards := flag.Int("shards", 1, "fleet size: number of collector shards")
 	index := flag.Int("index", 0, "this shard's id in [0, shards)")
@@ -57,7 +50,6 @@ func main() {
 	batch := flag.Int("batch", 500, "records per feed batch (appended durably, then ingested)")
 	pace := flag.Duration("pace", 20*time.Millisecond, "delay between feed batches (simulated collection rate)")
 	snapshotEvery := flag.Int("snapshot-every", 2000, "auto-seal a snapshot every N ingested records")
-	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown deadline for in-flight requests")
 	wire := flag.Bool("wire", false, "serve real SSH/Telnet listeners for the owned pots instead of feeding the synthetic dataset")
 	wireAddrFile := flag.String("wire-addr-file", "", "with -wire: write the pot address table here (lines: <pot> <ssh-addr> <telnet-addr>)")
 	flag.Parse()
@@ -67,12 +59,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	// Register the signal handler before taking the goroutine baseline:
-	// os/signal starts a permanent runtime goroutine on first Notify,
-	// which would otherwise read as a leak.
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	baseline := runtime.NumGoroutine()
+	proc := daemon.Start(fmt.Sprintf("shard %d", *index))
 
 	// The whole fleet generates the same dataset from the same seed;
 	// each shard keeps only its partition, so the union over the fleet
@@ -135,33 +122,14 @@ func main() {
 	}
 
 	api := query.NewServer(query.ServerConfig{Source: engine, WALHealth: wlog.Health})
-	mux := http.NewServeMux()
+	reg := shard.BuildCollectorRegistry(engine, wlog.Health, front, api, *pots)
+	mux := daemon.Mux("shard", reg, api.Handler())
 	mux.Handle("/shard/", shard.NewHandler(engine))
-	mux.Handle("/metrics", shard.BuildCollectorRegistry(engine, wlog.Health, front, api, *pots).Handler())
-	mux.Handle("/", api.Handler())
-
-	ln, err := net.Listen("tcp", *addr)
+	l, err := daemon.Listen(*addr, *addrFile, mux)
 	if err != nil {
-		log.Fatalf("shard: listen: %v", err)
+		log.Fatalf("shard: %v", err)
 	}
-	if *addrFile != "" {
-		// Written atomically: the merge smoke test polls this file and
-		// must never read a half-written address.
-		if err := atomicio.WriteFileBytes(*addrFile, []byte(ln.Addr().String()+"\n")); err != nil {
-			log.Fatalf("shard: writing -addr-file: %v", err)
-		}
-	}
-	log.Printf("shard %d: listening on %s, wal %s", *index, ln.Addr(), *walDir)
-
-	// Shutdown leaves request contexts alone, and a pull parked for news
-	// would hold the drain for as long as it waits: ending the base context
-	// as the shutdown begins lets it go.
-	reqCtx, wakeParked := context.WithCancel(context.Background())
-	defer wakeParked()
-	srv := &http.Server{Handler: mux, BaseContext: func(net.Listener) context.Context { return reqCtx }}
-	srv.RegisterOnShutdown(wakeParked)
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(ln) }()
+	log.Printf("shard %d: listening on %s, wal %s", *index, l.Addr(), *walDir)
 
 	// The feeder: append each batch durably, then fold it into the
 	// engine — so the engine's sequence never runs ahead of what a
@@ -198,13 +166,7 @@ func main() {
 		}()
 	}
 
-	select {
-	case err := <-errc:
-		log.Fatalf("shard: %v", err)
-	case sig := <-sigc:
-		log.Printf("shard %d: %v: draining...", *index, sig)
-	}
-
+	proc.Wait(l)
 	close(stopFeed)
 	<-feedDone
 	if front != nil {
@@ -215,29 +177,14 @@ func main() {
 		}
 		engine.Seal()
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), *drain)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		log.Fatalf("shard: drain: %v", err)
+	err = l.Drain(*drain)
+	// Even after a failed drain: Close is the final fsync of appends
+	// already acknowledged.
+	if cerr := wlog.Close(); cerr != nil {
+		err = errors.Join(err, fmt.Errorf("wal close: %w", cerr))
 	}
-	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
+	if err = errors.Join(err, proc.CheckLeaks()); err != nil {
 		log.Fatalf("shard: %v", err)
-	}
-	if err := wlog.Close(); err != nil {
-		log.Fatalf("shard: wal close: %v", err)
-	}
-
-	// Leak check: every goroutine we started must be gone before exit.
-	leaked := 0
-	for i := 0; i < 200; i++ {
-		leaked = runtime.NumGoroutine() - baseline
-		if leaked <= 0 {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if leaked > 0 {
-		log.Fatalf("shard: %d goroutines leaked after drain", leaked)
 	}
 	log.Printf("shard %d: drained cleanly at seq %d", *index, engine.Seq())
 }

@@ -7,7 +7,7 @@ import (
 	"sync"
 )
 
-// This file is the parallel, cached driver. Packages are scheduled as a
+// This file is the parallel driver. Packages are scheduled as a
 // dependency DAG (go list -deps order gives the edges), each analyzed
 // on its own goroutine with an isolated file set and importer once all
 // its module dependencies finished, bounded by a worker semaphore.
@@ -21,8 +21,6 @@ type CheckOptions struct {
 	Patterns []string
 	// Analyzers is the rule set; default All().
 	Analyzers []*Analyzer
-	// CacheDir enables the on-disk result cache when non-empty.
-	CacheDir string
 	// Workers bounds concurrent package analysis; default GOMAXPROCS.
 	Workers int
 }
@@ -33,10 +31,6 @@ type CheckResult struct {
 	Findings []Finding
 	// Packages is the number of module packages analyzed.
 	Packages int
-	// CacheHits and CacheMisses count packages served from / written to
-	// the result cache. Both stay zero with caching disabled.
-	CacheHits   int
-	CacheMisses int
 	// Facts is the merged fact store over every analyzed package.
 	Facts *Facts
 }
@@ -51,8 +45,6 @@ type engineNode struct {
 	findings []Finding    // package-local, sorted
 	facts    PackageFacts // own facts only
 	closure  *Facts       // deps' closures + own facts
-	factID   string       // transitive fact hash (see factHash)
-	hit      bool
 }
 
 // Check loads, analyzes and aggregates the packages matched by the
@@ -122,13 +114,6 @@ func (l *Loader) Check(opts CheckOptions) (*CheckResult, error) {
 			return nil, n.err
 		}
 		res.Packages++
-		if opts.CacheDir != "" {
-			if n.hit {
-				res.CacheHits++
-			} else {
-				res.CacheMisses++
-			}
-		}
 		res.Findings = append(res.Findings, n.findings...)
 		res.Facts.Merge(n.facts)
 	}
@@ -136,33 +121,10 @@ func (l *Loader) Check(opts CheckOptions) (*CheckResult, error) {
 	return res, nil
 }
 
-// analyzeNode analyzes one package: serve it from the cache when the
-// content hash matches, otherwise type-check and run the rules, then
-// store the result. Either way the node ends up with findings, its own
-// facts, the merged closure its dependents need, and a transitive fact
-// hash for their cache keys.
+// analyzeNode type-checks one package and runs the rules over it,
+// leaving the node with its findings, its own facts, and the merged
+// closure its dependents need.
 func (l *Loader) analyzeNode(n *engineNode, opts CheckOptions) error {
-	depHashes := make([]string, len(n.deps))
-	for i, dep := range n.deps {
-		depHashes[i] = dep.factID
-	}
-
-	var key string
-	if opts.CacheDir != "" {
-		var err error
-		key, err = cacheKey(opts.Analyzers, n.lp, depHashes)
-		if err != nil {
-			return err
-		}
-		if e := loadCacheEntry(opts.CacheDir, key); e != nil {
-			n.hit = true
-			n.findings = e.Findings
-			n.facts = e.Facts
-			n.finishFacts(depHashes)
-			return nil
-		}
-	}
-
 	pkg, err := l.checkIsolated(n.lp)
 	if err != nil {
 		return err
@@ -180,30 +142,7 @@ func (l *Loader) analyzeNode(n *engineNode, opts CheckOptions) error {
 	n.findings = runPackage(pkg, opts.Analyzers, view)
 	sortFindings(n.findings)
 	n.closure = view
-	n.factID = factHash(n.lp.ImportPath, n.facts, depHashes)
-
-	if opts.CacheDir != "" {
-		return storeCacheEntry(opts.CacheDir, &cacheEntry{
-			Schema:   cacheEntrySchema,
-			Key:      key,
-			Path:     n.lp.ImportPath,
-			Findings: n.findings,
-			Facts:    n.facts,
-		})
-	}
 	return nil
-}
-
-// finishFacts rebuilds the closure and fact hash for a cache-served
-// node from its dependencies' closures and its cached own facts.
-func (n *engineNode) finishFacts(depHashes []string) {
-	view := NewFacts()
-	for _, dep := range n.deps {
-		view.Merge(dep.closure.m)
-	}
-	view.Merge(n.facts)
-	n.closure = view
-	n.factID = factHash(n.lp.ImportPath, n.facts, depHashes)
 }
 
 // sortedFactKeys is a debugging helper used by tests: the stored fact

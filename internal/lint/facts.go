@@ -14,10 +14,7 @@ import (
 // ask about without re-walking its body — "does calling this reach the
 // wall clock?", "does it end in an fsync?", "does it publish a snapshot
 // through an atomic pointer?". Facts are computed bottom-up (go list
-// -deps emits dependencies before dependents), serialized into the
-// result cache, and folded into dependents' cache keys, so a fact
-// change deep in internal/wal correctly invalidates every package whose
-// findings could depend on it.
+// -deps emits dependencies before dependents).
 
 // FuncFacts are the propagated properties of one declared function.
 // Each field is a provenance chain ("via"): empty means the property
@@ -26,17 +23,17 @@ import (
 type FuncFacts struct {
 	// Nondet: calling this function can read a nondeterminism source
 	// (wall clock, global math/rand state).
-	Nondet string `json:"nondet,omitempty"`
+	Nondet string
 	// Durable: calling this function can perform a durable write (file
 	// create/write/rename/sync) — the WAL frames, snapshots-on-disk and
 	// report artifacts the determinism contract protects.
-	Durable string `json:"durable,omitempty"`
+	Durable string
 	// Fsync: calling this function can block on an fsync — the subset of
 	// Durable that lock-across-blocking cares about.
-	Fsync string `json:"fsync,omitempty"`
+	Fsync string
 	// Publishes: calling this function can publish a value through
 	// atomic.Pointer.Store — sealing a snapshot, in this codebase.
-	Publishes string `json:"publishes,omitempty"`
+	Publishes string
 }
 
 func (f FuncFacts) any() bool {
@@ -72,7 +69,7 @@ func (f *FuncFacts) absorb(calleeKey string, cf FuncFacts) bool {
 
 // PackageFacts maps a package's declared functions (keyed by
 // funcKey) to their facts. Only functions with at least one non-empty
-// fact are recorded, keeping cache entries small.
+// fact are recorded.
 type PackageFacts map[string]FuncFacts
 
 // Facts is the merged fact view an analysis pass sees: every module
@@ -204,7 +201,7 @@ func calleeFunc(info *types.Info, fun ast.Expr) *types.Func {
 // reaches directly, then intra-package calls are propagated to a
 // fixpoint. global carries the already-computed facts of the package's
 // module dependencies; iteration orders are sorted so the provenance
-// chains (and therefore cached findings) are deterministic.
+// chains (and therefore the findings that quote them) are deterministic.
 func ComputeFacts(pkg *Package, global *Facts) PackageFacts {
 	type fnState struct {
 		facts   FuncFacts

@@ -18,10 +18,9 @@
 // source, computes per-package function facts propagated along the
 // import graph (see facts.go), runs every registered analyzer, and
 // aggregates findings with positions. Packages are analyzed in parallel
-// with deterministic finding order, and results are cached on disk
-// keyed by source content + analyzer version + dependency facts (see
-// engine.go). A finding can be suppressed with a directive comment on
-// the offending line or the line above:
+// with deterministic finding order (see engine.go). A finding can be
+// suppressed with a directive comment on the offending line or the line
+// above:
 //
 //	//lint:ignore <rule>[,<rule>...] <reason>
 //

@@ -19,9 +19,8 @@ type ReportFinding struct {
 	Message string `json:"message"`
 }
 
-// Report is the -json document. Cache statistics are deliberately
-// excluded (they go to stderr): the report must be byte-identical
-// between a cold and a warm run over the same tree.
+// Report is the -json document: byte-identical between two runs over
+// the same tree.
 type Report struct {
 	Schema    string          `json:"schema"`
 	Packages  int             `json:"packages"`
