@@ -153,6 +153,7 @@ func (p *Partials) Merge(q *Partials) error {
 // deterministic function of the accumulated state: every map is walked
 // in sorted key order.
 func (p *Partials) Encode(b *wire.Builder) {
+	b.Grow(p.encodedSizeHint())
 	b.Byte(partialsWireVersion)
 	b.Bool(p.Countries != nil)
 	encodeCats(b, p.Cats)
@@ -162,6 +163,28 @@ func (p *Partials) Encode(b *wire.Builder) {
 		encodeCountries(b, p.Countries)
 	}
 	encodeHashes(b, p.Hashes)
+}
+
+// encodedSizeHint is how many bytes Encode is about to append, from the
+// table lengths: exact but for the IPs inside the country and hash sets,
+// priced at the longest IPv4 text rather than walked. A bundle is
+// megabytes at fleet scale; growing into it by append copies it twice
+// over.
+func (p *Partials) encodedSizeHint() int {
+	const setIP = 4 + len("255.255.255.255")
+	n := 64 + 16*int(NumCategories) + 8*len(p.sessions)
+	for ip, acc := range p.Clients.m {
+		n += 4 + len(ip) + 8 + 4 + 8*acc.pots.len() + 4 + 8*acc.days.len() + 1
+	}
+	if p.Countries != nil {
+		for c, ips := range p.Countries.m {
+			n += 4 + len(c) + 4 + setIP*len(ips)
+		}
+	}
+	for h, acc := range p.Hashes.m {
+		n += 4 + len(h) + 8 + 4 + setIP*len(acc.ips) + 4 + 8*acc.days.len() + 4 + 8*acc.pots.len()
+	}
+	return n
 }
 
 // DecodePartials reads one bundle encoded by Encode. The decoded bundle

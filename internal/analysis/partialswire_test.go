@@ -228,6 +228,26 @@ func TestPartialsEncodeDeterminism(t *testing.T) {
 	}
 }
 
+// TestPartialsEncodeSizedOnce: Encode makes room for the whole bundle
+// before writing it — the hint covers the bytes (these IPs are IPv4) and
+// the buffer it grew is the one that is returned, never a regrown copy.
+func TestPartialsEncodeSizedOnce(t *testing.T) {
+	reg, _ := quickRegistry()
+	f, _ := quickFold{}.Generate(rand.New(rand.NewSource(9)), 400).Interface().(quickFold)
+	for _, countries := range []bool{true, false} {
+		p := foldBundle(f.recs, reg, countries)
+		hint := p.encodedSizeHint()
+		b := new(wire.Builder)
+		p.Encode(b)
+		if b.Len() > hint || hint > b.Len()+b.Len()/5 {
+			t.Errorf("countries=%v: hint %d for a %d-byte bundle", countries, hint, b.Len())
+		}
+		if c := cap(b.Bytes()); c < hint || c > 2*hint {
+			t.Errorf("countries=%v: buffer capacity %d after a hint of %d", countries, c, hint)
+		}
+	}
+}
+
 // TestPartialsDecodeRejects: corrupt or mismatched bundles fail loudly
 // instead of misdecoding.
 func TestPartialsDecodeRejects(t *testing.T) {

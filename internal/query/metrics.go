@@ -111,6 +111,12 @@ func RegisterWALHealthMetrics(reg *metrics.Registry, health func() wal.Health) {
 	reg.CounterFunc("honeyfarm_wal_fsyncs_total",
 		"Successful segment fsyncs (group commits, explicit Syncs, seals).",
 		nil, func() float64 { return float64(health().Fsyncs) })
+	reg.CounterFunc("honeyfarm_wal_sync_coalesced_total",
+		"Sync requests absorbed by one already queued behind the in-flight fsync.",
+		nil, func() float64 { return float64(health().CoalescedSyncs) })
+	reg.GaugeFunc("honeyfarm_wal_unsynced_records",
+		"Records appended to the WAL that no finished fsync covers yet.",
+		nil, func() float64 { return float64(health().UnsyncedRecords) })
 	reg.CounterFunc("honeyfarm_wal_dropped_batches_total",
 		"Batches refused while the writer was degraded.",
 		nil, func() float64 { return float64(health().DroppedBatches) })

@@ -243,6 +243,11 @@ func TestHealthzDegradedWAL(t *testing.T) {
 	if err := l.Append(rec(1)); err != nil {
 		t.Fatal(err)
 	}
+	// A barrier, so the disk breaks after record 1's group commit and
+	// not under it: the outage below is the failed write's.
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
 	fsys.Break(syscall.EIO)
 	if err := l.Append(rec(2)); err == nil {
 		t.Fatal("append on a broken disk succeeded")

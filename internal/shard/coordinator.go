@@ -492,7 +492,7 @@ func (c *Coordinator) foldLocked(i int, frame []byte, from, seq uint64, days int
 // Caller holds mergeMu.
 func (c *Coordinator) rebuildLocked() {
 	dest := c.emptyBundle()
-	b := wire.NewBuilder(64 << 10)
+	b := new(wire.Builder) // Encode sizes it
 	for i := range c.shards {
 		b.Reset()
 		c.shards[i].parts.Encode(b)

@@ -47,24 +47,39 @@ const PartialsPath = "/shard/v1/partials"
 // EncodePartialsFrame cuts the engine's current accumulator state into
 // a self-contained full frame.
 func EncodePartialsFrame(eng *query.Engine) []byte {
-	body := wire.NewBuilder(64 << 10)
-	seq, days := eng.EncodePartials(body)
-	return encodeFrame(0, seq, days, body.Bytes())
+	b := newFrameBuilder()
+	seq, days := eng.EncodePartials(b)
+	return sealFrame(b, 0, seq, days)
 }
 
-// encodeFrame wraps the encoded bundle of the records in (from, seq]:
-// a full frame when from is 0, else a delta frame.
-func encodeFrame(from, seq uint64, days int, bundle []byte) []byte {
-	kind := byte(wal.FrameKindPartials)
-	payload := wire.NewBuilder(24 + len(bundle))
-	if from != 0 {
-		kind = wal.FrameKindPartialsDelta
-		payload.Uint64(from)
+// frameHead is the room a frame needs in front of its bundle: the
+// envelope and the from, seq and days words.
+const frameHead = wal.RawFrameHeaderSize + 3*8
+
+// newFrameBuilder returns a builder with frameHead bytes reserved, for
+// the bundle to be encoded behind them: a frame is built in the one
+// buffer it is sent from. (Partials.Encode sizes the buffer.)
+func newFrameBuilder() *wire.Builder {
+	return wire.NewBuilderFrom(make([]byte, frameHead))
+}
+
+// sealFrame finishes the frame of the bundle b holds, that of the
+// records in (from, seq]: a delta frame, or when from is 0 a full
+// frame — which has no from word, so it starts one word into the
+// buffer.
+func sealFrame(b *wire.Builder, from, seq uint64, days int) []byte {
+	frame, kind := b.Bytes(), byte(wal.FrameKindPartialsDelta)
+	if from == 0 {
+		frame, kind = frame[8:], wal.FrameKindPartials
 	}
-	payload.Uint64(seq)
-	payload.Uint64(uint64(int64(days)))
-	payload.Raw(bundle)
-	return wal.EncodeRawFrame(nil, kind, payload.Bytes())
+	// Appending to the envelope alone writes over the reserved words.
+	head := wire.NewBuilderFrom(frame[:wal.RawFrameHeaderSize])
+	if from != 0 {
+		head.Uint64(from)
+	}
+	head.Uint64(seq).Uint64(uint64(int64(days)))
+	wal.SealRawFrame(frame, kind)
+	return frame
 }
 
 // DecodePartialsFrame validates one full frame (envelope CRC, kind
@@ -151,9 +166,9 @@ func NewHandler(eng *query.Engine) http.Handler {
 				return
 			}
 		}
-		body := wire.NewBuilder(64 << 10)
-		from, seq, days := eng.CutPartials(body, since, err == nil)
-		frame := encodeFrame(from, seq, days, body.Bytes())
+		b := newFrameBuilder()
+		from, seq, days := eng.CutPartials(b, since, err == nil)
+		frame := sealFrame(b, from, seq, days)
 		w.Header().Set("Content-Type", "application/octet-stream")
 		w.Header().Set("Content-Length", strconv.Itoa(len(frame)))
 		if _, err := w.Write(frame); err != nil {

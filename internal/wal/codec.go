@@ -48,10 +48,15 @@ func putFrameBuilder(b *wire.Builder) { builderPool.Put(b) }
 // separately from the frame.
 func finishFrame(b *wire.Builder) []byte {
 	frame := b.Bytes()
+	sealFrame(frame)
+	return frame
+}
+
+// sealFrame fills in the reserved header of a frame built in place.
+func sealFrame(frame []byte) {
 	payload := frame[frameHeaderSize:]
 	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, castagnoli))
-	return frame
 }
 
 // EncodeBatchFrame encodes one batch as a complete, self-contained v2
@@ -68,9 +73,7 @@ func EncodeBatchFrame(dst []byte, tag uint64, recs []*honeypot.SessionRecord) []
 	b.Byte(kindBatch)
 	encodeBatchV2(b, tag, recs)
 	out := b.Bytes()
-	payload := out[start+frameHeaderSize:]
-	binary.LittleEndian.PutUint32(out[start:start+4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(out[start+4:start+8], crc32.Checksum(payload, castagnoli))
+	sealFrame(out[start:])
 	return out
 }
 
@@ -103,23 +106,27 @@ const FrameKindPartials = 0x70
 // from.
 const FrameKindPartialsDelta = 0x71
 
-// EncodeRawFrame wraps an arbitrary payload in the WAL's frame envelope
-// (length prefix + CRC-32C + kind byte), appending to dst and returning
-// the extended slice. It is the generic sibling of EncodeBatchFrame:
-// anything shipped between honeyfarm processes rides in this envelope,
-// so every transport shares one integrity check.
+// RawFrameHeaderSize is the envelope in front of a raw frame's body:
+// length prefix, CRC-32C and kind byte.
+const RawFrameHeaderSize = frameHeaderSize + 1
+
+// SealRawFrame finishes a raw frame built in place — RawFrameHeaderSize
+// reserved bytes, then the body — by filling in the envelope. Anything
+// shipped between honeyfarm processes rides in this envelope, so every
+// transport shares one integrity check; a multi-megabyte body is
+// encoded where it will be sent from, never copied into a frame.
+func SealRawFrame(frame []byte, kind byte) {
+	frame[frameHeaderSize] = kind
+	sealFrame(frame)
+}
+
+// EncodeRawFrame wraps a body it is handed whole in the same envelope,
+// appending to dst and returning the extended slice.
 func EncodeRawFrame(dst []byte, kind byte, body []byte) []byte {
 	start := len(dst)
-	b := wire.NewBuilderFrom(dst)
-	var hdr [frameHeaderSize]byte
-	b.Raw(hdr[:])
-	b.Byte(kind)
-	b.Raw(body)
-	out := b.Bytes()
-	payload := out[start+frameHeaderSize:]
-	binary.LittleEndian.PutUint32(out[start:start+4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(out[start+4:start+8], crc32.Checksum(payload, castagnoli))
-	return out
+	dst = append(append(dst, make([]byte, RawFrameHeaderSize)...), body...)
+	SealRawFrame(dst[start:], kind)
+	return dst
 }
 
 // DecodeRawFrameKind validates one frame produced by EncodeRawFrame and

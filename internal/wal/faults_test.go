@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"syscall"
 	"testing"
@@ -300,12 +299,14 @@ func TestFsyncFaultSchedule(t *testing.T) {
 }
 
 // hookFS wraps an iofault.FS with a settable fsync hook, for driving
-// the pipelined committer's error paths from a test.
+// the group-commit pipeline from a test, and logs every mutating op it
+// forwards (base names only) so a test can pin the exact I/O schedule.
 type hookFS struct {
 	inner iofault.FS
 
 	mu   sync.Mutex
 	sync func() error
+	ops  []string
 }
 
 func (h *hookFS) setSync(fn func() error) {
@@ -320,16 +321,34 @@ func (h *hookFS) syncHook() func() error {
 	return h.sync
 }
 
+func (h *hookFS) logOp(format string, args ...any) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.ops = append(h.ops, fmt.Sprintf(format, args...))
+}
+
+// opLog returns a copy of the ops forwarded so far.
+func (h *hookFS) opLog() []string {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return append([]string(nil), h.ops...)
+}
+
 func (h *hookFS) OpenFile(name string, flag int, perm os.FileMode) (iofault.File, error) {
 	f, err := h.inner.OpenFile(name, flag, perm)
 	if err != nil {
 		return nil, err
 	}
-	return &hookFile{File: f, fs: h}, nil
+	base := filepath.Base(name)
+	h.logOp("open %s create=%t", base, flag&os.O_CREATE != 0)
+	return &hookFile{File: f, fs: h, base: base}, nil
 }
 
-func (h *hookFS) Rename(oldpath, newpath string) error       { return h.inner.Rename(oldpath, newpath) }
-func (h *hookFS) Remove(name string) error                   { return h.inner.Remove(name) }
+func (h *hookFS) Rename(oldpath, newpath string) error { return h.inner.Rename(oldpath, newpath) }
+func (h *hookFS) Remove(name string) error {
+	h.logOp("remove %s", filepath.Base(name))
+	return h.inner.Remove(name)
+}
 func (h *hookFS) ReadDir(name string) ([]os.DirEntry, error) { return h.inner.ReadDir(name) }
 func (h *hookFS) Stat(name string) (os.FileInfo, error)      { return h.inner.Stat(name) }
 func (h *hookFS) MkdirAll(name string, perm os.FileMode) error {
@@ -338,10 +357,27 @@ func (h *hookFS) MkdirAll(name string, perm os.FileMode) error {
 
 type hookFile struct {
 	iofault.File
-	fs *hookFS
+	fs   *hookFS
+	base string
+}
+
+func (f *hookFile) Write(p []byte) (int, error) {
+	f.fs.logOp("write %s %d", f.base, len(p))
+	return f.File.Write(p)
+}
+
+func (f *hookFile) Truncate(size int64) error {
+	f.fs.logOp("truncate %s %d", f.base, size)
+	return f.File.Truncate(size)
+}
+
+func (f *hookFile) Close() error {
+	f.fs.logOp("close %s", f.base)
+	return f.File.Close()
 }
 
 func (f *hookFile) Sync() error {
+	f.fs.logOp("sync %s", f.base)
 	if hook := f.fs.syncHook(); hook != nil {
 		if err := hook(); err != nil {
 			return err
@@ -350,10 +386,11 @@ func (f *hookFile) Sync() error {
 	return f.File.Sync()
 }
 
-// TestCommitterFsyncErrorSticky drives a pipelined group-commit fsync
-// failure: the error surfaces on the next Append (not silently
-// swallowed on the committer goroutine), sticks across Sync and Close,
-// and clears only through a successful recovery probe.
+// TestCommitterFsyncErrorSticky drives a group-commit fsync failure: the
+// error surfaces on the first Append after the committer finished it
+// (not silently swallowed on the committer goroutine) and before that
+// Append writes, sticks across Sync and Close, and clears only through
+// a successful recovery probe.
 func TestCommitterFsyncErrorSticky(t *testing.T) {
 	dir := t.TempDir()
 	fs := &hookFS{inner: iofault.OS}
@@ -368,8 +405,10 @@ func TestCommitterFsyncErrorSticky(t *testing.T) {
 	if err := l.AppendTagged(1, mkRecords(1, 2)); err != nil {
 		t.Fatalf("append A: %v", err)
 	}
-	// Batch B is written, then collects A's failed fsync: the append
-	// surfaces the degradation.
+	settle(l)
+	// Batch B collects A's failed fsync before writing anything: the log
+	// degrades, the probe's re-seal fails too, and B is dropped and
+	// counted — reported failed, and not in the log.
 	err = l.AppendTagged(2, mkRecords(11, 2))
 	if !errors.Is(err, ErrDegraded) {
 		t.Fatalf("append after failed group commit = %v, want ErrDegraded", err)
@@ -377,13 +416,12 @@ func TestCommitterFsyncErrorSticky(t *testing.T) {
 	if err := l.Sync(); !errors.Is(err, ErrDegraded) {
 		t.Fatalf("Sync on degraded log = %v, want ErrDegraded", err)
 	}
-	// The recovery probe re-seals through a fresh handle whose fsync
-	// still fails, so the log stays degraded and the batch drops.
+	// Off the probe schedule: dropped without touching the disk.
 	if err := l.AppendTagged(3, mkRecords(21, 2)); !errors.Is(err, ErrDegraded) {
 		t.Fatalf("append C = %v, want ErrDegraded", err)
 	}
 	h := l.Health()
-	if !h.Degraded || h.Outages != 1 || h.DroppedBatches != 1 || h.DroppedRecords != 2 {
+	if !h.Degraded || h.Outages != 1 || h.DroppedBatches != 2 || h.DroppedRecords != 4 {
 		t.Fatalf("health after sticky sync failure: %+v", h)
 	}
 
@@ -405,22 +443,15 @@ func TestCommitterFsyncErrorSticky(t *testing.T) {
 		t.Fatalf("close after recovery: %v", err)
 	}
 
-	_, rec, err := Open(dir, Options{Epoch: testEpoch})
-	if err != nil {
-		t.Fatal(err)
+	// A was acknowledged before the outage and batch 4 after it; B and C
+	// are in the gap frame and nowhere else.
+	tags, gaps := recoveredTags(t, dir)
+	want := Gap{Reason: "group commit fsync: eio", Batches: h.DroppedBatches, Records: h.DroppedRecords}
+	if len(gaps) != 1 || gaps[0] != want {
+		t.Fatalf("recovered gaps = %+v, want %+v", gaps, want)
 	}
-	if len(rec.Gaps) != 1 || !strings.HasPrefix(rec.Gaps[0].Reason, "group commit fsync:") {
-		t.Fatalf("recovered gaps = %+v, want one group-commit-fsync outage", rec.Gaps)
-	}
-	// A and B were written before the outage (B's durability was pending,
-	// but the bytes were on disk and the seal kept them); batch 4 landed
-	// after recovery.
-	tags := make([]uint64, len(rec.Batches))
-	for i, b := range rec.Batches {
-		tags[i] = b.Tag
-	}
-	if len(tags) < 3 || tags[0] != 1 || tags[1] != 2 || tags[len(tags)-1] != 4 {
-		t.Fatalf("recovered tags %v, want [1 2 ... 4]", tags)
+	if len(tags) != 2 || tags[0] != 1 || tags[1] != 4 {
+		t.Fatalf("recovered tags %v, want [1 4]", tags)
 	}
 }
 

@@ -29,11 +29,16 @@
 // invariant the torn-tail rule and the crash-at-every-offset property
 // test depend on.
 //
-// Group commits are pipelined: a single committer goroutine owns the
-// asynchronous fsyncs, so the fsync of group N overlaps the encode and
-// write of group N+1. The schedule stays strictly count-based
-// (SyncEvery records per group, never a timer), so the flush points are
-// a deterministic function of the append stream.
+// Group commits run on a single committer goroutine and an appender
+// never waits for one: a sync is requested every SyncEvery records
+// (count-based, never a timer, so where requests fall is a deterministic
+// function of the append stream), one fsync is in flight, one request
+// waits behind it, and a request that finds that slot taken is absorbed
+// by the waiting one — which has not started, so it covers every byte
+// written before it does. Groups therefore grow with the disk's latency
+// instead of stalling the appender. Sync, Close, rotation and entry into
+// degraded mode are barriers: they wait for both fsyncs before touching
+// the handle, so the un-durable tail never outgrows one segment.
 //
 // # Fault model
 //
@@ -69,6 +74,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -113,10 +119,11 @@ type Options struct {
 	// SegmentBytes rotates to a new segment once the current one reaches
 	// this size (default 8 MiB).
 	SegmentBytes int64
-	// SyncEvery is the group-commit policy: fsync after this many
-	// appended records (default 512). It is a record count, not a timer,
-	// so the flush schedule is a deterministic function of the append
-	// stream. 1 syncs every append.
+	// SyncEvery is the group-commit policy: the log requests a sync
+	// after this many appended records (default 512); 1 requests one on
+	// every append. It is a record count, not a timer, so where requests
+	// fall is a deterministic function of the append stream; how many a
+	// busy committer folds into one fsync is not.
 	SyncEvery int
 	// FS is the filesystem the log reads and writes through (default
 	// the real one). Tests inject deterministic disk faults here.
@@ -207,6 +214,12 @@ type Health struct {
 	Appends         int `json:"appends"`
 	AppendedRecords int `json:"appended_records"`
 	Fsyncs          int `json:"fsyncs"`
+	// UnsyncedRecords is AppendedRecords minus the records a finished
+	// fsync covers; CoalescedSyncs counts sync requests absorbed by one
+	// already waiting behind the in-flight fsync. Both grow when the
+	// disk falls behind the append stream.
+	UnsyncedRecords int `json:"unsynced_records"`
+	CoalescedSyncs  int `json:"coalesced_syncs"`
 }
 
 // SegmentStat is one segment's recovery/verification summary.
@@ -284,11 +297,12 @@ func (r *Recovery) Replay() *store.Store {
 // serialization order.
 //
 // Appends are acknowledged once written; durability arrives with the
-// group commit, whose fsync runs on the committer goroutine. An
-// asynchronous fsync failure degrades the log, so it is surfaced by
-// every subsequent Append/Sync/Close — a caller that stops appending on
-// the first error (store.Store's DurableErr contract) never outruns an
-// unreported sync failure by more than one group.
+// group commit, whose fsync runs on the committer goroutine. A failed
+// group commit degrades the log on the first Append/Sync/Close after
+// the committer finished it — never later than the next barrier — and
+// before that call writes anything: an Append that returns an error
+// left no frame behind, so recovery never replays a batch the caller
+// counted as failed.
 type Log struct {
 	dir  string
 	fs   iofault.FS
@@ -310,15 +324,23 @@ type Log struct {
 	outageB    int    // batches dropped in the current outage (gap frame body)
 	outageR    int    // records dropped in the current outage
 
-	// Pipelined group commit: the committer goroutine performs the
-	// fsyncs requested through syncReq and acknowledges on syncDone, so
-	// an appender that just crossed SyncEvery hands off the sync and
-	// returns to encoding. Pipeline depth is one: a second request
-	// first waits out the in-flight predecessor.
+	// Group commit: the committer goroutine performs the fsyncs sent to
+	// syncReq, whose one slot is the request queued behind the in-flight
+	// fsync; a request that finds it full is absorbed (see the package
+	// comment). issued counts the sends, under mu.
 	syncReq       chan iofault.File
-	syncDone      chan error
 	committerDone chan struct{}
-	syncInFlight  bool
+	issued        int
+	appended      atomic.Int64 // records written; the committer reads it just before each fsync
+
+	// The committer's verdicts, under their own lock so that publishing
+	// one never needs mu (a barrier holds mu while it waits on cond).
+	cmu       sync.Mutex
+	cond      *sync.Cond
+	finished  int   // fsyncs the committer completed, failed ones included
+	fsyncs    int   // successful segment fsyncs, barrier ones included
+	synced    int64 // appended, as read before the last successful fsync
+	commitErr error // first failed group commit not yet collected
 }
 
 // segmentName formats the file name of segment seq.
@@ -390,9 +412,9 @@ func Open(dir string, opts Options) (*Log, *Recovery, error) {
 		fs:            fsys,
 		opts:          opts,
 		syncReq:       make(chan iofault.File, 1),
-		syncDone:      make(chan error, 1),
 		committerDone: make(chan struct{}),
 	}
+	l.cond = sync.NewCond(&l.cmu)
 	l.opts.Epoch = rec.Epoch
 
 	if n := len(rec.Segments); n > 0 {
@@ -595,6 +617,11 @@ func (l *Log) Health() Health {
 	if h.Degraded {
 		h.Reason = l.degraded.Error()
 	}
+	h.AppendedRecords = int(l.appended.Load())
+	l.cmu.Lock()
+	h.Fsyncs = l.fsyncs
+	h.UnsyncedRecords = h.AppendedRecords - int(l.synced)
+	l.cmu.Unlock()
 	return h
 }
 
@@ -608,9 +635,8 @@ func (l *Log) Append(recs []*honeypot.SessionRecord) error {
 // checkpoint tags batches with their shard index). The frame is written
 // atomically with respect to recovery: either the whole batch replays
 // or none of it does. A group commit is requested once SyncEvery
-// records have accumulated since the last one; the fsync itself runs on
-// the committer goroutine, overlapping this caller's (and the next
-// caller's) encode work.
+// records have accumulated since the last request; the fsync itself
+// runs on the committer goroutine and this caller does not wait for it.
 //
 // While degraded, the batch is counted and dropped and the error wraps
 // ErrDegraded; recovery probes run on the schedule Options.ProbeEvery
@@ -630,6 +656,9 @@ func (l *Log) AppendTagged(tag uint64, recs []*honeypot.SessionRecord) error {
 	if l.closed {
 		return fmt.Errorf("wal: log is closed")
 	}
+	// Before the write: a group commit that failed degrades the log now,
+	// and this batch takes the degraded path like any other.
+	l.collectLocked(false)
 	if l.degraded != nil {
 		if !l.tryRecoverLocked() {
 			l.dropLocked(len(recs))
@@ -641,20 +670,21 @@ func (l *Log) AppendTagged(tag uint64, recs []*honeypot.SessionRecord) error {
 		return err
 	}
 	l.health.Appends++
-	l.health.AppendedRecords += len(recs)
+	l.appended.Add(int64(len(recs)))
 	l.pending += len(recs)
 	if l.pending >= l.opts.SyncEvery {
-		if err := l.requestSyncLocked(); err != nil {
-			// The frame was written but its durability is now unknown;
-			// callers treat this as a failed persist (a conservative
-			// over-count — recovery may still replay the batch).
-			return err
+		select {
+		case l.syncReq <- l.f:
+			l.issued++
+		default:
+			l.health.CoalescedSyncs++
 		}
+		l.pending = 0
 	}
 	if l.size >= l.opts.SegmentBytes {
-		if err := l.rotateLocked(); err != nil {
-			return err
-		}
+		// The frame is written and acknowledged: a failed rotation has
+		// degraded the log, which the next Append/Sync/Close reports.
+		l.rotateLocked()
 	}
 	return nil
 }
@@ -731,9 +761,9 @@ func errnoClass(err error) string {
 }
 
 // enterDegradedLocked opens an outage: records the cause, and seals the
-// current segment best-effort at its frame-aligned size (collecting any
-// in-flight group commit first) so readers that see a successor later
-// never find a torn middle segment. sealed tells the state machine the
+// current segment best-effort at its frame-aligned size (waiting out the
+// committer first) so readers that see a successor later never find a
+// torn middle segment. sealed tells the state machine the
 // segment is already sealed (rotation paths close it before failing).
 // Re-entry while already degraded only updates nothing — the first
 // cause wins, matching store.Store's sticky DurableErr.
@@ -746,15 +776,10 @@ func (l *Log) enterDegradedLocked(stage string, cause error, sealed bool) {
 	l.health.Outages++
 	l.sinceProbe = 0
 	l.outageB, l.outageR = 0, 0
-	if l.syncInFlight {
-		// The committer still holds the handle; collect its verdict
-		// before touching the file. The first cause wins (recorded
-		// above), so the verdict itself no longer matters.
-		if err := <-l.syncDone; err != nil {
-			// Already degraded; nothing further to record.
-		}
-		l.syncInFlight = false
-	}
+	// The committer may still hold the handle; wait it out before
+	// touching the file. The first cause wins (recorded above), so a
+	// failure it reports now re-enters here and changes nothing.
+	l.collectLocked(true)
 	l.oldSealed = sealed
 	if l.f == nil {
 		return
@@ -891,49 +916,58 @@ func (l *Log) writeGapLocked(g Gap) error {
 }
 
 // committer is the group-commit goroutine: it performs every
-// asynchronous fsync so appenders can encode the next group while the
-// previous one reaches disk. It is driven purely by the count-based
-// requests — there is no timer anywhere in the commit path.
+// asynchronous fsync and publishes the verdict, so appenders never wait
+// for the disk. It is driven purely by the count-based requests — there
+// is no timer anywhere in the commit path.
 func (l *Log) committer() {
 	defer close(l.committerDone)
 	for f := range l.syncReq {
-		l.syncDone <- f.Sync()
-	}
-}
-
-// waitSyncLocked collects the outstanding asynchronous fsync, if any.
-// A failed group commit degrades the log — retrying an fsync that
-// already failed gives no durability guarantee back — and the degraded
-// error is returned here and by every later Append/Sync/Close. Every
-// path that closes, rotates, or syncs the current segment file waits
-// here first, so the committer never touches a file descriptor that
-// has been handed off or closed.
-func (l *Log) waitSyncLocked() error {
-	if l.syncInFlight {
-		err := <-l.syncDone
-		l.syncInFlight = false
-		if err != nil {
-			l.enterDegradedLocked("group commit fsync", err, false)
-		} else {
-			l.health.Fsyncs++
+		covered := l.appended.Load()
+		err := f.Sync()
+		l.cmu.Lock()
+		l.finished++
+		if err == nil {
+			l.fsyncs++
+			l.synced = covered
+		} else if l.commitErr == nil {
+			l.commitErr = err
 		}
+		l.cmu.Unlock()
+		l.cond.Broadcast()
 	}
-	if l.degraded != nil {
-		return l.degradedErrLocked()
-	}
-	return nil
 }
 
-// requestSyncLocked hands the current segment to the committer. The
-// pipeline is one deep: group N+1 is encoded and written while group N
-// syncs, and a request first waits out its predecessor.
-func (l *Log) requestSyncLocked() error {
-	if err := l.waitSyncLocked(); err != nil {
+// collectLocked takes the committer's verdict and degrades the log if a
+// group commit failed — retrying an fsync that already failed gives no
+// durability guarantee back. As a barrier it first waits until every
+// issued fsync, the in-flight one and the queued one, has finished:
+// every path that closes, rotates, or syncs the current segment file
+// does, so the committer never touches a file descriptor that has been
+// handed off or closed.
+func (l *Log) collectLocked(barrier bool) {
+	l.cmu.Lock()
+	for barrier && l.finished != l.issued {
+		l.cond.Wait()
+	}
+	err := l.commitErr
+	l.commitErr = nil
+	l.cmu.Unlock()
+	if err != nil {
+		l.enterDegradedLocked("group commit fsync", err, false)
+	}
+}
+
+// barrierSyncLocked fsyncs the current segment on the caller's
+// goroutine; the caller collected as a barrier, so the committer is
+// idle and everything appended is covered.
+func (l *Log) barrierSyncLocked() error {
+	if err := l.f.Sync(); err != nil {
 		return err
 	}
-	l.syncReq <- l.f
-	l.syncInFlight = true
-	l.pending = 0
+	l.cmu.Lock()
+	l.fsyncs++
+	l.synced = l.appended.Load()
+	l.cmu.Unlock()
 	return nil
 }
 
@@ -947,24 +981,21 @@ func (l *Log) pendingRecords() int {
 }
 
 // Sync forces a synchronous fsync of the current segment regardless of
-// the group-commit counter, after collecting any in-flight group.
+// the group-commit counter, after the in-flight and queued groups.
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return fmt.Errorf("wal: log is closed")
 	}
+	l.collectLocked(true)
 	if l.degraded != nil {
 		return l.degradedErrLocked()
 	}
-	if err := l.waitSyncLocked(); err != nil {
-		return err
-	}
-	if err := l.f.Sync(); err != nil {
+	if err := l.barrierSyncLocked(); err != nil {
 		l.enterDegradedLocked("sync", err, false)
 		return l.degradedErrLocked()
 	}
-	l.health.Fsyncs++
 	l.pending = 0
 	return nil
 }
@@ -979,25 +1010,21 @@ func (l *Log) Close() error {
 		return nil
 	}
 	l.closed = true
-	werr := l.waitSyncLocked()
+	l.collectLocked(true)
 	close(l.syncReq)
 	<-l.committerDone
-	if werr != nil || l.degraded != nil {
+	if l.degraded != nil {
 		if l.f != nil {
 			l.f.Close()
 			l.f = nil
 		}
-		if werr != nil {
-			return werr
-		}
 		return l.degradedErrLocked()
 	}
-	if err := l.f.Sync(); err != nil {
+	if err := l.barrierSyncLocked(); err != nil {
 		l.f.Close()
 		l.f = nil
 		return fmt.Errorf("wal: sync on close: %w", err)
 	}
-	l.health.Fsyncs++
 	err := l.f.Close()
 	l.f = nil
 	return err
@@ -1005,23 +1032,24 @@ func (l *Log) Close() error {
 
 // rotateLocked seals the current segment (fsync + close) and opens the
 // next one. Sealing before the successor exists is what confines torn
-// tails to the final segment; any in-flight group commit is collected
-// first so the seal covers every written frame.
-func (l *Log) rotateLocked() error {
-	if err := l.waitSyncLocked(); err != nil {
-		return err
+// tails to the final segment; the in-flight and queued group commits
+// finish first, which is also what bounds the un-durable tail: with the
+// disk stalled, appends stop here. Any failure degrades the log.
+func (l *Log) rotateLocked() {
+	l.collectLocked(true)
+	if l.degraded != nil {
+		return
 	}
-	if err := l.f.Sync(); err != nil {
+	if err := l.barrierSyncLocked(); err != nil {
 		l.enterDegradedLocked("sync before rotation", err, false)
-		return l.degradedErrLocked()
+		return
 	}
-	l.health.Fsyncs++
 	if err := l.f.Close(); err != nil {
 		// The data is durable (the sync above landed); only the handle is
 		// in doubt. Degrade with the segment considered sealed.
 		l.f = nil
 		l.enterDegradedLocked("closing segment", err, true)
-		return l.degradedErrLocked()
+		return
 	}
 	l.pending = 0
 	if err := l.rollLocked(l.seq + 1); err != nil {
@@ -1029,9 +1057,7 @@ func (l *Log) rotateLocked() error {
 		// seq/size/format point at the sealed predecessor. Record the
 		// failure and let the probe schedule roll the successor.
 		l.enterDegradedLocked("rotation", err, true)
-		return l.degradedErrLocked()
 	}
-	return nil
 }
 
 // rollLocked opens segment seq for appending and writes its meta frame.

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"slices"
 	"strings"
 )
 
@@ -58,6 +59,10 @@ func (b *Builder) Len() int { return len(b.buf) }
 
 // Reset truncates the builder to empty, retaining capacity.
 func (b *Builder) Reset() { b.buf = b.buf[:0] }
+
+// Grow makes room for n more bytes, so that appending them does not
+// reallocate.
+func (b *Builder) Grow(n int) { b.buf = slices.Grow(b.buf, n) }
 
 // Byte appends a single byte.
 func (b *Builder) Byte(v byte) *Builder {

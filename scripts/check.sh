@@ -142,6 +142,7 @@ go test -race -count=1 -run "$chaos_run" ./internal/farm ./internal/netsim ./int
 disk_run='TestCrashAtEverySyscall|TestFsyncFaultSchedule|TestCommitterFsyncErrorSticky|TestCloseDrainsInflightSync|TestENOSPCWindowRecovers|TestENOSPCWindowFarm'
 echo "==> disk chaos smoke (go test -race -count=1 -run '$disk_run')"
 go test -race -count=1 -run "$disk_run" ./internal/wal ./internal/farm
+go test -race -count=20 -run TestCommitPipeline ./internal/wal # the committer's queue: absorb, barriers, the segment bound
 
 echo "==> crash smoke (SIGKILL mid-generation, resume, diff)"
 go build -o "$tmp/reproduce" ./cmd/reproduce
