@@ -124,13 +124,6 @@ func WriteAvailability(w io.Writer, d *honeyfarm.Dataset) {
 		downPots, totalDown, totalConn, totalSink)
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // WriteComparison prints paper-reported values next to the measured
 // reproduction for every checkable headline number.
 func WriteComparison(w io.Writer, d *honeyfarm.Dataset) {

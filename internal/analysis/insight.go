@@ -76,13 +76,6 @@ func ComputeFirstSeenLeaders(s *store.Store, numPots, k int) FirstSeenLeaders {
 	return out
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // FederationGain quantifies the Discussion's "Federated Honeyfarms"
 // proposal: split the farm into k independent sub-farms and measure how
 // much hash coverage each would have alone versus federated. The paper

@@ -149,13 +149,6 @@ func sampleRank(values []float64, n int) [][]string {
 	return rows
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // BandSeries renders a percentile-band time series (Figures 3, 4, 8, 9)
 // as CSV with a row per day.
 func BandSeries(w io.Writer, title string, s stats.Series, stride int) {

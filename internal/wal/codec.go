@@ -77,22 +77,6 @@ func EncodeBatchFrame(dst []byte, tag uint64, recs []*honeypot.SessionRecord) []
 	return out
 }
 
-// DecodeBatchFrame decodes one frame produced by EncodeBatchFrame,
-// validating the length prefix and CRC, and returns the batch plus the
-// number of bytes consumed (so frames can be decoded back to back from
-// one buffer).
-func DecodeBatchFrame(data []byte) (Batch, int, error) {
-	payload, next, ok := nextFrame(data, 0)
-	if !ok {
-		return Batch{}, 0, errors.New("wal: truncated or corrupt frame")
-	}
-	batch, ok := decodeBatchV2(payload)
-	if !ok {
-		return Batch{}, 0, errors.New("wal: frame is not a v2 batch")
-	}
-	return batch, int(next), nil
-}
-
 // FrameKindPartials tags a raw frame carrying an encoded partial-
 // aggregate bundle (analysis.Partials wire layout) — the shard pull
 // protocol's transfer unit. The value is deliberately far from the
@@ -135,14 +119,11 @@ func EncodeRawFrame(dst []byte, kind byte, body []byte) []byte {
 // process boundaries, so a bad frame means the transfer is corrupt, not
 // that scanning should stop quietly.
 func DecodeRawFrameKind(data []byte) (kind byte, body []byte, n int, err error) {
-	payload, next, ok := nextFrame(data, 0)
+	kind, body, n, ok := nextFrame(data)
 	if !ok {
 		return 0, nil, 0, errors.New("wal: truncated or corrupt frame")
 	}
-	if len(payload) == 0 {
-		return 0, nil, 0, errors.New("wal: empty frame payload")
-	}
-	return payload[0], payload[1:], int(next), nil
+	return kind, body, n, nil
 }
 
 // encodeBatchV2 appends a v2 batch body to b: tag, record count, then
@@ -155,18 +136,14 @@ func encodeBatchV2(b *wire.Builder, tag uint64, recs []*honeypot.SessionRecord) 
 	}
 }
 
-// decodeBatchV2 decodes a v2 batch-frame payload (kind byte included).
-// intact is false for an unknown kind or a body that does not decode
-// cleanly to its exact end.
-func decodeBatchV2(payload []byte) (Batch, bool) {
-	if len(payload) == 0 || payload[0] != kindBatch {
-		return Batch{}, false
-	}
-	r := wire.NewReader(payload[1:])
+// decodeBatchV2 decodes a v2 batch-frame body. intact is false for a
+// body that does not decode cleanly to its exact end.
+func decodeBatchV2(body []byte) (Batch, bool) {
+	r := wire.NewReader(body)
 	// Batch payloads legitimately exceed the SSH string cap (a 4096-
 	// record generation shard is over a megabyte); the frame CRC already
 	// vouches for the bytes, so only the buffer bound applies.
-	r.SetMaxStringLen(len(payload))
+	r.SetMaxStringLen(len(body))
 	tag := r.Uint64()
 	n := r.Uint32()
 	if r.Err() != nil || uint64(n)*minRecordLen > uint64(r.Remaining()) {

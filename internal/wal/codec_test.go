@@ -82,7 +82,7 @@ func (quickRecord) Generate(r *rand.Rand, size int) reflect.Value {
 }
 
 // binaryRoundTrip pushes records through the v2 codec: encode as a
-// batch frame, validate the frame envelope, decode the payload.
+// batch frame the way AppendTagged does, read it back through the walker.
 func binaryRoundTrip(t *testing.T, tag uint64, recs []*honeypot.SessionRecord) Batch {
 	t.Helper()
 	b := getFrameBuilder()
@@ -90,15 +90,12 @@ func binaryRoundTrip(t *testing.T, tag uint64, recs []*honeypot.SessionRecord) B
 	b.Byte(kindBatch)
 	encodeBatchV2(b, tag, recs)
 	frame := finishFrame(b)
-	payload, next, ok := nextFrame(frame, 0)
-	if !ok || next != int64(len(frame)) {
-		t.Fatalf("encoded frame does not validate (ok=%v next=%d len=%d)", ok, next, len(frame))
+	w := walker{meta: true} // past the meta frame, where batches live
+	f, n, st, err := w.next(frame)
+	if err != nil || st != stopNone || n != len(frame) || f.kind != kindBatch {
+		t.Fatalf("encoded frame does not read back (kind=%d n=%d len=%d stop=%d err=%v)", f.kind, n, len(frame), st, err)
 	}
-	got, intact := decodeBatchV2(payload)
-	if !intact {
-		t.Fatal("encoded batch does not decode")
-	}
-	return got
+	return f.batch
 }
 
 // jsonRoundTrip is the v1 semantics oracle: what a record looks like
@@ -372,8 +369,10 @@ func TestCrossFormatRead(t *testing.T) {
 // TestUnknownFormatRefused: a meta frame declaring a format this package
 // never had is corruption, not a tear.
 func TestUnknownFormatRefused(t *testing.T) {
-	if _, _, err := decodeMeta(metaPayload(t, "honeyfarm-wal-v9", 1), segmentName(1), 1, time.Time{}); err == nil {
-		t.Fatal("decodeMeta accepted an unknown recorded format")
+	w := walker{name: segmentName(1), seq: 1}
+	seg := EncodeRawFrame(nil, kindMeta, metaPayload(t, "honeyfarm-wal-v9", 1)[1:])
+	if _, _, st, err := w.next(seg); err == nil || st != stopCorrupt {
+		t.Fatalf("walker read an unknown recorded format: stop=%d err=%v", st, err)
 	}
 }
 
@@ -388,10 +387,10 @@ func metaPayload(t *testing.T, format string, seq uint64) []byte {
 	return append([]byte{kindMeta}, body...)
 }
 
-// TestEncodeDecodeBatchFrame: the exported frame codec produces
-// self-contained frames that decode back to back from one buffer, with
-// the frame CRC catching any flipped byte.
-func TestEncodeDecodeBatchFrame(t *testing.T) {
+// TestEncodeBatchFrameRoundTrip: EncodeBatchFrame produces self-contained
+// frames that the walker reads back to back from one buffer, with the
+// frame CRC catching any flipped byte.
+func TestEncodeBatchFrameRoundTrip(t *testing.T) {
 	batches := []Batch{
 		{Tag: 7, Records: mkRecords(100, 2)},
 		{Tag: 8, Records: nil},
@@ -401,11 +400,13 @@ func TestEncodeDecodeBatchFrame(t *testing.T) {
 	for _, b := range batches {
 		buf = EncodeBatchFrame(buf, b.Tag, b.Records)
 	}
+	w := walker{meta: true}
 	for i, want := range batches {
-		got, n, err := DecodeBatchFrame(buf)
-		if err != nil {
-			t.Fatalf("frame %d: %v", i, err)
+		f, n, st, err := w.next(buf)
+		if err != nil || st != stopNone || f.kind != kindBatch {
+			t.Fatalf("frame %d: kind=%d stop=%d err=%v", i, f.kind, st, err)
 		}
+		got := f.batch
 		if got.Tag != want.Tag || len(got.Records) != len(want.Records) {
 			t.Fatalf("frame %d: tag=%d records=%d, want tag=%d records=%d",
 				i, got.Tag, len(got.Records), want.Tag, len(want.Records))
@@ -417,14 +418,14 @@ func TestEncodeDecodeBatchFrame(t *testing.T) {
 		}
 		buf = buf[n:]
 	}
-	if len(buf) != 0 {
-		t.Fatalf("%d trailing bytes after last frame", len(buf))
+	if _, _, st, _ := w.next(buf); st != stopEnd {
+		t.Fatalf("%d trailing bytes after last frame (stop=%d)", len(buf), st)
 	}
 
 	// A flipped byte is caught by the frame CRC.
 	frame := EncodeBatchFrame(nil, 1, mkRecords(400, 1))
 	frame[len(frame)-1] ^= 0xff
-	if _, _, err := DecodeBatchFrame(frame); err == nil {
-		t.Fatal("corrupt frame decoded cleanly")
+	if _, _, st, _ := w.next(frame); st != stopTorn {
+		t.Fatalf("frame with a flipped byte: stop=%d, want torn", st)
 	}
 }

@@ -1,21 +1,22 @@
 package wal
 
-// Iterator is the shared read path over a WAL directory: fsck uses it
-// to cross-check the recovery scan frame by frame, and the query
-// engine's follower uses it to tail a log that is still being written.
-// Unlike scan, which reads whole segments at once, an Iterator holds a
-// byte position and yields one batch per call, so a caller can drain
-// everything durable today and pick up new frames as the writer appends
-// them.
+// Iterator is the tailing read policy over a WAL directory: the query
+// engine's follower uses it to read a log that is still being written.
+// It steps the same walker as the recovery scan (wal.go), so the two
+// agree on what a frame is; unlike scan, which reads whole segments at
+// once, an Iterator holds a byte position and yields one batch per call,
+// so a caller can drain everything durable today and pick up new frames
+// as the writer appends them.
 //
 // The torn-tail rule shapes the cursor's movement. A segment is sealed
 // — fsynced and closed — before its successor is created, so:
 //
-//   - on the final segment, an incomplete frame is a pending tail: the
-//     writer may still be mid-append, and Next reports "caught up"
-//     rather than an error;
-//   - once a successor exists, the current segment is sealed, and any
-//     leftover bytes that never became a frame are corruption.
+//   - on the final segment, a torn frame is a pending tail: the writer
+//     may still be mid-append, and Next reports "caught up" rather than
+//     an error;
+//   - once a successor exists, the current segment is sealed, and a torn
+//     frame there is damage — as a corrupt frame (CRC-valid, does not
+//     decode) is on any segment. Open refuses exactly the same two.
 //
 // Degraded-mode recovery preserves both properties: a writer that
 // degrades seals its segment at the last frame-aligned size before the
@@ -39,15 +40,12 @@ import (
 // not safe for concurrent use; it is safe to use while a Log appends
 // to the same directory from this or another process.
 type Iterator struct {
-	fs      iofault.FS
-	dir     string
-	epoch   time.Time    // established by the first meta frame read
-	seq     uint64       // current segment sequence (0 until one is found)
-	off     int64        // consumed byte offset within the current segment
-	f       iofault.File // current segment, nil before open / after advance
-	buf     []byte       // bytes read beyond off, not yet consumed
-	sawMeta bool         // current segment's meta frame has been consumed
-	gaps    []Gap        // gap frames crossed so far, in log order
+	dir  string
+	w    walker       // current segment (seq 0 until one is found) and the established epoch
+	off  int64        // consumed byte offset within the current segment
+	f    iofault.File // current segment, nil before open / after advance
+	buf  []byte       // bytes read beyond off, not yet consumed
+	gaps []Gap        // gap frames crossed so far, in log order
 }
 
 // maxStepsPerNext caps the internal frame/segment advance loop of one
@@ -56,29 +54,24 @@ type Iterator struct {
 // "caught up" and the caller's retry resumes from the saved position.
 const maxStepsPerNext = 1 << 16
 
-// NewIterator positions an iterator at the start of the WAL in dir, on
-// the real filesystem. The directory may be empty or not yet created:
-// Next reports "caught up" until a writer produces the first segment.
+// NewIterator positions an iterator at the start of the WAL in dir.
+// The directory may be empty or not yet created: Next reports "caught
+// up" until a writer produces the first segment.
 func NewIterator(dir string) (*Iterator, error) {
-	return NewIteratorFS(iofault.OS, dir)
-}
-
-// NewIteratorFS is NewIterator reading through fsys.
-func NewIteratorFS(fsys iofault.FS, dir string) (*Iterator, error) {
-	if info, err := fsys.Stat(dir); err == nil && !info.IsDir() {
+	if info, err := iofault.OS.Stat(dir); err == nil && !info.IsDir() {
 		return nil, fmt.Errorf("wal: %s is not a directory", dir)
 	}
-	return &Iterator{fs: fsys, dir: dir}, nil
+	return &Iterator{dir: dir}, nil
 }
 
 // Next returns the next intact batch in log order. ok is false with a
 // nil error when the iterator is caught up: every durable frame has
 // been consumed and the bytes past the cursor (if any) do not yet form
 // a complete frame on the final segment — call Next again after the
-// writer makes progress. A non-nil error is permanent: corruption
-// (damaged frames on a sealed segment, format/sequence/epoch
-// mismatches) or an I/O failure. Gap frames are consumed silently into
-// Gaps().
+// writer makes progress. A non-nil error is permanent: damage (a torn
+// frame on a sealed segment, a corrupt one anywhere, format/sequence/
+// epoch mismatches) or an I/O failure. Gap frames are consumed silently
+// into Gaps().
 func (it *Iterator) Next() (Batch, bool, error) {
 	for step := 0; step < maxStepsPerNext; step++ {
 		if it.f == nil {
@@ -87,8 +80,8 @@ func (it *Iterator) Next() (Batch, bool, error) {
 				return Batch{}, false, err
 			}
 		}
-		payload, n, ok := nextFrame(it.buf, 0)
-		if !ok {
+		f, n, st, err := it.w.next(it.buf)
+		if st == stopEnd || st == stopTorn {
 			// Re-read the unconsumed tail: a frame may have completed since
 			// the last poll. Reading from it.off (not extending buf) also
 			// recovers if a restarted writer truncated a torn tail we had
@@ -96,9 +89,14 @@ func (it *Iterator) Next() (Batch, bool, error) {
 			if err := it.refill(); err != nil {
 				return Batch{}, false, err
 			}
-			payload, n, ok = nextFrame(it.buf, 0)
+			f, n, st, err = it.w.next(it.buf)
 		}
-		if !ok {
+		switch {
+		case err != nil:
+			return Batch{}, false, err
+		case st == stopCorrupt:
+			return Batch{}, false, &damageError{it.w.name, it.off, true}
+		case st != stopNone:
 			sealed, err := it.successorExists()
 			if err != nil {
 				return Batch{}, false, err
@@ -106,42 +104,23 @@ func (it *Iterator) Next() (Batch, bool, error) {
 			if !sealed {
 				return Batch{}, false, nil // pending tail: caught up for now
 			}
-			if len(it.buf) > 0 {
-				return Batch{}, false, fmt.Errorf("wal: segment %s has a damaged frame %d bytes in but is sealed", segmentName(it.seq), it.off)
+			if st == stopTorn {
+				return Batch{}, false, &damageError{it.w.name, it.off, false}
 			}
 			if err := it.f.Close(); err != nil {
 				return Batch{}, false, fmt.Errorf("wal: closing segment: %w", err)
 			}
-			it.f, it.seq, it.off, it.sawMeta = nil, it.seq+1, 0, false
+			it.f, it.off, it.w.seq = nil, 0, it.w.seq+1
 			continue
 		}
 		it.buf = it.buf[n:]
-		it.off += n
-		if !it.sawMeta {
-			epoch, intact, err := decodeMeta(payload, segmentName(it.seq), it.seq, it.epoch)
-			if err != nil {
-				return Batch{}, false, err
-			}
-			if !intact {
-				// The frame passed its CRC, so this is not a tear.
-				return Batch{}, false, fmt.Errorf("wal: segment %s does not start with a meta frame", segmentName(it.seq))
-			}
-			it.epoch = epoch
-			it.sawMeta = true
-			continue
+		it.off += int64(n)
+		switch f.kind {
+		case kindGap:
+			it.gaps = append(it.gaps, f.gap)
+		case kindBatch:
+			return f.batch, true, nil
 		}
-		if g, isGap, intact := decodeGap(payload); isGap {
-			if !intact {
-				return Batch{}, false, fmt.Errorf("wal: segment %s has an undecodable gap frame at offset %d", segmentName(it.seq), it.off-n)
-			}
-			it.gaps = append(it.gaps, g)
-			continue
-		}
-		b, intact := decodeBatchV2(payload)
-		if !intact {
-			return Batch{}, false, fmt.Errorf("wal: segment %s has an undecodable frame at offset %d", segmentName(it.seq), it.off-n)
-		}
-		return b, true, nil
 	}
 	return Batch{}, false, nil // step cap: resume from the saved position
 }
@@ -150,9 +129,9 @@ func (it *Iterator) Next() (Batch, bool, error) {
 // present when none has been read yet, the successor otherwise. opened
 // is false (nil error) when that segment does not exist yet.
 func (it *Iterator) open() (opened bool, err error) {
-	seq := it.seq
+	seq := it.w.seq
 	if seq == 0 {
-		segs, err := listSegments(it.fs, it.dir)
+		segs, err := listSegments(iofault.OS, it.dir)
 		if err != nil {
 			if errors.Is(err, iofs.ErrNotExist) {
 				return false, nil // directory not created yet
@@ -164,14 +143,15 @@ func (it *Iterator) open() (opened bool, err error) {
 		}
 		seq = segs[0].Seq
 	}
-	f, err := it.fs.OpenFile(filepath.Join(it.dir, segmentName(seq)), os.O_RDONLY, 0)
+	f, err := iofault.OS.OpenFile(filepath.Join(it.dir, segmentName(seq)), os.O_RDONLY, 0)
 	if err != nil {
 		if errors.Is(err, iofs.ErrNotExist) {
 			return false, nil
 		}
 		return false, fmt.Errorf("wal: opening segment: %w", err)
 	}
-	it.f, it.seq, it.off, it.buf, it.sawMeta = f, seq, 0, nil, false
+	it.f, it.off, it.buf = f, 0, nil
+	it.w = walker{name: segmentName(seq), seq: seq, epoch: it.w.epoch}
 	return true, nil
 }
 
@@ -191,7 +171,7 @@ func (it *Iterator) refill() error {
 // successorExists reports whether segment seq+1 exists — the signal
 // that the current segment is sealed and will never grow again.
 func (it *Iterator) successorExists() (bool, error) {
-	_, err := it.fs.Stat(filepath.Join(it.dir, segmentName(it.seq+1)))
+	_, err := iofault.OS.Stat(filepath.Join(it.dir, segmentName(it.w.seq+1)))
 	if err == nil {
 		return true, nil
 	}
@@ -204,14 +184,14 @@ func (it *Iterator) successorExists() (bool, error) {
 // Epoch returns the store epoch recorded in the log's meta frames; ok
 // is false until the first meta frame has been consumed.
 func (it *Iterator) Epoch() (time.Time, bool) {
-	return it.epoch, !it.epoch.IsZero()
+	return it.w.epoch, !it.w.epoch.IsZero()
 }
 
 // Pos returns the cursor: the current segment sequence number and the
 // consumed byte offset within it. Both are zero before the first
 // segment is found.
 func (it *Iterator) Pos() (seq uint64, off int64) {
-	return it.seq, it.off
+	return it.w.seq, it.off
 }
 
 // Gaps returns a copy of the degraded-mode outage records the cursor

@@ -14,15 +14,10 @@ import (
 // and checksum statistics without modifying anything — orphaned *.tmp
 // files are listed in the recovery, not swept. Unlike Open it tolerates
 // damage anywhere: a torn or corrupt segment simply shows the intact
-// prefix it still holds. epoch may be zero when the directory has at
-// least one intact meta frame.
+// prefix it still holds and says which of the two stopped it. epoch may
+// be zero when the directory has at least one intact meta frame.
 func Verify(dir string, epoch time.Time) (*Recovery, error) {
-	return VerifyFS(iofault.OS, dir, epoch)
-}
-
-// VerifyFS is Verify reading through fsys.
-func VerifyFS(fsys iofault.FS, dir string, epoch time.Time) (*Recovery, error) {
-	return scan(fsys, dir, epoch, false)
+	return scan(iofault.OS, dir, epoch, false)
 }
 
 // Healthy reports whether the recovery describes a WAL that Open would
@@ -33,15 +28,11 @@ func (r *Recovery) Healthy() bool { return r.TornBytes == 0 }
 // Repair truncates every damaged segment to its intact-frame prefix,
 // fsyncing each repaired file, sweeps orphaned *.tmp files, and returns
 // the post-repair state. This is the fsck salvage path for damage Open
-// refuses (a corrupt frame in a non-final segment); data after a
-// damaged frame is unrecoverable because frames are located
-// sequentially.
+// refuses (a torn frame in a non-final segment, a corrupt frame
+// anywhere); data after a damaged frame is unrecoverable because frames
+// are located sequentially.
 func Repair(dir string, epoch time.Time) (*Recovery, error) {
-	return RepairFS(iofault.OS, dir, epoch)
-}
-
-// RepairFS is Repair operating through fsys.
-func RepairFS(fsys iofault.FS, dir string, epoch time.Time) (*Recovery, error) {
+	fsys := iofault.OS
 	rec, err := scan(fsys, dir, epoch, false)
 	if err != nil {
 		return nil, err

@@ -239,10 +239,13 @@ type SegmentStat struct {
 	Bytes     int64
 	GoodBytes int64
 	TornBytes int64
-	// Torn reports a torn or corrupt tail. On the final segment this is
-	// the expected crash artifact; on any earlier segment it is
-	// corruption (Open refuses it, fsck -repair truncates it).
-	Torn bool
+	// Torn reports that the frames stop before the bytes do. Corrupt says
+	// the frame they stop at passed its CRC and still does not decode or is
+	// out of place — never a crash artifact: a torn write fails its CRC.
+	// Open truncates a torn tail on the final segment and refuses all
+	// other damage; fsck -repair truncates it.
+	Torn    bool
+	Corrupt bool
 }
 
 // Recovery reports what Open (or Verify) found in a WAL directory.
@@ -383,11 +386,11 @@ func listSegments(fsys iofault.FS, dir string) ([]SegmentStat, error) {
 
 // Open opens (creating if necessary) the WAL in dir, recovers its
 // contents, truncates any torn tail frame on the final segment, sweeps
-// stale *.tmp orphans, and positions the log for appending. A torn or
-// corrupt frame on a non-final segment is refused — completed segments
-// were fsynced before their successor existed, so damage there is
-// corruption, not a crash artifact; use Repair to salvage the intact
-// prefix.
+// stale *.tmp orphans, and positions the log for appending. Damage a
+// crash cannot explain is refused with the directory untouched: a torn
+// frame on a non-final segment (completed segments were fsynced before
+// their successor existed) and a corrupt frame anywhere (see
+// SegmentStat.Corrupt). Use Repair to salvage the intact prefix.
 func Open(dir string, opts Options) (*Log, *Recovery, error) {
 	opts = opts.withDefaults()
 	fsys := opts.FS
@@ -451,9 +454,10 @@ func Open(dir string, opts Options) (*Log, *Recovery, error) {
 	return l, rec, nil
 }
 
-// scan reads every segment, validating frames. truncating selects Open
-// semantics (torn tail allowed on the final segment only); Verify and
-// Repair pass false to collect stats for damaged middles too.
+// scan reads every segment whole and walks its frames. truncating
+// selects Open semantics (only a torn tail on the final segment is
+// tolerated); Verify and Repair pass false to collect stats for every
+// kind of damage.
 func scan(fsys iofault.FS, dir string, epoch time.Time, truncating bool) (*Recovery, error) {
 	segs, err := listSegments(fsys, dir)
 	if err != nil {
@@ -466,8 +470,8 @@ func scan(fsys iofault.FS, dir string, epoch time.Time, truncating bool) (*Recov
 		if err != nil {
 			return nil, err
 		}
-		if seg.Torn && truncating && i != len(segs)-1 {
-			return nil, fmt.Errorf("wal: segment %s has a corrupt frame %d bytes in but is not the final segment; run fsck -repair to truncate it", seg.Name, seg.GoodBytes)
+		if truncating && seg.Torn && (seg.Corrupt || i != len(segs)-1) {
+			return nil, &damageError{seg.Name, seg.GoodBytes, seg.Corrupt}
 		}
 		rec.Batches = append(rec.Batches, batches...)
 		rec.TornBytes += seg.TornBytes
@@ -486,120 +490,165 @@ func scan(fsys iofault.FS, dir string, epoch time.Time, truncating bool) (*Recov
 }
 
 // scanSegment walks one segment's frames, filling seg's counters and
-// returning its intact batches. The first frame must be a meta frame
-// whose format and sequence match; an epoch mismatch against an already
-// established epoch is an error, a zero established epoch adopts the
-// recorded one. Gap frames are collected into rec.Gaps.
+// returning its intact batches; gap frames are collected into rec.Gaps
+// and a zero rec.Epoch adopts the meta frame's. Wherever the walk stops,
+// the frames before it count: what the damage means is the caller's call.
 func scanSegment(fsys iofault.FS, dir string, seg *SegmentStat, rec *Recovery) ([]Batch, error) {
 	data, err := iofault.ReadFile(fsys, filepath.Join(dir, seg.Name))
 	if err != nil {
 		return nil, fmt.Errorf("wal: reading segment: %w", err)
 	}
+	w := walker{name: seg.Name, seq: seg.Seq, epoch: rec.Epoch}
 	var batches []Batch
-	off := int64(0)
-	first := true
-	// Each intact frame advances off by at least frameHeaderSize, so the
-	// scan is bounded by the segment length.
-	for off < int64(len(data)) {
-		payload, next, ok := nextFrame(data, off)
-		if !ok {
+	// Each frame read advances GoodBytes by at least frameHeaderSize, so
+	// the scan is bounded by the segment length.
+	for seg.GoodBytes < int64(len(data)) {
+		f, n, st, err := w.next(data[seg.GoodBytes:])
+		if err != nil {
+			return nil, err
+		}
+		if st != stopNone {
+			seg.Corrupt = st == stopCorrupt
 			break
 		}
-		if first {
-			epoch, intact, err := decodeMeta(payload, seg.Name, seg.Seq, rec.Epoch)
-			if err != nil {
-				return nil, err
-			}
-			if !intact {
-				break // damaged meta frame: treat as torn at offset 0
-			}
-			rec.Epoch = epoch
-			first = false
-			off = next
-			continue
-		}
-		if g, isGap, intact := decodeGap(payload); isGap {
-			if !intact {
-				break // CRC-valid but undecodable gap body: stop here
-			}
-			rec.Gaps = append(rec.Gaps, g)
+		seg.GoodBytes += int64(n)
+		switch f.kind {
+		case kindGap:
+			rec.Gaps = append(rec.Gaps, f.gap)
 			seg.GapFrames++
-			off = next
-			continue
+		case kindBatch:
+			batches = append(batches, f.batch)
+			seg.Frames++
+			seg.Records += len(f.batch.Records)
 		}
-		b, intact := decodeBatchV2(payload)
-		if !intact {
-			break // unknown kind or undecodable body: stop at the last understood frame
-		}
-		batches = append(batches, b)
-		seg.Frames++
-		seg.Records += len(b.Records)
-		off = next
 	}
-	seg.GoodBytes = off
-	seg.TornBytes = seg.Bytes - off
+	rec.Epoch = w.epoch
+	seg.TornBytes = seg.Bytes - seg.GoodBytes
 	seg.Torn = seg.TornBytes > 0
 	return batches, nil
 }
 
-// decodeMeta validates a segment's leading meta-frame payload against
-// the segment's name and sequence and an already-established epoch (a
-// zero established epoch adopts the recorded one; the returned epoch is
-// the established one either way). intact is false when the payload is
-// not a decodable meta frame — damaged bytes the caller treats as a torn
-// tail. err reports format, sequence or epoch mismatches: those frames
-// decoded fine, so the damage is corruption, not a tear.
-func decodeMeta(payload []byte, name string, seq uint64, established time.Time) (epoch time.Time, intact bool, err error) {
+// stop is why a walker step read no frame.
+type stop int
+
+const (
+	stopNone    stop = iota // it read one
+	stopEnd                 // no bytes left
+	stopTorn                // short or CRC-mismatched frame: what a crash mid-write leaves
+	stopCorrupt             // CRC-valid frame that does not decode or is out of place
+)
+
+// frame is one walker step: kind says which of gap and batch is set
+// (neither for a meta frame, whose epoch lands in the walker).
+type frame struct {
+	kind  byte
+	gap   Gap
+	batch Batch
+}
+
+// walker is the one reader of a segment's layout: a meta frame whose
+// format, sequence and epoch match, then gap and batch frames. The scan
+// and the Iterator hand next the unread rest of the segment and decide
+// what a stop means; the walker holds no bytes and no policy.
+type walker struct {
+	name  string    // segment file name, for errors
+	seq   uint64    // sequence the meta frame must record
+	epoch time.Time // established epoch; a zero one adopts the meta frame's
+	meta  bool      // the leading meta frame has been read
+}
+
+// next reads the frame at the head of buf and returns it with its
+// length, or the reason there is none. A stop leaves the walker as it
+// was, so the same bytes stop the same way and grown bytes can be
+// retried. err is decodeMeta's: corruption no reader tolerates.
+func (w *walker) next(buf []byte) (f frame, n int, st stop, err error) {
+	if len(buf) == 0 {
+		return frame{}, 0, stopEnd, nil
+	}
+	kind, body, n, ok := nextFrame(buf)
+	if !ok {
+		return frame{}, 0, stopTorn, nil
+	}
+	f.kind, ok = kind, false
+	switch {
+	case (kind == kindMeta) == w.meta:
+		// A meta frame anywhere but first, or anything else first.
+	case kind == kindMeta:
+		ok, err = w.decodeMeta(body)
+	case kind == kindGap:
+		f.gap, ok = decodeGap(body)
+	case kind == kindBatch:
+		f.batch, ok = decodeBatchV2(body)
+	}
+	if !ok {
+		return frame{}, 0, stopCorrupt, err
+	}
+	return f, n, stopNone, nil
+}
+
+// damageError is every reader's refusal of damage no crash explains: a
+// torn frame in a sealed segment, a corrupt one anywhere.
+type damageError struct {
+	name    string
+	off     int64
+	corrupt bool
+}
+
+func (e *damageError) Error() string {
+	what := "torn frame in a sealed segment"
+	if e.corrupt {
+		what = "corrupt frame (its checksum holds, its contents do not decode)"
+	}
+	return fmt.Sprintf("wal: segment %s has a %s %d bytes in; run fsck -repair to truncate it", e.name, what, e.off)
+}
+
+// decodeMeta reads the segment's leading meta frame: a zero established
+// epoch adopts the recorded one. intact is false when the body is not
+// JSON. err reports a format, sequence or epoch mismatch: the frame
+// decoded fine, so truncating the segment would repair nothing.
+func (w *walker) decodeMeta(body []byte) (intact bool, err error) {
 	var meta metaBody
-	if len(payload) == 0 || payload[0] != kindMeta || json.Unmarshal(payload[1:], &meta) != nil {
-		return time.Time{}, false, nil
+	switch {
+	case json.Unmarshal(body, &meta) != nil:
+		return false, nil
+	case meta.Format != FormatNameV2:
+		return false, fmt.Errorf("wal: segment %s has unknown format %q: only %q is read, and fsck cannot repair it", w.name, meta.Format, FormatNameV2)
+	case meta.Segment != w.seq:
+		return false, fmt.Errorf("wal: segment %s records sequence %d", w.name, meta.Segment)
+	case w.epoch.IsZero():
+		w.epoch = meta.Epoch
+	case !meta.Epoch.Equal(w.epoch):
+		return false, fmt.Errorf("wal: segment %s epoch %s does not match %s", w.name, meta.Epoch, w.epoch)
 	}
-	if meta.Format != FormatNameV2 {
-		return time.Time{}, false, fmt.Errorf("wal: segment %s has unknown format %q: only %q is read, and fsck cannot repair it", name, meta.Format, FormatNameV2)
-	}
-	if meta.Segment != seq {
-		return time.Time{}, false, fmt.Errorf("wal: segment %s records sequence %d", name, meta.Segment)
-	}
-	if established.IsZero() {
-		return meta.Epoch, true, nil
-	}
-	if !meta.Epoch.Equal(established) {
-		return time.Time{}, false, fmt.Errorf("wal: segment %s epoch %s does not match %s", name, meta.Epoch, established)
-	}
-	return established, true, nil
+	w.meta = true
+	return true, nil
 }
 
-// decodeGap recognizes and decodes a gap-frame payload. isGap reports
-// the kind byte matched; intact whether the JSON body decoded.
-func decodeGap(payload []byte) (g Gap, isGap, intact bool) {
-	if len(payload) == 0 || payload[0] != kindGap {
-		return Gap{}, false, false
-	}
-	if json.Unmarshal(payload[1:], &g) != nil {
-		return Gap{}, true, false
-	}
-	return g, true, true
+// decodeGap decodes a gap frame's JSON body.
+func decodeGap(body []byte) (g Gap, intact bool) {
+	return g, json.Unmarshal(body, &g) == nil
 }
 
-// nextFrame validates the frame at off and returns its payload and the
-// next offset. ok is false when the remaining bytes do not hold one
-// intact frame (short header, short payload, CRC mismatch, or an
-// implausible length).
-func nextFrame(data []byte, off int64) (payload []byte, next int64, ok bool) {
-	rest := data[off:]
-	if len(rest) < frameHeaderSize {
-		return nil, 0, false
+// nextFrame is the one check of the frame envelope: it validates the
+// frame at the head of data and returns its kind byte, its body
+// (aliasing data) and its whole length. ok is false when data does not
+// start with one intact frame (short header, short payload, CRC
+// mismatch, or an implausible length).
+func nextFrame(data []byte) (kind byte, body []byte, n int, ok bool) {
+	if len(data) < frameHeaderSize {
+		return 0, nil, 0, false
 	}
-	n := binary.LittleEndian.Uint32(rest[0:4])
-	sum := binary.LittleEndian.Uint32(rest[4:8])
-	if n == 0 || int64(n) > int64(len(rest))-frameHeaderSize {
-		return nil, 0, false
+	size := binary.LittleEndian.Uint32(data[0:4])
+	sum := binary.LittleEndian.Uint32(data[4:8])
+	if size == 0 || int64(size) > int64(len(data))-frameHeaderSize {
+		return 0, nil, 0, false
 	}
-	payload = rest[frameHeaderSize : frameHeaderSize+int64(n)]
+	n = frameHeaderSize + int(size)
+	payload := data[frameHeaderSize:n]
 	if crc32.Checksum(payload, castagnoli) != sum {
-		return nil, 0, false
+		return 0, nil, 0, false
 	}
-	return payload, off + frameHeaderSize + int64(n), true
+	return payload[0], payload[1:], n, true
 }
 
 // Dir returns the WAL directory.

@@ -18,7 +18,11 @@
 #                IAC state machine every Telnet byte goes through — gets
 #                the same 10 s: no panic, lines bounded, never more bytes
 #                out than in, at most one Write per Read, the same result
-#                however the input is cut into reads
+#                however the input is cut into reads. FuzzWALFrame — the
+#                one walker every WAL reader steps — gets it too, raw and
+#                with each frame re-sealed: no panic, every step advances
+#                by a whole frame, allocation bounded by input length, a
+#                batch it yields survives a re-encode
 #   chaos smoke  the fault-injection suite (supervisor restarts, outage
 #                windows, bounded drain) once more under -race — the
 #                tests most sensitive to goroutine leaks and deadlocks
@@ -128,12 +132,13 @@ go run ./cmd/lint -json ./... >"$tmp/lint.json" || {
 echo "==> go test -race ./..."
 go test -race ./...
 
-echo "==> fuzz smoke (FuzzDecodePartialsFrame, FuzzTelnetConn, 10s each)"
+echo "==> fuzz smoke (FuzzDecodePartialsFrame, FuzzTelnetConn, FuzzWALFrame, 10s each)"
 go test ./internal/shard -run '^$' -fuzz FuzzDecodePartialsFrame -fuzztime 10s
 # The Telnet seeds are kilobytes long by design (a 1 KiB option storm, a
 # 5,000-byte line); at the default minimizer budget of 60 s per new input
 # the smoke would minimize one and mutate nothing.
 go test ./internal/telnet -run '^$' -fuzz FuzzTelnetConn -fuzztime 10s -fuzzminimizetime 1s
+go test ./internal/wal -run '^$' -fuzz FuzzWALFrame -fuzztime 10s -fuzzminimizetime 1s
 
 chaos_run='TestChaos|TestStop|TestKill|TestOutage|TestFault|TestConnFault|TestBackoff|TestDropsSession|TestPotDown|TestCoordinator|TestRestarter|TestBlockingPull'
 echo "==> chaos smoke (go test -race -count=1 -run '$chaos_run')"
