@@ -40,7 +40,6 @@ func main() {
 	pullEvery := flag.Duration("pull-every", 250*time.Millisecond, "idle heartbeat and retry spacing: the longest a pull waits at its shard for news, and the gap after one that failed or brought none")
 	failAfter := flag.Int("fail-after", 3, "consecutive pull failures before a shard is marked down")
 	maxInflight := flag.Int("max-inflight", 64, "bound on concurrently rendered responses")
-	clientRows := flag.Int("client-rows", 100, "maximum rows served by /v1/clients")
 	flag.Parse()
 
 	var urls []string
@@ -73,7 +72,6 @@ func main() {
 		Source:      coord,
 		Shards:      coord.ShardStatuses,
 		MaxInflight: *maxInflight,
-		ClientRows:  *clientRows,
 	})
 	reg := shard.BuildMergeRegistry(coord, api, *pots, time.Now)
 	l, err := daemon.Listen(*addr, *addrFile, daemon.Mux("merge", reg, api.Handler()))

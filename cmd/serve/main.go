@@ -42,7 +42,6 @@ func main() {
 	snapshotEvery := flag.Int("snapshot-every", 5000, "auto-seal a snapshot every N ingested records (0: seal only per drain cycle)")
 	poll := flag.Duration("poll", 200*time.Millisecond, "tail poll interval once caught up")
 	maxInflight := flag.Int("max-inflight", 64, "bound on concurrently rendered responses")
-	clientRows := flag.Int("client-rows", 100, "maximum rows served by /v1/clients")
 	pprofFlag := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ on the same listener")
 	flag.Parse()
 
@@ -77,7 +76,6 @@ func main() {
 		Source:      engine,
 		Follower:    follower,
 		MaxInflight: *maxInflight,
-		ClientRows:  *clientRows,
 	})
 	mux := daemon.Mux("serve", query.BuildServeRegistry(engine, follower, api, *pots), api.Handler())
 	if *pprofFlag {

@@ -35,14 +35,12 @@ func (c ClientStat) NumCategoriesSeen() int {
 	return n
 }
 
-// clientAcc is one client IP's partial aggregate. touched is set while
-// the IP sits in its ClientAccum's touched list.
+// clientAcc is one client IP's partial aggregate.
 type clientAcc struct {
 	sessions int
 	pots     intSet
 	days     intSet
 	cats     uint8
-	touched  bool
 }
 
 // ComputeClientStats aggregates every client IP. Pass cat = -1 for all

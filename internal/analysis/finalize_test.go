@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -15,9 +16,12 @@ import (
 type foldStep struct {
 	kind int // stepAdd … stepFinalize
 	recs []dayRec
-	// sealed: the merged-in bundle was itself finalized first, so the
-	// entries the destination adopts arrive with their flags cleared.
+	// sealed: the merged-in bundle was itself finalized and its client
+	// head taken first, so the entries the destination adopts arrive
+	// with their flags cleared.
 	sealed bool
+	// rows is the client head size a stepFinalize asks for.
+	rows int
 }
 
 const (
@@ -28,17 +32,28 @@ const (
 	numStepKinds
 )
 
+// headRows are the client head sizes a history asks for: small ones,
+// so that its few dozen IPs overflow the head, and the size a snapshot
+// serves (query.ClientRows).
+var headRows = []int{1, 3, 8, 100}
+
 // quickHistory is a random interleaving of Add, Merge and Finalize.
 // Finalize steps land anywhere, including first (empty accumulators)
 // and back to back (nothing touched since the last call); record draws
-// may be empty or a single record.
+// may be empty or a single record. A history keeps to one head size but
+// for one Finalize step in six, which asks for another.
 type quickHistory struct{ steps []foldStep }
 
 func (quickHistory) Generate(r *rand.Rand, size int) reflect.Value {
 	steps := make([]foldStep, r.Intn(12)+1)
+	rows := headRows[r.Intn(len(headRows))]
 	for i := range steps {
 		steps[i].kind = r.Intn(numStepKinds)
 		steps[i].sealed = r.Intn(2) == 0
+		steps[i].rows = rows
+		if r.Intn(6) == 0 {
+			steps[i].rows = headRows[r.Intn(len(headRows))]
+		}
 		if steps[i].kind != stepFinalize {
 			f, _ := quickFold{}.Generate(r, size/4).Interface().(quickFold)
 			steps[i].recs = f.recs
@@ -47,25 +62,42 @@ func (quickHistory) Generate(r *rand.Rand, size int) reflect.Value {
 	return reflect.ValueOf(quickHistory{steps})
 }
 
-// TestIncrementalFinalizeEquivalence is the dirty-tracking contract:
-// whatever mix of Add, Merge (of directly folded and of wire-decoded
-// bundles, finalized before the merge or not) and Finalize an
-// accumulator has been through, every Finalize equals a from-scratch
-// fold of the records so far — for the client and hash tables, whose
-// Finalize reuses its previous output, and the rest of the bundle.
+// TestIncrementalFinalizeEquivalence is the contract of the state kept
+// between seals: whatever mix of Add, Merge (of directly folded and of
+// wire-decoded bundles, finalized before the merge or not) and Finalize
+// an accumulator has been through, every Finalize equals a from-scratch
+// fold of the records so far — the hash table's, which reuses its
+// previous output, and the rest of the bundle's — and the client head
+// taken just before it is that table's first rows. The histories must
+// have seen an IP arrive below a full head and Merge adopt keys into an
+// accumulator keeping one.
 func TestIncrementalFinalizeEquivalence(t *testing.T) {
 	reg, _ := quickRegistry()
+	var lateSmall, adopted int
 	prop := func(h quickHistory) bool {
 		live := NewPartials(quickNumPots, reg, true)
 		var prefix []dayRec
-		check := func() bool {
+		var lastHead []string
+		lastRows := 0
+		check := func(rows int) bool {
+			head := live.Clients.Head(rows)
 			want := finalizeAll(t, foldBundle(prefix, reg, true))
 			if got := finalizeAll(t, live); !bytes.Equal(got, want) {
 				t.Logf("after %d records:\n got %s\nwant %s", len(prefix), got, want)
 				return false
 			}
-			return potsMatchReference(t, live, prefix) &&
-				live.Clients.Pending() == 0 && live.Hashes.Pending() == 0
+			full := live.Clients.Finalize()
+			if !slices.Equal(head, full[:min(rows, len(full))]) || len(full) != live.Clients.Len() {
+				t.Logf("after %d records, head of %d:\n got %+v\nwant %+v of %d (Len %d)",
+					len(prefix), rows, head, full[:min(rows, len(full))], len(full), live.Clients.Len())
+				return false
+			}
+			// A full head changes only by taking in a smaller newcomer.
+			if lastRows == rows && len(lastHead) == rows && !slices.Equal(lastHead, live.Clients.head) {
+				lateSmall++
+			}
+			lastHead, lastRows = slices.Clone(live.Clients.head), rows
+			return potsMatchReference(t, live, prefix) && live.Hashes.Pending() == 0
 		}
 		for _, s := range h.steps {
 			prefix = append(prefix, s.recs...)
@@ -81,21 +113,33 @@ func TestIncrementalFinalizeEquivalence(t *testing.T) {
 				}
 				if s.sealed {
 					finalizeAll(t, src)
+					src.Clients.Head(s.rows)
+				}
+				if live.Clients.rows > 0 {
+					for ip := range src.Clients.m {
+						if live.Clients.m[ip] == nil {
+							adopted++
+						}
+					}
 				}
 				if err := live.Merge(src); err != nil {
 					t.Fatalf("merge: %v", err)
 				}
 			case stepFinalize:
-				if !check() {
+				if !check(s.rows) {
 					return false
 				}
 			}
 		}
 		// Twice: the second call has nothing touched.
-		return check() && check()
+		last := h.steps[len(h.steps)-1].rows
+		return check(last) && check(last)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
+	}
+	if lateSmall == 0 || adopted == 0 {
+		t.Errorf("histories never exercised the head: %d late smaller IPs, %d keys adopted into a kept head", lateSmall, adopted)
 	}
 }
 
@@ -218,7 +262,7 @@ func rawCountries(ips []string, codes ...string) func(*wire.Builder) {
 // set in strictly ascending key order, so a frame that repeats a key or
 // steps backwards is not one a shard produced. Decoding used to let the
 // last duplicate win; now it is a decode error, which also keeps the
-// touched lists built at decode time duplicate-free.
+// hash table's touched list built at decode time duplicate-free.
 func TestPartialsDecodeRejectsUnsortedKeys(t *testing.T) {
 	oneIP := []string{"10.0.0.1"}
 	cases := []struct {

@@ -5,12 +5,12 @@ package analysis
 // deterministic Finalize that sorts every map-keyed output. The batch
 // functions in this package run them under mapReduce; internal/query's
 // incremental engine feeds them record batches as the farm runs and
-// materializes snapshots from the same Finalize calls. Because both
-// paths fold the same operations and finalize identically, an
-// incremental snapshot over the first N records of a stream is
-// byte-identical (after JSON encoding) to the batch computation over
-// those records — the equivalence the live query engine pins with a
-// property test.
+// materializes snapshots from the same Finalize calls — the client
+// table through Head, its first rows. Because both paths fold the same
+// operations and finalize identically, an incremental snapshot over the
+// first N records of a stream is byte-identical (after JSON encoding)
+// to the batch computation over those records — the equivalence the
+// live query engine pins with a property test.
 
 import (
 	"slices"
@@ -133,22 +133,24 @@ func (a *PotAccum) Finalize() []PerHoneypot {
 // ClientAccum accumulates per-client-IP stats. cat restricts to one
 // category (-1 for all), mirroring ComputeClientStats.
 //
-// Finalize is incremental: out is the table the last call returned
-// (sorted by IP and never written again — published snapshots alias
-// it), touched the IPs whose entry changed since, each listed once
-// (clientAcc.touched is the membership flag). Add, Merge and the wire
-// decoder all mark what they change.
+// head is what Head serves from: the table's smallest IPs, ascending,
+// at most rows of them, rows being the n of the last Head call. The
+// first Head call builds it; from then on the two paths that bring an
+// IP the table has not seen (Add, and Merge adopting an entry) keep it,
+// so a head costs O(log rows) per new client and nothing per changed
+// one. Until the first Head call rows is 0 and nothing is kept: a
+// bundle that is only merged or encoded pays nothing.
 //
 // perPot, set only on a Partials bundle's table, counts for each pot
 // the rows whose pot set holds it: every path that puts a pot in a
 // row's set (Add, Merge's unions and adoptions, the wire decoder)
 // counts the bits that are new to the table.
 type ClientAccum struct {
-	cat     int
-	m       map[string]*clientAcc
-	touched []string
-	out     []ClientStat
-	perPot  []int
+	cat    int
+	m      map[string]*clientAcc
+	rows   int
+	head   []string
+	perPot []int
 }
 
 // NewClientAccum creates a client accumulator; pass cat = -1 for all
@@ -157,11 +159,18 @@ func NewClientAccum(cat int) *ClientAccum {
 	return &ClientAccum{cat: cat, m: make(map[string]*clientAcc)}
 }
 
-func (a *ClientAccum) touch(ip string, acc *clientAcc) {
-	if !acc.touched {
-		acc.touched = true
-		a.touched = append(a.touched, ip)
+// admit takes ip, new to the table, into head if it is among the rows
+// smallest.
+func (a *ClientAccum) admit(ip string) {
+	if n := len(a.head); a.rows == 0 || n == a.rows && ip > a.head[n-1] {
+		return
 	}
+	i := sort.SearchStrings(a.head, ip)
+	if len(a.head) < a.rows {
+		a.head = append(a.head, "")
+	}
+	copy(a.head[i+1:], a.head[i:])
+	a.head[i] = ip
 }
 
 // Add folds one record in and reports whether it was the first the
@@ -181,6 +190,7 @@ func (a *ClientAccum) add(r *honeypot.SessionRecord, day int, c Category) (first
 		first = true
 		acc = new(clientAcc)
 		a.m[r.ClientIP] = acc
+		a.admit(r.ClientIP)
 	}
 	acc.sessions++
 	if acc.pots.add(r.HoneypotID) {
@@ -188,7 +198,6 @@ func (a *ClientAccum) add(r *honeypot.SessionRecord, day int, c Category) (first
 	}
 	acc.days.add(day)
 	acc.cats |= 1 << c
-	a.touch(r.ClientIP, acc)
 	return first
 }
 
@@ -199,10 +208,8 @@ func (a *ClientAccum) Merge(b *ClientAccum) {
 	for ip, sa := range b.m {
 		da := a.m[ip]
 		if da == nil {
-			// Adopted: the flag spoke for b's list, a's has yet to name it.
-			sa.touched = false
 			a.m[ip] = sa
-			a.touch(ip, sa)
+			a.admit(ip)
 			if count != nil {
 				sa.pots.each(count)
 			}
@@ -212,35 +219,56 @@ func (a *ClientAccum) Merge(b *ClientAccum) {
 		da.pots.union(sa.pots, count)
 		da.days.union(sa.days, nil)
 		da.cats |= sa.cats
-		a.touch(ip, da)
 	}
 }
 
 // Len returns the number of distinct client IPs accumulated.
 func (a *ClientAccum) Len() int { return len(a.m) }
 
-// Pending returns how many entries changed since the last Finalize —
-// the rows the next one rebuilds.
-func (a *ClientAccum) Pending() int { return len(a.touched) }
-
-// Finalize renders the per-client table, sorted by IP. The returned
-// slice is immutable: the accumulator keeps reading it to build the
-// next one.
+// Finalize renders the per-client table, sorted by IP.
 func (a *ClientAccum) Finalize() []ClientStat {
-	slices.Sort(a.touched)
-	a.out = mergeTouched(a.out, a.touched, len(a.m),
-		func(c *ClientStat) string { return c.IP },
-		func(ip string) ClientStat {
-			acc := a.m[ip]
-			acc.touched = false
-			return ClientStat{
-				IP: ip, Sessions: acc.sessions,
-				Honeypots: acc.pots.len(), ActiveDays: acc.days.len(),
-				Categories: acc.cats,
-			}
-		})
-	a.touched = a.touched[:0]
-	return a.out
+	ips := a.sortedIPs()
+	out := make([]ClientStat, len(ips))
+	for i, ip := range ips {
+		out[i] = a.row(ip)
+	}
+	return out
+}
+
+// Head renders the first n rows of the table Finalize would: a fresh
+// slice of min(n, Len()) rows. A call with another n than the previous
+// call's rebuilds the head from every entry; with the same n it costs
+// n map lookups.
+func (a *ClientAccum) Head(n int) []ClientStat {
+	if n != a.rows {
+		a.rows, a.head = n, make([]string, 0, n)
+		for ip := range a.m {
+			a.admit(ip)
+		}
+	}
+	out := make([]ClientStat, len(a.head))
+	for i, ip := range a.head {
+		out[i] = a.row(ip)
+	}
+	return out
+}
+
+func (a *ClientAccum) row(ip string) ClientStat {
+	acc := a.m[ip]
+	return ClientStat{
+		IP: ip, Sessions: acc.sessions,
+		Honeypots: acc.pots.len(), ActiveDays: acc.days.len(),
+		Categories: acc.cats,
+	}
+}
+
+// sortedIPs returns every IP in the table, ascending.
+func (a *ClientAccum) sortedIPs() []string {
+	return sortedStringKeys(len(a.m), func(f func(string)) {
+		for ip := range a.m {
+			f(ip)
+		}
+	})
 }
 
 // countPot counts one more row holding pot id; ids outside the table
@@ -342,10 +370,14 @@ func (a *CountryAccum) Finalize() []CountryCount {
 	return out
 }
 
-// HashAccum accumulates per-file-hash stats (Tables 4–6). Finalize is
-// incremental exactly as ClientAccum's is; tag is the tagger out's
-// rows were labelled by, and perPot counts rows per pot as
-// ClientAccum's does.
+// HashAccum accumulates per-file-hash stats (Tables 4–6).
+//
+// Finalize is incremental: out is the table the last call returned
+// (sorted by hash and never written again — published snapshots alias
+// it), touched the hashes whose entry changed since, each listed once
+// (hashAcc.touched is the membership flag). Add, Merge and the wire
+// decoder all mark what they change. tag is the tagger out's rows were
+// labelled by, and perPot counts rows per pot as ClientAccum's does.
 type HashAccum struct {
 	m       map[string]*hashAcc
 	touched []string

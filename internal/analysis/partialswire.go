@@ -257,11 +257,7 @@ func decodePotSessions(r *wire.Reader) []int {
 }
 
 func encodeClients(b *wire.Builder, a *ClientAccum) {
-	ips := sortedStringKeys(len(a.m), func(f func(string)) {
-		for ip := range a.m {
-			f(ip)
-		}
-	})
+	ips := a.sortedIPs()
 	b.Uint32(uint32(len(ips)))
 	for _, ip := range ips {
 		acc := a.m[ip]
@@ -283,25 +279,24 @@ func decodeClients(r *wire.Reader, numPots int) *ClientAccum {
 		r.SetErrf("partials client table truncated")
 		return a
 	}
-	a.touched = make([]string, 0, n)
 	var scratch intSet
 	count := potCounter(a.perPot)
+	prev := ""
 	for i := uint32(0); i < n; i++ {
 		ip := r.Text()
-		if i > 0 && ip <= a.touched[i-1] {
+		if i > 0 && ip <= prev {
 			r.SetErrf("partials client key %q not ascending", ip)
 			return a
 		}
+		prev = ip
 		acc := &clientAcc{
 			sessions: int(int64(r.Uint64())),
 			pots:     decodeIntSet(r, &scratch),
 			days:     decodeIntSet(r, &scratch),
 			cats:     r.Byte(),
-			touched:  true,
 		}
 		acc.pots.each(count)
 		a.m[ip] = acc
-		a.touched = append(a.touched, ip)
 	}
 	return a
 }

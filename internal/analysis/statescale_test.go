@@ -25,6 +25,9 @@ const (
 	paperDays    = 486
 	paperClients = 2_100_000
 	paperHashes  = 64_000
+	// snapshotClientRows is query.ClientRows, the client head a seal
+	// builds; this package cannot import query.
+	snapshotClientRows = 100
 )
 
 // splitmix is the splitmix64 step: a stateless stream per client index,
@@ -90,7 +93,7 @@ type stateScale struct {
 	objectsPerClient         float64
 	bytesPerHash             float64
 	foldNsPerRecord          float64
-	sealMs                   float64 // Finalize with 1 % of client rows touched
+	sealMs                   float64 // the keyed tables of a seal, 1 % of client rows touched
 	encodeMs                 float64
 	frameBytesPerClient      float64
 }
@@ -150,15 +153,17 @@ func measureStateScale(clients, hashes int) stateScale {
 	heap2, _ := liveHeap()
 	out.bytesPerHash = float64(heap2-heap1) / float64(hashes)
 
-	p.Clients.Finalize()
-	p.Hashes.Finalize(nil)
+	seal := func() {
+		p.Clients.Head(snapshotClientRows)
+		p.Hashes.Finalize(nil)
+	}
+	seal()
 	for i := 0; i < clients; i += 100 {
 		c := paperClientAt(i)
 		p.Add(rec, c.record(rec, 0))
 	}
 	t0 := time.Now()
-	p.Clients.Finalize()
-	p.Hashes.Finalize(nil)
+	seal()
 	out.sealMs = float64(time.Since(t0)) / 1e6
 
 	b := wire.NewBuilder(1 << 20)

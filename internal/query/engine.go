@@ -14,12 +14,13 @@
 // current snapshot is published through an atomic pointer and old
 // snapshots stay valid for as long as anyone holds them.
 //
-// Equivalence is the correctness anchor: because ingest folds the very
-// accumulators the batch functions fold, and Seal calls the very
-// Finalize methods they call, a snapshot at sequence N is
-// byte-identical (after JSON encoding) to running internal/analysis
-// over the first N records — at any ingest batching and any snapshot
-// cadence. TestSnapshotEquivalence pins this.
+// Equivalence is the correctness anchor: ingest folds the very
+// accumulators the batch functions fold, and Seal builds each table the
+// way they do — the client table as what the API serves of it, its
+// first ClientRows rows and its length. A snapshot at sequence N is
+// byte-identical (after JSON encoding) to internal/analysis over the
+// first N records shaped the same way — at any ingest batching and any
+// snapshot cadence. TestSnapshotEquivalence pins this.
 package query
 
 import (
@@ -59,6 +60,11 @@ type Config struct {
 	SnapshotEvery int
 }
 
+// ClientRows is how many rows of the per-client-IP table a snapshot
+// carries — the first, in IP order — and so the most /v1/clients
+// serves.
+const ClientRows = 100
+
 // Snapshot is one immutable epoch-sealed view of the ingest stream's
 // first Seq records. Every field is a finalized aggregate; nothing in
 // a published snapshot is ever mutated again.
@@ -72,7 +78,10 @@ type Snapshot struct {
 	Summary analysis.CategoryShares
 	// Pots is the per-honeypot table, indexed by honeypot ID.
 	Pots []analysis.PerHoneypot
-	// Clients is the per-client-IP table, sorted by IP.
+	// ClientCount is the number of distinct client IPs.
+	ClientCount int
+	// Clients is the per-client-IP table's first ClientRows rows,
+	// sorted by IP.
 	Clients []analysis.ClientStat
 	// Countries is the unique-clients-per-country table, descending.
 	Countries []analysis.CountryCount
@@ -103,7 +112,7 @@ type Engine struct {
 	// while nobody waits, so Ingest pays one pointer test for it.
 	news    chan struct{}
 	seals   atomic.Uint64 // snapshots sealed (including the empty one)
-	rebuilt atomic.Uint64 // client + hash rows those seals rebuilt
+	rebuilt atomic.Uint64 // client + hash rows those seals built
 
 	cur atomic.Pointer[Snapshot]
 }
@@ -178,13 +187,14 @@ func (e *Engine) Seal() *Snapshot {
 	return e.sealLocked()
 }
 
-// sealLocked materializes and publishes under e.mu. Every Finalize
-// call returns a fresh slice, so the snapshot stays immutable while
-// ingest keeps folding into the accumulators; the client and hash
-// tables rebuild only the rows touched since the previous seal.
+// sealLocked materializes and publishes under e.mu. Every table is a
+// fresh slice, so the snapshot stays immutable while ingest keeps
+// folding into the accumulators; the client head is ClientRows rows and
+// the hash table rebuilds only the rows touched since the previous seal.
 func (e *Engine) sealLocked() *Snapshot {
-	e.rebuilt.Add(uint64(e.parts.Clients.Pending() + e.parts.Hashes.Pending()))
+	hashes := e.parts.Hashes.Pending()
 	snap := MaterializeSnapshot(e.parts, e.seq, e.maxDay+1, e.cfg.Tagger, e.cfg.Faults)
+	e.rebuilt.Add(uint64(len(snap.Clients) + hashes))
 	e.sinceSeal = 0
 	e.cur.Store(snap)
 	e.seals.Add(1)
@@ -196,18 +206,19 @@ func (e *Engine) sealLocked() *Snapshot {
 // THE materialization path: the engine's seal calls it for single-node
 // snapshots and the distributed merge coordinator calls it over merged
 // shard bundles, so the two can never disagree about how accumulators
-// become tables. Every Finalize call returns a slice nothing writes
-// again (the bundle keeps a read-only reference to its client and hash
-// tables, to build the next ones from); the snapshot stays immutable
-// while callers keep folding into the bundle.
+// become tables. Every table is a slice nothing writes again (the
+// bundle keeps a read-only reference to its hash table, to build the
+// next one from); the snapshot stays immutable while callers keep
+// folding into the bundle.
 func MaterializeSnapshot(p *analysis.Partials, seq uint64, days int, tagger analysis.Tagger, rep *faults.Report) *Snapshot {
 	snap := &Snapshot{
-		Seq:     seq,
-		Days:    days,
-		Summary: p.Cats.Finalize(),
-		Pots:    p.FinalizePots(),
-		Clients: p.Clients.Finalize(),
-		Hashes:  p.Hashes.Finalize(tagger),
+		Seq:         seq,
+		Days:        days,
+		Summary:     p.Cats.Finalize(),
+		Pots:        p.FinalizePots(),
+		ClientCount: p.Clients.Len(),
+		Clients:     p.Clients.Head(ClientRows),
+		Hashes:      p.Hashes.Finalize(tagger),
 	}
 	if p.Countries != nil {
 		snap.Countries = p.Countries.Finalize()
@@ -319,8 +330,9 @@ func (e *Engine) Seals() uint64 {
 }
 
 // SealRebuiltEntries returns how many client and hash rows those seals
-// rebuilt in total: the entries touched between consecutive seals, the
-// work a seal does beyond copying the rows that did not change.
+// built in total: each seal's client head rows plus the hash entries
+// touched since the seal before it — the work a seal does beyond
+// copying the hash rows that did not change.
 func (e *Engine) SealRebuiltEntries() uint64 {
 	return e.rebuilt.Load()
 }

@@ -3,8 +3,10 @@ package query_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 	"unsafe"
@@ -21,18 +23,20 @@ import (
 
 // batchSnapshot runs the batch pipeline (internal/analysis over a
 // freshly built store) on a record prefix and shapes the results as a
-// Snapshot — the reference the incremental engine must match byte for
-// byte after JSON encoding.
+// Snapshot serves them — the reference the incremental engine must
+// match byte for byte after JSON encoding.
 func batchSnapshot(recs []*honeypot.SessionRecord, epoch time.Time, numPots int, reg *geo.Registry, tag analysis.Tagger) *query.Snapshot {
 	st := store.New(epoch)
 	st.AddBatch(recs)
 	days := st.NumDays()
+	clients := analysis.ComputeClientStats(st, -1)
 	return &query.Snapshot{
 		Seq:          uint64(len(recs)),
 		Days:         days,
 		Summary:      analysis.ComputeCategoryShares(st),
 		Pots:         analysis.ComputePerHoneypot(st, numPots),
-		Clients:      analysis.ComputeClientStats(st, -1),
+		ClientCount:  len(clients),
+		Clients:      clients[:min(query.ClientRows, len(clients))],
 		Countries:    analysis.ClientCountries(st, reg, nil),
 		Hashes:       analysis.ComputeHashStats(st, tag),
 		Availability: analysis.ComputeAvailability(st, nil, numPots, days),
@@ -141,11 +145,12 @@ func TestSnapshotCadence(t *testing.T) {
 
 // TestSnapshotIsolation: a snapshot held across further ingest must not
 // change — its JSON encoding is stable while the engine moves on. The
-// client and hash accumulators build each table from the previous
-// one, so every auto-sealed snapshot is held across all the seals after
-// it (120 in all) while a reader keeps walking the published one (run
-// under -race by check.sh), and no two snapshots' tables may overlap in
-// memory unless they say the same thing.
+// hash accumulator builds each table from the previous one and the
+// client accumulator keeps its head between seals, so every auto-sealed
+// snapshot is held across all the seals after it (120 in all) while a
+// reader keeps walking the published one (run under -race by check.sh),
+// and no two snapshots' tables may overlap in memory unless they say
+// the same thing.
 func TestSnapshotIsolation(t *testing.T) {
 	const numPots, every = 5, 10
 	d, err := honeyfarm.Simulate(honeyfarm.SimulateConfig{
@@ -209,6 +214,44 @@ func TestSnapshotIsolation(t *testing.T) {
 				t.Fatalf("snapshots at seq %d and %d share a hash table backing array", snap.Seq, later.Seq)
 			}
 		}
+	}
+}
+
+// TestSealAllocation: a seal builds what a snapshot serves of the
+// client table — its count and first ClientRows rows — so what it
+// allocates does not grow with the clients held. A seal that copied
+// the table would allocate 2.4 MB here (48 B a row).
+func TestSealAllocation(t *testing.T) {
+	const clients, pots = 50_000, 4
+	rec := func(i int, ip string) *honeypot.SessionRecord {
+		return &honeypot.SessionRecord{
+			ID: uint64(i), HoneypotID: i % pots, Protocol: honeypot.SSH, ClientIP: ip,
+			Start: honeyfarm.DefaultEpoch, End: honeyfarm.DefaultEpoch,
+		}
+	}
+	recs := make([]*honeypot.SessionRecord, clients)
+	for i := range recs {
+		recs[i] = rec(i, fmt.Sprintf("10.%d.%d.%d", i>>16, i>>8&255, i&255))
+	}
+	eng := query.New(query.Config{Epoch: honeyfarm.DefaultEpoch, NumPots: pots})
+	for lo := 0; lo < clients; lo += 1000 {
+		eng.Ingest(recs[lo : lo+1000])
+	}
+	eng.Seal()
+	// An IP that sorts before every other: the head must take it in.
+	eng.Ingest([]*honeypot.SessionRecord{rec(clients, "1.2.3.4")})
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	snap := eng.Seal()
+	runtime.ReadMemStats(&after)
+	if snap.ClientCount != clients+1 || len(snap.Clients) != query.ClientRows ||
+		snap.Clients[0].IP != "1.2.3.4" || len(snap.Hashes) != 0 {
+		t.Fatalf("seal of %d clients: count %d, %d rows from %q, %d hashes",
+			clients+1, snap.ClientCount, len(snap.Clients), snap.Clients[0].IP, len(snap.Hashes))
+	}
+	if spent := after.TotalAlloc - before.TotalAlloc; spent >= 64<<10 {
+		t.Errorf("a seal holding %d clients allocated %d B, want < 64 KiB", clients+1, spent)
 	}
 }
 

@@ -83,19 +83,15 @@ type ServerConfig struct {
 	Shards func() []ShardStatus
 	// MaxInflight bounds concurrently rendered responses (default 64).
 	MaxInflight int
-	// ClientRows is the default (and maximum) row count for /v1/clients
-	// (default 100); ?limit= selects fewer.
-	ClientRows int
 }
 
 // Server renders a Source's snapshots over HTTP.
 type Server struct {
-	source     Source
-	follower   *Follower
-	walHealth  func() wal.Health
-	shards     func() []ShardStatus
-	sem        chan struct{}
-	clientRows int
+	source    Source
+	follower  *Follower
+	walHealth func() wal.Health
+	shards    func() []ShardStatus
+	sem       chan struct{}
 
 	// Serve-layer counters, exported through /metrics via
 	// RegisterServeMetrics. Always allocated (zero Counters are live),
@@ -126,17 +122,13 @@ func NewServer(cfg ServerConfig) *Server {
 	if cfg.MaxInflight <= 0 {
 		cfg.MaxInflight = 64
 	}
-	if cfg.ClientRows <= 0 {
-		cfg.ClientRows = 100
-	}
 	return &Server{
-		source:     cfg.Source,
-		follower:   cfg.Follower,
-		walHealth:  cfg.WALHealth,
-		shards:     cfg.Shards,
-		sem:        make(chan struct{}, cfg.MaxInflight),
-		clientRows: cfg.ClientRows,
-		cache:      make(map[string]*cacheEntry),
+		source:    cfg.Source,
+		follower:  cfg.Follower,
+		walHealth: cfg.WALHealth,
+		shards:    cfg.Shards,
+		sem:       make(chan struct{}, cfg.MaxInflight),
+		cache:     make(map[string]*cacheEntry),
 	}
 }
 
@@ -149,7 +141,7 @@ func (s *Server) Handler() http.Handler {
 				Seq: snap.Seq, Days: snap.Days,
 				Epoch:    s.source.Epoch().Format(time.RFC3339),
 				Sessions: snap.Summary.Total,
-				Clients:  len(snap.Clients),
+				Clients:  snap.ClientCount,
 				Hashes:   len(snap.Hashes),
 				Summary:  snap.Summary,
 			}
@@ -161,17 +153,14 @@ func (s *Server) Handler() http.Handler {
 		})
 	})
 	mux.HandleFunc("/v1/clients", func(w http.ResponseWriter, r *http.Request) {
-		limit, err := limitParam(r, s.clientRows)
+		limit, err := limitParam(r, ClientRows)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
 		s.serveSnapshot(w, r, fmt.Sprintf("clients?limit=%d", limit), func(snap *Snapshot) any {
-			rows := snap.Clients
-			if len(rows) > limit {
-				rows = rows[:limit]
-			}
-			return clientsResponse{Seq: snap.Seq, Total: len(snap.Clients), Clients: rows}
+			rows := snap.Clients[:min(limit, len(snap.Clients))]
+			return clientsResponse{Seq: snap.Seq, Total: snap.ClientCount, Clients: rows}
 		})
 	})
 	mux.HandleFunc("/v1/countries", func(w http.ResponseWriter, r *http.Request) {

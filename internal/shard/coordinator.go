@@ -566,8 +566,9 @@ func (c *Coordinator) mergeLoop() {
 // publish materializes the merged bundle through the same path as a
 // single-node seal — so the merged snapshot is byte-identical (after
 // JSON encoding) to an engine that ingested all shards' records
-// directly. The bundle lives on between publishes, so its Finalize
-// rebuilds only the rows the installs since the last one touched.
+// directly. The bundle lives on between publishes, so its hash table
+// rebuilds only the rows the installs since the last one touched, and
+// its client head has already taken in the IPs they brought.
 func (c *Coordinator) publish() {
 	c.mergeMu.Lock()
 	defer c.mergeMu.Unlock()

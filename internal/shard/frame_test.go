@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 
 	"honeyfarm"
@@ -164,7 +165,8 @@ func TestFrameSeedCorpus(t *testing.T) {
 // FuzzDecodePartialsFrame: whatever the bytes, the decoder does not
 // panic, allocates in proportion to the input, and either refuses the
 // frame or returns a bundle that is safe to use — it re-encodes to a
-// frame that decodes to the same bytes again, merges and materializes.
+// frame that decodes to the same bytes again, builds a client head equal
+// to the first rows of its full table, merges and materializes.
 // Each input is also tried with its envelope re-sealed, so mutations
 // get past the CRC to the payload decoders. Plain go test runs the
 // checked-in corpus only.
@@ -193,6 +195,10 @@ func checkFrame(t *testing.T, frame []byte) {
 	}
 	if from > seq || days < 0 {
 		t.Fatalf("accepted (%d, %d] over %d days", from, seq, days)
+	}
+	full := parts.Clients.Finalize()
+	if head, want := parts.Clients.Head(query.ClientRows), full[:min(query.ClientRows, len(full))]; !slices.Equal(head, want) {
+		t.Fatalf("decoded bundle's client head %+v, want its table's first rows %+v", head, want)
 	}
 	b := wire.NewBuilder(len(frame))
 	parts.Encode(b)
