@@ -26,9 +26,7 @@ import (
 	"time"
 
 	"honeyfarm"
-	"honeyfarm/internal/analysis"
 	"honeyfarm/internal/daemon"
-	"honeyfarm/internal/malware"
 	"honeyfarm/internal/query"
 	"honeyfarm/internal/shard"
 )
@@ -59,7 +57,6 @@ func main() {
 		NumPots:   *pots,
 		Countries: true,
 		Epoch:     honeyfarm.DefaultEpoch,
-		Tagger:    analysis.Tagger(malware.NewTagger(nil)),
 		PullEvery: *pullEvery,
 		FailAfter: *failAfter,
 		Now:       time.Now,

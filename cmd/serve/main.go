@@ -27,9 +27,7 @@ import (
 	"time"
 
 	"honeyfarm"
-	"honeyfarm/internal/analysis"
 	"honeyfarm/internal/daemon"
-	"honeyfarm/internal/malware"
 	"honeyfarm/internal/query"
 )
 
@@ -63,7 +61,6 @@ func main() {
 		Epoch:         epoch,
 		NumPots:       *pots,
 		Registry:      honeyfarm.NewRegistry(*seed),
-		Tagger:        analysis.Tagger(malware.NewTagger(nil)),
 		SnapshotEvery: *snapshotEvery,
 	})
 	follower, err := query.NewFollower(engine, *walDir, *poll)

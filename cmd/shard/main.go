@@ -29,10 +29,8 @@ import (
 	"time"
 
 	"honeyfarm"
-	"honeyfarm/internal/analysis"
 	"honeyfarm/internal/daemon"
 	"honeyfarm/internal/honeypot"
-	"honeyfarm/internal/malware"
 	"honeyfarm/internal/query"
 	"honeyfarm/internal/shard"
 	"honeyfarm/internal/wal"
@@ -90,7 +88,6 @@ func main() {
 		Epoch:         honeyfarm.DefaultEpoch,
 		NumPots:       *pots,
 		Registry:      registry,
-		Tagger:        analysis.Tagger(malware.NewTagger(nil)),
 		SnapshotEvery: *snapshotEvery,
 	})
 	for _, b := range recovery.Batches {

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"honeyfarm/internal/honeypot"
 	"honeyfarm/internal/wire"
 )
 
@@ -17,8 +16,7 @@ type foldStep struct {
 	kind int // stepAdd … stepFinalize
 	recs []dayRec
 	// sealed: the merged-in bundle was itself finalized and its client
-	// head taken first, so the entries the destination adopts arrive
-	// with their flags cleared.
+	// head taken first.
 	sealed bool
 	// rows is the client head size a stepFinalize asks for.
 	rows int
@@ -66,11 +64,10 @@ func (quickHistory) Generate(r *rand.Rand, size int) reflect.Value {
 // between seals: whatever mix of Add, Merge (of directly folded and of
 // wire-decoded bundles, finalized before the merge or not) and Finalize
 // an accumulator has been through, every Finalize equals a from-scratch
-// fold of the records so far — the hash table's, which reuses its
-// previous output, and the rest of the bundle's — and the client head
-// taken just before it is that table's first rows. The histories must
-// have seen an IP arrive below a full head and Merge adopt keys into an
-// accumulator keeping one.
+// fold of the records so far, and the client head taken just before it
+// is that table's first rows. The histories must have seen an IP arrive
+// below a full head and Merge adopt keys into an accumulator keeping
+// one.
 func TestIncrementalFinalizeEquivalence(t *testing.T) {
 	reg, _ := quickRegistry()
 	var lateSmall, adopted int
@@ -97,7 +94,7 @@ func TestIncrementalFinalizeEquivalence(t *testing.T) {
 				lateSmall++
 			}
 			lastHead, lastRows = slices.Clone(live.Clients.head), rows
-			return potsMatchReference(t, live, prefix) && live.Hashes.Pending() == 0
+			return potsMatchReference(t, live, prefix)
 		}
 		for _, s := range h.steps {
 			prefix = append(prefix, s.recs...)
@@ -131,7 +128,7 @@ func TestIncrementalFinalizeEquivalence(t *testing.T) {
 				}
 			}
 		}
-		// Twice: the second call has nothing touched.
+		// Twice: the second head call has no newcomer to take in.
 		last := h.steps[len(h.steps)-1].rows
 		return check(last) && check(last)
 	}
@@ -140,50 +137,6 @@ func TestIncrementalFinalizeEquivalence(t *testing.T) {
 	}
 	if lateSmall == 0 || adopted == 0 {
 		t.Errorf("histories never exercised the head: %d late smaller IPs, %d keys adopted into a kept head", lateSmall, adopted)
-	}
-}
-
-// TestHashFinalizeTaggerChange: HashAccum caches rows that embed the
-// tagger's labels, so a call with another tagger must relabel every
-// row, touched or not, and the same tagger again must rebuild nothing.
-func TestHashFinalizeTaggerChange(t *testing.T) {
-	labeller := func(label string) Tagger {
-		return func(string) string { return label }
-	}
-	red, blue := labeller("red"), labeller("blue")
-	a := NewHashAccum()
-	addFile := func(hash string) {
-		a.Add(mk{day: 1, pot: 1, ip: "10.0.0.1", logins: okLogin(),
-			files: []honeypot.FileRecord{{Path: "/tmp/a", Hash: hash, Op: "wget"}}}.rec(), 1)
-	}
-	wantTags := func(step string, got []HashStat, n int, tag string) {
-		t.Helper()
-		if len(got) != n {
-			t.Fatalf("%s: %d rows, want %d", step, len(got), n)
-		}
-		for _, h := range got {
-			if h.Tag != tag {
-				t.Errorf("%s: hash %s tagged %q, want %q", step, h.Hash, h.Tag, tag)
-			}
-		}
-	}
-	addFile("aa")
-	addFile("bb")
-	wantTags("first", a.Finalize(red), 2, "red")
-	wantTags("other tagger, nothing touched", a.Finalize(blue), 2, "blue")
-	addFile("cc")
-	wantTags("other tagger, one touched", a.Finalize(red), 3, "red")
-	wantTags("nil tagger", a.Finalize(nil), 3, "unknown")
-	wantTags("back from nil", a.Finalize(blue), 3, "blue")
-	addFile("aa")
-	if a.Pending() != 1 {
-		t.Fatalf("pending = %d, want 1", a.Pending())
-	}
-	wantTags("same tagger", a.Finalize(blue), 3, "blue")
-	// Two closures of one literal share their code pointer; they are
-	// still different taggers.
-	if sameTagger(red, blue) || !sameTagger(red, red) || !sameTagger(nil, nil) || sameTagger(nil, red) {
-		t.Error("sameTagger does not tell function values apart")
 	}
 }
 
@@ -261,8 +214,7 @@ func rawCountries(ips []string, codes ...string) func(*wire.Builder) {
 // TestPartialsDecodeRejectsUnsortedKeys: Encode writes every table and
 // set in strictly ascending key order, so a frame that repeats a key or
 // steps backwards is not one a shard produced. Decoding used to let the
-// last duplicate win; now it is a decode error, which also keeps the
-// hash table's touched list built at decode time duplicate-free.
+// last duplicate win; now it is a decode error.
 func TestPartialsDecodeRejectsUnsortedKeys(t *testing.T) {
 	oneIP := []string{"10.0.0.1"}
 	cases := []struct {

@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"sort"
-	"unsafe"
 
 	"honeyfarm/internal/honeypot"
 	"honeyfarm/internal/stats"
@@ -13,17 +12,6 @@ import (
 // paper's VirusTotal/ClamAV cross-check: mirai, trojan, miner,
 // malicious, suspicious, unknown).
 type Tagger func(hash string) string
-
-// sameTagger reports whether a and b are one function value: both nil,
-// or the same function or closure object. Go compares function values
-// only against nil and reflect exposes only the code pointer, which
-// every closure of one literal shares (malware.NewTagger(x) and
-// NewTagger(y) would look equal), so this compares the words the two
-// values hold — the pointer to the closure. Distinct closures that
-// behave alike compare unequal, which only costs HashAccum a rebuild.
-func sameTagger(a, b Tagger) bool {
-	return *(*unsafe.Pointer)(unsafe.Pointer(&a)) == *(*unsafe.Pointer)(unsafe.Pointer(&b))
-}
 
 // HashStat aggregates one file hash across the dataset — one row of the
 // paper's Tables 4, 5 and 6.
@@ -39,14 +27,12 @@ type HashStat struct {
 }
 
 // hashAcc is one hash's partial aggregate; its first and last day are
-// days.min() and days.max(). touched is set while the hash sits in its
-// HashAccum's touched list.
+// days.min() and days.max().
 type hashAcc struct {
 	sessions int
 	ips      map[string]struct{}
 	days     intSet
 	pots     intSet
-	touched  bool
 }
 
 // ComputeHashStats scans the dataset once and aggregates every hash.

@@ -6,14 +6,14 @@ package analysis
 // functions in this package run them under mapReduce; internal/query's
 // incremental engine feeds them record batches as the farm runs and
 // materializes snapshots from the same Finalize calls — the client
-// table through Head, its first rows. Because both paths fold the same
-// operations and finalize identically, an incremental snapshot over the
-// first N records of a stream is byte-identical (after JSON encoding)
-// to the batch computation over those records — the equivalence the
-// live query engine pins with a property test.
+// table through Head, its first rows, and the hash table through Len
+// alone. Because both paths fold the same operations and finalize
+// identically, an incremental snapshot over the first N records of a
+// stream is byte-identical (after JSON encoding) to the batch
+// computation over those records — the equivalence the live query
+// engine pins with a property test.
 
 import (
-	"slices"
 	"sort"
 
 	"honeyfarm/internal/geo"
@@ -288,32 +288,6 @@ func potCounter(perPot []int) func(int) {
 	return func(id int) { countPot(perPot, id) }
 }
 
-// mergeTouched builds a key-sorted table of n rows from prev, the
-// previous table, and touched, the sorted keys whose rows are new or
-// changed: runs of prev between touched keys are copied in bulk and
-// row builds the rest. prev is only read. With prev empty every row is
-// built, so a first Finalize is this same path.
-func mergeTouched[T any](prev []T, touched []string, n int, key func(*T) string, row func(string) T) []T {
-	out := make([]T, 0, n)
-	for _, k := range touched {
-		// Gallop, then bisect: O(log gap), whether the touched keys are
-		// a few among many rows or most of them.
-		lo, step := 0, 1
-		for lo+step <= len(prev) && key(&prev[lo+step-1]) < k {
-			lo, step = lo+step, step*2
-		}
-		run := prev[lo:min(lo+step-1, len(prev))]
-		j := lo + sort.Search(len(run), func(i int) bool { return key(&run[i]) >= k })
-		out = append(out, prev[:j]...)
-		prev = prev[j:]
-		if len(prev) > 0 && key(&prev[0]) == k {
-			prev = prev[1:]
-		}
-		out = append(out, row(k))
-	}
-	return append(out, prev...)
-}
-
 // CountryAccum accumulates unique client IPs per country (Figure
 // 10/23). cats nil selects all categories.
 type CountryAccum struct {
@@ -370,32 +344,16 @@ func (a *CountryAccum) Finalize() []CountryCount {
 	return out
 }
 
-// HashAccum accumulates per-file-hash stats (Tables 4–6).
-//
-// Finalize is incremental: out is the table the last call returned
-// (sorted by hash and never written again — published snapshots alias
-// it), touched the hashes whose entry changed since, each listed once
-// (hashAcc.touched is the membership flag). Add, Merge and the wire
-// decoder all mark what they change. tag is the tagger out's rows were
-// labelled by, and perPot counts rows per pot as ClientAccum's does.
+// HashAccum accumulates per-file-hash stats (Tables 4–6). perPot
+// counts rows per pot as ClientAccum's does.
 type HashAccum struct {
-	m       map[string]*hashAcc
-	touched []string
-	out     []HashStat
-	tag     Tagger
-	perPot  []int
+	m      map[string]*hashAcc
+	perPot []int
 }
 
 // NewHashAccum creates a hash accumulator.
 func NewHashAccum() *HashAccum {
 	return &HashAccum{m: make(map[string]*hashAcc)}
-}
-
-func (a *HashAccum) touch(h string, acc *hashAcc) {
-	if !acc.touched {
-		acc.touched = true
-		a.touched = append(a.touched, h)
-	}
 }
 
 // Add folds one record in. day is the record's day bucket. A session
@@ -420,7 +378,6 @@ files:
 		if acc.pots.add(r.HoneypotID) {
 			countPot(a.perPot, r.HoneypotID)
 		}
-		a.touch(f.Hash, acc)
 	}
 }
 
@@ -431,10 +388,7 @@ func (a *HashAccum) Merge(b *HashAccum) {
 	for h, sa := range b.m {
 		da := a.m[h]
 		if da == nil {
-			// Adopted: the flag spoke for b's list, a's has yet to name it.
-			sa.touched = false
 			a.m[h] = sa
-			a.touch(h, sa)
 			if count != nil {
 				sa.pots.each(count)
 			}
@@ -444,50 +398,41 @@ func (a *HashAccum) Merge(b *HashAccum) {
 		unionInto(da.ips, sa.ips)
 		da.days.union(sa.days, nil)
 		da.pots.union(sa.pots, count)
-		a.touch(h, da)
 	}
 }
 
 // Len returns the number of distinct hashes accumulated.
 func (a *HashAccum) Len() int { return len(a.m) }
 
-// Pending returns how many entries changed since the last Finalize —
-// the rows the next one rebuilds, given the same tagger.
-func (a *HashAccum) Pending() int { return len(a.touched) }
-
 // Finalize renders the hash table, sorted by hash. tag may be nil (tags
-// become "unknown"). The returned slice is immutable: the accumulator
-// keeps reading it to build the next one. Its rows embed tag's labels,
-// so a call with a tagger other than the previous call's rebuilds
-// every row.
+// become "unknown").
 func (a *HashAccum) Finalize(tag Tagger) []HashStat {
-	if !sameTagger(tag, a.tag) {
-		for i := range a.out {
-			a.touch(a.out[i].Hash, a.m[a.out[i].Hash])
+	hashes := a.sortedHashes()
+	out := make([]HashStat, len(hashes))
+	for i, h := range hashes {
+		acc := a.m[h]
+		out[i] = HashStat{
+			Hash:      h,
+			Sessions:  acc.sessions,
+			ClientIPs: len(acc.ips),
+			Days:      acc.days.len(),
+			Honeypots: acc.pots.len(),
+			FirstDay:  acc.days.min(),
+			LastDay:   acc.days.max(),
+			Tag:       "unknown",
 		}
-		a.out, a.tag = nil, tag
+		if tag != nil {
+			out[i].Tag = tag(h)
+		}
 	}
-	slices.Sort(a.touched)
-	a.out = mergeTouched(a.out, a.touched, len(a.m),
-		func(h *HashStat) string { return h.Hash },
-		func(h string) HashStat {
-			acc := a.m[h]
-			acc.touched = false
-			hs := HashStat{
-				Hash:      h,
-				Sessions:  acc.sessions,
-				ClientIPs: len(acc.ips),
-				Days:      acc.days.len(),
-				Honeypots: acc.pots.len(),
-				FirstDay:  acc.days.min(),
-				LastDay:   acc.days.max(),
-				Tag:       "unknown",
-			}
-			if tag != nil {
-				hs.Tag = tag(h)
-			}
-			return hs
-		})
-	a.touched = a.touched[:0]
-	return a.out
+	return out
+}
+
+// sortedHashes returns every hash in the table, ascending.
+func (a *HashAccum) sortedHashes() []string {
+	return sortedStringKeys(len(a.m), func(f func(string)) {
+		for h := range a.m {
+			f(h)
+		}
+	})
 }

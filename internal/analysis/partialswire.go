@@ -337,11 +337,7 @@ func decodeCountries(r *wire.Reader) *CountryAccum {
 }
 
 func encodeHashes(b *wire.Builder, a *HashAccum) {
-	hashes := sortedStringKeys(len(a.m), func(f func(string)) {
-		for h := range a.m {
-			f(h)
-		}
-	})
+	hashes := a.sortedHashes()
 	b.Uint32(uint32(len(hashes)))
 	for _, h := range hashes {
 		acc := a.m[h]
@@ -361,25 +357,24 @@ func decodeHashes(r *wire.Reader, numPots int) *HashAccum {
 		r.SetErrf("partials hash table truncated")
 		return a
 	}
-	a.touched = make([]string, 0, n)
 	var scratch intSet
 	count := potCounter(a.perPot)
+	prev := ""
 	for i := uint32(0); i < n; i++ {
 		h := r.Text()
-		if i > 0 && h <= a.touched[i-1] {
+		if i > 0 && h <= prev {
 			r.SetErrf("partials hash key %q not ascending", h)
 			return a
 		}
+		prev = h
 		acc := &hashAcc{
 			sessions: int(int64(r.Uint64())),
 			ips:      decodeStringSet(r),
 			days:     decodeIntSet(r, &scratch),
 			pots:     decodeIntSet(r, &scratch),
-			touched:  true,
 		}
 		acc.pots.each(count)
 		a.m[h] = acc
-		a.touched = append(a.touched, h)
 	}
 	return a
 }

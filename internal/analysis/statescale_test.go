@@ -153,9 +153,10 @@ func measureStateScale(clients, hashes int) stateScale {
 	heap2, _ := liveHeap()
 	out.bytesPerHash = float64(heap2-heap1) / float64(hashes)
 
-	seal := func() {
-		p.Clients.Head(snapshotClientRows)
-		p.Hashes.Finalize(nil)
+	// What query.MaterializeSnapshot reads of the two tables that grow
+	// with state: the client head and the hash count.
+	seal := func() (heads []ClientStat, hashes int) {
+		return p.Clients.Head(snapshotClientRows), p.Hashes.Len()
 	}
 	seal()
 	for i := 0; i < clients; i += 100 {
@@ -195,12 +196,16 @@ func BenchmarkStateAtPaperScale(b *testing.B) {
 // TestStateBudget gates the declared budget on a tenth of the paper's
 // population: a client row — map slot, key, row and its two sets — costs
 // at most 256 B of live heap in at most 4.5 objects, which puts the
-// paper's whole client population under 0.6 GB in one shard.
+// paper's whole client population under 0.6 GB in one shard; a hash row
+// with its client-IP set costs at most 1,400 B.
 func TestStateBudget(t *testing.T) {
 	s := measureStateScale(paperClients/10, paperHashes/10)
 	t.Logf("%d clients, %d records: %.0f B and %.2f objects per client, %.0f B/hash, fold %.0f ns/record, seal %.1f ms at 1%% touched, encode %.0f ms, frame %.0f B/client",
 		s.clients, s.records, s.bytesPerClient, s.objectsPerClient, s.bytesPerHash, s.foldNsPerRecord, s.sealMs, s.encodeMs, s.frameBytesPerClient)
 	if s.bytesPerClient > 256 || s.objectsPerClient > 4.5 {
 		t.Errorf("client table costs %.0f B and %.2f objects per client, budget 256 B and 4.5", s.bytesPerClient, s.objectsPerClient)
+	}
+	if s.bytesPerHash > 1400 {
+		t.Errorf("hash table costs %.0f B per hash, budget 1,400 B", s.bytesPerHash)
 	}
 }

@@ -48,7 +48,7 @@ type Config struct {
 	// Registry resolves client IPs to countries. Nil disables the
 	// country table (snapshots carry an empty one).
 	Registry *geo.Registry
-	// Tagger labels file hashes; nil tags everything "unknown".
+	// Deprecated: snapshots carry no hash rows; ignored.
 	Tagger analysis.Tagger
 	// Faults, when non-nil, joins the fault plan's loss accounting into
 	// the availability table, mirroring Dataset.Availability.
@@ -85,8 +85,8 @@ type Snapshot struct {
 	Clients []analysis.ClientStat
 	// Countries is the unique-clients-per-country table, descending.
 	Countries []analysis.CountryCount
-	// Hashes is the per-file-hash table, sorted by hash.
-	Hashes []analysis.HashStat
+	// HashCount is the number of distinct file hashes.
+	HashCount int
 	// Availability joins Pots with the fault report's loss counters.
 	Availability []analysis.PotAvailability
 }
@@ -110,9 +110,8 @@ type Engine struct {
 	cut     uint64
 	// news is closed by the next Ingest: what a parked pull waits on. Nil
 	// while nobody waits, so Ingest pays one pointer test for it.
-	news    chan struct{}
-	seals   atomic.Uint64 // snapshots sealed (including the empty one)
-	rebuilt atomic.Uint64 // client + hash rows those seals built
+	news  chan struct{}
+	seals atomic.Uint64 // snapshots sealed (including the empty one)
 
 	cur atomic.Pointer[Snapshot]
 }
@@ -189,12 +188,10 @@ func (e *Engine) Seal() *Snapshot {
 
 // sealLocked materializes and publishes under e.mu. Every table is a
 // fresh slice, so the snapshot stays immutable while ingest keeps
-// folding into the accumulators; the client head is ClientRows rows and
-// the hash table rebuilds only the rows touched since the previous seal.
+// folding into the accumulators; none grows with the client or hash
+// count.
 func (e *Engine) sealLocked() *Snapshot {
-	hashes := e.parts.Hashes.Pending()
-	snap := MaterializeSnapshot(e.parts, e.seq, e.maxDay+1, e.cfg.Tagger, e.cfg.Faults)
-	e.rebuilt.Add(uint64(len(snap.Clients) + hashes))
+	snap := MaterializeSnapshot(e.parts, e.seq, e.maxDay+1, nil, e.cfg.Faults)
 	e.sinceSeal = 0
 	e.cur.Store(snap)
 	e.seals.Add(1)
@@ -206,11 +203,12 @@ func (e *Engine) sealLocked() *Snapshot {
 // THE materialization path: the engine's seal calls it for single-node
 // snapshots and the distributed merge coordinator calls it over merged
 // shard bundles, so the two can never disagree about how accumulators
-// become tables. Every table is a slice nothing writes again (the
-// bundle keeps a read-only reference to its hash table, to build the
-// next one from); the snapshot stays immutable while callers keep
-// folding into the bundle.
-func MaterializeSnapshot(p *analysis.Partials, seq uint64, days int, tagger analysis.Tagger, rep *faults.Report) *Snapshot {
+// become tables. Every table is a fresh slice, so the snapshot stays
+// immutable while callers keep folding into the bundle.
+func MaterializeSnapshot(p *analysis.Partials, seq uint64, days int,
+	// Deprecated: snapshots carry no hash rows; ignored.
+	tagger analysis.Tagger,
+	rep *faults.Report) *Snapshot {
 	snap := &Snapshot{
 		Seq:         seq,
 		Days:        days,
@@ -218,7 +216,7 @@ func MaterializeSnapshot(p *analysis.Partials, seq uint64, days int, tagger anal
 		Pots:        p.FinalizePots(),
 		ClientCount: p.Clients.Len(),
 		Clients:     p.Clients.Head(ClientRows),
-		Hashes:      p.Hashes.Finalize(tagger),
+		HashCount:   p.Hashes.Len(),
 	}
 	if p.Countries != nil {
 		snap.Countries = p.Countries.Finalize()
@@ -327,12 +325,4 @@ func (e *Engine) Seq() uint64 {
 // snapshot-seal counter of the /metrics plane.
 func (e *Engine) Seals() uint64 {
 	return e.seals.Load()
-}
-
-// SealRebuiltEntries returns how many client and hash rows those seals
-// built in total: each seal's client head rows plus the hash entries
-// touched since the seal before it — the work a seal does beyond
-// copying the hash rows that did not change.
-func (e *Engine) SealRebuiltEntries() uint64 {
-	return e.rebuilt.Load()
 }

@@ -15,7 +15,6 @@ import (
 	"honeyfarm/internal/analysis"
 	"honeyfarm/internal/geo"
 	"honeyfarm/internal/honeypot"
-	"honeyfarm/internal/malware"
 	"honeyfarm/internal/query"
 	"honeyfarm/internal/store"
 	"honeyfarm/internal/wal"
@@ -25,7 +24,7 @@ import (
 // freshly built store) on a record prefix and shapes the results as a
 // Snapshot serves them — the reference the incremental engine must
 // match byte for byte after JSON encoding.
-func batchSnapshot(recs []*honeypot.SessionRecord, epoch time.Time, numPots int, reg *geo.Registry, tag analysis.Tagger) *query.Snapshot {
+func batchSnapshot(recs []*honeypot.SessionRecord, epoch time.Time, numPots int, reg *geo.Registry) *query.Snapshot {
 	st := store.New(epoch)
 	st.AddBatch(recs)
 	days := st.NumDays()
@@ -38,7 +37,7 @@ func batchSnapshot(recs []*honeypot.SessionRecord, epoch time.Time, numPots int,
 		ClientCount:  len(clients),
 		Clients:      clients[:min(query.ClientRows, len(clients))],
 		Countries:    analysis.ClientCountries(st, reg, nil),
-		Hashes:       analysis.ComputeHashStats(st, tag),
+		HashCount:    len(analysis.ComputeHashStats(st, nil)),
 		Availability: analysis.ComputeAvailability(st, nil, numPots, days),
 	}
 }
@@ -59,7 +58,6 @@ func mustJSON(t *testing.T, v any) []byte {
 // counts.
 func TestSnapshotEquivalence(t *testing.T) {
 	const numPots = 37
-	tag := analysis.Tagger(malware.NewTagger(nil))
 	for _, workers := range []int{1, 7} {
 		d, err := honeyfarm.Simulate(honeyfarm.SimulateConfig{
 			Seed: 11, TotalSessions: 5000, Days: 60, NumPots: numPots, Workers: workers,
@@ -70,7 +68,7 @@ func TestSnapshotEquivalence(t *testing.T) {
 		recs := d.Store.Records()
 		eng := query.New(query.Config{
 			Epoch: honeyfarm.DefaultEpoch, NumPots: numPots,
-			Registry: d.Registry, Tagger: tag,
+			Registry: d.Registry,
 		})
 		rng := rand.New(rand.NewSource(int64(workers)))
 		var seals []*query.Snapshot
@@ -94,12 +92,12 @@ func TestSnapshotEquivalence(t *testing.T) {
 		}
 		empty := query.New(query.Config{
 			Epoch: honeyfarm.DefaultEpoch, NumPots: numPots,
-			Registry: d.Registry, Tagger: tag,
+			Registry: d.Registry,
 		}).Snapshot()
 		check := append([]*query.Snapshot{empty}, seals...)
 		for idx := range picks {
 			snap := check[idx]
-			want := batchSnapshot(recs[:snap.Seq], honeyfarm.DefaultEpoch, numPots, d.Registry, tag)
+			want := batchSnapshot(recs[:snap.Seq], honeyfarm.DefaultEpoch, numPots, d.Registry)
 			got, ref := mustJSON(t, snap), mustJSON(t, want)
 			if !bytes.Equal(got, ref) {
 				t.Fatalf("workers=%d: snapshot at seq %d diverges from batch pipeline\nincremental: %.200s\nbatch:       %.200s",
@@ -121,10 +119,9 @@ func TestSnapshotCadence(t *testing.T) {
 		t.Fatal(err)
 	}
 	recs := d.Store.Records()
-	tag := analysis.Tagger(malware.NewTagger(nil))
 	eng := query.New(query.Config{
 		Epoch: honeyfarm.DefaultEpoch, NumPots: numPots,
-		Registry: d.Registry, Tagger: tag, SnapshotEvery: 97,
+		Registry: d.Registry, SnapshotEvery: 97,
 	})
 	for i := 0; i < len(recs); i += 50 {
 		j := i + 50
@@ -137,7 +134,7 @@ func TestSnapshotCadence(t *testing.T) {
 	if snap.Seq == 0 || snap.Seq == uint64(len(recs)) {
 		t.Fatalf("auto-seal published seq %d; expected an intermediate sequence (total %d)", snap.Seq, len(recs))
 	}
-	want := batchSnapshot(recs[:snap.Seq], honeyfarm.DefaultEpoch, numPots, d.Registry, tag)
+	want := batchSnapshot(recs[:snap.Seq], honeyfarm.DefaultEpoch, numPots, d.Registry)
 	if !bytes.Equal(mustJSON(t, snap), mustJSON(t, want)) {
 		t.Fatalf("auto-sealed snapshot at seq %d diverges from batch pipeline", snap.Seq)
 	}
@@ -145,12 +142,11 @@ func TestSnapshotCadence(t *testing.T) {
 
 // TestSnapshotIsolation: a snapshot held across further ingest must not
 // change — its JSON encoding is stable while the engine moves on. The
-// hash accumulator builds each table from the previous one and the
 // client accumulator keeps its head between seals, so every auto-sealed
 // snapshot is held across all the seals after it (120 in all) while a
 // reader keeps walking the published one (run under -race by check.sh),
-// and no two snapshots' tables may overlap in memory unless they say
-// the same thing.
+// and no two snapshots' client heads may overlap in memory unless they
+// say the same thing.
 func TestSnapshotIsolation(t *testing.T) {
 	const numPots, every = 5, 10
 	d, err := honeyfarm.Simulate(honeyfarm.SimulateConfig{
@@ -162,7 +158,7 @@ func TestSnapshotIsolation(t *testing.T) {
 	recs := d.Store.Records()[:1200]
 	eng := query.New(query.Config{
 		Epoch: honeyfarm.DefaultEpoch, NumPots: numPots, Registry: d.Registry,
-		Tagger: analysis.Tagger(malware.NewTagger(nil)), SnapshotEvery: every,
+		SnapshotEvery: every,
 	})
 
 	stop, readerDone := make(chan struct{}), make(chan struct{})
@@ -199,8 +195,8 @@ func TestSnapshotIsolation(t *testing.T) {
 	if len(held) < 100 {
 		t.Fatalf("only %d snapshots held", len(held))
 	}
-	if last := held[len(held)-1]; len(last.Hashes) == 0 || len(last.Clients) == 0 {
-		t.Fatalf("dataset too small to say anything: %d clients, %d hashes", len(last.Clients), len(last.Hashes))
+	if last := held[len(held)-1]; last.HashCount == 0 || len(last.Clients) == 0 {
+		t.Fatalf("dataset too small to say anything: %d clients, %d hashes", len(last.Clients), last.HashCount)
 	}
 	for i, snap := range held {
 		if !bytes.Equal(before[i], mustJSON(t, snap)) {
@@ -210,19 +206,18 @@ func TestSnapshotIsolation(t *testing.T) {
 			if overlap(snap.Clients, later.Clients) && !reflect.DeepEqual(snap.Clients, later.Clients) {
 				t.Fatalf("snapshots at seq %d and %d share a client table backing array", snap.Seq, later.Seq)
 			}
-			if overlap(snap.Hashes, later.Hashes) && !reflect.DeepEqual(snap.Hashes, later.Hashes) {
-				t.Fatalf("snapshots at seq %d and %d share a hash table backing array", snap.Seq, later.Seq)
-			}
 		}
 	}
 }
 
-// TestSealAllocation: a seal builds what a snapshot serves of the
-// client table — its count and first ClientRows rows — so what it
-// allocates does not grow with the clients held. A seal that copied
-// the table would allocate 2.4 MB here (48 B a row).
+// TestSealAllocation: a seal builds what a snapshot serves — the
+// client table's count and first ClientRows rows, the hash table's
+// count — so what it allocates does not grow with the clients and
+// hashes held. A seal that copied the client table would allocate
+// 2.4 MB here (48 B a row), one that copied the hash table 1.6 MB
+// (88 B a row).
 func TestSealAllocation(t *testing.T) {
-	const clients, pots = 50_000, 4
+	const clients, hashes, pots = 50_000, 20_000, 4
 	rec := func(i int, ip string) *honeypot.SessionRecord {
 		return &honeypot.SessionRecord{
 			ID: uint64(i), HoneypotID: i % pots, Protocol: honeypot.SSH, ClientIP: ip,
@@ -232,6 +227,9 @@ func TestSealAllocation(t *testing.T) {
 	recs := make([]*honeypot.SessionRecord, clients)
 	for i := range recs {
 		recs[i] = rec(i, fmt.Sprintf("10.%d.%d.%d", i>>16, i>>8&255, i&255))
+		if i < hashes {
+			recs[i].Files = []honeypot.FileRecord{{Path: "/tmp/x", Op: "wget", Hash: fmt.Sprintf("%064x", i)}}
+		}
 	}
 	eng := query.New(query.Config{Epoch: honeyfarm.DefaultEpoch, NumPots: pots})
 	for lo := 0; lo < clients; lo += 1000 {
@@ -246,12 +244,12 @@ func TestSealAllocation(t *testing.T) {
 	snap := eng.Seal()
 	runtime.ReadMemStats(&after)
 	if snap.ClientCount != clients+1 || len(snap.Clients) != query.ClientRows ||
-		snap.Clients[0].IP != "1.2.3.4" || len(snap.Hashes) != 0 {
+		snap.Clients[0].IP != "1.2.3.4" || snap.HashCount != hashes {
 		t.Fatalf("seal of %d clients: count %d, %d rows from %q, %d hashes",
-			clients+1, snap.ClientCount, len(snap.Clients), snap.Clients[0].IP, len(snap.Hashes))
+			clients+1, snap.ClientCount, len(snap.Clients), snap.Clients[0].IP, snap.HashCount)
 	}
 	if spent := after.TotalAlloc - before.TotalAlloc; spent >= 64<<10 {
-		t.Errorf("a seal holding %d clients allocated %d B, want < 64 KiB", clients+1, spent)
+		t.Errorf("a seal holding %d clients and %d hashes allocated %d B, want < 64 KiB", clients+1, hashes, spent)
 	}
 }
 

@@ -48,22 +48,17 @@ func RegisterSourceMetrics(reg *metrics.Registry, src Source, numPots int) {
 }
 
 // RegisterEngineMetrics exports the engine-only rows — the seal
-// counter, the rows seals built and the rows held, so work per seal
-// over state is (refinalized ÷ seals) ÷ entries, and the rows the next
-// delta pull ships — call alongside RegisterSourceMetrics when the
-// source is a local Engine.
+// counter, the rows held and the rows the next delta pull ships — call
+// alongside RegisterSourceMetrics when the source is a local Engine.
 func RegisterEngineMetrics(reg *metrics.Registry, eng *Engine) {
 	reg.CounterFunc("honeyfarm_snapshot_seals_total",
 		"Snapshots sealed over the engine lifetime.",
 		nil, func() float64 { return float64(eng.Seals()) })
-	reg.CounterFunc("honeyfarm_seal_refinalized_entries_total",
-		"Rows built by seals: each seal's client head rows plus the hash entries touched since the previous seal.",
-		nil, func() float64 { return float64(eng.SealRebuiltEntries()) })
 	reg.GaugeFunc("honeyfarm_engine_state_entries",
 		"Client and hash table rows held as of the published snapshot.",
 		nil, func() float64 {
 			snap := eng.Snapshot()
-			return float64(snap.ClientCount + len(snap.Hashes))
+			return float64(snap.ClientCount + snap.HashCount)
 		})
 	reg.GaugeFunc("honeyfarm_engine_pending_entries",
 		"Client and hash entries folded since the last pull's cut (0 while no puller is tracked).",

@@ -15,8 +15,6 @@ import (
 	"testing"
 
 	"honeyfarm"
-	"honeyfarm/internal/analysis"
-	"honeyfarm/internal/malware"
 	"honeyfarm/internal/query"
 	"honeyfarm/internal/wal"
 )
@@ -34,7 +32,7 @@ func metricsEngine(t *testing.T) *query.Engine {
 	}
 	eng := query.New(query.Config{
 		Epoch: honeyfarm.DefaultEpoch, NumPots: numPots,
-		Registry: d.Registry, Tagger: analysis.Tagger(malware.NewTagger(nil)),
+		Registry: d.Registry,
 	})
 	eng.Ingest(d.Store.Records())
 	eng.Seal()

@@ -142,7 +142,7 @@ func (s *Server) Handler() http.Handler {
 				Epoch:    s.source.Epoch().Format(time.RFC3339),
 				Sessions: snap.Summary.Total,
 				Clients:  snap.ClientCount,
-				Hashes:   len(snap.Hashes),
+				Hashes:   snap.HashCount,
 				Summary:  snap.Summary,
 			}
 		})

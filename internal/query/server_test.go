@@ -14,10 +14,8 @@ import (
 	"time"
 
 	"honeyfarm"
-	"honeyfarm/internal/analysis"
 	"honeyfarm/internal/honeypot"
 	"honeyfarm/internal/iofault"
-	"honeyfarm/internal/malware"
 	"honeyfarm/internal/query"
 	"honeyfarm/internal/wal"
 )
@@ -37,7 +35,7 @@ func testServer(t *testing.T) *httptest.Server {
 	}
 	eng := query.New(query.Config{
 		Epoch: honeyfarm.DefaultEpoch, NumPots: numPots,
-		Registry: d.Registry, Tagger: analysis.Tagger(malware.NewTagger(nil)),
+		Registry: d.Registry,
 	})
 	eng.Ingest(d.Store.Records())
 	eng.Seal()

@@ -61,7 +61,7 @@ type Config struct {
 	// Epoch is the fleet's day-bucketing epoch, surfaced through the
 	// query API exactly as an engine's epoch is.
 	Epoch time.Time
-	// Tagger labels file hashes at materialization; nil tags "unknown".
+	// Deprecated: snapshots carry no hash rows; ignored.
 	Tagger analysis.Tagger
 	// PullEvery (default 250ms) is the longest a pull waits at the shard
 	// for news — the idle heartbeat that keeps last_ok fresh — and the
@@ -566,9 +566,8 @@ func (c *Coordinator) mergeLoop() {
 // publish materializes the merged bundle through the same path as a
 // single-node seal — so the merged snapshot is byte-identical (after
 // JSON encoding) to an engine that ingested all shards' records
-// directly. The bundle lives on between publishes, so its hash table
-// rebuilds only the rows the installs since the last one touched, and
-// its client head has already taken in the IPs they brought.
+// directly. The bundle lives on between publishes, so its client head
+// has already taken in the IPs the installs brought.
 func (c *Coordinator) publish() {
 	c.mergeMu.Lock()
 	defer c.mergeMu.Unlock()
@@ -578,5 +577,5 @@ func (c *Coordinator) publish() {
 		days = max(days, c.shards[i].days)
 	}
 	c.mu.Unlock()
-	c.cur.Store(query.MaterializeSnapshot(c.merged, seq, days, c.cfg.Tagger, nil))
+	c.cur.Store(query.MaterializeSnapshot(c.merged, seq, days, nil, nil))
 }

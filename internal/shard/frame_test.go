@@ -214,5 +214,5 @@ func checkFrame(t *testing.T, frame []byte) {
 	if err := parts.Merge(copied); err != nil {
 		t.Fatal(err)
 	}
-	query.MaterializeSnapshot(parts, seq, days, testTagger(), nil)
+	query.MaterializeSnapshot(parts, seq, days, nil, nil)
 }

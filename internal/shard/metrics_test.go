@@ -18,8 +18,6 @@ import (
 	"time"
 
 	"honeyfarm"
-	"honeyfarm/internal/analysis"
-	"honeyfarm/internal/malware"
 	"honeyfarm/internal/query"
 	"honeyfarm/internal/shard"
 	"honeyfarm/internal/wal"
@@ -57,7 +55,7 @@ func fixtureEngine(t *testing.T) *query.Engine {
 	}
 	eng := query.New(query.Config{
 		Epoch: honeyfarm.DefaultEpoch, NumPots: 4,
-		Registry: d.Registry, Tagger: analysis.Tagger(malware.NewTagger(nil)),
+		Registry: d.Registry,
 	})
 	eng.Ingest(d.Store.Records())
 	eng.Seal()
@@ -106,7 +104,6 @@ func TestMergeMetricsSchemaGolden(t *testing.T) {
 		NumPots:   4,
 		Countries: true,
 		Epoch:     honeyfarm.DefaultEpoch,
-		Tagger:    analysis.Tagger(malware.NewTagger(nil)),
 		PullEvery: 5 * time.Millisecond,
 	})
 	if err != nil {

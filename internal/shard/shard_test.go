@@ -16,9 +16,7 @@ import (
 	"time"
 
 	"honeyfarm"
-	"honeyfarm/internal/analysis"
 	"honeyfarm/internal/honeypot"
-	"honeyfarm/internal/malware"
 	"honeyfarm/internal/query"
 	"honeyfarm/internal/shard"
 )
@@ -98,12 +96,10 @@ func partition(recs []*honeypot.SessionRecord, n, i int) []*honeypot.SessionReco
 	return out
 }
 
-func testTagger() analysis.Tagger { return analysis.Tagger(malware.NewTagger(nil)) }
-
 func newEngine(d *honeyfarm.Dataset) *query.Engine {
 	return query.New(query.Config{
 		Epoch: honeyfarm.DefaultEpoch, NumPots: testPots,
-		Registry: d.Registry, Tagger: testTagger(),
+		Registry: d.Registry,
 	})
 }
 
@@ -190,7 +186,6 @@ func coordinatorEvery(t *testing.T, every time.Duration, client *http.Client, ur
 		NumPots:   testPots,
 		Countries: true,
 		Epoch:     honeyfarm.DefaultEpoch,
-		Tagger:    testTagger(),
 		PullEvery: every,
 		FailAfter: 2,
 		Client:    client,
