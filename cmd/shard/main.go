@@ -128,17 +128,17 @@ func main() {
 	}
 	log.Printf("shard %d: listening on %s, wal %s", *index, l.Addr(), *walDir)
 
-	// The feeder: append each batch durably, then fold it into the
-	// engine — so the engine's sequence never runs ahead of what a
-	// restart can recover. A degraded WAL (disk full) retries the same
+	// The feeder: each batch goes through the sink, appended durably
+	// and then folded. A degraded WAL (disk full) retries the same
 	// batch until the writer heals rather than ingesting records a
 	// crash would lose. A -wire shard has no feeder: its wire front
-	// performs the same append-then-ingest per accepted session.
+	// ingests each accepted session through a sink of its own.
 	stopFeed := make(chan struct{})
 	feedDone := make(chan struct{})
 	if *wire {
 		close(feedDone)
 	} else {
+		sink := query.NewSink(wlog, engine)
 		go func() {
 			defer close(feedDone)
 			for off := recovered; off < len(part); {
@@ -151,11 +151,10 @@ func main() {
 				if end > len(part) {
 					end = len(part)
 				}
-				if err := wlog.Append(part[off:end]); err != nil {
+				if err := sink.Ingest(part[off:end]); err != nil {
 					log.Printf("shard %d: wal append: %v (retrying)", *index, err)
 					continue
 				}
-				engine.Ingest(part[off:end])
 				off = end
 			}
 			engine.Seal()

@@ -57,10 +57,6 @@ type (
 	FaultPlan   = faults.Plan
 	FaultOutage = faults.Outage
 	FaultReport = faults.Report
-	// DurableSink receives every accepted record batch before the
-	// in-memory store keeps it — write-ahead persistence for crash
-	// safety (wal.Log satisfies it).
-	DurableSink = store.DurableSink
 )
 
 // Category values.
@@ -189,14 +185,6 @@ type FarmConfig struct {
 	// graceful drain.
 	DayLength    time.Duration
 	DrainTimeout time.Duration
-	// Durable, when non-nil, makes the farm's collector write-ahead
-	// persistent: every accepted record batch reaches the sink before it
-	// is kept in memory.
-	Durable DurableSink
-	// Tee, when non-nil, observes every accepted record batch in
-	// collector acceptance order — e.g. a query.Engine's Ingest method,
-	// so live aggregates track the farm without a WAL round-trip.
-	Tee func([]*SessionRecord)
 }
 
 // NewFarm builds (but does not start) a wire-level honeyfarm.
@@ -214,8 +202,6 @@ func NewFarm(cfg FarmConfig) (*Farm, error) {
 		Faults:       cfg.Faults,
 		DayLength:    cfg.DayLength,
 		DrainTimeout: cfg.DrainTimeout,
-		Durable:      cfg.Durable,
-		Tee:          cfg.Tee,
 	})
 }
 

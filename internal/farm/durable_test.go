@@ -11,11 +11,12 @@ import (
 	"honeyfarm/internal/faults"
 	"honeyfarm/internal/geo"
 	"honeyfarm/internal/iofault"
+	"honeyfarm/internal/query"
 	"honeyfarm/internal/sshwire"
 	"honeyfarm/internal/wal"
 )
 
-// TestDurableCollectorSurvivesInWAL: with a WAL as the farm's durable
+// TestDurableCollectorSurvivesInWAL: with a WAL behind the farm's
 // sink, a collected session is recoverable from disk alone.
 func TestDurableCollectorSurvivesInWAL(t *testing.T) {
 	dir := t.TempDir()
@@ -29,10 +30,11 @@ func TestDurableCollectorSurvivesInWAL(t *testing.T) {
 	}
 
 	reg := geo.NewRegistry(geo.Config{Seed: 1})
+	eng := query.New(query.Config{Epoch: epoch, NumPots: 4, Registry: reg})
 	f, err := New(Config{
 		Seed: 1, NumPots: 4, NumASes: 4,
 		Countries: []string{"US", "SG", "DE", "JP"},
-		Registry:  reg, Epoch: epoch, Durable: log,
+		Registry:  reg, Epoch: epoch, Sink: query.NewSink(log, eng),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -77,9 +79,10 @@ func TestDurableCollectorSurvivesInWAL(t *testing.T) {
 
 // TestENOSPCWindowFarm: a disk-full window while the farm is live is
 // count-and-drop, not crash. Records collected during the outage stay
-// in the dataset and are counted in Stats.DurableLost; when the disk
-// heals, the WAL resumes on a fresh segment without a process restart,
-// and recovery reads the outage back as a gap frame.
+// in the dataset and are counted in Stats.DurableLost, but never reach
+// the engine behind the sink; when the disk heals, the WAL resumes on a
+// fresh segment without a process restart, and recovery reads the
+// outage back as a gap frame.
 func TestENOSPCWindowFarm(t *testing.T) {
 	base := runtime.NumGoroutine()
 	dir := t.TempDir()
@@ -99,10 +102,11 @@ func TestENOSPCWindowFarm(t *testing.T) {
 	}
 
 	reg := geo.NewRegistry(geo.Config{Seed: 1})
+	eng := query.New(query.Config{Epoch: epoch, NumPots: 4, Registry: reg})
 	f, err := New(Config{
 		Seed: 1, NumPots: 4, NumASes: 4,
 		Countries: []string{"US", "SG", "DE", "JP"},
-		Registry:  reg, Epoch: epoch, Durable: log,
+		Registry:  reg, Epoch: epoch, Sink: query.NewSink(log, eng),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -170,13 +174,14 @@ func TestENOSPCWindowFarm(t *testing.T) {
 	waitGoroutines(t, base)
 
 	// Recovery sees the two persisted records plus a gap frame carrying
-	// the outage's loss accounting.
+	// the outage's loss accounting, and the engine holds exactly those
+	// two: recovered ≡ acknowledged.
 	_, rec, err := wal.Open(dir, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Replay().Len() != 2 {
-		t.Fatalf("recovered %d records, want 2", rec.Replay().Len())
+	if rec.Replay().Len() != 2 || eng.Seq() != 2 {
+		t.Fatalf("recovered %d records, engine seq %d, want 2 each", rec.Replay().Len(), eng.Seq())
 	}
 	if len(rec.Gaps) != 1 || rec.Gaps[0].Records != 1 || rec.Gaps[0].Reason != "append: enospc" {
 		t.Fatalf("recovered gaps %+v, want one append:enospc gap of 1 record", rec.Gaps)

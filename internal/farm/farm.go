@@ -25,6 +25,7 @@ import (
 	"honeyfarm/internal/geo"
 	"honeyfarm/internal/honeypot"
 	"honeyfarm/internal/netsim"
+	"honeyfarm/internal/query"
 	"honeyfarm/internal/shell"
 	"honeyfarm/internal/store"
 )
@@ -67,16 +68,12 @@ type Config struct {
 	// DrainTimeout bounds Stop's graceful drain; zero selects
 	// DefaultDrainTimeout, negative forces immediate teardown.
 	DrainTimeout time.Duration
-	// Durable, when non-nil, is appended every accepted record batch
-	// before the collector keeps it in memory (typically a *wal.Log), so
-	// a crash of the collecting process loses at most the unsynced tail
-	// of the write-ahead log instead of the whole run.
-	Durable store.DurableSink
-	// Tee, when non-nil, observes every accepted record batch in
-	// collector acceptance order (see store.SetTee) — the in-process
-	// ingest hook for a live aggregation engine (internal/query). The
-	// callback runs on the accepting goroutine and must not block.
-	Tee func([]*honeypot.SessionRecord)
+	// Sink, when non-nil, takes every accepted record before the
+	// collector keeps it: appended to the sink's write-ahead log, then
+	// folded into its live engine. A record the sink refuses stays in
+	// the collector, is counted in Stats.DurableLost, and never reaches
+	// the engine.
+	Sink *query.Sink
 }
 
 // Stats is a snapshot of the farm's operational counters.
@@ -90,10 +87,9 @@ type Stats struct {
 	// DroppedRecords counts session records discarded because their pot
 	// was down or shutdown had passed the drain deadline.
 	DroppedRecords int
-	// DurableLost counts records the collector accepted in memory but
-	// could not persist through the durable sink — a degraded WAL's
-	// count-and-drop losses, distinct from DroppedRecords (which never
-	// reached the collector at all).
+	// DurableLost counts records the collector kept but the sink refused
+	// — a degraded WAL's count-and-drop losses, distinct from
+	// DroppedRecords (which never reached the collector at all).
 	DurableLost int
 	// Accepted counts session records handed to the collector (the
 	// complement of DroppedRecords; durable losses are counted after
@@ -123,6 +119,8 @@ type Farm struct {
 	stopped bool
 	forced  bool // drain deadline passed; further records are dropped
 	stats   Stats
+	// durableErr is the first error the sink returned.
+	durableErr error
 	// droppedByPot splits Stats.DroppedRecords per honeypot, feeding the
 	// availability table's sink_drops column.
 	droppedByPot []int
@@ -192,12 +190,6 @@ func New(cfg Config) (*Farm, error) {
 		conns:         make(map[net.Conn]int),
 		stopCh:        make(chan struct{}),
 	}
-	if cfg.Durable != nil {
-		f.collector.SetDurable(cfg.Durable)
-	}
-	if cfg.Tee != nil {
-		f.collector.SetTee(cfg.Tee)
-	}
 	for i, d := range deployments {
 		pot, err := honeypot.New(honeypot.Config{
 			ID:              d.ID,
@@ -217,7 +209,9 @@ func New(cfg Config) (*Farm, error) {
 
 // sinkFor wraps the collector for pot i: records are counted and
 // dropped — never blocked on — when the pot is down or the drain
-// deadline has passed.
+// deadline has passed. An accepted record goes through Config.Sink
+// first; the collector keeps it either way, so a failing disk costs
+// replay coverage, never the dataset.
 func (f *Farm) sinkFor(i int) func(*honeypot.SessionRecord) {
 	return func(rec *honeypot.SessionRecord) {
 		f.mu.Lock()
@@ -233,9 +227,20 @@ func (f *Farm) sinkFor(i int) func(*honeypot.SessionRecord) {
 			f.acceptedByPot[i]++
 		}
 		f.mu.Unlock()
-		if !drop {
-			f.collector.Add(rec)
+		if drop {
+			return
 		}
+		if f.cfg.Sink != nil {
+			if err := f.cfg.Sink.Ingest([]*honeypot.SessionRecord{rec}); err != nil {
+				f.mu.Lock()
+				f.stats.DurableLost++
+				if f.durableErr == nil {
+					f.durableErr = err
+				}
+				f.mu.Unlock()
+			}
+		}
+		f.collector.Add(rec)
 	}
 }
 
@@ -254,13 +259,8 @@ func (f *Farm) Honeypot(i int) *honeypot.Honeypot { return f.pots[i] }
 // Stats returns a snapshot of the operational counters.
 func (f *Farm) Stats() Stats {
 	f.mu.Lock()
-	s := f.stats
-	f.mu.Unlock()
-	// The collector owns durable-loss accounting; fold it in here so one
-	// snapshot answers both "what never arrived" and "what arrived but
-	// did not persist".
-	s.DurableLost = f.collector.DurableLost()
-	return s
+	defer f.mu.Unlock()
+	return f.stats
 }
 
 // FaultReport renders the farm's loss accounting as a faults.Report
@@ -278,8 +278,12 @@ func (f *Farm) FaultReport(days int) *faults.Report {
 	return rep
 }
 
-// DurableErr reports the first write-ahead persistence failure, if any.
-func (f *Farm) DurableErr() error { return f.collector.DurableErr() }
+// DurableErr reports the first error the sink returned, if any.
+func (f *Farm) DurableErr() error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.durableErr
+}
 
 // PotUp reports whether honeypot i currently has bound listeners.
 func (f *Farm) PotUp(i int) bool {

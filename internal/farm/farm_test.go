@@ -171,9 +171,9 @@ func TestDeploymentGeoConsistency(t *testing.T) {
 }
 
 // TestFarmTeeFeedsQueryEngine wires a live aggregation engine into the
-// farm via Config.Tee: wire-level sessions reach the engine in
-// collector acceptance order, so its sealed snapshot is byte-identical
-// to one fed the collector's records directly.
+// farm via Config.Sink (no WAL): wire-level sessions reach the engine,
+// so its sealed snapshot is byte-identical to one fed the collector's
+// records directly.
 func TestFarmTeeFeedsQueryEngine(t *testing.T) {
 	reg := geo.NewRegistry(geo.Config{Seed: 1})
 	mk := func() *query.Engine {
@@ -190,7 +190,7 @@ func TestFarmTeeFeedsQueryEngine(t *testing.T) {
 		NumASes:   6,
 		Countries: []string{"US", "SG", "DE", "JP", "BR", "ZA"},
 		Registry:  reg,
-		Tee:       eng.Ingest,
+		Sink:      query.NewSink(nil, eng),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -146,12 +146,6 @@ func sourceFacts(key string) FuncFacts {
 	if strings.HasPrefix(key, "(*sync/atomic.Pointer[") && strings.HasSuffix(key, "]).Store") {
 		return FuncFacts{Publishes: key}
 	}
-	// The collector's durability contract is an interface: anything
-	// calling a DurableSink persists records (wal.Log is the
-	// implementation, but callers only see the interface).
-	if strings.HasSuffix(key, "/store.DurableSink).Append") {
-		return FuncFacts{Durable: key, Fsync: key}
-	}
 	// The fault-injectable filesystem abstraction: its write-path methods
 	// carry the same facts as their os counterparts, so durability and
 	// fsync reach propagate through code that writes via iofault.FS

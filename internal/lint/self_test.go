@@ -60,6 +60,7 @@ func TestSelfFacts(t *testing.T) {
 		{"(*honeyfarm/internal/wal.Log).AppendTagged", func(f FuncFacts) string { return f.Durable }, "durable"},
 		{"(*honeyfarm/internal/wal.Log).AppendTagged", func(f FuncFacts) string { return f.Fsync }, "fsync"},
 		{"(*honeyfarm/internal/wal.Log).Close", func(f FuncFacts) string { return f.Fsync }, "fsync"},
+		{"(*honeyfarm/internal/query.Sink).Ingest", func(f FuncFacts) string { return f.Fsync }, "fsync"},
 	} {
 		ff, ok := res.Facts.Lookup(tc.key)
 		if !ok {

@@ -140,9 +140,9 @@ func (e *Engine) newPartials() *analysis.Partials {
 func (e *Engine) Epoch() time.Time { return e.epoch }
 
 // Ingest folds one batch of records into the partial aggregates, in
-// stream order. It satisfies the store tee signature, so an engine can
-// be attached to a live collector with Store.SetTee(engine.Ingest).
-// Records must not be mutated afterwards.
+// stream order. A live collector reaches it through a Sink, which
+// appends the batch to the WAL first. Records must not be mutated
+// afterwards.
 func (e *Engine) Ingest(recs []*honeypot.SessionRecord) {
 	if len(recs) == 0 {
 		return

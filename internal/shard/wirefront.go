@@ -1,12 +1,11 @@
 package shard
 
 // The wire-ingest front of a collector shard: real-TCP SSH/Telnet
-// listeners for the shard's pot partition, feeding the same
-// WAL-then-engine path the synthetic feeder uses. This is what lets
+// listeners for the shard's pot partition, ingesting through a
+// query.Sink as the synthetic feeder does. This is what lets
 // cmd/loadgen drive a live shard fleet over actual sockets — sessions
-// arrive on the wire, the honeypot records them, and every record is
-// appended durably before it is folded into the aggregates, so the
-// engine sequence never runs ahead of what a restart can recover.
+// arrive on the wire, the honeypot records them, and the sink appends
+// every record durably before it folds it into the aggregates.
 //
 // One honeypot (and one SSH + one Telnet listener) is bound per owned
 // pot. That is deliberate small-fleet topology: the load harness and
@@ -56,14 +55,13 @@ type WirePot struct {
 // stop with Close.
 type WireFront struct {
 	cfg  WireConfig
+	sink *query.Sink // cfg.WAL then cfg.Engine
 	pots []WirePot
 
 	accepted metrics.Counter
 	refused  metrics.Counter
 	byPot    map[int]*metrics.Counter
 	open     metrics.Gauge
-
-	sinkMu sync.Mutex // serializes WAL append + engine ingest (acceptance order)
 
 	mu        sync.Mutex
 	listeners []net.Listener
@@ -86,6 +84,7 @@ func NewWireFront(cfg WireConfig) (*WireFront, error) {
 	}
 	w := &WireFront{
 		cfg:   cfg,
+		sink:  query.NewSink(cfg.WAL, cfg.Engine),
 		byPot: make(map[int]*metrics.Counter),
 		conns: make(map[net.Conn]struct{}),
 	}
@@ -96,7 +95,7 @@ func NewWireFront(cfg WireConfig) (*WireFront, error) {
 		pot, err := honeypot.New(honeypot.Config{
 			ID:    id,
 			Fetch: cfg.Fetch,
-			Sink:  w.sink(id),
+			Sink:  w.potSink(id),
 		})
 		if err != nil {
 			w.Close()
@@ -170,22 +169,14 @@ func (w *WireFront) serve(ln net.Listener, handle func(net.Conn)) {
 	}()
 }
 
-// sink returns pot id's record sink: append durably (when a WAL is
-// configured), then ingest — serialized, so WAL order, engine order,
-// and acceptance order coincide.
-func (w *WireFront) sink(id int) func(*honeypot.SessionRecord) {
+// potSink returns pot id's record sink: each record is a batch of one
+// through the front's Sink, counted as accepted or refused.
+func (w *WireFront) potSink(id int) func(*honeypot.SessionRecord) {
 	return func(rec *honeypot.SessionRecord) {
-		batch := []*honeypot.SessionRecord{rec}
-		w.sinkMu.Lock()
-		defer w.sinkMu.Unlock()
-		if w.cfg.WAL != nil {
-			//lint:ignore lock-across-blocking the append-before-ingest order under one lock IS the acceptance-order invariant; hold time is bounded by the WAL's group-commit latency
-			if err := w.cfg.WAL.Append(batch); err != nil {
-				w.refused.Inc()
-				return
-			}
+		if err := w.sink.Ingest([]*honeypot.SessionRecord{rec}); err != nil {
+			w.refused.Inc()
+			return
 		}
-		w.cfg.Engine.Ingest(batch)
 		w.accepted.Inc()
 		w.byPot[id].Inc()
 	}

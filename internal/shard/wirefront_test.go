@@ -6,10 +6,12 @@ import (
 	"os"
 	"runtime"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
 	"honeyfarm"
+	"honeyfarm/internal/iofault"
 	"honeyfarm/internal/query"
 	"honeyfarm/internal/shard"
 	"honeyfarm/internal/sshwire"
@@ -129,6 +131,69 @@ func TestWireFrontSessions(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitGoroutines(t, base)
+}
+
+// TestWireFrontRefusesUnpersisted: a session whose record the WAL
+// refuses (disk full, no retries) is counted as refused and never
+// reaches the engine; once the disk heals, the next append probes a
+// fresh segment and the next session is accepted and ingested.
+func TestWireFrontRefusesUnpersisted(t *testing.T) {
+	fsys, err := iofault.New(iofault.OS, iofault.Plan{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wlog, _, err := wal.Open(t.TempDir(), wal.Options{
+		Epoch: honeyfarm.DefaultEpoch, FS: fsys, RetryAttempts: 1, ProbeEvery: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := query.New(query.Config{Epoch: honeyfarm.DefaultEpoch, NumPots: 4})
+	w, err := shard.NewWireFront(shard.WireConfig{
+		Shards: 2, Index: 0, NumPots: 4, Engine: eng, WAL: wlog,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// probe runs a handshake-only SSH session, which yields one record.
+	probe := func() {
+		t.Helper()
+		nc, err := net.Dial("tcp", w.Pots()[0].SSHAddr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cc, err := sshwire.NewClientConn(nc, &sshwire.ClientConfig{SkipAuth: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cc.Close()
+		nc.Close()
+	}
+
+	fsys.Break(syscall.ENOSPC)
+	probe()
+	waitFor(t, 5*time.Second, func() bool { return w.Refused() == 1 }, "refused session")
+	if w.Accepted() != 0 || eng.Seq() != 0 {
+		t.Fatalf("accepted %d, engine seq %d after a refused append, want 0 and 0", w.Accepted(), eng.Seq())
+	}
+	srv := query.NewServer(query.ServerConfig{Source: eng})
+	reg := shard.BuildCollectorRegistry(eng, wlog.Health, w, srv, 4)
+	if out := string(reg.Render()); !strings.Contains(out, "honeyfarm_wire_sessions_refused_total 1\n") {
+		t.Errorf("render missing the refused session:\n%s", out)
+	}
+
+	fsys.Heal()
+	probe()
+	waitFor(t, 5*time.Second, func() bool { return w.Accepted() == 1 }, "accepted session after heal")
+	if eng.Seq() != 1 || w.Refused() != 1 {
+		t.Fatalf("engine seq %d, refused %d after heal, want 1 and 1", eng.Seq(), w.Refused())
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := wlog.Close(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestWireFrontAddrFile(t *testing.T) {

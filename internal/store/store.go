@@ -16,13 +16,6 @@ import (
 	"honeyfarm/internal/honeypot"
 )
 
-// DurableSink persists record batches before the store acknowledges
-// them in memory — the write-ahead half of the collector's durability
-// contract. wal.Log implements it.
-type DurableSink interface {
-	Append(recs []*honeypot.SessionRecord) error
-}
-
 // Store collects session records. The zero value is not usable; create
 // with New or Builder.Seal. All methods are safe for concurrent use.
 type Store struct {
@@ -34,72 +27,6 @@ type Store struct {
 	// repeated calls never rescan records that were already indexed.
 	scanned int
 	maxDay  int
-	// Durable sink mode: when sink is non-nil every Add/AddBatch writes
-	// the records through it before they enter memory. sinkErr keeps the
-	// first persistence failure; records are kept in memory regardless,
-	// so a failing disk degrades durability, never the dataset.
-	// durableLost counts the records whose persistence failed — the
-	// count-and-drop half of the degraded-disk contract, so operators can
-	// tell exactly how much replay coverage an outage cost.
-	sink        DurableSink
-	sinkErr     error
-	durableLost int
-	// tee observes every accepted batch after it enters memory — the
-	// live-ingest hook the incremental query engine attaches to. Calls
-	// are serialized in acceptance order and must not mutate the records.
-	tee func([]*honeypot.SessionRecord)
-}
-
-// SetTee attaches a batch observer: every Add/AddBatch forwards the
-// accepted records to tee after they enter memory, in acceptance order.
-// The observer must treat the records as immutable. Pass nil to detach.
-func (s *Store) SetTee(tee func([]*honeypot.SessionRecord)) {
-	s.mu.Lock()
-	s.tee = tee
-	s.mu.Unlock()
-}
-
-// SetDurable attaches a write-ahead sink. Call before records flow;
-// subsequent Add/AddBatch calls persist through the sink first.
-func (s *Store) SetDurable(sink DurableSink) {
-	s.mu.Lock()
-	s.sink = sink
-	s.mu.Unlock()
-}
-
-// DurableErr returns the first error the durable sink reported, or nil.
-func (s *Store) DurableErr() error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.sinkErr
-}
-
-// DurableLost returns how many records failed to persist through the
-// durable sink. They remain in memory (and in the dataset); only their
-// crash-replay coverage is gone.
-func (s *Store) DurableLost() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.durableLost
-}
-
-// persist writes recs through the durable sink, if any, recording the
-// first failure.
-func (s *Store) persist(recs []*honeypot.SessionRecord) {
-	s.mu.RLock()
-	sink := s.sink
-	s.mu.RUnlock()
-	if sink == nil {
-		return
-	}
-	if err := sink.Append(recs); err != nil {
-		s.mu.Lock()
-		if s.sinkErr == nil {
-			s.sinkErr = err
-		}
-		s.durableLost += len(recs)
-		s.mu.Unlock()
-	}
 }
 
 // New creates a store whose day buckets are counted from epoch (the
@@ -135,32 +62,17 @@ func DayOf(epoch, t time.Time) int {
 // Epoch returns the observation period start.
 func (s *Store) Epoch() time.Time { return s.epoch }
 
-// Add appends one record, persisting it first in durable sink mode.
+// Add appends one record.
 func (s *Store) Add(rec *honeypot.SessionRecord) {
-	batch := []*honeypot.SessionRecord{rec}
-	s.persist(batch)
 	s.mu.Lock()
 	s.recs = append(s.recs, rec)
-	tee := s.tee
-	if tee != nil {
-		// Called under the lock so tee observes batches in exactly the
-		// order they entered memory — the prefix-consistency the query
-		// engine's snapshots rely on.
-		tee(batch)
-	}
 	s.mu.Unlock()
 }
 
-// AddBatch appends many records with one lock acquisition, persisting
-// them first in durable sink mode.
+// AddBatch appends many records with one lock acquisition.
 func (s *Store) AddBatch(recs []*honeypot.SessionRecord) {
-	s.persist(recs)
 	s.mu.Lock()
 	s.recs = append(s.recs, recs...)
-	tee := s.tee
-	if tee != nil {
-		tee(recs)
-	}
 	s.mu.Unlock()
 }
 

@@ -82,9 +82,11 @@ func wantHealth(t *testing.T, l *Log, when string, fsyncs, unsynced, coalesced i
 	}
 }
 
-// awaitOp returns once the op log has grown past n entries.
-func awaitOp(fs *hookFS, n int) {
-	for len(fs.opLog()) == n {
+// awaitFrame returns once some goroutine's stack shows fn: the point a
+// concurrent call has reached when no op or counter tells it apart.
+func awaitFrame(fn string) {
+	buf := make([]byte, 1<<16)
+	for !strings.Contains(string(buf[:runtime.Stack(buf, true)]), fn) {
 		runtime.Gosched()
 	}
 }
@@ -264,16 +266,18 @@ func TestCommitPipelineBoundedBySegment(t *testing.T) {
 	}
 	wantHealth(t, l, "disk shut", 0, int(tag)-1, int(tag)-3)
 
-	// The next one fills it: written, then stopped at the barrier.
+	// The next one fills it: written, absorbed into the queued fsync, then
+	// stopped at the barrier. The gate opens only once it is there: opened
+	// between its write and its sync request, the drained queue would take
+	// a request of its own.
 	rotated := make(chan struct{})
-	before := len(fs.opLog())
 	go func() {
 		defer close(rotated)
 		if err := l.AppendTagged(tag, mkRecords(tag*10, 1)); err != nil {
 			t.Errorf("append %d: %v", tag, err)
 		}
 	}()
-	awaitOp(fs, before)
+	awaitFrame("(*Log).rotateLocked")
 	select {
 	case <-rotated:
 		t.Fatal("rotation completed with the in-flight fsync never finishing")

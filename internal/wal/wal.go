@@ -674,8 +674,8 @@ func (l *Log) Health() Health {
 	return h
 }
 
-// Append durably logs one batch of records under tag 0. It satisfies
-// store.DurableSink.
+// Append durably logs one batch of records under tag 0 — the
+// collector's batches, which query.Sink appends before it folds them.
 func (l *Log) Append(recs []*honeypot.SessionRecord) error {
 	return l.AppendTagged(0, recs)
 }
@@ -814,8 +814,8 @@ func errnoClass(err error) string {
 // committer first) so readers that see a successor later never find a
 // torn middle segment. sealed tells the state machine the
 // segment is already sealed (rotation paths close it before failing).
-// Re-entry while already degraded only updates nothing — the first
-// cause wins, matching store.Store's sticky DurableErr.
+// Re-entry while already degraded updates nothing — the first cause
+// wins.
 func (l *Log) enterDegradedLocked(stage string, cause error, sealed bool) {
 	if l.degraded != nil {
 		return

@@ -148,6 +148,7 @@ disk_run='TestCrashAtEverySyscall|TestFsyncFaultSchedule|TestCommitterFsyncError
 echo "==> disk chaos smoke (go test -race -count=1 -run '$disk_run')"
 go test -race -count=1 -run "$disk_run" ./internal/wal ./internal/farm
 go test -race -count=20 -run TestCommitPipeline ./internal/wal # the committer's queue: absorb, barriers, the segment bound
+go test -race -count=20 -run 'TestSinkOrderUnderENOSPC|TestWireFrontRefusesUnpersisted|TestENOSPCWindowFarm' ./internal/query ./internal/shard ./internal/farm # the one durable-ingest sink: recovered ≡ acknowledged
 
 echo "==> crash smoke (SIGKILL mid-generation, resume, diff)"
 go build -o "$tmp/reproduce" ./cmd/reproduce
