@@ -1,22 +1,21 @@
 // Command lint runs the repository's static-analysis suite (see
 // internal/lint): the per-package rules (determinism of the simulation
-// path, goroutine hygiene, error discards, lock copies, wire codec
-// symmetry, loop bounds) and the cross-package contract rules
-// (determinism-taint, atomicio-bypass, timer-commit, snapshot-mutation,
-// lock-across-blocking) driven by the parallel analysis engine.
+// path, goroutine hygiene, error discards, loop bounds) and the
+// cross-package contract rules (determinism-taint, atomicio-bypass,
+// timer-commit, snapshot-mutation, lock-across-blocking).
 //
 // Usage:
 //
-//	lint [-json] [-rules nondeterminism,error-discard] [-baseline file|off] [packages]
+//	lint [-json] [-rules nondeterminism,error-discard] [-list] [packages]
 //
-// With no packages it analyzes ./.... Findings covered by the baseline
-// (default <module>/lint.baseline.json when present; -baseline off
-// disables) are grandfathered; everything else is reported.
+// With no packages it analyzes ./.... Every finding is reported unless a
+// reasoned //lint:ignore directive at its line waives it; a directive
+// that waives nothing is itself a finding.
 //
 // Exit codes:
 //
-//	0  clean — no findings beyond the baseline
-//	1  findings — contract violations (or stale baseline entries) to fix
+//	0  clean — no findings
+//	1  findings — contract violations (or stale directives) to fix
 //	2  the linter itself failed — bad usage, load error, or type error
 package main
 
@@ -25,7 +24,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 
 	"honeyfarm/internal/lint"
 )
@@ -43,8 +41,6 @@ func run(dir string, args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	jsonOut := fs.Bool("json", false, "emit the machine-readable report (schema "+lint.ReportSchema+")")
 	rules := fs.String("rules", "", "comma-separated rule subset (default: all rules)")
-	ruleAlias := fs.String("rule", "", "alias for -rules")
-	baselinePath := fs.String("baseline", "", "baseline file (default <module>/lint.baseline.json if present; \"off\" disables)")
 	list := fs.Bool("list", false, "list available rules and exit")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -57,11 +53,7 @@ func run(dir string, args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	ruleList := *rules
-	if ruleList == "" {
-		ruleList = *ruleAlias
-	}
-	analyzers, err := lint.ByName(ruleList)
+	analyzers, err := lint.ByName(*rules)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
@@ -82,43 +74,19 @@ func run(dir string, args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	findings := res.Findings
-	baselined := 0
-	var stale []lint.BaselineEntry
-	if *baselinePath != "off" {
-		path := *baselinePath
-		optional := path == ""
-		if optional {
-			path = filepath.Join(root, "lint.baseline.json")
-		}
-		entries, err := lint.LoadBaseline(path)
-		switch {
-		case err == nil:
-			findings, baselined, stale = lint.ApplyBaseline(findings, entries, root)
-		case optional && os.IsNotExist(err):
-			// No default baseline: every finding stands on its own.
-		default:
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-	}
-
 	if *jsonOut {
-		if err := lint.NewReport(findings, root, res.Packages, baselined).Write(stdout); err != nil {
+		if err := lint.NewReport(res.Findings, root, res.Packages).Write(stdout); err != nil {
 			fmt.Fprintln(stderr, err)
 			return 2
 		}
 	} else {
-		for _, f := range findings {
+		for _, f := range res.Findings {
 			fmt.Fprintln(stdout, f)
 		}
 	}
-	for _, e := range stale {
-		fmt.Fprintf(stderr, "lint: stale baseline entry (%d unmatched): [%s] %s: %s\n", e.Count, e.Rule, e.File, e.Message)
-	}
-	if len(findings) > 0 || len(stale) > 0 {
+	if len(res.Findings) > 0 {
 		if !*jsonOut {
-			fmt.Fprintf(stderr, "lint: %d finding(s) across %d package(s)\n", len(findings), res.Packages)
+			fmt.Fprintf(stderr, "lint: %d finding(s) across %d package(s)\n", len(res.Findings), res.Packages)
 		}
 		return 1
 	}

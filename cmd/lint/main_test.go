@@ -40,6 +40,24 @@ func mayFail() error { return errors.New("boom") }
 func Fire() { mayFail() }
 `
 
+const waivedSrc = `package scratch
+
+import "errors"
+
+func mayFail() error { return errors.New("boom") }
+
+func Fire() {
+	//lint:ignore error-discard the caller has nothing to report to
+	mayFail()
+}
+`
+
+const staleDirectiveSrc = `package scratch
+
+//lint:ignore error-discard nothing on the next line discards an error
+func Add(a, b int) int { return a + b }
+`
+
 const typeErrorSrc = `package scratch
 
 func Broken() { undefinedFunction() }
@@ -47,7 +65,9 @@ func Broken() { undefinedFunction() }
 
 // TestExitCodes drives the documented taxonomy through run(): 0 clean,
 // 1 findings, 2 load/type error — plus the -rules filter on both sides
-// of the findings boundary.
+// of the findings boundary, and the one waiver mechanism: a reasoned
+// //lint:ignore clears its finding, a directive that waives nothing is
+// a finding itself.
 func TestExitCodes(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -58,6 +78,8 @@ func TestExitCodes(t *testing.T) {
 	}{
 		{name: "clean", src: cleanSrc, wantExit: 0},
 		{name: "findings", src: findingSrc, wantExit: 1, wantOut: "error-discard"},
+		{name: "waived by directive", src: waivedSrc, wantExit: 0},
+		{name: "stale directive", src: staleDirectiveSrc, wantExit: 1, wantOut: "stale suppression"},
 		{name: "type error", src: typeErrorSrc, wantExit: 2},
 		{name: "findings filtered out", src: findingSrc,
 			args: []string{"-rules", "nondeterminism"}, wantExit: 0},
@@ -88,7 +110,7 @@ func TestJSONStream(t *testing.T) {
 	if got := run(dir, []string{"-json", "./..."}, &stdout, &stderr); got != 0 {
 		t.Fatalf("exit %d\nstderr:\n%s", got, stderr.String())
 	}
-	if !strings.HasPrefix(stdout.String(), "{") || !strings.Contains(stdout.String(), `"schema": "honeyfarm-lint-report-v1"`) {
+	if !strings.HasPrefix(stdout.String(), "{") || !strings.Contains(stdout.String(), `"schema": "honeyfarm-lint-report-v2"`) {
 		t.Errorf("stdout is not the -json report:\n%s", stdout.String())
 	}
 	if stderr.Len() != 0 {

@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -79,26 +80,40 @@ func TestCrossPackageTaint(t *testing.T) {
 	}
 }
 
-// TestEngineDeterministicOrder runs the parallel engine repeatedly over
-// the real module and requires identical finding slices —
-// scheduling must never leak into output order.
+// TestEngineDeterministicOrder runs the engine repeatedly over the real
+// module and requires identical findings and facts, so map iteration
+// order never leaks into a finding or the provenance chain its message
+// quotes.
 func TestEngineDeterministicOrder(t *testing.T) {
 	root, err := FindModuleRoot(".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var first []Finding
+	var first *CheckResult
 	for i := 0; i < 3; i++ {
 		res, err := NewLoader(root).Check(CheckOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if i == 0 {
-			first = res.Findings
+			first = res
 			continue
 		}
-		if !reflect.DeepEqual(first, res.Findings) {
-			t.Fatalf("run %d produced different findings:\nfirst: %v\nthis:  %v", i, first, res.Findings)
+		if !reflect.DeepEqual(first.Findings, res.Findings) {
+			t.Fatalf("run %d produced different findings:\nfirst: %v\nthis:  %v", i, first.Findings, res.Findings)
+		}
+		if !reflect.DeepEqual(first.Facts, res.Facts) {
+			t.Fatalf("run %d computed different facts (provenance chains, which findings quote)", i)
 		}
 	}
+}
+
+// sortedFactKeys returns the stored fact keys in deterministic order.
+func (f *Facts) sortedFactKeys() []string {
+	keys := make([]string, 0, len(f.m))
+	for k := range f.m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }

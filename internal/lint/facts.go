@@ -72,8 +72,9 @@ func (f *FuncFacts) absorb(calleeKey string, cf FuncFacts) bool {
 // fact are recorded.
 type PackageFacts map[string]FuncFacts
 
-// Facts is the merged fact view an analysis pass sees: every module
-// dependency's PackageFacts plus the package under analysis.
+// Facts is the merged fact view an analysis pass sees: the PackageFacts
+// of every package analyzed before it (its dependencies among them) plus
+// the package under analysis.
 type Facts struct {
 	m map[string]FuncFacts
 }

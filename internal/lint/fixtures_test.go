@@ -17,8 +17,6 @@ var fixtureDirs = map[string]string{
 	"nondeterminism": "fixture/internal/workload",
 	"goroutine":      "fixture/goroutine",
 	"errdiscard":     "fixture/errdiscard",
-	"mutexcopy":      "fixture/mutexcopy",
-	"wiresym":        "fixture/wiresym",
 	"boundedloop":    "fixture/internal/stats",
 	"suppress":       "fixture/sup/internal/workload",
 	"dettaint":       "fixture/dt/internal/report",

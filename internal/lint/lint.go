@@ -1,26 +1,23 @@
 // Package lint is a stdlib-only static-analysis suite enforcing this
 // repository's correctness contracts: the simulation path must be
 // bit-for-bit deterministic (no global math/rand state, no wall-clock
-// reads), the concurrent wire path must not leak goroutines or discard
-// errors silently, lock-bearing values must not be copied, the SSH
-// wire codec must stay marshal/unmarshal symmetric — and, since the
-// cross-package engine landed, the durability contracts that live
-// *between* packages: no nondeterministic value may flow into a WAL
-// frame, snapshot or report writer (determinism-taint), artifact files
-// are written only through internal/atomicio (atomicio-bypass), WAL
-// syncs and snapshot seals are count-based, never timer-based
+// reads, no unbounded loops), the concurrent wire path must not leak
+// goroutines or discard errors silently — and the durability contracts
+// that live *between* packages: no nondeterministic value may flow into
+// a WAL frame, snapshot or report writer (determinism-taint), artifact
+// files are written only through internal/atomicio (atomicio-bypass),
+// WAL syncs and snapshot seals are count-based, never timer-based
 // (timer-commit), published snapshots are immutable (snapshot-mutation),
 // and no mutex is held across fsync, network I/O or channel operations
-// (lock-across-blocking).
+// (lock-across-blocking). Copied locks are left to go vet's copylocks.
 //
-// The framework is built on go/ast, go/parser and go/types alone. The
-// driver loads packages through `go list -export`, type-checks them from
-// source, computes per-package function facts propagated along the
-// import graph (see facts.go), runs every registered analyzer, and
-// aggregates findings with positions. Packages are analyzed in parallel
-// with deterministic finding order (see engine.go). A finding can be
-// suppressed with a directive comment on the offending line or the line
-// above:
+// The framework is built on go/ast, go/parser and go/types alone.
+// Loader.Check lists packages through `go list -deps -export`, then
+// type-checks them from source one at a time, dependencies first,
+// computing per-package function facts along the way (see facts.go),
+// runs every registered analyzer, and returns the findings sorted by
+// position. A finding is waived only by a directive comment on the
+// offending line or the line above:
 //
 //	//lint:ignore <rule>[,<rule>...] <reason>
 //
@@ -63,8 +60,9 @@ type Analyzer struct {
 type Pass struct {
 	Analyzer *Analyzer
 	Pkg      *Package
-	// Facts is the merged fact view: the module dependencies' facts plus
-	// this package's own (see facts.go).
+	// Facts is the merged fact view: the facts of the packages analyzed
+	// before this one, its dependencies among them, plus its own (see
+	// facts.go).
 	Facts *Facts
 
 	directives *directiveSet
@@ -204,11 +202,13 @@ func reportStale(ds *directiveSet, ran []*Analyzer, findings *[]Finding) {
 	}
 }
 
-// runPackage analyzes one package: directives are scanned (malformed
-// ones reported), every analyzer runs with the fact view, and stale
-// directives are reported last. Findings are returned unsorted; callers
-// sort the cross-package aggregate.
+// runPackage analyzes one package: its facts are computed against and
+// merged into facts, directives are scanned (malformed ones reported),
+// every analyzer runs with the fact view, and stale directives are
+// reported last. Findings are returned unsorted; callers sort the
+// cross-package aggregate.
 func runPackage(pkg *Package, analyzers []*Analyzer, facts *Facts) []Finding {
+	facts.Merge(ComputeFacts(pkg, facts))
 	var findings []Finding
 	ds := scanDirectives(pkg, &findings)
 	for _, a := range analyzers {
@@ -240,16 +240,15 @@ func sortFindings(findings []Finding) {
 	})
 }
 
-// Run executes the analyzers over the packages sequentially and returns
-// the combined findings sorted by position. Packages must be ordered
-// dependencies-first (go list -deps order, which Loader.Load preserves)
-// so cross-package facts are available when a dependent is analyzed;
+// Run executes the analyzers over already type-checked packages (the
+// fixture path: CheckSource output) and returns the combined findings
+// sorted by position. Packages must be ordered dependencies-first so
+// cross-package facts are available when a dependent is analyzed;
 // self-contained fixture packages can be passed alone.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
 	facts := NewFacts()
 	var findings []Finding
 	for _, pkg := range pkgs {
-		facts.Merge(ComputeFacts(pkg, facts))
 		findings = append(findings, runPackage(pkg, analyzers, facts)...)
 	}
 	sortFindings(findings)
@@ -262,8 +261,6 @@ func All() []*Analyzer {
 		Nondeterminism,
 		GoroutineHygiene,
 		ErrorDiscard,
-		MutexByValue,
-		WireSymmetry,
 		BoundedLoop,
 		DeterminismTaint,
 		AtomicioBypass,

@@ -13,7 +13,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"sync"
 )
 
 // Package is one loaded, parsed and type-checked package ready for
@@ -42,7 +41,6 @@ type Loader struct {
 	// Dir is the module root (the directory containing go.mod).
 	Dir string
 
-	mu      sync.Mutex
 	exports map[string]string // import path -> export data file
 	imp     types.Importer
 	fset    *token.FileSet
@@ -114,9 +112,7 @@ func (l *Loader) goList(patterns ...string) ([]*listedPackage, error) {
 
 // lookup feeds compiler export data to the gc importer.
 func (l *Loader) lookup(path string) (io.ReadCloser, error) {
-	l.mu.Lock()
 	file, ok := l.exports[path]
-	l.mu.Unlock()
 	if !ok {
 		// An import outside the already-listed dependency closure (fixture
 		// packages trigger this): resolve it with a one-off go list.
@@ -125,10 +121,7 @@ func (l *Loader) lookup(path string) (io.ReadCloser, error) {
 			return nil, err
 		}
 		l.addExports(pkgs)
-		l.mu.Lock()
-		file, ok = l.exports[path]
-		l.mu.Unlock()
-		if !ok {
+		if file, ok = l.exports[path]; !ok {
 			return nil, fmt.Errorf("lint: no export data for %q", path)
 		}
 	}
@@ -136,8 +129,6 @@ func (l *Loader) lookup(path string) (io.ReadCloser, error) {
 }
 
 func (l *Loader) addExports(pkgs []*listedPackage) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	for _, p := range pkgs {
 		if p.Export != "" {
 			l.exports[p.ImportPath] = p.Export
@@ -145,21 +136,45 @@ func (l *Loader) addExports(pkgs []*listedPackage) {
 	}
 }
 
-// Load parses and type-checks the module packages matched by patterns
-// (e.g. "./..."), dependencies first. Test files are not loaded: the
-// lint contracts target production code, and tests legitimately use
-// wall-clock timeouts.
-func (l *Loader) Load(patterns ...string) ([]*Package, error) {
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
+// CheckOptions configures one Check run.
+type CheckOptions struct {
+	// Patterns are go list package patterns; default "./...".
+	Patterns []string
+	// Analyzers is the rule set; default All().
+	Analyzers []*Analyzer
+}
+
+// CheckResult is the aggregate of one Check run.
+type CheckResult struct {
+	// Findings is every finding across all packages, sorted by position.
+	Findings []Finding
+	// Packages is the number of module packages analyzed.
+	Packages int
+	// Facts is the merged fact store over every analyzed package.
+	Facts *Facts
+}
+
+// Check parses, type-checks and analyzes the module packages matched by
+// the patterns, one at a time in go list -deps order: dependencies come
+// first, so each package sees the facts of everything it imports. Test
+// files are not loaded — the lint contracts target production code, and
+// tests legitimately use wall-clock timeouts. Any load or type error
+// aborts the run with an error (the cmd/lint exit-2 path) rather than
+// producing partial findings.
+func (l *Loader) Check(opts CheckOptions) (*CheckResult, error) {
+	if len(opts.Patterns) == 0 {
+		opts.Patterns = []string{"./..."}
 	}
-	listed, err := l.goList(patterns...)
+	if opts.Analyzers == nil {
+		opts.Analyzers = All()
+	}
+	listed, err := l.goList(opts.Patterns...)
 	if err != nil {
 		return nil, err
 	}
 	l.addExports(listed)
 
-	var out []*Package
+	res := &CheckResult{Facts: NewFacts()}
 	for _, lp := range listed {
 		// -deps lists the full closure; only analyze main-module packages.
 		if !isModulePackage(lp) {
@@ -168,13 +183,18 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 		if lp.Error != nil {
 			return nil, fmt.Errorf("lint: %s: %s", lp.ImportPath, lp.Error.Err)
 		}
-		pkg, err := l.check(lp, l.fset, l.imp)
+		pkg, err := l.check(lp)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, pkg)
+		if len(pkg.TypeErrors) > 0 {
+			return nil, fmt.Errorf("lint: %s: %v", lp.ImportPath, pkg.TypeErrors[0])
+		}
+		res.Packages++
+		res.Findings = append(res.Findings, runPackage(pkg, opts.Analyzers, res.Facts)...)
 	}
-	return out, nil
+	sortFindings(res.Findings)
+	return res, nil
 }
 
 // isModulePackage reports whether a listed package belongs to the main
@@ -183,27 +203,18 @@ func isModulePackage(lp *listedPackage) bool {
 	return !lp.Standard && lp.Module != nil && lp.Dir != ""
 }
 
-// check parses and type-checks one listed package with the given file
-// set and importer.
-func (l *Loader) check(lp *listedPackage, fset *token.FileSet, imp types.Importer) (*Package, error) {
+// check parses and type-checks one listed package.
+func (l *Loader) check(lp *listedPackage) (*Package, error) {
 	var files []*ast.File
 	for _, name := range lp.GoFiles {
 		path := filepath.Join(lp.Dir, name)
-		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		f, err := parser.ParseFile(l.fset, path, nil, parser.ParseComments)
 		if err != nil {
 			return nil, fmt.Errorf("lint: parsing %s: %v", path, err)
 		}
 		files = append(files, f)
 	}
-	return typeCheck(lp.ImportPath, lp.Dir, fset, imp, files)
-}
-
-// checkIsolated type-checks one listed package with its own file set
-// and importer, so concurrent workers never share go/types state. The
-// export-data index is shared through the loader's synchronized lookup.
-func (l *Loader) checkIsolated(lp *listedPackage) (*Package, error) {
-	fset := token.NewFileSet()
-	return l.check(lp, fset, importer.ForCompiler(fset, "gc", l.lookup))
+	return typeCheck(lp.ImportPath, lp.Dir, l.fset, l.imp, files)
 }
 
 // CheckSource type-checks in-memory sources as a package with the given

@@ -3,11 +3,12 @@ package lint
 import (
 	"encoding/json"
 	"io"
+	"path/filepath"
 )
 
 // ReportSchema identifies the -json output format; golden-tested in
 // report_test.go so consumers can pin it.
-const ReportSchema = "honeyfarm-lint-report-v1"
+const ReportSchema = "honeyfarm-lint-report-v2"
 
 // ReportFinding is one finding in the machine-readable report. File is
 // module-relative with forward slashes.
@@ -22,19 +23,18 @@ type ReportFinding struct {
 // Report is the -json document: byte-identical between two runs over
 // the same tree.
 type Report struct {
-	Schema    string          `json:"schema"`
-	Packages  int             `json:"packages"`
-	Baselined int             `json:"baselined"`
-	Findings  []ReportFinding `json:"findings"`
+	Schema   string          `json:"schema"`
+	Packages int             `json:"packages"`
+	Findings []ReportFinding `json:"findings"`
 }
 
-// NewReport builds the report document from post-baseline findings.
-func NewReport(findings []Finding, root string, packages, baselined int) *Report {
+// NewReport builds the report document from the findings of a run over
+// packages packages.
+func NewReport(findings []Finding, root string, packages int) *Report {
 	r := &Report{
-		Schema:    ReportSchema,
-		Packages:  packages,
-		Baselined: baselined,
-		Findings:  []ReportFinding{}, // encode as [] rather than null
+		Schema:   ReportSchema,
+		Packages: packages,
+		Findings: []ReportFinding{}, // encode as [] rather than null
 	}
 	for _, f := range findings {
 		r.Findings = append(r.Findings, ReportFinding{
@@ -57,4 +57,14 @@ func (r *Report) Write(w io.Writer) error {
 	data = append(data, '\n')
 	_, err = w.Write(data)
 	return err
+}
+
+// relPath rewrites an absolute finding path as module-relative with
+// forward slashes, so reports are stable across checkouts.
+func relPath(root, path string) string {
+	rel, err := filepath.Rel(root, path)
+	if err != nil {
+		return filepath.ToSlash(path)
+	}
+	return filepath.ToSlash(rel)
 }

@@ -25,7 +25,7 @@ func TestReportGolden(t *testing.T) {
 		},
 	}
 	var buf bytes.Buffer
-	if err := NewReport(findings, "/mod", 37, 4).Write(&buf); err != nil {
+	if err := NewReport(findings, "/mod", 37).Write(&buf); err != nil {
 		t.Fatal(err)
 	}
 
@@ -43,7 +43,7 @@ func TestReportGolden(t *testing.T) {
 // an empty array, never null, so jq-style consumers don't special-case.
 func TestReportEmpty(t *testing.T) {
 	var buf bytes.Buffer
-	if err := NewReport(nil, "/mod", 1, 0).Write(&buf); err != nil {
+	if err := NewReport(nil, "/mod", 1).Write(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Contains(buf.Bytes(), []byte(`"findings": []`)) {

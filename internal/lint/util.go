@@ -40,42 +40,3 @@ func namedPathName(t types.Type) (path, name string, ok bool) {
 	}
 	return obj.Pkg().Path(), obj.Name(), true
 }
-
-// syncLockTypes are the sync types whose values must never be copied
-// after first use.
-var syncLockTypes = map[string]bool{
-	"Mutex": true, "RWMutex": true, "WaitGroup": true,
-	"Once": true, "Cond": true, "Pool": true, "Map": true,
-}
-
-// containsLock reports whether a value of type t directly or transitively
-// holds a sync lock by value (pointers, slices, maps and channels are
-// references and do not propagate the property).
-func containsLock(t types.Type) bool {
-	return containsLockRec(t, map[types.Type]bool{})
-}
-
-func containsLockRec(t types.Type, seen map[types.Type]bool) bool {
-	if t == nil || seen[t] {
-		return false
-	}
-	seen[t] = true
-	if named, ok := t.(*types.Named); ok {
-		obj := named.Obj()
-		if obj.Pkg() != nil && obj.Pkg().Path() == "sync" && syncLockTypes[obj.Name()] {
-			return true
-		}
-		return containsLockRec(named.Underlying(), seen)
-	}
-	switch u := t.(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if containsLockRec(u.Field(i).Type(), seen) {
-				return true
-			}
-		}
-	case *types.Array:
-		return containsLockRec(u.Elem(), seen)
-	}
-	return false
-}

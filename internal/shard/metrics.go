@@ -89,27 +89,15 @@ func BuildMergeRegistry(c *Coordinator, srv *query.Server, numPots int, now func
 }
 
 // BuildCollectorRegistry assembles the full cmd/shard metric set:
-// source + engine + WAL writer health + serve rows, the WAL→engine
-// ingest lag, and (when a wire front is running) the wire session
-// counters — exactly what the collector shard mounts at /metrics.
+// source + engine + WAL writer health + serve rows, and (when a wire
+// front is running) the wire session counters — exactly what the
+// collector shard mounts at /metrics.
 func BuildCollectorRegistry(eng *query.Engine, health func() wal.Health, front *WireFront, srv *query.Server, numPots int) *metrics.Registry {
 	reg := metrics.NewRegistry()
 	query.RegisterSourceMetrics(reg, eng, numPots)
 	query.RegisterEngineMetrics(reg, eng)
 	if health != nil {
 		query.RegisterWALHealthMetrics(reg, health)
-		reg.GaugeFunc("honeyfarm_wal_ingest_lag_records",
-			"Records appended to the WAL but not yet folded into the engine (the follower-lag of a collector).",
-			nil, func() float64 {
-				lag := float64(health().AppendedRecords) - float64(eng.Seq())
-				if lag < 0 {
-					// A recovered WAL re-counts from zero while the engine
-					// replayed the full history; clamp rather than report a
-					// negative lag.
-					return 0
-				}
-				return lag
-			})
 	}
 	if front != nil {
 		RegisterWireMetrics(reg, front)

@@ -707,13 +707,16 @@ func (l *Log) AppendTagged(tag uint64, recs []*honeypot.SessionRecord) error {
 	}
 	// Before the write: a group commit that failed degrades the log now,
 	// and this batch takes the degraded path like any other.
+	//lint:ignore lock-across-blocking entering degraded mode seals the failing segment so no append interleaves; once per outage
 	l.collectLocked(false)
 	if l.degraded != nil {
+		//lint:ignore lock-across-blocking a recovery probe seals the old segment before its successor exists (torn-tail rule); rate-limited by ProbeEvery
 		if !l.tryRecoverLocked() {
 			l.dropLocked(len(recs))
 			return fmt.Errorf("%w (batch of %d records dropped): %w", ErrDegraded, len(recs), l.degraded)
 		}
 	}
+	//lint:ignore lock-across-blocking entering degraded mode seals the failing segment so no append interleaves; once per outage
 	if err := l.appendFrameLocked(frame); err != nil {
 		l.dropLocked(len(recs))
 		return err
@@ -733,6 +736,7 @@ func (l *Log) AppendTagged(tag uint64, recs []*honeypot.SessionRecord) error {
 	if l.size >= l.opts.SegmentBytes {
 		// The frame is written and acknowledged: a failed rotation has
 		// degraded the log, which the next Append/Sync/Close reports.
+		//lint:ignore lock-across-blocking rotation seals a full segment before its successor exists; once per SegmentBytes
 		l.rotateLocked()
 	}
 	return nil
@@ -1037,11 +1041,14 @@ func (l *Log) Sync() error {
 	if l.closed {
 		return fmt.Errorf("wal: log is closed")
 	}
+	//lint:ignore lock-across-blocking entering degraded mode seals the failing segment so no append interleaves; once per outage
 	l.collectLocked(true)
 	if l.degraded != nil {
 		return l.degradedErrLocked()
 	}
+	//lint:ignore lock-across-blocking Sync promises durability to its caller: one fsync after the committer's, under l.mu; appends never reach it
 	if err := l.barrierSyncLocked(); err != nil {
+		//lint:ignore lock-across-blocking entering degraded mode seals the failing segment so no append interleaves; once per outage
 		l.enterDegradedLocked("sync", err, false)
 		return l.degradedErrLocked()
 	}
@@ -1059,6 +1066,7 @@ func (l *Log) Close() error {
 		return nil
 	}
 	l.closed = true
+	//lint:ignore lock-across-blocking entering degraded mode seals the failing segment so no append interleaves; once per outage
 	l.collectLocked(true)
 	close(l.syncReq)
 	<-l.committerDone
@@ -1069,6 +1077,7 @@ func (l *Log) Close() error {
 		}
 		return l.degradedErrLocked()
 	}
+	//lint:ignore lock-across-blocking Close promises durability to its caller: one fsync after the committer's, under l.mu
 	if err := l.barrierSyncLocked(); err != nil {
 		l.f.Close()
 		l.f = nil

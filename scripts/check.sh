@@ -3,11 +3,11 @@
 # repository. Everything here must pass before a change lands:
 #
 #   gofmt        all source formatted
-#   go vet       toolchain static checks
+#   go vet       toolchain static checks; its copylocks check is the
+#                gate for copied locks
 #   go build     the module compiles
 #   lint         the repo's own cross-package analyzer engine (see
-#                internal/lint) in -json mode: clean modulo the
-#                checked-in baseline
+#                internal/lint) in -json mode: no findings
 #   go test -race  full test suite under the race detector
 #   fuzz smoke   FuzzDecodePartialsFrame — the decoder that takes fleet
 #                bytes off the network — mutates its checked-in corpus
