@@ -1,8 +1,10 @@
 // Cowriepipe: the interop path for operators of real Cowrie honeypots —
 // feed a cowrie.json event log through this repository's analysis
 // pipeline. The example synthesizes a small log in Cowrie's format
-// (standing in for a real deployment's file), imports it, and runs the
-// paper's classification and campaign analyses on it.
+// (standing in for a real deployment's file), imports it (a sensor
+// named "<name>-<digits>" is that honeypot; others are numbered as they
+// first appear), and runs the paper's classification and campaign
+// analyses on it.
 //
 //	go run ./examples/cowriepipe
 //

@@ -85,7 +85,6 @@ type SimulateConfig struct {
 	TotalSessions int
 	Days          int
 	NumPots       int
-	Registry      *Registry // optional; built from Seed when nil
 	// Workers is the generation fan-out (default GOMAXPROCS). The
 	// dataset is byte-identical for every value; see workload.Config.
 	Workers int
@@ -121,10 +120,7 @@ type Dataset struct {
 
 // Simulate generates a calibrated synthetic dataset.
 func Simulate(cfg SimulateConfig) (*Dataset, error) {
-	reg := cfg.Registry
-	if reg == nil {
-		reg = NewRegistry(cfg.Seed)
-	}
+	reg := NewRegistry(cfg.Seed)
 	res, err := workload.Generate(workload.Config{
 		Seed:          cfg.Seed,
 		TotalSessions: cfg.TotalSessions,
@@ -140,18 +136,7 @@ func Simulate(cfg SimulateConfig) (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	numPots := cfg.NumPots
-	if numPots <= 0 {
-		numPots = 221
-	}
-	return &Dataset{
-		Store:       res.Store,
-		Registry:    reg,
-		Deployments: res.Deployments,
-		NumPots:     numPots,
-		Faults:      res.Faults,
-		tagger:      res.Tagger(),
-	}, nil
+	return NewDatasetFromResult(res, reg, cfg.NumPots), nil
 }
 
 // NewDatasetFromResult wraps a raw workload.Result (e.g. one generated
@@ -170,38 +155,23 @@ func NewDatasetFromResult(res *workload.Result, reg *Registry, numPots int) *Dat
 	}
 }
 
-// FarmConfig configures a wire-level honeyfarm.
+// FarmConfig configures a wire-level honeyfarm. The registry is built
+// from Seed; the fault-injection knobs are farm.Config's.
 type FarmConfig struct {
-	Seed     int64
-	NumPots  int
-	Registry *Registry
+	Seed    int64
+	NumPots int
 	// Fetch resolves attacker download URIs; nil blocks egress.
 	Fetch func(uri string) ([]byte, error)
-	// Faults injects deterministic connection faults and pot outage
-	// windows into the running farm; see farm.Config.
-	Faults *FaultPlan
-	// DayLength maps the plan's outage days to wall clock (outages are
-	// only scheduled when positive), and DrainTimeout bounds Stop's
-	// graceful drain.
-	DayLength    time.Duration
-	DrainTimeout time.Duration
 }
 
 // NewFarm builds (but does not start) a wire-level honeyfarm.
 func NewFarm(cfg FarmConfig) (*Farm, error) {
-	reg := cfg.Registry
-	if reg == nil {
-		reg = NewRegistry(cfg.Seed)
-	}
 	return farm.New(farm.Config{
-		Seed:         cfg.Seed,
-		NumPots:      cfg.NumPots,
-		Registry:     reg,
-		Epoch:        DefaultEpoch,
-		Fetch:        cfg.Fetch,
-		Faults:       cfg.Faults,
-		DayLength:    cfg.DayLength,
-		DrainTimeout: cfg.DrainTimeout,
+		Seed:     cfg.Seed,
+		NumPots:  cfg.NumPots,
+		Registry: NewRegistry(cfg.Seed),
+		Epoch:    DefaultEpoch,
+		Fetch:    cfg.Fetch,
 	})
 }
 
@@ -239,9 +209,10 @@ func (d *Dataset) ExportCowrie(w io.Writer) error {
 
 // LoadCowrie imports a Cowrie JSON event log (from a real Cowrie
 // deployment or a prior ExportCowrie) and wraps it as a Dataset, so real
-// honeypot logs run through the same analysis pipeline.
+// honeypot logs run through the same analysis pipeline. Honeypot IDs
+// survive an ExportCowrie round trip; see cowrielog.Import.
 func LoadCowrie(r io.Reader, reg *Registry, numPots int, seed int64) (*Dataset, error) {
-	st, _, err := cowrielog.Import(r, cowrielog.ImportOptions{})
+	st, err := cowrielog.Import(r)
 	if err != nil {
 		return nil, err
 	}
@@ -261,15 +232,8 @@ func emptyDataset(reg *Registry, numPots int, seed int64) (*Dataset, error) {
 	if numPots <= 0 {
 		numPots = 221
 	}
-	numASes := 65
-	var countries []string
-	if numPots < len(geo.HoneyfarmCountries) {
-		countries = geo.HoneyfarmCountries[:numPots]
-		numASes = numPots
-	}
 	deployments, err := geo.Place(geo.PlacementConfig{
-		Seed: seed, NumPots: numPots, NumASes: numASes,
-		Countries: countries, Registry: reg, Residental: true,
+		Seed: seed, NumPots: numPots, Registry: reg, Residental: true,
 	})
 	if err != nil {
 		deployments = nil

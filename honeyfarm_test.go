@@ -2,6 +2,7 @@ package honeyfarm
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -171,5 +172,66 @@ func TestMergeFederation(t *testing.T) {
 	// b's records were copied, not aliased.
 	if b.Store.Records()[0].HoneypotID >= 8 {
 		t.Error("merge mutated the source dataset")
+	}
+}
+
+// TestCowrieRoundTripReport: a dataset exported as a Cowrie log and
+// loaded back renders the identical report. The sensor names carry the
+// honeypot IDs, so the per-pot and geography figures survive too.
+func TestCowrieRoundTripReport(t *testing.T) {
+	for _, n := range []int{2_000, 20_000} {
+		d, err := Simulate(SimulateConfig{Seed: 1, TotalSessions: n, NumPots: 221})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var log bytes.Buffer
+		if err := d.ExportCowrie(&log); err != nil {
+			t.Fatal(err)
+		}
+		back, err := LoadCowrie(&log, nil, 221, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want, got bytes.Buffer
+		d.WriteReport(&want, ReportOptions{})
+		back.WriteReport(&got, ReportOptions{})
+		wl, gl := strings.Split(want.String(), "\n"), strings.Split(got.String(), "\n")
+		line := func(ls []string, i int) string {
+			if i < len(ls) {
+				return ls[i]
+			}
+			return "<end of report>"
+		}
+		for i := 0; i < max(len(wl), len(gl)); i++ {
+			if line(gl, i) != line(wl, i) {
+				t.Errorf("%d sessions: report differs after the round trip, first at line %d:\n got %q\nwant %q",
+					n, i+1, line(gl, i), line(wl, i))
+				break
+			}
+		}
+	}
+}
+
+// TestLoadedPlacementMatchesSimulate: a loaded dataset re-derives the
+// exact honeypot placement the generator used, on both sides of the
+// 55-country and 65-AS defaults.
+func TestLoadedPlacementMatchesSimulate(t *testing.T) {
+	for _, pots := range []int{10, 54, 55, 60, 64, 65, 221} {
+		d, err := Simulate(SimulateConfig{Seed: 5, TotalSessions: 500, Days: 10, NumPots: pots})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := d.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := LoadDataset(&buf, nil, pots, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(loaded.Deployments, d.Deployments) || len(d.Deployments) != pots {
+			t.Errorf("%d pots: loaded placement differs from the generated one (%d vs %d deployments)",
+				pots, len(loaded.Deployments), len(d.Deployments))
+		}
 	}
 }

@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"sort"
-	"time"
 
 	"honeyfarm/internal/honeypot"
 	"honeyfarm/internal/shell"
@@ -287,12 +286,4 @@ func MedianDailySessions(s *store.Store) float64 {
 		e.Add(float64(n))
 	}
 	return e.Quantile(0.5)
-}
-
-// ObservationDays returns the day-span helper used by reports.
-func ObservationDays(s *store.Store) int { return s.NumDays() }
-
-// DayTime returns the midpoint time of a day bucket, for labeling series.
-func DayTime(s *store.Store, day int) time.Time {
-	return s.Epoch().Add(time.Duration(day)*24*time.Hour + 12*time.Hour)
 }

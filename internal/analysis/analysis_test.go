@@ -468,7 +468,10 @@ func TestCategoryCombos(t *testing.T) {
 
 func TestClientCountriesAndRegionalDiversity(t *testing.T) {
 	reg := geo.NewRegistry(geo.Config{Seed: 1})
-	deps := geo.DefaultPlacement(reg, 1)
+	deps, err := geo.Place(geo.PlacementConfig{Seed: 1, NumPots: 221, Registry: reg, Residental: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 	s := store.New(epoch)
 	// Three clients: one sharing the honeypot's country, one on the same
 	// continent, one far away.
@@ -603,11 +606,11 @@ func TestTopClientVersions(t *testing.T) {
 
 func TestDayHelpers(t *testing.T) {
 	s := buildStore(mk{day: 2})
-	if got := ObservationDays(s); got != 3 {
-		t.Errorf("ObservationDays = %d, want 3", got)
+	if got := s.NumDays(); got != 3 {
+		t.Errorf("NumDays = %d, want 3", got)
 	}
-	mid := DayTime(s, 2)
+	mid := s.Epoch().Add(2*24*time.Hour + 12*time.Hour)
 	if s.Day(mid) != 2 {
-		t.Errorf("DayTime(2) maps back to day %d", s.Day(mid))
+		t.Errorf("day 2's midpoint maps back to day %d", s.Day(mid))
 	}
 }

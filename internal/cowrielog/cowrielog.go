@@ -15,6 +15,8 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
+	"strings"
 	"time"
 
 	"honeyfarm/internal/honeypot"
@@ -58,7 +60,7 @@ const timeLayout = "2006-01-02T15:04:05.000000Z"
 
 // Export writes records as a Cowrie JSON event stream, ordered by
 // session start time. sensorName labels the sensor field; honeypot IDs
-// are appended (sensor-007).
+// are appended (sensor-007), which is how Import recovers them.
 func Export(w io.Writer, records []*honeypot.SessionRecord, sensorName string) error {
 	bw := bufio.NewWriterSize(w, 1<<20)
 	enc := json.NewEncoder(bw)
@@ -139,52 +141,37 @@ func exportOne(enc *json.Encoder, r *honeypot.SessionRecord, sensorName string) 
 	})
 }
 
-// ImportOptions maps Cowrie sensor names onto honeypot IDs.
-type ImportOptions struct {
-	// SensorID maps a sensor string to a honeypot index; nil assigns
-	// sequential IDs in order of first appearance.
-	SensorID func(sensor string) int
-	// Epoch sets the resulting store's day-bucket origin; zero uses the
-	// earliest event's midnight.
-	Epoch time.Time
-	// SkipMalformed switches Import to lenient mode: lines that fail to
-	// parse (broken JSON, bad timestamps) are counted and skipped instead
-	// of aborting. Real long-running Cowrie deployments produce the odd
-	// truncated line on restart; lenient mode salvages the rest of the
-	// log. Default (false) keeps the strict abort-with-line-number
-	// behavior.
-	SkipMalformed bool
-}
-
 // Import reads a Cowrie JSON event stream and reassembles session
-// records into a store. Events with unknown eventids are ignored (they
-// carry no session state this pipeline uses). Malformed lines abort
-// with an error naming the line number, unless opts.SkipMalformed is
-// set, in which case they are skipped and counted in the returned skip
-// total (always zero in strict mode).
-func Import(r io.Reader, opts ImportOptions) (*store.Store, int, error) {
+// records into a store whose epoch is the earliest event's midnight.
+// A sensor name ending in "-<digits>" is that honeypot's ID, the form
+// Export writes ("honeyfarm-007" is pot 7); any other sensor name is
+// numbered in order of first appearance, from 0 (so a log mixing both
+// kinds of name can give two sensors one ID). Events with unknown
+// eventids are ignored (they carry no session state this pipeline
+// uses). A malformed line aborts with an error naming its line number.
+func Import(r io.Reader) (*store.Store, error) {
 	type building struct {
 		rec    *honeypot.SessionRecord
 		closed bool
 	}
 	sessions := make(map[string]*building)
 	var order []string
-	sensorIDs := make(map[string]int)
-	sensorID := opts.SensorID
-	if sensorID == nil {
-		sensorID = func(sensor string) int {
-			if id, ok := sensorIDs[sensor]; ok {
-				return id
-			}
-			id := len(sensorIDs)
-			sensorIDs[sensor] = id
+	firstSeen := make(map[string]int)
+	sensorID := func(sensor string) int {
+		if id, ok := suffixID(sensor); ok {
 			return id
 		}
+		id, ok := firstSeen[sensor]
+		if !ok {
+			id = len(firstSeen)
+			firstSeen[sensor] = id
+		}
+		return id
 	}
 
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
-	lineNo, skipped := 0, 0
+	lineNo := 0
 	var earliest time.Time
 	for sc.Scan() {
 		lineNo++
@@ -194,11 +181,7 @@ func Import(r io.Reader, opts ImportOptions) (*store.Store, int, error) {
 		}
 		var ev Event
 		if err := json.Unmarshal(line, &ev); err != nil {
-			if opts.SkipMalformed {
-				skipped++
-				continue
-			}
-			return nil, 0, fmt.Errorf("cowrielog: line %d: %w", lineNo, err)
+			return nil, fmt.Errorf("cowrielog: line %d: %w", lineNo, err)
 		}
 		if ev.Session == "" {
 			continue
@@ -208,11 +191,7 @@ func Import(r io.Reader, opts ImportOptions) (*store.Store, int, error) {
 			// Cowrie emits several sub-second precisions; retry RFC3339.
 			ts, err = time.Parse(time.RFC3339Nano, ev.Timestamp)
 			if err != nil {
-				if opts.SkipMalformed {
-					skipped++
-					continue
-				}
-				return nil, 0, fmt.Errorf("cowrielog: line %d: bad timestamp %q", lineNo, ev.Timestamp)
+				return nil, fmt.Errorf("cowrielog: line %d: bad timestamp %q", lineNo, ev.Timestamp)
 			}
 		}
 		if earliest.IsZero() || ts.Before(earliest) {
@@ -265,14 +244,10 @@ func Import(r io.Reader, opts ImportOptions) (*store.Store, int, error) {
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, 0, fmt.Errorf("cowrielog: reading: %w", err)
+		return nil, fmt.Errorf("cowrielog: reading: %w", err)
 	}
 
-	epoch := opts.Epoch
-	if epoch.IsZero() {
-		epoch = earliest.Truncate(24 * time.Hour)
-	}
-	st := store.New(epoch)
+	st := store.New(earliest.Truncate(24 * time.Hour))
 	var id uint64
 	for _, key := range order {
 		b := sessions[key]
@@ -283,5 +258,16 @@ func Import(r io.Reader, opts ImportOptions) (*store.Store, int, error) {
 		}
 		st.Add(b.rec)
 	}
-	return st, skipped, nil
+	return st, nil
+}
+
+// suffixID parses the honeypot ID out of a sensor name ending in
+// "-<digits>".
+func suffixID(sensor string) (int, bool) {
+	i := strings.LastIndexByte(sensor, '-')
+	if i < 0 || strings.Trim(sensor[i+1:], "0123456789") != "" {
+		return 0, false
+	}
+	id, err := strconv.Atoi(sensor[i+1:])
+	return id, err == nil
 }

@@ -67,7 +67,7 @@ func TestExportImportRoundTrip(t *testing.T) {
 	if err := Export(&buf, []*honeypot.SessionRecord{rec}, "hf"); err != nil {
 		t.Fatal(err)
 	}
-	st, _, err := Import(&buf, ImportOptions{})
+	st, err := Import(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestImportRealCowrieShapedLog(t *testing.T) {
 {"eventid":"cowrie.session.closed","session":"s1","duration":12.5,"timestamp":"2022-01-05T10:00:12.000000Z"}
 {"eventid":"cowrie.direct-tcpip.request","session":"s1","timestamp":"2022-01-05T10:00:02.000000Z"}
 `
-	st, _, err := Import(strings.NewReader(log), ImportOptions{})
+	st, err := Import(strings.NewReader(log))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,57 +127,27 @@ func TestImportRealCowrieShapedLog(t *testing.T) {
 }
 
 func TestImportErrors(t *testing.T) {
-	if _, _, err := Import(strings.NewReader("{broken json\n"), ImportOptions{}); err == nil {
+	if _, err := Import(strings.NewReader("{broken json\n")); err == nil {
 		t.Error("broken json should fail")
 	}
 	bad := `{"eventid":"cowrie.session.connect","session":"x","timestamp":"not-a-time"}`
-	if _, _, err := Import(strings.NewReader(bad), ImportOptions{}); err == nil {
+	if _, err := Import(strings.NewReader(bad)); err == nil {
 		t.Error("bad timestamp should fail")
+	}
+	// A truncated line mid-log (a Cowrie restart) aborts, naming the line.
+	log := `{"eventid":"cowrie.session.connect","src_ip":"1.2.3.4","session":"s1","timestamp":"2022-01-05T10:00:00.000000Z","sensor":"pot-a"}
+{truncated json line from a cowrie restart
+{"eventid":"cowrie.session.closed","session":"s1","duration":5.0,"timestamp":"2022-01-05T10:00:05.000000Z"}
+`
+	if _, err := Import(strings.NewReader(log)); err == nil {
+		t.Error("malformed input accepted")
+	} else if !strings.Contains(err.Error(), "line 2") {
+		t.Errorf("error does not name the broken line: %v", err)
 	}
 	// Blank lines and session-less events are tolerated.
 	ok := "\n" + `{"eventid":"cowrie.log.open","timestamp":"2022-01-05T10:00:00.000000Z"}` + "\n"
-	if _, _, err := Import(strings.NewReader(ok), ImportOptions{}); err != nil {
+	if _, err := Import(strings.NewReader(ok)); err != nil {
 		t.Errorf("tolerable input failed: %v", err)
-	}
-}
-
-// TestImportSkipMalformed covers the lenient mode: broken lines are
-// counted and skipped, the intact sessions around them survive, and the
-// strict default still aborts on the same input.
-func TestImportSkipMalformed(t *testing.T) {
-	log := `{"eventid":"cowrie.session.connect","src_ip":"1.2.3.4","session":"s1","timestamp":"2022-01-05T10:00:00.000000Z","sensor":"pot-a"}
-{truncated json line from a cowrie restart
-{"eventid":"cowrie.login.failed","username":"admin","password":"admin","session":"s1","timestamp":"2022-01-05T10:00:01.000000Z"}
-{"eventid":"cowrie.session.connect","session":"s2","timestamp":"not-a-time","sensor":"pot-a"}
-{"eventid":"cowrie.session.closed","session":"s1","duration":5.0,"timestamp":"2022-01-05T10:00:05.000000Z"}
-`
-	st, skipped, err := Import(strings.NewReader(log), ImportOptions{SkipMalformed: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if skipped != 2 {
-		t.Errorf("skipped = %d, want 2 (one broken JSON, one bad timestamp)", skipped)
-	}
-	if st.Len() != 1 {
-		t.Fatalf("records = %d, want the intact s1 session", st.Len())
-	}
-	r := st.Records()[0]
-	if r.ClientIP != "1.2.3.4" || len(r.Logins) != 1 || r.Duration() != 5*time.Second {
-		t.Errorf("surviving session mangled: %+v", r)
-	}
-
-	// The same log must abort in strict mode, naming the broken line.
-	if _, _, err := Import(strings.NewReader(log), ImportOptions{}); err == nil {
-		t.Error("strict mode accepted malformed input")
-	} else if !strings.Contains(err.Error(), "line 2") {
-		t.Errorf("strict error does not name the broken line: %v", err)
-	}
-
-	// A clean log reports zero skips in lenient mode.
-	clean := `{"eventid":"cowrie.session.connect","session":"s1","timestamp":"2022-01-05T10:00:00.000000Z"}
-`
-	if _, skipped, err := Import(strings.NewReader(clean), ImportOptions{SkipMalformed: true}); err != nil || skipped != 0 {
-		t.Errorf("clean log: skipped = %d, err = %v; want 0, nil", skipped, err)
 	}
 }
 
@@ -186,7 +156,7 @@ func TestSensorIDMapping(t *testing.T) {
 {"eventid":"cowrie.session.connect","src_ip":"2.2.2.2","session":"b","timestamp":"2022-01-05T11:00:00.000000Z","sensor":"west"}
 {"eventid":"cowrie.session.connect","src_ip":"3.3.3.3","session":"c","timestamp":"2022-01-05T12:00:00.000000Z","sensor":"east"}
 `
-	st, _, err := Import(strings.NewReader(log), ImportOptions{})
+	st, err := Import(strings.NewReader(log))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,20 +167,16 @@ func TestSensorIDMapping(t *testing.T) {
 	if recs[0].HoneypotID == recs[1].HoneypotID {
 		t.Error("different sensors should map to different ids")
 	}
-	// Custom mapping.
-	st2, _, err := Import(strings.NewReader(log), ImportOptions{
-		SensorID: func(sensor string) int {
-			if sensor == "east" {
-				return 100
-			}
-			return 200
-		},
-	})
+	// A "-<digits>" suffix, as Export writes it, is the honeypot ID.
+	suffixed := `{"eventid":"cowrie.session.connect","src_ip":"1.1.1.1","session":"a","timestamp":"2022-01-05T10:00:00.000000Z","sensor":"hp-007"}
+{"eventid":"cowrie.session.connect","src_ip":"2.2.2.2","session":"b","timestamp":"2022-01-05T11:00:00.000000Z","sensor":"hp-221"}
+`
+	st2, err := Import(strings.NewReader(suffixed))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st2.Records()[0].HoneypotID != 100 || st2.Records()[1].HoneypotID != 200 {
-		t.Error("custom sensor mapping ignored")
+	if got := st2.Records(); got[0].HoneypotID != 7 || got[1].HoneypotID != 221 {
+		t.Errorf("suffixed sensors mapped to %d, %d; want 7, 221", got[0].HoneypotID, got[1].HoneypotID)
 	}
 }
 
@@ -230,10 +196,7 @@ func TestGeneratedDatasetSurvivesCowrieRoundTrip(t *testing.T) {
 	if err := Export(&buf, res.Store.Records(), "hp"); err != nil {
 		t.Fatal(err)
 	}
-	imported, _, err := Import(&buf, ImportOptions{
-		Epoch:    res.Store.Epoch(),
-		SensorID: sensorIndex,
-	})
+	imported, err := Import(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,25 +210,16 @@ func TestGeneratedDatasetSurvivesCowrieRoundTrip(t *testing.T) {
 			t.Errorf("%v share changed: %v vs %v", c, a.Overall[c], b.Overall[c])
 		}
 	}
+	pa := analysis.ComputePerHoneypot(res.Store, 12)
+	pb := analysis.ComputePerHoneypot(imported, 12)
+	for i := range pa {
+		if pa[i] != pb[i] {
+			t.Errorf("honeypot %d: %+v vs %+v", i, pa[i], pb[i])
+		}
+	}
 	ha := analysis.ComputeHashStats(res.Store, nil)
 	hb := analysis.ComputeHashStats(imported, nil)
 	if len(ha) != len(hb) {
 		t.Errorf("hash counts: %d vs %d", len(ha), len(hb))
 	}
-}
-
-// sensorIndex parses the trailing honeypot index out of "hp-007".
-func sensorIndex(sensor string) int {
-	i := strings.LastIndexByte(sensor, '-')
-	if i < 0 {
-		return -1
-	}
-	n := 0
-	for _, c := range sensor[i+1:] {
-		if c < '0' || c > '9' {
-			return -1
-		}
-		n = n*10 + int(c-'0')
-	}
-	return n
 }

@@ -13,8 +13,19 @@ import (
 	"honeyfarm/internal/iofault"
 	"honeyfarm/internal/query"
 	"honeyfarm/internal/sshwire"
+	"honeyfarm/internal/store"
 	"honeyfarm/internal/wal"
 )
+
+// replay folds the recovered batches into a store, as a restarting
+// collector does.
+func replay(r *wal.Recovery) *store.Store {
+	s := store.New(r.Epoch)
+	for _, b := range r.Batches {
+		s.AddBatch(b.Records)
+	}
+	return s
+}
 
 // TestDurableCollectorSurvivesInWAL: with a WAL behind the farm's
 // sink, a collected session is recoverable from disk alone.
@@ -66,7 +77,7 @@ func TestDurableCollectorSurvivesInWAL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replayed := rec2.Replay()
+	replayed := replay(rec2)
 	if replayed.Len() != 1 {
 		t.Fatalf("WAL replay has %d records, want 1", replayed.Len())
 	}
@@ -180,8 +191,8 @@ func TestENOSPCWindowFarm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Replay().Len() != 2 || eng.Seq() != 2 {
-		t.Fatalf("recovered %d records, engine seq %d, want 2 each", rec.Replay().Len(), eng.Seq())
+	if rec.Records() != 2 || eng.Seq() != 2 {
+		t.Fatalf("recovered %d records, engine seq %d, want 2 each", rec.Records(), eng.Seq())
 	}
 	if len(rec.Gaps) != 1 || rec.Gaps[0].Records != 1 || rec.Gaps[0].Reason != "append: enospc" {
 		t.Fatalf("recovered gaps %+v, want one append:enospc gap of 1 record", rec.Gaps)

@@ -38,7 +38,7 @@ type Config struct {
 	// Seed drives honeypot placement and host key generation order.
 	Seed int64
 	// NumPots, NumASes, Countries configure placement; zero values select
-	// the paper's deployment (221 pots, 65 ASes, the 55-country list).
+	// the paper's deployment (221 pots, and geo.Place's defaults).
 	NumPots   int
 	NumASes   int
 	Countries []string
@@ -48,17 +48,12 @@ type Config struct {
 	Epoch time.Time
 	// Fetch resolves download URIs for all honeypots.
 	Fetch shell.FetchFunc
-	// FetchRetries, when positive, wraps Fetch with that many total
-	// attempts of deterministic retry (shell.RetryFetch, seeded by Seed).
-	FetchRetries int
 	// PreAuthTimeout/PostAuthTimeout override the honeypots' timeouts
 	// (useful to compress wire-level experiments).
 	PreAuthTimeout  time.Duration
 	PostAuthTimeout time.Duration
 	// Now supplies record timestamps.
 	Now func() time.Time
-	// Latency is the fabric's connection-establishment latency.
-	Latency time.Duration
 	// Faults, when non-nil and active, injects connection faults at the
 	// fabric and schedules pot outage windows.
 	Faults *faults.Plan
@@ -148,25 +143,8 @@ func New(cfg Config) (*Farm, error) {
 	if cfg.NumPots == 0 {
 		cfg.NumPots = 221
 	}
-	if cfg.NumASes == 0 {
-		cfg.NumASes = 65
-	}
-	// Small farms cannot cover the full 55-country list; shrink the
-	// defaults to match, as the generator does.
-	if cfg.Countries == nil && cfg.NumPots < len(geo.HoneyfarmCountries) {
-		cfg.Countries = geo.HoneyfarmCountries[:cfg.NumPots]
-		if cfg.NumASes > cfg.NumPots {
-			cfg.NumASes = cfg.NumPots
-		}
-	}
 	if cfg.Epoch.IsZero() {
 		cfg.Epoch = time.Date(2021, 12, 1, 0, 0, 0, 0, time.UTC)
-	}
-	if cfg.Fetch != nil && cfg.FetchRetries > 0 {
-		cfg.Fetch = shell.RetryFetch(cfg.Fetch, shell.RetryFetchOptions{
-			Attempts: cfg.FetchRetries,
-			Seed:     cfg.Seed,
-		})
 	}
 	deployments, err := geo.Place(geo.PlacementConfig{
 		Seed:       cfg.Seed,
@@ -181,7 +159,7 @@ func New(cfg Config) (*Farm, error) {
 	}
 	f := &Farm{
 		cfg:           cfg,
-		fabric:        netsim.NewFabric(cfg.Latency),
+		fabric:        netsim.NewFabric(),
 		deployments:   deployments,
 		collector:     store.New(cfg.Epoch),
 		states:        make([]potState, len(deployments)),

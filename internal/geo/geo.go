@@ -101,7 +101,6 @@ type Registry struct {
 	countries []Country
 	byCode    map[string]int
 	ases      []AS // sorted by Base
-	asByASN   map[uint32]int
 	// asesByCountry[i] lists indexes into ases for countries[i].
 	asesByCountry [][]int
 	cumWeight     []float64 // cumulative client weights for sampling
@@ -112,14 +111,10 @@ type Registry struct {
 type Config struct {
 	// Seed drives all randomized allocation decisions.
 	Seed int64
-	// ASesPerCountryScale multiplies the default AS count per country.
-	// The default (1.0) yields ≈17.7k ASes total, matching the paper's
-	// observed client-AS population.
-	ASesPerCountryScale float64
 }
 
-// DefaultASTotal is the approximate number of ASes at scale 1.0, matching
-// the paper's "more than 17.7 thousand networks".
+// DefaultASTotal is the approximate number of ASes, matching the paper's
+// "more than 17.7 thousand networks".
 const DefaultASTotal = 17700
 
 // NewRegistry builds the synthetic Internet. The same Config always yields
@@ -134,13 +129,9 @@ func NewRegistry(cfg Config) *Registry {
 // the entire draw sequence visible at the call site. cfg.Seed is
 // ignored.
 func NewRegistryRand(rng *rand.Rand, cfg Config) *Registry {
-	if cfg.ASesPerCountryScale <= 0 {
-		cfg.ASesPerCountryScale = 1.0
-	}
 	r := &Registry{
 		countries: append([]Country(nil), worldCountries...),
 		byCode:    make(map[string]int, len(worldCountries)),
-		asByASN:   make(map[uint32]int),
 	}
 	for i, c := range r.countries {
 		r.byCode[c.Code] = i
@@ -156,7 +147,7 @@ func NewRegistryRand(rng *rand.Rand, cfg Config) *Registry {
 	asn := uint32(1000)
 	base := uint32(0x0a000000) // allocate from a synthetic pool starting at 10.0.0.0
 	for i, c := range r.countries {
-		n := int(float64(DefaultASTotal)*cfg.ASesPerCountryScale*c.ClientWeight/wsum + 0.5)
+		n := int(float64(DefaultASTotal)*c.ClientWeight/wsum + 0.5)
 		if n < 3 {
 			n = 3
 		}
@@ -182,7 +173,6 @@ func NewRegistryRand(rng *rand.Rand, cfg Config) *Registry {
 			}
 			idx := len(r.ases)
 			r.ases = append(r.ases, AS{ASN: asn, Country: c.Code, Type: typ, Base: base, Size: size})
-			r.asByASN[asn] = idx
 			r.asesByCountry[i] = append(r.asesByCountry[i], idx)
 			asn++
 			base += size
@@ -190,12 +180,10 @@ func NewRegistryRand(rng *rand.Rand, cfg Config) *Registry {
 	}
 	sort.Slice(r.ases, func(a, b int) bool { return r.ases[a].Base < r.ases[b].Base })
 	// Rebuild indexes after the sort.
-	r.asByASN = make(map[uint32]int, len(r.ases))
 	for i := range r.asesByCountry {
 		r.asesByCountry[i] = r.asesByCountry[i][:0]
 	}
 	for i, as := range r.ases {
-		r.asByASN[as.ASN] = i
 		ci := r.byCode[as.Country]
 		r.asesByCountry[ci] = append(r.asesByCountry[ci], i)
 	}
@@ -226,15 +214,6 @@ func (r *Registry) NumASes() int { return len(r.ases) }
 
 // ASes returns the AS table, sorted by prefix base.
 func (r *Registry) ASes() []AS { return r.ases }
-
-// ASByNumber returns the AS with the given ASN.
-func (r *Registry) ASByNumber(asn uint32) (AS, bool) {
-	i, ok := r.asByASN[asn]
-	if !ok {
-		return AS{}, false
-	}
-	return r.ases[i], true
-}
 
 // Lookup maps an IPv4 address (as uint32) to its location. The second
 // return is false for addresses outside the allocated pool.
@@ -295,16 +274,6 @@ func (r *Registry) ASesIn(code string) []AS {
 		out[j] = r.ases[idx]
 	}
 	return out
-}
-
-// SampleASIP draws an IP from a specific AS.
-func (r *Registry) SampleASIP(rng *rand.Rand, asn uint32) (uint32, bool) {
-	i, ok := r.asByASN[asn]
-	if !ok {
-		return 0, false
-	}
-	as := r.ases[i]
-	return as.Base + uint32(rng.Intn(int(as.Size))), true
 }
 
 // Uint32ToAddr converts a uint32 IPv4 value to netip.Addr.

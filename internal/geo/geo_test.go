@@ -48,8 +48,13 @@ func TestLookupRoundTrip(t *testing.T) {
 		if loc.Country != r.countries[ci].Code {
 			t.Fatalf("Lookup country = %s, want %s", loc.Country, r.countries[ci].Code)
 		}
-		as, ok := r.ASByNumber(loc.ASN)
-		if !ok || ip < as.Base || ip >= as.Base+as.Size {
+		inAS := false
+		for _, as := range r.ASesIn(loc.Country) {
+			if as.ASN == loc.ASN {
+				inAS = ip >= as.Base && ip < as.Base+as.Size
+			}
+		}
+		if !inAS {
 			t.Fatalf("IP %d not inside AS %d range", ip, loc.ASN)
 		}
 	}
@@ -121,9 +126,23 @@ func TestRelation(t *testing.T) {
 	}
 }
 
+// paperPlacement places the paper's farm: 221 honeypots over the 55
+// countries and 65 ASes, residential focus.
+func paperPlacement(t *testing.T, r *Registry, seed int64) []Deployment {
+	t.Helper()
+	deps, err := Place(PlacementConfig{
+		Seed: seed, NumPots: 221, NumASes: 65, Countries: HoneyfarmCountries,
+		Registry: r, Residental: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return deps
+}
+
 func TestDefaultPlacement(t *testing.T) {
 	r := testRegistry(t)
-	deps := DefaultPlacement(r, 1)
+	deps := paperPlacement(t, r, 1)
 	if len(deps) != 221 {
 		t.Fatalf("len(deps) = %d, want 221", len(deps))
 	}
@@ -168,7 +187,7 @@ func TestDefaultPlacement(t *testing.T) {
 
 func TestPlacementErrors(t *testing.T) {
 	r := testRegistry(t)
-	if _, err := Place(PlacementConfig{Registry: r, NumPots: 10, NumASes: 65}); err == nil {
+	if _, err := Place(PlacementConfig{Registry: r, NumPots: 10, Countries: HoneyfarmCountries}); err == nil {
 		t.Error("expected error: fewer honeypots than countries")
 	}
 	if _, err := Place(PlacementConfig{Registry: r, NumPots: 221, NumASes: 10}); err == nil {
@@ -184,8 +203,8 @@ func TestPlacementErrors(t *testing.T) {
 
 func TestPlacementDeterministic(t *testing.T) {
 	r := testRegistry(t)
-	a := DefaultPlacement(r, 9)
-	b := DefaultPlacement(r, 9)
+	a := paperPlacement(t, r, 9)
+	b := paperPlacement(t, r, 9)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("deployment %d differs", i)
@@ -239,7 +258,7 @@ func BenchmarkSampleClientIP(b *testing.B) {
 	}
 }
 
-func TestASesInAndSampleASIP(t *testing.T) {
+func TestASesInAndSampleClientIP(t *testing.T) {
 	r := testRegistry(t)
 	ases := r.ASesIn("RU")
 	if len(ases) == 0 {
@@ -253,13 +272,14 @@ func TestASesInAndSampleASIP(t *testing.T) {
 	if got := r.ASesIn("XX"); got != nil {
 		t.Errorf("unknown country ASes = %v", got)
 	}
-	rng := rand.New(rand.NewSource(5))
-	ip, ok := r.SampleASIP(rng, ases[0].ASN)
-	if !ok || ip < ases[0].Base || ip >= ases[0].Base+ases[0].Size {
-		t.Errorf("SampleASIP = %d ok=%v", ip, ok)
+	// A client IP sampled in RU lands inside one of RU's ASes.
+	ip := r.SampleClientIP(rand.New(rand.NewSource(5)), r.byCode["RU"])
+	inRU := false
+	for _, as := range ases {
+		inRU = inRU || (ip >= as.Base && ip < as.Base+as.Size)
 	}
-	if _, ok := r.SampleASIP(rng, 999999); ok {
-		t.Error("unknown ASN should fail")
+	if !inRU {
+		t.Errorf("SampleClientIP(RU) = %d, outside every RU AS", ip)
 	}
 }
 

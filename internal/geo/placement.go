@@ -18,28 +18,10 @@ type Deployment struct {
 type PlacementConfig struct {
 	Seed       int64
 	NumPots    int      // number of honeypots; the paper's farm has 221
-	NumASes    int      // distinct networks; the paper's farm spans 65
-	Countries  []string // ISO codes; defaults to HoneyfarmCountries (55)
+	NumASes    int      // distinct networks; zero selects min(65, NumPots), the paper's 65
+	Countries  []string // ISO codes; nil selects the first NumPots of HoneyfarmCountries (55)
 	Registry   *Registry
 	Residental bool // prefer residential ASes, as the paper's deployment did
-}
-
-// DefaultPlacement mirrors the paper's farm: 221 honeypots, 55 countries,
-// 65 ASes, residential focus.
-func DefaultPlacement(r *Registry, seed int64) []Deployment {
-	d, err := Place(PlacementConfig{
-		Seed:       seed,
-		NumPots:    221,
-		NumASes:    65,
-		Registry:   r,
-		Residental: true,
-	})
-	if err != nil {
-		// The default configuration is statically valid; a failure here is
-		// a programming error, not an input error.
-		panic(err)
-	}
-	return d
 }
 
 // Place assigns honeypots to countries and ASes. Every listed country
@@ -59,9 +41,15 @@ func PlaceRand(rng *rand.Rand, cfg PlacementConfig) ([]Deployment, error) {
 	if cfg.Registry == nil {
 		return nil, fmt.Errorf("geo: placement requires a registry")
 	}
+	if cfg.NumPots < 1 {
+		return nil, fmt.Errorf("geo: placement needs at least one honeypot, got %d", cfg.NumPots)
+	}
 	countries := cfg.Countries
 	if countries == nil {
-		countries = HoneyfarmCountries
+		countries = HoneyfarmCountries[:min(cfg.NumPots, len(HoneyfarmCountries))]
+	}
+	if cfg.NumASes == 0 {
+		cfg.NumASes = min(65, cfg.NumPots)
 	}
 	if cfg.NumPots < len(countries) {
 		return nil, fmt.Errorf("geo: %d honeypots cannot cover %d countries", cfg.NumPots, len(countries))

@@ -39,8 +39,6 @@ type Config struct {
 	// without ed25519 support can connect. RSA keygen is slow, so farms
 	// share one key across honeypots rather than generating per pot.
 	RSAHostKey *rsa.PrivateKey
-	// Auth is the credential policy. Nil selects CowrieAuth.
-	Auth func(user, password string) bool
 	// Fetch resolves URIs for wget/curl/tftp downloads. Nil means
 	// downloads fail (egress blocked) but URIs are still recorded.
 	Fetch shell.FetchFunc
@@ -55,8 +53,6 @@ type Config struct {
 	// RecordTranscript captures the shell output stream into
 	// SessionRecord.Transcript (capped at TranscriptCap).
 	RecordTranscript bool
-	// ServerVersion is the SSH identification string.
-	ServerVersion string
 }
 
 // CowrieAuth is the paper's honeypot policy: password authentication for
@@ -77,9 +73,6 @@ type Honeypot struct {
 // New creates a honeypot. The baseline filesystem image is built once
 // and cloned per session.
 func New(cfg Config) (*Honeypot, error) {
-	if cfg.Auth == nil {
-		cfg.Auth = CowrieAuth
-	}
 	if cfg.PreAuthTimeout <= 0 {
 		cfg.PreAuthTimeout = DefaultPreAuthTimeout
 	}
@@ -88,9 +81,6 @@ func New(cfg Config) (*Honeypot, error) {
 	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
-	}
-	if cfg.ServerVersion == "" {
-		cfg.ServerVersion = "SSH-2.0-OpenSSH_7.9p1 Debian-10+deb10u2"
 	}
 	hostKey := cfg.HostKey
 	if hostKey == nil {
@@ -198,13 +188,12 @@ func (h *Honeypot) ServeSSH(nc net.Conn) {
 	var mu sync.Mutex
 
 	_ = nc.SetDeadline(time.Now().Add(h.cfg.PreAuthTimeout))
+	// Version stays empty: sshwire's default is the OpenSSH 7.9p1
+	// banner the paper's Cowrie deployment presented.
 	sconn, err := sshwire.NewServerConn(nc, &sshwire.ServerConfig{
-		HostKey:    h.hostKey,
-		RSAHostKey: h.cfg.RSAHostKey,
-		Version:    h.cfg.ServerVersion,
-		PasswordCallback: func(user, pass string) bool {
-			return h.cfg.Auth(user, pass)
-		},
+		HostKey:          h.hostKey,
+		RSAHostKey:       h.cfg.RSAHostKey,
+		PasswordCallback: CowrieAuth,
 		AuthLogCallback: func(a sshwire.AuthAttempt) {
 			if a.Method != "password" {
 				return
@@ -373,7 +362,7 @@ func (h *Honeypot) ServeTelnet(nc net.Conn) {
 	_ = nc.SetDeadline(time.Now().Add(h.cfg.PreAuthTimeout))
 	sess, err := telnet.Handshake(nc, &telnet.ServerConfig{
 		Banner: "Debian GNU/Linux 10",
-		Auth:   h.cfg.Auth,
+		Auth:   CowrieAuth,
 		AuthLog: func(a telnet.AuthAttempt) {
 			mu.Lock()
 			rec.Logins = append(rec.Logins, LoginAttempt{User: a.User, Password: a.Password, Success: a.Accepted})

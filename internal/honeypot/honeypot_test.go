@@ -27,7 +27,7 @@ type testRig struct {
 func newRig(t *testing.T, cfg Config) *testRig {
 	t.Helper()
 	rig := &testRig{
-		fabric:  netsim.NewFabric(0),
+		fabric:  netsim.NewFabric(),
 		sshAddr: netsim.Addr{IP: "10.0.0.1", Port: 22},
 		telAddr: netsim.Addr{IP: "10.0.0.1", Port: 23},
 	}

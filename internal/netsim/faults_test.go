@@ -12,7 +12,7 @@ import (
 // hookFabric builds a fabric with one listener and an installed hook.
 func hookFabric(t *testing.T, hook FaultHook) (*Fabric, *Listener) {
 	t.Helper()
-	f := NewFabric(0)
+	f := NewFabric()
 	f.SetFaultHook(hook)
 	l, err := f.Listen("10.0.0.1", 22)
 	if err != nil {
@@ -183,7 +183,7 @@ func TestFaultJitterDelaysDial(t *testing.T) {
 // TestListenerCloseDrainsQueue: connections never Accepted must be
 // closed when the listener goes away, so clients get EOF, not dead air.
 func TestListenerCloseDrainsQueue(t *testing.T) {
-	f := NewFabric(0)
+	f := NewFabric()
 	l, err := f.Listen("10.0.0.1", 22)
 	if err != nil {
 		t.Fatal(err)
@@ -213,7 +213,7 @@ func TestListenerCloseDrainsQueue(t *testing.T) {
 }
 
 func TestDialAfterListenerCloseRefused(t *testing.T) {
-	f := NewFabric(0)
+	f := NewFabric()
 	l, err := f.Listen("10.0.0.1", 22)
 	if err != nil {
 		t.Fatal(err)
@@ -229,7 +229,7 @@ func TestDialAfterListenerCloseRefused(t *testing.T) {
 // TestDeadlineAlreadyPast: a deadline in the past fails the read
 // immediately instead of blocking.
 func TestDeadlineAlreadyPast(t *testing.T) {
-	f := NewFabric(0)
+	f := NewFabric()
 	l, _ := f.Listen("10.0.0.1", 22)
 	defer l.Close()
 	go func() { _, _ = l.Accept() }()
@@ -256,7 +256,7 @@ func TestDeadlineAlreadyPast(t *testing.T) {
 // blocked must not fire a spurious timeout; the read completes when
 // data finally arrives.
 func TestClearDeadlineMidBlock(t *testing.T) {
-	f := NewFabric(0)
+	f := NewFabric()
 	l, _ := f.Listen("10.0.0.1", 22)
 	defer l.Close()
 	srvCh := make(chan net.Conn, 1)
@@ -308,7 +308,7 @@ func TestClearDeadlineMidBlock(t *testing.T) {
 // -race this doubles as a data-race probe on the pipe internals.
 func TestCloseRacesBlockedRead(t *testing.T) {
 	for i := 0; i < 50; i++ {
-		f := NewFabric(0)
+		f := NewFabric()
 		l, _ := f.Listen("10.0.0.1", 22)
 		srvCh := make(chan net.Conn, 1)
 		go func() {

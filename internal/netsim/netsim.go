@@ -1,10 +1,10 @@
 // Package netsim provides an in-memory network fabric with net.Conn /
 // net.Listener semantics: addressable endpoints, buffered full-duplex
-// pipes, optional latency, and deadline support. The honeyfarm's
-// simulated attackers dial in-process honeypots through this fabric using
-// the exact same SSH/Telnet protocol code that runs over real TCP, so
-// wire-level experiments need no sockets and scale to thousands of
-// concurrent sessions.
+// pipes, fault-hook connection faults, and deadline support. The
+// honeyfarm's simulated attackers dial in-process honeypots through
+// this fabric using the exact same SSH/Telnet protocol code that runs
+// over real TCP, so wire-level experiments need no sockets and scale to
+// thousands of concurrent sessions.
 package netsim
 
 import (
@@ -36,7 +36,7 @@ type ConnFault struct {
 	// Stall blackholes the connection: writes succeed but no data is
 	// ever delivered, so readers block until their deadline or Close.
 	Stall bool
-	// Jitter adds to the fabric's base connection-establishment latency.
+	// Jitter delays connection establishment.
 	Jitter time.Duration
 }
 
@@ -62,19 +62,14 @@ func (a Addr) String() string { return fmt.Sprintf("%s:%d", a.IP, a.Port) }
 type Fabric struct {
 	mu        sync.Mutex
 	listeners map[Addr]*Listener
-	latency   time.Duration
 	nextPort  int
 	faultHook FaultHook
 }
 
-// NewFabric creates an empty fabric. latency, when positive, delays
-// connection establishment (data transfer stays immediate; honeypot
-// session durations are dominated by protocol round trips and timeouts,
-// which the callers inject).
-func NewFabric(latency time.Duration) *Fabric {
+// NewFabric creates an empty fabric.
+func NewFabric() *Fabric {
 	return &Fabric{
 		listeners: make(map[Addr]*Listener),
-		latency:   latency,
 		nextPort:  40000,
 	}
 }
@@ -152,8 +147,8 @@ func (l *Listener) Close() error {
 // Addr returns the bound address.
 func (l *Listener) Addr() net.Addr { return l.addr }
 
-// Dial connects from srcIP to dst. It performs the fabric's configured
-// latency delay (plus any fault-hook jitter) and fails with
+// Dial connects from srcIP to dst. It waits out any fault-hook jitter
+// and fails with
 // ErrConnectionRefused when nothing listens on dst or the fault hook
 // refuses the connection.
 func (f *Fabric) Dial(srcIP string, dst Addr) (net.Conn, error) {
@@ -170,8 +165,8 @@ func (f *Fabric) Dial(srcIP string, dst Addr) (net.Conn, error) {
 	if hook != nil {
 		fd = hook(srcIP, dst)
 	}
-	if delay := f.latency + fd.Jitter; delay > 0 {
-		time.Sleep(delay)
+	if fd.Jitter > 0 {
+		time.Sleep(fd.Jitter)
 	}
 	if fd.Refuse || !ok {
 		return nil, fmt.Errorf("%w: %s", ErrConnectionRefused, dst)

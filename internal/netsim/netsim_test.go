@@ -11,7 +11,7 @@ import (
 )
 
 func TestDialListenRoundTrip(t *testing.T) {
-	f := NewFabric(0)
+	f := NewFabric()
 	l, err := f.Listen("10.0.0.1", 22)
 	if err != nil {
 		t.Fatal(err)
@@ -60,7 +60,7 @@ func TestDialListenRoundTrip(t *testing.T) {
 }
 
 func TestConnAddrs(t *testing.T) {
-	f := NewFabric(0)
+	f := NewFabric()
 	l, _ := f.Listen("10.0.0.1", 22)
 	defer l.Close()
 	go func() { _, _ = l.Accept() }()
@@ -82,14 +82,14 @@ func TestConnAddrs(t *testing.T) {
 }
 
 func TestDialRefused(t *testing.T) {
-	f := NewFabric(0)
+	f := NewFabric()
 	if _, err := f.Dial("10.9.9.9", Addr{IP: "10.0.0.1", Port: 23}); !errors.Is(err, ErrConnectionRefused) {
 		t.Errorf("err = %v, want refused", err)
 	}
 }
 
 func TestListenConflict(t *testing.T) {
-	f := NewFabric(0)
+	f := NewFabric()
 	l, err := f.Listen("10.0.0.1", 22)
 	if err != nil {
 		t.Fatal(err)
@@ -105,7 +105,7 @@ func TestListenConflict(t *testing.T) {
 }
 
 func TestCloseUnblocksReader(t *testing.T) {
-	f := NewFabric(0)
+	f := NewFabric()
 	l, _ := f.Listen("10.0.0.1", 22)
 	defer l.Close()
 	var srv net.Conn
@@ -139,7 +139,7 @@ func TestCloseUnblocksReader(t *testing.T) {
 }
 
 func TestReadDeadline(t *testing.T) {
-	f := NewFabric(0)
+	f := NewFabric()
 	l, _ := f.Listen("10.0.0.1", 22)
 	defer l.Close()
 	go func() { _, _ = l.Accept() }()
@@ -168,7 +168,7 @@ func TestReadDeadline(t *testing.T) {
 }
 
 func TestAcceptAfterListenerClose(t *testing.T) {
-	f := NewFabric(0)
+	f := NewFabric()
 	l, _ := f.Listen("10.0.0.1", 22)
 	go func() {
 		time.Sleep(10 * time.Millisecond)
@@ -180,7 +180,7 @@ func TestAcceptAfterListenerClose(t *testing.T) {
 }
 
 func TestConcurrentConnections(t *testing.T) {
-	f := NewFabric(0)
+	f := NewFabric()
 	l, _ := f.Listen("10.0.0.1", 22)
 	defer l.Close()
 
@@ -230,24 +230,8 @@ func TestConcurrentConnections(t *testing.T) {
 	}
 }
 
-func TestDialLatency(t *testing.T) {
-	f := NewFabric(20 * time.Millisecond)
-	l, _ := f.Listen("10.0.0.1", 22)
-	defer l.Close()
-	go func() { _, _ = l.Accept() }()
-	start := time.Now()
-	c, err := f.Dial("10.9.9.9", Addr{IP: "10.0.0.1", Port: 22})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if elapsed := time.Since(start); elapsed < 20*time.Millisecond {
-		t.Errorf("dial returned in %v, want ≥20ms", elapsed)
-	}
-}
-
 func TestWriteAfterClose(t *testing.T) {
-	f := NewFabric(0)
+	f := NewFabric()
 	l, _ := f.Listen("10.0.0.1", 22)
 	defer l.Close()
 	go func() { _, _ = l.Accept() }()
@@ -259,7 +243,7 @@ func TestWriteAfterClose(t *testing.T) {
 }
 
 func BenchmarkFabricRoundTrip(b *testing.B) {
-	f := NewFabric(0)
+	f := NewFabric()
 	l, _ := f.Listen("10.0.0.1", 22)
 	defer l.Close()
 	go func() {
@@ -304,7 +288,7 @@ func BenchmarkFabricRoundTrip(b *testing.B) {
 // Property: arbitrary chunked writes arrive intact and in order.
 func TestQuickDataIntegrity(t *testing.T) {
 	f := func(chunks [][]byte) bool {
-		fab := NewFabric(0)
+		fab := NewFabric()
 		l, err := fab.Listen("10.0.0.1", 9)
 		if err != nil {
 			return false

@@ -50,9 +50,6 @@ type Config struct {
 	Registry *geo.Registry
 	// Deprecated: snapshots carry no hash rows; ignored.
 	Tagger analysis.Tagger
-	// Faults, when non-nil, joins the fault plan's loss accounting into
-	// the availability table, mirroring Dataset.Availability.
-	Faults *faults.Report
 	// SnapshotEvery automatically seals a snapshot once at least this
 	// many records have been ingested since the previous seal (checked
 	// at batch granularity). Zero disables auto-sealing; Seal still
@@ -191,7 +188,7 @@ func (e *Engine) Seal() *Snapshot {
 // folding into the accumulators; none grows with the client or hash
 // count.
 func (e *Engine) sealLocked() *Snapshot {
-	snap := MaterializeSnapshot(e.parts, e.seq, e.maxDay+1, nil, e.cfg.Faults)
+	snap := MaterializeSnapshot(e.parts, e.seq, e.maxDay+1, nil, nil)
 	e.sinceSeal = 0
 	e.cur.Store(snap)
 	e.seals.Add(1)
@@ -208,6 +205,7 @@ func (e *Engine) sealLocked() *Snapshot {
 func MaterializeSnapshot(p *analysis.Partials, seq uint64, days int,
 	// Deprecated: snapshots carry no hash rows; ignored.
 	tagger analysis.Tagger,
+	// Every caller passes nil: availability carries no fault losses.
 	rep *faults.Report) *Snapshot {
 	snap := &Snapshot{
 		Seq:         seq,

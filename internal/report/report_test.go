@@ -166,7 +166,10 @@ func TestCombos(t *testing.T) {
 
 func TestDeploymentMatrix(t *testing.T) {
 	reg := geo.NewRegistry(geo.Config{Seed: 1})
-	deps := geo.DefaultPlacement(reg, 1)
+	deps, err := geo.Place(geo.PlacementConfig{Seed: 1, NumPots: 221, Registry: reg, Residental: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
 	DeploymentMatrix(&buf, deps, reg)
 	s := buf.String()

@@ -73,9 +73,6 @@ type Config struct {
 	// (default 3). Down shards leave the pull loop for the probe loop's
 	// capped-exponential backoff.
 	FailAfter int
-	// Retry shapes the probe backoff for down shards via Plan.Backoff;
-	// nil uses the plan's deterministic defaults.
-	Retry *faults.Plan
 	// Now supplies the wall clock for per-shard last_ok staleness
 	// stamps. Nil leaves the stamps zero (deterministic tests).
 	Now func() time.Time
@@ -180,7 +177,7 @@ func New(cfg Config) (*Coordinator, error) {
 	c.merged = c.emptyBundle()
 	c.publish()
 	c.restarter = faults.NewRestarter(faults.RestarterConfig{
-		Backoff: cfg.Retry.Backoff,
+		Backoff: (*faults.Plan)(nil).Backoff,
 		Try:     c.tryProbe,
 		Stop:    c.ctx.Done(),
 		Pending: 2*len(cfg.Shards) + 8,

@@ -40,8 +40,6 @@ type WireConfig struct {
 	// record that cannot be persisted is counted as refused and never
 	// reaches the aggregates.
 	WAL *wal.Log
-	// Fetch resolves attacker download URIs; nil blocks egress.
-	Fetch func(uri string) ([]byte, error)
 }
 
 // WirePot is one bound pot of the front.
@@ -92,10 +90,10 @@ func NewWireFront(cfg WireConfig) (*WireFront, error) {
 		if id%cfg.Shards != cfg.Index {
 			continue
 		}
+		// No Fetch: wire pots block egress, recording each URI.
 		pot, err := honeypot.New(honeypot.Config{
-			ID:    id,
-			Fetch: cfg.Fetch,
-			Sink:  w.potSink(id),
+			ID:   id,
+			Sink: w.potSink(id),
 		})
 		if err != nil {
 			w.Close()

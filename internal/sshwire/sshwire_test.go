@@ -27,7 +27,7 @@ func testHostKey(t testing.TB) ed25519.PrivateKey {
 // pipePair returns a connected client/server net.Conn pair over netsim.
 func pipePair(t testing.TB) (client, server net.Conn) {
 	t.Helper()
-	f := netsim.NewFabric(0)
+	f := netsim.NewFabric()
 	l, err := f.Listen("10.0.0.1", 22)
 	if err != nil {
 		t.Fatal(err)
@@ -495,7 +495,7 @@ func TestClientTimeoutViaDeadline(t *testing.T) {
 
 func BenchmarkHandshake(b *testing.B) {
 	hostKey := testHostKey(b)
-	f := netsim.NewFabric(0)
+	f := netsim.NewFabric()
 	l, err := f.Listen("10.0.0.1", 22)
 	if err != nil {
 		b.Fatal(err)

@@ -25,7 +25,7 @@ func exchangeVersions(tr *transport, local string, client bool) error {
 // writePacket reaches the peer at once.
 func transportPair(t *testing.T) (client, server *transport) {
 	t.Helper()
-	f := netsim.NewFabric(0)
+	f := netsim.NewFabric()
 	l, err := f.Listen("10.0.0.1", 22)
 	if err != nil {
 		t.Fatal(err)
@@ -178,7 +178,7 @@ func TestInvalidPadding(t *testing.T) {
 }
 
 func TestVersionLineTooLong(t *testing.T) {
-	f := netsim.NewFabric(0)
+	f := netsim.NewFabric()
 	l, _ := f.Listen("10.0.0.1", 22)
 	defer l.Close()
 	go func() {
@@ -200,7 +200,7 @@ func TestVersionLineTooLong(t *testing.T) {
 }
 
 func TestServerRejectsBannerFromClient(t *testing.T) {
-	f := netsim.NewFabric(0)
+	f := netsim.NewFabric()
 	l, _ := f.Listen("10.0.0.1", 22)
 	defer l.Close()
 	errCh := make(chan error, 1)
@@ -228,7 +228,7 @@ func TestServerRejectsBannerFromClient(t *testing.T) {
 }
 
 func TestOldProtocolVersionRejected(t *testing.T) {
-	f := netsim.NewFabric(0)
+	f := netsim.NewFabric()
 	l, _ := f.Listen("10.0.0.1", 22)
 	defer l.Close()
 	go func() {

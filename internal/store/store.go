@@ -110,19 +110,6 @@ func (s *Store) NumDays() int {
 	return s.maxDay + 1
 }
 
-// Filter returns the records matching pred, in insertion order.
-func (s *Store) Filter(pred func(*honeypot.SessionRecord) bool) []*honeypot.SessionRecord {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var out []*honeypot.SessionRecord
-	for _, r := range s.recs {
-		if pred(r) {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 // Builder assembles a Store from per-shard buffers filled concurrently.
 // Each shard index is owned by exactly one writer at a time, so shard
 // fills need no locking; Seal concatenates the shards in index order,
@@ -152,12 +139,6 @@ func (b *Builder) Shards() int { return len(b.shards) }
 // index.
 func (b *Builder) SetShard(i int, recs []*honeypot.SessionRecord) {
 	b.shards[i] = recs
-}
-
-// AppendShard appends records to shard i under the same single-writer-
-// per-index contract as SetShard.
-func (b *Builder) AppendShard(i int, recs ...*honeypot.SessionRecord) {
-	b.shards[i] = append(b.shards[i], recs...)
 }
 
 // Seal merges the shards in index order into a Store and pre-computes

@@ -14,7 +14,7 @@ import (
 
 func pipePair(t testing.TB) (client, server net.Conn) {
 	t.Helper()
-	f := netsim.NewFabric(0)
+	f := netsim.NewFabric()
 	l, err := f.Listen("10.0.0.1", 23)
 	if err != nil {
 		t.Fatal(err)
@@ -261,7 +261,7 @@ func TestHandshakeRequiresAuth(t *testing.T) {
 }
 
 func BenchmarkLoginFlow(b *testing.B) {
-	f := netsim.NewFabric(0)
+	f := netsim.NewFabric()
 	l, err := f.Listen("10.0.0.1", 23)
 	if err != nil {
 		b.Fatal(err)
@@ -402,7 +402,7 @@ func TestQuickIACEscapingRoundTrip(t *testing.T) {
 
 // pipePairQuick is pipePair without the testing.T plumbing.
 func pipePairQuick() (client, server net.Conn) {
-	f := netsim.NewFabric(0)
+	f := netsim.NewFabric()
 	l, _ := f.Listen("10.0.0.1", 23)
 	defer l.Close()
 	var srv net.Conn

@@ -157,10 +157,6 @@ func TestCloneIsolation(t *testing.T) {
 				return false
 			}
 		}
-		if len(tmpl.Events()) != 0 || len(idle.Events()) != 0 {
-			t.Errorf("seed %d: clone events leaked", seed)
-			return false
-		}
 
 		// The template is only another holder of the shared nodes: once
 		// cloned, its own writes must copy too.

@@ -54,7 +54,7 @@ func seed(fs *FS) {
 		"/root/.profile":    "# ~/.profile\n",
 	}
 	for p, content := range files {
-		if _, err := fs.writeSeed(p, []byte(content), 0o644); err != nil {
+		if err := fs.writeSeed(p, []byte(content), 0o644); err != nil {
 			panic(fmt.Sprintf("vfs seed %s: %v", p, err))
 		}
 	}
@@ -68,23 +68,17 @@ func seed(fs *FS) {
 	}
 	for _, b := range bins {
 		marker := []byte("\x7fELF\x02\x01\x01" + b)
-		if _, err := fs.writeSeed("/bin/"+b, marker, 0o755); err != nil {
+		if err := fs.writeSeed("/bin/"+b, marker, 0o755); err != nil {
 			panic(fmt.Sprintf("vfs seed bin %s: %v", b, err))
 		}
 	}
 }
 
-// writeSeed writes without recording an event (the baseline image is not
-// attacker activity).
-func (fs *FS) writeSeed(p string, content []byte, mode uint32) (*Node, error) {
+// writeSeed writes a baseline-image file; its event is dropped (the
+// baseline image is not attacker activity).
+func (fs *FS) writeSeed(p string, content []byte, mode uint32) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	ev, err := fs.writeLocked("/", p, content, mode, false)
-	if err != nil {
-		return nil, err
-	}
-	_ = ev
-	fs.events = fs.events[:0]
-	n, err := fs.lookup(normalize("/", p))
-	return n, err
+	_, err := fs.writeLocked("/", p, content, mode, false)
+	return err
 }

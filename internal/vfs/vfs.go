@@ -97,11 +97,10 @@ func (n *Node) Size() int {
 // replaced by copies this FS owns (writable), so what a clone changes is
 // reachable from its own root only.
 type FS struct {
-	mu     sync.Mutex
-	root   *Node
-	tag    *tag // nil until the first write after New or Clone
-	events []FileEvent
-	now    func() time.Time
+	mu   sync.Mutex
+	root *Node
+	tag  *tag // nil until the first write after New or Clone
+	now  func() time.Time
 }
 
 // New returns a filesystem pre-seeded with the baseline Linux image.
@@ -115,13 +114,6 @@ func New(now func() time.Time) *FS {
 	fs.root = &Node{Name: "/", Dir: true, Mode: 0o755, children: map[string]*Node{}, owner: fs.tag}
 	seed(fs)
 	return fs
-}
-
-// Events returns the file events recorded so far, in order.
-func (fs *FS) Events() []FileEvent {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	return append([]FileEvent(nil), fs.events...)
 }
 
 // normalize resolves p against cwd into a clean absolute path.
@@ -351,15 +343,13 @@ func (fs *FS) writeLocked(cwd, p string, content []byte, mode uint32, appendTo b
 		n.Content = append([]byte(nil), content...)
 	}
 	n.MTime = fs.now()
-	ev := FileEvent{
+	return FileEvent{
 		Path: abs,
 		Op:   op,
 		Hash: HashContent(n.Content),
 		Size: len(n.Content),
 		Time: n.MTime,
-	}
-	fs.events = append(fs.events, ev)
-	return ev, nil
+	}, nil
 }
 
 // Remove deletes a file or empty directory.

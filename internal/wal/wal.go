@@ -82,7 +82,6 @@ import (
 	"honeyfarm/internal/faults"
 	"honeyfarm/internal/honeypot"
 	"honeyfarm/internal/iofault"
-	"honeyfarm/internal/store"
 )
 
 // FormatNameV2 is the format name every segment's meta frame records:
@@ -284,15 +283,6 @@ func (r *Recovery) DroppedRecords() int {
 		n += g.Records
 	}
 	return n
-}
-
-// Replay builds a store from the recovered batches.
-func (r *Recovery) Replay() *store.Store {
-	s := store.New(r.Epoch)
-	for _, b := range r.Batches {
-		s.AddBatch(b.Records)
-	}
-	return s
 }
 
 // Log is an open write-ahead log. All methods are safe for concurrent

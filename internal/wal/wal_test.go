@@ -9,9 +9,20 @@ import (
 	"time"
 
 	"honeyfarm/internal/honeypot"
+	"honeyfarm/internal/store"
 )
 
 var testEpoch = time.Date(2021, 12, 1, 0, 0, 0, 0, time.UTC)
+
+// replay folds the recovered batches into a store, as a restarting
+// collector does.
+func replay(r *Recovery) *store.Store {
+	s := store.New(r.Epoch)
+	for _, b := range r.Batches {
+		s.AddBatch(b.Records)
+	}
+	return s
+}
 
 // mkRecords builds n small deterministic records starting at id.
 func mkRecords(id uint64, n int) []*honeypot.SessionRecord {
@@ -83,7 +94,7 @@ func TestAppendRecoverRoundTrip(t *testing.T) {
 	if got := rec2.Records(); got != 30 {
 		t.Errorf("recovered %d records, want 30", got)
 	}
-	s := rec2.Replay()
+	s := replay(rec2)
 	if s.Len() != 30 {
 		t.Errorf("replayed store has %d records, want 30", s.Len())
 	}

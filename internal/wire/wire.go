@@ -189,9 +189,6 @@ func (r *Reader) SetErrf(format string, args ...any) {
 // Remaining returns the number of unread bytes.
 func (r *Reader) Remaining() int { return len(r.buf) - r.pos }
 
-// Rest returns all unread bytes without consuming them.
-func (r *Reader) Rest() []byte { return r.buf[r.pos:] }
-
 func (r *Reader) fail(err error) {
 	if r.err == nil {
 		r.err = err

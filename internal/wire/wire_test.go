@@ -289,8 +289,8 @@ func TestReaderUtilitiesAndErrorPaths(t *testing.T) {
 	if r.Byte() != 0xaa {
 		t.Error("Byte wrong")
 	}
-	if got := r.Rest(); len(got) != 2 || got[0] != 0xbb {
-		t.Errorf("Rest = %v", got)
+	if got := r.Remaining(); got != 2 {
+		t.Errorf("Remaining = %d, want 2", got)
 	}
 	// Underflows set the error and all further reads return zero values.
 	if r.Uint64() != 0 || r.Err() == nil {

@@ -280,9 +280,7 @@ func GenerateRand(rng *rand.Rand, cfg Config) (*Result, error) {
 
 	deployments, err := geo.Place(geo.PlacementConfig{
 		Seed: cfg.Seed, NumPots: cfg.NumPots,
-		NumASes:  numASesFor(cfg.NumPots),
 		Registry: cfg.Registry, Residental: true,
-		Countries: countriesFor(cfg.NumPots),
 	})
 	if err != nil {
 		return nil, fmt.Errorf("workload: placement: %w", err)
@@ -378,22 +376,6 @@ func (g *generator) cull() ([]bool, *faults.Report) {
 		}
 	}
 	return dropped, report
-}
-
-// countriesFor keeps the default 55-country list when the farm is big
-// enough, otherwise truncates it.
-func countriesFor(numPots int) []string {
-	if numPots >= len(geo.HoneyfarmCountries) {
-		return nil
-	}
-	return geo.HoneyfarmCountries[:numPots]
-}
-
-func numASesFor(numPots int) int {
-	if numPots >= 65 {
-		return 65
-	}
-	return numPots
 }
 
 // planGeneric schedules the non-campaign sessions of one category.
