@@ -136,9 +136,11 @@ func encodeBatchV2(b *wire.Builder, tag uint64, recs []*honeypot.SessionRecord) 
 	}
 }
 
-// decodeBatchV2 decodes a v2 batch-frame body. intact is false for a
-// body that does not decode cleanly to its exact end.
-func decodeBatchV2(body []byte) (Batch, bool) {
+// decodeBatchV2 decodes a v2 batch-frame body into one slab of records
+// and one slice of pointers into it, with every string field drawn
+// from in. intact is false for a body that does not decode cleanly to
+// its exact end.
+func decodeBatchV2(body []byte, in *interner) (Batch, bool) {
 	r := wire.NewReader(body)
 	// Batch payloads legitimately exceed the SSH string cap (a 4096-
 	// record generation shard is over a megabyte); the frame CRC already
@@ -151,14 +153,14 @@ func decodeBatchV2(body []byte) (Batch, bool) {
 	}
 	var recs []*honeypot.SessionRecord
 	if n > 0 {
-		recs = make([]*honeypot.SessionRecord, 0, n)
-	}
-	for i := uint32(0); i < n; i++ {
-		rec, ok := decodeRecord(r)
-		if !ok {
-			return Batch{}, false
+		slab := make([]honeypot.SessionRecord, n)
+		recs = make([]*honeypot.SessionRecord, n)
+		for i := range slab {
+			if !decodeRecord(r, in, &slab[i]) {
+				return Batch{}, false
+			}
+			recs[i] = &slab[i]
 		}
-		recs = append(recs, rec)
 	}
 	if r.Err() != nil || r.Remaining() != 0 {
 		return Batch{}, false
@@ -214,53 +216,53 @@ func encodeRecord(b *wire.Builder, r *honeypot.SessionRecord) {
 	b.String(r.Transcript)
 }
 
-// decodeRecord reads one session record. Zero-length slices decode to
-// nil, matching what a JSON round trip under omitempty produces.
-func decodeRecord(r *wire.Reader) (*honeypot.SessionRecord, bool) {
-	rec := &honeypot.SessionRecord{}
+// decodeRecord reads one session record into rec, which must be zero.
+// Zero-length slices decode to nil, matching what a JSON round trip
+// under omitempty produces.
+func decodeRecord(r *wire.Reader, in *interner, rec *honeypot.SessionRecord) bool {
 	rec.ID = r.Uint64()
 	rec.HoneypotID = int(int64(r.Uint64()))
 	rec.Protocol = honeypot.Protocol(r.Byte())
-	rec.ClientIP = r.Text()
+	rec.ClientIP = in.text(r)
 	rec.ClientPort = int(int64(r.Uint64()))
 	rec.Start = decodeTime(r)
 	rec.End = decodeTime(r)
-	rec.ClientVersion = r.Text()
+	rec.ClientVersion = in.text(r)
 	if n := r.Uint32(); r.Err() == nil && n > 0 {
 		if uint64(n)*9 > uint64(r.Remaining()) { // 2 empty strings + bool
-			return nil, false
+			return false
 		}
 		rec.Logins = make([]honeypot.LoginAttempt, n)
 		for i := range rec.Logins {
-			rec.Logins[i] = honeypot.LoginAttempt{User: r.Text(), Password: r.Text(), Success: r.Bool()}
+			rec.Logins[i] = honeypot.LoginAttempt{User: in.text(r), Password: in.text(r), Success: r.Bool()}
 		}
 	}
 	if n := r.Uint32(); r.Err() == nil && n > 0 {
 		if uint64(n)*5 > uint64(r.Remaining()) {
-			return nil, false
+			return false
 		}
 		rec.Commands = make([]honeypot.CommandRecord, n)
 		for i := range rec.Commands {
-			rec.Commands[i] = honeypot.CommandRecord{Input: r.Text(), Known: r.Bool()}
+			rec.Commands[i] = honeypot.CommandRecord{Input: in.text(r), Known: r.Bool()}
 		}
 	}
 	if n := r.Uint32(); r.Err() == nil && n > 0 {
 		if uint64(n)*4 > uint64(r.Remaining()) {
-			return nil, false
+			return false
 		}
 		rec.URIs = make([]string, n)
 		for i := range rec.URIs {
-			rec.URIs[i] = r.Text()
+			rec.URIs[i] = in.text(r)
 		}
 	}
 	if n := r.Uint32(); r.Err() == nil && n > 0 {
 		if uint64(n)*20 > uint64(r.Remaining()) {
-			return nil, false
+			return false
 		}
 		rec.Files = make([]honeypot.FileRecord, n)
 		for i := range rec.Files {
 			rec.Files[i] = honeypot.FileRecord{
-				Path: r.Text(), Hash: r.Text(), Op: r.Text(),
+				Path: in.text(r), Hash: in.text(r), Op: in.text(r),
 				Size: int(int64(r.Uint64())),
 			}
 		}
@@ -269,7 +271,43 @@ func decodeRecord(r *wire.Reader) (*honeypot.SessionRecord, bool) {
 	if t := r.String(); len(t) > 0 {
 		rec.Transcript = append([]byte(nil), t...)
 	}
-	return rec, r.Err() == nil
+	return r.Err() == nil
+}
+
+// internSlots sizes the intern table. A direct-mapped table this small
+// still catches a log's repeats — a client's IP across its sessions,
+// the credential lists and command templates every bot replays — and
+// at 16 KiB it stays inside the fixed slack FuzzWALFrame allows a walk.
+const internSlots = 1 << 10
+
+// interner hands out the strings a walker decodes, so a value repeated
+// across records is one string however many records hold it. Each slot
+// keeps the last string whose FNV-1a hash landed there; a collision
+// just replaces it. The table is allocated on first use, and the
+// strings are copies: no decoded record aliases the bytes it was read
+// from.
+type interner struct {
+	slots *[internSlots]string
+}
+
+// text reads a length-prefixed string and returns it interned.
+func (in *interner) text(r *wire.Reader) string {
+	b := r.String()
+	if len(b) == 0 {
+		return ""
+	}
+	h := uint32(2166136261)
+	for _, c := range b {
+		h = (h ^ uint32(c)) * 16777619
+	}
+	if in.slots == nil {
+		in.slots = new([internSlots]string)
+	}
+	s := &in.slots[h%internSlots]
+	if *s != string(b) {
+		*s = string(b)
+	}
+	return *s
 }
 
 // encodeTime appends a time.Time as unix seconds, nanoseconds, and the

@@ -151,20 +151,27 @@ func (it *Iterator) open() (opened bool, err error) {
 		return false, fmt.Errorf("wal: opening segment: %w", err)
 	}
 	it.f, it.off, it.buf = f, 0, nil
-	it.w = walker{name: segmentName(seq), seq: seq, epoch: it.w.epoch}
+	it.w.segment(segmentName(seq), seq)
 	return true, nil
 }
 
-// refill replaces buf with every byte from the consumed offset to EOF.
+// refill replaces buf with every byte from the consumed offset to EOF,
+// read into buf's own capacity when that holds them: no decoded record
+// aliases the bytes, so they are free to overwrite.
 func (it *Iterator) refill() error {
-	if _, err := it.f.Seek(it.off, io.SeekStart); err != nil {
-		return fmt.Errorf("wal: seeking segment: %w", err)
-	}
-	data, err := io.ReadAll(it.f)
+	size, err := it.f.Seek(0, io.SeekEnd)
 	if err != nil {
+		return fmt.Errorf("wal: sizing segment: %w", err)
+	}
+	want := max(size-it.off, 0)
+	if int64(cap(it.buf)) < want {
+		it.buf = make([]byte, want)
+	}
+	n, err := it.f.ReadAt(it.buf[:want], it.off)
+	if err != nil && err != io.EOF {
 		return fmt.Errorf("wal: reading segment: %w", err)
 	}
-	it.buf = data
+	it.buf = it.buf[:n]
 	return nil
 }
 

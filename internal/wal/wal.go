@@ -444,28 +444,40 @@ func Open(dir string, opts Options) (*Log, *Recovery, error) {
 	return l, rec, nil
 }
 
-// scan reads every segment whole and walks its frames. truncating
-// selects Open semantics (only a torn tail on the final segment is
-// tolerated); Verify and Repair pass false to collect stats for every
-// kind of damage.
+// scan reads every segment and walks its frames. truncating selects
+// Open semantics (only a torn tail on the final segment is tolerated);
+// Verify and Repair pass false to collect stats for every kind of
+// damage. One buffer, sized once to the longest listed segment, holds
+// each segment in turn and one walker steps them all, so what the scan
+// allocates beyond that buffer is what the recovery keeps.
 func scan(fsys iofault.FS, dir string, epoch time.Time, truncating bool) (*Recovery, error) {
 	segs, err := listSegments(fsys, dir)
 	if err != nil {
 		return nil, fmt.Errorf("wal: listing %s: %w", dir, err)
 	}
 	rec := &Recovery{Epoch: epoch}
+	w := walker{epoch: epoch}
+	var size int64
+	for _, seg := range segs {
+		size = max(size, seg.Bytes)
+	}
+	buf := make([]byte, size)
 	for i := range segs {
 		seg := &segs[i]
-		batches, err := scanSegment(fsys, dir, seg, rec)
+		data, err := readSegment(fsys, filepath.Join(dir, seg.Name), buf[:seg.Bytes])
 		if err != nil {
+			return nil, err
+		}
+		w.segment(seg.Name, seg.Seq)
+		if err := scanSegment(&w, data, seg, rec); err != nil {
 			return nil, err
 		}
 		if truncating && seg.Torn && (seg.Corrupt || i != len(segs)-1) {
 			return nil, &damageError{seg.Name, seg.GoodBytes, seg.Corrupt}
 		}
-		rec.Batches = append(rec.Batches, batches...)
 		rec.TornBytes += seg.TornBytes
 	}
+	rec.Epoch = w.epoch
 	rec.Segments = segs
 	if tmps, terr := atomicio.StaleTmp(fsys, dir); terr == nil {
 		rec.OrphanedTmp = tmps
@@ -479,23 +491,34 @@ func scan(fsys iofault.FS, dir string, epoch time.Time, truncating bool) (*Recov
 	return rec, nil
 }
 
-// scanSegment walks one segment's frames, filling seg's counters and
-// returning its intact batches; gap frames are collected into rec.Gaps
-// and a zero rec.Epoch adopts the meta frame's. Wherever the walk stops,
-// the frames before it count: what the damage means is the caller's call.
-func scanSegment(fsys iofault.FS, dir string, seg *SegmentStat, rec *Recovery) ([]Batch, error) {
-	data, err := iofault.ReadFile(fsys, filepath.Join(dir, seg.Name))
+// readSegment fills buf — sized to the length the listing recorded —
+// from the start of the segment at path and returns what it read. A
+// writer's later appends stay unread, so the scan measures the segment
+// it listed; a segment that shrank since returns its shorter prefix.
+func readSegment(fsys iofault.FS, path string, buf []byte) ([]byte, error) {
+	f, err := fsys.OpenFile(path, os.O_RDONLY, 0)
 	if err != nil {
 		return nil, fmt.Errorf("wal: reading segment: %w", err)
 	}
-	w := walker{name: seg.Name, seq: seg.Seq, epoch: rec.Epoch}
-	var batches []Batch
+	defer f.Close()
+	n, err := io.ReadFull(f, buf)
+	if err != nil && err != io.ErrUnexpectedEOF && err != io.EOF {
+		return nil, fmt.Errorf("wal: reading segment: %w", err)
+	}
+	return buf[:n], nil
+}
+
+// scanSegment walks one segment's bytes, filling seg's counters and
+// appending its intact batches and gap frames to rec. Wherever the walk
+// stops, the frames before it count: what the damage means is the
+// caller's call.
+func scanSegment(w *walker, data []byte, seg *SegmentStat, rec *Recovery) error {
 	// Each frame read advances GoodBytes by at least frameHeaderSize, so
 	// the scan is bounded by the segment length.
 	for seg.GoodBytes < int64(len(data)) {
 		f, n, st, err := w.next(data[seg.GoodBytes:])
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if st != stopNone {
 			seg.Corrupt = st == stopCorrupt
@@ -507,15 +530,14 @@ func scanSegment(fsys iofault.FS, dir string, seg *SegmentStat, rec *Recovery) (
 			rec.Gaps = append(rec.Gaps, f.gap)
 			seg.GapFrames++
 		case kindBatch:
-			batches = append(batches, f.batch)
+			rec.Batches = append(rec.Batches, f.batch)
 			seg.Frames++
 			seg.Records += len(f.batch.Records)
 		}
 	}
-	rec.Epoch = w.epoch
 	seg.TornBytes = seg.Bytes - seg.GoodBytes
 	seg.Torn = seg.TornBytes > 0
-	return batches, nil
+	return nil
 }
 
 // stop is why a walker step read no frame.
@@ -539,12 +561,20 @@ type frame struct {
 // walker is the one reader of a segment's layout: a meta frame whose
 // format, sequence and epoch match, then gap and batch frames. The scan
 // and the Iterator hand next the unread rest of the segment and decide
-// what a stop means; the walker holds no bytes and no policy.
+// what a stop means; the walker holds no bytes and no policy, only the
+// strings it has decoded.
 type walker struct {
 	name  string    // segment file name, for errors
 	seq   uint64    // sequence the meta frame must record
 	epoch time.Time // established epoch; a zero one adopts the meta frame's
 	meta  bool      // the leading meta frame has been read
+	strs  interner  // the strings batches decode to, shared across segments
+}
+
+// segment points the walker at the start of another segment, whose meta
+// frame comes next. The epoch and the interned strings carry over.
+func (w *walker) segment(name string, seq uint64) {
+	w.name, w.seq, w.meta = name, seq, false
 }
 
 // next reads the frame at the head of buf and returns it with its
@@ -568,7 +598,7 @@ func (w *walker) next(buf []byte) (f frame, n int, st stop, err error) {
 	case kind == kindGap:
 		f.gap, ok = decodeGap(body)
 	case kind == kindBatch:
-		f.batch, ok = decodeBatchV2(body)
+		f.batch, ok = decodeBatchV2(body, &w.strs)
 	}
 	if !ok {
 		return frame{}, 0, stopCorrupt, err
