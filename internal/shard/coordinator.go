@@ -3,12 +3,12 @@ package shard
 // The merge coordinator: one puller goroutine per shard keeps one pull
 // of it outstanding, which the shard parks until it has news, and folds
 // what each pull brings — normally the delta since the previous one —
-// into that shard's bundle and into one long-lived merged bundle; a
-// single merger goroutine materializes the merged bundle into a global
-// snapshot. Supervision reuses the farm's generation-deduped restart
-// machinery (faults.Restarter): FailAfter consecutive failures mark a
-// shard down and hand it to a capped-exponential probe loop; the regular
-// puller skips a down shard so the two never race.
+// into one long-lived merged bundle, publishes that as the global
+// snapshot, and only then folds it into the shard's own bundle.
+// Supervision reuses the farm's generation-deduped restart machinery
+// (faults.Restarter): FailAfter consecutive failures mark a shard down
+// and hand it to a capped-exponential probe loop; the regular puller
+// skips a down shard so the two never race.
 //
 // Two invariants carry the robustness story:
 //
@@ -26,7 +26,8 @@ package shard
 // once per bundle it is folded into: the shard's and the merged one
 // share nothing. The per-shard bundles exist for the one case a fold
 // cannot express — a full frame replacing state already merged — where
-// the merged bundle is rebuilt from copies of them.
+// the merged bundle is rebuilt from copies of them; that is the only
+// reader that waits for a shard's bundle to catch up.
 
 import (
 	"context"
@@ -85,12 +86,14 @@ type shardState struct {
 	url string
 	up  bool
 	gen int // bumped on every mark-down; stale probe attempts are dropped
-	// parts is the bundle of the shard's first seq records (guarded by
-	// Coordinator.mergeMu, as merged is): what the merged bundle holds of
-	// this shard, kept apart so the merged one can be rebuilt.
-	parts *analysis.Partials
-	seq   uint64
-	days  int
+	// parts is the bundle of the shard's first seq records once partsMu
+	// is free: what the merged bundle holds of this shard, kept apart so
+	// the merged one can be rebuilt. An install takes partsMu under
+	// mergeMu and folds the frame into parts after releasing mergeMu.
+	partsMu sync.Mutex
+	parts   *analysis.Partials
+	seq     uint64
+	days    int
 	// resync makes the next pull ask for the full frame: the last delta
 	// did not continue from seq.
 	resync   bool
@@ -114,9 +117,9 @@ type Coordinator struct {
 	epoch  time.Time
 	client *http.Client
 
-	// mergeMu serializes everything that reads or writes the bundles:
-	// installs (the pullers) and materialization (the merger). It is
-	// taken before mu, never under it.
+	// mergeMu serializes installs: the merged bundle, the published
+	// snapshot and each shard's seq, days and hand-off to partsMu. It is
+	// taken before mu and partsMu, never under them.
 	mergeMu  sync.Mutex
 	merged   *analysis.Partials // the fold of every shards[i].parts
 	rebuilds atomic.Uint64      // times merged was rebuilt from the shard bundles
@@ -124,10 +127,9 @@ type Coordinator struct {
 	mu      sync.Mutex
 	shards  []shardState
 	seq     uint64           // sum of installed shard seqs
-	pullLat *stats.Histogram // headers-to-installed time of successful pulls (empty without a clock)
+	pullLat *stats.Histogram // headers-to-published time of successful pulls (empty without a clock)
 
-	cur   atomic.Pointer[query.Snapshot]
-	dirty chan struct{}
+	cur atomic.Pointer[query.Snapshot]
 	// ctx ends with Stop: it is every goroutine's stop signal and cuts a
 	// parked pull short.
 	ctx       context.Context
@@ -136,8 +138,8 @@ type Coordinator struct {
 	wg        sync.WaitGroup
 }
 
-// New starts the coordinator: one puller per shard, the merger, and
-// the probe supervisor. The empty snapshot is published immediately, so
+// New starts the coordinator: one puller per shard and the probe
+// supervisor. The empty snapshot is published immediately, so
 // readers never observe nil even before first shard contact.
 func New(cfg Config) (*Coordinator, error) {
 	if len(cfg.Shards) == 0 {
@@ -168,14 +170,13 @@ func New(cfg Config) (*Coordinator, error) {
 		client:  cfg.Client,
 		shards:  make([]shardState, len(cfg.Shards)),
 		pullLat: pullLat,
-		dirty:   make(chan struct{}, 1),
 	}
 	c.ctx, c.cancel = context.WithCancel(context.Background())
 	for i, url := range cfg.Shards {
 		c.shards[i] = shardState{url: url, up: true, parts: c.emptyBundle()}
 	}
 	c.merged = c.emptyBundle()
-	c.publish()
+	c.publishLocked() // nothing runs yet that could race it
 	c.restarter = faults.NewRestarter(faults.RestarterConfig{
 		Backoff: (*faults.Plan)(nil).Backoff,
 		Try:     c.tryProbe,
@@ -186,12 +187,10 @@ func New(cfg Config) (*Coordinator, error) {
 		c.wg.Add(1)
 		go c.pullLoop(i)
 	}
-	c.wg.Add(1)
-	go c.mergeLoop()
 	return c, nil
 }
 
-// Stop ends the pullers, probes, and merger, and joins them all; a
+// Stop ends the pullers and probes, and joins them all; a
 // pull parked at its shard is abandoned, not waited for.
 func (c *Coordinator) Stop() {
 	c.cancel()
@@ -280,10 +279,7 @@ func PullLatencyBuckets() []float64 { return stats.LogBuckets(1e-3, 10, 12) }
 // pullOnce performs one pull of shard i. ok reports that the shard
 // answered with a frame that continues (or is covered by) the installed
 // state; news, that the frame advanced the shard and was the kind asked
-// for. Latency runs from the response's headers — the end of any wait
-// at the shard — to the frame installed, and is observed only when the
-// coordinator has a clock (Config.Now), so clockless deterministic runs
-// render an empty histogram.
+// for.
 func (c *Coordinator) pullOnce(i int) (ok, news bool) {
 	c.mu.Lock()
 	st := &c.shards[i]
@@ -295,7 +291,7 @@ func (c *Coordinator) pullOnce(i int) (ok, news bool) {
 	frame, t0, err := c.fetch(st.url, since)
 	var full, advanced bool
 	if err == nil {
-		full, advanced, err = c.install(i, frame)
+		full, advanced, err = c.install(i, frame, t0)
 	}
 	if c.ctx.Err() != nil {
 		return false, false // Stop cut the pull short: no failure of the shard's
@@ -308,13 +304,8 @@ func (c *Coordinator) pullOnce(i int) (ok, news bool) {
 	}
 	if err != nil {
 		st.pullFails++
-	} else {
-		if !advanced {
-			st.idlePulls++
-		}
-		if c.cfg.Now != nil {
-			c.pullLat.Observe(c.cfg.Now().Sub(t0).Seconds())
-		}
+	} else if !advanced {
+		st.idlePulls++
 	}
 	c.mu.Unlock()
 	if err != nil {
@@ -354,7 +345,10 @@ func (c *Coordinator) PullStatsAll() []PullStats {
 func (c *Coordinator) MergeRebuilds() uint64 { return c.rebuilds.Load() }
 
 // PullLatency returns a merged copy of the successful-pull latency
-// histogram: transfer, decode and merge, not the wait for news.
+// histogram: from the response's headers to the merged snapshot that
+// covers the frame published — transfer, decode, merge and materialize,
+// what a /v1 reader waits for; not the wait for news before, nor the
+// shard's own bundle catching up after.
 func (c *Coordinator) PullLatency() *stats.Histogram {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -396,10 +390,17 @@ func (c *Coordinator) fetch(url string, since uint64) (frame []byte, t0 time.Tim
 	return frame, t0, err
 }
 
-// install validates the frame, folds it into shard i's state and wakes
-// the merger if that advanced the shard's sequence; full reports an
-// accepted full frame.
-func (c *Coordinator) install(i int, frame []byte) (full, advanced bool, err error) {
+// install validates the frame, applies it to shard i (foldLocked) and,
+// if that advanced the shard, publishes the merged snapshot at once.
+// Only then does a frame that continues the shard reach its own bundle,
+// under partsMu, which mergeMu hands over to: the next publish does not
+// wait for this catch-up, the next install of the shard and any rebuild
+// do. A
+// successful pull's latency runs from t0 (the response's headers, the
+// end of any wait at the shard) to that publish, and is observed only
+// with a clock (Config.Now), so clockless deterministic runs render an
+// empty histogram. full reports an accepted full frame.
+func (c *Coordinator) install(i int, frame []byte, t0 time.Time) (full, advanced bool, err error) {
 	from, seq, days, parts, err := decodeFrame(frame)
 	if err != nil {
 		return false, false, err
@@ -410,24 +411,41 @@ func (c *Coordinator) install(i int, frame []byte) (full, advanced bool, err err
 	if (parts.Countries != nil) != c.cfg.Countries {
 		return false, false, fmt.Errorf("shard: bundle country-table presence %v, fleet wants %v", parts.Countries != nil, c.cfg.Countries)
 	}
+	st := &c.shards[i]
 	c.mergeMu.Lock()
-	advanced, err = c.foldLocked(i, frame, from, seq, days, parts)
-	c.mergeMu.Unlock()
+	continues := from == st.seq
+	advanced, err = c.foldLocked(i, from, seq, days, parts)
 	if advanced {
-		select {
-		case c.dirty <- struct{}{}:
-		default:
-		}
+		c.publishLocked()
 	}
-	return from == 0 && err == nil, advanced, err
+	if err == nil && c.cfg.Now != nil {
+		c.mu.Lock()
+		c.pullLat.Observe(c.cfg.Now().Sub(t0).Seconds())
+		c.mu.Unlock()
+	}
+	if !continues || !advanced {
+		c.mergeMu.Unlock()
+		return from == 0 && err == nil, advanced, err
+	}
+	st.partsMu.Lock()
+	defer st.partsMu.Unlock()
+	c.mergeMu.Unlock()
+	_, _, _, again, err := decodeFrame(frame)
+	if err == nil {
+		err = st.parts.Merge(again)
+	}
+	if err != nil {
+		panic("shard: a frame merged once does not merge again: " + err.Error())
+	}
+	return from == 0, true, nil
 }
 
 // foldLocked applies a validated frame — parts, the bundle of the
-// records in (from, seq], decoded from frame — to shard i:
+// records in (from, seq] — to shard i:
 //
 //   - from is the installed seq — a delta, or any frame for a shard
-//     with nothing installed: the frame is decoded a second time and
-//     the two copies merged into the shard's bundle and the merged one.
+//     with nothing installed: parts is merged into the merged bundle if
+//     seq advances, and install folds the frame into the shard's.
 //   - a full frame past the installed seq (a restarted shard caught up,
 //     or the shard fell back to full) replaces the shard's bundle, and
 //     the merged bundle is rebuilt.
@@ -437,28 +455,23 @@ func (c *Coordinator) install(i int, frame []byte) (full, advanced bool, err err
 //   - a delta from anywhere else is a failed pull, and the next one asks
 //     for the full frame.
 //
-// Caller holds mergeMu, under which alone a shard's seq, days and parts
+// Caller holds mergeMu, under which alone a shard's seq and days
 // change.
-func (c *Coordinator) foldLocked(i int, frame []byte, from, seq uint64, days int, parts *analysis.Partials) (advanced bool, err error) {
+func (c *Coordinator) foldLocked(i int, from, seq uint64, days int, parts *analysis.Partials) (advanced bool, err error) {
 	st := &c.shards[i]
 	advanced = seq > st.seq
 	switch {
 	case from == st.seq:
 		if advanced {
-			_, _, _, again, err := decodeFrame(frame)
-			if err != nil {
-				return false, err // unreachable: the same bytes just decoded
-			}
-			if err := st.parts.Merge(parts); err != nil {
+			if err := c.merged.Merge(parts); err != nil {
 				return false, err // unreachable: install validated the shape
-			}
-			if err := c.merged.Merge(again); err != nil {
-				return false, err
 			}
 		}
 	case from == 0:
 		if advanced {
+			st.partsMu.Lock()
 			st.parts = parts
+			st.partsMu.Unlock()
 			c.rebuildLocked()
 		}
 	default:
@@ -485,14 +498,18 @@ func (c *Coordinator) foldLocked(i int, frame []byte, from, seq uint64, days int
 }
 
 // rebuildLocked replaces the merged bundle with the fold of a copy
-// (encode→decode: Merge adopts its source) of every shard's bundle.
+// (encode→decode: Merge adopts its source) of every shard's bundle,
+// each read under its partsMu, so after any catch-up still in flight.
 // Caller holds mergeMu.
 func (c *Coordinator) rebuildLocked() {
 	dest := c.emptyBundle()
 	b := new(wire.Builder) // Encode sizes it
 	for i := range c.shards {
+		st := &c.shards[i]
 		b.Reset()
-		c.shards[i].parts.Encode(b)
+		st.partsMu.Lock()
+		st.parts.Encode(b)
+		st.partsMu.Unlock()
 		r := wire.NewReader(b.Bytes())
 		r.SetMaxStringLen(b.Len())
 		cp, err := analysis.DecodePartials(r)
@@ -544,35 +561,17 @@ func (c *Coordinator) tryProbe(i, gen, _ int) faults.RestartOutcome {
 	return faults.RestartRetry
 }
 
-// mergeLoop publishes a snapshot whenever an install advances a shard.
-// Coalescing through the one-slot dirty channel means a burst of
-// installs costs one materialization.
-func (c *Coordinator) mergeLoop() {
-	defer c.wg.Done()
-	for running := true; running; {
-		select {
-		case <-c.ctx.Done():
-			running = false
-			continue
-		case <-c.dirty:
-		}
-		c.publish()
-	}
-}
-
-// publish materializes the merged bundle through the same path as a
-// single-node seal — so the merged snapshot is byte-identical (after
-// JSON encoding) to an engine that ingested all shards' records
+// publishLocked materializes the merged bundle through the same path
+// as a single-node seal — so the merged snapshot is byte-identical
+// (after JSON encoding) to an engine that ingested all shards' records
 // directly. The bundle lives on between publishes, so its client head
-// has already taken in the IPs the installs brought.
-func (c *Coordinator) publish() {
-	c.mergeMu.Lock()
-	defer c.mergeMu.Unlock()
-	c.mu.Lock()
-	seq, days := c.seq, 0
+// has already taken in the IPs the installs brought. Caller holds
+// mergeMu, under which alone the sequences and day spans it reads
+// change.
+func (c *Coordinator) publishLocked() {
+	days := 0
 	for i := range c.shards {
 		days = max(days, c.shards[i].days)
 	}
-	c.mu.Unlock()
-	c.cur.Store(query.MaterializeSnapshot(c.merged, seq, days, nil, nil))
+	c.cur.Store(query.MaterializeSnapshot(c.merged, c.seq, days, nil, nil))
 }

@@ -1,5 +1,7 @@
 package shard
 
+import "time"
+
 // DecodeFrame and EncodeFrame open the either-kind frame codec to the
 // external test package.
 var DecodeFrame = decodeFrame
@@ -8,4 +10,11 @@ var DecodeFrame = decodeFrame
 // frames one it encodes in place.
 func EncodeFrame(from, seq uint64, days int, bundle []byte) []byte {
 	return sealFrame(newFrameBuilder().Raw(bundle), from, seq, days)
+}
+
+// Install hands the coordinator one pulled frame of shard i, as a pull
+// that brought it would.
+func (c *Coordinator) Install(i int, frame []byte) error {
+	_, _, err := c.install(i, frame, time.Time{})
+	return err
 }

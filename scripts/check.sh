@@ -149,6 +149,7 @@ echo "==> disk chaos smoke (go test -race -count=1 -run '$disk_run')"
 go test -race -count=1 -run "$disk_run" ./internal/wal ./internal/farm
 go test -race -count=20 -run TestCommitPipeline ./internal/wal # the committer's queue: absorb, barriers, the segment bound
 go test -race -count=20 -run 'TestSinkOrderUnderENOSPC|TestWireFrontRefusesUnpersisted|TestENOSPCWindowFarm' ./internal/query ./internal/shard ./internal/farm # the one durable-ingest sink: recovered ≡ acknowledged
+go test -race -count=20 -run 'TestCoordinatorRebuildDuringCatchUp|TestCoordinatorLostResponse|TestBlockingPullStorm' ./internal/shard # the install order: publish first, catch up after, rebuild after the catch-up
 
 echo "==> crash smoke (SIGKILL mid-generation, resume, diff)"
 go build -o "$tmp/reproduce" ./cmd/reproduce
