@@ -35,12 +35,15 @@ func (c ClientStat) NumCategoriesSeen() int {
 	return n
 }
 
-// clientAcc is one client IP's partial aggregate.
+// clientAcc is one client IP's partial aggregate. epoch, in the padding
+// after cats so the row stays 64 bytes, is the cut epoch of a tracked
+// bundle (partialsdelta.go) in which the row was last touched.
 type clientAcc struct {
 	sessions int
 	pots     intSet
 	days     intSet
 	cats     uint8
+	epoch    uint32
 }
 
 // ComputeClientStats aggregates every client IP. Pass cat = -1 for all

@@ -46,6 +46,16 @@ func (s *intSet) add(v int) (fresh bool) {
 	return true
 }
 
+// push appends v, larger than every member, and returns the set: how a
+// set is assembled from ascending members without a search.
+func (s intSet) push(v int) intSet {
+	if last := len(s) - 1; last >= 0 && s[last].key == v>>6 {
+		s[last].bits |= 1 << (uint(v) & 63)
+		return s
+	}
+	return append(s, intChunk{key: v >> 6, bits: 1 << (uint(v) & 63)})
+}
+
 // union adds o's members and calls onFresh (which may be nil) once for
 // each that was not there before, ascending. o is only read and the
 // result shares no memory with it.

@@ -177,28 +177,43 @@ func (a *ClientAccum) admit(ip string) {
 // accumulator kept for its client IP. day is the record's day bucket
 // (store.Day).
 func (a *ClientAccum) Add(r *honeypot.SessionRecord, day int) (first bool) {
-	return a.add(r, day, Classify(r))
+	_, fresh := a.add(r, day, Classify(r))
+	return fresh&freshRow != 0
 }
 
-// add is Add for a record already classified as c.
-func (a *ClientAccum) add(r *honeypot.SessionRecord, day int, c Category) (first bool) {
+// What a fold found new: the row itself, or a member of one of its sets
+// — the record's pot, its day, or (in a hash row) its client IP.
+const (
+	freshRow uint8 = 1 << iota
+	freshPot
+	freshDay
+	freshIP
+)
+
+// add is Add for a record already classified as c. It returns the
+// record's row, nil when the category is not kept, and what of it was
+// fresh.
+func (a *ClientAccum) add(r *honeypot.SessionRecord, day int, c Category) (acc *clientAcc, fresh uint8) {
 	if a.cat >= 0 && c != Category(a.cat) {
-		return false
+		return nil, 0
 	}
-	acc := a.m[r.ClientIP]
+	acc = a.m[r.ClientIP]
 	if acc == nil {
-		first = true
+		fresh = freshRow
 		acc = new(clientAcc)
 		a.m[r.ClientIP] = acc
 		a.admit(r.ClientIP)
 	}
 	acc.sessions++
 	if acc.pots.add(r.HoneypotID) {
+		fresh |= freshPot
 		countPot(a.perPot, r.HoneypotID)
 	}
-	acc.days.add(day)
+	if acc.days.add(day) {
+		fresh |= freshDay
+	}
 	acc.cats |= 1 << c
-	return first
+	return acc, fresh
 }
 
 // Merge folds another accumulator in. The source accumulator's entries
@@ -359,7 +374,11 @@ func NewHashAccum() *HashAccum {
 // Add folds one record in. day is the record's day bucket. A session
 // touching the same hash via several file events counts once per
 // distinct hash, matching the batch scan.
-func (a *HashAccum) Add(r *honeypot.SessionRecord, day int) {
+func (a *HashAccum) Add(r *honeypot.SessionRecord, day int) { a.add(r, day, nil) }
+
+// add is Add telling t, when there is one, each row it touches and what
+// of it was fresh.
+func (a *HashAccum) add(r *honeypot.SessionRecord, day int, t *tracker) {
 files:
 	for i, f := range r.Files {
 		for _, g := range r.Files[:i] {
@@ -373,10 +392,21 @@ files:
 			a.m[f.Hash] = acc
 		}
 		acc.sessions++
+		n := len(acc.ips)
 		acc.ips[r.ClientIP] = struct{}{}
-		acc.days.add(day)
+		var fresh uint8
+		if len(acc.ips) != n {
+			fresh |= freshIP
+		}
+		if acc.days.add(day) {
+			fresh |= freshDay
+		}
 		if acc.pots.add(r.HoneypotID) {
+			fresh |= freshPot
 			countPot(a.perPot, r.HoneypotID)
+		}
+		if t != nil {
+			t.touchHash(f.Hash, acc, r, day, fresh)
 		}
 	}
 }

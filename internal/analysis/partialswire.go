@@ -1,10 +1,10 @@
 package analysis
 
-// The transferable form of the mergeable partial aggregates: a Partials
-// bundle groups one instance of every accumulator, and Encode/Decode
-// move the complete bundle through internal/wire's length-prefixed
-// binary layout so a shard collector can serve its accumulator state to
-// a remote merge coordinator.
+// The transferable form of the mergeable partial aggregates: Encode and
+// Decode move a Partials bundle through internal/wire's binary layout,
+// so a shard serves its state to a remote merge coordinator; a delta
+// (partialsdelta.go) is the same layout over the rows touched in
+// (from, seq], counters as differences, set members new since from.
 //
 // Two contracts matter here:
 //
@@ -69,6 +69,11 @@ type Partials struct {
 	// sessions counts sessions per honeypot, sized for the full farm
 	// (every shard sizes it identically so bundles merge index-aligned).
 	sessions []int
+	// track records what Add touches between cuts; nil while nobody
+	// tracks the bundle (partialsdelta.go). epoch is the current cut's,
+	// the stamp a client row gets on its first touch in it.
+	track *tracker
+	epoch uint32
 }
 
 // NewPartials creates an empty bundle sized for numPots honeypots.
@@ -114,22 +119,28 @@ func (p *Partials) FinalizePots() []PerHoneypot {
 // incremental engine does. day is the record's day bucket (store.Day).
 // The client and country tables both cover every category, so the
 // country table already holds (or could not locate) any IP the client
-// table has seen: an IP is located once, by its first record.
+// table has seen: an IP is located once, by its first record. While
+// the bundle is tracked, Add also notes the rows and set members the
+// record touched.
 func (p *Partials) Add(r *honeypot.SessionRecord, day int) {
 	c := Classify(r)
 	p.Cats.add(r, c)
 	countPot(p.sessions, r.HoneypotID)
-	first := p.Clients.add(r, day, c)
-	if first && p.Countries != nil {
+	acc, fresh := p.Clients.add(r, day, c)
+	if fresh&freshRow != 0 && p.Countries != nil {
 		p.Countries.Add(r)
 	}
-	p.Hashes.Add(r, day)
+	if p.track != nil {
+		p.touchClient(r, day, acc, fresh)
+	}
+	p.Hashes.add(r, day, p.track)
 }
 
-// Merge folds another bundle in. The two bundles must be shaped alike
-// (same pot-table size, same country-table presence) — the merge
-// coordinator validates shapes at install time. The source bundle's
-// entries may be adopted by reference; do not reuse it afterwards.
+// Merge folds another bundle in, untracked. The two bundles must be
+// shaped alike (same pot-table size, same country-table presence) — the
+// merge coordinator validates shapes at install time. The source
+// bundle's entries may be adopted by reference; do not reuse it
+// afterwards.
 func (p *Partials) Merge(q *Partials) error {
 	if p.NumPots() != q.NumPots() {
 		return fmt.Errorf("analysis: merging partials sized for %d pots into %d", q.NumPots(), p.NumPots())
@@ -256,17 +267,26 @@ func decodePotSessions(r *wire.Reader) []int {
 	return sessions
 }
 
+// Each section is a count and then its rows, ascending by key, each
+// written by the section's one row writer — for a full encoding from
+// the table in key order, for a delta (partialsdelta.go) from the
+// touched rows sorted by key.
+
 func encodeClients(b *wire.Builder, a *ClientAccum) {
 	ips := a.sortedIPs()
 	b.Uint32(uint32(len(ips)))
 	for _, ip := range ips {
 		acc := a.m[ip]
-		b.Text(ip)
-		b.Uint64(uint64(int64(acc.sessions)))
-		encodeIntSet(b, acc.pots)
-		encodeIntSet(b, acc.days)
-		b.Byte(acc.cats)
+		encodeClientRow(b, ip, acc.sessions, acc.pots, acc.days, acc.cats)
 	}
+}
+
+func encodeClientRow(b *wire.Builder, ip string, sessions int, pots, days intSet, cats uint8) {
+	b.Text(ip)
+	b.Uint64(uint64(int64(sessions)))
+	encodeIntSet(b, pots)
+	encodeIntSet(b, days)
+	b.Byte(cats)
 }
 
 // decodeClients reads the client table of a bundle of numPots pots:
@@ -309,9 +329,13 @@ func encodeCountries(b *wire.Builder, a *CountryAccum) {
 	})
 	b.Uint32(uint32(len(countries)))
 	for _, c := range countries {
-		b.Text(c)
-		encodeStringSet(b, a.m[c])
+		encodeCountryRow(b, c, sortedSet(a.m[c]))
 	}
+}
+
+func encodeCountryRow(b *wire.Builder, code string, ips []string) {
+	b.Text(code)
+	encodeStrings(b, ips)
 }
 
 func decodeCountries(r *wire.Reader) *CountryAccum {
@@ -341,12 +365,16 @@ func encodeHashes(b *wire.Builder, a *HashAccum) {
 	b.Uint32(uint32(len(hashes)))
 	for _, h := range hashes {
 		acc := a.m[h]
-		b.Text(h)
-		b.Uint64(uint64(int64(acc.sessions)))
-		encodeStringSet(b, acc.ips)
-		encodeIntSet(b, acc.days)
-		encodeIntSet(b, acc.pots)
+		encodeHashRow(b, h, acc.sessions, sortedSet(acc.ips), acc.days, acc.pots)
 	}
+}
+
+func encodeHashRow(b *wire.Builder, h string, sessions int, ips []string, days, pots intSet) {
+	b.Text(h)
+	b.Uint64(uint64(int64(sessions)))
+	encodeStrings(b, ips)
+	encodeIntSet(b, days)
+	encodeIntSet(b, pots)
 }
 
 func decodeHashes(r *wire.Reader, numPots int) *HashAccum {
@@ -381,12 +409,17 @@ func decodeHashes(r *wire.Reader, numPots int) *HashAccum {
 
 // ---- set helpers ----
 
-func encodeStringSet(b *wire.Builder, set map[string]struct{}) {
-	keys := sortedStringKeys(len(set), func(f func(string)) {
+// sortedSet returns a string set's members, ascending.
+func sortedSet(set map[string]struct{}) []string {
+	return sortedStringKeys(len(set), func(f func(string)) {
 		for k := range set {
 			f(k)
 		}
 	})
+}
+
+// encodeStrings writes a string set given as its ascending members.
+func encodeStrings(b *wire.Builder, keys []string) {
 	b.Uint32(uint32(len(keys)))
 	for _, k := range keys {
 		b.Text(k)
@@ -435,12 +468,7 @@ func decodeIntSet(r *wire.Reader, scratch *intSet) intSet {
 			return nil
 		}
 		prev = k
-		// Ascending members: k is in the last chunk or opens the next.
-		if last := len(set) - 1; last >= 0 && set[last].key == k>>6 {
-			set[last].bits |= 1 << (uint(k) & 63)
-		} else {
-			set = append(set, intChunk{key: k >> 6, bits: 1 << (uint(k) & 63)})
-		}
+		set = set.push(k)
 	}
 	*scratch = set
 	return append(intSet(nil), set...)

@@ -3,6 +3,7 @@ package query_test
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -10,6 +11,7 @@ import (
 	"honeyfarm/internal/analysis"
 	"honeyfarm/internal/honeypot"
 	"honeyfarm/internal/query"
+	"honeyfarm/internal/store"
 	"honeyfarm/internal/wire"
 )
 
@@ -69,10 +71,23 @@ func (p *replica) same(eng *query.Engine) bool {
 	return seq == p.seq && bytes.Equal(want.Bytes(), got.Bytes())
 }
 
+// foldedBytes encodes the bundle folded afresh from recs, as the engine
+// folds them: what a delta of exactly those records at most weighs.
+func foldedBytes(d *honeyfarm.Dataset, eng *query.Engine, recs []*honeypot.SessionRecord) int {
+	p := analysis.NewPartials(cutPots, d.Registry, true)
+	for _, r := range recs {
+		p.Add(r, store.DayOf(eng.Epoch(), r.Start))
+	}
+	b := wire.NewBuilder(1 << 10)
+	p.Encode(b)
+	return len(b.Bytes())
+}
+
 // TestCutPartialsReplay: over random interleavings of Ingest with cuts
 // whose since matches the previous cut, is stale, or is absent — some
 // of whose answers the puller never receives — replaying the answers
-// it does receive reproduces the engine's full bundle byte for byte.
+// it does receive reproduces the engine's full bundle byte for byte,
+// and no delta is larger than the bundle of its records folded afresh.
 func TestCutPartialsReplay(t *testing.T) {
 	d, recs := cutFixture(t)
 	fulls, deltas := 0, 0
@@ -109,6 +124,10 @@ func TestCutPartialsReplay(t *testing.T) {
 			}
 			if from != 0 {
 				deltas++
+				if got, folded := len(b.Bytes()), foldedBytes(d, eng, recs[from:seq]); got > folded {
+					t.Errorf("seed %d step %d: delta (%d, %d] is %d bytes, the records folded afresh %d", seed, step, from, seq, got, folded)
+					return false
+				}
 			} else {
 				fulls++
 			}
@@ -244,4 +263,71 @@ func TestNewsFreeWhenUnused(t *testing.T) {
 	if a := testing.AllocsPerRun(200, func() { eng.News(0) }); a != 0 {
 		t.Errorf("News at another sequence allocates %v times", a)
 	}
+}
+
+// TestIngestAllocsWhilePulled: with a puller cutting before every
+// round, a batch that touches only rows and members the engine already
+// holds allocates nothing once the touched lists have grown to the
+// batch's size — the delta comes from the rows the batch touched, not
+// from folding it a second time.
+func TestIngestAllocsWhilePulled(t *testing.T) {
+	d, recs := cutFixture(t)
+	eng := cutEngine(d)
+	eng.Ingest(recs)
+	batch := recs[:50]
+	b := wire.NewBuilder(1 << 10)
+	_, since, _ := eng.CutPartials(b, 0, false)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	for round := 0; round < 50; round++ {
+		b.Reset()
+		from, seq, _ := eng.CutPartials(b, since, true)
+		if round > 0 && from != since {
+			t.Fatalf("round %d: pull at %d answered from %d, not a delta", round, since, from)
+		}
+		since = seq
+		runtime.ReadMemStats(&before)
+		eng.Ingest(batch)
+		runtime.ReadMemStats(&after)
+		// Two rounds grow both touched lists (a cut swaps them).
+		if n := after.Mallocs - before.Mallocs; round >= 2 && n != 0 {
+			t.Errorf("round %d: Ingest of %d held records allocated %d times while pulled", round, len(batch), n)
+		}
+	}
+	if n := eng.PendingEntries(); n == 0 {
+		t.Error("nothing pending after a batch")
+	}
+}
+
+// BenchmarkIngestWhilePulled times one shard's work per fed batch while
+// a puller follows it: one 250-record Ingest and the delta CutPartials
+// that ships it, on an engine of ≈137k records. The batches come from a
+// pool re-ingested in turn, over the paper's 221 pots.
+func BenchmarkIngestWhilePulled(b *testing.B) {
+	const preload, batch, pool, pots = 137_000, 250, 40 * 250, 221
+	d, err := honeyfarm.Simulate(honeyfarm.SimulateConfig{
+		Seed: 3, TotalSessions: preload + pool, NumPots: pots,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	recs := d.Store.Records()
+	eng := query.New(query.Config{Epoch: honeyfarm.DefaultEpoch, NumPots: pots, Registry: d.Registry})
+	eng.Ingest(recs[:preload])
+	more := recs[preload : preload+pool]
+	w := wire.NewBuilder(1 << 10)
+	_, since, _ := eng.CutPartials(w, 0, false)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		off := n * batch % pool
+		eng.Ingest(more[off : off+batch])
+		w.Reset()
+		var from uint64
+		if from, since, _ = eng.CutPartials(w, since, true); from == 0 {
+			b.Fatal("a pull at the previous cut answered the full bundle")
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "us/op")
 }

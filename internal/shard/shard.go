@@ -14,10 +14,10 @@
 //	bytes  ...   — the analysis.Partials wire encoding
 //
 // and a delta frame (wal.FrameKindPartialsDelta) puts uint64 from > 0
-// before the same three. The cut is made under the shard engine's
-// ingest mutex, so merging a frame into the bundle of the shard's first
-// from records yields exactly the bundle of its first seq. Because the
-// partials encoding walks every map in sorted key order, a given
+// before the same three: the rows touched in (from, seq], counters as
+// differences, set members new since from. Merging a frame into the
+// bundle of the shard's first from records yields exactly that of its
+// first seq; every table is written in sorted key order, so a given
 // accumulator state has one exact byte string.
 package shard
 
