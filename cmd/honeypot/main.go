@@ -1,6 +1,10 @@
 // Command honeypot runs a single medium-interaction SSH/Telnet honeypot
 // on real TCP ports — the same honeypot code the simulated farm runs
-// in-process — and streams Cowrie-style JSONL session records to a log.
+// in-process, served by the same honeypot.Server — and streams one
+// SessionRecord JSON object per line to a log (cowrielog.Export converts
+// records to Cowrie's format). On SIGINT or SIGTERM it stops accepting,
+// drains the sessions in flight for up to honeypot.DefaultDrainTimeout,
+// and closes the log.
 //
 // Usage:
 //
@@ -20,7 +24,9 @@ import (
 	"log"
 	"net"
 	"os"
+	"os/signal"
 	"sync"
+	"syscall"
 
 	"honeyfarm/internal/honeypot"
 	"honeyfarm/internal/malware"
@@ -40,11 +46,6 @@ func main() {
 		if err != nil {
 			log.Fatalf("opening log: %v", err)
 		}
-		defer func() {
-			if err := f.Close(); err != nil {
-				log.Printf("closing log: %v", err)
-			}
-		}()
 		out = f
 	}
 	var mu sync.Mutex
@@ -74,33 +75,33 @@ func main() {
 	if err != nil {
 		log.Fatalf("creating honeypot: %v", err)
 	}
-	_ = pot.HostKey() // host key is generated eagerly above
 
-	var wg, conns sync.WaitGroup
-	serve := func(addr, proto string, handle func(net.Conn)) {
-		l, err := net.Listen("tcp", addr)
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	var srv honeypot.Server
+	for _, l := range []struct {
+		proto, addr string
+		handle      func(net.Conn)
+	}{
+		{"ssh", *sshAddr, pot.ServeSSH},
+		{"telnet", *telnetAddr, pot.ServeTelnet},
+	} {
+		ln, err := net.Listen("tcp", l.addr)
 		if err != nil {
-			log.Fatalf("listening on %s: %v", addr, err)
+			log.Fatalf("listening on %s: %v", l.addr, err)
 		}
-		fmt.Fprintf(os.Stderr, "honeypot: %s on %s\n", proto, l.Addr())
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				c, err := l.Accept()
-				if err != nil {
-					return
-				}
-				conns.Add(1)
-				go func() {
-					defer conns.Done()
-					handle(c)
-				}()
-			}
-		}()
+		fmt.Fprintf(os.Stderr, "honeypot: %s on %s\n", l.proto, ln.Addr())
+		srv.Serve(pot.ID(), ln, l.handle)
 	}
-	serve(*sshAddr, "ssh", pot.ServeSSH)
-	serve(*telnetAddr, "telnet", pot.ServeTelnet)
-	wg.Wait()
-	conns.Wait()
+
+	fmt.Fprintf(os.Stderr, "honeypot: %v, draining\n", <-sig)
+	if err := srv.Close(); err != nil {
+		log.Printf("closing listeners: %v", err)
+	}
+	srv.Drain(honeypot.DefaultDrainTimeout, nil)
+	if *logPath != "" {
+		if err := out.Close(); err != nil {
+			log.Fatalf("closing log: %v", err)
+		}
+	}
 }

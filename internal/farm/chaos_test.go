@@ -74,9 +74,7 @@ func TestStopBoundedWithStalledClient(t *testing.T) {
 	// Never write, never read, never close: the honeypot sits in its
 	// pre-auth read. Give the farm a moment to accept the connection.
 	waitFor(t, 2*time.Second, func() bool {
-		f.connMu.Lock()
-		defer f.connMu.Unlock()
-		return len(f.conns) == 1
+		return f.srv.Open() == 1
 	}, "connection to be tracked")
 
 	start := time.Now()

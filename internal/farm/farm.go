@@ -2,21 +2,20 @@
 // configured honeypots across the synthetic Internet's countries and
 // ASes (the paper's deployment: 221 honeypots, 55 countries, 65 ASes),
 // binds each one's SSH and Telnet ports on the in-memory network fabric,
-// and funnels every completed session record into the central collector
-// store. The cmd/honeypot tool runs the same honeypot code over real TCP
-// for a single deployment.
+// serves them through one honeypot.Server, and funnels every completed
+// session record into the central collector store. The cmd/honeypot tool
+// serves the same honeypot code through the same server over real TCP.
 //
-// The farm also owns the operational-failure machinery: an optional
-// faults.Plan injects connection faults at the fabric and schedules pot
-// outage windows, a supervisor restarts downed pots with capped
-// exponential backoff, and Stop drains bounded — lingering connections
-// are force-closed after Config.DrainTimeout so a stalled session can
-// never wedge shutdown.
+// The farm keeps what is its own: placement, an optional faults.Plan
+// that injects connection faults at the fabric and schedules pot outage
+// windows, and a supervisor that restarts downed pots with capped
+// exponential backoff. Kill severs one pot on the server; Stop closes
+// the server and drains it bounded by Config.DrainTimeout, so a stalled
+// session can never wedge shutdown.
 package farm
 
 import (
 	"fmt"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,9 +28,6 @@ import (
 	"honeyfarm/internal/shell"
 	"honeyfarm/internal/store"
 )
-
-// DefaultDrainTimeout bounds Stop's graceful drain.
-const DefaultDrainTimeout = 5 * time.Second
 
 // Config configures a honeyfarm.
 type Config struct {
@@ -61,7 +57,7 @@ type Config struct {
 	// outage windows are only scheduled when it is positive.
 	DayLength time.Duration
 	// DrainTimeout bounds Stop's graceful drain; zero selects
-	// DefaultDrainTimeout, negative forces immediate teardown.
+	// honeypot.DefaultDrainTimeout, negative forces immediate teardown.
 	DrainTimeout time.Duration
 	// Sink, when non-nil, takes every accepted record before the
 	// collector keeps it: appended to the sink's write-ahead log, then
@@ -97,7 +93,6 @@ type potState struct {
 	up        bool
 	gen       int // bumped on every takedown; stale restart requests are dropped
 	holdUntil time.Time
-	listeners []*netsim.Listener
 }
 
 // Farm is a running honeyfarm.
@@ -107,6 +102,7 @@ type Farm struct {
 	deployments []geo.Deployment
 	pots        []*honeypot.Honeypot
 	collector   *store.Store
+	srv         honeypot.Server
 
 	mu      sync.Mutex
 	states  []potState
@@ -122,13 +118,10 @@ type Farm struct {
 	// acceptedByPot splits Stats.Accepted per honeypot for /metrics.
 	acceptedByPot []int
 
-	connMu sync.Mutex
-	conns  map[net.Conn]int // live connection -> pot index
-
 	stopCh    chan struct{}
 	restarter *faults.Restarter
 	connSeq   atomic.Uint64
-	wg        sync.WaitGroup
+	wg        sync.WaitGroup // outage timers
 }
 
 // New builds the farm: placement, honeypots, collector. Call Start to
@@ -165,7 +158,6 @@ func New(cfg Config) (*Farm, error) {
 		states:        make([]potState, len(deployments)),
 		droppedByPot:  make([]int, len(deployments)),
 		acceptedByPot: make([]int, len(deployments)),
-		conns:         make(map[net.Conn]int),
 		stopCh:        make(chan struct{}),
 	}
 	for i, d := range deployments {
@@ -293,7 +285,10 @@ func (f *Farm) Start() error {
 	}
 	for i := range f.deployments {
 		if err := f.bindLocked(i); err != nil {
-			f.takedownAllLocked()
+			for j := 0; j < i; j++ {
+				f.states[j].up = false
+				f.srv.Sever(j)
+			}
 			return err
 		}
 	}
@@ -314,8 +309,8 @@ func (f *Farm) Start() error {
 	return nil
 }
 
-// bindLocked binds pot i's SSH and Telnet listeners and starts their
-// accept loops. Caller holds f.mu.
+// bindLocked binds pot i's SSH and Telnet listeners and serves them.
+// Caller holds f.mu.
 func (f *Farm) bindLocked(i int) error {
 	d := f.deployments[i]
 	ip := geo.Uint32ToAddr(d.IP).String()
@@ -328,12 +323,10 @@ func (f *Farm) bindLocked(i int) error {
 		_ = sshL.Close()
 		return fmt.Errorf("farm: honeypot %d telnet listen: %w", d.ID, err)
 	}
-	st := &f.states[i]
-	st.up = true
-	st.listeners = []*netsim.Listener{sshL, telL}
+	f.states[i].up = true
 	pot := f.pots[i]
-	f.serve(sshL, i, st.gen, pot.ServeSSH)
-	f.serve(telL, i, st.gen, pot.ServeTelnet)
+	f.srv.Serve(i, sshL, pot.ServeSSH)
+	f.srv.Serve(i, telL, pot.ServeTelnet)
 	return nil
 }
 
@@ -356,41 +349,6 @@ func (f *Farm) installFaultHook() {
 			Jitter:     d.Jitter,
 		}
 	})
-}
-
-// serve runs l's accept loop for pot under generation gen, the one the
-// listener was bound in. A takedown bumps the generation before it
-// sweeps f.conns, so a connection the sweep missed — accepted, not yet
-// registered — finds the generation stale once it is, and is closed
-// here instead.
-func (f *Farm) serve(l *netsim.Listener, pot, gen int, handle func(net.Conn)) {
-	f.wg.Add(1)
-	go func() {
-		defer f.wg.Done()
-		for {
-			c, err := l.Accept()
-			if err != nil {
-				return
-			}
-			f.connMu.Lock()
-			f.conns[c] = pot
-			f.connMu.Unlock()
-			f.mu.Lock()
-			stale := f.states[pot].gen != gen
-			f.mu.Unlock()
-			if stale {
-				_ = c.Close()
-			}
-			f.wg.Add(1)
-			go func() {
-				defer f.wg.Done()
-				handle(c)
-				f.connMu.Lock()
-				delete(f.conns, c)
-				f.connMu.Unlock()
-			}()
-		}
-	}()
 }
 
 // restartHold is the Restarter's hold floor: the remainder of the
@@ -437,21 +395,10 @@ func (f *Farm) killUntil(i int, hold time.Time) {
 	st.up = false
 	st.gen++
 	st.holdUntil = hold
-	ls := st.listeners
-	st.listeners = nil
 	gen := st.gen
 	f.stats.Kills++
 	f.mu.Unlock()
-	for _, l := range ls {
-		_ = l.Close()
-	}
-	f.connMu.Lock()
-	for c, pot := range f.conns {
-		if pot == i {
-			_ = c.Close()
-		}
-	}
-	f.connMu.Unlock()
+	f.srv.Sever(i)
 	f.restarter.Request(i, gen)
 }
 
@@ -478,68 +425,35 @@ func (f *Farm) scheduleOutages() {
 	}
 }
 
-// Stop unbinds all listeners and drains in-flight sessions, bounded by
-// Config.DrainTimeout: connections still alive at the deadline are
-// force-closed, and records they emit afterwards are counted as dropped
-// rather than collected. Stop is idempotent and always returns with the
-// farm's goroutines joined.
+// Stop marks every pot down, closes the server's listeners and drains
+// in-flight sessions, bounded by Config.DrainTimeout: connections still
+// alive at the deadline are force-closed, and records they emit
+// afterwards are counted as dropped rather than collected. Stop is
+// idempotent and always returns with the farm's goroutines joined.
 func (f *Farm) Stop() {
 	f.mu.Lock()
-	restarter := f.restarter
-	if f.stopped {
-		f.mu.Unlock()
-		f.wg.Wait()
-		if restarter != nil {
-			restarter.Wait()
+	if !f.stopped {
+		f.stopped = true
+		f.started = false
+		close(f.stopCh)
+		for i := range f.states {
+			f.states[i].up = false
 		}
-		return
 	}
-	f.stopped = true
-	f.started = false
-	close(f.stopCh)
-	f.takedownAllLocked()
+	restarter := f.restarter
+	f.mu.Unlock()
+	_ = f.srv.Close() // fabric listeners close without error
 	drain := f.cfg.DrainTimeout
 	if drain == 0 {
-		drain = DefaultDrainTimeout
+		drain = honeypot.DefaultDrainTimeout
 	}
-	f.mu.Unlock()
-
-	done := make(chan struct{})
-	go func() {
-		f.wg.Wait()
-		if restarter != nil {
-			restarter.Wait()
-		}
-		close(done)
-	}()
-	if drain > 0 {
-		select {
-		case <-done:
-			return
-		case <-time.After(drain):
-		}
-	}
-	// Deadline passed (or immediate teardown requested): sever every
-	// lingering connection and drop whatever records still trickle in.
-	f.mu.Lock()
-	f.forced = true
-	f.mu.Unlock()
-	f.connMu.Lock()
-	for c := range f.conns {
-		_ = c.Close()
-	}
-	f.connMu.Unlock()
-	<-done
-}
-
-// takedownAllLocked closes every bound listener. Caller holds f.mu.
-func (f *Farm) takedownAllLocked() {
-	for i := range f.states {
-		st := &f.states[i]
-		st.up = false
-		for _, l := range st.listeners {
-			_ = l.Close()
-		}
-		st.listeners = nil
+	f.srv.Drain(drain, func() {
+		f.mu.Lock()
+		f.forced = true
+		f.mu.Unlock()
+	})
+	f.wg.Wait()
+	if restarter != nil {
+		restarter.Wait()
 	}
 }

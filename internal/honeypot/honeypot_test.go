@@ -51,20 +51,11 @@ func newRig(t *testing.T, cfg Config) *testRig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { sshL.Close(); telL.Close() })
-	go serveLoop(sshL, pot.ServeSSH)
-	go serveLoop(telL, pot.ServeTelnet)
+	var srv Server
+	t.Cleanup(func() { srv.Close() })
+	srv.Serve(pot.ID(), sshL, pot.ServeSSH)
+	srv.Serve(pot.ID(), telL, pot.ServeTelnet)
 	return rig
-}
-
-func serveLoop(l *netsim.Listener, handle func(net.Conn)) {
-	for {
-		c, err := l.Accept()
-		if err != nil {
-			return
-		}
-		go handle(c)
-	}
 }
 
 // expect records n sessions to complete.

@@ -20,7 +20,7 @@ import (
 var (
 	ErrAddressInUse      = errors.New("netsim: address already in use")
 	ErrConnectionRefused = errors.New("netsim: connection refused")
-	ErrClosed            = errors.New("netsim: use of closed connection")
+	ErrClosed            = fmt.Errorf("netsim: %w", net.ErrClosed) // one errors.Is check serves both fabrics
 	ErrTimeout           = errors.New("netsim: i/o timeout")
 	ErrReset             = errors.New("netsim: connection reset by peer")
 )

@@ -1,11 +1,14 @@
 package shard
 
 // The wire-ingest front of a collector shard: real-TCP SSH/Telnet
-// listeners for the shard's pot partition, ingesting through a
-// query.Sink as the synthetic feeder does. This is what lets
-// cmd/loadgen drive a live shard fleet over actual sockets — sessions
-// arrive on the wire, the honeypot records them, and the sink appends
-// every record durably before it folds it into the aggregates.
+// listeners for the shard's pot partition, served by one
+// honeypot.Server and ingesting through a query.Sink as the synthetic
+// feeder does. This is what lets cmd/loadgen drive a live shard fleet
+// over actual sockets — sessions arrive on the wire, the honeypot
+// records them, and the sink appends every record durably before it
+// folds it into the aggregates. The front keeps only the partition, the
+// sink and its counters; accepting, tracking and draining connections
+// are the server's.
 //
 // One honeypot (and one SSH + one Telnet listener) is bound per owned
 // pot. That is deliberate small-fleet topology: the load harness and
@@ -17,7 +20,6 @@ import (
 	"fmt"
 	"net"
 	"strings"
-	"sync"
 
 	"honeyfarm/internal/atomicio"
 	"honeyfarm/internal/honeypot"
@@ -52,21 +54,13 @@ type WirePot struct {
 // WireFront is a running wire-ingest front. Create with NewWireFront,
 // stop with Close.
 type WireFront struct {
-	cfg  WireConfig
 	sink *query.Sink // cfg.WAL then cfg.Engine
 	pots []WirePot
+	srv  honeypot.Server
 
 	accepted metrics.Counter
 	refused  metrics.Counter
 	byPot    map[int]*metrics.Counter
-	open     metrics.Gauge
-
-	mu        sync.Mutex
-	listeners []net.Listener
-	conns     map[net.Conn]struct{}
-	closed    bool
-
-	wg sync.WaitGroup // accept loops and session handlers
 }
 
 // NewWireFront binds the partition's listeners and starts accepting.
@@ -81,11 +75,10 @@ func NewWireFront(cfg WireConfig) (*WireFront, error) {
 		cfg.Host = "127.0.0.1"
 	}
 	w := &WireFront{
-		cfg:   cfg,
 		sink:  query.NewSink(cfg.WAL, cfg.Engine),
 		byPot: make(map[int]*metrics.Counter),
-		conns: make(map[net.Conn]struct{}),
 	}
+	addr := net.JoinHostPort(cfg.Host, "0")
 	for id := 0; id < cfg.NumPots; id++ {
 		if id%cfg.Shards != cfg.Index {
 			continue
@@ -99,72 +92,26 @@ func NewWireFront(cfg WireConfig) (*WireFront, error) {
 			w.Close()
 			return nil, fmt.Errorf("shard: wire pot %d: %w", id, err)
 		}
-		sshLn, err := w.listen()
+		sshLn, err := net.Listen("tcp", addr)
 		if err != nil {
 			w.Close()
 			return nil, fmt.Errorf("shard: wire pot %d ssh: %w", id, err)
 		}
-		telnetLn, err := w.listen()
+		w.srv.Serve(id, sshLn, pot.ServeSSH)
+		telnetLn, err := net.Listen("tcp", addr)
 		if err != nil {
 			w.Close()
 			return nil, fmt.Errorf("shard: wire pot %d telnet: %w", id, err)
 		}
+		w.srv.Serve(id, telnetLn, pot.ServeTelnet)
 		w.byPot[id] = &metrics.Counter{}
 		w.pots = append(w.pots, WirePot{
 			ID:         id,
 			SSHAddr:    sshLn.Addr().String(),
 			TelnetAddr: telnetLn.Addr().String(),
 		})
-		w.serve(sshLn, pot.ServeSSH)
-		w.serve(telnetLn, pot.ServeTelnet)
 	}
 	return w, nil
-}
-
-// listen binds one port-0 TCP listener and records it for Close.
-func (w *WireFront) listen() (net.Listener, error) {
-	ln, err := net.Listen("tcp", net.JoinHostPort(w.cfg.Host, "0"))
-	if err != nil {
-		return nil, err
-	}
-	w.mu.Lock()
-	w.listeners = append(w.listeners, ln)
-	w.mu.Unlock()
-	return ln, nil
-}
-
-// serve runs one accept loop; each connection is tracked so Close can
-// force-drain.
-func (w *WireFront) serve(ln net.Listener, handle func(net.Conn)) {
-	w.wg.Add(1)
-	go func() {
-		defer w.wg.Done()
-		//lint:ignore bounded-loop accept loop; exits when Close closes the listener
-		for {
-			c, err := ln.Accept()
-			if err != nil {
-				return // listener closed
-			}
-			w.mu.Lock()
-			if w.closed {
-				w.mu.Unlock()
-				c.Close()
-				continue
-			}
-			w.conns[c] = struct{}{}
-			w.mu.Unlock()
-			w.open.Add(1)
-			w.wg.Add(1)
-			go func() {
-				defer w.wg.Done()
-				handle(c)
-				w.open.Add(-1)
-				w.mu.Lock()
-				delete(w.conns, c)
-				w.mu.Unlock()
-			}()
-		}
-	}()
 }
 
 // potSink returns pot id's record sink: each record is a batch of one
@@ -191,7 +138,7 @@ func (w *WireFront) Accepted() uint64 { return w.accepted.Value() }
 func (w *WireFront) Refused() uint64 { return w.refused.Value() }
 
 // OpenConns returns the live wire connection count.
-func (w *WireFront) OpenConns() float64 { return w.open.Value() }
+func (w *WireFront) OpenConns() float64 { return float64(w.srv.Open()) }
 
 // WriteAddrFile atomically writes the pot address table — one
 // "<pot> <ssh-addr> <telnet-addr>" line per owned pot — for
@@ -227,24 +174,7 @@ func RegisterWireMetrics(reg *metrics.Registry, w *WireFront) {
 // Close stops the listeners, force-closes live connections, and waits
 // for every accept loop and session handler to finish.
 func (w *WireFront) Close() error {
-	w.mu.Lock()
-	w.closed = true
-	lns := w.listeners
-	w.listeners = nil
-	conns := make([]net.Conn, 0, len(w.conns))
-	for c := range w.conns {
-		conns = append(conns, c)
-	}
-	w.mu.Unlock()
-	var firstErr error
-	for _, ln := range lns {
-		if err := ln.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	for _, c := range conns {
-		c.Close() // session handlers unblock and record the abort
-	}
-	w.wg.Wait()
-	return firstErr
+	err := w.srv.Close()
+	w.srv.Drain(0, nil) // session handlers unblock and record the abort
+	return err
 }

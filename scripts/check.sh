@@ -22,7 +22,9 @@
 #                one walker every WAL reader steps — gets it too, raw and
 #                with each frame re-sealed: no panic, every step advances
 #                by a whole frame, allocation bounded by input length, a
-#                batch it yields survives a re-encode
+#                batch it yields survives a re-encode. FuzzCowrieImport
+#                and FuzzReadJSONL — the two file decoders — get it too:
+#                no panic, an error or a store
 #   chaos smoke  the fault-injection suite (supervisor restarts, outage
 #                windows, bounded drain) once more under -race — the
 #                tests most sensitive to goroutine leaks and deadlocks
@@ -132,13 +134,15 @@ go run ./cmd/lint -json ./... >"$tmp/lint.json" || {
 echo "==> go test -race ./..."
 go test -race ./...
 
-echo "==> fuzz smoke (FuzzDecodePartialsFrame, FuzzTelnetConn, FuzzWALFrame, 10s each)"
+echo "==> fuzz smoke (FuzzDecodePartialsFrame, FuzzTelnetConn, FuzzWALFrame, FuzzCowrieImport, FuzzReadJSONL, 10s each)"
 go test ./internal/shard -run '^$' -fuzz FuzzDecodePartialsFrame -fuzztime 10s
 # The Telnet seeds are kilobytes long by design (a 1 KiB option storm, a
 # 5,000-byte line); at the default minimizer budget of 60 s per new input
 # the smoke would minimize one and mutate nothing.
 go test ./internal/telnet -run '^$' -fuzz FuzzTelnetConn -fuzztime 10s -fuzzminimizetime 1s
 go test ./internal/wal -run '^$' -fuzz FuzzWALFrame -fuzztime 10s -fuzzminimizetime 1s
+go test ./internal/cowrielog -run '^$' -fuzz FuzzCowrieImport -fuzztime 10s -fuzzminimizetime 1s
+go test ./internal/store -run '^$' -fuzz FuzzReadJSONL -fuzztime 10s -fuzzminimizetime 1s
 
 chaos_run='TestChaos|TestStop|TestKill|TestOutage|TestFault|TestConnFault|TestBackoff|TestDropsSession|TestPotDown|TestCoordinator|TestRestarter|TestBlockingPull'
 echo "==> chaos smoke (go test -race -count=1 -run '$chaos_run')"
@@ -150,6 +154,7 @@ go test -race -count=1 -run "$disk_run" ./internal/wal ./internal/farm
 go test -race -count=20 -run TestCommitPipeline ./internal/wal # the committer's queue: absorb, barriers, the segment bound
 go test -race -count=20 -run 'TestSinkOrderUnderENOSPC|TestWireFrontRefusesUnpersisted|TestENOSPCWindowFarm' ./internal/query ./internal/shard ./internal/farm # the one durable-ingest sink: recovered ≡ acknowledged
 go test -race -count=20 -run 'TestCoordinatorRebuildDuringCatchUp|TestCoordinatorLostResponse|TestBlockingPullStorm' ./internal/shard # the install order: publish first, catch up after, rebuild after the catch-up
+go test -race -count=20 -run 'TestServer|TestStop|TestKill|TestWireFront' ./internal/honeypot ./internal/farm ./internal/shard # the one accept loop: sever, close and drain against sessions in flight
 go test -race -count=20 -run 'TestCutPartials|TestNewsWake|TestIngestAllocsWhilePulled' ./internal/query # a cut reads the rows Ingest writes: counters under the mutex, lists swapped, encoded after
 
 echo "==> crash smoke (SIGKILL mid-generation, resume, diff)"
