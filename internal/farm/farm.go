@@ -8,10 +8,10 @@
 //
 // The farm keeps what is its own: placement, an optional faults.Plan
 // that injects connection faults at the fabric and schedules pot outage
-// windows, and a supervisor that restarts downed pots with capped
-// exponential backoff. Kill severs one pot on the server; Stop closes
-// the server and drains it bounded by Config.DrainTimeout, so a stalled
-// session can never wedge shutdown.
+// windows, and one restart goroutine per takedown, which rebinds the pot
+// after capped exponential backoff. Kill severs one pot on the server;
+// Stop closes the server and drains it bounded by Config.DrainTimeout,
+// so a stalled session can never wedge shutdown.
 package farm
 
 import (
@@ -69,7 +69,9 @@ type Config struct {
 
 // Stats is a snapshot of the farm's operational counters.
 type Stats struct {
-	// Kills counts pot takedowns (outage windows and Kill calls).
+	// Kills counts pot takedowns (outage windows and Kill calls). A
+	// window that fires while its pot is already down only extends the
+	// hold and is not counted again.
 	Kills int
 	// Restarts counts successful supervisor rebinds.
 	Restarts int
@@ -91,8 +93,8 @@ type Stats struct {
 // potState is the supervisor's view of one honeypot.
 type potState struct {
 	up        bool
-	gen       int // bumped on every takedown; stale restart requests are dropped
-	holdUntil time.Time
+	gen       int       // bumped on every takedown; a stale restart bows out
+	holdUntil time.Time // no rebind before: the latest outage window's end
 }
 
 // Farm is a running honeyfarm.
@@ -118,10 +120,9 @@ type Farm struct {
 	// acceptedByPot splits Stats.Accepted per honeypot for /metrics.
 	acceptedByPot []int
 
-	stopCh    chan struct{}
-	restarter *faults.Restarter
-	connSeq   atomic.Uint64
-	wg        sync.WaitGroup // outage timers
+	stopCh  chan struct{}
+	connSeq atomic.Uint64
+	wg      sync.WaitGroup // outage timers and restarts
 }
 
 // New builds the farm: placement, honeypots, collector. Call Start to
@@ -273,7 +274,7 @@ func (f *Farm) TelnetAddr(i int) netsim.Addr {
 }
 
 // Start binds every honeypot's SSH and Telnet ports, begins serving,
-// and launches the supervisor plus any planned outage windows.
+// and arms any planned outage windows.
 func (f *Farm) Start() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -295,13 +296,6 @@ func (f *Farm) Start() error {
 	if f.cfg.Faults.ConnActive() {
 		f.installFaultHook()
 	}
-	f.restarter = faults.NewRestarter(faults.RestarterConfig{
-		Backoff: f.cfg.Faults.Backoff,
-		Hold:    f.restartHold,
-		Try:     f.tryRestart,
-		Stop:    f.stopCh,
-		Pending: 2*len(f.deployments) + 8,
-	})
 	if f.cfg.Faults != nil && f.cfg.DayLength > 0 {
 		f.scheduleOutages()
 	}
@@ -351,44 +345,21 @@ func (f *Farm) installFaultHook() {
 	})
 }
 
-// restartHold is the Restarter's hold floor: the remainder of the
-// pot's planned outage window, so supervised restarts never cut an
-// outage short.
-func (f *Farm) restartHold(pot int) time.Duration {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return time.Until(f.states[pot].holdUntil)
-}
-
-// tryRestart is the Restarter's attempt callback: re-bind pot's
-// listeners unless the request was superseded. A bind conflict retries
-// with the next backoff step.
-func (f *Farm) tryRestart(pot, gen, _ int) faults.RestartOutcome {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	st := &f.states[pot]
-	if f.stopped || st.up || st.gen != gen {
-		// Superseded: farm stopping, already restarted, or a newer
-		// takedown owns this pot now.
-		return faults.RestartDone
-	}
-	if err := f.bindLocked(pot); err != nil {
-		return faults.RestartRetry
-	}
-	f.stats.Restarts++
-	return faults.RestartDone
-}
-
 // Kill takes honeypot i down as if it crashed: listeners unbind, its
-// in-flight connections are severed, and the supervisor restarts it
-// after backoff. No-op when the pot is already down or the farm is
-// stopping.
+// in-flight connections are severed, and the pot is restarted after
+// backoff. No-op when the pot is already down or the farm is stopping.
 func (f *Farm) Kill(i int) { f.killUntil(i, time.Time{}) }
 
+// killUntil takes pot i down under a fresh generation and starts its
+// restart, which does not rebind before hold. A pot already down only
+// has its hold extended to the later end.
 func (f *Farm) killUntil(i int, hold time.Time) {
 	f.mu.Lock()
 	st := &f.states[i]
 	if f.stopped || !st.up {
+		if hold.After(st.holdUntil) {
+			st.holdUntil = hold
+		}
 		f.mu.Unlock()
 		return
 	}
@@ -397,9 +368,50 @@ func (f *Farm) killUntil(i int, hold time.Time) {
 	st.holdUntil = hold
 	gen := st.gen
 	f.stats.Kills++
+	f.wg.Add(1) // under mu: Stop cannot miss a restart still to start
 	f.mu.Unlock()
 	f.srv.Sever(i)
-	f.restarter.Request(i, gen)
+	go f.restart(i, gen)
+}
+
+// restart rebinds pot after takedown gen: attempt k waits the plan's
+// backoff, raised to what is left of the pot's hold, and a failed
+// attempt retries with the next step. It ends when a rebind succeeds,
+// the takedown is superseded, or the farm stops.
+func (f *Farm) restart(pot, gen int) {
+	defer f.wg.Done()
+	for attempt := 0; ; attempt++ {
+		f.mu.Lock()
+		delay := max(f.cfg.Faults.Backoff(pot, attempt), time.Until(f.states[pot].holdUntil))
+		f.mu.Unlock()
+		select {
+		case <-f.stopCh:
+			return
+		case <-time.After(delay):
+		}
+		if f.tryRestart(pot, gen) {
+			return
+		}
+	}
+}
+
+// tryRestart re-binds pot's listeners unless takedown gen was
+// superseded, and reports whether the restart is over. An attempt
+// inside the hold or a bind conflict leaves it to the next one.
+func (f *Farm) tryRestart(pot, gen int) (done bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	st := &f.states[pot]
+	if f.stopped || st.up || st.gen != gen {
+		// Superseded: farm stopping, already restarted, or a newer
+		// takedown owns this pot now.
+		return true
+	}
+	if time.Now().Before(st.holdUntil) || f.bindLocked(pot) != nil {
+		return false
+	}
+	f.stats.Restarts++
+	return true
 }
 
 // scheduleOutages arms one timer goroutine per planned outage window,
@@ -440,7 +452,6 @@ func (f *Farm) Stop() {
 			f.states[i].up = false
 		}
 	}
-	restarter := f.restarter
 	f.mu.Unlock()
 	_ = f.srv.Close() // fabric listeners close without error
 	drain := f.cfg.DrainTimeout
@@ -453,7 +464,4 @@ func (f *Farm) Stop() {
 		f.mu.Unlock()
 	})
 	f.wg.Wait()
-	if restarter != nil {
-		restarter.Wait()
-	}
 }

@@ -1,8 +1,8 @@
 // Package faults defines the honeyfarm's deterministic fault model: a
 // seeded Plan describing connection-level faults (accept-time refusal,
 // mid-session reset, read/write stall, latency jitter) and pot-level
-// outage windows, plus the supervisor backoff policy used when a downed
-// honeypot is restarted. The paper's farm ran in the real Internet for
+// outage windows, plus the backoff policy used when a downed honeypot
+// is restarted. The paper's farm ran in the real Internet for
 // 486 days, where honeypots crash and links flap; per-honeypot activity
 // gaps are part of the measured signal, so the reproduction injects the
 // same attrition — reproducibly.
@@ -23,9 +23,8 @@
 //     refused/reset/stalled) and accounts them in a Report, which the
 //     analysis layer turns into the per-pot availability table.
 //   - Wire level: internal/farm installs the connection faults as the
-//     netsim fabric's fault hook and schedules the outage windows
-//     through its supervisor, which restarts downed pots with capped
-//     exponential backoff and deterministic jitter.
+//     netsim fabric's fault hook and takes pots down for the outage
+//     windows; it and internal/shard keep their own timers on Backoff.
 package faults
 
 import (
@@ -249,8 +248,8 @@ func (p *Plan) PotDown(pot, day int) bool {
 
 // Backoff returns the delay before restart attempt k of the given pot:
 // capped exponential with a deterministic jitter factor in [0.5, 1).
-// Safe on a nil plan (defaults, no jitter), so the farm supervisor uses
-// one policy whether or not faults are configured.
+// Safe on a nil plan (defaults, no jitter), so the farm and the shard
+// coordinator use one policy whether or not faults are configured.
 func (p *Plan) Backoff(pot, attempt int) time.Duration {
 	base, ceil := p.BackoffBase(), p.BackoffCap()
 	d := base

@@ -206,3 +206,48 @@ func TestCoordinatorStaleFrameKeepsShardHealthy(t *testing.T) {
 	client.CloseIdleConnections()
 	waitGoroutines(t, base)
 }
+
+// TestCoordinatorProbeBackoff: the puller is the shard's supervisor. An
+// unreachable shard is marked down after FailAfter failed pulls, and
+// from then on is pulled a growing backoff step apart (25ms, 50ms, …),
+// not every PullEvery; the first pull that reaches it again marks it
+// up, and Stop cuts a pending backoff short.
+func TestCoordinatorProbeBackoff(t *testing.T) {
+	base := runtime.NumGoroutine()
+	d := dataset(t, 1)
+	eng := newEngine(d)
+	eng.Ingest(d.Store.Records()[:500])
+	client := &http.Client{Timeout: time.Second}
+	s := startShard(t, eng)
+	coord := startCoordinator(t, []string{s.url()}, client) // PullEvery 5ms, FailAfter 2
+	up := func() bool { return coord.ShardStatuses()[0].Up }
+	waitFor(t, 10*time.Second, func() bool { return coord.Seq() == 500 }, "first contact")
+
+	s.kill()
+	waitFor(t, 5*time.Second, func() bool { return !up() }, "the shard marked down")
+	const window = 400 * time.Millisecond
+	before := coord.PullStatsAll()[0].Pulls
+	time.Sleep(window)
+	// Steps 25+50+100+200ms fit four pulls in the window; PullEvery
+	// would fit eighty.
+	if n := coord.PullStatsAll()[0].Pulls - before; n < 2 || n > 8 {
+		t.Errorf("%d pulls of a down shard in %v, want 2..8 on the backoff", n, window)
+	}
+
+	s.restart(shard.NewHandler(eng))
+	waitFor(t, 5*time.Second, up, "the shard back up")
+	if st := coord.ShardStatuses()[0]; st.Failures != 0 || st.LastSeq != 500 {
+		t.Errorf("recovered shard status = %+v, want no failures at seq 500", st)
+	}
+
+	s.kill()
+	// Seven failures put the next pull 800ms out (step 5).
+	waitFor(t, 5*time.Second, func() bool { return coord.ShardStatuses()[0].Failures >= 7 }, "a long backoff step")
+	start := time.Now()
+	coord.Stop()
+	if took := time.Since(start); took > 400*time.Millisecond {
+		t.Errorf("Stop took %v with a backoff step pending", took)
+	}
+	client.CloseIdleConnections()
+	waitGoroutines(t, base)
+}

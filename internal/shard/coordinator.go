@@ -5,10 +5,10 @@ package shard
 // what each pull brings — normally the delta since the previous one —
 // into one long-lived merged bundle, publishes that as the global
 // snapshot, and only then folds it into the shard's own bundle.
-// Supervision reuses the farm's generation-deduped restart machinery
-// (faults.Restarter): FailAfter consecutive failures mark a shard down
-// and hand it to a capped-exponential probe loop; the regular puller
-// skips a down shard so the two never race.
+// The puller is also the shard's supervisor: FailAfter consecutive
+// failures mark the shard down, the loop then spaces its pulls on the
+// farm's capped-exponential restart backoff instead of PullEvery, and
+// the first pull that succeeds marks the shard up again.
 //
 // Two invariants carry the robustness story:
 //
@@ -71,8 +71,8 @@ type Config struct {
 	// failed one.
 	PullEvery time.Duration
 	// FailAfter is the consecutive-failure count that marks a shard down
-	// (default 3). Down shards leave the pull loop for the probe loop's
-	// capped-exponential backoff.
+	// (default 3). A down shard is pulled on a capped-exponential backoff
+	// instead of every PullEvery.
 	FailAfter int
 	// Now supplies the wall clock for per-shard last_ok staleness
 	// stamps. Nil leaves the stamps zero (deterministic tests).
@@ -85,7 +85,6 @@ type Config struct {
 type shardState struct {
 	url string
 	up  bool
-	gen int // bumped on every mark-down; stale probe attempts are dropped
 	// parts is the bundle of the shard's first seq records once partsMu
 	// is free: what the merged bundle holds of this shard, kept apart so
 	// the merged one can be rebuilt. An install takes partsMu under
@@ -132,15 +131,14 @@ type Coordinator struct {
 	cur atomic.Pointer[query.Snapshot]
 	// ctx ends with Stop: it is every goroutine's stop signal and cuts a
 	// parked pull short.
-	ctx       context.Context
-	cancel    context.CancelFunc
-	restarter *faults.Restarter
-	wg        sync.WaitGroup
+	ctx    context.Context
+	cancel context.CancelFunc
+	wg     sync.WaitGroup
 }
 
-// New starts the coordinator: one puller per shard and the probe
-// supervisor. The empty snapshot is published immediately, so
-// readers never observe nil even before first shard contact.
+// New starts the coordinator: one puller per shard. The empty snapshot
+// is published immediately, so readers never observe nil even before
+// first shard contact.
 func New(cfg Config) (*Coordinator, error) {
 	if len(cfg.Shards) == 0 {
 		return nil, errors.New("shard: Config.Shards is required")
@@ -177,12 +175,6 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	c.merged = c.emptyBundle()
 	c.publishLocked() // nothing runs yet that could race it
-	c.restarter = faults.NewRestarter(faults.RestarterConfig{
-		Backoff: (*faults.Plan)(nil).Backoff,
-		Try:     c.tryProbe,
-		Stop:    c.ctx.Done(),
-		Pending: 2*len(cfg.Shards) + 8,
-	})
 	for i := range c.shards {
 		c.wg.Add(1)
 		go c.pullLoop(i)
@@ -190,11 +182,10 @@ func New(cfg Config) (*Coordinator, error) {
 	return c, nil
 }
 
-// Stop ends the pullers and probes, and joins them all; a
-// pull parked at its shard is abandoned, not waited for.
+// Stop ends the pullers and joins them; a pull parked at its shard is
+// abandoned, not waited for.
 func (c *Coordinator) Stop() {
 	c.cancel()
-	c.restarter.Wait()
 	c.wg.Wait()
 }
 
@@ -245,8 +236,9 @@ func (c *Coordinator) emptyBundle() *analysis.Partials {
 // pullers moving each other's cut), or nothing new, be it from a shard
 // that waited PullEvery for news or one that ignores wait and answers
 // at once — the next starts PullEvery after that one started: at once
-// after an idle wait, at the old tick's rate after the rest. Down shards
-// are skipped — the probe loop owns them until they recover. The first
+// after an idle wait, at the old tick's rate after the rest. While the
+// shard is down, the next pull waits a backoff step after this one
+// instead, the step growing with each failure past FailAfter. The first
 // pull comes PullEvery after the start, as it always has: a shard that
 // starts with its coordinator holds little yet, and full frames follow
 // a first one until what it folds between two pulls is small beside
@@ -255,15 +247,16 @@ func (c *Coordinator) pullLoop(i int) {
 	defer c.wg.Done()
 	for started := false; c.ctx.Err() == nil; started = true {
 		spacing := time.NewTimer(c.cfg.PullEvery)
-		c.mu.Lock()
-		up := c.shards[i].up
-		c.mu.Unlock()
-		if started && up {
-			if _, news := c.pullOnce(i); news {
-				spacing.Stop()
-				continue
-			}
+		if started && c.pullOnce(i) {
+			spacing.Stop()
+			continue
 		}
+		c.mu.Lock()
+		if st := &c.shards[i]; !st.up {
+			spacing.Stop()
+			spacing = time.NewTimer((*faults.Plan)(nil).Backoff(i, st.failures-c.cfg.FailAfter))
+		}
+		c.mu.Unlock()
 		select {
 		case <-c.ctx.Done():
 			spacing.Stop()
@@ -276,11 +269,9 @@ func (c *Coordinator) pullLoop(i int) {
 // coordinator's pull-latency histogram: 1ms to 10s, log-spaced.
 func PullLatencyBuckets() []float64 { return stats.LogBuckets(1e-3, 10, 12) }
 
-// pullOnce performs one pull of shard i. ok reports that the shard
-// answered with a frame that continues (or is covered by) the installed
-// state; news, that the frame advanced the shard and was the kind asked
-// for.
-func (c *Coordinator) pullOnce(i int) (ok, news bool) {
+// pullOnce performs one pull of shard i and reports news: the shard
+// answered with a frame that advanced it and was the kind asked for.
+func (c *Coordinator) pullOnce(i int) (news bool) {
 	c.mu.Lock()
 	st := &c.shards[i]
 	var since uint64 // 0 asks for the full frame
@@ -294,7 +285,7 @@ func (c *Coordinator) pullOnce(i int) (ok, news bool) {
 		full, advanced, err = c.install(i, frame, t0)
 	}
 	if c.ctx.Err() != nil {
-		return false, false // Stop cut the pull short: no failure of the shard's
+		return false // Stop cut the pull short: no failure of the shard's
 	}
 	c.mu.Lock()
 	st.pulls++
@@ -310,9 +301,9 @@ func (c *Coordinator) pullOnce(i int) (ok, news bool) {
 	c.mu.Unlock()
 	if err != nil {
 		c.noteFailure(i, err)
-		return false, false
+		return false
 	}
-	return true, advanced && (!full || since == 0)
+	return advanced && (!full || since == 0)
 }
 
 // PullStats is one shard's cumulative pull accounting.
@@ -525,40 +516,16 @@ func (c *Coordinator) rebuildLocked() {
 }
 
 // noteFailure counts one failed pull; FailAfter consecutive failures
-// mark the shard down and hand it to the probe supervisor under a
-// fresh generation.
+// mark the shard down.
 func (c *Coordinator) noteFailure(i int, err error) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	st := &c.shards[i]
 	st.failures++
 	st.lastErr = err.Error()
-	probe := st.up && st.failures >= c.cfg.FailAfter
-	if probe {
+	if st.failures >= c.cfg.FailAfter {
 		st.up = false
-		st.gen++
 	}
-	gen := st.gen
-	c.mu.Unlock()
-	if probe {
-		c.restarter.Request(i, gen)
-	}
-}
-
-// tryProbe is the Restarter's attempt callback for a down shard: one
-// pull. Success re-installs and marks the shard up; a stale generation
-// means a newer mark-down owns the shard now.
-func (c *Coordinator) tryProbe(i, gen, _ int) faults.RestartOutcome {
-	c.mu.Lock()
-	st := &c.shards[i]
-	stale := st.up || st.gen != gen
-	c.mu.Unlock()
-	if stale {
-		return faults.RestartDone
-	}
-	if ok, _ := c.pullOnce(i); ok {
-		return faults.RestartDone
-	}
-	return faults.RestartRetry
 }
 
 // publishLocked materializes the merged bundle through the same path

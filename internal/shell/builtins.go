@@ -921,18 +921,19 @@ func bDd(sh *Shell, args []string, _ []byte, out *bytes.Buffer) int {
 		case strings.HasPrefix(a, "of="):
 			of = a[3:]
 		case strings.HasPrefix(a, "count="):
-			if v, err := strconv.Atoi(a[6:]); err == nil {
+			if v, err := strconv.Atoi(a[6:]); err == nil && v >= 0 {
 				count = v
 			}
 		case strings.HasPrefix(a, "bs="):
-			if v, err := strconv.Atoi(a[3:]); err == nil {
+			if v, err := strconv.Atoi(a[3:]); err == nil && v >= 0 {
 				bs = v
 			}
 		}
 	}
-	n := count * bs
-	if n > 1<<20 {
-		n = 1 << 20
+	// At most 1 MiB, checked before multiplying so no product overflows.
+	n := 1 << 20
+	if bs == 0 || count <= n/bs {
+		n = count * bs
 	}
 	if of != "" && of != "/dev/null" {
 		ev, err := sh.FS.WriteFile(sh.CWD, of, make([]byte, n), 0o644)

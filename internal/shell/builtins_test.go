@@ -189,6 +189,27 @@ func TestDdToDevNull(t *testing.T) {
 	}
 }
 
+// TestDdSizeBounds: a negative or overflowing size is not a panic, and
+// what dd writes stays within 1 MiB.
+func TestDdSizeBounds(t *testing.T) {
+	_, sh, rec := newTestShell2(t)
+	for _, line := range []string{
+		"dd if=/dev/zero of=neg count=-1",
+		"dd if=/dev/zero of=negbs bs=-512 count=4",
+		"dd if=/dev/zero of=big bs=4611686018427387904 count=4",
+	} {
+		sh.Run(line)
+	}
+	if len(rec.files) != 3 {
+		t.Fatalf("files = %+v, want 3", rec.files)
+	}
+	for _, ev := range rec.files {
+		if ev.Size < 0 || ev.Size > 1<<20 {
+			t.Errorf("%s: %d bytes written, want 0..1MiB", ev.Path, ev.Size)
+		}
+	}
+}
+
 // newTestShell2 mirrors newTestShell but returns the recorder first for
 // convenience in this file.
 func newTestShell2(t *testing.T) (string, *Shell, *captureRecorder) {

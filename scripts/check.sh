@@ -24,8 +24,10 @@
 #                by a whole frame, allocation bounded by input length, a
 #                batch it yields survives a re-encode. FuzzCowrieImport
 #                and FuzzReadJSONL — the two file decoders — get it too:
-#                no panic, an error or a store
-#   chaos smoke  the fault-injection suite (supervisor restarts, outage
+#                no panic, an error or a store. FuzzShellRun — every line
+#                an intruder types — gets it too: no panic in Parse,
+#                SplitSegments or Run on a fresh filesystem clone
+#   chaos smoke  the fault-injection suite (pot restarts, outage
 #                windows, bounded drain) once more under -race — the
 #                tests most sensitive to goroutine leaks and deadlocks
 #   disk chaos   the disk-fault suite under -race: crash-at-every-
@@ -134,7 +136,7 @@ go run ./cmd/lint -json ./... >"$tmp/lint.json" || {
 echo "==> go test -race ./..."
 go test -race ./...
 
-echo "==> fuzz smoke (FuzzDecodePartialsFrame, FuzzTelnetConn, FuzzWALFrame, FuzzCowrieImport, FuzzReadJSONL, 10s each)"
+echo "==> fuzz smoke (FuzzDecodePartialsFrame, FuzzTelnetConn, FuzzWALFrame, FuzzCowrieImport, FuzzReadJSONL, FuzzShellRun, 10s each)"
 go test ./internal/shard -run '^$' -fuzz FuzzDecodePartialsFrame -fuzztime 10s
 # The Telnet seeds are kilobytes long by design (a 1 KiB option storm, a
 # 5,000-byte line); at the default minimizer budget of 60 s per new input
@@ -143,8 +145,9 @@ go test ./internal/telnet -run '^$' -fuzz FuzzTelnetConn -fuzztime 10s -fuzzmini
 go test ./internal/wal -run '^$' -fuzz FuzzWALFrame -fuzztime 10s -fuzzminimizetime 1s
 go test ./internal/cowrielog -run '^$' -fuzz FuzzCowrieImport -fuzztime 10s -fuzzminimizetime 1s
 go test ./internal/store -run '^$' -fuzz FuzzReadJSONL -fuzztime 10s -fuzzminimizetime 1s
+go test ./internal/shell -run '^$' -fuzz FuzzShellRun -fuzztime 10s -fuzzminimizetime 1s
 
-chaos_run='TestChaos|TestStop|TestKill|TestOutage|TestFault|TestConnFault|TestBackoff|TestDropsSession|TestPotDown|TestCoordinator|TestRestarter|TestBlockingPull'
+chaos_run='TestChaos|TestStop|TestKill|TestOutage|TestFault|TestConnFault|TestBackoff|TestDropsSession|TestPotDown|TestCoordinator|TestOverlappingOutages|TestBlockingPull'
 echo "==> chaos smoke (go test -race -count=1 -run '$chaos_run')"
 go test -race -count=1 -run "$chaos_run" ./internal/farm ./internal/netsim ./internal/faults ./internal/shard
 
@@ -154,7 +157,7 @@ go test -race -count=1 -run "$disk_run" ./internal/wal ./internal/farm
 go test -race -count=20 -run TestCommitPipeline ./internal/wal # the committer's queue: absorb, barriers, the segment bound
 go test -race -count=20 -run 'TestSinkOrderUnderENOSPC|TestWireFrontRefusesUnpersisted|TestENOSPCWindowFarm' ./internal/query ./internal/shard ./internal/farm # the one durable-ingest sink: recovered ≡ acknowledged
 go test -race -count=20 -run 'TestCoordinatorRebuildDuringCatchUp|TestCoordinatorLostResponse|TestBlockingPullStorm' ./internal/shard # the install order: publish first, catch up after, rebuild after the catch-up
-go test -race -count=20 -run 'TestServer|TestStop|TestKill|TestWireFront' ./internal/honeypot ./internal/farm ./internal/shard # the one accept loop: sever, close and drain against sessions in flight
+go test -race -count=20 -run 'TestServer|TestStop|TestKill|TestWireFront|TestOverlappingOutages|TestCoordinatorProbeBackoff' ./internal/honeypot ./internal/farm ./internal/shard # the one accept loop: sever, close and drain against sessions in flight; each takedown's restart and the puller's backoff while a shard is down
 go test -race -count=20 -run 'TestCutPartials|TestNewsWake|TestIngestAllocsWhilePulled' ./internal/query # a cut reads the rows Ingest writes: counters under the mutex, lists swapped, encoded after
 
 echo "==> crash smoke (SIGKILL mid-generation, resume, diff)"
