@@ -49,8 +49,6 @@ type (
 	HashStat = analysis.HashStat
 	// Registry is the synthetic Internet geography.
 	Registry = geo.Registry
-	// Farm is a running wire-level honeyfarm.
-	Farm = farm.Farm
 	// FaultPlan is a seeded deterministic fault-injection plan; its
 	// Outages take individual honeypots down for day windows, and a
 	// FaultReport accounts what a faulted run lost.
@@ -164,16 +162,33 @@ type FarmConfig struct {
 	Fetch func(uri string) ([]byte, error)
 }
 
+// Farm is a wire-level honeyfarm whose records all go to one store.
+type Farm struct {
+	*farm.Farm
+	collector *store.Store
+}
+
 // NewFarm builds (but does not start) a wire-level honeyfarm.
 func NewFarm(cfg FarmConfig) (*Farm, error) {
-	return farm.New(farm.Config{
+	st := store.New(DefaultEpoch)
+	f, err := farm.New(farm.Config{
 		Seed:     cfg.Seed,
 		NumPots:  cfg.NumPots,
 		Registry: NewRegistry(cfg.Seed),
-		Epoch:    DefaultEpoch,
 		Fetch:    cfg.Fetch,
+		Sink: func(recs []*SessionRecord) error {
+			st.AddBatch(recs)
+			return nil
+		},
 	})
+	if err != nil {
+		return nil, err
+	}
+	return &Farm{Farm: f, collector: st}, nil
 }
+
+// Collector returns the store every session record goes to.
+func (f *Farm) Collector() *store.Store { return f.collector }
 
 // Save writes the dataset's sessions as JSONL.
 func (d *Dataset) Save(w io.Writer) error { return d.Store.WriteJSONL(w) }

@@ -221,6 +221,7 @@ func TestChaosFarm(t *testing.T) {
 		t.Fatal(err)
 	}
 	drain := 2 * time.Second
+	sink := &recorder{}
 	f, err := New(Config{
 		Seed:      7,
 		NumPots:   8,
@@ -233,6 +234,7 @@ func TestChaosFarm(t *testing.T) {
 		PreAuthTimeout:  150 * time.Millisecond,
 		PostAuthTimeout: 300 * time.Millisecond,
 		DrainTimeout:    drain,
+		Sink:            sink.ingest,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -303,11 +305,11 @@ func TestChaosFarm(t *testing.T) {
 	if okSessions == 0 {
 		t.Error("no attacker session ever succeeded under 22% faults")
 	}
-	if f.Collector().Len() == 0 {
+	if sink.len() == 0 {
 		t.Error("collector empty: healthy sessions were lost")
 	}
 	t.Logf("chaos: ok=%d refusedDials=%d failedSessions=%d stats=%+v collected=%d",
-		okSessions, failedDials, failedSessions, st, f.Collector().Len())
+		okSessions, failedDials, failedSessions, st, sink.len())
 
 	waitGoroutines(t, baseline)
 }

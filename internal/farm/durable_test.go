@@ -42,10 +42,11 @@ func TestDurableCollectorSurvivesInWAL(t *testing.T) {
 
 	reg := geo.NewRegistry(geo.Config{Seed: 1})
 	eng := query.New(query.Config{Epoch: epoch, NumPots: 4, Registry: reg})
+	sink := &recorder{next: query.NewSink(log, eng).Ingest}
 	f, err := New(Config{
 		Seed: 1, NumPots: 4, NumASes: 4,
 		Countries: []string{"US", "SG", "DE", "JP"},
-		Registry:  reg, Epoch: epoch, Sink: query.NewSink(log, eng),
+		Registry:  reg, Sink: sink.ingest,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -63,16 +64,16 @@ func TestDurableCollectorSurvivesInWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	cc.Close()
-	waitFor(t, 5*time.Second, func() bool { return f.Collector().Len() == 1 }, "record collected")
+	waitFor(t, 5*time.Second, func() bool { return sink.len() == 1 }, "record collected")
 	f.Stop()
-	if err := f.DurableErr(); err != nil {
+	if err := sink.firstErr(); err != nil {
 		t.Fatalf("durable sink error: %v", err)
 	}
 	if err := log.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// The in-memory collector is gone with the process; the WAL is not.
+	// The recorder is gone with the process; the WAL is not.
 	_, rec2, err := wal.Open(dir, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -82,16 +83,16 @@ func TestDurableCollectorSurvivesInWAL(t *testing.T) {
 		t.Fatalf("WAL replay has %d records, want 1", replayed.Len())
 	}
 	got := replayed.Records()[0]
-	want := f.Collector().Records()[0]
+	want := sink.records()[0]
 	if got.ClientIP != want.ClientIP || got.HoneypotID != want.HoneypotID || !got.Start.Equal(want.Start) {
 		t.Fatalf("replayed record %+v != collected %+v", got, want)
 	}
 }
 
 // TestENOSPCWindowFarm: a disk-full window while the farm is live is
-// count-and-drop, not crash. Records collected during the outage stay
-// in the dataset and are counted in Stats.DurableLost, but never reach
-// the engine behind the sink; when the disk heals, the WAL resumes on a
+// count-and-drop, not crash. Records handed over during the outage reach
+// the tee and are counted in Stats.DurableLost, but never reach the
+// engine behind the sink; when the disk heals, the WAL resumes on a
 // fresh segment without a process restart, and recovery reads the
 // outage back as a gap frame.
 func TestENOSPCWindowFarm(t *testing.T) {
@@ -114,10 +115,11 @@ func TestENOSPCWindowFarm(t *testing.T) {
 
 	reg := geo.NewRegistry(geo.Config{Seed: 1})
 	eng := query.New(query.Config{Epoch: epoch, NumPots: 4, Registry: reg})
+	sink := &recorder{next: query.NewSink(log, eng).Ingest}
 	f, err := New(Config{
 		Seed: 1, NumPots: 4, NumASes: 4,
 		Countries: []string{"US", "SG", "DE", "JP"},
-		Registry:  reg, Epoch: epoch, Sink: query.NewSink(log, eng),
+		Registry:  reg, Sink: sink.ingest,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -138,7 +140,7 @@ func TestENOSPCWindowFarm(t *testing.T) {
 			t.Fatal(err)
 		}
 		cc.Close()
-		waitFor(t, 5*time.Second, func() bool { return f.Collector().Len() == wantLen }, "record collected")
+		waitFor(t, 5*time.Second, func() bool { return sink.len() == wantLen }, "record collected")
 	}
 
 	// Healthy disk: the first record persists cleanly.
@@ -147,7 +149,7 @@ func TestENOSPCWindowFarm(t *testing.T) {
 		t.Fatalf("durable lost = %d before the outage, want 0", n)
 	}
 
-	// Disk full: the record is collected, counted as lost, and the farm
+	// Disk full: the record is handed over, counted as lost, and the farm
 	// keeps running. (The barrier puts the outage after the first
 	// record's group commit, not under it: the gap below is the write's.)
 	if err := log.Sync(); err != nil {
@@ -158,7 +160,7 @@ func TestENOSPCWindowFarm(t *testing.T) {
 	if n := f.Stats().DurableLost; n != 1 {
 		t.Fatalf("durable lost = %d during the outage, want 1", n)
 	}
-	derr := f.DurableErr()
+	derr := sink.firstErr()
 	if !errors.Is(derr, wal.ErrDegraded) || !errors.Is(derr, syscall.ENOSPC) {
 		t.Fatalf("durable error %v, want ErrDegraded wrapping ENOSPC", derr)
 	}
@@ -204,12 +206,14 @@ func TestENOSPCWindowFarm(t *testing.T) {
 // durability losses are distinguishable from injected faults.
 func TestSinkDropAccountedPerPot(t *testing.T) {
 	reg := geo.NewRegistry(geo.Config{Seed: 1})
+	sink := &recorder{}
 	f, err := New(Config{
 		Seed: 1, NumPots: 4, NumASes: 4,
 		Countries: []string{"US", "SG", "DE", "JP"},
 		Registry:  reg,
 		// Huge backoff: the killed pot stays down for the whole test.
 		Faults: &faults.Plan{Seed: 9, BackoffBaseMS: 60_000, BackoffCapMS: 60_000},
+		Sink:   sink.ingest,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -243,7 +247,7 @@ func TestSinkDropAccountedPerPot(t *testing.T) {
 	if rep.TotalDropped() != 1 {
 		t.Fatalf("total dropped = %d, want 1", rep.TotalDropped())
 	}
-	if f.Collector().Len() != 0 {
-		t.Fatalf("collector kept %d records, want 0", f.Collector().Len())
+	if sink.len() != 0 {
+		t.Fatalf("sink got %d records, want 0", sink.len())
 	}
 }

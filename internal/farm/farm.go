@@ -2,8 +2,8 @@
 // configured honeypots across the synthetic Internet's countries and
 // ASes (the paper's deployment: 221 honeypots, 55 countries, 65 ASes),
 // binds each one's SSH and Telnet ports on the in-memory network fabric,
-// serves them through one honeypot.Server, and funnels every completed
-// session record into the central collector store. The cmd/honeypot tool
+// serves them through one honeypot.Server, and hands every completed
+// session record to its one output, Config.Sink. The cmd/honeypot tool
 // serves the same honeypot code through the same server over real TCP.
 //
 // The farm keeps what is its own: placement, an optional faults.Plan
@@ -24,9 +24,7 @@ import (
 	"honeyfarm/internal/geo"
 	"honeyfarm/internal/honeypot"
 	"honeyfarm/internal/netsim"
-	"honeyfarm/internal/query"
 	"honeyfarm/internal/shell"
-	"honeyfarm/internal/store"
 )
 
 // Config configures a honeyfarm.
@@ -40,8 +38,6 @@ type Config struct {
 	Countries []string
 	// Registry is the synthetic Internet; required.
 	Registry *geo.Registry
-	// Epoch is the observation period start for the collector.
-	Epoch time.Time
 	// Fetch resolves download URIs for all honeypots.
 	Fetch shell.FetchFunc
 	// PreAuthTimeout/PostAuthTimeout override the honeypots' timeouts
@@ -59,12 +55,12 @@ type Config struct {
 	// DrainTimeout bounds Stop's graceful drain; zero selects
 	// honeypot.DefaultDrainTimeout, negative forces immediate teardown.
 	DrainTimeout time.Duration
-	// Sink, when non-nil, takes every accepted record before the
-	// collector keeps it: appended to the sink's write-ahead log, then
-	// folded into its live engine. A record the sink refuses stays in
-	// the collector, is counted in Stats.DurableLost, and never reaches
-	// the engine.
-	Sink *query.Sink
+	// Sink is the farm's one output: every accepted record, as a batch
+	// of one. A durable farm passes (*query.Sink).Ingest, which appends
+	// to the write-ahead log before the live engine folds; a record it
+	// refuses is counted in Stats.DurableLost. Nil counts records and
+	// keeps none.
+	Sink func([]*honeypot.SessionRecord) error
 }
 
 // Stats is a snapshot of the farm's operational counters.
@@ -80,13 +76,12 @@ type Stats struct {
 	// DroppedRecords counts session records discarded because their pot
 	// was down or shutdown had passed the drain deadline.
 	DroppedRecords int
-	// DurableLost counts records the collector kept but the sink refused
-	// — a degraded WAL's count-and-drop losses, distinct from
-	// DroppedRecords (which never reached the collector at all).
+	// DurableLost counts accepted records the sink refused — a degraded
+	// WAL's count-and-drop losses, distinct from DroppedRecords (which
+	// never reached the sink at all).
 	DurableLost int
-	// Accepted counts session records handed to the collector (the
-	// complement of DroppedRecords; durable losses are counted after
-	// acceptance).
+	// Accepted counts session records handed to the sink (the complement
+	// of DroppedRecords; durable losses are counted after acceptance).
 	Accepted int
 }
 
@@ -103,7 +98,6 @@ type Farm struct {
 	fabric      *netsim.Fabric
 	deployments []geo.Deployment
 	pots        []*honeypot.Honeypot
-	collector   *store.Store
 	srv         honeypot.Server
 
 	mu      sync.Mutex
@@ -112,8 +106,6 @@ type Farm struct {
 	stopped bool
 	forced  bool // drain deadline passed; further records are dropped
 	stats   Stats
-	// durableErr is the first error the sink returned.
-	durableErr error
 	// droppedByPot splits Stats.DroppedRecords per honeypot, feeding the
 	// availability table's sink_drops column.
 	droppedByPot []int
@@ -125,8 +117,8 @@ type Farm struct {
 	wg      sync.WaitGroup // outage timers and restarts
 }
 
-// New builds the farm: placement, honeypots, collector. Call Start to
-// bind listeners.
+// New builds the farm: placement and honeypots. Call Start to bind
+// listeners.
 func New(cfg Config) (*Farm, error) {
 	if cfg.Registry == nil {
 		return nil, fmt.Errorf("farm: Config.Registry is required")
@@ -136,9 +128,6 @@ func New(cfg Config) (*Farm, error) {
 	}
 	if cfg.NumPots == 0 {
 		cfg.NumPots = 221
-	}
-	if cfg.Epoch.IsZero() {
-		cfg.Epoch = time.Date(2021, 12, 1, 0, 0, 0, 0, time.UTC)
 	}
 	deployments, err := geo.Place(geo.PlacementConfig{
 		Seed:       cfg.Seed,
@@ -155,20 +144,19 @@ func New(cfg Config) (*Farm, error) {
 		cfg:           cfg,
 		fabric:        netsim.NewFabric(),
 		deployments:   deployments,
-		collector:     store.New(cfg.Epoch),
 		states:        make([]potState, len(deployments)),
 		droppedByPot:  make([]int, len(deployments)),
 		acceptedByPot: make([]int, len(deployments)),
 		stopCh:        make(chan struct{}),
 	}
-	for i, d := range deployments {
+	for _, d := range deployments {
 		pot, err := honeypot.New(honeypot.Config{
 			ID:              d.ID,
 			Fetch:           cfg.Fetch,
 			PreAuthTimeout:  cfg.PreAuthTimeout,
 			PostAuthTimeout: cfg.PostAuthTimeout,
 			Now:             cfg.Now,
-			Sink:            f.sinkFor(i),
+			Sink:            f.record,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("farm: honeypot %d: %w", d.ID, err)
@@ -178,54 +166,40 @@ func New(cfg Config) (*Farm, error) {
 	return f, nil
 }
 
-// sinkFor wraps the collector for pot i: records are counted and
-// dropped — never blocked on — when the pot is down or the drain
-// deadline has passed. An accepted record goes through Config.Sink
-// first; the collector keeps it either way, so a failing disk costs
-// replay coverage, never the dataset.
-func (f *Farm) sinkFor(i int) func(*honeypot.SessionRecord) {
-	return func(rec *honeypot.SessionRecord) {
+// record is every pot's Config.Sink; rec.HoneypotID is the pot's
+// index. A record is counted and dropped — never blocked on — when its
+// pot is down or the drain deadline has passed; otherwise it goes to
+// Config.Sink.
+func (f *Farm) record(rec *honeypot.SessionRecord) {
+	i := rec.HoneypotID
+	f.mu.Lock()
+	// A pot-down drop only applies while the farm is running: during a
+	// farm-wide Stop all pots are down but sessions finishing inside the
+	// drain window still count.
+	drop := f.forced || (!f.stopped && !f.states[i].up)
+	if drop {
+		f.stats.DroppedRecords++
+		f.droppedByPot[i]++
+	} else {
+		f.stats.Accepted++
+		f.acceptedByPot[i]++
+	}
+	f.mu.Unlock()
+	if drop || f.cfg.Sink == nil {
+		return
+	}
+	if err := f.cfg.Sink([]*honeypot.SessionRecord{rec}); err != nil {
 		f.mu.Lock()
-		// A pot-down drop only applies while the farm is running: during
-		// a farm-wide Stop all pots are down but sessions finishing
-		// inside the drain window still count.
-		drop := f.forced || (!f.stopped && !f.states[i].up)
-		if drop {
-			f.stats.DroppedRecords++
-			f.droppedByPot[i]++
-		} else {
-			f.stats.Accepted++
-			f.acceptedByPot[i]++
-		}
+		f.stats.DurableLost++
 		f.mu.Unlock()
-		if drop {
-			return
-		}
-		if f.cfg.Sink != nil {
-			if err := f.cfg.Sink.Ingest([]*honeypot.SessionRecord{rec}); err != nil {
-				f.mu.Lock()
-				f.stats.DurableLost++
-				if f.durableErr == nil {
-					f.durableErr = err
-				}
-				f.mu.Unlock()
-			}
-		}
-		f.collector.Add(rec)
 	}
 }
 
 // Deployments returns the farm's placement table.
 func (f *Farm) Deployments() []geo.Deployment { return f.deployments }
 
-// Collector returns the central session store.
-func (f *Farm) Collector() *store.Store { return f.collector }
-
 // Fabric returns the network fabric attackers dial through.
 func (f *Farm) Fabric() *netsim.Fabric { return f.fabric }
-
-// Honeypot returns honeypot i.
-func (f *Farm) Honeypot(i int) *honeypot.Honeypot { return f.pots[i] }
 
 // Stats returns a snapshot of the operational counters.
 func (f *Farm) Stats() Stats {
@@ -247,13 +221,6 @@ func (f *Farm) FaultReport(days int) *faults.Report {
 		rep.AddSinkDrops(pot, n)
 	}
 	return rep
-}
-
-// DurableErr reports the first error the sink returned, if any.
-func (f *Farm) DurableErr() error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.durableErr
 }
 
 // PotUp reports whether honeypot i currently has bound listeners.
@@ -440,8 +407,9 @@ func (f *Farm) scheduleOutages() {
 // Stop marks every pot down, closes the server's listeners and drains
 // in-flight sessions, bounded by Config.DrainTimeout: connections still
 // alive at the deadline are force-closed, and records they emit
-// afterwards are counted as dropped rather than collected. Stop is
-// idempotent and always returns with the farm's goroutines joined.
+// afterwards are counted as dropped rather than handed to the sink.
+// Stop is idempotent and always returns with the farm's goroutines
+// joined.
 func (f *Farm) Stop() {
 	f.mu.Lock()
 	if !f.stopped {

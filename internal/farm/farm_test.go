@@ -3,17 +3,69 @@ package farm
 import (
 	"encoding/json"
 	"io"
+	"sync"
 	"testing"
 	"time"
 
 	"honeyfarm/internal/geo"
+	"honeyfarm/internal/honeypot"
 	"honeyfarm/internal/query"
 	"honeyfarm/internal/sshwire"
 	"honeyfarm/internal/telnet"
 )
 
+// recorder is a test sink: it keeps every record the farm hands it,
+// after passing the batch on to next when that is set (a tee).
+type recorder struct {
+	next func([]*honeypot.SessionRecord) error
+
+	mu   sync.Mutex
+	recs []*honeypot.SessionRecord
+	err  error // the first error next returned
+}
+
+func (r *recorder) ingest(recs []*honeypot.SessionRecord) error {
+	var err error
+	if r.next != nil {
+		err = r.next(recs)
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.recs = append(r.recs, recs...)
+	if r.err == nil {
+		r.err = err
+	}
+	return err
+}
+
+func (r *recorder) records() []*honeypot.SessionRecord {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return append([]*honeypot.SessionRecord(nil), r.recs...)
+}
+
+func (r *recorder) len() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.recs)
+}
+
+// firstErr returns the first error the tee's next returned.
+func (r *recorder) firstErr() error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.err
+}
+
 func smallFarm(t *testing.T) *Farm {
+	f, _ := recordedFarm(t)
+	return f
+}
+
+// recordedFarm starts an 8-pot farm whose sink is a recorder.
+func recordedFarm(t *testing.T) (*Farm, *recorder) {
 	t.Helper()
+	rec := &recorder{}
 	reg := geo.NewRegistry(geo.Config{Seed: 1})
 	f, err := New(Config{
 		Seed:      1,
@@ -21,6 +73,7 @@ func smallFarm(t *testing.T) *Farm {
 		NumASes:   6,
 		Countries: []string{"US", "SG", "DE", "JP", "BR", "ZA"},
 		Registry:  reg,
+		Sink:      rec.ingest,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -29,7 +82,7 @@ func smallFarm(t *testing.T) *Farm {
 		t.Fatal(err)
 	}
 	t.Cleanup(f.Stop)
-	return f
+	return f, rec
 }
 
 func TestFarmPlacementMetadata(t *testing.T) {
@@ -68,7 +121,7 @@ func TestFarmDoubleStart(t *testing.T) {
 }
 
 func TestWireLevelSSHSessionIntoCollector(t *testing.T) {
-	f := smallFarm(t)
+	f, sink := recordedFarm(t)
 	nc, err := f.Fabric().Dial("203.0.113.7", f.SSHAddr(2))
 	if err != nil {
 		t.Fatal(err)
@@ -88,10 +141,10 @@ func TestWireLevelSSHSessionIntoCollector(t *testing.T) {
 	cc.Close()
 
 	deadline := time.Now().Add(5 * time.Second)
-	for f.Collector().Len() == 0 && time.Now().Before(deadline) {
+	for sink.len() == 0 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
-	recs := f.Collector().Records()
+	recs := sink.records()
 	if len(recs) != 1 {
 		t.Fatalf("collector records = %d", len(recs))
 	}
@@ -105,7 +158,7 @@ func TestWireLevelSSHSessionIntoCollector(t *testing.T) {
 }
 
 func TestWireLevelTelnetSessionIntoCollector(t *testing.T) {
-	f := smallFarm(t)
+	f, sink := recordedFarm(t)
 	nc, err := f.Fabric().Dial("203.0.113.8", f.TelnetAddr(0))
 	if err != nil {
 		t.Fatal(err)
@@ -118,10 +171,10 @@ func TestWireLevelTelnetSessionIntoCollector(t *testing.T) {
 	nc.Close()
 
 	deadline := time.Now().Add(5 * time.Second)
-	for f.Collector().Len() == 0 && time.Now().Before(deadline) {
+	for sink.len() == 0 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
-	recs := f.Collector().Records()
+	recs := sink.records()
 	if len(recs) != 1 || recs[0].HoneypotID != 0 {
 		t.Fatalf("records = %+v", recs)
 	}
@@ -131,7 +184,7 @@ func TestWireLevelTelnetSessionIntoCollector(t *testing.T) {
 }
 
 func TestEveryHoneypotReachable(t *testing.T) {
-	f := smallFarm(t)
+	f, sink := recordedFarm(t)
 	for i := range f.Deployments() {
 		nc, err := f.Fabric().Dial("198.51.100.77", f.SSHAddr(i))
 		if err != nil {
@@ -144,10 +197,10 @@ func TestEveryHoneypotReachable(t *testing.T) {
 		cc.Close()
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for f.Collector().Len() < len(f.Deployments()) && time.Now().Before(deadline) {
+	for sink.len() < len(f.Deployments()) && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
-	if got := f.Collector().Len(); got != len(f.Deployments()) {
+	if got := sink.len(); got != len(f.Deployments()) {
 		t.Errorf("collector = %d records, want %d", got, len(f.Deployments()))
 	}
 }
@@ -171,9 +224,9 @@ func TestDeploymentGeoConsistency(t *testing.T) {
 }
 
 // TestFarmTeeFeedsQueryEngine wires a live aggregation engine into the
-// farm via Config.Sink (no WAL): wire-level sessions reach the engine,
-// so its sealed snapshot is byte-identical to one fed the collector's
-// records directly.
+// farm via Config.Sink (no WAL), teed through a recorder: wire-level
+// sessions reach the engine, so its sealed snapshot is byte-identical to
+// one fed the recorded records directly.
 func TestFarmTeeFeedsQueryEngine(t *testing.T) {
 	reg := geo.NewRegistry(geo.Config{Seed: 1})
 	mk := func() *query.Engine {
@@ -184,13 +237,14 @@ func TestFarmTeeFeedsQueryEngine(t *testing.T) {
 		})
 	}
 	eng := mk()
+	sink := &recorder{next: query.NewSink(nil, eng).Ingest}
 	f, err := New(Config{
 		Seed:      1,
 		NumPots:   8,
 		NumASes:   6,
 		Countries: []string{"US", "SG", "DE", "JP", "BR", "ZA"},
 		Registry:  reg,
-		Sink:      query.NewSink(nil, eng),
+		Sink:      sink.ingest,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -218,12 +272,12 @@ func TestFarmTeeFeedsQueryEngine(t *testing.T) {
 		cc.Close()
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for f.Collector().Len() < 3 && time.Now().Before(deadline) {
+	for sink.len() < 3 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	f.Stop()
 
-	recs := f.Collector().Records()
+	recs := sink.records()
 	if len(recs) != 3 {
 		t.Fatalf("collector records = %d, want 3", len(recs))
 	}

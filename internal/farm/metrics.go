@@ -12,8 +12,7 @@ import (
 	"honeyfarm/internal/metrics"
 )
 
-// AcceptedByPot returns the number of records pot i delivered to the
-// collector.
+// AcceptedByPot returns the number of records pot i handed to the sink.
 func (f *Farm) AcceptedByPot(i int) int {
 	f.mu.Lock()
 	defer f.mu.Unlock()

@@ -33,8 +33,6 @@ const (
 type Config struct {
 	// ID is the honeypot's index within the farm.
 	ID int
-	// HostKey is the SSH host key; generated if nil.
-	HostKey ed25519.PrivateKey
 	// RSAHostKey optionally adds an rsa-sha2-256 host key so clients
 	// without ed25519 support can connect. RSA keygen is slow, so farms
 	// share one key across honeypots rather than generating per pot.
@@ -70,8 +68,8 @@ type Honeypot struct {
 	nextID   atomic.Uint64
 }
 
-// New creates a honeypot. The baseline filesystem image is built once
-// and cloned per session.
+// New creates a honeypot with a fresh ed25519 SSH host key. The
+// baseline filesystem image is built once and cloned per session.
 func New(cfg Config) (*Honeypot, error) {
 	if cfg.PreAuthTimeout <= 0 {
 		cfg.PreAuthTimeout = DefaultPreAuthTimeout
@@ -82,13 +80,9 @@ func New(cfg Config) (*Honeypot, error) {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	hostKey := cfg.HostKey
-	if hostKey == nil {
-		var err error
-		_, hostKey, err = ed25519.GenerateKey(rand.Reader)
-		if err != nil {
-			return nil, fmt.Errorf("honeypot: generating host key: %w", err)
-		}
+	_, hostKey, err := ed25519.GenerateKey(rand.Reader)
+	if err != nil {
+		return nil, fmt.Errorf("honeypot: generating host key: %w", err)
 	}
 	return &Honeypot{
 		cfg:      cfg,
@@ -99,11 +93,6 @@ func New(cfg Config) (*Honeypot, error) {
 
 // ID returns the honeypot's farm index.
 func (h *Honeypot) ID() int { return h.cfg.ID }
-
-// HostKey returns the SSH host key's public half.
-func (h *Honeypot) HostKey() ed25519.PublicKey {
-	return h.hostKey.Public().(ed25519.PublicKey)
-}
 
 // sessionRecorder adapts the shell's Recorder interface onto a record.
 type sessionRecorder struct {

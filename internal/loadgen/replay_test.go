@@ -8,7 +8,9 @@ import (
 	"honeyfarm/internal/analysis"
 	"honeyfarm/internal/farm"
 	"honeyfarm/internal/geo"
+	"honeyfarm/internal/honeypot"
 	"honeyfarm/internal/netsim"
+	"honeyfarm/internal/store"
 	"honeyfarm/internal/workload"
 )
 
@@ -30,6 +32,8 @@ func TestReplayAgreement(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The farm's sink records every wire-side session here.
+	wireRecs := store.New(res.Store.Epoch())
 	f, err := farm.New(farm.Config{
 		Seed:      3,
 		NumPots:   10,
@@ -37,6 +41,10 @@ func TestReplayAgreement(t *testing.T) {
 		Countries: geo.HoneyfarmCountries[:10],
 		Registry:  reg,
 		Fetch:     func(uri string) ([]byte, error) { return []byte("payload:" + uri), nil },
+		Sink: func(recs []*honeypot.SessionRecord) error {
+			wireRecs.AddBatch(recs)
+			return nil
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -84,7 +92,7 @@ func TestReplayAgreement(t *testing.T) {
 
 	// Wait for the farm to flush its records.
 	deadline := time.Now().Add(15 * time.Second)
-	for f.Collector().Len() < replayed-failed && time.Now().Before(deadline) {
+	for wireRecs.Len() < replayed-failed && time.Now().Before(deadline) {
 		time.Sleep(20 * time.Millisecond)
 	}
 
@@ -92,7 +100,7 @@ func TestReplayAgreement(t *testing.T) {
 	// appear on the wire side with a similar share (NO_CMD replays end
 	// client-closed rather than timed out, but classify identically).
 	var wire [analysis.NumCategories]int
-	for _, rec := range f.Collector().Records() {
+	for _, rec := range wireRecs.Records() {
 		wire[analysis.Classify(rec)]++
 	}
 	t.Logf("replayed %v with errors %v, recorded %v", byCategory, run.Errors, wire)
@@ -112,7 +120,7 @@ func TestReplayAgreement(t *testing.T) {
 	// CMD replays must reproduce commands; CMD+URI replays must reproduce
 	// URIs (the honeypot's shell re-extracts them from the typed input).
 	sawCmd, sawURI, sawFile := false, false, false
-	for _, rec := range f.Collector().Records() {
+	for _, rec := range wireRecs.Records() {
 		switch analysis.Classify(rec) {
 		case analysis.Cmd:
 			sawCmd = true

@@ -33,9 +33,6 @@ type WireConfig struct {
 	// Shards and Index select the pot partition (HoneypotID % Shards ==
 	// Index) out of NumPots fleet-wide pots. Shards must be ≥ 1.
 	Shards, Index, NumPots int
-	// Host is the listen host (default "127.0.0.1"); every listener
-	// binds port 0.
-	Host string
 	// Engine receives every accepted record. Required.
 	Engine *query.Engine
 	// WAL, when non-nil, is appended to before the engine ingests: a
@@ -52,7 +49,7 @@ type WirePot struct {
 }
 
 // WireFront is a running wire-ingest front. Create with NewWireFront,
-// stop with Close.
+// stop with Close. Every listener binds 127.0.0.1 on port 0.
 type WireFront struct {
 	sink *query.Sink // cfg.WAL then cfg.Engine
 	pots []WirePot
@@ -60,7 +57,9 @@ type WireFront struct {
 
 	accepted metrics.Counter
 	refused  metrics.Counter
-	byPot    map[int]*metrics.Counter
+	// byPot counts each pot's accepted records at its ID. It is sized
+	// before the first pot serves, so record never sees it grow.
+	byPot []metrics.Counter
 }
 
 // NewWireFront binds the partition's listeners and starts accepting.
@@ -71,40 +70,29 @@ func NewWireFront(cfg WireConfig) (*WireFront, error) {
 	if cfg.Shards < 1 || cfg.Index < 0 || cfg.Index >= cfg.Shards {
 		return nil, fmt.Errorf("shard: invalid wire partition %d/%d", cfg.Index, cfg.Shards)
 	}
-	if cfg.Host == "" {
-		cfg.Host = "127.0.0.1"
-	}
 	w := &WireFront{
 		sink:  query.NewSink(cfg.WAL, cfg.Engine),
-		byPot: make(map[int]*metrics.Counter),
+		byPot: make([]metrics.Counter, max(cfg.NumPots, 0)),
 	}
-	addr := net.JoinHostPort(cfg.Host, "0")
-	for id := 0; id < cfg.NumPots; id++ {
-		if id%cfg.Shards != cfg.Index {
-			continue
-		}
+	for id := cfg.Index; id < cfg.NumPots; id += cfg.Shards {
 		// No Fetch: wire pots block egress, recording each URI.
-		pot, err := honeypot.New(honeypot.Config{
-			ID:   id,
-			Sink: w.potSink(id),
-		})
+		pot, err := honeypot.New(honeypot.Config{ID: id, Sink: w.record})
 		if err != nil {
 			w.Close()
 			return nil, fmt.Errorf("shard: wire pot %d: %w", id, err)
 		}
-		sshLn, err := net.Listen("tcp", addr)
+		sshLn, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			w.Close()
 			return nil, fmt.Errorf("shard: wire pot %d ssh: %w", id, err)
 		}
 		w.srv.Serve(id, sshLn, pot.ServeSSH)
-		telnetLn, err := net.Listen("tcp", addr)
+		telnetLn, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			w.Close()
 			return nil, fmt.Errorf("shard: wire pot %d telnet: %w", id, err)
 		}
 		w.srv.Serve(id, telnetLn, pot.ServeTelnet)
-		w.byPot[id] = &metrics.Counter{}
 		w.pots = append(w.pots, WirePot{
 			ID:         id,
 			SSHAddr:    sshLn.Addr().String(),
@@ -114,17 +102,15 @@ func NewWireFront(cfg WireConfig) (*WireFront, error) {
 	return w, nil
 }
 
-// potSink returns pot id's record sink: each record is a batch of one
+// record is every pot's record sink: each record is a batch of one
 // through the front's Sink, counted as accepted or refused.
-func (w *WireFront) potSink(id int) func(*honeypot.SessionRecord) {
-	return func(rec *honeypot.SessionRecord) {
-		if err := w.sink.Ingest([]*honeypot.SessionRecord{rec}); err != nil {
-			w.refused.Inc()
-			return
-		}
-		w.accepted.Inc()
-		w.byPot[id].Inc()
+func (w *WireFront) record(rec *honeypot.SessionRecord) {
+	if err := w.sink.Ingest([]*honeypot.SessionRecord{rec}); err != nil {
+		w.refused.Inc()
+		return
 	}
+	w.accepted.Inc()
+	w.byPot[rec.HoneypotID].Inc()
 }
 
 // Pots returns the bound pots in ID order.
@@ -163,7 +149,7 @@ func RegisterWireMetrics(reg *metrics.Registry, w *WireFront) {
 		"Live wire connections.",
 		nil, func() float64 { return w.OpenConns() })
 	for _, p := range w.pots {
-		ctr := w.byPot[p.ID]
+		ctr := &w.byPot[p.ID]
 		reg.CounterFunc("honeyfarm_wire_pot_sessions_total",
 			"Wire sessions accepted per pot.",
 			metrics.Labels{"pot": fmt.Sprint(p.ID)},

@@ -102,9 +102,6 @@ func NewConn(nc net.Conn, server bool) *Conn {
 	return &Conn{nc: nc, server: server}
 }
 
-// NetConn returns the underlying connection (for deadline control).
-func (c *Conn) NetConn() net.Conn { return c.nc }
-
 // decode processes one raw block in place: negotiation is answered into
 // wbuf, subnegotiations are dropped, and the data bytes are compacted to
 // the front of the block. It returns how many there are.

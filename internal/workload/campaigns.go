@@ -13,6 +13,15 @@ import (
 	"honeyfarm/internal/malware"
 )
 
+// ipDivisor scales campaign client-IP counts down from the paper's.
+// Counts below 100 are kept absolute so "handful of IPs" campaigns stay
+// a handful.
+const ipDivisor = 40
+
+// midTierCampaigns is the multi-week hash-campaign count feeding
+// Figure 17's recurring base; it scales with the dataset.
+func midTierCampaigns(totalSessions int) int { return 40 + totalSessions/2500 }
+
 // campaign is a scheduled hash campaign ready to plan sessions. The
 // cursor fields mutate only during the sequential planning pass; by the
 // time decoration workers read a campaign it is immutable.
@@ -75,7 +84,7 @@ func (g *generator) buildCampaigns() []*campaign {
 
 	// Mid-tier: anonymous multi-week campaigns filling Figure 17's
 	// recurring hash base and Figure 22's duration mid-range.
-	for i := 0; i < g.cfg.MidTierCampaigns; i++ {
+	for i := 0; i < midTierCampaigns(g.cfg.TotalSessions); i++ {
 		out = append(out, g.midTierCampaign(i))
 	}
 	return out
@@ -111,7 +120,7 @@ func (g *generator) scaleArchetype(a malware.Archetype, sessScale float64) *camp
 
 	ips := a.ClientIPs
 	if ips > 100 {
-		ips = int(float64(a.ClientIPs) / g.cfg.IPDivisor)
+		ips = int(float64(a.ClientIPs) / ipDivisor)
 		if ips < 100 {
 			ips = 100
 		}

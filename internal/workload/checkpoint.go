@@ -41,7 +41,9 @@ type manifest struct {
 // bytes. Workers is deliberately excluded (a pure speed knob — the
 // sharded pipeline is byte-identical at any worker count), as are the
 // checkpoint fields themselves. The Registry is derived from Seed by
-// every caller, so Seed covers it.
+// every caller, so Seed covers it. IPDivisor and MidTierCampaigns were
+// once options; they are hashed at their fixed values so checkpoints
+// written while they were still resume.
 func fingerprint(cfg Config) (string, error) {
 	shaped := struct {
 		Seed             int64
@@ -63,8 +65,8 @@ func fingerprint(cfg Config) (string, error) {
 		NumPots:          cfg.NumPots,
 		Epoch:            cfg.Epoch,
 		Spikes:           cfg.Spikes,
-		IPDivisor:        cfg.IPDivisor,
-		MidTierCampaigns: cfg.MidTierCampaigns,
+		IPDivisor:        ipDivisor,
+		MidTierCampaigns: midTierCampaigns(cfg.TotalSessions),
 		DisableCampaigns: cfg.DisableCampaigns,
 		Shares:           cfg.Shares,
 		SSHShares:        cfg.SSHShares,

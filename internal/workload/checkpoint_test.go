@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -177,5 +178,26 @@ func TestResumeFreshDirStartsClean(t *testing.T) {
 	want := serialize(t, checkpointTestConfig(""))
 	if !bytes.Equal(got, want) {
 		t.Fatal("fresh-dir resume differs from plain run")
+	}
+}
+
+// TestFingerprintPinned: the manifest fingerprint of a fixed
+// configuration is a constant, so a checkpoint written by an earlier
+// build still resumes. The value was computed when IPDivisor and
+// MidTierCampaigns were still Config fields, at their defaults.
+func TestFingerprintPinned(t *testing.T) {
+	const want = "5ace75209a4119f4aae7013f6e1f686960afdab366c49a426831c8199efb886f"
+	dir := t.TempDir()
+	serialize(t, checkpointTestConfig(dir))
+	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m manifest
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatal(err)
+	}
+	if m.Fingerprint != want {
+		t.Fatalf("fingerprint %s, want %s", m.Fingerprint, want)
 	}
 }

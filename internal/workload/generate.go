@@ -71,13 +71,6 @@ type Config struct {
 	// derived from Seed and the shard index, and shards merge in index
 	// order, so Workers only changes wall-clock time, never the dataset.
 	Workers int
-	// IPDivisor scales campaign client-IP counts (default 40). Counts
-	// below 100 are kept absolute so "handful of IPs" campaigns stay
-	// a handful.
-	IPDivisor float64
-	// MidTierCampaigns sets the multi-week hash-campaign count feeding
-	// Figure 17's recurring base (default scales with TotalSessions).
-	MidTierCampaigns int
 	// DisableCampaigns drops all hash campaigns (archetypes, Mirai
 	// cluster, mid-tier), leaving only the generic background — the
 	// ablation isolating how much of the paper's hash landscape is
@@ -246,12 +239,6 @@ func GenerateRand(rng *rand.Rand, cfg Config) (*Result, error) {
 	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.IPDivisor <= 0 {
-		cfg.IPDivisor = 40
-	}
-	if cfg.MidTierCampaigns <= 0 {
-		cfg.MidTierCampaigns = 40 + cfg.TotalSessions/2500
 	}
 
 	base := VisibilityWeights(cfg.NumPots)

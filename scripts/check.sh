@@ -26,7 +26,11 @@
 #                and FuzzReadJSONL — the two file decoders — get it too:
 #                no panic, an error or a store. FuzzShellRun — every line
 #                an intruder types — gets it too: no panic in Parse,
-#                SplitSegments or Run on a fresh filesystem clone
+#                SplitSegments or Run on a fresh filesystem clone.
+#                FuzzReadPacket — the SSH packet reader every SSH byte
+#                goes through — gets it too, plaintext and keyed: no
+#                panic, the buffer bounded whatever the length field
+#                says, the same packets as the reference reader
 #   chaos smoke  the fault-injection suite (pot restarts, outage
 #                windows, bounded drain) once more under -race — the
 #                tests most sensitive to goroutine leaks and deadlocks
@@ -136,7 +140,7 @@ go run ./cmd/lint -json ./... >"$tmp/lint.json" || {
 echo "==> go test -race ./..."
 go test -race ./...
 
-echo "==> fuzz smoke (FuzzDecodePartialsFrame, FuzzTelnetConn, FuzzWALFrame, FuzzCowrieImport, FuzzReadJSONL, FuzzShellRun, 10s each)"
+echo "==> fuzz smoke (FuzzDecodePartialsFrame, FuzzTelnetConn, FuzzWALFrame, FuzzCowrieImport, FuzzReadJSONL, FuzzShellRun, FuzzReadPacket, 10s each)"
 go test ./internal/shard -run '^$' -fuzz FuzzDecodePartialsFrame -fuzztime 10s
 # The Telnet seeds are kilobytes long by design (a 1 KiB option storm, a
 # 5,000-byte line); at the default minimizer budget of 60 s per new input
@@ -146,6 +150,7 @@ go test ./internal/wal -run '^$' -fuzz FuzzWALFrame -fuzztime 10s -fuzzminimizet
 go test ./internal/cowrielog -run '^$' -fuzz FuzzCowrieImport -fuzztime 10s -fuzzminimizetime 1s
 go test ./internal/store -run '^$' -fuzz FuzzReadJSONL -fuzztime 10s -fuzzminimizetime 1s
 go test ./internal/shell -run '^$' -fuzz FuzzShellRun -fuzztime 10s -fuzzminimizetime 1s
+go test ./internal/sshwire -run '^$' -fuzz FuzzReadPacket -fuzztime 10s -fuzzminimizetime 1s
 
 chaos_run='TestChaos|TestStop|TestKill|TestOutage|TestFault|TestConnFault|TestBackoff|TestDropsSession|TestPotDown|TestCoordinator|TestOverlappingOutages|TestBlockingPull'
 echo "==> chaos smoke (go test -race -count=1 -run '$chaos_run')"
