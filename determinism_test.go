@@ -3,6 +3,8 @@ package honeyfarm
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/json"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -346,5 +348,70 @@ func TestKillResumeByteIdentical(t *testing.T) {
 	if !bytes.Equal(resumed, want.Bytes()) {
 		t.Fatalf("resumed dataset differs from uninterrupted run:\n  resumed: %d bytes, sha256 %x\n  uninterrupted: %d bytes, sha256 %x",
 			len(resumed), sha256.Sum256(resumed), want.Len(), sha256.Sum256(want.Bytes()))
+	}
+}
+
+// digestPinConfig is the workload behind TestGenerateDigestPinned:
+// ≈110k plan entries on the full 221-pot farm, so generation spans ≈27
+// plan shards and the planner and decorators really overlap.
+func digestPinConfig() SimulateConfig {
+	return SimulateConfig{Seed: 5, TotalSessions: 100_000, NumPots: 221}
+}
+
+// TestGenerateDigestPinned pins the sha256 of Dataset.Save, and of the
+// fault report, for a dataset many plan shards long. The digests were
+// computed before the plan and decorate passes overlapped, so a
+// decorator that reads a shard before the planner finishes it, a shard
+// stored out of order, or a fault count lost in a per-shard merge fails
+// here at every worker count.
+func TestGenerateDigestPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("generates six 100k-session datasets")
+	}
+	faulted := func() *FaultPlan {
+		return &FaultPlan{
+			Seed:       7,
+			RefuseRate: 0.1,
+			ResetRate:  0.07,
+			StallRate:  0.05,
+			Outages: []FaultOutage{
+				{Pot: 3, FirstDay: 0, LastDay: 485},
+				{Pot: 5, FirstDay: 10, LastDay: 19},
+			},
+		}
+	}
+	for _, tc := range []struct {
+		name          string
+		faults        *FaultPlan
+		save, reports string
+	}{
+		{"clean", nil,
+			"f7f36852e53c5cee612cf25310cee308721327e487dda0049302cfb26f42b924",
+			"74234e98afe7498fb5daf1f36ac2d78acc339464f950703b8c019892f982b90b"}, // json "null"
+		{"faults", faulted(),
+			"c1c37da1912e7127c3d03ced12b6ebfecb1811044df82c26d40ef48020f8c7e9",
+			"113343d3d79c3cfb18f0ed45098c7448f471067b5055f7e4ab72d7f140844e46"},
+	} {
+		for _, workers := range []int{1, 2, runtime.GOMAXPROCS(0)} {
+			cfg := digestPinConfig()
+			cfg.Faults, cfg.Workers = tc.faults, workers
+			d, err := Simulate(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := sha256.New()
+			if err := d.Save(h); err != nil {
+				t.Fatal(err)
+			}
+			rep, err := json.Marshal(d.Faults)
+			if err != nil {
+				t.Fatal(err)
+			}
+			save, reports := fmt.Sprintf("%x", h.Sum(nil)), fmt.Sprintf("%x", sha256.Sum256(rep))
+			if save != tc.save || reports != tc.reports {
+				t.Errorf("%s, workers=%d: Save sha256 %s, fault report sha256 %s; pinned %s, %s",
+					tc.name, workers, save, reports, tc.save, tc.reports)
+			}
+		}
 	}
 }

@@ -25,13 +25,13 @@ func (f *Farm) AcceptedByPot(i int) int {
 // RegisterFarmMetrics exports the supervisor's operational counters.
 func RegisterFarmMetrics(reg *metrics.Registry, f *Farm) {
 	reg.CounterFunc("honeyfarm_farm_sessions_accepted_total",
-		"Session records delivered to the collector.",
+		"Session records a live pot handed to the farm's sink.",
 		nil, func() float64 { return float64(f.Stats().Accepted) })
 	reg.CounterFunc("honeyfarm_farm_records_dropped_total",
 		"Session records dropped because their pot was down or the drain deadline passed.",
 		nil, func() float64 { return float64(f.Stats().DroppedRecords) })
 	reg.CounterFunc("honeyfarm_farm_durable_lost_total",
-		"Records accepted in memory but lost by a degraded durable sink.",
+		"Accepted session records the sink refused (a degraded durable sink).",
 		nil, func() float64 { return float64(f.Stats().DurableLost) })
 	reg.CounterFunc("honeyfarm_farm_kills_total",
 		"Pot takedowns (outage windows and Kill calls).",
@@ -54,7 +54,7 @@ func RegisterFarmMetrics(reg *metrics.Registry, f *Farm) {
 				return 0
 			})
 		reg.CounterFunc("honeyfarm_farm_pot_sessions_total",
-			"Records delivered to the collector per pot.",
+			"Session records a live pot handed to the farm's sink, per pot.",
 			labels, func() float64 { return float64(f.AcceptedByPot(pot)) })
 	}
 }

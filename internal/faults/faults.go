@@ -286,7 +286,7 @@ type PotReport struct {
 
 // Report aggregates what a fault plan did to one run: the per-pot
 // downtime and drop counters behind the analysis layer's availability
-// table. Counters are filled by the consumer (workload cull pass or the
+// table. Counters are filled by the consumer (workload decorators or the
 // wire-level farm).
 type Report struct {
 	// Days is the observation period length the report covers.
@@ -334,6 +334,18 @@ func (r *Report) AddConnDrop(pot int) {
 func (r *Report) AddSinkDrops(pot, n int) {
 	if pot >= 0 && pot < len(r.Pots) {
 		r.Pots[pot].SinkDrops += n
+	}
+}
+
+// AddDrops adds o's drop counters, pot by pot, to r's. DownDays are
+// r's own and stay as they are.
+func (r *Report) AddDrops(o *Report) {
+	for pot := range o.Pots {
+		if pot < len(r.Pots) {
+			r.Pots[pot].DowntimeDrops += o.Pots[pot].DowntimeDrops
+			r.Pots[pot].ConnDrops += o.Pots[pot].ConnDrops
+			r.Pots[pot].SinkDrops += o.Pots[pot].SinkDrops
+		}
 	}
 }
 

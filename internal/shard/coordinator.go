@@ -266,8 +266,10 @@ func (c *Coordinator) pullLoop(i int) {
 }
 
 // PullLatencyBuckets is the deterministic bucket layout of the
-// coordinator's pull-latency histogram: 1ms to 10s, log-spaced.
-func PullLatencyBuckets() []float64 { return stats.LogBuckets(1e-3, 10, 12) }
+// coordinator's pull-latency histogram: 100µs to 10s, four log-spaced
+// bounds per decade (178µs, 316µs, 562µs, 1ms, …). A loopback pull takes
+// a few hundred microseconds, so its quantiles need bounds below 1ms.
+func PullLatencyBuckets() []float64 { return stats.LogBuckets(1e-4, 10, 20) }
 
 // pullOnce performs one pull of shard i and reports news: the shard
 // answered with a frame that advanced it and was the kind asked for.

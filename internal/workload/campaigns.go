@@ -22,9 +22,9 @@ const ipDivisor = 40
 // Figure 17's recurring base; it scales with the dataset.
 func midTierCampaigns(totalSessions int) int { return 40 + totalSessions/2500 }
 
-// campaign is a scheduled hash campaign ready to plan sessions. The
-// cursor fields mutate only during the sequential planning pass; by the
-// time decoration workers read a campaign it is immutable.
+// campaign is a scheduled hash campaign ready to plan sessions. Only the
+// sequential planning pass writes it, and only its cursor fields once
+// planning starts; decorators, which run meanwhile, read the others.
 type campaign struct {
 	label      string
 	hash       string
@@ -59,7 +59,7 @@ func (g *generator) buildCampaigns() []*campaign {
 	if clusterSize > g.cfg.NumPots {
 		clusterSize = g.cfg.NumPots
 	}
-	cluster := NewSampler(g.potHashWeights).SampleK(g.rng, clusterSize)
+	cluster := g.hashPots.SampleK(g.rng, clusterSize)
 
 	clusterLabels := make(map[string]bool)
 	for _, a := range malware.MiraiClusterVariants() {
@@ -137,7 +137,7 @@ func (g *generator) scaleArchetype(a malware.Archetype, sessScale float64) *camp
 		nPots = g.cfg.NumPots
 	}
 
-	pots := NewSampler(g.potHashWeights).SampleK(g.rng, nPots)
+	pots := g.hashPots.SampleK(g.rng, nPots)
 	c := &campaign{
 		label:      a.Label,
 		hash:       a.Hash(),
@@ -190,7 +190,7 @@ func (g *generator) midTierCampaign(i int) *campaign {
 		sessions = npots
 	}
 	uri := g.rng.Float64() < 0.1
-	pots := NewSampler(g.potHashWeights).SampleK(g.rng, npots)
+	pots := g.hashPots.SampleK(g.rng, npots)
 	c := &campaign{
 		label:      fmt.Sprintf("mid-%d", i),
 		hash:       hash,
@@ -383,12 +383,12 @@ func (g *generator) planCampaign(c *campaign) {
 			pot := g.campaignSessionPot(c, ip)
 			start := g.dayStart(g.rng, day)
 			if g.rng.Float64() < 0.4 {
-				g.plan = append(g.plan, planned{
+				g.emit(planned{
 					kind: kindCampaignFail, cat: analysis.FailLog, day: day,
 					pot: pot, ip: ip, start: start, camp: c,
 				})
 			}
-			g.plan = append(g.plan, planned{
+			g.emit(planned{
 				kind: kindCampaign, cat: c.category, day: day,
 				pot: pot, ip: ip, start: start, camp: c,
 			})

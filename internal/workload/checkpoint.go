@@ -161,8 +161,12 @@ func openCheckpoint(cfg Config) (*checkpoint, error) {
 	return ck, nil
 }
 
-// shard returns the recovered records of a completed shard.
+// shard returns the recovered records of a completed shard; none on a
+// nil checkpoint.
 func (c *checkpoint) shard(i int) ([]*honeypot.SessionRecord, bool) {
+	if c == nil {
+		return nil, false
+	}
 	recs, ok := c.completed[i]
 	return recs, ok
 }

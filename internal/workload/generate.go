@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"honeyfarm/internal/analysis"
@@ -168,19 +167,25 @@ type planned struct {
 
 // generator carries the planning-pass state. Everything mutable in here
 // is owned by the single sequential planning goroutine; the decoration
-// workers only read cfg, shares and the finished plan.
+// workers only read cfg, shares and the plan shards handed to them, and
+// hand entry buffers back through free.
 type generator struct {
 	cfg       Config
 	shares    [analysis.NumCategories]float64
 	sshShares [analysis.NumCategories]float64
 	rng       *rand.Rand
 	pop       *population
-	plan      []planned
 
-	potSessionWeights []float64
-	potHashWeights    []float64
-	hashPots          *Sampler         // pot bias for file-creating sessions
-	spikeSets         map[string][]int // per-spike pot subsets
+	// cur is the plan shard being appended to; shards holds every shard
+	// handed to the decorators through work, in plan order. Decorated
+	// shards return their entry buffers through free for reuse.
+	cur    []planned
+	shards []*planShard
+	work   chan<- *planShard
+	free   chan []planned
+
+	hashPots  *Sampler         // pot bias for file-creating sessions
+	spikeSets map[string][]int // per-spike pot subsets
 
 	recentHashes []recentHash // reuse pool for generic file sessions
 	tailSeq      int
@@ -207,14 +212,19 @@ func Generate(cfg Config) (*Result, error) {
 // stay aligned with the farm: honeypot placement, the per-honeypot
 // weight permutations, and the per-shard decoration streams.
 //
-// Generation runs in two phases. A sequential planning pass walks the
-// calibrated schedule and resolves every decision that touches shared
-// state (actor pools, honeypot cursors, the file-hash reuse pool,
-// campaign rotation) into a flat plan. Then cfg.Workers goroutines
-// decorate fixed-size plan shards into session records, each from its
-// own rand stream seeded by (Seed, shard index), and the shards merge
-// in index order — so the serialized dataset is byte-identical for any
-// worker count, including 1.
+// Generation runs as a pipeline of two passes. A sequential planning
+// pass walks the calibrated schedule and resolves every decision that
+// touches shared state (actor pools, honeypot cursors, the file-hash
+// reuse pool, campaign rotation) into plan entries, cut into fixed-size
+// shards. Each shard goes to cfg.Workers decorating goroutines the moment
+// its last entry is appended — planned entries are never written again —
+// so decoration runs while planning continues. A decorator expands the
+// shard into session records from the shard's own rand stream seeded by
+// (Seed, shard index), discards those the fault plan culls, and hands
+// the shard's entry buffer back for reuse, so only the shards in flight
+// hold plan entries. The shards then fill the store in index
+// order, so the serialized dataset is byte-identical for any worker
+// count, including 1.
 func GenerateRand(rng *rand.Rand, cfg Config) (*Result, error) {
 	if cfg.Registry == nil {
 		return nil, fmt.Errorf("workload: Config.Registry is required")
@@ -257,13 +267,11 @@ func GenerateRand(rng *rand.Rand, cfg Config) (*Result, error) {
 		rng:       rng,
 		// Distinct permutations: the honeypots with the most sessions are
 		// NOT the ones with the most clients or hashes (Sections 7.5, 8.4).
-		potSessionWeights: Permuted(base, cfg.Seed+101),
-		potHashWeights:    Permuted(base, cfg.Seed+202),
-		spikeSets:         make(map[string][]int),
-		tags:              make(map[string]string),
+		hashPots:  NewSampler(Permuted(base, cfg.Seed+202)),
+		spikeSets: make(map[string][]int),
+		tags:      make(map[string]string),
 	}
-	g.hashPots = NewSampler(g.potHashWeights)
-	g.pop = newPopulation(rng, cfg.Registry, cfg.NumPots, cfg.Days, g.potSessionWeights)
+	g.pop = newPopulation(rng, cfg.Registry, cfg.NumPots, cfg.Days, Permuted(base, cfg.Seed+101))
 
 	deployments, err := geo.Place(geo.PlacementConfig{
 		Seed: cfg.Seed, NumPots: cfg.NumPots,
@@ -301,30 +309,26 @@ func GenerateRand(rng *rand.Rand, cfg Config) (*Result, error) {
 	ephemeralFailLog := int(0.12 * 0.3 * float64(cfg.TotalSessions) * shares[analysis.NoCred])
 	campaignSessions[analysis.FailLog] += ephemeralFailLog
 
-	g.plan = make([]planned, 0, cfg.TotalSessions+cfg.TotalSessions/8)
-
-	// Generation order matters: FAIL_LOG and CMD run first so that the
-	// crossover picks building multi-role clients (Section 7.5) find
-	// populated pools.
-	order := []analysis.Category{analysis.FailLog, analysis.Cmd, analysis.NoCred, analysis.NoCmd, analysis.CmdURI}
-	for _, c := range order {
-		total := int(float64(cfg.TotalSessions)*shares[c]) - campaignSessions[c]
-		if total < 0 {
-			total = 0
-		}
-		g.planGeneric(c, total, cfg.Days)
-	}
-	for _, c := range campaigns {
-		g.planCampaign(c)
-	}
-
-	dropped, report := g.cull()
-
 	ckpt, err := openCheckpoint(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("workload: checkpoint: %w", err)
 	}
-	st, err := g.decorate(dropped, ckpt)
+	st, report, err := g.pipeline(ckpt, func() {
+		// Generation order matters: FAIL_LOG and CMD run first so that
+		// the crossover picks building multi-role clients (Section 7.5)
+		// find populated pools.
+		order := []analysis.Category{analysis.FailLog, analysis.Cmd, analysis.NoCred, analysis.NoCmd, analysis.CmdURI}
+		for _, c := range order {
+			total := int(float64(cfg.TotalSessions)*shares[c]) - campaignSessions[c]
+			if total < 0 {
+				total = 0
+			}
+			g.planGeneric(c, total, cfg.Days)
+		}
+		for _, c := range campaigns {
+			g.planCampaign(c)
+		}
+	})
 	if err != nil {
 		return nil, fmt.Errorf("workload: %w", err)
 	}
@@ -336,33 +340,6 @@ func GenerateRand(rng *rand.Rand, cfg Config) (*Result, error) {
 		Deployments: deployments,
 		Faults:      report,
 	}, nil
-}
-
-// cull marks the planned sessions the fault plan loses: everything
-// aimed at a pot inside an outage window, plus the DropsSession share
-// standing in for refused/reset/stalled connections. The decision for
-// plan index i depends only on (plan seed, i) and the outage table —
-// the planning RNG is never consulted — so culling changes which
-// records exist but never the bytes of the survivors.
-func (g *generator) cull() ([]bool, *faults.Report) {
-	plan := g.cfg.Faults
-	if !plan.Active() {
-		return nil, nil
-	}
-	report := faults.NewReport(plan, g.cfg.NumPots, g.cfg.Days)
-	dropped := make([]bool, len(g.plan))
-	for i := range g.plan {
-		p := &g.plan[i]
-		switch {
-		case plan.PotDown(p.pot, p.day):
-			dropped[i] = true
-			report.AddDowntimeDrop(p.pot)
-		case plan.DropsSession(uint64(i)):
-			dropped[i] = true
-			report.AddConnDrop(p.pot)
-		}
-	}
-	return dropped, report
 }
 
 // planGeneric schedules the non-campaign sessions of one category.
@@ -419,7 +396,7 @@ func (g *generator) actorFor(c analysis.Category, d, target int) *actor {
 	if c == analysis.NoCred && g.rng.Float64() < 0.12 {
 		a := g.pop.newEphemeral(d, c)
 		if g.rng.Float64() < 0.3 {
-			g.plan = append(g.plan, planned{
+			g.emit(planned{
 				kind: kindCompanion, cat: analysis.FailLog, day: d,
 				pot: a.pots[0], ip: a.ip,
 			})
@@ -453,7 +430,7 @@ func (g *generator) spikeSet(c analysis.Category, n int) []int {
 	if set, ok := g.spikeSets[key]; ok {
 		return set
 	}
-	set := NewSampler(g.potSessionWeights).SampleK(g.rng, n)
+	set := g.pop.pots.SampleK(g.rng, n)
 	g.spikeSets[key] = set
 	return set
 }
@@ -499,7 +476,7 @@ func (g *generator) planSession(c analysis.Category, day int, a *actor, spikeSet
 		p.hashes = append(p.hashes, hash)
 	}
 	p.pot = pot
-	g.plan = append(g.plan, p)
+	g.emit(p)
 }
 
 // localizePot redirects a session toward a honeypot in the client's
@@ -563,6 +540,14 @@ func (g *generator) genericFile(day, pot int) (string, int) {
 // identical dataset.
 const decorateShardSize = 4096
 
+// planShard is decorateShardSize consecutive plan entries — fewer for the
+// last — and, once a decorator is done with it, their surviving records.
+type planShard struct {
+	index   int
+	entries []planned // nil once decorated
+	recs    []*honeypot.SessionRecord
+}
+
 // shardSeed derives shard i's rand seed from the root seed with a
 // splitmix64-style mix, so neighboring shards get uncorrelated streams.
 func shardSeed(seed int64, shard int) int64 {
@@ -572,76 +557,144 @@ func shardSeed(seed int64, shard int) int64 {
 	return int64(z ^ (z >> 31))
 }
 
-// decorate expands the plan into session records across cfg.Workers
-// goroutines and seals them into a store. Workers claim shard indexes
-// from an atomic counter and write into per-shard builder buffers;
-// Seal's index-order merge restores the plan order regardless of which
-// worker finished when. With a checkpoint open, shards recovered from
-// the WAL are installed verbatim (their decoration already happened in
-// a previous run) and fresh shards are appended to the WAL as they
-// complete.
-func (g *generator) decorate(dropped []bool, ckpt *checkpoint) (*store.Store, error) {
-	nShards := (len(g.plan) + decorateShardSize - 1) / decorateShardSize
-	b := store.NewBuilder(g.cfg.Epoch, nShards)
-	workers := g.cfg.Workers
-	if workers > nShards {
-		workers = nShards
+// emit appends one entry to the plan, handing the current shard to the
+// decorators once it is full.
+func (g *generator) emit(p planned) {
+	if g.cur == nil {
+		select {
+		case buf := <-g.free:
+			g.cur = buf
+		default:
+			g.cur = make([]planned, 0, decorateShardSize)
+		}
 	}
-	if workers < 1 {
-		workers = 1
+	g.cur = append(g.cur, p)
+	if len(g.cur) == decorateShardSize {
+		g.flush()
 	}
-	var next atomic.Int64
+}
+
+// flush hands the current shard, if it holds any entry, to the
+// decorators. The planner never touches it again.
+func (g *generator) flush() {
+	if len(g.cur) == 0 {
+		return
+	}
+	sh := &planShard{index: len(g.shards), entries: g.cur}
+	g.shards = append(g.shards, sh)
+	g.cur = nil
+	g.work <- sh
+}
+
+// pipeline runs plan on the calling goroutine while cfg.Workers
+// goroutines decorate every shard it emits, then fills a store with the
+// shards in index order. Workers only pick which goroutine decorates a
+// shard, never what it holds. The fault report sums the per-shard cull
+// counts, so it too is the same for any interleaving. With a checkpoint
+// open, shards recovered from the WAL are installed verbatim (their
+// decoration already happened in a previous run) and fresh shards are
+// appended to the WAL as they complete.
+func (g *generator) pipeline(ckpt *checkpoint, plan func()) (*store.Store, *faults.Report, error) {
+	var report *faults.Report
+	if g.cfg.Faults.Active() {
+		report = faults.NewReport(g.cfg.Faults, g.cfg.NumPots, g.cfg.Days)
+	}
+	var mu sync.Mutex // guards report
+	work := make(chan *planShard, g.cfg.Workers)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 0; w < g.cfg.Workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for shard := int(next.Add(1)) - 1; shard < nShards; shard = int(next.Add(1)) - 1 {
-				g.decorateShard(b, shard, dropped, ckpt)
+			for sh := range work {
+				lost := g.decorateShard(sh, ckpt)
+				if lost != nil {
+					mu.Lock()
+					report.AddDrops(lost)
+					mu.Unlock()
+				}
 			}
 		}()
 	}
+	g.work, g.free = work, make(chan []planned, 2*g.cfg.Workers+1)
+	plan()
+	g.flush()
+	close(work)
 	wg.Wait()
 	if ckpt != nil {
 		if err := ckpt.close(); err != nil {
-			return nil, fmt.Errorf("checkpoint: %w", err)
+			return nil, nil, fmt.Errorf("checkpoint: %w", err)
 		}
 	}
-	return b.Seal(), nil
+	b := store.NewBuilder(g.cfg.Epoch, len(g.shards))
+	for i, sh := range g.shards {
+		b.SetShard(i, sh.recs)
+	}
+	g.shards = nil
+	return b.Seal(), report, nil
 }
 
-// decorateShard fills builder shard i from its derived rand stream.
-// Record IDs are the 1-based plan indexes, assigned here so they are
-// stable under any worker count. Culled entries still consume their
-// plan index (leaving an ID gap) but are decorated and discarded rather
-// than skipped, keeping the shard's rand stream — and therefore every
-// surviving record — byte-identical to the fault-free run.
+// decorateShard turns a plan shard into its surviving records, drawn
+// from the shard's derived rand stream, and releases its plan entries.
+// Record IDs are the 1-based plan indexes, so they are stable under any
+// worker count.
+//
+// The fault plan culls an entry when its pot is inside an outage window
+// or the DropsSession share standing in for refused/reset/stalled
+// connections takes it. That decision depends only on (plan seed, plan
+// index, pot, day) — never on the planning RNG — and a culled entry is
+// still decorated and discarded, keeping the shard's rand stream, and
+// therefore every surviving record, byte-identical to the fault-free
+// run. The returned report holds the shard's drop counts; nil when no
+// fault plan is active.
 //
 // A shard the checkpoint already holds is installed as-is without
 // consuming any randomness: its stream was derived from (Seed, shard)
 // alone, so the recovered bytes are exactly what re-decoration would
-// produce, and skipping it cannot perturb any other shard.
-func (g *generator) decorateShard(b *store.Builder, shard int, dropped []bool, ckpt *checkpoint) {
-	if ckpt != nil {
-		if recs, ok := ckpt.shard(shard); ok {
-			b.SetShard(shard, recs)
-			return
-		}
+// produce, and skipping it cannot perturb any other shard. Its culls
+// are still counted.
+func (g *generator) decorateShard(sh *planShard, ckpt *checkpoint) *faults.Report {
+	plan := g.cfg.Faults
+	var lost *faults.Report
+	if plan.Active() {
+		lost = faults.NewReport(nil, g.cfg.NumPots, 0)
 	}
-	rng := rand.New(rand.NewSource(shardSeed(g.cfg.Seed, shard)))
-	lo := shard * decorateShardSize
-	hi := min(lo+decorateShardSize, len(g.plan))
-	recs := make([]*honeypot.SessionRecord, 0, hi-lo)
-	for i := lo; i < hi; i++ {
-		rec := g.decorateOne(rng, &g.plan[i], uint64(i)+1)
-		if dropped == nil || !dropped[i] {
+	recs, recovered := ckpt.shard(sh.index)
+	var rng *rand.Rand
+	if !recovered {
+		rng = rand.New(rand.NewSource(shardSeed(g.cfg.Seed, sh.index)))
+		recs = make([]*honeypot.SessionRecord, 0, len(sh.entries))
+	}
+	lo := sh.index * decorateShardSize
+	for j := range sh.entries {
+		p, i := &sh.entries[j], lo+j
+		var rec *honeypot.SessionRecord
+		if !recovered {
+			rec = g.decorateOne(rng, p, uint64(i)+1)
+		}
+		if lost != nil {
+			if plan.PotDown(p.pot, p.day) {
+				lost.AddDowntimeDrop(p.pot)
+				continue
+			}
+			if plan.DropsSession(uint64(i)) {
+				lost.AddConnDrop(p.pot)
+				continue
+			}
+		}
+		if !recovered {
 			recs = append(recs, rec)
 		}
 	}
-	b.SetShard(shard, recs)
-	if ckpt != nil {
-		ckpt.append(shard, recs)
+	select {
+	case g.free <- sh.entries[:0]:
+	default:
 	}
+	sh.entries, sh.recs = nil, recs
+	if !recovered && ckpt != nil {
+		ckpt.append(sh.index, recs)
+	}
+	return lost
 }
 
 // decorateOne turns one planned session into a full record, drawing all

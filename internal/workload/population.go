@@ -14,6 +14,8 @@ type actor struct {
 	pots      []int
 	country   int // registry country index, -1 if unknown
 	potCursor int // cycles pots so the fan-out is actually realized
+	// potSet holds pots, built the first time potFor has cycled them all.
+	potSet bitset
 }
 
 // population manages per-category actor pools with churn, producing the
@@ -101,9 +103,7 @@ func (p *population) activeDays(start, lifespan int) []int {
 	if lifespan <= 1 {
 		return days
 	}
-	seen := map[int]struct{}{start: {}}
-	d := start
-	for len(days) < lifespan {
+	for d := start; len(days) < lifespan; {
 		// Mostly the next day; sometimes a gap.
 		gap := 1
 		if p.rng.Float64() < 0.25 {
@@ -113,10 +113,6 @@ func (p *population) activeDays(start, lifespan int) []int {
 		if d >= p.numDays {
 			break
 		}
-		if _, dup := seen[d]; dup {
-			continue
-		}
-		seen[d] = struct{}{}
 		days = append(days, d)
 	}
 	return days
@@ -203,12 +199,15 @@ func (p *population) potFor(a *actor, rng *rand.Rand, spikeSet []int) int {
 		a.potCursor++
 		return a.pots[i]
 	}
-	for t := 0; t < 4; t++ {
-		g := p.pots.Sample(rng)
+	if a.potSet == nil {
+		a.potSet = make(bitset, (p.numPots+63)/64)
 		for _, x := range a.pots {
-			if x == g {
-				return g
-			}
+			a.potSet.set(x)
+		}
+	}
+	for t := 0; t < 4; t++ {
+		if g := p.pots.Sample(rng); a.potSet.has(g) {
+			return g
 		}
 	}
 	return a.pots[rng.Intn(len(a.pots))]

@@ -61,10 +61,15 @@ func Permuted(weights []float64, seed int64) []float64 {
 	return out
 }
 
-// Sampler draws indexes proportionally to a weight vector in O(log n)
-// using a cumulative table.
+// Sampler draws indexes proportionally to a weight vector from a
+// cumulative table. A guide table maps each of 4·len(weights) equal
+// slices of the total to the first index that slice can land on, so a
+// draw starts its search a step or two from the answer instead of
+// binary-searching the whole table.
 type Sampler struct {
-	cum []float64
+	cum   []float64
+	guide []int32
+	scale float64 // len(guide) / total
 }
 
 // NewSampler builds a sampler; weights must be non-negative with a
@@ -79,17 +84,38 @@ func NewSampler(weights []float64) *Sampler {
 		acc += w
 		cum[i] = acc
 	}
-	return &Sampler{cum: cum}
+	s := &Sampler{cum: cum}
+	if acc > 0 {
+		s.guide = make([]int32, 4*len(cum))
+		s.scale = float64(len(s.guide)) / acc
+		for b := range s.guide {
+			s.guide[b] = int32(sort.SearchFloat64s(cum, float64(b)/s.scale))
+		}
+	}
+	return s
 }
 
-// Sample draws one index.
+// Sample draws one index: the first i with cum[i] ≥ x for a uniform x in
+// [0, total), exactly as a binary search of cum would find it, from the
+// same single draw.
 func (s *Sampler) Sample(rng *rand.Rand) int {
 	if len(s.cum) == 0 {
 		return 0
 	}
 	total := s.cum[len(s.cum)-1]
 	x := rng.Float64() * total
-	return sort.SearchFloat64s(s.cum, x)
+	if s.guide == nil {
+		return sort.SearchFloat64s(s.cum, x)
+	}
+	i := int(s.guide[min(int(x*s.scale), len(s.guide)-1)])
+	if i > 0 && s.cum[i-1] >= x {
+		// Rounding put x below its slice's first index: search it exactly.
+		return sort.SearchFloat64s(s.cum, x)
+	}
+	for i < len(s.cum)-1 && s.cum[i] < x {
+		i++
+	}
+	return i
 }
 
 // SampleK draws k distinct indexes, weighted, by rejection (k should be
@@ -103,25 +129,31 @@ func (s *Sampler) SampleK(rng *rand.Rand, k int) []int {
 		}
 		return out
 	}
-	seen := make(map[int]struct{}, k)
+	seen := make(bitset, (n+63)/64)
 	out := make([]int, 0, k)
 	for tries := 0; len(out) < k && tries < 20*k+100; tries++ {
 		i := s.Sample(rng)
-		if _, dup := seen[i]; dup {
+		if seen.has(i) {
 			continue
 		}
-		seen[i] = struct{}{}
+		seen.set(i)
 		out = append(out, i)
 	}
 	// Fill any shortfall deterministically.
 	for i := 0; len(out) < k && i < n; i++ {
-		if _, dup := seen[i]; !dup {
-			seen[i] = struct{}{}
+		if !seen.has(i) {
+			seen.set(i)
 			out = append(out, i)
 		}
 	}
 	return out
 }
+
+// bitset is a set of small non-negative ints.
+type bitset []uint64
+
+func (b bitset) has(i int) bool { return b[i>>6]&(1<<(i&63)) != 0 }
+func (b bitset) set(i int)      { b[i>>6] |= 1 << (i & 63) }
 
 // FanoutDistribution draws how many distinct honeypots a client
 // *aims* to contact. The population-level result matches Figure 12

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"net/netip"
+	"sort"
 	"testing"
 
 	"honeyfarm/internal/analysis"
@@ -82,6 +83,34 @@ func TestSampler(t *testing.T) {
 	}
 	if ratio := float64(counts[2]) / float64(counts[0]); ratio < 2.7 || ratio > 3.3 {
 		t.Errorf("3:1 weight ratio sampled at %.2f", ratio)
+	}
+}
+
+// TestSamplerMatchesSearch pins the guide table to the binary search it
+// replaces: from the same draw, Sample returns the first index whose
+// cumulative weight reaches it, for zero weights, a single weight, the
+// farm's visibility curve and weights spanning many magnitudes.
+func TestSamplerMatchesSearch(t *testing.T) {
+	wide := make([]float64, 300)
+	for i := range wide {
+		wide[i] = math.Pow(10, float64(i%13)-6)
+	}
+	for name, weights := range map[string][]float64{
+		"zeros":      {0, 1, 0, 0, 3, 0},
+		"single":     {2},
+		"all-zero":   {0, 0, 0},
+		"visibility": Permuted(VisibilityWeights(221), 101),
+		"wide":       wide,
+	} {
+		s := NewSampler(weights)
+		got, want := rand.New(rand.NewSource(3)), rand.New(rand.NewSource(3))
+		total := s.cum[len(s.cum)-1]
+		for n := 0; n < 200_000; n++ {
+			i := s.Sample(got)
+			if j := sort.SearchFloat64s(s.cum, want.Float64()*total); i != j {
+				t.Fatalf("%s draw %d: Sample = %d, search = %d", name, n, i, j)
+			}
+		}
 	}
 }
 

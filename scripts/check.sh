@@ -164,6 +164,7 @@ go test -race -count=20 -run 'TestSinkOrderUnderENOSPC|TestWireFrontRefusesUnper
 go test -race -count=20 -run 'TestCoordinatorRebuildDuringCatchUp|TestCoordinatorLostResponse|TestBlockingPullStorm' ./internal/shard # the install order: publish first, catch up after, rebuild after the catch-up
 go test -race -count=20 -run 'TestServer|TestStop|TestKill|TestWireFront|TestOverlappingOutages|TestCoordinatorProbeBackoff' ./internal/honeypot ./internal/farm ./internal/shard # the one accept loop: sever, close and drain against sessions in flight; each takedown's restart and the puller's backoff while a shard is down
 go test -race -count=20 -run 'TestCutPartials|TestNewsWake|TestIngestAllocsWhilePulled' ./internal/query # a cut reads the rows Ingest writes: counters under the mutex, lists swapped, encoded after
+go test -race -count=3 -run 'TestSameSeedByteIdentical|TestWorkersByteIdentical|TestFaultsByteIdentical|TestGenerateDigestPinned|TestKillResumeByteIdentical|TestGenerateDeterministic|TestCheckpoint|TestResume|TestFingerprintPinned' . ./internal/workload # the generator's planner appends plan shards while decorators read the finished ones
 
 echo "==> crash smoke (SIGKILL mid-generation, resume, diff)"
 go build -o "$tmp/reproduce" ./cmd/reproduce
