@@ -26,6 +26,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -88,7 +89,13 @@ func main() {
 				f.Stop()
 				log.Fatalf("loadgen: metrics listener: %v", err)
 			}
-			defer ml.Drain(time.Second)
+			defer func() {
+				ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+				defer cancel()
+				if err := ml.Drain(ctx); err != nil {
+					log.Printf("loadgen: metrics listener: %v", err)
+				}
+			}()
 			log.Printf("loadgen: farm /metrics on http://%s/metrics", ml.Addr())
 		}
 	case *targetsFlag != "":

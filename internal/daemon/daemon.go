@@ -1,11 +1,12 @@
 // Package daemon is the process lifecycle cmd/serve, cmd/shard and
-// cmd/merge share. main calls Start, Listen, Wait, Drain and CheckLeaks
-// in that order and writes its own stop steps inline between them; each
-// call returns its error instead of exiting, so a failed drain or a
-// serve error still reaches the stop steps behind it.
+// cmd/merge share: Start, then OpenShard, OpenFollower or
+// OpenCoordinator, then Run, which waits for a signal, calls the node's
+// one Close (its ordered stop) and CheckLeaks. Every step returns its
+// error, so a failed drain still reaches the stop steps behind it.
 package daemon
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"flag"
@@ -13,22 +14,29 @@ import (
 	"log"
 	"net"
 	"net/http"
+	_ "net/http/pprof" // registers /debug/pprof/ on DefaultServeMux; mounted only behind serve's -pprof
 	"os"
 	"os/signal"
 	"runtime"
 	rtmetrics "runtime/metrics"
+	"sync"
 	"syscall"
 	"time"
 
+	"honeyfarm"
 	"honeyfarm/internal/atomicio"
+	"honeyfarm/internal/honeypot"
 	"honeyfarm/internal/metrics"
+	"honeyfarm/internal/query"
+	"honeyfarm/internal/shard"
+	"honeyfarm/internal/wal"
 )
 
 // Flags declares the three flags every daemon has.
-func Flags(addrDefault, addrUsage string) (addr, addrFile *string, drain *time.Duration) {
-	return flag.String("addr", addrDefault, addrUsage),
-		flag.String("addr-file", "", "write the bound address to this file once listening (for scripts)"),
-		flag.Duration("drain", 10*time.Second, "graceful-shutdown deadline for in-flight requests")
+func Flags(addr, addrFile *string, addrDefault, addrUsage string) (drain *time.Duration) {
+	flag.StringVar(addr, "addr", addrDefault, addrUsage)
+	flag.StringVar(addrFile, "addr-file", "", "write the bound address to this file once listening (for scripts)")
+	return flag.Duration("drain", 10*time.Second, "graceful-shutdown deadline for in-flight requests")
 }
 
 // Process is a daemon's signal channel and goroutine baseline.
@@ -73,66 +81,89 @@ func Mux(component string, reg *metrics.Registry, root http.Handler) *http.Serve
 	return mux
 }
 
-// Listener is a bound address and the HTTP server on it.
-type Listener struct {
-	ln   net.Listener
-	srv  *http.Server
-	done chan struct{} // closed once Serve has returned err
-	err  error
+// Node is an open daemon: the HTTP server on its bound address and
+// what runs behind it. Each Open fills the fields of its kind and
+// leaves the others nil; Listen's node is the server alone.
+type Node struct {
+	Engine   *query.Engine      // shard, serve
+	Front    *shard.WireFront   // shard under -wire
+	Follower *query.Follower    // serve
+	Coord    *shard.Coordinator // merge
+	ln       net.Listener
+	srv      *http.Server
+	done     chan struct{} // closed once Serve has returned err
+	err      error
+	close    func(context.Context) error // the kind's ordered stop
 }
 
 // Listen binds addr, writes the bound address and a newline to addrFile
-// when one is named, and serves h.
-func Listen(addr, addrFile string, h http.Handler) (*Listener, error) {
+// when one is named, and serves h. The node's Close is its Drain.
+func Listen(addr, addrFile string, h http.Handler) (*Node, error) {
+	n := &Node{}
+	n.close = n.Drain
+	return n.listen(addr, addrFile, h)
+}
+
+// listen is Listen for a node whose close is set; a node that cannot
+// listen is closed before the error is returned.
+func (n *Node) listen(addr, addrFile string, h http.Handler) (*Node, error) {
 	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	if addrFile != "" {
+	if err == nil && addrFile != "" {
 		// Atomically: scripts poll this file and must never read half an address.
-		if err := atomicio.WriteFileBytes(addrFile, []byte(ln.Addr().String()+"\n")); err != nil {
+		if err = atomicio.WriteFileBytes(addrFile, []byte(ln.Addr().String()+"\n")); err != nil {
 			ln.Close()
-			return nil, fmt.Errorf("writing -addr-file: %w", err)
+			err = fmt.Errorf("writing -addr-file: %w", err)
 		}
+	}
+	if err != nil {
+		return nil, errors.Join(err, n.Close(context.Background()))
 	}
 	// Shutdown leaves request contexts alone, and a request parked on its
 	// context (a shard pull waiting for news) would hold the drain for as
 	// long as it waits: the base context ends as the shutdown begins.
 	ctx, wake := context.WithCancel(context.Background())
-	l := &Listener{ln: ln, done: make(chan struct{})}
-	l.srv = &http.Server{Handler: h, BaseContext: func(net.Listener) context.Context { return ctx }}
-	l.srv.RegisterOnShutdown(wake)
-	go func() { l.err = l.srv.Serve(ln); close(l.done) }()
-	return l, nil
+	n.ln, n.done = ln, make(chan struct{})
+	n.srv = &http.Server{Handler: h, BaseContext: func(net.Listener) context.Context { return ctx }}
+	n.srv.RegisterOnShutdown(wake)
+	go func() { n.err = n.srv.Serve(ln); close(n.done) }()
+	return n, nil
 }
 
 // Addr is the bound address.
-func (l *Listener) Addr() net.Addr { return l.ln.Addr() }
+func (n *Node) Addr() net.Addr { return n.ln.Addr() }
 
-// Wait blocks until SIGINT/SIGTERM or until the server fails; either
-// way the caller goes on to stop and drain, and Drain reports a failure.
-func (p *Process) Wait(l *Listener) {
+// Drain stops accepting and waits until ctx ends for in-flight
+// requests; past that it force-closes them and reports the timeout, so
+// that the caller's remaining stop steps still run.
+func (n *Node) Drain(ctx context.Context) error {
+	if n.srv == nil { // failed before it bound an address
+		return nil
+	}
+	err := n.srv.Shutdown(ctx)
+	if err != nil {
+		err = errors.Join(fmt.Errorf("drain: %w", err), n.srv.Close())
+	}
+	if <-n.done; !errors.Is(n.err, http.ErrServerClosed) {
+		err = errors.Join(err, n.err)
+	}
+	return err
+}
+
+// Close is the node's ordered stop, its drain bounded by ctx. Every
+// step runs even after one failed (a shard's last is the WAL's fsync).
+func (n *Node) Close(ctx context.Context) error { return n.close(ctx) }
+
+// Run blocks until SIGINT/SIGTERM or n's server fails, then closes n
+// within drain (Close reports the failure) and checks for leaks.
+func (p *Process) Run(n *Node, drain time.Duration) error {
 	select {
-	case <-l.done:
+	case <-n.done:
 	case sig := <-p.sigc:
 		log.Printf("%s: %v: draining...", p.name, sig)
 	}
-}
-
-// Drain stops accepting and waits up to timeout for in-flight requests;
-// past that it force-closes them and reports the timeout, so that the
-// caller's remaining stop steps still run.
-func (l *Listener) Drain(timeout time.Duration) error {
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	ctx, cancel := context.WithTimeout(context.Background(), drain)
 	defer cancel()
-	err := l.srv.Shutdown(ctx)
-	if err != nil {
-		err = errors.Join(fmt.Errorf("drain: %w", err), l.srv.Close())
-	}
-	if <-l.done; !errors.Is(l.err, http.ErrServerClosed) {
-		err = errors.Join(err, l.err)
-	}
-	return err
+	return errors.Join(n.Close(ctx), p.CheckLeaks())
 }
 
 // CheckLeaks reports goroutines started since Start and still running.
@@ -146,4 +177,146 @@ func (p *Process) CheckLeaks() error {
 		time.Sleep(10 * time.Millisecond)
 	}
 	return fmt.Errorf("%d goroutines leaked after drain", leaked)
+}
+
+// ShardConfig is cmd/shard's flags, less those that generate its records.
+type ShardConfig struct {
+	Addr, AddrFile, WALDir, WireAddrFile      string
+	Shards, Index, Pots, Batch, SnapshotEvery int
+	Pace                                      time.Duration
+	Wire                                      bool
+}
+
+// Check reports a shard's flags it cannot run with.
+func (c ShardConfig) Check() error {
+	if c.WALDir == "" || c.Shards < 1 || c.Index < 0 || c.Index >= c.Shards || c.Batch < 1 {
+		return fmt.Errorf("want -wal-dir, 0 <= -index < -shards, -batch >= 1; have %q, %d, %d, %d", c.WALDir, c.Index, c.Shards, c.Batch)
+	}
+	return nil
+}
+
+// OpenShard replays the WAL into a fresh engine, starts the wire front
+// (-wire) or feeds part, the partition's records, from the first one the
+// WAL lacks, and serves the query and pull APIs. A WAL holding more
+// records than part is another partition's: refused, and closed.
+func OpenShard(cfg ShardConfig, part []*honeypot.SessionRecord, reg *honeyfarm.Registry) (*Node, error) {
+	if err := cfg.Check(); err != nil {
+		return nil, err
+	}
+	wlog, recovery, err := wal.Open(cfg.WALDir, wal.Options{Epoch: honeyfarm.DefaultEpoch})
+	if err != nil {
+		return nil, fmt.Errorf("wal: %w", err)
+	}
+	eng := query.New(query.Config{Epoch: honeyfarm.DefaultEpoch, NumPots: cfg.Pots, Registry: reg, SnapshotEvery: cfg.SnapshotEvery})
+	for _, b := range recovery.Batches {
+		eng.Ingest(b.Records)
+	}
+	n, recovered := &Node{Engine: eng}, recovery.Records()
+	stopFeed, feeder := make(chan struct{}), new(sync.WaitGroup)
+	n.close = func(ctx context.Context) error {
+		close(stopFeed)
+		feeder.Wait()
+		var err error
+		if n.Front != nil {
+			err = n.Front.Close() // force-drains stragglers: the seal covers every session accepted
+		}
+		eng.Seal()
+		return errors.Join(err, n.Drain(ctx), wlog.Close()) // in this order
+	}
+	if !cfg.Wire && recovered > len(part) {
+		return nil, errors.Join(fmt.Errorf("WAL holds %d records but partition has %d; -shards/-index/-seed mismatch", recovered, len(part)), n.Close(context.Background()))
+	}
+	eng.Seal()
+	if cfg.Wire {
+		n.Front, err = shard.NewWireFront(shard.WireConfig{Shards: cfg.Shards, Index: cfg.Index, NumPots: cfg.Pots, Engine: eng, WAL: wlog})
+		if err == nil && cfg.WireAddrFile != "" {
+			err = n.Front.WriteAddrFile(cfg.WireAddrFile)
+		}
+		if err != nil {
+			return nil, errors.Join(fmt.Errorf("wire front: %w", err), n.Close(context.Background()))
+		}
+		log.Printf("shard %d/%d: recovered %d, wire front up for %d pots", cfg.Index, cfg.Shards, recovered, len(n.Front.Pots()))
+	} else {
+		log.Printf("shard %d/%d: partition %d records, recovered %d, feeding %d", cfg.Index, cfg.Shards, len(part), recovered, len(part)-recovered)
+		// A batch the sink refuses (a degraded WAL) is retried until the
+		// writer heals: nothing is folded that a crash would lose.
+		sink := query.NewSink(wlog, eng)
+		feeder.Add(1)
+		go func() {
+			defer feeder.Done()
+			for off := recovered; off < len(part); {
+				select {
+				case <-stopFeed:
+					return
+				case <-time.After(cfg.Pace):
+				}
+				end := min(off+cfg.Batch, len(part))
+				if err := sink.Ingest(part[off:end]); err != nil {
+					log.Printf("shard %d: wal append: %v (retrying)", cfg.Index, err)
+					continue
+				}
+				off = end
+			}
+			eng.Seal()
+			log.Printf("shard %d: feed complete at seq %d", cfg.Index, eng.Seq())
+		}()
+	}
+	api := query.NewServer(query.ServerConfig{Source: eng, WALHealth: wlog.Health})
+	mux := Mux("shard", shard.BuildCollectorRegistry(eng, wlog.Health, n.Front, api, cfg.Pots), api.Handler())
+	mux.Handle("/shard/", shard.NewHandler(eng))
+	return n.listen(cfg.Addr, cfg.AddrFile, mux)
+}
+
+// FollowerConfig is cmd/serve's flags.
+type FollowerConfig struct {
+	Addr, AddrFile, WALDir, Epoch    string // Epoch: YYYY-MM-DD, "" for honeyfarm.DefaultEpoch
+	Pots, SnapshotEvery, MaxInflight int
+	Seed                             int64
+	Poll                             time.Duration
+	Pprof                            bool
+}
+
+// OpenFollower starts tailing the WAL in cfg.WALDir into a fresh engine
+// and serves the query API over it.
+func OpenFollower(cfg FollowerConfig) (*Node, error) {
+	epoch, err := time.Parse(time.DateOnly, cmp.Or(cfg.Epoch, honeyfarm.DefaultEpoch.Format(time.DateOnly)))
+	if err != nil {
+		return nil, fmt.Errorf("parsing -epoch: %w", err)
+	}
+	eng := query.New(query.Config{Epoch: epoch, NumPots: cfg.Pots, Registry: honeyfarm.NewRegistry(cfg.Seed), SnapshotEvery: cfg.SnapshotEvery})
+	f, err := query.NewFollower(eng, cfg.WALDir, cfg.Poll)
+	if err != nil {
+		return nil, err
+	}
+	f.Start()
+	api := query.NewServer(query.ServerConfig{Source: eng, Follower: f, MaxInflight: cfg.MaxInflight})
+	mux := Mux("serve", query.BuildServeRegistry(eng, f, api, cfg.Pots), api.Handler())
+	if cfg.Pprof {
+		// Off by default: the API is cacheable public data, a heap profile is not.
+		mux.Handle("/debug/pprof/", http.DefaultServeMux)
+	}
+	n := &Node{Engine: eng, Follower: f}
+	n.close = func(ctx context.Context) error { return errors.Join(n.Drain(ctx), f.Stop()) }
+	return n.listen(cfg.Addr, cfg.AddrFile, mux)
+}
+
+// CoordinatorConfig is cmd/merge's flags.
+type CoordinatorConfig struct {
+	Addr, AddrFile               string
+	Shards                       []string // base URLs
+	Pots, FailAfter, MaxInflight int
+	PullEvery                    time.Duration
+}
+
+// OpenCoordinator starts pulling every shard and serves the query API
+// over the merged snapshot.
+func OpenCoordinator(cfg CoordinatorConfig) (*Node, error) {
+	c, err := shard.New(shard.Config{Shards: cfg.Shards, NumPots: cfg.Pots, Countries: true, Epoch: honeyfarm.DefaultEpoch, PullEvery: cfg.PullEvery, FailAfter: cfg.FailAfter, Now: time.Now})
+	if err != nil {
+		return nil, err
+	}
+	api := query.NewServer(query.ServerConfig{Source: c, Shards: c.ShardStatuses, MaxInflight: cfg.MaxInflight})
+	n := &Node{Coord: c}
+	n.close = func(ctx context.Context) error { defer c.Stop(); return n.Drain(ctx) }
+	return n.listen(cfg.Addr, cfg.AddrFile, Mux("merge", shard.BuildMergeRegistry(c, api, cfg.Pots, time.Now), api.Handler()))
 }

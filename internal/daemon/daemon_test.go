@@ -1,6 +1,7 @@
 package daemon
 
 import (
+	"context"
 	"flag"
 	"io"
 	"net"
@@ -37,6 +38,13 @@ func get(t *testing.T, url string) (int, string) {
 	return resp.StatusCode, string(body)
 }
 
+// drain drains l within d.
+func drain(l *Node, d time.Duration) error {
+	ctx, cancel := context.WithTimeout(context.Background(), d)
+	defer cancel()
+	return l.Drain(ctx)
+}
+
 // parked starts a request the handler will hold, and returns once the
 // handler has it; the response (or transport error) arrives on the channel.
 func parked(t *testing.T, url string, entered <-chan struct{}) <-chan error {
@@ -58,7 +66,7 @@ func parked(t *testing.T, url string, entered <-chan struct{}) <-chan error {
 }
 
 // TestSIGTERMDrainsCleanly is the whole lifecycle as a main writes it:
-// a SIGTERM ends Wait, the drain and the leak check report nothing.
+// a SIGTERM ends Run's wait, the drain and the leak check report nothing.
 func TestSIGTERMDrainsCleanly(t *testing.T) {
 	proc := Start("test")
 	mux := Mux("test", metrics.NewRegistry(), http.NotFoundHandler())
@@ -73,12 +81,8 @@ func TestSIGTERMDrainsCleanly(t *testing.T) {
 	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
-	proc.Wait(l)
-	if err := l.Drain(5 * time.Second); err != nil {
-		t.Fatalf("drain: %v", err)
-	}
-	if err := proc.CheckLeaks(); err != nil {
-		t.Fatal(err)
+	if err := proc.Run(l, 5*time.Second); err != nil {
+		t.Fatalf("run: %v", err)
 	}
 	if _, err := net.DialTimeout("tcp", l.Addr().String(), time.Second); err == nil {
 		t.Fatal("listener still accepts after the drain")
@@ -103,7 +107,7 @@ func TestAddrFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l.Drain(time.Second)
+	defer drain(l, time.Second)
 	got, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -172,7 +176,7 @@ func TestParkedRequestDoesNotHoldDrain(t *testing.T) {
 	}
 	res := parked(t, "http://"+l.Addr().String()+"/", entered)
 	begin := time.Now()
-	if err := l.Drain(30 * time.Second); err != nil {
+	if err := drain(l, 30*time.Second); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
 	if took := time.Since(begin); took > 5*time.Second {
@@ -201,7 +205,7 @@ func TestDrainTimeoutStillStops(t *testing.T) {
 	}
 	res := parked(t, "http://"+l.Addr().String()+"/", entered)
 
-	err = l.Drain(50 * time.Millisecond)
+	err = drain(l, 50*time.Millisecond)
 	close(release) // the caller's stop step: reached, because Drain returned
 	if err == nil || !strings.Contains(err.Error(), "drain: context deadline exceeded") {
 		t.Fatalf("Drain = %v, want the timeout", err)
@@ -216,7 +220,7 @@ func TestDrainTimeoutStillStops(t *testing.T) {
 
 // TestBindAndServeErrorsAreReturned: neither ends the process inside
 // the package. A taken address is Listen's error; a server that dies
-// under Wait ends the wait, and Drain reports why.
+// under Run ends the wait, and the drain reports why.
 func TestBindAndServeErrorsAreReturned(t *testing.T) {
 	taken, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -236,12 +240,8 @@ func TestBindAndServeErrorsAreReturned(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.ln.Close() // the next Accept fails, and Serve with it
-	proc.Wait(l)
-	if err := l.Drain(time.Second); err == nil || !strings.Contains(err.Error(), "closed") {
-		t.Fatalf("Drain after a serve error = %v, want the accept failure", err)
-	}
-	if err := proc.CheckLeaks(); err != nil {
-		t.Fatal(err)
+	if err := proc.Run(l, time.Second); err == nil || !strings.Contains(err.Error(), "closed") || strings.Contains(err.Error(), "leaked") {
+		t.Fatalf("Run after a serve error = %v, want the accept failure alone", err)
 	}
 }
 

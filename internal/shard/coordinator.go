@@ -183,10 +183,12 @@ func New(cfg Config) (*Coordinator, error) {
 }
 
 // Stop ends the pullers and joins them; a pull parked at its shard is
-// abandoned, not waited for.
+// abandoned, not waited for. The connection a puller left idle between
+// two pulls is closed too, or its reader would outlive the coordinator.
 func (c *Coordinator) Stop() {
 	c.cancel()
 	c.wg.Wait()
+	c.client.CloseIdleConnections()
 }
 
 // Snapshot returns the most recently merged snapshot. It never blocks

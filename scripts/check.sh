@@ -162,7 +162,7 @@ go test -race -count=1 -run "$disk_run" ./internal/wal ./internal/farm
 go test -race -count=20 -run TestCommitPipeline ./internal/wal # the committer's queue: absorb, barriers, the segment bound
 go test -race -count=20 -run 'TestSinkOrderUnderENOSPC|TestWireFrontRefusesUnpersisted|TestENOSPCWindowFarm' ./internal/query ./internal/shard ./internal/farm # the one durable-ingest sink: recovered ≡ acknowledged
 go test -race -count=20 -run 'TestCoordinatorRebuildDuringCatchUp|TestCoordinatorLostResponse|TestBlockingPullStorm' ./internal/shard # the install order: publish first, catch up after, rebuild after the catch-up
-go test -race -count=20 -run 'TestServer|TestStop|TestKill|TestWireFront|TestOverlappingOutages|TestCoordinatorProbeBackoff' ./internal/honeypot ./internal/farm ./internal/shard # the one accept loop: sever, close and drain against sessions in flight; each takedown's restart and the puller's backoff while a shard is down
+go test -race -count=20 -run 'TestServer|TestStop|TestKill|TestWireFront|TestOverlappingOutages|TestCoordinatorProbeBackoff|TestNode' ./internal/honeypot ./internal/farm ./internal/shard ./internal/daemon # the one accept loop: sever, close and drain against sessions in flight; each takedown's restart and the puller's backoff while a shard is down; each node's one Close: recovered ≡ acknowledged, no goroutine left
 go test -race -count=20 -run 'TestCutPartials|TestNewsWake|TestIngestAllocsWhilePulled' ./internal/query # a cut reads the rows Ingest writes: counters under the mutex, lists swapped, encoded after
 go test -race -count=3 -run 'TestSameSeedByteIdentical|TestWorkersByteIdentical|TestFaultsByteIdentical|TestGenerateDigestPinned|TestKillResumeByteIdentical|TestGenerateDeterministic|TestCheckpoint|TestResume|TestFingerprintPinned' . ./internal/workload # the generator's planner appends plan shards while decorators read the finished ones
 
