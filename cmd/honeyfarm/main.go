@@ -33,8 +33,6 @@ func main() {
 	scenarioPath := flag.String("scenario", "", "JSON scenario file overriding the paper's calibration")
 	out := flag.String("out", "dataset.jsonl", "output path ('-' for stdout; files are written atomically)")
 	format := flag.String("format", "jsonl", "output format: jsonl (this repo) or cowrie (cowrie.json events)")
-	walDir := flag.String("wal-dir", "", "checkpoint directory: completed generation shards are persisted to a write-ahead log there")
-	resume := flag.Bool("resume", false, "continue an interrupted run from -wal-dir (byte-identical to an uninterrupted run)")
 	flag.Parse()
 
 	var d *honeyfarm.Dataset
@@ -45,12 +43,6 @@ func main() {
 		}
 		if cfg.Seed == 0 {
 			cfg.Seed = *seed
-		}
-		if *walDir != "" {
-			cfg.CheckpointDir = *walDir
-		}
-		if *resume {
-			cfg.Resume = true
 		}
 		cfg.Registry = geo.NewRegistry(geo.Config{Seed: cfg.Seed})
 		res, err := workload.Generate(cfg)
@@ -65,8 +57,6 @@ func main() {
 			TotalSessions: *sessions,
 			Days:          *days,
 			NumPots:       *pots,
-			CheckpointDir: *walDir,
-			Resume:        *resume,
 		})
 		if err != nil {
 			log.Fatalf("simulate: %v", err)

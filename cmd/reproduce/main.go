@@ -6,8 +6,9 @@
 // Usage:
 //
 //	reproduce [-sessions 400000] [-seed 1] [-out report.txt] [-faults plan.json]
-//	reproduce -wal-dir ckpt/ ...        # crash-safe: checkpoint to a WAL
-//	reproduce -wal-dir ckpt/ -resume    # continue an interrupted run
+//
+// The report is a pure function of the flags, and -out is written
+// atomically, so a killed run is simply rerun with the same flags.
 package main
 
 import (
@@ -31,8 +32,6 @@ func main() {
 	out := flag.String("out", "", "report path (default stdout; written atomically)")
 	workers := flag.Int("workers", 0, "generation workers (0 = GOMAXPROCS); output is identical for any value")
 	faultsArg := flag.String("faults", "", "fault plan: path to a JSON file, or inline JSON starting with '{' (deterministic per seed)")
-	walDir := flag.String("wal-dir", "", "checkpoint directory: completed generation shards are persisted to a write-ahead log there")
-	resume := flag.Bool("resume", false, "continue an interrupted run from -wal-dir (byte-identical to an uninterrupted run)")
 	flag.Parse()
 
 	plan, err := loadFaultPlan(*faultsArg, *seed)
@@ -44,7 +43,6 @@ func main() {
 		*sessions, 402_000_000/max(1, *sessions))
 	d, err := honeyfarm.Simulate(honeyfarm.SimulateConfig{
 		Seed: *seed, TotalSessions: *sessions, Workers: *workers, Faults: plan,
-		CheckpointDir: *walDir, Resume: *resume,
 	})
 	if err != nil {
 		log.Fatalf("simulate: %v", err)

@@ -1,7 +1,7 @@
 // Command serve runs the live query API over a honeyfarm WAL: it tails
-// the write-ahead log a collector (or a checkpointed reproduce run) is
-// writing, folds every durable batch into the incremental aggregation
-// engine, and serves epoch-sealed snapshots as JSON over HTTP.
+// the write-ahead log a collector (a cmd/shard node, say) is writing,
+// folds every durable batch into the incremental aggregation engine, and
+// serves epoch-sealed snapshots as JSON over HTTP.
 //
 // Endpoints: /v1/summary, /v1/pots, /v1/clients, /v1/countries,
 // /v1/availability, /v1/healthz. Data responses carry an ETag keyed on
@@ -9,8 +9,8 @@
 //
 // Usage:
 //
-//	reproduce -wal-dir ckpt/ &        # something writing a WAL
-//	serve -wal-dir ckpt/ -addr 127.0.0.1:8080
+//	shard -wal-dir s0/ &              # a shard writing its WAL
+//	serve -wal-dir s0/ -addr 127.0.0.1:8080
 //
 // SIGINT/SIGTERM drains in-flight requests (bounded by -drain), stops
 // the tailer, and verifies nothing leaked before exiting 0.

@@ -5,17 +5,11 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
-	"os"
-	"os/exec"
-	"path/filepath"
 	"reflect"
 	"runtime"
-	"syscall"
 	"testing"
-	"time"
 
 	"honeyfarm/internal/analysis"
-	"honeyfarm/internal/wal"
 )
 
 // TestSameSeedByteIdentical is the determinism regression test behind
@@ -220,134 +214,6 @@ func TestFaultsByteIdentical(t *testing.T) {
 	dropped := dsClean.Sessions() - dsA.Sessions()
 	if got := analysis.TotalDropped(rows); got != dropped {
 		t.Errorf("availability table accounts %d drops, dataset lost %d", got, dropped)
-	}
-}
-
-// killResumeConfig is the workload the SIGKILL/resume test generates:
-// big enough that the parent reliably lands a kill between the first
-// persisted shard and completion, small enough to stay fast.
-func killResumeConfig() SimulateConfig {
-	return SimulateConfig{Seed: 11, TotalSessions: 150_000, Days: 60, NumPots: 40, Workers: 2}
-}
-
-// TestKillResumeHelper is the subprocess body of
-// TestKillResumeByteIdentical: it runs the checkpointed generation and
-// saves the dataset. Driven via re-exec of the test binary; skipped in
-// a normal test run.
-func TestKillResumeHelper(t *testing.T) {
-	dir := os.Getenv("HONEYFARM_KILL_WALDIR")
-	if dir == "" {
-		t.Skip("subprocess helper; driven by TestKillResumeByteIdentical")
-	}
-	cfg := killResumeConfig()
-	cfg.CheckpointDir = dir
-	cfg.Resume = true // resume-if-present: works for both the killed and the continuing run
-	d, err := Simulate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.SaveFile(os.Getenv("HONEYFARM_KILL_OUT")); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestKillResumeByteIdentical is the committed crash-recovery proof the
-// WAL layer exists for: a generation run is SIGKILLed mid-way (no
-// defers, no cleanup — the real crash), restarted with -resume
-// semantics, and must emit a dataset byte-identical to an uninterrupted
-// run. The kill is timed off the WAL itself: the parent waits until at
-// least one shard frame is durable, so the resumed run demonstrably
-// starts from recovered state rather than from scratch.
-func TestKillResumeByteIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("subprocess kill/resume test")
-	}
-	exe, err := os.Executable()
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	out := filepath.Join(dir, "dataset.jsonl")
-	walDir := filepath.Join(dir, "ckpt")
-	child := func() *exec.Cmd {
-		cmd := exec.Command(exe, "-test.run=TestKillResumeHelper$", "-test.count=1")
-		cmd.Env = append(os.Environ(),
-			"HONEYFARM_KILL_WALDIR="+walDir,
-			"HONEYFARM_KILL_OUT="+out,
-		)
-		return cmd
-	}
-
-	// First run: kill once the WAL holds at least one durable frame.
-	first := child()
-	var firstOut bytes.Buffer
-	first.Stdout, first.Stderr = &firstOut, &firstOut
-	if err := first.Start(); err != nil {
-		t.Fatal(err)
-	}
-	walBytes := func() int64 {
-		segs, _ := filepath.Glob(filepath.Join(walDir, "wal-*.seg"))
-		var n int64
-		for _, s := range segs {
-			if info, err := os.Stat(s); err == nil {
-				n += info.Size()
-			}
-		}
-		return n
-	}
-	// Wait until the WAL holds at least one complete, durable batch, so
-	// the resume below demonstrably starts from recovered state.
-	deadline := time.Now().Add(60 * time.Second)
-	for time.Now().Before(deadline) {
-		if rec, err := wal.Verify(walDir, time.Time{}); err == nil && len(rec.Batches) > 0 {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if err := first.Process.Signal(syscall.SIGKILL); err != nil {
-		t.Fatalf("SIGKILL: %v", err)
-	}
-	err = first.Wait()
-	if err == nil {
-		// The child finished before the kill landed; without an
-		// interruption the test would prove nothing.
-		t.Skipf("child completed before SIGKILL (wal %d bytes); nothing interrupted", walBytes())
-	}
-
-	// The kill must have left durable, recoverable work behind —
-	// otherwise the resume below silently degenerates to a fresh run.
-	rec, verr := wal.Verify(walDir, time.Time{})
-	if verr != nil {
-		t.Fatalf("post-kill WAL unreadable: %v\n  child output:\n%s", verr, firstOut.String())
-	}
-	if len(rec.Batches) == 0 {
-		t.Fatalf("post-kill WAL holds no complete batch (wal %d bytes); kill landed too early", walBytes())
-	}
-	t.Logf("killed mid-run: %d batches (%d records) durable, %d torn bytes",
-		len(rec.Batches), rec.Records(), rec.TornBytes)
-
-	// Second run: resume to completion.
-	second := child()
-	if outBytes, err := second.CombinedOutput(); err != nil {
-		t.Fatalf("resume run failed: %v\n%s", err, outBytes)
-	}
-	resumed, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Reference: the same configuration, uninterrupted and un-checkpointed.
-	d, err := Simulate(killResumeConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want bytes.Buffer
-	if err := d.Save(&want); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(resumed, want.Bytes()) {
-		t.Fatalf("resumed dataset differs from uninterrupted run:\n  resumed: %d bytes, sha256 %x\n  uninterrupted: %d bytes, sha256 %x",
-			len(resumed), sha256.Sum256(resumed), want.Len(), sha256.Sum256(want.Bytes()))
 	}
 }
 

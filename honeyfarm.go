@@ -91,12 +91,6 @@ type SimulateConfig struct {
 	// connection-fault share); the Dataset's Availability table reports
 	// the per-pot losses. Same seed + same plan ⇒ byte-identical output.
 	Faults *FaultPlan
-	// CheckpointDir makes generation crash-safe: completed work is
-	// appended to a write-ahead log there, and a run interrupted mid-way
-	// can be restarted with Resume to continue from the first unfinished
-	// shard — still producing byte-identical output. See workload.Config.
-	CheckpointDir string
-	Resume        bool
 }
 
 // Dataset is a generated or loaded session dataset with its geography,
@@ -128,8 +122,6 @@ func Simulate(cfg SimulateConfig) (*Dataset, error) {
 		Epoch:         DefaultEpoch,
 		Workers:       cfg.Workers,
 		Faults:        cfg.Faults,
-		CheckpointDir: cfg.CheckpointDir,
-		Resume:        cfg.Resume,
 	})
 	if err != nil {
 		return nil, err

@@ -1,6 +1,6 @@
 // Package iofault abstracts the filesystem behind the durability layer
-// (WAL segments, atomic whole-file writes, checkpoint manifests) so
-// disk failure can be injected deterministically. The paper's honeyfarm
+// (WAL segments, atomic whole-file writes) so disk failure can be
+// injected deterministically. The paper's honeyfarm
 // stayed up for 15 months; over a horizon like that disks return EIO,
 // fill up mid-rotation, fail an fsync, or lose a rename to a crash, and
 // every one of those paths must be exercised, not hoped about.
@@ -76,17 +76,6 @@ func (osFS) Remove(name string) error                     { return os.Remove(nam
 func (osFS) ReadDir(name string) ([]fs.DirEntry, error)   { return os.ReadDir(name) }
 func (osFS) Stat(name string) (fs.FileInfo, error)        { return os.Stat(name) }
 func (osFS) MkdirAll(name string, perm fs.FileMode) error { return os.MkdirAll(name, perm) }
-
-// ReadFile reads the whole of name through fsys — os.ReadFile for an
-// abstracted filesystem.
-func ReadFile(fsys FS, name string) ([]byte, error) {
-	f, err := fsys.OpenFile(name, os.O_RDONLY, 0)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return io.ReadAll(f)
-}
 
 // Transient reports whether a disk error is worth a bounded retry:
 // out-of-space conditions clear when space is reclaimed, and

@@ -12,7 +12,7 @@ import (
 // already on disk first (sealed segments, then the active segment's
 // intact prefix), then whatever the writer appends while the follower
 // runs. It is the serving path for a farm in another process — cmd/
-// reproduce writes its checkpoint WAL, cmd/serve follows it live.
+// shard writes its WAL, cmd/serve follows it live.
 //
 // After every drain cycle that made progress the follower seals a
 // snapshot, so the published view always corresponds to a durable

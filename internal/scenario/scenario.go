@@ -39,12 +39,6 @@ type Scenario struct {
 	// rates plus pot outage windows); see faults.Plan for the schema.
 	// The plan's zero seed inherits the scenario seed.
 	Faults *faults.Plan `json:"faults,omitempty"`
-	// CheckpointDir makes generation crash-safe: completed shards are
-	// persisted to a write-ahead log there, and Resume continues an
-	// interrupted run with byte-identical output. Both can also be set
-	// from cmd/honeyfarm's -wal-dir/-resume flags.
-	CheckpointDir string `json:"checkpoint_dir,omitempty"`
-	Resume        bool   `json:"resume,omitempty"`
 }
 
 // Spike is the JSON form of a workload spike.
@@ -94,8 +88,6 @@ func (sc Scenario) Config() (workload.Config, error) {
 		NumPots:          sc.Pots,
 		DisableCampaigns: sc.DisableCampaigns,
 		Workers:          sc.Workers,
-		CheckpointDir:    sc.CheckpointDir,
-		Resume:           sc.Resume,
 	}
 	if sc.Faults != nil {
 		plan := *sc.Faults

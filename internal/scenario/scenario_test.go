@@ -64,19 +64,23 @@ func TestLoadFullScenario(t *testing.T) {
 }
 
 func TestLoadErrors(t *testing.T) {
-	cases := []string{
-		`{"unknown_field": 1}`,
-		`{"category_shares": {"BOGUS": 0.5}}`,
-		`{"category_shares": {"NO_CRED": 1.5}}`,
-		`{"category_shares": {"NO_CRED": 0.9}}`, // sums far above 1
-		`{"spikes": [{"category": "NOPE", "first_day": 0, "last_day": 1, "multiplier": 2}]}`,
-		`{"spikes": [{"category": "CMD", "first_day": 5, "last_day": 1, "multiplier": 2}]}`,
-		`{"spikes": [{"category": "CMD", "first_day": 1, "last_day": 2, "multiplier": 0}]}`,
-		`not json`,
+	cases := []struct{ js, want string }{
+		{`{"unknown_field": 1}`, `"unknown_field"`},
+		// Generation has no checkpoint: a scenario that still asks for
+		// one is refused by name, not run without it.
+		{`{"checkpoint_dir": "ckpt"}`, `"checkpoint_dir"`},
+		{`{"resume": true}`, `"resume"`},
+		{`{"category_shares": {"BOGUS": 0.5}}`, ""},
+		{`{"category_shares": {"NO_CRED": 1.5}}`, ""},
+		{`{"category_shares": {"NO_CRED": 0.9}}`, ""}, // sums far above 1
+		{`{"spikes": [{"category": "NOPE", "first_day": 0, "last_day": 1, "multiplier": 2}]}`, ""},
+		{`{"spikes": [{"category": "CMD", "first_day": 5, "last_day": 1, "multiplier": 2}]}`, ""},
+		{`{"spikes": [{"category": "CMD", "first_day": 1, "last_day": 2, "multiplier": 0}]}`, ""},
+		{`not json`, ""},
 	}
-	for _, js := range cases {
-		if _, err := Load(strings.NewReader(js)); err == nil {
-			t.Errorf("scenario %q should fail", js)
+	for _, c := range cases {
+		if _, err := Load(strings.NewReader(c.js)); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("scenario %q: err = %v, want an error containing %q", c.js, err, c.want)
 		}
 	}
 }

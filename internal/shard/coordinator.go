@@ -286,14 +286,29 @@ func (c *Coordinator) pullOnce(i int) (news bool) {
 	frame, t0, err := c.fetch(st.url, since)
 	var full, advanced bool
 	if err == nil {
-		full, advanced, err = c.install(i, frame, t0)
+		full, advanced, err = c.install(i, frame, t0) // counts the pull
+	} else if c.ctx.Err() == nil {
+		c.countPull(i, len(frame), false, false, err)
 	}
 	if c.ctx.Err() != nil {
 		return false // Stop cut the pull short: no failure of the shard's
 	}
+	if err != nil {
+		c.noteFailure(i, err)
+		return false
+	}
+	return advanced && (!full || since == 0)
+}
+
+// countPull adds one pull of shard i, n frame bytes received, to its
+// cumulative accounting. install calls it before the publish the pull
+// causes, so a published snapshot never runs ahead of PullStatsAll.
+func (c *Coordinator) countPull(i, n int, full, advanced bool, err error) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
+	st := &c.shards[i]
 	st.pulls++
-	st.pullBytes += uint64(len(frame))
+	st.pullBytes += uint64(n)
 	if full {
 		st.fullPulls++
 	}
@@ -302,12 +317,6 @@ func (c *Coordinator) pullOnce(i int) (news bool) {
 	} else if !advanced {
 		st.idlePulls++
 	}
-	c.mu.Unlock()
-	if err != nil {
-		c.noteFailure(i, err)
-		return false
-	}
-	return advanced && (!full || since == 0)
 }
 
 // PullStats is one shard's cumulative pull accounting.
@@ -385,8 +394,9 @@ func (c *Coordinator) fetch(url string, since uint64) (frame []byte, t0 time.Tim
 	return frame, t0, err
 }
 
-// install validates the frame, applies it to shard i (foldLocked) and,
-// if that advanced the shard, publishes the merged snapshot at once.
+// install validates the frame, applies it to shard i (foldLocked),
+// counts the pull and, if the frame advanced the shard, publishes the
+// merged snapshot at once.
 // Only then does a frame that continues the shard reach its own bundle,
 // under partsMu, which mergeMu hands over to: the next publish does not
 // wait for this catch-up, the next install of the shard and any rebuild
@@ -397,19 +407,21 @@ func (c *Coordinator) fetch(url string, since uint64) (frame []byte, t0 time.Tim
 // empty histogram. full reports an accepted full frame.
 func (c *Coordinator) install(i int, frame []byte, t0 time.Time) (full, advanced bool, err error) {
 	from, seq, days, parts, err := decodeFrame(frame)
+	if err == nil && parts.NumPots() != c.cfg.NumPots {
+		err = fmt.Errorf("shard: bundle sized for %d pots, fleet has %d", parts.NumPots(), c.cfg.NumPots)
+	}
+	if err == nil && (parts.Countries != nil) != c.cfg.Countries {
+		err = fmt.Errorf("shard: bundle country-table presence %v, fleet wants %v", parts.Countries != nil, c.cfg.Countries)
+	}
 	if err != nil {
+		c.countPull(i, len(frame), false, false, err)
 		return false, false, err
-	}
-	if parts.NumPots() != c.cfg.NumPots {
-		return false, false, fmt.Errorf("shard: bundle sized for %d pots, fleet has %d", parts.NumPots(), c.cfg.NumPots)
-	}
-	if (parts.Countries != nil) != c.cfg.Countries {
-		return false, false, fmt.Errorf("shard: bundle country-table presence %v, fleet wants %v", parts.Countries != nil, c.cfg.Countries)
 	}
 	st := &c.shards[i]
 	c.mergeMu.Lock()
 	continues := from == st.seq
 	advanced, err = c.foldLocked(i, from, seq, days, parts)
+	c.countPull(i, len(frame), from == 0 && err == nil, advanced, err)
 	if advanced {
 		c.publishLocked()
 	}

@@ -162,8 +162,7 @@ func (o Options) withDefaults() Options {
 }
 
 // Batch is one recovered record batch. Tag carries the caller's label
-// (the generation checkpoint stores shard indexes there; plain durable
-// sinks use 0).
+// (AppendTagged's; Append writes 0).
 type Batch struct {
 	Tag     uint64
 	Records []*honeypot.SessionRecord
@@ -700,10 +699,9 @@ func (l *Log) Append(recs []*honeypot.SessionRecord) error {
 	return l.AppendTagged(0, recs)
 }
 
-// AppendTagged logs one batch under the given tag (the generation
-// checkpoint tags batches with their shard index). The frame is written
-// atomically with respect to recovery: either the whole batch replays
-// or none of it does. A group commit is requested once SyncEvery
+// AppendTagged logs one batch under the given tag, which recovery
+// returns as Batch.Tag. The frame is written atomically with respect to
+// recovery: either the whole batch replays or none of it does. A group commit is requested once SyncEvery
 // records have accumulated since the last request; the fsync itself
 // runs on the committer goroutine and this caller does not wait for it.
 //

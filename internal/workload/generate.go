@@ -12,7 +12,6 @@ import (
 	"honeyfarm/internal/faults"
 	"honeyfarm/internal/geo"
 	"honeyfarm/internal/honeypot"
-	"honeyfarm/internal/iofault"
 	"honeyfarm/internal/malware"
 	"honeyfarm/internal/store"
 )
@@ -88,23 +87,6 @@ type Config struct {
 	// the planning RNG — so the surviving records are byte-identical to
 	// the corresponding subset of the fault-free dataset.
 	Faults *faults.Plan
-	// CheckpointDir, when set, makes generation durable: every completed
-	// decoration shard is appended to a write-ahead log in this
-	// directory, and a manifest fingerprints the configuration. An
-	// interrupted run restarted with Resume skips every shard the WAL
-	// already holds and produces byte-identical output to an
-	// uninterrupted run (shard decoration depends only on (Seed, shard),
-	// never on which run performed it).
-	CheckpointDir string
-	// Resume continues from CheckpointDir's previous run. A checkpoint
-	// created by a different configuration is refused; a missing
-	// checkpoint starts a fresh one.
-	Resume bool
-	// FS is the filesystem the checkpoint writes through (manifest and
-	// WAL); nil means the real disk. Tests inject iofault filesystems
-	// here. FS shapes durability, never the generated bytes, so it is
-	// excluded from the resume fingerprint.
-	FS iofault.FS
 }
 
 // Result is a generated dataset plus its provenance.
@@ -309,11 +291,7 @@ func GenerateRand(rng *rand.Rand, cfg Config) (*Result, error) {
 	ephemeralFailLog := int(0.12 * 0.3 * float64(cfg.TotalSessions) * shares[analysis.NoCred])
 	campaignSessions[analysis.FailLog] += ephemeralFailLog
 
-	ckpt, err := openCheckpoint(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("workload: checkpoint: %w", err)
-	}
-	st, report, err := g.pipeline(ckpt, func() {
+	st, report := g.pipeline(func() {
 		// Generation order matters: FAIL_LOG and CMD run first so that
 		// the crossover picks building multi-role clients (Section 7.5)
 		// find populated pools.
@@ -329,9 +307,6 @@ func GenerateRand(rng *rand.Rand, cfg Config) (*Result, error) {
 			g.planCampaign(c)
 		}
 	})
-	if err != nil {
-		return nil, fmt.Errorf("workload: %w", err)
-	}
 
 	return &Result{
 		Store:       st,
@@ -590,11 +565,8 @@ func (g *generator) flush() {
 // goroutines decorate every shard it emits, then fills a store with the
 // shards in index order. Workers only pick which goroutine decorates a
 // shard, never what it holds. The fault report sums the per-shard cull
-// counts, so it too is the same for any interleaving. With a checkpoint
-// open, shards recovered from the WAL are installed verbatim (their
-// decoration already happened in a previous run) and fresh shards are
-// appended to the WAL as they complete.
-func (g *generator) pipeline(ckpt *checkpoint, plan func()) (*store.Store, *faults.Report, error) {
+// counts, so it too is the same for any interleaving.
+func (g *generator) pipeline(plan func()) (*store.Store, *faults.Report) {
 	var report *faults.Report
 	if g.cfg.Faults.Active() {
 		report = faults.NewReport(g.cfg.Faults, g.cfg.NumPots, g.cfg.Days)
@@ -607,7 +579,7 @@ func (g *generator) pipeline(ckpt *checkpoint, plan func()) (*store.Store, *faul
 		go func() {
 			defer wg.Done()
 			for sh := range work {
-				lost := g.decorateShard(sh, ckpt)
+				lost := g.decorateShard(sh)
 				if lost != nil {
 					mu.Lock()
 					report.AddDrops(lost)
@@ -621,17 +593,12 @@ func (g *generator) pipeline(ckpt *checkpoint, plan func()) (*store.Store, *faul
 	g.flush()
 	close(work)
 	wg.Wait()
-	if ckpt != nil {
-		if err := ckpt.close(); err != nil {
-			return nil, nil, fmt.Errorf("checkpoint: %w", err)
-		}
-	}
 	b := store.NewBuilder(g.cfg.Epoch, len(g.shards))
 	for i, sh := range g.shards {
 		b.SetShard(i, sh.recs)
 	}
 	g.shards = nil
-	return b.Seal(), report, nil
+	return b.Seal(), report
 }
 
 // decorateShard turns a plan shard into its surviving records, drawn
@@ -647,31 +614,18 @@ func (g *generator) pipeline(ckpt *checkpoint, plan func()) (*store.Store, *faul
 // therefore every surviving record, byte-identical to the fault-free
 // run. The returned report holds the shard's drop counts; nil when no
 // fault plan is active.
-//
-// A shard the checkpoint already holds is installed as-is without
-// consuming any randomness: its stream was derived from (Seed, shard)
-// alone, so the recovered bytes are exactly what re-decoration would
-// produce, and skipping it cannot perturb any other shard. Its culls
-// are still counted.
-func (g *generator) decorateShard(sh *planShard, ckpt *checkpoint) *faults.Report {
+func (g *generator) decorateShard(sh *planShard) *faults.Report {
 	plan := g.cfg.Faults
 	var lost *faults.Report
 	if plan.Active() {
 		lost = faults.NewReport(nil, g.cfg.NumPots, 0)
 	}
-	recs, recovered := ckpt.shard(sh.index)
-	var rng *rand.Rand
-	if !recovered {
-		rng = rand.New(rand.NewSource(shardSeed(g.cfg.Seed, sh.index)))
-		recs = make([]*honeypot.SessionRecord, 0, len(sh.entries))
-	}
+	rng := rand.New(rand.NewSource(shardSeed(g.cfg.Seed, sh.index)))
+	recs := make([]*honeypot.SessionRecord, 0, len(sh.entries))
 	lo := sh.index * decorateShardSize
 	for j := range sh.entries {
 		p, i := &sh.entries[j], lo+j
-		var rec *honeypot.SessionRecord
-		if !recovered {
-			rec = g.decorateOne(rng, p, uint64(i)+1)
-		}
+		rec := g.decorateOne(rng, p, uint64(i)+1)
 		if lost != nil {
 			if plan.PotDown(p.pot, p.day) {
 				lost.AddDowntimeDrop(p.pot)
@@ -682,18 +636,13 @@ func (g *generator) decorateShard(sh *planShard, ckpt *checkpoint) *faults.Repor
 				continue
 			}
 		}
-		if !recovered {
-			recs = append(recs, rec)
-		}
+		recs = append(recs, rec)
 	}
 	select {
 	case g.free <- sh.entries[:0]:
 	default:
 	}
 	sh.entries, sh.recs = nil, recs
-	if !recovered && ckpt != nil {
-		ckpt.append(sh.index, recs)
-	}
 	return lost
 }
 

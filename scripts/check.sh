@@ -39,12 +39,10 @@
 #                ENOSPC outage window at both the WAL and farm layers —
 #                degraded mode must count-and-drop, recover on a fresh
 #                segment, and leak nothing
-#   crash smoke  reproduce is SIGKILLed mid-generation with a WAL
-#                checkpoint, resumed, and the resumed report is compared
-#                byte-for-byte against an uninterrupted run; fsck must
-#                then find the WAL healthy
-#   serve smoke  cmd/serve (built with -race) tails a generated WAL;
-#                every /v1 endpoint must answer 200, the -pprof mux must
+#   serve smoke  cmd/serve (built with -race) tails the WAL of a
+#                cmd/shard run fed to completion and drained; fsck must
+#                find that WAL healthy, every /v1 endpoint must answer
+#                200, the -pprof mux must
 #                answer under /debug/pprof/, If-None-Match revalidation
 #                must return 304, and SIGTERM must drain cleanly with
 #                zero leaked goroutines
@@ -164,43 +162,31 @@ go test -race -count=20 -run 'TestSinkOrderUnderENOSPC|TestWireFrontRefusesUnper
 go test -race -count=20 -run 'TestCoordinatorRebuildDuringCatchUp|TestCoordinatorLostResponse|TestBlockingPullStorm' ./internal/shard # the install order: publish first, catch up after, rebuild after the catch-up
 go test -race -count=20 -run 'TestServer|TestStop|TestKill|TestWireFront|TestOverlappingOutages|TestCoordinatorProbeBackoff|TestNode' ./internal/honeypot ./internal/farm ./internal/shard ./internal/daemon # the one accept loop: sever, close and drain against sessions in flight; each takedown's restart and the puller's backoff while a shard is down; each node's one Close: recovered ≡ acknowledged, no goroutine left
 go test -race -count=20 -run 'TestCutPartials|TestNewsWake|TestIngestAllocsWhilePulled' ./internal/query # a cut reads the rows Ingest writes: counters under the mutex, lists swapped, encoded after
-go test -race -count=3 -run 'TestSameSeedByteIdentical|TestWorkersByteIdentical|TestFaultsByteIdentical|TestGenerateDigestPinned|TestKillResumeByteIdentical|TestGenerateDeterministic|TestCheckpoint|TestResume|TestFingerprintPinned' . ./internal/workload # the generator's planner appends plan shards while decorators read the finished ones
-
-echo "==> crash smoke (SIGKILL mid-generation, resume, diff)"
-go build -o "$tmp/reproduce" ./cmd/reproduce
-go build -o "$tmp/fsck" ./cmd/fsck
-crash_args="-sessions 300000 -seed 7 -workers 2"
-"$tmp/reproduce" $crash_args -out "$tmp/reference.txt"
-"$tmp/reproduce" $crash_args -wal-dir "$tmp/wal" -out "$tmp/killed.txt" &
-crash_pid=$!
-# Kill once at least one generation shard (~1.4 MB frame) has been
-# written to the WAL, so the resume provably continues from recovered
-# state rather than starting over. If the run outraces the poll and
-# finishes first, the resume below degrades to a replay-only run, which
-# the byte comparison still validates.
-i=0
-while kill -0 "$crash_pid" 2>/dev/null; do
-    sz=$(du -sk "$tmp/wal" 2>/dev/null | awk '{print $1}')
-    if [ "${sz:-0}" -ge 1500 ]; then
-        break
-    fi
-    i=$((i + 1))
-    if [ "$i" -gt 600 ]; then
-        echo "crash smoke: WAL never reached kill threshold" >&2
-        exit 1
-    fi
-    sleep 0.05 2>/dev/null || sleep 1
-done
-kill -9 "$crash_pid" 2>/dev/null || true
-wait "$crash_pid" 2>/dev/null || true
-"$tmp/reproduce" $crash_args -wal-dir "$tmp/wal" -resume -out "$tmp/resumed.txt"
-cmp "$tmp/reference.txt" "$tmp/resumed.txt"
-"$tmp/fsck" "$tmp/wal" >/dev/null
+go test -race -count=3 -run 'TestSameSeedByteIdentical|TestWorkersByteIdentical|TestFaultsByteIdentical|TestGenerateDigestPinned|TestGenerateDeterministic' . ./internal/workload # the generator's planner appends plan shards while decorators read the finished ones
 
 echo "==> serve smoke (WAL tail, ETag revalidation, SIGTERM drain)"
 go build -race -o "$tmp/serve" ./cmd/serve
-"$tmp/reproduce" -sessions 20000 -seed 3 -wal-dir "$tmp/servewal" -out "$tmp/servewal-report.txt"
-"$tmp/serve" -wal-dir "$tmp/servewal" -addr 127.0.0.1:0 -addr-file "$tmp/addr" -poll 50ms -pprof \
+go build -race -o "$tmp/shard" ./cmd/shard
+go build -o "$tmp/fsck" ./cmd/fsck
+# The WAL to tail: one shard owning every pot, fed to completion and
+# drained, so the log is whole and closed before serve opens it.
+"$tmp/shard" -sessions 20000 -seed 3 -pace 1ms -wal-dir "$tmp/servewal" \
+    -addr 127.0.0.1:0 >"$tmp/servewal.log" 2>&1 &
+servewal_pid=$!
+i=0
+until grep -q "feed complete" "$tmp/servewal.log"; do
+    i=$((i + 1))
+    if [ "$i" -gt 600 ]; then
+        echo "serve smoke: shard never finished feeding" >&2
+        cat "$tmp/servewal.log" >&2
+        exit 1
+    fi
+    sleep 0.1 2>/dev/null || sleep 1
+done
+kill -TERM "$servewal_pid"
+expect_clean_drain "serve smoke" "$servewal_pid" "$tmp/servewal.log"
+"$tmp/fsck" "$tmp/servewal" >/dev/null
+"$tmp/serve" -wal-dir "$tmp/servewal" -seed 3 -addr 127.0.0.1:0 -addr-file "$tmp/addr" -poll 50ms -pprof \
     >"$tmp/serve.log" 2>&1 &
 serve_pid=$!
 poll_file "$tmp/addr" "serve"
@@ -249,7 +235,6 @@ kill -TERM "$serve_pid"
 expect_clean_drain "serve smoke" "$serve_pid" "$tmp/serve.log"
 
 echo "==> merge smoke (3 shards, SIGKILL+restart, byte-identical merge)"
-go build -race -o "$tmp/shard" ./cmd/shard
 go build -race -o "$tmp/merge" ./cmd/merge
 shard_args="-sessions 20000 -seed 5 -pots 97 -workers 2 -batch 100 -pace 40ms"
 
