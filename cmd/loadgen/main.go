@@ -2,18 +2,13 @@
 // deterministic arrival schedule from a seed (exponential
 // inter-arrivals at -rate for -duration, session scripts drawn from
 // the paper's Table 1 mix) and replays it as real SSH/Telnet traffic
-// against a shard fleet's wire front or against an in-process netsim
-// farm, then reports offered vs achieved rate, latency quantiles,
-// schedule slip, and an error taxonomy as JSON.
-//
-// Against a live fleet (addr files written by `shard -wire-addr-file`):
+// against the wire fronts of a `shard -wire` fleet, whose pot address
+// tables (written by `shard -wire-addr-file`) are its -targets, then
+// reports offered vs achieved rate, latency quantiles, schedule slip,
+// and an error taxonomy as JSON:
 //
 //	loadgen -seed 1 -rate 40 -duration 3s -targets s0.addrs,s1.addrs \
 //	        -check http://H0/metrics,http://H1/metrics
-//
-// Self-contained (netsim farm in-process, /metrics mounted):
-//
-//	loadgen -seed 1 -rate 200 -duration 5s -self-pots 8 -metrics-addr 127.0.0.1:0
 //
 // -plan-only prints the deterministic plan summary and exits: two runs
 // with equal flags emit byte-identical output, which is how the smoke
@@ -26,25 +21,16 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log"
-	"net"
-	"net/http"
 	"os"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"honeyfarm/internal/atomicio"
-	"honeyfarm/internal/daemon"
-	"honeyfarm/internal/farm"
-	"honeyfarm/internal/geo"
 	"honeyfarm/internal/loadgen"
-	"honeyfarm/internal/metrics"
-	"honeyfarm/internal/netsim"
 )
 
 // wallNow is the harness's single wall-clock tap: the arrival schedule
@@ -60,54 +46,19 @@ func main() {
 	concurrency := flag.Int("concurrency", 64, "max simultaneously open sessions")
 	sessionTimeout := flag.Duration("session-timeout", 10*time.Second, "per-session wall-time cap")
 	targetsFlag := flag.String("targets", "", "comma-separated wire addr files (lines: <pot> <ssh-addr> <telnet-addr>)")
-	selfPots := flag.Int("self-pots", 0, "run an in-process netsim farm with this many pots instead of external targets")
-	metricsAddr := flag.String("metrics-addr", "", "with -self-pots: mount the farm supervisor's /metrics on this address")
 	checkFlag := flag.String("check", "", "comma-separated /metrics URLs; reconcile completed count against the summed wire-accepted counter")
 	out := flag.String("out", "", "write the JSON report here (default stdout)")
 	planOnly := flag.Bool("plan-only", false, "emit the deterministic plan summary and exit without driving load")
 	requireClean := flag.Bool("require-clean", false, "exit 1 on any session error or reconciliation mismatch")
 	flag.Parse()
 
-	var (
-		targets []loadgen.Target
-		dial    loadgen.Dialer
-		f       *farm.Farm
-	)
-	switch {
-	case *selfPots > 0:
-		var err error
-		f, targets, dial, err = startSelfFarm(*seed, *selfPots)
-		if err != nil {
-			log.Fatalf("loadgen: self-farm: %v", err)
-		}
-		defer f.Stop()
-		if *metricsAddr != "" {
-			reg := metrics.NewRegistry()
-			farm.RegisterFarmMetrics(reg, f)
-			ml, err := daemon.Listen(*metricsAddr, "", daemon.Mux("loadgen", reg, http.NotFoundHandler()))
-			if err != nil {
-				f.Stop()
-				log.Fatalf("loadgen: metrics listener: %v", err)
-			}
-			defer func() {
-				ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-				defer cancel()
-				if err := ml.Drain(ctx); err != nil {
-					log.Printf("loadgen: metrics listener: %v", err)
-				}
-			}()
-			log.Printf("loadgen: farm /metrics on http://%s/metrics", ml.Addr())
-		}
-	case *targetsFlag != "":
-		var err error
-		targets, err = readTargets(strings.Split(*targetsFlag, ","))
-		if err != nil {
-			log.Fatalf("loadgen: %v", err)
-		}
-		dial = loadgen.TCPDialer(5 * time.Second)
-	default:
-		fmt.Fprintln(os.Stderr, "usage: loadgen -targets <addr-files> | -self-pots N  [-rate R -duration D]")
+	if *targetsFlag == "" {
+		fmt.Fprintln(os.Stderr, "usage: loadgen -targets <addr-files> [-rate R -duration D]")
 		os.Exit(2)
+	}
+	targets, err := readTargets(strings.Split(*targetsFlag, ","))
+	if err != nil {
+		log.Fatalf("loadgen: %v", err)
 	}
 
 	plan, err := loadgen.BuildPlan(loadgen.PlanConfig{
@@ -124,7 +75,7 @@ func main() {
 
 	res, err := loadgen.Run(loadgen.Config{
 		Plan:           plan,
-		Dial:           dial,
+		Dial:           loadgen.TCPDialer(5 * time.Second),
 		Concurrency:    *concurrency,
 		SessionTimeout: *sessionTimeout,
 		Now:            wallNow,
@@ -144,26 +95,12 @@ func main() {
 
 	clean := len(report.Errors) == 0
 	if *checkFlag != "" {
-		check, err := loadgen.Reconcile(strings.Split(*checkFlag, ","),
-			"honeyfarm_wire_sessions_accepted_total",
-			float64(res.Completed), 50, time.Sleep)
+		check, err := loadgen.Reconcile(strings.Split(*checkFlag, ","), float64(res.Completed), 50, time.Sleep)
 		if err != nil {
 			log.Fatalf("loadgen: reconcile: %v", err)
 		}
 		doc.Reconciliation = &check
 		clean = clean && check.Match
-	}
-	if f != nil {
-		// Self-farm reconciliation is in-process: the supervisor's
-		// accepted counter must equal what the driver completed.
-		accepted := waitFarmAccepted(f, res.Completed)
-		doc.Reconciliation = &loadgen.CheckResult{
-			Metric: "honeyfarm_farm_sessions_accepted_total",
-			Want:   float64(res.Completed),
-			Got:    float64(accepted),
-			Match:  accepted == res.Completed,
-		}
-		clean = clean && doc.Reconciliation.Match
 	}
 
 	emit(*out, mustJSON(doc))
@@ -197,66 +134,6 @@ func readTargets(paths []string) ([]loadgen.Target, error) {
 		return nil, fmt.Errorf("no targets in %v", paths)
 	}
 	return ts, nil
-}
-
-// startSelfFarm runs an in-process netsim farm and returns its targets
-// and fabric dialer.
-func startSelfFarm(seed int64, pots int) (*farm.Farm, []loadgen.Target, loadgen.Dialer, error) {
-	f, err := farm.New(farm.Config{
-		Seed:     seed,
-		NumPots:  pots,
-		Registry: geo.NewRegistry(geo.Config{Seed: seed}),
-	})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	if err := f.Start(); err != nil {
-		return nil, nil, nil, err
-	}
-	targets := make([]loadgen.Target, pots)
-	for i := 0; i < pots; i++ {
-		ssh, tel := f.SSHAddr(i), f.TelnetAddr(i)
-		targets[i] = loadgen.Target{
-			Pot:        i,
-			SSHAddr:    net.JoinHostPort(ssh.IP, strconv.Itoa(ssh.Port)),
-			TelnetAddr: net.JoinHostPort(tel.IP, strconv.Itoa(tel.Port)),
-		}
-	}
-	// Attacker source IPs rotate through a documentation block; the
-	// fabric only needs them to be distinct-ish, not meaningful.
-	var srcSeq atomic.Uint64
-	dial := func(t loadgen.Target, ssh bool) (net.Conn, error) {
-		addr := t.SSHAddr
-		if !ssh {
-			addr = t.TelnetAddr
-		}
-		host, portStr, err := net.SplitHostPort(addr)
-		if err != nil {
-			return nil, err
-		}
-		port, err := strconv.Atoi(portStr)
-		if err != nil {
-			return nil, err
-		}
-		src := fmt.Sprintf("198.51.100.%d", srcSeq.Add(1)%254+1)
-		return f.Fabric().Dial(src, netsim.Addr{IP: host, Port: port})
-	}
-	return f, targets, dial, nil
-}
-
-// waitFarmAccepted polls the supervisor's accepted counter up to a
-// short deadline: records trail the last wire byte by the session
-// handler's teardown.
-func waitFarmAccepted(f *farm.Farm, want int) int {
-	accepted := 0
-	for i := 0; i < 100; i++ {
-		accepted = f.Stats().Accepted
-		if accepted >= want {
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	return accepted
 }
 
 // mustJSON renders v as stable indented JSON.

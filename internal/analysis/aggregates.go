@@ -77,18 +77,6 @@ func TopPasswords(s *store.Store, n int) []Counted {
 	return topN(counts, n)
 }
 
-// TopUsernames returns the most-attempted usernames (successful or not);
-// the paper notes "nproc", "admin", and "user" among the most frequent.
-func TopUsernames(s *store.Store, n int) []Counted {
-	counts := make(map[string]int)
-	for _, r := range s.Records() {
-		for _, l := range r.Logins {
-			counts[l.User]++
-		}
-	}
-	return topN(counts, n)
-}
-
 // TopCommands reproduces Table 3: recorded command strings split at
 // command separators (';' and '|'), ranked by occurrence.
 func TopCommands(s *store.Store, n int) []Counted {
@@ -275,15 +263,4 @@ func DurationECDFs(s *store.Store) [NumCategories]*stats.ECDF {
 		out[c].Sort()
 	}
 	return out
-}
-
-// MedianDailySessions returns the median of the farm's daily totals
-// (the paper reports ≈1.6M at full scale).
-func MedianDailySessions(s *store.Store) float64 {
-	tl := ComputeCategoryTimeline(s)
-	e := new(stats.ECDF)
-	for _, n := range tl.Total {
-		e.Add(float64(n))
-	}
-	return e.Quantile(0.5)
 }

@@ -200,43 +200,6 @@ func (k ComboKey) String() string {
 	return s
 }
 
-// CategoryCombosDaily is Figure 15: for each day, how many client IPs
-// fall into each combination of {NO_CRED, FAIL_LOG, CMD} activity on
-// that same day.
-func CategoryCombosDaily(s *store.Store) []map[ComboKey]int {
-	days := s.NumDays()
-	perDay := make([]map[string]ComboKey, days)
-	for d := range perDay {
-		perDay[d] = make(map[string]ComboKey)
-	}
-	for _, r := range s.Records() {
-		d := s.Day(r.Start)
-		if d < 0 || d >= days {
-			continue
-		}
-		var bit ComboKey
-		switch Classify(r) {
-		case NoCred:
-			bit = 1
-		case FailLog:
-			bit = 2
-		case Cmd, CmdURI:
-			bit = 4
-		default:
-			continue
-		}
-		perDay[d][r.ClientIP] |= bit
-	}
-	out := make([]map[ComboKey]int, days)
-	for d := range perDay {
-		out[d] = make(map[ComboKey]int)
-		for _, k := range perDay[d] {
-			out[d][k]++
-		}
-	}
-	return out
-}
-
 // TotalComboCounts sums Figure 15 over the full period using each IP's
 // all-time combo (the paper: ">700k IPs are only involved in scanning").
 func TotalComboCounts(s *store.Store) map[ComboKey]int {

@@ -59,8 +59,8 @@ func Start(name string) *Process {
 // Mux mounts reg at /metrics and root at /, after adding the binary's
 // build info and three runtime gauges to reg.
 func Mux(component string, reg *metrics.Registry, root http.Handler) *http.ServeMux {
-	reg.Gauge("honeyfarm_build_info", "Constant 1, labelled with the binary and the Go version that built it.",
-		metrics.Labels{"component": component, "go_version": runtime.Version()}).Set(1)
+	reg.GaugeFunc("honeyfarm_build_info", "Constant 1, labelled with the binary and the Go version that built it.",
+		metrics.Labels{"component": component, "go_version": runtime.Version()}, func() float64 { return 1 })
 	for _, m := range []struct{ name, help, src string }{
 		{"honeyfarm_runtime_goroutines", "Live goroutines.", "/sched/goroutines:goroutines"},
 		{"honeyfarm_runtime_heap_live_bytes", "Heap bytes the last GC cycle marked live.", "/gc/heap/live:bytes"},
@@ -83,7 +83,7 @@ func Mux(component string, reg *metrics.Registry, root http.Handler) *http.Serve
 
 // Node is an open daemon: the HTTP server on its bound address and
 // what runs behind it. Each Open fills the fields of its kind and
-// leaves the others nil; Listen's node is the server alone.
+// leaves the others nil.
 type Node struct {
 	Engine   *query.Engine      // shard, serve
 	Front    *shard.WireFront   // shard under -wire
@@ -96,16 +96,9 @@ type Node struct {
 	close    func(context.Context) error // the kind's ordered stop
 }
 
-// Listen binds addr, writes the bound address and a newline to addrFile
-// when one is named, and serves h. The node's Close is its Drain.
-func Listen(addr, addrFile string, h http.Handler) (*Node, error) {
-	n := &Node{}
-	n.close = n.Drain
-	return n.listen(addr, addrFile, h)
-}
-
-// listen is Listen for a node whose close is set; a node that cannot
-// listen is closed before the error is returned.
+// listen binds addr, writes the bound address and a newline to addrFile
+// when one is named, and serves h; n's close must be set. A node that
+// cannot listen is closed before the error is returned.
 func (n *Node) listen(addr, addrFile string, h http.Handler) (*Node, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err == nil && addrFile != "" {
@@ -195,10 +188,30 @@ func (c ShardConfig) Check() error {
 	return nil
 }
 
+// foreign reports the first recovered record that is not the shard's: one
+// of a pot another index owns or, fed from part, one that is not the
+// record part holds at its offset.
+func (c ShardConfig) foreign(part []*honeypot.SessionRecord, batches []wal.Batch) error {
+	i := 0
+	for _, b := range batches {
+		for _, r := range b.Records {
+			if r.HoneypotID%c.Shards != c.Index {
+				return fmt.Errorf("WAL record %d is of pot %d, which shard %d of %d does not own; -shards/-index mismatch", i, r.HoneypotID, c.Index, c.Shards)
+			}
+			if !c.Wire && (i >= len(part) || part[i].ID != r.ID) {
+				return fmt.Errorf("WAL record %d (session %d) is not the partition's, which has %d records; -shards/-index/-seed mismatch", i, r.ID, len(part))
+			}
+			i++
+		}
+	}
+	return nil
+}
+
 // OpenShard replays the WAL into a fresh engine, starts the wire front
 // (-wire) or feeds part, the partition's records, from the first one the
-// WAL lacks, and serves the query and pull APIs. A WAL holding more
-// records than part is another partition's: refused, and closed.
+// WAL lacks, and serves the query and pull APIs. A WAL that holds a pot
+// the shard does not own, or (fed from part) records that are not part's
+// prefix, is another partition's: refused, and closed.
 func OpenShard(cfg ShardConfig, part []*honeypot.SessionRecord, reg *honeyfarm.Registry) (*Node, error) {
 	if err := cfg.Check(); err != nil {
 		return nil, err
@@ -223,8 +236,8 @@ func OpenShard(cfg ShardConfig, part []*honeypot.SessionRecord, reg *honeyfarm.R
 		eng.Seal()
 		return errors.Join(err, n.Drain(ctx), wlog.Close()) // in this order
 	}
-	if !cfg.Wire && recovered > len(part) {
-		return nil, errors.Join(fmt.Errorf("WAL holds %d records but partition has %d; -shards/-index/-seed mismatch", recovered, len(part)), n.Close(context.Background()))
+	if err := cfg.foreign(part, recovery.Batches); err != nil {
+		return nil, errors.Join(err, n.Close(context.Background()))
 	}
 	eng.Seal()
 	if cfg.Wire {
@@ -318,5 +331,5 @@ func OpenCoordinator(cfg CoordinatorConfig) (*Node, error) {
 	api := query.NewServer(query.ServerConfig{Source: c, Shards: c.ShardStatuses, MaxInflight: cfg.MaxInflight})
 	n := &Node{Coord: c}
 	n.close = func(ctx context.Context) error { defer c.Stop(); return n.Drain(ctx) }
-	return n.listen(cfg.Addr, cfg.AddrFile, Mux("merge", shard.BuildMergeRegistry(c, api, cfg.Pots, time.Now), api.Handler()))
+	return n.listen(cfg.Addr, cfg.AddrFile, Mux("merge", shard.BuildMergeRegistry(c, api, cfg.Pots), api.Handler()))
 }

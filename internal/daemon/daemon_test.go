@@ -38,6 +38,14 @@ func get(t *testing.T, url string) (int, string) {
 	return resp.StatusCode, string(body)
 }
 
+// bareNode is a node that is its server alone: listen with Drain as
+// its Close.
+func bareNode(addr, addrFile string, h http.Handler) (*Node, error) {
+	n := &Node{}
+	n.close = n.Drain
+	return n.listen(addr, addrFile, h)
+}
+
 // drain drains l within d.
 func drain(l *Node, d time.Duration) error {
 	ctx, cancel := context.WithTimeout(context.Background(), d)
@@ -70,7 +78,7 @@ func parked(t *testing.T, url string, entered <-chan struct{}) <-chan error {
 func TestSIGTERMDrainsCleanly(t *testing.T) {
 	proc := Start("test")
 	mux := Mux("test", metrics.NewRegistry(), http.NotFoundHandler())
-	l, err := Listen("127.0.0.1:0", "", mux)
+	l, err := bareNode("127.0.0.1:0", "", mux)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +111,7 @@ func TestAddrFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := Listen("127.0.0.1:0", path, http.NotFoundHandler())
+	l, err := bareNode("127.0.0.1:0", path, http.NotFoundHandler())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +175,7 @@ func TestLeakedGoroutineReported(t *testing.T) {
 func TestParkedRequestDoesNotHoldDrain(t *testing.T) {
 	proc := Start("test")
 	entered := make(chan struct{})
-	l, err := Listen("127.0.0.1:0", "", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	l, err := bareNode("127.0.0.1:0", "", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		close(entered)
 		<-r.Context().Done()
 	}))
@@ -196,7 +204,7 @@ func TestParkedRequestDoesNotHoldDrain(t *testing.T) {
 func TestDrainTimeoutStillStops(t *testing.T) {
 	proc := Start("test")
 	entered, release := make(chan struct{}), make(chan struct{})
-	l, err := Listen("127.0.0.1:0", "", http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
+	l, err := bareNode("127.0.0.1:0", "", http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
 		close(entered)
 		<-release
 	}))
@@ -219,7 +227,7 @@ func TestDrainTimeoutStillStops(t *testing.T) {
 }
 
 // TestBindAndServeErrorsAreReturned: neither ends the process inside
-// the package. A taken address is Listen's error; a server that dies
+// the package. A taken address is listen's error; a server that dies
 // under Run ends the wait, and the drain reports why.
 func TestBindAndServeErrorsAreReturned(t *testing.T) {
 	taken, err := net.Listen("tcp", "127.0.0.1:0")
@@ -227,15 +235,15 @@ func TestBindAndServeErrorsAreReturned(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer taken.Close()
-	if _, err := Listen(taken.Addr().String(), "", http.NotFoundHandler()); err == nil {
-		t.Fatal("Listen on a taken address returned no error")
+	if _, err := bareNode(taken.Addr().String(), "", http.NotFoundHandler()); err == nil {
+		t.Fatal("listen on a taken address returned no error")
 	}
-	if _, err := Listen("127.0.0.1:0", filepath.Join(t.TempDir(), "no", "such", "dir", "addr"), http.NotFoundHandler()); err == nil {
-		t.Fatal("Listen with an unwritable -addr-file returned no error")
+	if _, err := bareNode("127.0.0.1:0", filepath.Join(t.TempDir(), "no", "such", "dir", "addr"), http.NotFoundHandler()); err == nil {
+		t.Fatal("listen with an unwritable -addr-file returned no error")
 	}
 
 	proc := Start("test")
-	l, err := Listen("127.0.0.1:0", "", http.NotFoundHandler())
+	l, err := bareNode("127.0.0.1:0", "", http.NotFoundHandler())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,6 +23,8 @@ import (
 	"honeyfarm/internal/honeypot"
 	"honeyfarm/internal/loadgen"
 	"honeyfarm/internal/query"
+	"honeyfarm/internal/telnet"
+	"honeyfarm/internal/wal"
 )
 
 const fixturePots = 4
@@ -190,6 +192,51 @@ func TestNodeWireRecoversAccepted(t *testing.T) {
 	closeNode(t, proc, n, 5*time.Second)
 }
 
+// TestNodeWireCloseRecordsInFlight: a logged-in Telnet session still
+// open when a -wire shard closes is cut, recorded and persisted before
+// the WAL closes; the reopened shard recovers it and serves what a fresh
+// engine over that one record serves.
+func TestNodeWireCloseRecordsInFlight(t *testing.T) {
+	proc := Start("test")
+	cfg := shardConfig(t.TempDir(), 0)
+	cfg.Wire = true
+
+	n := openShard(t, cfg, nil)
+	nc, err := net.Dial("tcp", n.Front.Pots()[0].TelnetAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	nc.SetDeadline(time.Now().Add(10 * time.Second))
+	if ok, err := telnet.ClientLogin(telnet.NewConn(nc, false), "root", "1234"); err != nil || !ok {
+		t.Fatalf("login ok=%v err=%v", ok, err)
+	}
+	closeNode(t, proc, n, 5*time.Second)
+	accepted := n.Front.Accepted()
+
+	wlog, recovery, err := wal.Open(cfg.WALDir, wal.Options{Epoch: honeyfarm.DefaultEpoch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := wlog.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var recs []*honeypot.SessionRecord
+	for _, b := range recovery.Batches {
+		recs = append(recs, b.Records...)
+	}
+	if len(recs) != 1 || accepted != 1 || recs[0].Protocol != honeypot.Telnet || !recs[0].LoggedIn() {
+		t.Fatalf("the front accepted %d sessions and the WAL holds %d records (%+v); want the one logged-in telnet session", accepted, len(recs), recs)
+	}
+
+	n = openShard(t, cfg, nil)
+	if got := n.Engine.Seq(); got != accepted {
+		t.Fatalf("recovered %d records, the front accepted %d", got, accepted)
+	}
+	sameV1(t, n, recs)
+	closeNode(t, proc, n, 5*time.Second)
+}
+
 // copyDir copies every file of src into a new directory, one file at a
 // time, while whoever writes src goes on writing.
 func copyDir(t *testing.T, src string) string {
@@ -271,9 +318,22 @@ func TestNodeParkedPullDoesNotHoldClose(t *testing.T) {
 	}
 }
 
-// TestNodeRefusesAnotherPartition: a WAL holding more records than the
-// partition handed in is refused and closed, and the same directory then
-// opens with the right partition.
+// partition is what shard index of shards owns of recs.
+func partition(recs []*honeypot.SessionRecord, shards, index int) []*honeypot.SessionRecord {
+	var part []*honeypot.SessionRecord
+	for _, r := range recs {
+		if r.HoneypotID%shards == index {
+			part = append(part, r)
+		}
+	}
+	return part
+}
+
+// TestNodeRefusesAnotherPartition: a WAL that is not the partition's is
+// refused and closed — one holding more records than the partition
+// handed in, one holding another index's pots (fed or under -wire), and
+// one holding the right pots but not the partition's records — and the
+// same directory then opens with the right partition.
 func TestNodeRefusesAnotherPartition(t *testing.T) {
 	recs := records(t)
 	proc := Start("test")
@@ -282,16 +342,49 @@ func TestNodeRefusesAnotherPartition(t *testing.T) {
 	waitFor(t, "the feed to finish", func() bool { return n.Engine.Seq() == uint64(len(recs)) })
 	closeNode(t, proc, n, 5*time.Second)
 
-	if _, err := OpenShard(cfg, recs[:len(recs)/2], honeyfarm.NewRegistry(1)); err == nil || !strings.Contains(err.Error(), "mismatch") {
-		t.Fatalf("OpenShard over another partition's WAL = %v, want the mismatch", err)
+	// Index 1 of 2, fed a third of its partition: fewer records than
+	// index 0's partition holds.
+	odd := shardConfig(t.TempDir(), 0)
+	odd.Shards, odd.Index = 2, 1
+	oddPart := partition(recs, 2, 1)
+	fed := len(oddPart) / 3
+	n = openShard(t, odd, oddPart[:fed])
+	waitFor(t, "the odd feed to finish", func() bool { return n.Engine.Seq() == uint64(fed) })
+	closeNode(t, proc, n, 5*time.Second)
+
+	asEven, asEvenWire, asAll := odd, odd, odd
+	asEven.Index, asEvenWire.Index, asAll.Shards, asAll.Index = 0, 0, 1, 0
+	asEvenWire.Wire = true
+	for _, in := range []struct {
+		name string
+		cfg  ShardConfig
+		part []*honeypot.SessionRecord
+	}{
+		{"more records than the partition", cfg, recs[:len(recs)/2]},
+		{"index 1's WAL as index 0", asEven, partition(recs, 2, 0)},
+		{"index 1's WAL as index 0 under -wire", asEvenWire, nil},
+		{"index 1's WAL as the only shard", asAll, recs},
+	} {
+		n, err := OpenShard(in.cfg, in.part, honeyfarm.NewRegistry(1))
+		if err == nil {
+			closeNode(t, proc, n, 5*time.Second)
+		}
+		if err == nil || !strings.Contains(err.Error(), "mismatch") {
+			t.Errorf("%s: OpenShard = %v, want the mismatch", in.name, err)
+		}
+		if err := proc.CheckLeaks(); err != nil {
+			t.Fatalf("after the refused open of %s: %v", in.name, err)
+		}
 	}
-	if err := proc.CheckLeaks(); err != nil {
-		t.Fatalf("after the refused open: %v", err)
-	}
-	cfg.Pace = time.Hour
+	cfg.Pace, odd.Pace = time.Hour, time.Hour
 	n = openShard(t, cfg, recs)
 	if got := n.Engine.Seq(); got != uint64(len(recs)) {
 		t.Fatalf("recovered %d of %d records after the refusal", got, len(recs))
+	}
+	closeNode(t, proc, n, 5*time.Second)
+	n = openShard(t, odd, oddPart)
+	if got := n.Engine.Seq(); got != uint64(fed) {
+		t.Fatalf("recovered %d of the %d records index 1 was fed, after the refusals", got, fed)
 	}
 	closeNode(t, proc, n, 5*time.Second)
 }

@@ -109,8 +109,6 @@ type Farm struct {
 	// droppedByPot splits Stats.DroppedRecords per honeypot, feeding the
 	// availability table's sink_drops column.
 	droppedByPot []int
-	// acceptedByPot splits Stats.Accepted per honeypot for /metrics.
-	acceptedByPot []int
 
 	stopCh  chan struct{}
 	connSeq atomic.Uint64
@@ -141,13 +139,12 @@ func New(cfg Config) (*Farm, error) {
 		return nil, fmt.Errorf("farm: placement: %w", err)
 	}
 	f := &Farm{
-		cfg:           cfg,
-		fabric:        netsim.NewFabric(),
-		deployments:   deployments,
-		states:        make([]potState, len(deployments)),
-		droppedByPot:  make([]int, len(deployments)),
-		acceptedByPot: make([]int, len(deployments)),
-		stopCh:        make(chan struct{}),
+		cfg:          cfg,
+		fabric:       netsim.NewFabric(),
+		deployments:  deployments,
+		states:       make([]potState, len(deployments)),
+		droppedByPot: make([]int, len(deployments)),
+		stopCh:       make(chan struct{}),
 	}
 	for _, d := range deployments {
 		pot, err := honeypot.New(honeypot.Config{
@@ -182,7 +179,6 @@ func (f *Farm) record(rec *honeypot.SessionRecord) {
 		f.droppedByPot[i]++
 	} else {
 		f.stats.Accepted++
-		f.acceptedByPot[i]++
 	}
 	f.mu.Unlock()
 	if drop || f.cfg.Sink == nil {

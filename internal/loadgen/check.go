@@ -63,6 +63,10 @@ func ScrapeCounter(client *http.Client, url, name string) (float64, error) {
 	return total, nil
 }
 
+// acceptedMetric is the counter a reconciliation sums: what each wire
+// front accepted and persisted.
+const acceptedMetric = "honeyfarm_wire_sessions_accepted_total"
+
 // CheckResult is the reconciliation outcome.
 type CheckResult struct {
 	Metric string  `json:"metric"`
@@ -71,12 +75,12 @@ type CheckResult struct {
 	Match  bool    `json:"match"`
 }
 
-// Reconcile polls the metric across all URLs until the summed value
+// Reconcile polls acceptedMetric across all URLs until the summed value
 // reaches want or the deadline passes (records can trail the wire by a
 // group-commit interval). sleep is the injected poll pacer.
-func Reconcile(urls []string, name string, want float64, attempts int, sleep func(time.Duration)) (CheckResult, error) {
+func Reconcile(urls []string, want float64, attempts int, sleep func(time.Duration)) (CheckResult, error) {
 	client := &http.Client{Timeout: 5 * time.Second}
-	res := CheckResult{Metric: name, Want: want}
+	res := CheckResult{Metric: acceptedMetric, Want: want}
 	for i := 0; i < attempts; i++ {
 		if i > 0 && sleep != nil {
 			sleep(100 * time.Millisecond)
@@ -84,7 +88,7 @@ func Reconcile(urls []string, name string, want float64, attempts int, sleep fun
 		total := 0.0
 		ok := true
 		for _, u := range urls {
-			v, err := ScrapeCounter(client, u, name)
+			v, err := ScrapeCounter(client, u, acceptedMetric)
 			if err != nil {
 				if i == attempts-1 {
 					return res, err

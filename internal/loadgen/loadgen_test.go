@@ -210,14 +210,14 @@ func TestScrapeAndReconcile(t *testing.T) {
 		t.Fatal("prefix matched a longer family name")
 	}
 
-	res, err := Reconcile([]string{srv.URL, srv.URL}, "honeyfarm_wire_sessions_accepted_total", 14, 3, func(time.Duration) {})
+	res, err := Reconcile([]string{srv.URL, srv.URL}, 14, 3, func(time.Duration) {})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Match || res.Got != 14 {
 		t.Fatalf("reconcile = %+v, want match at 14", res)
 	}
-	res, err = Reconcile([]string{srv.URL}, "honeyfarm_wire_sessions_accepted_total", 8, 2, func(time.Duration) {})
+	res, err = Reconcile([]string{srv.URL}, 8, 2, func(time.Duration) {})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,8 +65,7 @@ func TestDriverAgainstWireFront(t *testing.T) {
 	reg := shard.BuildCollectorRegistry(eng, nil, front, srv, 4)
 	ms := httptest.NewServer(reg.Handler())
 	defer ms.Close()
-	check, err := Reconcile([]string{ms.URL}, "honeyfarm_wire_sessions_accepted_total",
-		float64(res.Completed), 10, time.Sleep)
+	check, err := Reconcile([]string{ms.URL}, float64(res.Completed), 10, time.Sleep)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,21 +1,22 @@
 // Package metrics is a stdlib-only Prometheus text-format registry:
-// the operational metrics plane for every long-running honeyfarm
-// process (cmd/serve, cmd/shard, cmd/merge, the farm supervisor and
-// cmd/loadgen's embedded farm).
+// the operational metrics plane of every daemon (cmd/serve, cmd/shard,
+// cmd/merge).
 //
 // Three things distinguish it from the usual client library:
 //
+//   - Every series is a func. CounterFunc, GaugeFunc and HistogramFunc
+//     read, at scrape time, state its subsystem already keeps, so no
+//     hot path gains a metric write or the registry lock. A subsystem
+//     with no count of its own keeps a Counter (one atomic add) and
+//     exports it through CounterFunc.
 //   - Deterministic output. Families render sorted by name, children
 //     sorted by label signature, label keys sorted within a signature,
-//     and no timestamps — two registries fed identical events render
+//     and no timestamps — two registries over identical state render
 //     byte-identical text, so /metrics is golden-testable like every
-//     other endpoint in this repo.
-//   - Allocation-light hot path. Counter.Inc/Add is one atomic add,
-//     Gauge.Set one atomic store; nothing on the observe path
-//     allocates or takes the registry lock. Rendering reuses one
-//     buffer under the registry mutex.
-//   - Fixed log-spaced histogram buckets shared with stats.Histogram
-//     (stats.LogBuckets), so wire-side histograms and analysis-side
+//     other endpoint in this repo. Rendering reuses one buffer under
+//     the registry mutex.
+//   - Histograms are stats.Histogram snapshots, with its log-spaced
+//     buckets (stats.LogBuckets), so wire-side and analysis-side
 //     histograms agree on bucket layout and merge cleanly.
 //
 // Registration happens once at process start; duplicate registration
@@ -95,9 +96,8 @@ func (k kind) String() string {
 	}
 }
 
-// Counter is a monotonically increasing metric. The zero value is
-// ready to use; Registry.Counter returns one already registered, and a
-// standalone zero Counter can be exported later via CounterFunc.
+// Counter is a monotonically increasing count. The zero value is ready
+// to use; a Registry exports it through CounterFunc.
 type Counter struct {
 	v atomic.Uint64
 }
@@ -111,64 +111,10 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
-// Gauge is a metric that can go up and down.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add adjusts the gauge by delta.
-func (g *Gauge) Add(delta float64) {
-	//lint:ignore bounded-loop CAS retry loop; terminates as soon as no concurrent Add interleaves
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
-// Histogram is a fixed-bucket observation metric: a mutex-guarded
-// stats.Histogram rendered in the Prometheus cumulative-bucket form.
-type Histogram struct {
-	mu sync.Mutex
-	h  *stats.Histogram
-}
-
-// Observe records one sample.
-func (h *Histogram) Observe(v float64) {
-	h.mu.Lock()
-	h.h.Observe(v)
-	h.mu.Unlock()
-}
-
-// Snapshot returns a merged copy of the histogram state.
-func (h *Histogram) Snapshot() *stats.Histogram {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	c, err := stats.NewHistogram(h.h.Bounds())
-	if err != nil {
-		panic("metrics: histogram bounds invalidated: " + err.Error())
-	}
-	if err := c.Merge(h.h); err != nil {
-		panic("metrics: histogram self-merge failed: " + err.Error())
-	}
-	return c
-}
-
 // child is one (family, labels) series.
 type child struct {
-	sig    string // canonical label signature, "" for none
-	ctr    *Counter
-	gau    *Gauge
-	fn     func() float64 // CounterFunc / GaugeFunc value source
-	hist   *Histogram
+	sig    string                  // canonical label signature, "" for none
+	fn     func() float64          // CounterFunc / GaugeFunc value source
 	histFn func() *stats.Histogram // HistogramFunc snapshot source
 }
 
@@ -219,30 +165,13 @@ func (r *Registry) familyLocked(name, help string, k kind) *family {
 	return f
 }
 
-// Counter registers and returns a counter. labels may be nil.
-func (r *Registry) Counter(name, help string, labels Labels) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c := &Counter{}
-	r.familyLocked(name, help, kindCounter).add(&child{sig: labels.signature(), ctr: c})
-	return c
-}
-
 // CounterFunc registers a counter whose value is read from fn at each
-// render. fn must be monotonic and safe for concurrent use.
+// render. labels may be nil. fn must be monotonic and safe for
+// concurrent use.
 func (r *Registry) CounterFunc(name, help string, labels Labels, fn func() float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.familyLocked(name, help, kindCounter).add(&child{sig: labels.signature(), fn: fn})
-}
-
-// Gauge registers and returns a gauge. labels may be nil.
-func (r *Registry) Gauge(name, help string, labels Labels) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g := &Gauge{}
-	r.familyLocked(name, help, kindGauge).add(&child{sig: labels.signature(), gau: g})
-	return g
 }
 
 // GaugeFunc registers a gauge whose value is read from fn at each
@@ -253,28 +182,10 @@ func (r *Registry) GaugeFunc(name, help string, labels Labels, fn func() float64
 	r.familyLocked(name, help, kindGauge).add(&child{sig: labels.signature(), fn: fn})
 }
 
-// Histogram registers and returns a histogram over the given bucket
-// bounds (strictly ascending upper bounds, typically
-// stats.LogBuckets). labels may be nil; the "le" label is reserved.
-func (r *Registry) Histogram(name, help string, labels Labels, bounds []float64) *Histogram {
-	if _, reserved := labels["le"]; reserved {
-		panic("metrics: label \"le\" is reserved for histogram buckets")
-	}
-	sh, err := stats.NewHistogram(bounds)
-	if err != nil {
-		panic("metrics: " + err.Error())
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h := &Histogram{h: sh}
-	r.familyLocked(name, help, kindHistogram).add(&child{sig: labels.signature(), hist: h})
-	return h
-}
-
 // HistogramFunc registers a histogram whose state is snapshotted from
-// fn at each render — for subsystems that own their own
-// stats.Histogram (e.g. the merge coordinator's pull latency). fn must
-// be safe for concurrent use and return a consistent copy.
+// fn at each render — the subsystem owns its stats.Histogram (e.g. the
+// merge coordinator's pull latency). The "le" label is reserved. fn
+// must be safe for concurrent use and return a consistent copy.
 func (r *Registry) HistogramFunc(name, help string, labels Labels, fn func() *stats.Histogram) {
 	if _, reserved := labels["le"]; reserved {
 		panic("metrics: label \"le\" is reserved for histogram buckets")
@@ -325,36 +236,22 @@ func (r *Registry) renderLocked() {
 		b = append(b, f.kind.String()...)
 		b = append(b, '\n')
 		for _, c := range f.children {
-			switch {
-			case c.ctr != nil:
-				b = append(b, f.name...)
-				b = append(b, c.sig...)
-				b = append(b, ' ')
-				b = strconv.AppendUint(b, c.ctr.Value(), 10)
-				b = append(b, '\n')
-			case c.gau != nil:
-				b = appendSeries(b, f.name, c.sig, c.gau.Value())
-			case c.fn != nil:
+			if c.fn != nil {
 				b = appendSeries(b, f.name, c.sig, c.fn())
-			case c.hist != nil, c.histFn != nil:
-				var h *stats.Histogram
-				if c.hist != nil {
-					h = c.hist.Snapshot()
-				} else {
-					h = c.histFn()
-				}
-				bounds, counts := h.Bounds(), h.Counts()
-				var cum uint64
-				for i, bound := range bounds {
-					cum += counts[i]
-					le := string(appendValue(nil, bound))
-					b = appendSeries(b, f.name+"_bucket", bucketSig(c.sig, le), float64(cum))
-				}
-				cum += counts[len(counts)-1]
-				b = appendSeries(b, f.name+"_bucket", bucketSig(c.sig, "+Inf"), float64(cum))
-				b = appendSeries(b, f.name+"_sum", c.sig, h.Sum())
-				b = appendSeries(b, f.name+"_count", c.sig, float64(h.Count()))
+				continue
 			}
+			h := c.histFn()
+			bounds, counts := h.Bounds(), h.Counts()
+			var cum uint64
+			for i, bound := range bounds {
+				cum += counts[i]
+				le := string(appendValue(nil, bound))
+				b = appendSeries(b, f.name+"_bucket", bucketSig(c.sig, le), float64(cum))
+			}
+			cum += counts[len(counts)-1]
+			b = appendSeries(b, f.name+"_bucket", bucketSig(c.sig, "+Inf"), float64(cum))
+			b = appendSeries(b, f.name+"_sum", c.sig, h.Sum())
+			b = appendSeries(b, f.name+"_count", c.sig, float64(h.Count()))
 		}
 	}
 	r.buf = b

@@ -14,30 +14,40 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
-// fill registers one of everything and feeds a fixed event sequence —
-// the shared fixture for the golden and determinism tests.
-func fill(r *Registry) {
-	c := r.Counter("test_sessions_total", "Sessions accepted.", nil)
-	c.Add(41)
-	c.Inc()
-	byPot0 := r.Counter("test_pot_sessions_total", "Sessions per pot.", Labels{"pot": "0"})
-	byPot1 := r.Counter("test_pot_sessions_total", "Sessions per pot.", Labels{"pot": "1"})
-	byPot0.Add(7)
-	byPot1.Add(3)
-	g := r.Gauge("test_lag_records", "Follower lag.", nil)
-	g.Set(12.5)
-	g.Add(-2.5)
-	r.GaugeFunc("test_snapshot_seq", "Sealed snapshot sequence.", nil, func() float64 { return 80 })
-	r.CounterFunc("test_ingested_total", "Ingested records.", Labels{"shard": "1", "role": "collector"}, func() float64 { return 1234 })
-	h := r.Histogram("test_pull_seconds", "Pull latency.", nil, stats.LogBuckets(0.001, 10, 4))
-	for _, v := range []float64{0.0005, 0.002, 0.2, 0.2, 99} {
+// constant is a func series that always reads v.
+func constant(v float64) func() float64 { return func() float64 { return v } }
+
+// histogram is a stats.Histogram over bounds holding vs.
+func histogram(t testing.TB, bounds []float64, vs ...float64) *stats.Histogram {
+	h, err := stats.NewHistogram(bounds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range vs {
 		h.Observe(v)
 	}
+	return h
+}
+
+// fill registers one of every kind over fixed state — the shared
+// fixture for the golden and determinism tests.
+func fill(t testing.TB, r *Registry) {
+	c := new(Counter)
+	c.Add(41)
+	c.Inc()
+	r.CounterFunc("test_sessions_total", "Sessions accepted.", nil, func() float64 { return float64(c.Value()) })
+	r.CounterFunc("test_pot_sessions_total", "Sessions per pot.", Labels{"pot": "0"}, constant(7))
+	r.CounterFunc("test_pot_sessions_total", "Sessions per pot.", Labels{"pot": "1"}, constant(3))
+	r.GaugeFunc("test_lag_records", "Follower lag.", nil, constant(10))
+	r.GaugeFunc("test_snapshot_seq", "Sealed snapshot sequence.", nil, constant(80))
+	r.CounterFunc("test_ingested_total", "Ingested records.", Labels{"shard": "1", "role": "collector"}, constant(1234))
+	h := histogram(t, stats.LogBuckets(0.001, 10, 4), 0.0005, 0.002, 0.2, 0.2, 99)
+	r.HistogramFunc("test_pull_seconds", "Pull latency.", nil, func() *stats.Histogram { return h })
 }
 
 func TestRenderGolden(t *testing.T) {
 	r := NewRegistry()
-	fill(r)
+	fill(t, r)
 	got := r.Render()
 	path := filepath.Join("testdata", "registry.golden.txt")
 	if *updateGolden {
@@ -59,10 +69,10 @@ func TestRenderGolden(t *testing.T) {
 
 func TestRenderDeterministic(t *testing.T) {
 	a, b := NewRegistry(), NewRegistry()
-	fill(a)
-	fill(b)
+	fill(t, a)
+	fill(t, b)
 	if !bytes.Equal(a.Render(), b.Render()) {
-		t.Errorf("two registries fed identical events rendered differently:\n--- a ---\n%s--- b ---\n%s", a.Render(), b.Render())
+		t.Errorf("two registries over identical state rendered differently:\n--- a ---\n%s--- b ---\n%s", a.Render(), b.Render())
 	}
 	// Render twice: the reused buffer must not corrupt output.
 	if !bytes.Equal(a.Render(), a.Render()) {
@@ -72,8 +82,8 @@ func TestRenderDeterministic(t *testing.T) {
 
 func TestLabelOrderIrrelevant(t *testing.T) {
 	a, b := NewRegistry(), NewRegistry()
-	a.Counter("x_total", "x.", Labels{"a": "1", "b": "2"}).Inc()
-	b.Counter("x_total", "x.", Labels{"b": "2", "a": "1"}).Inc()
+	a.CounterFunc("x_total", "x.", Labels{"a": "1", "b": "2"}, constant(1))
+	b.CounterFunc("x_total", "x.", Labels{"b": "2", "a": "1"}, constant(1))
 	if !bytes.Equal(a.Render(), b.Render()) {
 		t.Error("label map order changed the render")
 	}
@@ -81,7 +91,7 @@ func TestLabelOrderIrrelevant(t *testing.T) {
 
 func TestLabelEscaping(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("esc_total", "e.", Labels{"k": "a\\b\"c\nd"}).Inc()
+	r.CounterFunc("esc_total", "e.", Labels{"k": "a\\b\"c\nd"}, constant(1))
 	out := string(r.Render())
 	if !strings.Contains(out, `{k="a\\b\"c\nd"}`) {
 		t.Errorf("labels not escaped: %q", out)
@@ -95,8 +105,8 @@ func TestDuplicateRegistrationPanics(t *testing.T) {
 		}
 	}()
 	r := NewRegistry()
-	r.Counter("dup_total", "d.", nil)
-	r.Counter("dup_total", "d.", nil)
+	r.CounterFunc("dup_total", "d.", nil, constant(1))
+	r.CounterFunc("dup_total", "d.", nil, constant(1))
 }
 
 func TestKindConflictPanics(t *testing.T) {
@@ -106,8 +116,8 @@ func TestKindConflictPanics(t *testing.T) {
 		}
 	}()
 	r := NewRegistry()
-	r.Counter("conflict", "c.", nil)
-	r.Gauge("conflict", "c.", nil)
+	r.CounterFunc("conflict", "c.", nil, constant(1))
+	r.GaugeFunc("conflict", "c.", nil, constant(1))
 }
 
 func TestReservedLabelPanics(t *testing.T) {
@@ -117,15 +127,13 @@ func TestReservedLabelPanics(t *testing.T) {
 		}
 	}()
 	r := NewRegistry()
-	r.Histogram("h", "h.", Labels{"le": "1"}, []float64{1})
+	r.HistogramFunc("h", "h.", Labels{"le": "1"}, func() *stats.Histogram { return histogram(t, []float64{1}) })
 }
 
 func TestHistogramCumulativeBuckets(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("lat_seconds", "l.", Labels{"shard": "0"}, []float64{1, 10})
-	h.Observe(0.5)
-	h.Observe(5)
-	h.Observe(50)
+	h := histogram(t, []float64{1, 10}, 0.5, 5, 50)
+	r.HistogramFunc("lat_seconds", "l.", Labels{"shard": "0"}, func() *stats.Histogram { return h })
 	out := string(r.Render())
 	for _, want := range []string{
 		`lat_seconds_bucket{shard="0",le="1"} 1`,
@@ -142,7 +150,7 @@ func TestHistogramCumulativeBuckets(t *testing.T) {
 
 func TestHandler(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("hits_total", "h.", nil).Add(3)
+	r.CounterFunc("hits_total", "h.", nil, constant(3))
 	srv := httptest.NewServer(r.Handler())
 	defer srv.Close()
 
@@ -173,8 +181,7 @@ func TestHandler(t *testing.T) {
 }
 
 func BenchmarkCounterInc(b *testing.B) {
-	r := NewRegistry()
-	c := r.Counter("bench_total", "b.", nil)
+	c := new(Counter)
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
@@ -185,7 +192,7 @@ func BenchmarkCounterInc(b *testing.B) {
 
 func BenchmarkRender(b *testing.B) {
 	r := NewRegistry()
-	fill(r)
+	fill(b, r)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		r.mu.Lock()

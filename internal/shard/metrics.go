@@ -7,7 +7,6 @@ package shard
 
 import (
 	"strconv"
-	"time"
 
 	"honeyfarm/internal/metrics"
 	"honeyfarm/internal/query"
@@ -19,10 +18,10 @@ import (
 // pull health: up/seq/staleness gauges, cumulative pull counters (how
 // many pulls were full frames and the bytes they all carried say which
 // path ran, pulls less idle pulls how often there was news), the
-// merged-bundle rebuild counter, and the pull-latency histogram. now
-// supplies the wall clock for the staleness gauges; nil renders them 0
-// (deterministic tests).
-func RegisterCoordinatorMetrics(reg *metrics.Registry, c *Coordinator, now func() time.Time) {
+// merged-bundle rebuild counter, and the pull-latency histogram. The
+// staleness gauges read the coordinator's Config.Now; without a clock
+// they render 0 (deterministic tests).
+func RegisterCoordinatorMetrics(reg *metrics.Registry, c *Coordinator) {
 	n := len(c.cfg.Shards)
 	for i := 0; i < n; i++ {
 		shard := i
@@ -45,10 +44,10 @@ func RegisterCoordinatorMetrics(reg *metrics.Registry, c *Coordinator, now func(
 			"Seconds since the shard last answered a pull (0 without a clock or before first contact).",
 			labels, func() float64 {
 				last := c.ShardStatuses()[shard].LastOKUnix
-				if now == nil || last == 0 {
+				if c.cfg.Now == nil || last == 0 {
 					return 0
 				}
-				d := now().Unix() - last
+				d := c.cfg.Now().Unix() - last
 				if d < 0 {
 					return 0
 				}
@@ -80,10 +79,10 @@ func RegisterCoordinatorMetrics(reg *metrics.Registry, c *Coordinator, now func(
 
 // BuildMergeRegistry assembles the full cmd/merge metric set — exactly
 // what the merge node mounts at /metrics.
-func BuildMergeRegistry(c *Coordinator, srv *query.Server, numPots int, now func() time.Time) *metrics.Registry {
+func BuildMergeRegistry(c *Coordinator, srv *query.Server, numPots int) *metrics.Registry {
 	reg := metrics.NewRegistry()
 	query.RegisterSourceMetrics(reg, c, numPots)
-	RegisterCoordinatorMetrics(reg, c, now)
+	RegisterCoordinatorMetrics(reg, c)
 	query.RegisterServeMetrics(reg, srv)
 	return reg
 }

@@ -113,7 +113,7 @@ func TestMergeMetricsSchemaGolden(t *testing.T) {
 	waitFor(t, 5e9, func() bool { return coord.Seq() == eng.Seq() }, "merge catch-up")
 
 	api := query.NewServer(query.ServerConfig{Source: coord})
-	reg := shard.BuildMergeRegistry(coord, api, 4, nil)
+	reg := shard.BuildMergeRegistry(coord, api, 4)
 	checkGolden(t, "merge_metrics_schema.golden.txt", maskValues(reg.Render()))
 
 	// The values the schema golden masks still have to be coherent:

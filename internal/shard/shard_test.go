@@ -466,7 +466,7 @@ func TestPartialsRefusesOtherVersion(t *testing.T) {
 		t.Error("merged snapshot changed while every pull was refused")
 	}
 	api := query.NewServer(query.ServerConfig{Source: coord, Shards: coord.ShardStatuses})
-	metrics := string(shard.BuildMergeRegistry(coord, api, testPots, nil).Render())
+	metrics := string(shard.BuildMergeRegistry(coord, api, testPots).Render())
 	if strings.Contains(metrics, `honeyfarm_shard_pull_failures_total{shard="0"} 0`+"\n") ||
 		!strings.Contains(metrics, `honeyfarm_shard_last_seq{shard="0"} 2000`+"\n") {
 		t.Errorf("metrics do not show the refused pulls:\n%s", metrics)

@@ -201,27 +201,6 @@ func Knee(ranked []float64) int {
 	return best + 1
 }
 
-// GiniCoefficient measures inequality of a non-negative distribution,
-// used in tests to assert the heavy-tailed honeypot popularity the paper
-// reports. Returns a value in [0, 1).
-func GiniCoefficient(values []float64) float64 {
-	n := len(values)
-	if n == 0 {
-		return 0
-	}
-	v := append([]float64(nil), values...)
-	sort.Float64s(v)
-	var cum, total float64
-	for i, x := range v {
-		cum += x * float64(i+1)
-		total += x
-	}
-	if total == 0 {
-		return 0
-	}
-	return (2*cum)/(float64(n)*total) - (float64(n)+1)/float64(n)
-}
-
 // FreshnessWindow tracks which string keys have been seen within a sliding
 // window of buckets (days). Window 0 means "all time". It powers Figure 17:
 // the fraction of each day's unique hashes not observed in the preceding

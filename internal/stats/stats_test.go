@@ -180,19 +180,6 @@ func TestKnee(t *testing.T) {
 	}
 }
 
-func TestGiniCoefficient(t *testing.T) {
-	if g := GiniCoefficient([]float64{1, 1, 1, 1}); math.Abs(g) > 1e-9 {
-		t.Errorf("uniform Gini = %v, want 0", g)
-	}
-	g := GiniCoefficient([]float64{0, 0, 0, 100})
-	if g < 0.7 {
-		t.Errorf("concentrated Gini = %v, want high", g)
-	}
-	if GiniCoefficient(nil) != 0 {
-		t.Error("empty Gini should be 0")
-	}
-}
-
 func TestFreshnessWindowAllTime(t *testing.T) {
 	f := NewFreshnessWindow(0)
 	if got := f.Advance(0, []string{"a", "b"}); got != 2 {

@@ -46,6 +46,10 @@
 #                answer under /debug/pprof/, If-None-Match revalidation
 #                must return 304, and SIGTERM must drain cleanly with
 #                zero leaked goroutines
+#   dataset smoke  the offline binaries: cmd/honeyfarm writes one dataset
+#                as JSONL and as a Cowrie export, fsck finds the JSONL
+#                healthy, cmd/analyze prints byte-identical tables from
+#                both, and cmd/notify prints a notification
 #   merge smoke  a 3-shard farm (cmd/shard, built with -race) feeds
 #                under a merge coordinator (cmd/merge); one shard is
 #                SIGKILLed mid-run — /v1/healthz must degrade to
@@ -233,6 +237,20 @@ if [ "$code" != "304" ]; then
 fi
 kill -TERM "$serve_pid"
 expect_clean_drain "serve smoke" "$serve_pid" "$tmp/serve.log"
+
+echo "==> dataset smoke (honeyfarm, fsck, analyze over JSONL and Cowrie, notify)"
+go build -o "$tmp/honeyfarm" ./cmd/honeyfarm
+go build -o "$tmp/analyze" ./cmd/analyze
+go build -o "$tmp/notify" ./cmd/notify
+"$tmp/honeyfarm" -sessions 5000 -out "$tmp/ds.jsonl" >/dev/null
+"$tmp/honeyfarm" -sessions 5000 -format cowrie -out "$tmp/ds-cowrie.json" >/dev/null
+"$tmp/fsck" "$tmp/ds.jsonl" >"$tmp/ds-fsck.txt"
+grep -q ': ok, ' "$tmp/ds-fsck.txt"
+"$tmp/analyze" -in "$tmp/ds.jsonl" -tables table1,figure2 >"$tmp/ds-jsonl.txt"
+"$tmp/analyze" -cowrie -in "$tmp/ds-cowrie.json" -tables table1,figure2 >"$tmp/ds-cowrie.txt"
+cmp "$tmp/ds-jsonl.txt" "$tmp/ds-cowrie.txt"
+"$tmp/notify" -in "$tmp/ds.jsonl" -min 1 -top 1 >"$tmp/ds-notify.txt"
+grep -q -- '--- notification 1 ---' "$tmp/ds-notify.txt"
 
 echo "==> merge smoke (3 shards, SIGKILL+restart, byte-identical merge)"
 go build -race -o "$tmp/merge" ./cmd/merge
