@@ -1,6 +1,6 @@
 // Command honeypot runs a single medium-interaction SSH/Telnet honeypot
-// on real TCP ports — the same honeypot code the simulated farm runs
-// in-process, served by the same honeypot.Server — and streams one
+// on real TCP ports — the same honeypot code a shard's wire front runs,
+// served by the same honeypot.Server — and streams one
 // SessionRecord JSON object per line to a log (cowrielog.Export converts
 // records to Cowrie's format). On SIGINT or SIGTERM it stops accepting,
 // drains the sessions in flight for up to honeypot.DefaultDrainTimeout,
@@ -91,14 +91,14 @@ func main() {
 			log.Fatalf("listening on %s: %v", l.addr, err)
 		}
 		fmt.Fprintf(os.Stderr, "honeypot: %s on %s\n", l.proto, ln.Addr())
-		srv.Serve(pot.ID(), ln, l.handle)
+		srv.Serve(ln, l.handle)
 	}
 
 	fmt.Fprintf(os.Stderr, "honeypot: %v, draining\n", <-sig)
 	if err := srv.Close(); err != nil {
 		log.Printf("closing listeners: %v", err)
 	}
-	srv.Drain(honeypot.DefaultDrainTimeout, nil)
+	srv.Drain(honeypot.DefaultDrainTimeout)
 	if *logPath != "" {
 		if err := out.Close(); err != nil {
 			log.Fatalf("closing log: %v", err)

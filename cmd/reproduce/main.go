@@ -12,6 +12,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -71,7 +72,9 @@ func main() {
 // loadFaultPlan parses the -faults argument: empty means no plan, a
 // leading '{' means inline JSON, anything else is a file path. A plan
 // with no seed of its own inherits the run seed, keeping one -seed flag
-// in charge of the whole reproduction.
+// in charge of the whole reproduction. An unknown key is refused by
+// name, as it is in a scenario file's "faults" block, rather than
+// ignored.
 func loadFaultPlan(arg string, seed int64) (*honeyfarm.FaultPlan, error) {
 	if arg == "" {
 		return nil, nil
@@ -84,8 +87,10 @@ func loadFaultPlan(arg string, seed int64) (*honeyfarm.FaultPlan, error) {
 		}
 		raw = b
 	}
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
 	var plan honeyfarm.FaultPlan
-	if err := json.Unmarshal(raw, &plan); err != nil {
+	if err := dec.Decode(&plan); err != nil {
 		return nil, err
 	}
 	if plan.Seed == 0 {

@@ -1,51 +1,82 @@
-// Wirelevel: drive real protocol sessions against an in-process
-// honeyfarm — an SSH intrusion with a malware download and a Mirai-style
-// Telnet brute force — and show the Cowrie-style records the collector
-// captured, classified with the paper's taxonomy.
+// Wirelevel: drive real protocol sessions against a honeypot — an SSH
+// intrusion with a malware download and a Mirai-style Telnet brute
+// force — and show the Cowrie-style records it captured, classified
+// with the paper's taxonomy. The pot is served through honeypot.Server
+// over an in-memory fabric, the way cmd/honeypot serves it over TCP, so
+// each session arrives from the attacker address it dials from.
 //
 //	go run ./examples/wirelevel
 package main
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"log"
+	"net"
+	"slices"
 	"time"
 
 	"honeyfarm"
+	"honeyfarm/internal/honeypot"
+	"honeyfarm/internal/netsim"
 	"honeyfarm/internal/sshwire"
 	"honeyfarm/internal/telnet"
 )
 
+// potIP is the honeypot's address on the fabric.
+const potIP = "192.0.2.3"
+
 func main() {
-	// A 12-honeypot farm; every honeypot speaks real SSH and Telnet over
-	// the in-memory fabric. The Fetch hook lets wget/curl "download".
-	farm, err := honeyfarm.NewFarm(honeyfarm.FarmConfig{
-		Seed:    7,
-		NumPots: 12,
+	// One honeypot speaking real SSH and Telnet. The Fetch hook lets
+	// wget/curl "download"; every finished session goes to records,
+	// which has a slot for each of the two so the sink never blocks.
+	records := make(chan *honeyfarm.SessionRecord, 2)
+	pot, err := honeypot.New(honeypot.Config{
+		ID: 3,
 		Fetch: func(uri string) ([]byte, error) {
 			return []byte("#!/bin/sh\n# malware fetched from " + uri + "\n"), nil
 		},
+		Sink: func(rec *honeypot.SessionRecord) { records <- rec },
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := farm.Start(); err != nil {
-		log.Fatal(err)
+	fabric := netsim.NewFabric()
+	var srv honeypot.Server
+	for _, l := range []struct {
+		port   int
+		handle func(net.Conn)
+	}{{22, pot.ServeSSH}, {23, pot.ServeTelnet}} {
+		ln, err := fabric.Listen(potIP, l.port)
+		if err != nil {
+			log.Fatal(err)
+		}
+		srv.Serve(ln, l.handle)
 	}
-	defer farm.Stop()
+	defer func() {
+		_ = srv.Close()
+		srv.Drain(honeypot.DefaultDrainTimeout)
+	}()
 
-	sshIntrusion(farm)
-	telnetBruteForce(farm)
+	sshIntrusion(fabric)
+	telnetBruteForce(fabric)
 
-	// Give the collector a moment to flush both sessions.
-	deadline := time.Now().Add(5 * time.Second)
-	for farm.Collector().Len() < 2 && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
+	// A record arrives when its session's handler ends, so the two may
+	// arrive in either order; session IDs follow the order they began.
+	var got []*honeyfarm.SessionRecord
+	for range 2 {
+		select {
+		case rec := <-records:
+			got = append(got, rec)
+		case <-time.After(5 * time.Second):
+			log.Fatal("timed out waiting for the session records")
+		}
 	}
+	slices.SortFunc(got, func(a, b *honeyfarm.SessionRecord) int { return cmp.Compare(a.ID, b.ID) })
 
 	fmt.Println("collector records:")
-	for _, rec := range farm.Collector().Records() {
+	for _, rec := range got {
 		fmt.Printf("  session %d  honeypot=%d  proto=%s  client=%s  category=%s  term=%s\n",
 			rec.ID, rec.HoneypotID, rec.Protocol, rec.ClientIP, honeyfarm.Classify(rec), rec.Termination)
 		for _, l := range rec.Logins {
@@ -66,8 +97,8 @@ func main() {
 // sshIntrusion replays a typical bot playbook over real SSH-2
 // (curve25519-sha256 / ssh-ed25519 / aes128-ctr): recon, download,
 // chmod, execute, leave.
-func sshIntrusion(farm *honeyfarm.Farm) {
-	nc, err := farm.Fabric().Dial("203.0.113.99", farm.SSHAddr(3))
+func sshIntrusion(fabric *netsim.Fabric) {
+	nc, err := fabric.Dial("203.0.113.99", netsim.Addr{IP: potIP, Port: 22})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -113,8 +144,8 @@ func sshIntrusion(farm *honeyfarm.Farm) {
 
 // telnetBruteForce replays Mirai's dictionary walk: two failures, then
 // the root:1234 pair the paper's cluster always uses.
-func telnetBruteForce(farm *honeyfarm.Farm) {
-	nc, err := farm.Fabric().Dial("198.51.100.200", farm.TelnetAddr(5))
+func telnetBruteForce(fabric *netsim.Fabric) {
+	nc, err := fabric.Dial("198.51.100.200", netsim.Addr{IP: potIP, Port: 23})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,14 +6,14 @@
 // regenerates every table and figure of "Fifteen Months in the Life of
 // a Honeyfarm" (IMC 2023).
 //
-// Three entry points cover the common uses:
+// Two entry points cover the common uses:
 //
 //   - Simulate generates a calibrated session dataset at a chosen scale
 //     and wraps it in a Dataset with one method per paper artifact.
-//   - NewFarm builds a wire-level in-process honeyfarm whose honeypots
-//     speak real SSH and Telnet over an in-memory fabric (or real TCP
-//     via honeypot.Honeypot directly).
 //   - LoadDataset / (*Dataset).Save round-trip datasets as JSONL.
+//
+// The wire-level collector — honeypots speaking real SSH and Telnet
+// into one durable sink — is a shard's wire front (cmd/shard -wire).
 package honeyfarm
 
 import (
@@ -25,7 +25,6 @@ import (
 	"honeyfarm/internal/analysis"
 	"honeyfarm/internal/atomicio"
 	"honeyfarm/internal/cowrielog"
-	"honeyfarm/internal/farm"
 	"honeyfarm/internal/faults"
 	"honeyfarm/internal/geo"
 	"honeyfarm/internal/honeypot"
@@ -144,43 +143,6 @@ func NewDatasetFromResult(res *workload.Result, reg *Registry, numPots int) *Dat
 		tagger:      res.Tagger(),
 	}
 }
-
-// FarmConfig configures a wire-level honeyfarm. The registry is built
-// from Seed; the fault-injection knobs are farm.Config's.
-type FarmConfig struct {
-	Seed    int64
-	NumPots int
-	// Fetch resolves attacker download URIs; nil blocks egress.
-	Fetch func(uri string) ([]byte, error)
-}
-
-// Farm is a wire-level honeyfarm whose records all go to one store.
-type Farm struct {
-	*farm.Farm
-	collector *store.Store
-}
-
-// NewFarm builds (but does not start) a wire-level honeyfarm.
-func NewFarm(cfg FarmConfig) (*Farm, error) {
-	st := store.New(DefaultEpoch)
-	f, err := farm.New(farm.Config{
-		Seed:     cfg.Seed,
-		NumPots:  cfg.NumPots,
-		Registry: NewRegistry(cfg.Seed),
-		Fetch:    cfg.Fetch,
-		Sink: func(recs []*SessionRecord) error {
-			st.AddBatch(recs)
-			return nil
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Farm{Farm: f, collector: st}, nil
-}
-
-// Collector returns the store every session record goes to.
-func (f *Farm) Collector() *store.Store { return f.collector }
 
 // Save writes the dataset's sessions as JSONL.
 func (d *Dataset) Save(w io.Writer) error { return d.Store.WriteJSONL(w) }

@@ -122,20 +122,6 @@ func TestClassifyFacade(t *testing.T) {
 	}
 }
 
-func TestNewFarmFacade(t *testing.T) {
-	f, err := NewFarm(FarmConfig{Seed: 3, NumPots: 60})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer f.Stop()
-	if len(f.Deployments()) != 60 {
-		t.Errorf("deployments = %d", len(f.Deployments()))
-	}
-}
-
 func TestMergeFederation(t *testing.T) {
 	a, err := Simulate(SimulateConfig{Seed: 1, TotalSessions: 6000, Days: 20, NumPots: 8})
 	if err != nil {

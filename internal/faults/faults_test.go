@@ -21,9 +21,9 @@ func TestValidate(t *testing.T) {
 	}
 	bad := []*Plan{
 		{RefuseRate: -0.1},
-		{JitterRate: 1.5},
+		{StallRate: 1.5},
 		{RefuseRate: 0.5, ResetRate: 0.4, StallRate: 0.2}, // sums past 1
-		{MaxJitterMS: -1},
+		{BackoffBaseMS: -1},
 		{Outages: []Outage{{Pot: -1, FirstDay: 0, LastDay: 1}}},
 		{Outages: []Outage{{Pot: 0, FirstDay: 5, LastDay: 2}}},
 	}
@@ -34,66 +34,53 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-// TestConnFaultDeterministic pins the core contract: the same (seed,
+// TestDecisionsDeterministic pins the core contract: the same (seed,
 // index) always yields the same decision, and a different seed yields a
 // different decision sequence.
-func TestConnFaultDeterministic(t *testing.T) {
-	p := &Plan{Seed: 7, RefuseRate: 0.1, ResetRate: 0.1, StallRate: 0.1, JitterRate: 0.2, MaxJitterMS: 10}
-	q := &Plan{Seed: 8, RefuseRate: 0.1, ResetRate: 0.1, StallRate: 0.1, JitterRate: 0.2, MaxJitterMS: 10}
-	same, diff := 0, 0
-	for seq := uint64(0); seq < 2000; seq++ {
-		a, b := p.ConnFault(seq), p.ConnFault(seq)
-		if a != b {
-			t.Fatalf("seq %d: decision not deterministic: %+v vs %+v", seq, a, b)
+func TestDecisionsDeterministic(t *testing.T) {
+	p := &Plan{Seed: 7, RefuseRate: 0.1, ResetRate: 0.1, StallRate: 0.1}
+	q := &Plan{Seed: 8, RefuseRate: 0.1, ResetRate: 0.1, StallRate: 0.1}
+	dropDiff, backoffDiff := 0, 0
+	for i := uint64(0); i < 2000; i++ {
+		if p.DropsSession(i) != p.DropsSession(i) {
+			t.Fatalf("index %d: drop decision not deterministic", i)
 		}
-		if a == q.ConnFault(seq) {
-			same++
-		} else {
-			diff++
+		if p.DropsSession(i) != q.DropsSession(i) {
+			dropDiff++
+		}
+		a := p.Backoff(int(i%16), int(i/16))
+		if a != p.Backoff(int(i%16), int(i/16)) {
+			t.Fatalf("index %d: backoff not deterministic", i)
+		}
+		if a != q.Backoff(int(i%16), int(i/16)) {
+			backoffDiff++
 		}
 	}
-	if diff == 0 {
-		t.Error("changing the seed never changed a decision")
+	if dropDiff == 0 || backoffDiff == 0 {
+		t.Errorf("changing the seed changed %d drop and %d backoff decisions, want some of each", dropDiff, backoffDiff)
 	}
-	_ = same
 }
 
-// TestConnFaultRates checks the decision stream realizes the configured
-// rates (law of large numbers, 5% absolute tolerance at n=20000).
-func TestConnFaultRates(t *testing.T) {
-	p := &Plan{Seed: 3, RefuseRate: 0.1, ResetRate: 0.15, StallRate: 0.05, JitterRate: 0.25}
-	const n = 20000
-	var refused, reset, stalled, jittered int
-	for seq := uint64(0); seq < n; seq++ {
-		d := p.ConnFault(seq)
-		switch {
-		case d.Refuse:
-			refused++
-			if d.Jitter != 0 || d.ResetAfter != 0 || d.Stall {
-				t.Fatalf("seq %d: refused connection carries other faults: %+v", seq, d)
-			}
-		case d.ResetAfter > 0:
-			reset++
-			if d.ResetAfter > maxResetBytes+1 {
-				t.Fatalf("seq %d: reset budget %d out of range", seq, d.ResetAfter)
-			}
-		case d.Stall:
-			stalled++
-		}
-		if d.Jitter > 0 {
-			jittered++
+// TestActive: a plan is active when it can drop a session or down a
+// pot; a seed or a backoff policy alone injects nothing.
+func TestActive(t *testing.T) {
+	cases := []struct {
+		p    *Plan
+		want bool
+	}{
+		{nil, false},
+		{&Plan{}, false},
+		{&Plan{Seed: 3, BackoffBaseMS: 5, BackoffCapMS: 50}, false},
+		{&Plan{RefuseRate: 0.1}, true},
+		{&Plan{ResetRate: 0.1}, true},
+		{&Plan{StallRate: 0.1}, true},
+		{&Plan{Outages: []Outage{{Pot: 0, FirstDay: 1, LastDay: 1}}}, true},
+	}
+	for _, c := range cases {
+		if got := c.p.Active(); got != c.want {
+			t.Errorf("Active(%+v) = %v, want %v", c.p, got, c.want)
 		}
 	}
-	check := func(name string, got int, want float64) {
-		if f := float64(got) / n; math.Abs(f-want) > 0.05 {
-			t.Errorf("%s rate = %.3f, want ≈ %.2f", name, f, want)
-		}
-	}
-	check("refuse", refused, p.RefuseRate)
-	check("reset", reset, p.ResetRate)
-	check("stall", stalled, p.StallRate)
-	// Jitter applies only to non-refused connections.
-	check("jitter", jittered, p.JitterRate*(1-p.RefuseRate))
 }
 
 func TestDropsSessionRate(t *testing.T) {
@@ -201,7 +188,7 @@ func TestReportAccounting(t *testing.T) {
 func TestPlanJSONRoundTrip(t *testing.T) {
 	p := &Plan{
 		Seed: 9, RefuseRate: 0.1, ResetRate: 0.05, StallRate: 0.02,
-		JitterRate: 0.3, MaxJitterMS: 20, BackoffBaseMS: 5, BackoffCapMS: 500,
+		BackoffBaseMS: 5, BackoffCapMS: 500,
 		Outages: []Outage{{Pot: 7, FirstDay: 10, LastDay: 20}},
 	}
 	raw, err := json.Marshal(p)

@@ -21,6 +21,7 @@ type testRig struct {
 	records []*SessionRecord
 	sshAddr netsim.Addr
 	telAddr netsim.Addr
+	srv     Server
 	done    sync.WaitGroup
 }
 
@@ -51,10 +52,9 @@ func newRig(t *testing.T, cfg Config) *testRig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var srv Server
-	t.Cleanup(func() { srv.Close() })
-	srv.Serve(pot.ID(), sshL, pot.ServeSSH)
-	srv.Serve(pot.ID(), telL, pot.ServeTelnet)
+	t.Cleanup(func() { rig.srv.Close() })
+	rig.srv.Serve(sshL, pot.ServeSSH)
+	rig.srv.Serve(telL, pot.ServeTelnet)
 	return rig
 }
 

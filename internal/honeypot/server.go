@@ -10,38 +10,36 @@ import (
 // DefaultDrainTimeout bounds a server's graceful drain.
 const DefaultDrainTimeout = 5 * time.Second
 
-// Server runs the accept loops of a set of honeypots and tracks every
-// connection it hands out until its session ends. Listeners and
-// connections are grouped by pot, so one pot can be severed while the
-// rest serve on. The zero value is ready to use; Serve must not be
-// called after Close.
+// Server runs the accept loops of a set of honeypot listeners and
+// tracks every connection it hands out until its session ends. The zero
+// value is ready to use; Serve must not be called after Close.
 type Server struct {
-	mu    sync.Mutex
-	lns   map[net.Listener]int // listener still accepting -> pot
-	conns map[net.Conn]int     // connection in flight -> pot
-	wg    sync.WaitGroup       // accept loops and session handlers
+	mu     sync.Mutex
+	lns    []net.Listener        // listeners, until Close
+	conns  map[net.Conn]struct{} // connections in flight
+	closed bool                  // Close has run
+	wg     sync.WaitGroup        // accept loops and session handlers
 }
 
-// Serve accepts connections on ln for pot until ln is closed, running
-// handle on its own goroutine for each. A connection accepted after its
-// pot was severed, or after Close, is closed at once and still handed
-// to handle, which records the abort.
-func (s *Server) Serve(pot int, ln net.Listener, handle func(net.Conn)) {
+// Serve accepts connections on ln until ln is closed, running handle on
+// its own goroutine for each. A connection accepted after Close is
+// closed at once and still handed to handle, which records the abort.
+func (s *Server) Serve(ln net.Listener, handle func(net.Conn)) {
 	s.mu.Lock()
-	if s.lns == nil {
-		s.lns, s.conns = map[net.Listener]int{}, map[net.Conn]int{}
+	if s.conns == nil {
+		s.conns = map[net.Conn]struct{}{}
 	}
-	s.lns[ln] = pot
+	s.lns = append(s.lns, ln)
 	s.wg.Add(1)
 	s.mu.Unlock()
-	go s.accept(pot, ln, handle)
+	go s.accept(ln, handle)
 }
 
 // accept is the one accept loop. A closed listener (net.ErrClosed, which
 // netsim.ErrClosed wraps) ends it. Any other error, such as EMFILE under
 // a connection flood, backs off 5 ms, doubling to 1 s, and retries: the
 // shape net/http's server uses.
-func (s *Server) accept(pot int, ln net.Listener, handle func(net.Conn)) {
+func (s *Server) accept(ln net.Listener, handle func(net.Conn)) {
 	defer s.wg.Done()
 	var delay time.Duration
 	for {
@@ -56,13 +54,13 @@ func (s *Server) accept(pot int, ln net.Listener, handle func(net.Conn)) {
 		}
 		delay = 0
 		s.mu.Lock()
-		// Sever and Close take ln out of s.lns before they sweep
-		// s.conns, so a connection the sweep missed is closed here.
-		_, live := s.lns[ln]
-		s.conns[c] = pot
+		// A connection accepted after Close is closed here, so Drain's
+		// sweep cannot miss it.
+		closed := s.closed
+		s.conns[c] = struct{}{}
 		s.wg.Add(1)
 		s.mu.Unlock()
-		if !live {
+		if closed {
 			_ = c.Close()
 		}
 		go func() {
@@ -82,44 +80,27 @@ func (s *Server) Open() int {
 	return len(s.conns)
 }
 
-// Sever takes pot down: its listeners and live connections are closed.
-// The pot can be served again afterwards.
-func (s *Server) Sever(pot int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for ln, p := range s.lns {
-		if p == pot {
-			_ = ln.Close()
-			delete(s.lns, ln)
-		}
-	}
-	for c, p := range s.conns {
-		if p == pot {
-			_ = c.Close()
-		}
-	}
-}
-
-// Close stops accepting on every pot and returns the first listener
-// close error. Sessions in flight carry on; Drain waits for them.
+// Close stops accepting on every listener and returns the first close
+// error. Sessions in flight carry on; Drain waits for them.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.closed = true
 	var first error
-	for ln := range s.lns {
+	for _, ln := range s.lns {
 		if err := ln.Close(); err != nil && first == nil {
 			first = err
 		}
-		delete(s.lns, ln)
 	}
+	s.lns = nil
 	return first
 }
 
 // Drain waits up to bound for the accept loops and the sessions in
-// flight to finish. At the bound, or at once when bound ≤ 0, it calls
-// force (when non-nil) before it closes the connections left, then waits
-// for their handlers to record them. Call it after Close.
-func (s *Server) Drain(bound time.Duration, force func()) {
+// flight to finish. At the bound, or at once when bound ≤ 0, it closes
+// the connections left, then waits for their handlers to record them.
+// Call it after Close.
+func (s *Server) Drain(bound time.Duration) {
 	done := make(chan struct{})
 	go func() {
 		s.wg.Wait()
@@ -131,9 +112,6 @@ func (s *Server) Drain(bound time.Duration, force func()) {
 			return
 		case <-time.After(bound):
 		}
-	}
-	if force != nil {
-		force()
 	}
 	s.mu.Lock()
 	for c := range s.conns {

@@ -62,7 +62,7 @@ func TestServerRetriesAcceptError(t *testing.T) {
 	ln := newChanListener()
 	var srv Server
 	started := make(chan struct{})
-	srv.Serve(0, ln, func(c net.Conn) {
+	srv.Serve(ln, func(c net.Conn) {
 		close(started)
 		_, _ = io.Copy(io.Discard, c)
 	})
@@ -83,74 +83,50 @@ func TestServerRetriesAcceptError(t *testing.T) {
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	srv.Drain(0, nil)
+	srv.Drain(0)
 	if n := srv.Open(); n != 0 {
 		t.Errorf("Open = %d after Drain, want 0", n)
 	}
 }
 
-// TestServerSeverAndDrain: Sever closes only its own pot's listeners
-// and connections; Drain with a stalled peer calls force before it
-// closes the connections left, and returns within the bound.
-func TestServerSeverAndDrain(t *testing.T) {
-	fabric := netsim.NewFabric()
-	addrs := []netsim.Addr{{IP: "10.0.0.1", Port: 22}, {IP: "10.0.0.2", Port: 22}}
-	var srv Server
-	ended := make(chan int, len(addrs))
-	for pot, a := range addrs {
-		ln, err := fabric.Listen(a.IP, a.Port)
+// TestServerDrainBounded: clients that connect and go silent sit in
+// the pot's pre-auth read, which an hour-long timeout never ends. After
+// Close no dial is accepted, and Drain force-closes both sessions at
+// its bound, returns, and leaves both recorded.
+func TestServerDrainBounded(t *testing.T) {
+	rig := newRig(t, Config{ID: 0, PreAuthTimeout: time.Hour})
+	rig.expect(2)
+	for _, a := range []netsim.Addr{rig.sshAddr, rig.telAddr} {
+		c, err := rig.fabric.Dial("203.0.113.9", a)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pot := pot
-		srv.Serve(pot, ln, func(c net.Conn) {
-			// A stalled peer: nothing arrives until the server closes c.
-			_, _ = io.Copy(io.Discard, c)
-			ended <- pot
-		})
+		defer c.Close() // never written, never read, never closed before Drain
 	}
-	for _, a := range addrs {
-		c, err := fabric.Dial("203.0.113.9", a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-	}
-	waitUntil(t, "both connections to be tracked", func() bool { return srv.Open() == 2 })
+	waitUntil(t, "both connections to be tracked", func() bool { return rig.srv.Open() == 2 })
 
-	srv.Sever(0)
-	select {
-	case pot := <-ended:
-		if pot != 0 {
-			t.Fatalf("Sever(0) ended pot %d's session", pot)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("Sever(0) left pot 0's session running")
-	}
-	waitUntil(t, "pot 0's session to be untracked", func() bool { return srv.Open() == 1 })
-	if c, err := fabric.Dial("203.0.113.9", addrs[0]); err == nil {
-		c.Close()
-		t.Error("pot 0 still accepts after Sever")
-	}
-
-	if err := srv.Close(); err != nil {
+	if err := rig.srv.Close(); err != nil {
 		t.Fatal(err)
 	}
+	if c, err := rig.fabric.Dial("203.0.113.9", rig.sshAddr); err == nil {
+		c.Close()
+		t.Error("the pot still accepts after Close")
+	}
 	const bound = 100 * time.Millisecond
-	openAtForce := -1
 	start := time.Now()
-	srv.Drain(bound, func() { openAtForce = srv.Open() })
-	elapsed := time.Since(start)
-	if openAtForce != 1 {
-		t.Errorf("force saw %d open connections, want 1: it must run before the stalled one is closed", openAtForce)
+	rig.srv.Drain(bound)
+	if elapsed := time.Since(start); elapsed < bound || elapsed > bound+2*time.Second {
+		t.Errorf("Drain took %v with stalled clients, want about %v", elapsed, bound)
 	}
-	if elapsed < bound || elapsed > bound+2*time.Second {
-		t.Errorf("Drain took %v, want about %v", elapsed, bound)
-	}
-	if pot := <-ended; pot != 1 {
-		t.Errorf("Drain ended pot %d's session, want pot 1", pot)
-	}
-	if n := srv.Open(); n != 0 {
+	if n := rig.srv.Open(); n != 0 {
 		t.Errorf("Open = %d after Drain, want 0", n)
+	}
+	recs := rig.wait(t)
+	protos := map[Protocol]bool{}
+	for _, r := range recs {
+		protos[r.Protocol] = true
+	}
+	if len(recs) != 2 || !protos[SSH] || !protos[Telnet] {
+		t.Errorf("records after Drain = %+v, want one SSH and one Telnet", recs)
 	}
 }

@@ -136,7 +136,7 @@ func New(inner FS, plan Plan) (*Injector, error) {
 
 // Break makes every subsequent mutating op fail with cause (wrapped as
 // an InjectedError) until Heal — the manual outage window the
-// ENOSPC-window tests open and close around a farm run.
+// ENOSPC-window tests open and close around a live WAL.
 func (in *Injector) Break(cause error) {
 	in.mu.Lock()
 	defer in.mu.Unlock()

@@ -11,8 +11,8 @@ import (
 // LockAcrossBlocking enforces the no-blocking-under-lock contract: a
 // mutex held across an fsync, network I/O, or a channel send turns one
 // slow disk or one unbuffered receiver into a stall of every other
-// critical section — the farm supervisor and the serve drain path both
-// depend on lock hold times being bounded by CPU work. Fsync reach is a
+// critical section — the accept loop's connection table and the serve
+// drain path both depend on lock hold times being bounded by CPU work. Fsync reach is a
 // propagated fact, so a helper that syncs three calls down still
 // counts. The WAL's Sync/Close barrier, segment seals and degraded-mode
 // entry fsync under l.mu by design; each such call carries a reasoned

@@ -1,12 +1,12 @@
 package loadgen
 
 import (
+	"fmt"
 	"net"
 	"testing"
 	"time"
 
 	"honeyfarm/internal/analysis"
-	"honeyfarm/internal/farm"
 	"honeyfarm/internal/geo"
 	"honeyfarm/internal/honeypot"
 	"honeyfarm/internal/netsim"
@@ -16,9 +16,10 @@ import (
 
 // TestReplayAgreement generates a record-level dataset, replays a sample
 // over the wire — every sampled record one arrival whose script is
-// FromRecord's, driven by Run through the farm's fabric — and checks
-// that the wire-level honeypots re-derive the same classifications: the
-// central consistency claim between the two execution paths.
+// FromRecord's, driven by Run through a fabric to ten pots served by one
+// honeypot.Server — and checks that the wire-level honeypots re-derive
+// the same classifications: the central consistency claim between the
+// two execution paths.
 func TestReplayAgreement(t *testing.T) {
 	reg := geo.NewRegistry(geo.Config{Seed: 1})
 	res, err := workload.Generate(workload.Config{
@@ -32,27 +33,32 @@ func TestReplayAgreement(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The farm's sink records every wire-side session here.
+	// Every pot's sink records its wire-side sessions here.
 	wireRecs := store.New(res.Store.Epoch())
-	f, err := farm.New(farm.Config{
-		Seed:      3,
-		NumPots:   10,
-		NumASes:   10,
-		Countries: geo.HoneyfarmCountries[:10],
-		Registry:  reg,
-		Fetch:     func(uri string) ([]byte, error) { return []byte("payload:" + uri), nil },
-		Sink: func(recs []*honeypot.SessionRecord) error {
-			wireRecs.AddBatch(recs)
-			return nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
+	fabric := netsim.NewFabric()
+	var srv honeypot.Server
+	defer func() {
+		_ = srv.Close()
+		srv.Drain(honeypot.DefaultDrainTimeout)
+	}()
+	potIP := func(pot int) string { return fmt.Sprintf("10.0.0.%d", pot+1) }
+	for id := 0; id < 10; id++ {
+		pot, err := honeypot.New(honeypot.Config{
+			ID:    id,
+			Fetch: func(uri string) ([]byte, error) { return []byte("payload:" + uri), nil },
+			Sink:  wireRecs.Add,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for port, handle := range map[int]func(net.Conn){22: pot.ServeSSH, 23: pot.ServeTelnet} {
+			ln, err := fabric.Listen(potIP(id), port)
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv.Serve(ln, handle)
+		}
 	}
-	if err := f.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer f.Stop()
 
 	const stride = 40
 	plan := &Plan{Targets: make([]Target, 10)}
@@ -73,7 +79,7 @@ func TestReplayAgreement(t *testing.T) {
 			if ssh {
 				port = 22
 			}
-			return f.Fabric().Dial("198.51.100.7", netsim.Addr{IP: f.SSHAddr(t.Pot).IP, Port: port})
+			return fabric.Dial("198.51.100.7", netsim.Addr{IP: potIP(t.Pot), Port: port})
 		},
 		Concurrency: 8,
 		Now:         time.Now,
@@ -90,7 +96,7 @@ func TestReplayAgreement(t *testing.T) {
 		t.Fatalf("replay errors: %d of %d (%v)", failed, replayed, run.Errors)
 	}
 
-	// Wait for the farm to flush its records.
+	// Wait for the pots to flush their records.
 	deadline := time.Now().Add(15 * time.Second)
 	for wireRecs.Len() < replayed-failed && time.Now().Before(deadline) {
 		time.Sleep(20 * time.Millisecond)

@@ -1,10 +1,9 @@
 // Package netsim provides an in-memory network fabric with net.Conn /
 // net.Listener semantics: addressable endpoints, buffered full-duplex
-// pipes, fault-hook connection faults, and deadline support. The
-// honeyfarm's simulated attackers dial in-process honeypots through
-// this fabric using the exact same SSH/Telnet protocol code that runs
-// over real TCP, so wire-level experiments need no sockets and scale to
-// thousands of concurrent sessions.
+// pipes, and deadline support. A client dials an in-process honeypot
+// from any source address through this fabric using the exact same
+// SSH/Telnet protocol code that runs over real TCP, so wire-level tests
+// and examples need no sockets.
 package netsim
 
 import (
@@ -22,28 +21,7 @@ var (
 	ErrConnectionRefused = errors.New("netsim: connection refused")
 	ErrClosed            = fmt.Errorf("netsim: %w", net.ErrClosed) // one errors.Is check serves both fabrics
 	ErrTimeout           = errors.New("netsim: i/o timeout")
-	ErrReset             = errors.New("netsim: connection reset by peer")
 )
-
-// ConnFault describes the faults to inject into one dialed connection.
-// The zero value is a healthy connection.
-type ConnFault struct {
-	// Refuse fails the dial with ErrConnectionRefused.
-	Refuse bool
-	// ResetAfter, when positive, tears the connection down with ErrReset
-	// on both sides once that many payload bytes have been written.
-	ResetAfter int
-	// Stall blackholes the connection: writes succeed but no data is
-	// ever delivered, so readers block until their deadline or Close.
-	Stall bool
-	// Jitter delays connection establishment.
-	Jitter time.Duration
-}
-
-// FaultHook decides the fault treatment for each dial. It runs on the
-// dialing goroutine before the connection is created and must be safe
-// for concurrent use.
-type FaultHook func(src string, dst Addr) ConnFault
 
 // Addr is a network address inside the fabric.
 type Addr struct {
@@ -63,7 +41,6 @@ type Fabric struct {
 	mu        sync.Mutex
 	listeners map[Addr]*Listener
 	nextPort  int
-	faultHook FaultHook
 }
 
 // NewFabric creates an empty fabric.
@@ -72,14 +49,6 @@ func NewFabric() *Fabric {
 		listeners: make(map[Addr]*Listener),
 		nextPort:  40000,
 	}
-}
-
-// SetFaultHook installs (or, with nil, removes) the fault hook applied
-// to subsequent dials.
-func (f *Fabric) SetFaultHook(h FaultHook) {
-	f.mu.Lock()
-	f.faultHook = h
-	f.mu.Unlock()
 }
 
 // Listener accepts fabric connections on one address.
@@ -147,13 +116,10 @@ func (l *Listener) Close() error {
 // Addr returns the bound address.
 func (l *Listener) Addr() net.Addr { return l.addr }
 
-// Dial connects from srcIP to dst. It waits out any fault-hook jitter
-// and fails with
-// ErrConnectionRefused when nothing listens on dst or the fault hook
-// refuses the connection.
+// Dial connects from srcIP to dst. It fails with ErrConnectionRefused
+// when nothing listens on dst.
 func (f *Fabric) Dial(srcIP string, dst Addr) (net.Conn, error) {
 	f.mu.Lock()
-	hook := f.faultHook
 	l, ok := f.listeners[dst]
 	src := Addr{IP: srcIP, Port: f.nextPort}
 	f.nextPort++
@@ -161,18 +127,10 @@ func (f *Fabric) Dial(srcIP string, dst Addr) (net.Conn, error) {
 		f.nextPort = 40000
 	}
 	f.mu.Unlock()
-	var fd ConnFault
-	if hook != nil {
-		fd = hook(srcIP, dst)
-	}
-	if fd.Jitter > 0 {
-		time.Sleep(fd.Jitter)
-	}
-	if fd.Refuse || !ok {
+	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrConnectionRefused, dst)
 	}
 	clientSide, serverSide := newConnPair(src, dst)
-	applyFault(clientSide, serverSide, fd)
 	l.qmu.Lock()
 	if l.closed {
 		l.qmu.Unlock()
@@ -189,51 +147,12 @@ func (f *Fabric) Dial(srcIP string, dst Addr) (net.Conn, error) {
 	}
 }
 
-// applyFault wires reset budgets and stall blackholes into a fresh
-// connection pair, before either side is shared with another goroutine.
-func applyFault(client, server *Conn, fd ConnFault) {
-	if fd.Stall {
-		client.readHalf.blackhole = true
-		client.writeHalf.blackhole = true
-	}
-	if fd.ResetAfter > 0 {
-		shared := &connFault{budget: fd.ResetAfter}
-		client.fault = shared
-		server.fault = shared
-	}
-}
-
-// connFault tracks the shared reset byte budget of a connection pair.
-type connFault struct {
-	mu     sync.Mutex
-	budget int
-}
-
-// consume debits n bytes and reports how many may still be written and
-// whether the budget just tripped.
-func (cf *connFault) consume(n int) (allowed int, tripped bool) {
-	cf.mu.Lock()
-	defer cf.mu.Unlock()
-	if cf.budget <= 0 {
-		return 0, true
-	}
-	if n >= cf.budget {
-		allowed = cf.budget
-		cf.budget = 0
-		return allowed, true
-	}
-	cf.budget -= n
-	return n, false
-}
-
 // pipeHalf is one direction's buffered byte stream.
 type pipeHalf struct {
-	mu        sync.Mutex
-	cond      *sync.Cond
-	buf       []byte
-	closed    bool // write side closed
-	reset     bool // torn down by an injected reset
-	blackhole bool // stall fault: accept writes, deliver nothing
+	mu     sync.Mutex
+	cond   *sync.Cond
+	buf    []byte
+	closed bool // write side closed
 }
 
 func newPipeHalf() *pipeHalf {
@@ -245,14 +164,8 @@ func newPipeHalf() *pipeHalf {
 func (h *pipeHalf) write(p []byte) (int, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.reset {
-		return 0, ErrReset
-	}
 	if h.closed {
 		return 0, ErrClosed
-	}
-	if h.blackhole {
-		return len(p), nil
 	}
 	h.buf = append(h.buf, p...)
 	h.cond.Broadcast()
@@ -263,9 +176,6 @@ func (h *pipeHalf) read(p []byte, deadline *deadline) (int, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	for len(h.buf) == 0 {
-		if h.reset {
-			return 0, ErrReset
-		}
 		if h.closed {
 			return 0, errEOF
 		}
@@ -284,17 +194,6 @@ func (h *pipeHalf) read(p []byte, deadline *deadline) (int, error) {
 func (h *pipeHalf) close() {
 	h.mu.Lock()
 	h.closed = true
-	h.cond.Broadcast()
-	h.mu.Unlock()
-}
-
-// closeReset tears the half down like a TCP RST: buffered data is
-// discarded and both readers and writers observe ErrReset.
-func (h *pipeHalf) closeReset() {
-	h.mu.Lock()
-	h.closed = true
-	h.reset = true
-	h.buf = nil
 	h.cond.Broadcast()
 	h.mu.Unlock()
 }
@@ -340,7 +239,6 @@ type Conn struct {
 	remote    Addr
 	readDL    deadline
 	closeOnce sync.Once
-	fault     *connFault // shared reset budget, nil when healthy
 }
 
 func newConnPair(clientAddr, serverAddr Addr) (client, server *Conn) {
@@ -363,22 +261,8 @@ func (c *Conn) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// Write implements net.Conn. When a reset budget is attached and this
-// write exhausts it, the allowed prefix is delivered and the connection
-// is torn down with ErrReset on both sides.
-func (c *Conn) Write(p []byte) (int, error) {
-	if c.fault != nil {
-		allowed, tripped := c.fault.consume(len(p))
-		if tripped {
-			// Like a TCP RST, data not yet read is discarded — the
-			// accepted prefix is counted but never delivered.
-			c.writeHalf.closeReset()
-			c.readHalf.closeReset()
-			return allowed, ErrReset
-		}
-	}
-	return c.writeHalf.write(p)
-}
+// Write implements net.Conn.
+func (c *Conn) Write(p []byte) (int, error) { return c.writeHalf.write(p) }
 
 // Close implements net.Conn: both directions are torn down.
 func (c *Conn) Close() error {

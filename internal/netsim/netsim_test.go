@@ -340,3 +340,163 @@ func TestQuickDataIntegrity(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestListenerCloseDrainsQueue: connections never Accepted must be
+// closed when the listener goes away, so clients get EOF, not dead air.
+func TestListenerCloseDrainsQueue(t *testing.T) {
+	f := NewFabric()
+	l, err := f.Listen("10.0.0.1", 22)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := f.Dial("10.9.9.9", Addr{IP: "10.0.0.1", Port: 22})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	// The conn sits in the accept queue; nobody ever Accepts it.
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	readErr := make(chan error, 1)
+	go func() {
+		_, err := c.Read(make([]byte, 1))
+		readErr <- err
+	}()
+	select {
+	case err := <-readErr:
+		if err != io.EOF {
+			t.Errorf("read on drained conn = %v, want EOF", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("queued conn not closed by listener drain")
+	}
+}
+
+func TestDialAfterListenerCloseRefused(t *testing.T) {
+	f := NewFabric()
+	l, err := f.Listen("10.0.0.1", 22)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = l.Close()
+	if _, err := f.Dial("10.9.9.9", Addr{IP: "10.0.0.1", Port: 22}); !errors.Is(err, ErrConnectionRefused) {
+		t.Errorf("dial after close = %v, want refused", err)
+	}
+}
+
+// --- deadline edge cases ---
+
+// TestDeadlineAlreadyPast: a deadline in the past fails the read
+// immediately instead of blocking.
+func TestDeadlineAlreadyPast(t *testing.T) {
+	f := NewFabric()
+	l, _ := f.Listen("10.0.0.1", 22)
+	defer l.Close()
+	go func() { _, _ = l.Accept() }()
+	c, err := f.Dial("10.9.9.9", Addr{IP: "10.0.0.1", Port: 22})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.SetReadDeadline(time.Now().Add(-time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	_, err = c.Read(make([]byte, 1))
+	var ne net.Error
+	if !errors.As(err, &ne) || !ne.Timeout() {
+		t.Fatalf("read with past deadline = %v, want timeout", err)
+	}
+	if elapsed := time.Since(start); elapsed > 500*time.Millisecond {
+		t.Errorf("past deadline blocked for %v", elapsed)
+	}
+}
+
+// TestClearDeadlineMidBlock: clearing the deadline while a read is
+// blocked must not fire a spurious timeout; the read completes when
+// data finally arrives.
+func TestClearDeadlineMidBlock(t *testing.T) {
+	f := NewFabric()
+	l, _ := f.Listen("10.0.0.1", 22)
+	defer l.Close()
+	srvCh := make(chan net.Conn, 1)
+	go func() {
+		c, _ := l.Accept()
+		srvCh <- c
+	}()
+	c, err := f.Dial("10.9.9.9", Addr{IP: "10.0.0.1", Port: 22})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	srv := <-srvCh
+	defer srv.Close()
+
+	if err := c.SetReadDeadline(time.Now().Add(40 * time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	type result struct {
+		n   int
+		err error
+	}
+	got := make(chan result, 1)
+	go func() {
+		buf := make([]byte, 4)
+		n, err := c.Read(buf)
+		got <- result{n, err}
+	}()
+	time.Sleep(10 * time.Millisecond)
+	if err := c.SetReadDeadline(time.Time{}); err != nil {
+		t.Fatal(err)
+	}
+	// Write well after the original deadline would have fired.
+	time.Sleep(60 * time.Millisecond)
+	if _, err := srv.Write([]byte("ok")); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case r := <-got:
+		if r.err != nil || r.n != 2 {
+			t.Errorf("read after clearing deadline = (%d, %v), want (2, nil)", r.n, r.err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("read never completed after deadline cleared")
+	}
+}
+
+// TestCloseRacesBlockedRead: hammer Close against a blocked Read; under
+// -race this doubles as a data-race probe on the pipe internals.
+func TestCloseRacesBlockedRead(t *testing.T) {
+	for i := 0; i < 50; i++ {
+		f := NewFabric()
+		l, _ := f.Listen("10.0.0.1", 22)
+		srvCh := make(chan net.Conn, 1)
+		go func() {
+			c, _ := l.Accept()
+			srvCh <- c
+		}()
+		c, err := f.Dial("10.9.9.9", Addr{IP: "10.0.0.1", Port: 22})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := <-srvCh
+
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			_, err := srv.Read(make([]byte, 1))
+			if err != io.EOF && !errors.Is(err, ErrClosed) {
+				t.Errorf("iter %d: racing read = %v, want EOF/closed", i, err)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			_ = c.Close()
+		}()
+		wg.Wait()
+		_ = srv.Close()
+		_ = l.Close()
+	}
+}

@@ -11,8 +11,8 @@ import (
 // appended to the write-ahead log, then folded into the engine, under
 // one mutex — so log order, engine order and acceptance order coincide,
 // and the engine's sequence never runs ahead of what a restart
-// recovers. The farm, the shard wire front and the shard feeder all
-// ingest through it.
+// recovers. The shard wire front and the shard feeder both ingest
+// through it.
 type Sink struct {
 	mu  sync.Mutex
 	log *wal.Log

@@ -70,6 +70,10 @@ func TestLoadErrors(t *testing.T) {
 		// one is refused by name, not run without it.
 		{`{"checkpoint_dir": "ckpt"}`, `"checkpoint_dir"`},
 		{`{"resume": true}`, `"resume"`},
+		// The plan has no jitter knobs: a fault block that still sets one
+		// is refused by name.
+		{`{"faults": {"jitter_rate": 0.1}}`, `"jitter_rate"`},
+		{`{"faults": {"max_jitter_ms": 5}}`, `"max_jitter_ms"`},
 		{`{"category_shares": {"BOGUS": 0.5}}`, ""},
 		{`{"category_shares": {"NO_CRED": 1.5}}`, ""},
 		{`{"category_shares": {"NO_CRED": 0.9}}`, ""}, // sums far above 1

@@ -7,7 +7,7 @@ package shard
 // snapshot, and only then folds it into the shard's own bundle.
 // The puller is also the shard's supervisor: FailAfter consecutive
 // failures mark the shard down, the loop then spaces its pulls on the
-// farm's capped-exponential restart backoff instead of PullEvery, and
+// capped-exponential faults.Backoff instead of PullEvery, and
 // the first pull that succeeds marks the shard up again.
 //
 // Two invariants carry the robustness story:

@@ -86,13 +86,13 @@ func NewWireFront(cfg WireConfig) (*WireFront, error) {
 			w.Close()
 			return nil, fmt.Errorf("shard: wire pot %d ssh: %w", id, err)
 		}
-		w.srv.Serve(id, sshLn, pot.ServeSSH)
+		w.srv.Serve(sshLn, pot.ServeSSH)
 		telnetLn, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			w.Close()
 			return nil, fmt.Errorf("shard: wire pot %d telnet: %w", id, err)
 		}
-		w.srv.Serve(id, telnetLn, pot.ServeTelnet)
+		w.srv.Serve(telnetLn, pot.ServeTelnet)
 		w.pots = append(w.pots, WirePot{
 			ID:         id,
 			SSHAddr:    sshLn.Addr().String(),
@@ -161,6 +161,6 @@ func RegisterWireMetrics(reg *metrics.Registry, w *WireFront) {
 // for every accept loop and session handler to finish.
 func (w *WireFront) Close() error {
 	err := w.srv.Close()
-	w.srv.Drain(0, nil) // session handlers unblock and record the abort
+	w.srv.Drain(0) // session handlers unblock and record the abort
 	return err
 }

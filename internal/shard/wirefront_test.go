@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"honeyfarm"
+	"honeyfarm/internal/faults"
 	"honeyfarm/internal/iofault"
 	"honeyfarm/internal/query"
 	"honeyfarm/internal/shard"
@@ -133,17 +134,25 @@ func TestWireFrontSessions(t *testing.T) {
 	waitGoroutines(t, base)
 }
 
-// TestWireFrontRefusesUnpersisted: a session whose record the WAL
-// refuses (disk full, no retries) is counted as refused and never
-// reaches the engine; once the disk heals, the next append probes a
-// fresh segment and the next session is accepted and ingested.
+// TestWireFrontRefusesUnpersisted: a disk-full window under a live
+// collector is count-and-drop, not crash. A session whose record the
+// WAL refuses (disk full, after one retry) is counted as refused and
+// never reaches the engine; once the disk heals, the next append probes
+// a fresh segment and the next session is accepted and ingested,
+// without a restart. Recovery reads back exactly the accepted records
+// plus a gap frame for the refused one (recovered ≡ acknowledged), and
+// Close leaves no goroutine behind.
 func TestWireFrontRefusesUnpersisted(t *testing.T) {
+	base := runtime.NumGoroutine()
+	dir := t.TempDir()
 	fsys, err := iofault.New(iofault.OS, iofault.Plan{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wlog, _, err := wal.Open(t.TempDir(), wal.Options{
-		Epoch: honeyfarm.DefaultEpoch, FS: fsys, RetryAttempts: 1, ProbeEvery: 1,
+	wlog, _, err := wal.Open(dir, wal.Options{
+		Epoch: honeyfarm.DefaultEpoch, FS: fsys, ProbeEvery: 1,
+		RetryAttempts: 2,
+		RetryPlan:     &faults.Plan{BackoffBaseMS: 1, BackoffCapMS: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -170,11 +179,24 @@ func TestWireFrontRefusesUnpersisted(t *testing.T) {
 		nc.Close()
 	}
 
+	// The barrier lets the segment's opening sync land before the
+	// outage, so every op the disk refuses below is the append's.
+	if err := wlog.Sync(); err != nil {
+		t.Fatal(err)
+	}
 	fsys.Break(syscall.ENOSPC)
 	probe()
 	waitFor(t, 5*time.Second, func() bool { return w.Refused() == 1 }, "refused session")
 	if w.Accepted() != 0 || eng.Seq() != 0 {
 		t.Fatalf("accepted %d, engine seq %d after a refused append, want 0 and 0", w.Accepted(), eng.Seq())
+	}
+	// The write, its one retry, and the seal the log tries as it
+	// degrades.
+	if n := fsys.Stats().BrokenErrs; n != 3 {
+		t.Errorf("disk refused %d ops, want 3: a write, its retry and the seal", n)
+	}
+	if h := wlog.Health(); !h.Degraded || !strings.Contains(h.Reason, syscall.ENOSPC.Error()) {
+		t.Fatalf("WAL health during the outage = %+v, want degraded by ENOSPC", h)
 	}
 	srv := query.NewServer(query.ServerConfig{Source: eng})
 	reg := shard.BuildCollectorRegistry(eng, wlog.Health, w, srv, 4)
@@ -188,11 +210,26 @@ func TestWireFrontRefusesUnpersisted(t *testing.T) {
 	if eng.Seq() != 1 || w.Refused() != 1 {
 		t.Fatalf("engine seq %d, refused %d after heal, want 1 and 1", eng.Seq(), w.Refused())
 	}
+	if h := wlog.Health(); h.Degraded || h.Recoveries != 1 || h.DroppedRecords != 1 {
+		t.Fatalf("WAL health after heal = %+v, want recovered with 1 dropped record", h)
+	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if err := wlog.Close(); err != nil {
 		t.Fatal(err)
+	}
+	waitGoroutines(t, base)
+
+	_, rec, err := wal.Open(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := uint64(rec.Records()); got != w.Accepted() {
+		t.Fatalf("recovered %d records, accepted %d", got, w.Accepted())
+	}
+	if len(rec.Gaps) != 1 || rec.Gaps[0].Records != 1 || rec.Gaps[0].Reason != "append: enospc" {
+		t.Fatalf("recovered gaps %+v, want one append:enospc gap of 1 record", rec.Gaps)
 	}
 }
 

@@ -134,7 +134,8 @@ type Options struct {
 	RetryAttempts int
 	// RetryPlan supplies the capped-exponential backoff between retry
 	// attempts via faults.Backoff. nil uses the defaults (25ms base, 2s
-	// cap, no jitter) — the same policy the farm supervisor runs.
+	// cap, no jitter) — the same policy the shard coordinator spaces its
+	// pulls of a down shard on.
 	RetryPlan *faults.Plan
 	// ProbeEvery controls degraded-mode recovery probing: the first
 	// append after degrading probes immediately, then every

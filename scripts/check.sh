@@ -31,14 +31,15 @@
 #                goes through — gets it too, plaintext and keyed: no
 #                panic, the buffer bounded whatever the length field
 #                says, the same packets as the reference reader
-#   chaos smoke  the fault-injection suite (pot restarts, outage
-#                windows, bounded drain) once more under -race — the
+#   chaos smoke  the fault plan's decision streams and backoff, and the
+#                coordinator's chaos suite (shards down, lost
+#                responses, pull storms) once more under -race — the
 #                tests most sensitive to goroutine leaks and deadlocks
 #   disk chaos   the disk-fault suite under -race: crash-at-every-
 #                syscall recovery, fsync-failure schedules, and the
-#                ENOSPC outage window at both the WAL and farm layers —
-#                degraded mode must count-and-drop, recover on a fresh
-#                segment, and leak nothing
+#                ENOSPC outage window at both the WAL and the live wire
+#                front — degraded mode must count-and-drop, recover on a
+#                fresh segment, and leak nothing
 #   serve smoke  cmd/serve (built with -race) tails the WAL of a
 #                cmd/shard run fed to completion and drained; fsck must
 #                find that WAL healthy, every /v1 endpoint must answer
@@ -154,17 +155,17 @@ go test ./internal/store -run '^$' -fuzz FuzzReadJSONL -fuzztime 10s -fuzzminimi
 go test ./internal/shell -run '^$' -fuzz FuzzShellRun -fuzztime 10s -fuzzminimizetime 1s
 go test ./internal/sshwire -run '^$' -fuzz FuzzReadPacket -fuzztime 10s -fuzzminimizetime 1s
 
-chaos_run='TestChaos|TestStop|TestKill|TestOutage|TestFault|TestConnFault|TestBackoff|TestDropsSession|TestPotDown|TestCoordinator|TestOverlappingOutages|TestBlockingPull'
+chaos_run='TestDecisions|TestBackoff|TestDropsSession|TestPotDown|TestCoordinator|TestBlockingPull'
 echo "==> chaos smoke (go test -race -count=1 -run '$chaos_run')"
-go test -race -count=1 -run "$chaos_run" ./internal/farm ./internal/netsim ./internal/faults ./internal/shard
+go test -race -count=1 -run "$chaos_run" ./internal/faults ./internal/shard
 
-disk_run='TestCrashAtEverySyscall|TestFsyncFaultSchedule|TestCommitterFsyncErrorSticky|TestCloseDrainsInflightSync|TestENOSPCWindowRecovers|TestENOSPCWindowFarm'
+disk_run='TestCrashAtEverySyscall|TestFsyncFaultSchedule|TestCommitterFsyncErrorSticky|TestCloseDrainsInflightSync|TestENOSPCWindowRecovers|TestWireFrontRefusesUnpersisted'
 echo "==> disk chaos smoke (go test -race -count=1 -run '$disk_run')"
-go test -race -count=1 -run "$disk_run" ./internal/wal ./internal/farm
+go test -race -count=1 -run "$disk_run" ./internal/wal ./internal/shard
 go test -race -count=20 -run TestCommitPipeline ./internal/wal # the committer's queue: absorb, barriers, the segment bound
-go test -race -count=20 -run 'TestSinkOrderUnderENOSPC|TestWireFrontRefusesUnpersisted|TestENOSPCWindowFarm' ./internal/query ./internal/shard ./internal/farm # the one durable-ingest sink: recovered ≡ acknowledged
+go test -race -count=20 -run 'TestSinkOrderUnderENOSPC|TestWireFrontRefusesUnpersisted' ./internal/query ./internal/shard # the one durable-ingest sink: recovered ≡ acknowledged
 go test -race -count=20 -run 'TestCoordinatorRebuildDuringCatchUp|TestCoordinatorLostResponse|TestBlockingPullStorm' ./internal/shard # the install order: publish first, catch up after, rebuild after the catch-up
-go test -race -count=20 -run 'TestServer|TestStop|TestKill|TestWireFront|TestOverlappingOutages|TestCoordinatorProbeBackoff|TestNode' ./internal/honeypot ./internal/farm ./internal/shard ./internal/daemon # the one accept loop: sever, close and drain against sessions in flight; each takedown's restart and the puller's backoff while a shard is down; each node's one Close: recovered ≡ acknowledged, no goroutine left
+go test -race -count=20 -run 'TestServer|TestWireFront|TestCoordinatorProbeBackoff|TestNode' ./internal/honeypot ./internal/shard ./internal/daemon # the one accept loop: close and drain against sessions in flight; the puller's backoff while a shard is down; each node's one Close: recovered ≡ acknowledged, no goroutine left
 go test -race -count=20 -run 'TestCutPartials|TestNewsWake|TestIngestAllocsWhilePulled' ./internal/query # a cut reads the rows Ingest writes: counters under the mutex, lists swapped, encoded after
 go test -race -count=3 -run 'TestSameSeedByteIdentical|TestWorkersByteIdentical|TestFaultsByteIdentical|TestGenerateDigestPinned|TestGenerateDeterministic' . ./internal/workload # the generator's planner appends plan shards while decorators read the finished ones
 
