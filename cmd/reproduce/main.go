@@ -107,24 +107,23 @@ func loadFaultPlan(arg string, seed int64) (*honeyfarm.FaultPlan, error) {
 func WriteAvailability(w io.Writer, d *honeyfarm.Dataset) {
 	rows := d.Availability()
 	fmt.Fprintln(w, "======== PER-HONEYPOT AVAILABILITY (faulted run) ========")
-	fmt.Fprintf(w, "%-6s %-10s %-10s %-14s %-10s %-10s %s\n",
-		"pot", "sessions", "down_days", "availability", "down_drops", "conn_drops", "sink_drops")
-	downPots, totalDown, totalConn, totalSink := 0, 0, 0, 0
+	fmt.Fprintf(w, "%-6s %-10s %-10s %-14s %-10s %s\n",
+		"pot", "sessions", "down_days", "availability", "down_drops", "conn_drops")
+	downPots, totalDown, totalConn := 0, 0, 0
 	for _, r := range rows {
 		totalDown += r.DowntimeDrops
 		totalConn += r.ConnDrops
-		totalSink += r.SinkDrops
-		if r.DownDays == 0 && r.DowntimeDrops == 0 && r.ConnDrops == 0 && r.SinkDrops == 0 {
+		if r.DownDays == 0 && r.DowntimeDrops == 0 && r.ConnDrops == 0 {
 			continue
 		}
 		if r.DownDays > 0 {
 			downPots++
 		}
-		fmt.Fprintf(w, "%-6d %-10d %-10d %-14.3f %-10d %-10d %d\n",
-			r.Pot, r.Sessions, r.DownDays, r.Availability, r.DowntimeDrops, r.ConnDrops, r.SinkDrops)
+		fmt.Fprintf(w, "%-6d %-10d %-10d %-14.3f %-10d %d\n",
+			r.Pot, r.Sessions, r.DownDays, r.Availability, r.DowntimeDrops, r.ConnDrops)
 	}
-	fmt.Fprintf(w, "totals: %d pots with outage windows, %d sessions lost to downtime, %d to connection faults, %d dropped at the collector\n\n",
-		downPots, totalDown, totalConn, totalSink)
+	fmt.Fprintf(w, "totals: %d pots with outage windows, %d sessions lost to downtime, %d to connection faults\n\n",
+		downPots, totalDown, totalConn)
 }
 
 // WriteComparison prints paper-reported values next to the measured

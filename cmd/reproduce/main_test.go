@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -51,6 +52,8 @@ func TestLoadFaultPlanRefusesUnknownKeys(t *testing.T) {
 		{`{"refuse_rat": 0.5}`, `"refuse_rat"`},
 		{`{"jitter_rate": 0.1}`, `"jitter_rate"`},
 		{`{"max_jitter_ms": 5}`, `"max_jitter_ms"`},
+		{`{"backoff_base_ms": 5}`, `"backoff_base_ms"`},
+		{`{"backoff_cap_ms": 500}`, `"backoff_cap_ms"`},
 	} {
 		if _, err := loadFaultPlan(c.arg, 1); err == nil || !strings.Contains(err.Error(), c.key) {
 			t.Errorf("-faults %s: err = %v, want an error naming %s", c.arg, err, c.key)
@@ -59,5 +62,57 @@ func TestLoadFaultPlanRefusesUnknownKeys(t *testing.T) {
 	plan, err := loadFaultPlan(`{"refuse_rate": 0.5}`, 7)
 	if err != nil || plan.RefuseRate != 0.5 || plan.Seed != 7 {
 		t.Errorf("-faults {\"refuse_rate\": 0.5} = %+v, %v; want the rate, seed 7", plan, err)
+	}
+}
+
+// TestWriteAvailability runs TestFaultsByteIdentical's plan at 4,000
+// sessions on 24 pots over 30 days: the totals line accounts for every
+// session the faults removed, the full-period outage shows as pot 3's
+// 30 down days, and the header ends at the last drop column.
+func TestWriteAvailability(t *testing.T) {
+	cfg := honeyfarm.SimulateConfig{Seed: 42, TotalSessions: 4000, Days: 30, NumPots: 24}
+	clean, err := honeyfarm.Simulate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Faults = &honeyfarm.FaultPlan{
+		Seed: 7, RefuseRate: 0.1, ResetRate: 0.07, StallRate: 0.05,
+		Outages: []honeyfarm.FaultOutage{
+			{Pot: 3, FirstDay: 0, LastDay: 29},
+			{Pot: 5, FirstDay: 10, LastDay: 19},
+		},
+	}
+	faulted, err := honeyfarm.Simulate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	WriteAvailability(&buf, faulted)
+	lines := strings.Split(buf.String(), "\n")
+
+	if header := strings.Fields(lines[1]); header[len(header)-1] != "conn_drops" {
+		t.Errorf("header %q does not end at conn_drops", lines[1])
+	}
+	var pots, down, conn int
+	var pot3 []string
+	for _, line := range lines[2:] {
+		if f := strings.Fields(line); len(f) > 0 && f[0] == "3" {
+			pot3 = f
+		}
+		if strings.HasPrefix(line, "totals:") {
+			if _, err := fmt.Sscanf(line, "totals: %d pots with outage windows, %d sessions lost to downtime, %d to connection faults",
+				&pots, &down, &conn); err != nil {
+				t.Fatalf("totals line %q: %v", line, err)
+			}
+		}
+	}
+	if lost := clean.Sessions() - faulted.Sessions(); down+conn != lost || down == 0 || conn == 0 {
+		t.Errorf("totals: %d downtime + %d connection drops, want both > 0 summing to the %d sessions lost", down, conn, lost)
+	}
+	if pots != 2 {
+		t.Errorf("totals: %d pots with outage windows, want 2", pots)
+	}
+	if len(pot3) < 3 || pot3[1] != "0" || pot3[2] != "30" {
+		t.Errorf("pot 3 row %q, want 0 sessions and 30 down days", pot3)
 	}
 }

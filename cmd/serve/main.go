@@ -4,8 +4,8 @@
 // serves epoch-sealed snapshots as JSON over HTTP.
 //
 // Endpoints: /v1/summary, /v1/pots, /v1/clients, /v1/countries,
-// /v1/availability, /v1/healthz. Data responses carry an ETag keyed on
-// the snapshot sequence; If-None-Match revalidation returns 304.
+// /v1/healthz. Data responses carry an ETag keyed on the snapshot
+// sequence; If-None-Match revalidation returns 304.
 //
 // Usage:
 //
@@ -31,7 +31,7 @@ func main() {
 	drain := daemon.Flags(&cfg.Addr, &cfg.AddrFile, "127.0.0.1:8080", "listen address (use :0 for an ephemeral port)")
 	flag.StringVar(&cfg.WALDir, "wal-dir", "", "WAL directory to tail (required)")
 	flag.StringVar(&cfg.Epoch, "epoch", "", "store epoch as YYYY-MM-DD (default: the paper's 2021-12-01); must match the WAL's")
-	flag.IntVar(&cfg.Pots, "pots", 221, "farm size: rows in the per-pot and availability tables")
+	flag.IntVar(&cfg.Pots, "pots", 221, "farm size: rows in the per-pot table")
 	flag.Int64Var(&cfg.Seed, "seed", 1, "registry seed for country resolution; must match the generation seed")
 	flag.IntVar(&cfg.SnapshotEvery, "snapshot-every", 5000, "auto-seal a snapshot every N ingested records (0: seal only per drain cycle)")
 	flag.DurationVar(&cfg.Poll, "poll", 200*time.Millisecond, "tail poll interval once caught up")

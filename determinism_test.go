@@ -8,8 +8,6 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
-
-	"honeyfarm/internal/analysis"
 )
 
 // TestSameSeedByteIdentical is the determinism regression test behind
@@ -211,8 +209,11 @@ func TestFaultsByteIdentical(t *testing.T) {
 	if rows[5].Sessions == 0 || rows[5].DownDays != 10 {
 		t.Errorf("pot 5 (partial outage) row = %+v, want sessions > 0 and 10 down days", rows[5])
 	}
-	dropped := dsClean.Sessions() - dsA.Sessions()
-	if got := analysis.TotalDropped(rows); got != dropped {
+	got := 0
+	for _, r := range rows {
+		got += r.DowntimeDrops + r.ConnDrops
+	}
+	if dropped := dsClean.Sessions() - dsA.Sessions(); got != dropped {
 		t.Errorf("availability table accounts %d drops, dataset lost %d", got, dropped)
 	}
 }
@@ -256,7 +257,7 @@ func TestGenerateDigestPinned(t *testing.T) {
 			"74234e98afe7498fb5daf1f36ac2d78acc339464f950703b8c019892f982b90b"}, // json "null"
 		{"faults", faulted(),
 			"c1c37da1912e7127c3d03ced12b6ebfecb1811044df82c26d40ef48020f8c7e9",
-			"113343d3d79c3cfb18f0ed45098c7448f471067b5055f7e4ab72d7f140844e46"},
+			"7a7ca6c61f028026826b995d7ec8366e2ad13791728733ab343b483c1a461d98"},
 	} {
 		for _, workers := range []int{1, 2, runtime.GOMAXPROCS(0)} {
 			cfg := digestPinConfig()

@@ -228,8 +228,24 @@ func LoadDatasetFile(path string, reg *Registry, numPots int, seed int64) (*Data
 // operators pooling session records to widen hash visibility. Honeypot
 // IDs from other are offset by this dataset's farm size so the two
 // deployments stay distinguishable; cached aggregates are invalidated.
+// Fault accounting follows the pots: other's rows land at the same
+// offset, a side without a report contributes zero rows, and the merged
+// report covers the longer of the two periods.
 func (d *Dataset) Merge(other *Dataset) {
 	offset := d.NumPots
+	if d.Faults != nil || other.Faults != nil {
+		rep := &FaultReport{
+			Days: max(d.availabilityDays(), other.availabilityDays()),
+			Pots: make([]faults.PotReport, offset+other.NumPots),
+		}
+		if d.Faults != nil {
+			copy(rep.Pots[:offset], d.Faults.Pots)
+		}
+		if other.Faults != nil {
+			copy(rep.Pots[offset:], other.Faults.Pots)
+		}
+		d.Faults = rep
+	}
 	recs := other.Store.Records()
 	merged := make([]*SessionRecord, len(recs))
 	for i, r := range recs {
@@ -279,11 +295,16 @@ func (d *Dataset) TopClientVersions(n int) []analysis.Counted {
 // paper's per-honeypot activity view). Fault-free datasets report full
 // availability and zero drops for every pot.
 func (d *Dataset) Availability() []analysis.PotAvailability {
-	days := d.Days()
+	return analysis.AvailabilityFromPer(d.PerHoneypot(), d.Faults, d.availabilityDays())
+}
+
+// availabilityDays is the period uptime is measured over: the fault
+// report's when there is one, else the span the data covers.
+func (d *Dataset) availabilityDays() int {
 	if d.Faults != nil && d.Faults.Days > 0 {
-		days = d.Faults.Days
+		return d.Faults.Days
 	}
-	return analysis.ComputeAvailability(d.Store, d.Faults, d.NumPots, days)
+	return d.Days()
 }
 
 // PerHoneypot returns per-honeypot totals (Figures 2, 14, 18, 19),

@@ -161,6 +161,58 @@ func TestMergeFederation(t *testing.T) {
 	}
 }
 
+// TestMergeKeepsFaultAccounting: a merged dataset's availability table
+// carries each side's fault rows at that side's pot offset. A side
+// without a report contributes zero rows, and uptime is measured over
+// the longer period.
+func TestMergeKeepsFaultAccounting(t *testing.T) {
+	simulate := func(seed int64, days int, faulted bool) *Dataset {
+		cfg := SimulateConfig{Seed: seed, TotalSessions: 3000, Days: days, NumPots: 8}
+		if faulted {
+			cfg.Faults = &FaultPlan{Seed: seed, Outages: []FaultOutage{{Pot: 3, FirstDay: 0, LastDay: days - 1}}}
+		}
+		d, err := Simulate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	a, b := simulate(1, 30, true), simulate(2, 30, true)
+	aRows, bRows := a.Availability(), b.Availability()
+	if bRows[3].DownDays != 30 || bRows[3].DowntimeDrops == 0 {
+		t.Fatalf("b's pot 3 = %+v, want 30 down days and downtime drops", bRows[3])
+	}
+	a.Merge(b)
+	rows := a.Availability()
+	if len(rows) != 16 {
+		t.Fatalf("merged table has %d rows, want 16", len(rows))
+	}
+	for pot := 0; pot < 8; pot++ {
+		want := bRows[pot]
+		want.Pot += 8
+		if rows[pot] != aRows[pot] || rows[pot+8] != want {
+			t.Errorf("pot %d: merged rows %+v, %+v; want a's %+v and b's %+v",
+				pot, rows[pot], rows[pot+8], aRows[pot], want)
+		}
+	}
+
+	// A clean 10-day side: zero rows, and the 30-day period wins.
+	c := simulate(3, 10, false)
+	c.Merge(simulate(2, 30, true))
+	rows = c.Availability()
+	if c.Faults == nil || c.Faults.Days != 30 {
+		t.Fatalf("clean.Merge(faulted) report = %+v, want one over 30 days", c.Faults)
+	}
+	for pot := 0; pot < 8; pot++ {
+		if r := rows[pot]; r.DownDays != 0 || r.DowntimeDrops != 0 || r.ConnDrops != 0 || r.Availability != 1 {
+			t.Errorf("clean side's pot %d = %+v, want a zero row", pot, r)
+		}
+	}
+	if r := rows[11]; r.DownDays != 30 || r.Availability != 0 || r.DowntimeDrops != bRows[3].DowntimeDrops {
+		t.Errorf("faulted side's pot 3 (row 11) = %+v, want 30 down days and %d downtime drops", r, bRows[3].DowntimeDrops)
+	}
+}
+
 // TestCowrieRoundTripReport: a dataset exported as a Cowrie log and
 // loaded back renders the identical report. The sensor names carry the
 // honeypot IDs, so the per-pot and geography figures survive too.

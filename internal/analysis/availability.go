@@ -6,10 +6,7 @@ package analysis
 // fault plan's downtime and drop accounting so a faulted run reports
 // what was lost per pot instead of silently shrinking the dataset.
 
-import (
-	"honeyfarm/internal/faults"
-	"honeyfarm/internal/store"
-)
+import "honeyfarm/internal/faults"
 
 // PotAvailability is one honeypot's row of the availability table.
 type PotAvailability struct {
@@ -24,25 +21,13 @@ type PotAvailability struct {
 	// those lost to connection-level faults (refuse/reset/stall).
 	DowntimeDrops int
 	ConnDrops     int
-	// SinkDrops counts finished sessions the collector discarded (pot
-	// down at record time, or shutdown past the drain deadline) — the
-	// durability-loss column, distinct from the injected-fault drops.
-	SinkDrops int
 }
 
-// ComputeAvailability builds the per-pot availability table for a run.
-// rep may be nil (a fault-free run): every pot then shows full
-// availability and zero drops. days must be positive.
-func ComputeAvailability(s *store.Store, rep *faults.Report, numPots, days int) []PotAvailability {
-	return AvailabilityFromPer(ComputePerHoneypot(s, numPots), rep, days)
-}
-
-// AvailabilityFromPer builds the availability table from an
-// already-computed per-honeypot table (a PotAccum finalize), so the
-// incremental query engine can derive it without a store.
+// AvailabilityFromPer builds the per-pot availability table of a run
+// from its per-honeypot table. rep may be nil (a fault-free run): every
+// pot then shows full availability and zero drops.
 func AvailabilityFromPer(per []PerHoneypot, rep *faults.Report, days int) []PotAvailability {
-	numPots := len(per)
-	out := make([]PotAvailability, numPots)
+	out := make([]PotAvailability, len(per))
 	for i := range out {
 		row := PotAvailability{Pot: i, Sessions: per[i].Sessions, Availability: 1}
 		if rep != nil && i < len(rep.Pots) {
@@ -50,7 +35,6 @@ func AvailabilityFromPer(per []PerHoneypot, rep *faults.Report, days int) []PotA
 			row.DownDays = pr.DownDays
 			row.DowntimeDrops = pr.DowntimeDrops
 			row.ConnDrops = pr.ConnDrops
-			row.SinkDrops = pr.SinkDrops
 			if days > 0 {
 				row.Availability = 1 - float64(pr.DownDays)/float64(days)
 			}
@@ -58,13 +42,4 @@ func AvailabilityFromPer(per []PerHoneypot, rep *faults.Report, days int) []PotA
 		out[i] = row
 	}
 	return out
-}
-
-// TotalDropped sums every drop counter across the table.
-func TotalDropped(rows []PotAvailability) int {
-	total := 0
-	for _, r := range rows {
-		total += r.DowntimeDrops + r.ConnDrops + r.SinkDrops
-	}
-	return total
 }

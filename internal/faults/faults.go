@@ -1,10 +1,11 @@
 // Package faults defines the honeyfarm's deterministic fault model: a
 // seeded Plan describing connection losses (a session refused, reset or
 // stalled before it delivers a record) and pot-level outage windows,
-// plus the one capped-exponential Backoff policy. The paper's farm ran
-// in the real Internet for 486 days, where honeypots crash and links
-// flap; per-honeypot activity gaps are part of the measured signal, so
-// the reproduction injects the same attrition — reproducibly.
+// plus the one capped-exponential Backoff policy that paces retries
+// against a clock. The paper's farm ran in the real Internet for 486
+// days, where honeypots crash and links flap; per-honeypot activity gaps
+// are part of the measured signal, so the reproduction injects the same
+// attrition — reproducibly.
 //
 // Every decision the plan makes is a pure function of (Plan.Seed, a
 // stable index) through splitmix64-derived streams, the same mixing
@@ -17,19 +18,15 @@
 // planned sessions that a fault would lose (pot down on the session's
 // day, or the connection refused/reset/stalled) and accounts them in a
 // Report, which the analysis layer turns into the per-pot availability
-// table. Backoff paces what retries against a clock: the shard
-// coordinator's pulls of a down shard and the WAL's append retries.
+// table. That table is the only fault accounting in the repository.
+// Backoff is a fixed policy, independent of any plan, shared by the
+// shard coordinator's pulls of a down shard and the WAL's append
+// retries.
 package faults
 
 import (
 	"fmt"
 	"time"
-)
-
-// Defaults for the knobs a zero Plan leaves unset.
-const (
-	DefaultBackoffBase = 25 * time.Millisecond
-	DefaultBackoffCap  = 2 * time.Second
 )
 
 // Plan is a seeded, fully deterministic fault schedule. The zero value
@@ -50,12 +47,6 @@ type Plan struct {
 	// Outages are pot-level downtime windows in observation-day terms,
 	// inclusive on both ends.
 	Outages []Outage `json:"outages,omitempty"`
-
-	// Backoff policy: attempt k waits min(base<<k, cap) scaled by a
-	// deterministic jitter factor in [0.5, 1). Defaults: 25ms base, 2s
-	// cap.
-	BackoffBaseMS int `json:"backoff_base_ms,omitempty"`
-	BackoffCapMS  int `json:"backoff_cap_ms,omitempty"`
 }
 
 // Outage is one pot-level downtime window, [FirstDay, LastDay]
@@ -65,9 +56,6 @@ type Outage struct {
 	FirstDay int `json:"first_day"`
 	LastDay  int `json:"last_day"`
 }
-
-// Days returns the window length in days.
-func (o Outage) Days() int { return o.LastDay - o.FirstDay + 1 }
 
 // Validate checks rates and windows. A nil plan is valid (no faults).
 func (p *Plan) Validate() error {
@@ -84,9 +72,6 @@ func (p *Plan) Validate() error {
 	}
 	if sum := p.RefuseRate + p.ResetRate + p.StallRate; sum > 1 {
 		return fmt.Errorf("faults: refuse+reset+stall rates sum to %v > 1", sum)
-	}
-	if p.BackoffBaseMS < 0 || p.BackoffCapMS < 0 {
-		return fmt.Errorf("faults: negative duration knob")
 	}
 	for i, o := range p.Outages {
 		if o.Pot < 0 {
@@ -108,31 +93,11 @@ func (p *Plan) Active() bool {
 // outright at the record level.
 func (p *Plan) dropRate() float64 { return p.RefuseRate + p.ResetRate + p.StallRate }
 
-// BackoffBase returns the first backoff delay.
-func (p *Plan) BackoffBase() time.Duration {
-	if p == nil || p.BackoffBaseMS <= 0 {
-		return DefaultBackoffBase
-	}
-	return time.Duration(p.BackoffBaseMS) * time.Millisecond
-}
-
-// BackoffCap returns the maximum backoff delay.
-func (p *Plan) BackoffCap() time.Duration {
-	if p == nil || p.BackoffCapMS <= 0 {
-		return DefaultBackoffCap
-	}
-	return time.Duration(p.BackoffCapMS) * time.Millisecond
-}
-
 // ---- derived decision streams ----
 
-// Stream tags separate the plan's decision streams so that the
-// session-drop draw never correlates with the backoff draw for the same
-// index.
-const (
-	streamSession uint64 = 0x73657373 // record-level session drop
-	streamBackoff uint64 = 0x626b6f66 // backoff jitter
-)
+// streamSession tags the record-level session-drop stream. Its value is
+// part of every faulted dataset's bytes.
+const streamSession uint64 = 0x73657373
 
 // mix64 is the splitmix64 finalizer over (seed, stream, index) — the
 // same mixing discipline as workload.shardSeed, so neighboring indexes
@@ -173,25 +138,19 @@ func (p *Plan) PotDown(pot, day int) bool {
 	return false
 }
 
-// Backoff returns the delay before retry attempt k of the given pot (a
-// shard index, for the coordinator): capped exponential with a
-// deterministic jitter factor in [0.5, 1). Safe on a nil plan
-// (defaults, no jitter), so the shard coordinator and the WAL use one
-// policy whether or not faults are configured.
-func (p *Plan) Backoff(pot, attempt int) time.Duration {
-	base, ceil := p.BackoffBase(), p.BackoffCap()
+// Backoff returns the delay before retry attempt k (0-based):
+// min(base·2^k, 2s). A base ≤ 0 means 25ms, which is what the shard
+// coordinator and the WAL run with; only tests pass a smaller one.
+func Backoff(base time.Duration, attempt int) time.Duration {
+	const ceiling = 2 * time.Second
+	if base <= 0 {
+		base = 25 * time.Millisecond
+	}
 	d := base
-	for i := 0; i < attempt && d < ceil; i++ {
+	for i := 0; i < attempt && d < ceiling; i++ {
 		d *= 2
 	}
-	if d > ceil {
-		d = ceil
-	}
-	if p == nil {
-		return d
-	}
-	u := p.unit(streamBackoff, uint64(pot)<<20|uint64(attempt&0xfffff))
-	return d/2 + time.Duration(float64(d/2)*u)
+	return min(d, ceiling)
 }
 
 // ---- outcome accounting ----
@@ -205,12 +164,6 @@ type PotReport struct {
 	DowntimeDrops int
 	// ConnDrops counts sessions lost to connection-level faults.
 	ConnDrops int
-	// SinkDrops counts finished sessions the collector discarded. No
-	// collector in this repository discards a record it was handed (a
-	// live shard counts a WAL refusal on its own /metrics), so it reads
-	// 0; the column stays in the availability schema beside the
-	// fault-plan ones.
-	SinkDrops int
 }
 
 // Report aggregates what a fault plan did to one run: the per-pot
@@ -264,16 +217,6 @@ func (r *Report) AddDrops(o *Report) {
 		if pot < len(r.Pots) {
 			r.Pots[pot].DowntimeDrops += o.Pots[pot].DowntimeDrops
 			r.Pots[pot].ConnDrops += o.Pots[pot].ConnDrops
-			r.Pots[pot].SinkDrops += o.Pots[pot].SinkDrops
 		}
 	}
-}
-
-// TotalDropped sums every drop class over all pots.
-func (r *Report) TotalDropped() int {
-	total := 0
-	for _, p := range r.Pots {
-		total += p.DowntimeDrops + p.ConnDrops + p.SinkDrops
-	}
-	return total
 }

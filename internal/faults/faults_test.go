@@ -23,7 +23,6 @@ func TestValidate(t *testing.T) {
 		{RefuseRate: -0.1},
 		{StallRate: 1.5},
 		{RefuseRate: 0.5, ResetRate: 0.4, StallRate: 0.2}, // sums past 1
-		{BackoffBaseMS: -1},
 		{Outages: []Outage{{Pot: -1, FirstDay: 0, LastDay: 1}}},
 		{Outages: []Outage{{Pot: 0, FirstDay: 5, LastDay: 2}}},
 	}
@@ -40,7 +39,7 @@ func TestValidate(t *testing.T) {
 func TestDecisionsDeterministic(t *testing.T) {
 	p := &Plan{Seed: 7, RefuseRate: 0.1, ResetRate: 0.1, StallRate: 0.1}
 	q := &Plan{Seed: 8, RefuseRate: 0.1, ResetRate: 0.1, StallRate: 0.1}
-	dropDiff, backoffDiff := 0, 0
+	dropDiff := 0
 	for i := uint64(0); i < 2000; i++ {
 		if p.DropsSession(i) != p.DropsSession(i) {
 			t.Fatalf("index %d: drop decision not deterministic", i)
@@ -48,21 +47,14 @@ func TestDecisionsDeterministic(t *testing.T) {
 		if p.DropsSession(i) != q.DropsSession(i) {
 			dropDiff++
 		}
-		a := p.Backoff(int(i%16), int(i/16))
-		if a != p.Backoff(int(i%16), int(i/16)) {
-			t.Fatalf("index %d: backoff not deterministic", i)
-		}
-		if a != q.Backoff(int(i%16), int(i/16)) {
-			backoffDiff++
-		}
 	}
-	if dropDiff == 0 || backoffDiff == 0 {
-		t.Errorf("changing the seed changed %d drop and %d backoff decisions, want some of each", dropDiff, backoffDiff)
+	if dropDiff == 0 {
+		t.Error("changing the seed changed no drop decision")
 	}
 }
 
 // TestActive: a plan is active when it can drop a session or down a
-// pot; a seed or a backoff policy alone injects nothing.
+// pot; a seed alone injects nothing.
 func TestActive(t *testing.T) {
 	cases := []struct {
 		p    *Plan
@@ -70,7 +62,7 @@ func TestActive(t *testing.T) {
 	}{
 		{nil, false},
 		{&Plan{}, false},
-		{&Plan{Seed: 3, BackoffBaseMS: 5, BackoffCapMS: 50}, false},
+		{&Plan{Seed: 3}, false},
 		{&Plan{RefuseRate: 0.1}, true},
 		{&Plan{ResetRate: 0.1}, true},
 		{&Plan{StallRate: 0.1}, true},
@@ -124,38 +116,25 @@ func TestPotDownWindows(t *testing.T) {
 	}
 }
 
-// TestBackoff checks the policy: monotone non-decreasing ceilings,
-// capped growth, deterministic jitter in [d/2, d), and nil-plan safety.
+// TestBackoff pins the one retry policy at the delays the coordinator
+// and the WAL wait in production (base 0 → 25 ms, doubling, capped at
+// 2 s), and a test base's growth under the same cap.
 func TestBackoff(t *testing.T) {
-	p := &Plan{Seed: 5, BackoffBaseMS: 10, BackoffCapMS: 100}
-	prevCeil := time.Duration(0)
-	for attempt := 0; attempt < 12; attempt++ {
-		d := p.Backoff(3, attempt)
-		if d != p.Backoff(3, attempt) {
-			t.Fatal("backoff not deterministic")
-		}
-		ceil := 10 * time.Millisecond
-		for i := 0; i < attempt && ceil < 100*time.Millisecond; i++ {
-			ceil *= 2
-		}
-		if ceil > 100*time.Millisecond {
-			ceil = 100 * time.Millisecond
-		}
-		if d < ceil/2 || d >= ceil {
-			t.Errorf("attempt %d: backoff %v outside [%v, %v)", attempt, d, ceil/2, ceil)
-		}
-		if ceil < prevCeil {
-			t.Errorf("attempt %d: ceiling shrank", attempt)
-		}
-		prevCeil = ceil
+	ms := time.Millisecond
+	cases := []struct {
+		base    time.Duration
+		attempt int
+		want    time.Duration
+	}{
+		{0, 0, 25 * ms}, {0, 1, 50 * ms}, {0, 2, 100 * ms}, {0, 3, 200 * ms},
+		{0, 4, 400 * ms}, {0, 5, 800 * ms}, {0, 6, 1600 * ms}, {0, 7, 2 * time.Second},
+		{0, 40, 2 * time.Second}, {-ms, 1, 50 * ms},
+		{ms, 0, ms}, {ms, 3, 8 * ms}, {ms, 40, 2 * time.Second},
 	}
-
-	var none *Plan
-	if d := none.Backoff(0, 2); d != 4*DefaultBackoffBase {
-		t.Errorf("nil plan backoff attempt 2 = %v, want %v", d, 4*DefaultBackoffBase)
-	}
-	if d := none.Backoff(0, 40); d != DefaultBackoffCap {
-		t.Errorf("nil plan backoff attempt 40 = %v, want cap %v", d, DefaultBackoffCap)
+	for _, c := range cases {
+		if got := Backoff(c.base, c.attempt); got != c.want {
+			t.Errorf("Backoff(%v, %d) = %v, want %v", c.base, c.attempt, got, c.want)
+		}
 	}
 }
 
@@ -179,8 +158,8 @@ func TestReportAccounting(t *testing.T) {
 	r.AddDowntimeDrop(1)
 	r.AddConnDrop(0)
 	r.AddConnDrop(99) // out of range: ignored, not a panic
-	if r.TotalDropped() != 3 {
-		t.Errorf("total dropped = %d, want 3", r.TotalDropped())
+	if r.Pots[1].DowntimeDrops != 2 || r.Pots[0].ConnDrops != 1 {
+		t.Errorf("drops = %+v, want pot 1 two downtime drops and pot 0 one connection drop", r.Pots)
 	}
 }
 
@@ -188,7 +167,6 @@ func TestReportAccounting(t *testing.T) {
 func TestPlanJSONRoundTrip(t *testing.T) {
 	p := &Plan{
 		Seed: 9, RefuseRate: 0.1, ResetRate: 0.05, StallRate: 0.02,
-		BackoffBaseMS: 5, BackoffCapMS: 500,
 		Outages: []Outage{{Pot: 7, FirstDay: 10, LastDay: 20}},
 	}
 	raw, err := json.Marshal(p)
@@ -200,7 +178,7 @@ func TestPlanJSONRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if back.Seed != p.Seed || back.RefuseRate != p.RefuseRate || len(back.Outages) != 1 ||
-		back.Outages[0] != p.Outages[0] || back.BackoffCapMS != 500 {
+		back.Outages[0] != p.Outages[0] {
 		t.Errorf("round trip lost fields: %+v", back)
 	}
 }

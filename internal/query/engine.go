@@ -41,9 +41,8 @@ type Config struct {
 	// Epoch anchors day bucketing; it is normalized exactly as a Store
 	// normalizes its epoch, so both sides bucket identically.
 	Epoch time.Time
-	// NumPots sizes the per-honeypot and availability tables; records
-	// with IDs outside [0, NumPots) are ignored by those tables (the
-	// batch pipeline's rule).
+	// NumPots sizes the per-honeypot table; records with IDs outside
+	// [0, NumPots) are ignored by it (the batch pipeline's rule).
 	NumPots int
 	// Registry resolves client IPs to countries. Nil disables the
 	// country table (snapshots carry an empty one).
@@ -84,8 +83,6 @@ type Snapshot struct {
 	Countries []analysis.CountryCount
 	// HashCount is the number of distinct file hashes.
 	HashCount int
-	// Availability joins Pots with the fault report's loss counters.
-	Availability []analysis.PotAvailability
 }
 
 // Engine folds session records into mergeable partials and publishes
@@ -188,7 +185,7 @@ func (e *Engine) sealLocked() *Snapshot {
 func MaterializeSnapshot(p *analysis.Partials, seq uint64, days int,
 	// Deprecated: snapshots carry no hash rows; ignored.
 	tagger analysis.Tagger,
-	// Every caller passes nil: availability carries no fault losses.
+	// Deprecated: snapshots carry no availability table; ignored.
 	rep *faults.Report) *Snapshot {
 	snap := &Snapshot{
 		Seq:         seq,
@@ -202,11 +199,6 @@ func MaterializeSnapshot(p *analysis.Partials, seq uint64, days int,
 	if p.Countries != nil {
 		snap.Countries = p.Countries.Finalize()
 	}
-	availDays := days
-	if rep != nil && rep.Days > 0 {
-		availDays = rep.Days
-	}
-	snap.Availability = analysis.AvailabilityFromPer(snap.Pots, rep, availDays)
 	return snap
 }
 

@@ -27,18 +27,16 @@ import (
 func batchSnapshot(recs []*honeypot.SessionRecord, epoch time.Time, numPots int, reg *geo.Registry) *query.Snapshot {
 	st := store.New(epoch)
 	st.AddBatch(recs)
-	days := st.NumDays()
 	clients := analysis.ComputeClientStats(st, -1)
 	return &query.Snapshot{
-		Seq:          uint64(len(recs)),
-		Days:         days,
-		Summary:      analysis.ComputeCategoryShares(st),
-		Pots:         analysis.ComputePerHoneypot(st, numPots),
-		ClientCount:  len(clients),
-		Clients:      clients[:min(query.ClientRows, len(clients))],
-		Countries:    analysis.ClientCountries(st, reg, nil),
-		HashCount:    len(analysis.ComputeHashStats(st, nil)),
-		Availability: analysis.ComputeAvailability(st, nil, numPots, days),
+		Seq:         uint64(len(recs)),
+		Days:        st.NumDays(),
+		Summary:     analysis.ComputeCategoryShares(st),
+		Pots:        analysis.ComputePerHoneypot(st, numPots),
+		ClientCount: len(clients),
+		Clients:     clients[:min(query.ClientRows, len(clients))],
+		Countries:   analysis.ClientCountries(st, reg, nil),
+		HashCount:   len(analysis.ComputeHashStats(st, nil)),
 	}
 }
 

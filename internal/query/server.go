@@ -168,15 +168,6 @@ func (s *Server) Handler() http.Handler {
 			return countriesResponse{Seq: snap.Seq, Countries: snap.Countries}
 		})
 	})
-	mux.HandleFunc("/v1/availability", func(w http.ResponseWriter, r *http.Request) {
-		s.serveSnapshot(w, r, "availability", func(snap *Snapshot) any {
-			return availabilityResponse{
-				Seq: snap.Seq, Days: snap.Days,
-				TotalDropped: analysis.TotalDropped(snap.Availability),
-				Availability: snap.Availability,
-			}
-		})
-	})
 	mux.HandleFunc("/v1/healthz", s.serveHealthz)
 	return mux
 }
@@ -207,13 +198,6 @@ type clientsResponse struct {
 type countriesResponse struct {
 	Seq       uint64                  `json:"seq"`
 	Countries []analysis.CountryCount `json:"countries"`
-}
-
-type availabilityResponse struct {
-	Seq          uint64                     `json:"seq"`
-	Days         int                        `json:"days"`
-	TotalDropped int                        `json:"total_dropped"`
-	Availability []analysis.PotAvailability `json:"availability"`
 }
 
 type healthzResponse struct {

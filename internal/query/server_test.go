@@ -67,7 +67,6 @@ func TestEndpointGoldens(t *testing.T) {
 		{"pots", "/v1/pots"},
 		{"clients", "/v1/clients?limit=5"},
 		{"countries", "/v1/countries"},
-		{"availability", "/v1/availability"},
 		{"healthz", "/v1/healthz"},
 	}
 	for _, tc := range cases {
@@ -200,7 +199,7 @@ func TestConcurrentReads(t *testing.T) {
 			eng.Seal()
 		}
 	}()
-	paths := []string{"/v1/summary", "/v1/pots", "/v1/clients", "/v1/countries", "/v1/availability", "/v1/healthz"}
+	paths := []string{"/v1/summary", "/v1/pots", "/v1/clients", "/v1/countries", "/v1/healthz"}
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {

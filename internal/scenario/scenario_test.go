@@ -74,6 +74,9 @@ func TestLoadErrors(t *testing.T) {
 		// is refused by name.
 		{`{"faults": {"jitter_rate": 0.1}}`, `"jitter_rate"`},
 		{`{"faults": {"max_jitter_ms": 5}}`, `"max_jitter_ms"`},
+		// Nor a backoff: retries wait on one fixed policy, not the plan's.
+		{`{"faults": {"backoff_base_ms": 5}}`, `"backoff_base_ms"`},
+		{`{"faults": {"backoff_cap_ms": 500}}`, `"backoff_cap_ms"`},
 		{`{"category_shares": {"BOGUS": 0.5}}`, ""},
 		{`{"category_shares": {"NO_CRED": 1.5}}`, ""},
 		{`{"category_shares": {"NO_CRED": 0.9}}`, ""}, // sums far above 1

@@ -256,7 +256,7 @@ func (c *Coordinator) pullLoop(i int) {
 		c.mu.Lock()
 		if st := &c.shards[i]; !st.up {
 			spacing.Stop()
-			spacing = time.NewTimer((*faults.Plan)(nil).Backoff(i, st.failures-c.cfg.FailAfter))
+			spacing = time.NewTimer(faults.Backoff(0, st.failures-c.cfg.FailAfter))
 		}
 		c.mu.Unlock()
 		select {

@@ -25,7 +25,7 @@ func v1Bodies(t *testing.T, src query.Source) map[string][]byte {
 	t.Helper()
 	h := query.NewServer(query.ServerConfig{Source: src}).Handler()
 	out := map[string][]byte{}
-	for _, ep := range []string{"summary", "pots", "clients", "countries", "availability"} {
+	for _, ep := range []string{"summary", "pots", "clients", "countries"} {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/"+ep, nil))
 		if rec.Code != http.StatusOK {

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"honeyfarm"
-	"honeyfarm/internal/faults"
 	"honeyfarm/internal/iofault"
 	"honeyfarm/internal/query"
 	"honeyfarm/internal/shard"
@@ -152,7 +151,7 @@ func TestWireFrontRefusesUnpersisted(t *testing.T) {
 	wlog, _, err := wal.Open(dir, wal.Options{
 		Epoch: honeyfarm.DefaultEpoch, FS: fsys, ProbeEvery: 1,
 		RetryAttempts: 2,
-		RetryPlan:     &faults.Plan{BackoffBaseMS: 1, BackoffCapMS: 1},
+		RetryBackoff:  time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

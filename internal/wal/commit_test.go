@@ -375,7 +375,7 @@ func TestCommitPipelineErrorLeavesNoFrame(t *testing.T) {
 		}
 		l, _, err := Open(dir, Options{
 			Epoch: testEpoch, SyncEvery: 2, SegmentBytes: 700, FS: inj,
-			RetryAttempts: 1, RetryPlan: tinyBackoff, ProbeEvery: 2,
+			RetryAttempts: 1, RetryBackoff: tinyBackoff, ProbeEvery: 2,
 		})
 		if err != nil {
 			t.Fatalf("seed %d: open: %v", seed, err)

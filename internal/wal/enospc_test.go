@@ -36,7 +36,7 @@ func TestRealENOSPC(t *testing.T) {
 
 	l, _, err := Open(dir, Options{
 		Epoch: testEpoch, SyncEvery: 1, // fsync every record: hit the disk immediately
-		RetryAttempts: 2, RetryPlan: tinyBackoff, ProbeEvery: 4,
+		RetryAttempts: 2, RetryBackoff: tinyBackoff, ProbeEvery: 4,
 	})
 	if err != nil {
 		t.Fatal(err)

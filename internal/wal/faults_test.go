@@ -18,12 +18,11 @@ import (
 	"time"
 
 	"honeyfarm/internal/atomicio"
-	"honeyfarm/internal/faults"
 	"honeyfarm/internal/iofault"
 )
 
 // tinyBackoff keeps retry sleeps out of the test wall clock.
-var tinyBackoff = &faults.Plan{BackoffBaseMS: 1, BackoffCapMS: 1}
+const tinyBackoff = time.Millisecond
 
 // dirState reads every file in dir into a name→content map, for
 // byte-identical comparisons between same-seed runs.
@@ -83,7 +82,7 @@ func testCrashAtEverySyscall(t *testing.T) {
 		t.Helper()
 		l, _, oerr := Open(dir, Options{
 			Epoch: testEpoch, SegmentBytes: 512, SyncEvery: 1 << 20, FS: fsys,
-			RetryPlan: tinyBackoff,
+			RetryBackoff: tinyBackoff,
 		})
 		if oerr != nil {
 			t.Fatalf("open: %v", oerr)
@@ -228,7 +227,7 @@ func TestFsyncFaultSchedule(t *testing.T) {
 				}
 				l, _, err := Open(dir, Options{
 					Epoch: testEpoch, SyncEvery: 1 << 20, FS: inj,
-					RetryAttempts: 1, RetryPlan: tinyBackoff, ProbeEvery: 2,
+					RetryAttempts: 1, RetryBackoff: tinyBackoff, ProbeEvery: 2,
 				})
 				if err != nil {
 					t.Fatalf("open: %v", err)
@@ -512,7 +511,7 @@ func TestENOSPCWindowRecovers(t *testing.T) {
 	}
 	l, _, err := Open(dir, Options{
 		Epoch: testEpoch, SyncEvery: 1 << 20, FS: inj,
-		RetryAttempts: 2, RetryPlan: tinyBackoff, ProbeEvery: 4,
+		RetryAttempts: 2, RetryBackoff: tinyBackoff, ProbeEvery: 4,
 	})
 	if err != nil {
 		t.Fatal(err)

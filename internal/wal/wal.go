@@ -45,10 +45,10 @@
 // All file I/O goes through an iofault.FS (Options.FS, defaulting to
 // the real filesystem), so every disk-error path is testable. Disk
 // errors are classified by iofault.Transient: out-of-space and
-// interrupted-syscall errnos get a bounded deterministic retry with
-// capped backoff (Options.RetryAttempts / Options.RetryPlan, the
-// supervisor's faults.Backoff policy); EIO and everything else are
-// permanent. When retries are exhausted — or an fsync fails, where
+// interrupted-syscall errnos get a bounded deterministic retry
+// (Options.RetryAttempts) spaced by faults.Backoff, the capped
+// exponential the shard coordinator also waits on; EIO and everything
+// else are permanent. When retries are exhausted — or an fsync fails, where
 // retrying cannot restore the lost ordering guarantee — the log
 // degrades instead of dying: the current segment is sealed best-effort
 // at its last frame-aligned size, subsequent appends are counted and
@@ -132,11 +132,11 @@ type Options struct {
 	// before the log degrades (default 3; 1 disables retry). Permanent
 	// errors degrade immediately.
 	RetryAttempts int
-	// RetryPlan supplies the capped-exponential backoff between retry
-	// attempts via faults.Backoff. nil uses the defaults (25ms base, 2s
-	// cap, no jitter) — the same policy the shard coordinator spaces its
-	// pulls of a down shard on.
-	RetryPlan *faults.Plan
+	// RetryBackoff is the first delay of faults.Backoff between retry
+	// attempts (doubling, capped at 2s). Zero means 25ms, the delay the
+	// shard coordinator spaces its pulls of a down shard on; tests pass
+	// a smaller one to keep retry sleeps out of the wall clock.
+	RetryBackoff time.Duration
 	// ProbeEvery controls degraded-mode recovery probing: the first
 	// append after degrading probes immediately, then every
 	// ProbeEvery-th dropped append probes again (default 64).
@@ -769,7 +769,7 @@ func (l *Log) appendFrameLocked(frame []byte) error {
 	var werr error
 	for attempt := 0; attempt < l.opts.RetryAttempts; attempt++ {
 		if attempt > 0 {
-			time.Sleep(l.opts.RetryPlan.Backoff(0, attempt-1))
+			time.Sleep(faults.Backoff(l.opts.RetryBackoff, attempt-1))
 		}
 		n, err := l.f.Write(frame)
 		if err == nil && n == len(frame) {
@@ -1148,7 +1148,7 @@ func (l *Log) rollLocked(seq uint64) error {
 	var err error
 	for attempt := 0; attempt < l.opts.RetryAttempts; attempt++ {
 		if attempt > 0 {
-			time.Sleep(l.opts.RetryPlan.Backoff(0, attempt-1))
+			time.Sleep(faults.Backoff(l.opts.RetryBackoff, attempt-1))
 		}
 		f, err = l.fs.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
 		if err == nil || !iofault.Transient(err) {

@@ -223,6 +223,19 @@ func GenerateRand(rng *rand.Rand, cfg Config) (*Result, error) {
 	if cfg.NumPots <= 0 {
 		cfg.NumPots = 221
 	}
+	// An outage on no pot of the farm, or one that starts after the
+	// period, downs nothing; refuse it rather than report full uptime.
+	// A window that only runs past the period is clipped (NewReport).
+	if cfg.Faults != nil {
+		for i, o := range cfg.Faults.Outages {
+			if o.Pot >= cfg.NumPots {
+				return nil, fmt.Errorf("workload: outage %d: pot %d outside the farm's %d pots (0..%d)", i, o.Pot, cfg.NumPots, cfg.NumPots-1)
+			}
+			if o.FirstDay >= cfg.Days {
+				return nil, fmt.Errorf("workload: outage %d: first_day %d outside the %d-day period (0..%d)", i, o.FirstDay, cfg.Days, cfg.Days-1)
+			}
+		}
+	}
 	if cfg.Epoch.IsZero() {
 		cfg.Epoch = time.Date(2021, 12, 1, 0, 0, 0, 0, time.UTC)
 	}

@@ -5,9 +5,11 @@ import (
 	"math/rand"
 	"net/netip"
 	"sort"
+	"strings"
 	"testing"
 
 	"honeyfarm/internal/analysis"
+	"honeyfarm/internal/faults"
 	"honeyfarm/internal/geo"
 	"honeyfarm/internal/stats"
 )
@@ -531,6 +533,36 @@ func TestGenerateDeterministic(t *testing.T) {
 func TestGenerateRequiresRegistry(t *testing.T) {
 	if _, err := Generate(Config{}); err == nil {
 		t.Fatal("Generate without registry should fail")
+	}
+}
+
+// TestGenerateRefusesInertOutage: an outage on a pot past the farm (a
+// 1-based pot number on the 0-based farm) or one that starts after the
+// period downs nothing, so generation refuses it by index and bound
+// instead of reporting every pot up. A window that only runs past the
+// period is still clipped to it.
+func TestGenerateRefusesInertOutage(t *testing.T) {
+	reg := geo.NewRegistry(geo.Config{Seed: 1})
+	for _, c := range []struct {
+		outage faults.Outage
+		want   string
+	}{
+		{faults.Outage{Pot: 221, FirstDay: 0, LastDay: 485}, "outage 1: pot 221 outside the farm's 221 pots"},
+		{faults.Outage{Pot: 4, FirstDay: 600, LastDay: 700}, "outage 1: first_day 600 outside the 486-day period"},
+	} {
+		plan := &faults.Plan{Outages: []faults.Outage{{Pot: 0, FirstDay: 0, LastDay: 0}, c.outage}}
+		_, err := Generate(Config{Seed: 1, TotalSessions: 3000, Registry: reg, Faults: plan})
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("outage %+v: err = %v, want one containing %q", c.outage, err, c.want)
+		}
+	}
+	plan := &faults.Plan{Outages: []faults.Outage{{Pot: 4, FirstDay: 25, LastDay: 40}}}
+	res, err := Generate(Config{Seed: 1, TotalSessions: 3000, Days: 30, NumPots: 10, Registry: reg, Faults: plan})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Faults.Pots[4].DownDays; got != 5 {
+		t.Errorf("outage [25, 40] on a 30-day period: %d down days, want 5 (clipped)", got)
 	}
 }
 

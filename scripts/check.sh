@@ -101,6 +101,10 @@ poll_file() {
     done
 }
 
+# The /v1 table endpoints every node kind serves; the serve smoke checks
+# /v1/healthz beside them, the merge smoke compares them byte for byte.
+v1_tables="summary pots clients countries"
+
 # expect_clean_drain <label> <pid> <log> [<pid> <log>]...: every process,
 # already sent SIGTERM, must exit 0 (a -race binary exits 66 on a detected
 # race) and have logged the line each daemon prints last, and only after
@@ -221,7 +225,7 @@ while :; do
     fi
     sleep 0.2 2>/dev/null || sleep 1
 done
-for ep in summary pots clients countries availability healthz; do
+for ep in $v1_tables healthz; do
     curl -fsS "http://$addr/v1/$ep" >/dev/null
 done
 # -pprof mounts the profiling mux beside the API on the same listener.
@@ -275,7 +279,7 @@ until grep -q "feed complete" "$tmp/ref.log"; do
     fi
     sleep 0.1 2>/dev/null || sleep 1
 done
-for ep in summary pots clients countries availability; do
+for ep in $v1_tables; do
     curl -fsS "http://$ref_addr/v1/$ep" >"$tmp/ref-$ep.json"
 done
 
@@ -376,7 +380,7 @@ while :; do
     fi
     sleep 0.1 2>/dev/null || sleep 1
 done
-for ep in summary pots clients countries availability; do
+for ep in $v1_tables; do
     curl -fsS "http://$merge_addr/v1/$ep" >"$tmp/merge-$ep.json"
     cmp "$tmp/ref-$ep.json" "$tmp/merge-$ep.json"
 done
