@@ -4,7 +4,11 @@
 // Usage:
 //
 //	analyze [-in dataset.jsonl] [-seed 1] [-pots 221] [-stride 30] [-tables table1,figure15]
+//	analyze -in s0/ -pots 6
 //
+// A directory is read as a collector's write-ahead log, such as a
+// shard -wire node's -wal-dir: read only, and refused with a pointer
+// to fsck -repair where the collector itself would refuse to open it.
 // The seed must match the one the dataset was generated with so the
 // rebuilt geography registry agrees with the recorded client IPs.
 // -tables restricts output to the named report sections (and skips the
@@ -47,7 +51,7 @@ func parseTables(arg string) ([]string, error) {
 }
 
 func main() {
-	in := flag.String("in", "dataset.jsonl", "input dataset")
+	in := flag.String("in", "dataset.jsonl", "input dataset: a JSONL file, or a WAL directory")
 	cowrie := flag.Bool("cowrie", false, "input is a Cowrie JSON event log instead of this repo's JSONL")
 	seed := flag.Int64("seed", 1, "registry seed used at generation time")
 	pots := flag.Int("pots", 221, "number of honeypots in the dataset")

@@ -8,14 +8,15 @@
 //	honeyfarm -scenario custom.json -out dataset.jsonl
 //
 // A scenario file (see internal/scenario) can override the category
-// mix, protocol splits, spike schedule, and campaign generation.
+// mix, protocol splits, spike schedule, and campaign generation. A key
+// it leaves out (seed, total_sessions, days, pots) takes the flag's
+// value, and its fault plan inherits the seed resolved so.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"io"
-	"log"
 	"os"
 
 	"honeyfarm"
@@ -25,29 +26,43 @@ import (
 	"honeyfarm/internal/workload"
 )
 
-func main() {
-	sessions := flag.Int("sessions", 400_000, "total sessions to generate (paper scale: 402,000,000)")
-	days := flag.Int("days", 486, "observation period length in days")
-	pots := flag.Int("pots", 221, "number of honeypots")
-	seed := flag.Int64("seed", 1, "generation seed")
-	scenarioPath := flag.String("scenario", "", "JSON scenario file overriding the paper's calibration")
-	out := flag.String("out", "dataset.jsonl", "output path ('-' for stdout; files are written atomically)")
-	format := flag.String("format", "jsonl", "output format: jsonl (this repo) or cowrie (cowrie.json events)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main without the process: it generates the dataset args ask
+// for, writes it to its -out (out for "-"), reports on errOut and
+// returns the exit status.
+func run(args []string, out, errOut io.Writer) int {
+	flags := flag.NewFlagSet("honeyfarm", flag.ContinueOnError)
+	flags.SetOutput(errOut)
+	sessions := flags.Int("sessions", 400_000, "total sessions to generate (paper scale: 402,000,000)")
+	days := flags.Int("days", 486, "observation period length in days")
+	pots := flags.Int("pots", 221, "number of honeypots")
+	seed := flags.Int64("seed", 1, "generation seed")
+	scenarioPath := flags.String("scenario", "", "JSON scenario file overriding the paper's calibration")
+	outPath := flags.String("out", "dataset.jsonl", "output path ('-' for stdout; files are written atomically)")
+	format := flags.String("format", "jsonl", "output format: jsonl (this repo) or cowrie (cowrie.json events)")
+	if flags.Parse(args) != nil {
+		return 2
+	}
+	if *format != "jsonl" && *format != "cowrie" {
+		fmt.Fprintf(errOut, "honeyfarm: unknown -format %q (jsonl or cowrie)\n", *format)
+		return 2
+	}
+	fail := func(format string, a ...any) int {
+		fmt.Fprintf(errOut, "honeyfarm: "+format+"\n", a...)
+		return 1
+	}
 
 	var d *honeyfarm.Dataset
 	if *scenarioPath != "" {
-		cfg, err := scenario.LoadFile(*scenarioPath)
+		cfg, err := scenario.LoadFile(*scenarioPath, scenario.Scenario{Seed: *seed, TotalSessions: *sessions, Days: *days, Pots: *pots})
 		if err != nil {
-			log.Fatalf("scenario: %v", err)
-		}
-		if cfg.Seed == 0 {
-			cfg.Seed = *seed
+			return fail("scenario: %v", err)
 		}
 		cfg.Registry = geo.NewRegistry(geo.Config{Seed: cfg.Seed})
 		res, err := workload.Generate(cfg)
 		if err != nil {
-			log.Fatalf("simulate: %v", err)
+			return fail("simulate: %v", err)
 		}
 		d = honeyfarm.NewDatasetFromResult(res, cfg.Registry, cfg.NumPots)
 	} else {
@@ -59,24 +74,23 @@ func main() {
 			NumPots:       *pots,
 		})
 		if err != nil {
-			log.Fatalf("simulate: %v", err)
+			return fail("simulate: %v", err)
 		}
 	}
-	d.Summary(os.Stderr)
+	d.Summary(errOut)
 	save := d.Save
 	if *format == "cowrie" {
 		save = d.ExportCowrie
-	} else if *format != "jsonl" {
-		log.Fatalf("unknown format %q", *format)
 	}
-	if *out == "-" {
-		if err := save(os.Stdout); err != nil {
-			log.Fatalf("writing dataset: %v", err)
+	if *outPath == "-" {
+		if err := save(out); err != nil {
+			return fail("writing dataset: %v", err)
 		}
-		return
+		return 0
 	}
-	if err := atomicio.WriteFile(*out, func(w io.Writer) error { return save(w) }); err != nil {
-		log.Fatalf("writing dataset: %v", err)
+	if err := atomicio.WriteFile(*outPath, func(w io.Writer) error { return save(w) }); err != nil {
+		return fail("writing dataset: %v", err)
 	}
-	fmt.Fprintf(os.Stderr, "wrote %d sessions to %s\n", d.Sessions(), *out)
+	fmt.Fprintf(errOut, "wrote %d sessions to %s\n", d.Sessions(), *outPath)
+	return 0
 }

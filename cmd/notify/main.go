@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	notify [-in dataset.jsonl] [-seed 1] [-min 100] [-top 20]
+//	notify [-in dataset.jsonl|wal-dir] [-seed 1] [-min 100] [-top 20]
 package main
 
 import (
@@ -20,7 +20,7 @@ import (
 )
 
 func main() {
-	in := flag.String("in", "dataset.jsonl", "input JSONL dataset")
+	in := flag.String("in", "dataset.jsonl", "input dataset: a JSONL file, or a WAL directory")
 	seed := flag.Int64("seed", 1, "registry seed used at generation time")
 	minSessions := flag.Int("min", 100, "minimum sessions for an AS to be notified")
 	top := flag.Int("top", 20, "number of reports to print")

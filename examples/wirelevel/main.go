@@ -2,8 +2,9 @@
 // intrusion with a malware download and a Mirai-style Telnet brute
 // force — and show the Cowrie-style records it captured, classified
 // with the paper's taxonomy. The pot is served through honeypot.Server
-// over an in-memory fabric, the way cmd/honeypot serves it over TCP, so
-// each session arrives from the attacker address it dials from.
+// over an in-memory fabric, the way a shard's wire front (cmd/shard
+// -wire) serves its pots over TCP, so each session arrives from the
+// attacker address it dials from.
 //
 //	go run ./examples/wirelevel
 package main
@@ -54,10 +55,7 @@ func main() {
 		}
 		srv.Serve(ln, l.handle)
 	}
-	defer func() {
-		_ = srv.Close()
-		srv.Drain(honeypot.DefaultDrainTimeout)
-	}()
+	defer srv.Close()
 
 	sshIntrusion(fabric)
 	telnetBruteForce(fabric)

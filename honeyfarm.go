@@ -10,7 +10,8 @@
 //
 //   - Simulate generates a calibrated session dataset at a chosen scale
 //     and wraps it in a Dataset with one method per paper artifact.
-//   - LoadDataset / (*Dataset).Save round-trip datasets as JSONL.
+//   - LoadDataset / (*Dataset).Save round-trip datasets as JSONL;
+//     LoadDatasetFile also reads a wire shard's write-ahead log.
 //
 // The wire-level collector — honeypots speaking real SSH and Telnet
 // into one durable sink — is a shard's wire front (cmd/shard -wire).
@@ -30,6 +31,7 @@ import (
 	"honeyfarm/internal/honeypot"
 	"honeyfarm/internal/stats"
 	"honeyfarm/internal/store"
+	"honeyfarm/internal/wal"
 	"honeyfarm/internal/workload"
 )
 
@@ -213,14 +215,56 @@ func emptyDataset(reg *Registry, numPots int, seed int64) (*Dataset, error) {
 	}, nil
 }
 
-// LoadDatasetFile reads a JSONL dataset from a file.
+// LoadDatasetFile reads a dataset from path: a JSONL file or, when path
+// is a directory, a write-ahead log such as a shard's -wal-dir (the rule
+// cmd/fsck applies). See loadWAL for how a log is read.
 func LoadDatasetFile(path string, reg *Registry, numPots int, seed int64) (*Dataset, error) {
+	info, err := os.Stat(path)
+	if err != nil {
+		return nil, err
+	}
+	if info.IsDir() {
+		return loadWAL(path, reg, numPots, seed)
+	}
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
 	return LoadDataset(f, reg, numPots, seed)
+}
+
+// loadWAL reads every intact batch of the WAL in dir, in log order, into
+// a store whose days count from the log's epoch. It writes nothing: a
+// torn tail on the final segment, which wal.Open would truncate, is left
+// on disk unread, and stale temporary files stay where they are. The
+// damage wal.Open refuses is refused here too; the error says to run
+// fsck -repair.
+func loadWAL(dir string, reg *Registry, numPots int, seed int64) (*Dataset, error) {
+	it, err := wal.NewIterator(dir)
+	if err != nil {
+		return nil, err
+	}
+	defer it.Close() // read only
+	var recs []*SessionRecord
+	b, ok, err := it.Next()
+	for ; ok; b, ok, err = it.Next() {
+		recs = append(recs, b.Records...)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", dir, err)
+	}
+	epoch, ok := it.Epoch()
+	if !ok {
+		return nil, fmt.Errorf("wal: directory %s has no segment with an intact meta frame", dir)
+	}
+	d, err := emptyDataset(reg, numPots, seed)
+	if err != nil {
+		return nil, err
+	}
+	d.Store = store.New(epoch)
+	d.Store.AddBatch(recs)
+	return d, nil
 }
 
 // Merge folds another dataset's sessions into this one — the federated-

@@ -2,11 +2,15 @@ package honeyfarm
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"honeyfarm/internal/analysis"
+	"honeyfarm/internal/wal"
 )
 
 // smallDataset is shared by the facade tests.
@@ -271,5 +275,139 @@ func TestLoadedPlacementMatchesSimulate(t *testing.T) {
 			t.Errorf("%d pots: loaded placement differs from the generated one (%d vs %d deployments)",
 				pots, len(loaded.Deployments), len(d.Deployments))
 		}
+	}
+}
+
+// walOf writes recs to a fresh WAL in batches of batch records, over
+// segments of segBytes, and returns the directory.
+func walOf(t *testing.T, epoch time.Time, recs []*SessionRecord, batch int, segBytes int64) string {
+	t.Helper()
+	dir := t.TempDir()
+	l, _, err := wal.Open(dir, wal.Options{Epoch: epoch, SegmentBytes: segBytes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for off := 0; off < len(recs); off += batch {
+		if err := l.Append(recs[off:min(off+batch, len(recs))]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// segments lists the WAL segment files in dir, in sequence order.
+func segments(t *testing.T, dir string) []string {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("segments of %s: %v, %v", dir, segs, err)
+	}
+	return segs
+}
+
+// TestLoadDatasetFileReadsWAL: a directory is read as a WAL, and the
+// full report over it is byte for byte the report over the JSONL of the
+// same records.
+func TestLoadDatasetFileReadsWAL(t *testing.T) {
+	d := testDataset(t)
+	jsonl := filepath.Join(t.TempDir(), "d.jsonl")
+	if err := d.SaveFile(jsonl); err != nil {
+		t.Fatal(err)
+	}
+	dir := walOf(t, d.Store.Epoch(), d.Store.Records(), 500, 1<<20)
+	if n := len(segments(t, dir)); n < 2 {
+		t.Fatalf("the log has %d segment, want several", n)
+	}
+	var reports [2]bytes.Buffer
+	for i, path := range []string{jsonl, dir} {
+		loaded, err := LoadDatasetFile(path, d.Registry, d.NumPots, 7)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if loaded.Sessions() != d.Sessions() || !loaded.Store.Epoch().Equal(d.Store.Epoch()) {
+			t.Fatalf("%s: %d sessions from %v, want %d from %v", path, loaded.Sessions(), loaded.Store.Epoch(), d.Sessions(), d.Store.Epoch())
+		}
+		loaded.WriteReport(&reports[i], ReportOptions{})
+	}
+	if !bytes.Equal(reports[0].Bytes(), reports[1].Bytes()) {
+		t.Errorf("the report over the WAL differs from the report over the JSONL (%d and %d bytes)", reports[1].Len(), reports[0].Len())
+	}
+}
+
+// TestLoadDatasetFileWALDamage: reading a log writes nothing to it. A
+// torn tail on the final segment, which wal.Open truncates, is read up
+// to and left on disk; the damage wal.Open refuses is refused, with an
+// error that names fsck -repair. A stale temporary file, which wal.Open
+// sweeps, stays. A directory with no log in it has no epoch, which
+// wal.Open refuses too unless it is given one.
+func TestLoadDatasetFileWALDamage(t *testing.T) {
+	if _, err := LoadDatasetFile(t.TempDir(), nil, 4, 7); err == nil {
+		t.Error("an empty directory loaded as a dataset")
+	}
+	recs := testDataset(t).Store.Records()[:100]
+	epoch := testDataset(t).Store.Epoch()
+	torn := wal.EncodeBatchFrame(nil, 0, recs[:1])[:30]
+	corrupt := append(wal.EncodeRawFrame(nil, 0x7f, []byte("not a kind this binary knows")), wal.EncodeBatchFrame(nil, 0, recs[:1])...)
+	for _, tc := range []struct {
+		name  string
+		final bool   // the damage goes on the final segment, else on the first
+		tail  []byte // appended to that segment
+		opens bool   // wal.Open accepts the directory
+	}{
+		{"torn tail", true, torn, true},
+		{"torn frame in a sealed segment", false, torn, false},
+		{"corrupt frame", true, corrupt, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := walOf(t, epoch, recs, 10, 4096)
+			segs := segments(t, dir)
+			seg := segs[0]
+			if tc.final {
+				seg = segs[len(segs)-1]
+			}
+			f, err := os.OpenFile(seg, os.O_WRONLY|os.O_APPEND, 0o644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Write(tc.tail); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+			stale := filepath.Join(dir, "x.tmp")
+			if err := os.WriteFile(stale, nil, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			before, err := os.ReadFile(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			loaded, err := LoadDatasetFile(dir, nil, 4, 7)
+			if tc.opens {
+				if err != nil || loaded.Sessions() != len(recs) {
+					t.Fatalf("loaded %v, %v; want the %d records before the tail", loaded, err, len(recs))
+				}
+			} else if err == nil || !strings.Contains(err.Error(), "fsck -repair") {
+				t.Fatalf("error %v, want a refusal that names fsck -repair", err)
+			}
+			if after, err := os.ReadFile(seg); err != nil || !bytes.Equal(after, before) {
+				t.Errorf("the load changed %s: %d bytes before, %d after (%v)", filepath.Base(seg), len(before), len(after), err)
+			}
+			if _, err := os.Stat(stale); err != nil {
+				t.Errorf("the load removed a stale temporary file: %v", err)
+			}
+			l, _, err := wal.Open(dir, wal.Options{})
+			if (err == nil) != tc.opens {
+				t.Errorf("wal.Open: %v, want accepted=%v", err, tc.opens)
+			}
+			if err == nil {
+				_ = l.Close()
+			}
+		})
 	}
 }

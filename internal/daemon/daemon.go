@@ -182,8 +182,8 @@ type ShardConfig struct {
 
 // Check reports a shard's flags it cannot run with.
 func (c ShardConfig) Check() error {
-	if c.WALDir == "" || c.Shards < 1 || c.Index < 0 || c.Index >= c.Shards || c.Batch < 1 {
-		return fmt.Errorf("want -wal-dir, 0 <= -index < -shards, -batch >= 1; have %q, %d, %d, %d", c.WALDir, c.Index, c.Shards, c.Batch)
+	if c.WALDir == "" || c.Shards < 1 || c.Index < 0 || c.Index >= c.Shards || c.Batch < 1 || c.Pots < 1 {
+		return fmt.Errorf("want -wal-dir, 0 <= -index < -shards, -batch >= 1, -pots >= 1; have %q, %d, %d, %d, %d", c.WALDir, c.Index, c.Shards, c.Batch, c.Pots)
 	}
 	return nil
 }
@@ -292,6 +292,9 @@ type FollowerConfig struct {
 // OpenFollower starts tailing the WAL in cfg.WALDir into a fresh engine
 // and serves the query API over it.
 func OpenFollower(cfg FollowerConfig) (*Node, error) {
+	if cfg.Pots < 1 {
+		return nil, fmt.Errorf("want -pots >= 1, have %d", cfg.Pots)
+	}
 	epoch, err := time.Parse(time.DateOnly, cmp.Or(cfg.Epoch, honeyfarm.DefaultEpoch.Format(time.DateOnly)))
 	if err != nil {
 		return nil, fmt.Errorf("parsing -epoch: %w", err)

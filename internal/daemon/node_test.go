@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -195,7 +196,8 @@ func TestNodeWireRecoversAccepted(t *testing.T) {
 // TestNodeWireCloseRecordsInFlight: a logged-in Telnet session still
 // open when a -wire shard closes is cut, recorded and persisted before
 // the WAL closes; the reopened shard recovers it and serves what a fresh
-// engine over that one record serves.
+// engine over that one record serves. The WAL read as a dataset (what
+// analyze -in <wal-dir> reads) holds what wal.Open recovers, in order.
 func TestNodeWireCloseRecordsInFlight(t *testing.T) {
 	proc := Start("test")
 	cfg := shardConfig(t.TempDir(), 0)
@@ -214,6 +216,10 @@ func TestNodeWireCloseRecordsInFlight(t *testing.T) {
 	closeNode(t, proc, n, 5*time.Second)
 	accepted := n.Front.Accepted()
 
+	d, err := honeyfarm.LoadDatasetFile(cfg.WALDir, honeyfarm.NewRegistry(1), fixturePots, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	wlog, recovery, err := wal.Open(cfg.WALDir, wal.Options{Epoch: honeyfarm.DefaultEpoch})
 	if err != nil {
 		t.Fatal(err)
@@ -227,6 +233,9 @@ func TestNodeWireCloseRecordsInFlight(t *testing.T) {
 	}
 	if len(recs) != 1 || accepted != 1 || recs[0].Protocol != honeypot.Telnet || !recs[0].LoggedIn() {
 		t.Fatalf("the front accepted %d sessions and the WAL holds %d records (%+v); want the one logged-in telnet session", accepted, len(recs), recs)
+	}
+	if loaded := d.Store.Records(); !reflect.DeepEqual(loaded, recs) || !d.Store.Epoch().Equal(recovery.Epoch) {
+		t.Fatalf("the WAL read as a dataset holds %+v from %v; wal.Open recovered %+v from %v", loaded, d.Store.Epoch(), recs, recovery.Epoch)
 	}
 
 	n = openShard(t, cfg, nil)
@@ -389,8 +398,10 @@ func TestNodeRefusesAnotherPartition(t *testing.T) {
 	closeNode(t, proc, n, 5*time.Second)
 }
 
-// TestNodeRejectsBadShardConfig: a batch that cannot advance the feeder
-// (or a partition that does not exist) is refused before anything opens.
+// TestNodeRejectsBadShardConfig: a batch that cannot advance the feeder,
+// a partition that does not exist or a farm without pots is refused
+// before anything opens, by a shard with or without -wire and by a
+// follower.
 func TestNodeRejectsBadShardConfig(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "wal")
 	for _, bad := range []func(*ShardConfig){
@@ -398,6 +409,10 @@ func TestNodeRejectsBadShardConfig(t *testing.T) {
 		func(c *ShardConfig) { c.Batch = -1 },
 		func(c *ShardConfig) { c.Index = c.Shards },
 		func(c *ShardConfig) { c.WALDir = "" },
+		func(c *ShardConfig) { c.Pots = 0 },
+		func(c *ShardConfig) { c.Pots = -1 },
+		func(c *ShardConfig) { c.Pots, c.Wire = 0, true },
+		func(c *ShardConfig) { c.Pots, c.Wire = -1, true },
 	} {
 		cfg := shardConfig(dir, 0)
 		bad(&cfg)
@@ -406,6 +421,11 @@ func TestNodeRejectsBadShardConfig(t *testing.T) {
 		}
 		if _, err := OpenShard(cfg, records(t), honeyfarm.NewRegistry(1)); err == nil {
 			t.Errorf("%+v opened", cfg)
+		}
+	}
+	for _, pots := range []int{0, -1} {
+		if _, err := OpenFollower(FollowerConfig{Addr: "127.0.0.1:0", WALDir: dir, Pots: pots, Poll: time.Millisecond}); err == nil {
+			t.Errorf("a follower with -pots %d opened", pots)
 		}
 	}
 	if _, err := os.Stat(dir); !os.IsNotExist(err) {

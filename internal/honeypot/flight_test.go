@@ -1,6 +1,7 @@
 package honeypot
 
 import (
+	"bytes"
 	"io"
 	"net"
 	"strings"
@@ -108,18 +109,33 @@ func TestTelnetSessionFlights(t *testing.T) {
 	}
 }
 
-// The transcripts of the parent commit, byte for byte: batching the
-// writes moved where the Write boundaries fall and nothing else.
+// The session output of the commit before the writes were batched,
+// byte for byte: batching moved where the Write boundaries fall and
+// nothing else.
 const (
 	unameLine        = "Linux svr04 4.19.0-18-amd64 #1 SMP Debian 4.19.208-1 (2021-09-29) x86_64 GNU/Linux\r\n"
 	sshTranscript    = "root@svr04:~# " + unameLine + "root@svr04:~# "
 	telnetTranscript = "root@svr04:~# " + unameLine + "root@svr04:~# root@svr04:/tmp# root@svr04:/tmp# hi\r\nroot@svr04:/tmp# "
 )
 
-func TestTranscriptsUnchanged(t *testing.T) {
-	rig := newRig(t, Config{RecordTranscript: true})
+// tapConn keeps a copy of every byte read through it.
+type tapConn struct {
+	net.Conn
+	read *bytes.Buffer
+}
 
-	// TestTranscriptRecording's session.
+func (c tapConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.read.Write(p[:n])
+	return n, err
+}
+
+// TestTranscriptsUnchanged pins, as the clients receive it, what the pot
+// sends after the login: the SSH channel's data, the bytes on the Telnet
+// socket, and what the Telnet client reads once it has decoded them.
+func TestTranscriptsUnchanged(t *testing.T) {
+	rig := newRig(t, Config{})
+
 	rig.expect(1)
 	nc, err := rig.fabric.Dial("203.0.113.60", rig.sshAddr)
 	if err != nil {
@@ -139,20 +155,21 @@ func TestTranscriptsUnchanged(t *testing.T) {
 	go func() {
 		_, _ = sess.Write([]byte("uname -a\nexit\n"))
 	}()
-	_, _ = io.ReadAll(sess)
+	got, _ := io.ReadAll(sess)
 	cc.Close()
-	if got := string(rig.wait(t)[0].Transcript); got != sshTranscript {
-		t.Errorf("ssh transcript = %q, want %q", got, sshTranscript)
+	rig.wait(t)
+	if string(got) != sshTranscript {
+		t.Errorf("ssh session = %q, want %q", got, sshTranscript)
 	}
 
-	// The same over Telnet, with a cd and a redirect, and what the client
-	// saw on the wire beside what the pot recorded.
+	// The same over Telnet, with a cd and a redirect.
 	rig.expect(1)
 	nc, err = rig.fabric.Dial("203.0.113.61", rig.telAddr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := telnet.NewConn(nc, false)
+	var wire bytes.Buffer
+	c := telnet.NewConn(tapConn{nc, &wire}, false)
 	if ok, err := telnet.ClientLogin(c, "root", "1234"); err != nil || !ok {
 		t.Fatalf("login ok=%v err=%v", ok, err)
 	}
@@ -164,8 +181,12 @@ func TestTranscriptsUnchanged(t *testing.T) {
 		seen += readToPrompt(c)
 	}
 	nc.Close()
-	if got := string(rig.wait(t)[1].Transcript); got != telnetTranscript {
-		t.Errorf("telnet transcript = %q, want %q", got, telnetTranscript)
+	rig.wait(t)
+	// The session starts after the login's motd line.
+	_, session, _ := strings.Cut(wire.String(), "Last login")
+	_, session, _ = strings.Cut(session, "\n")
+	if session != telnetTranscript {
+		t.Errorf("telnet session on the wire = %q, want %q", session, telnetTranscript)
 	}
 	if seen != telnetTranscript {
 		t.Errorf("telnet client saw %q, want %q", seen, telnetTranscript)

@@ -48,9 +48,6 @@ type Config struct {
 	// Sink receives every completed session record. Required to be
 	// non-nil for records to be observable.
 	Sink func(*SessionRecord)
-	// RecordTranscript captures the shell output stream into
-	// SessionRecord.Transcript (capped at TranscriptCap).
-	RecordTranscript bool
 }
 
 // CowrieAuth is the paper's honeypot policy: password authentication for
@@ -149,18 +146,6 @@ func splitAddr(a net.Addr) (string, int) {
 	return host, port
 }
 
-// appendTranscript records shell output when transcripts are enabled.
-func (h *Honeypot) appendTranscript(rec *SessionRecord, data []byte) {
-	if !h.cfg.RecordTranscript || len(rec.Transcript) >= TranscriptCap {
-		return
-	}
-	room := TranscriptCap - len(rec.Transcript)
-	if len(data) > room {
-		data = data[:room]
-	}
-	rec.Transcript = append(rec.Transcript, data...)
-}
-
 func (h *Honeypot) finish(rec *SessionRecord, term Termination) {
 	rec.End = h.cfg.Now()
 	rec.Termination = term
@@ -247,7 +232,6 @@ reqLoop:
 		sconn.HoldWrites()
 		//lint:ignore error-discard best-effort delivery; the record is already complete
 		_, _ = sess.Write(data)
-		h.appendTranscript(rec, data)
 		//lint:ignore error-discard best-effort teardown; client may already be gone
 		_ = sess.SendExitStatus(uint32(rc))
 		_ = sess.CloseWrite()
@@ -262,7 +246,7 @@ reqLoop:
 	}
 
 	// Interactive shell loop.
-	term := h.shellLoop(nc, rec, sh, &out, lineReader(sess), sess)
+	term := h.shellLoop(nc, sh, &out, lineReader(sess), sess)
 	sconn.HoldWrites()
 	_ = sess.Close()
 	_ = sconn.Close()
@@ -278,14 +262,9 @@ type lineSource func() (string, error)
 // prompt even when more of its lines are waiting. Both directions of the
 // inactivity deadline are reset before each read: a peer that stops
 // reading is as idle as one that stops writing.
-func (h *Honeypot) shellLoop(nc net.Conn, rec *SessionRecord, sh *shell.Shell, out *bytes.Buffer, lines lineSource, w io.Writer) Termination {
-	emit := func(p []byte) error {
-		h.appendTranscript(rec, p)
-		_, err := w.Write(p)
-		return err
-	}
+func (h *Honeypot) shellLoop(nc net.Conn, sh *shell.Shell, out *bytes.Buffer, lines lineSource, w io.Writer) Termination {
 	for {
-		if err := emit([]byte(sh.Prompt())); err != nil {
+		if _, err := w.Write([]byte(sh.Prompt())); err != nil {
 			return termOf(err)
 		}
 		_ = nc.SetDeadline(time.Now().Add(h.cfg.PostAuthTimeout))
@@ -296,7 +275,7 @@ func (h *Honeypot) shellLoop(nc net.Conn, rec *SessionRecord, sh *shell.Shell, o
 		out.Reset()
 		sh.Run(line)
 		if out.Len() > 0 {
-			if err := emit(crlf(out.Bytes())); err != nil {
+			if _, err := w.Write(crlf(out.Bytes())); err != nil {
 				return termOf(err)
 			}
 		}
@@ -376,7 +355,7 @@ func (h *Honeypot) ServeTelnet(nc net.Conn) {
 
 	// Each ReadLine flushes what the loop queued since the last one, so a
 	// command's output and the next prompt are one Write.
-	term := h.shellLoop(nc, rec, sh, &out, sess.Conn.ReadLine, sess.Conn)
+	term := h.shellLoop(nc, sh, &out, sess.Conn.ReadLine, sess.Conn)
 	//lint:ignore error-discard the last command's output is best-effort; the record is already complete
 	_ = sess.Conn.Flush()
 	h.finish(rec, term)

@@ -485,62 +485,3 @@ func TestRealTCPLoopback(t *testing.T) {
 		t.Fatalf("records = %+v", recs)
 	}
 }
-
-func TestTranscriptRecording(t *testing.T) {
-	rig := newRig(t, Config{RecordTranscript: true})
-	rig.expect(1)
-	nc, err := rig.fabric.Dial("203.0.113.60", rig.sshAddr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cc, err := sshwire.NewClientConn(nc, &sshwire.ClientConfig{User: "root", Password: "pw"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess, err := cc.OpenSession()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sshwire.RequestShell(sess); err != nil {
-		t.Fatal(err)
-	}
-	go func() {
-		_, _ = sess.Write([]byte("uname -a\nexit\n"))
-	}()
-	_, _ = io.ReadAll(sess)
-	cc.Close()
-	recs := rig.wait(t)
-	tr := string(recs[0].Transcript)
-	if !strings.Contains(tr, "root@svr04") || !strings.Contains(tr, "Linux") {
-		t.Errorf("transcript = %q", tr)
-	}
-	if len(recs[0].Transcript) > TranscriptCap {
-		t.Error("transcript exceeds cap")
-	}
-}
-
-func TestTranscriptDisabledByDefault(t *testing.T) {
-	rig := newRig(t, Config{})
-	rig.expect(1)
-	nc, err := rig.fabric.Dial("203.0.113.61", rig.sshAddr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cc, err := sshwire.NewClientConn(nc, &sshwire.ClientConfig{User: "root", Password: "pw"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess, err := cc.OpenSession()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sshwire.RequestExec(sess, "uname"); err != nil {
-		t.Fatal(err)
-	}
-	_, _ = io.ReadAll(sess)
-	cc.Close()
-	recs := rig.wait(t)
-	if len(recs[0].Transcript) != 0 {
-		t.Errorf("transcript recorded without opt-in: %q", recs[0].Transcript)
-	}
-}

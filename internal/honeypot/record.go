@@ -97,14 +97,11 @@ type SessionRecord struct {
 	URIs          []string        `json:"uris,omitempty"`
 	Files         []FileRecord    `json:"files,omitempty"`
 	Termination   Termination     `json:"termination"`
-	// Transcript holds the raw shell output sent to the client, capped
-	// at TranscriptCap bytes. Recorded only when Config.RecordTranscript
-	// is set (Cowrie's TTY-log equivalent).
+	// Transcript is a slot for the raw shell output sent to the client
+	// (Cowrie's TTY log). No collector writes it; it keeps its place in
+	// the WAL and JSONL layouts, which carry it when a record has one.
 	Transcript []byte `json:"transcript,omitempty"`
 }
-
-// TranscriptCap bounds per-session transcript recording.
-const TranscriptCap = 64 << 10
 
 // Duration returns the session length.
 func (r *SessionRecord) Duration() time.Duration { return r.End.Sub(r.Start) }

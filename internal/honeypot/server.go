@@ -7,9 +7,6 @@ import (
 	"time"
 )
 
-// DefaultDrainTimeout bounds a server's graceful drain.
-const DefaultDrainTimeout = 5 * time.Second
-
 // Server runs the accept loops of a set of honeypot listeners and
 // tracks every connection it hands out until its session ends. The zero
 // value is ready to use; Serve must not be called after Close.
@@ -54,7 +51,7 @@ func (s *Server) accept(ln net.Listener, handle func(net.Conn)) {
 		}
 		delay = 0
 		s.mu.Lock()
-		// A connection accepted after Close is closed here, so Drain's
+		// A connection accepted after Close is closed here, so Close's
 		// sweep cannot miss it.
 		closed := s.closed
 		s.conns[c] = struct{}{}
@@ -80,11 +77,11 @@ func (s *Server) Open() int {
 	return len(s.conns)
 }
 
-// Close stops accepting on every listener and returns the first close
-// error. Sessions in flight carry on; Drain waits for them.
+// Close stops accepting on every listener, closes the connections in
+// flight and waits for the accept loops and for every session handler
+// to record its abort. It returns the first listener close error.
 func (s *Server) Close() error {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.closed = true
 	var first error
 	for _, ln := range s.lns {
@@ -93,30 +90,10 @@ func (s *Server) Close() error {
 		}
 	}
 	s.lns = nil
-	return first
-}
-
-// Drain waits up to bound for the accept loops and the sessions in
-// flight to finish. At the bound, or at once when bound ≤ 0, it closes
-// the connections left, then waits for their handlers to record them.
-// Call it after Close.
-func (s *Server) Drain(bound time.Duration) {
-	done := make(chan struct{})
-	go func() {
-		s.wg.Wait()
-		close(done)
-	}()
-	if bound > 0 {
-		select {
-		case <-done:
-			return
-		case <-time.After(bound):
-		}
-	}
-	s.mu.Lock()
 	for c := range s.conns {
 		_ = c.Close()
 	}
 	s.mu.Unlock()
-	<-done
+	s.wg.Wait()
+	return first
 }

@@ -37,10 +37,7 @@ func TestReplayAgreement(t *testing.T) {
 	wireRecs := store.New(res.Store.Epoch())
 	fabric := netsim.NewFabric()
 	var srv honeypot.Server
-	defer func() {
-		_ = srv.Close()
-		srv.Drain(honeypot.DefaultDrainTimeout)
-	}()
+	defer srv.Close()
 	potIP := func(pot int) string { return fmt.Sprintf("10.0.0.%d", pot+1) }
 	for id := 0; id < 10; id++ {
 		pot, err := honeypot.New(honeypot.Config{

@@ -58,9 +58,11 @@ var categoryByName = map[string]analysis.Category{
 	"CMD+URI":  analysis.CmdURI,
 }
 
-// Load parses a scenario from r into a workload.Config.
-func Load(r io.Reader) (workload.Config, error) {
-	var sc Scenario
+// Load parses a scenario from r into a workload.Config. A key the
+// scenario leaves out keeps its value in base (cmd/honeyfarm passes its
+// flags), and a fault plan without a seed inherits the seed resolved so.
+func Load(r io.Reader, base Scenario) (workload.Config, error) {
+	sc := base
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&sc); err != nil {
@@ -69,14 +71,14 @@ func Load(r io.Reader) (workload.Config, error) {
 	return sc.Config()
 }
 
-// LoadFile parses a scenario file.
-func LoadFile(path string) (workload.Config, error) {
+// LoadFile parses a scenario file over base, as Load does.
+func LoadFile(path string, base Scenario) (workload.Config, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return workload.Config{}, err
 	}
 	defer f.Close()
-	return Load(f)
+	return Load(f, base)
 }
 
 // Config converts the scenario into a workload.Config.

@@ -9,13 +9,18 @@ import (
 	"honeyfarm/internal/workload"
 )
 
+// TestLoadDefaults: a key the scenario leaves out keeps the base's
+// value, and a fault plan without a seed inherits the seed resolved so.
 func TestLoadDefaults(t *testing.T) {
-	cfg, err := Load(strings.NewReader(`{"seed": 7, "total_sessions": 1000}`))
+	cfg, err := Load(strings.NewReader(`{"total_sessions": 1000, "faults": {"refuse_rate": 0.1}}`), Scenario{Seed: 7, TotalSessions: 5, Days: 30, Pots: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Seed != 7 || cfg.TotalSessions != 1000 || cfg.Shares != nil || cfg.Spikes != nil {
+	if cfg.Seed != 7 || cfg.TotalSessions != 1000 || cfg.Days != 30 || cfg.NumPots != 10 || cfg.Shares != nil || cfg.Spikes != nil {
 		t.Errorf("cfg = %+v", cfg)
+	}
+	if cfg.Faults == nil || cfg.Faults.Seed != 7 {
+		t.Errorf("plan = %+v, want the seed 7 the scenario resolved to", cfg.Faults)
 	}
 }
 
@@ -27,7 +32,7 @@ func TestLoadFullScenario(t *testing.T) {
 		"spikes": [{"category": "FAIL_LOG", "first_day": 10, "last_day": 12, "multiplier": 4, "pots": 2}],
 		"disable_campaigns": true
 	}`
-	cfg, err := Load(strings.NewReader(js))
+	cfg, err := Load(strings.NewReader(js), Scenario{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,14 +91,14 @@ func TestLoadErrors(t *testing.T) {
 		{`not json`, ""},
 	}
 	for _, c := range cases {
-		if _, err := Load(strings.NewReader(c.js)); err == nil || !strings.Contains(err.Error(), c.want) {
+		if _, err := Load(strings.NewReader(c.js), Scenario{}); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("scenario %q: err = %v, want an error containing %q", c.js, err, c.want)
 		}
 	}
 }
 
 func TestLoadFileMissing(t *testing.T) {
-	if _, err := LoadFile("/no/such/scenario.json"); err == nil {
+	if _, err := LoadFile("/no/such/scenario.json", Scenario{}); err == nil {
 		t.Fatal("missing file should error")
 	}
 }

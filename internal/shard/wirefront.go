@@ -158,9 +158,6 @@ func RegisterWireMetrics(reg *metrics.Registry, w *WireFront) {
 }
 
 // Close stops the listeners, force-closes live connections, and waits
-// for every accept loop and session handler to finish.
-func (w *WireFront) Close() error {
-	err := w.srv.Close()
-	w.srv.Drain(0) // session handlers unblock and record the abort
-	return err
-}
+// for every accept loop and session handler to finish: the handlers of
+// cut sessions record the abort before it returns.
+func (w *WireFront) Close() error { return w.srv.Close() }

@@ -69,8 +69,9 @@
 #                driver's completed-session count must reconcile exactly
 #                with the fleet's /metrics counters, the serve node must
 #                converge to shard 0's accepted count, the same seed
-#                must produce a byte-identical plan twice, and every
-#                process must drain leak-free
+#                must produce a byte-identical plan twice, every
+#                process must drain leak-free, and cmd/analyze over
+#                shard 0's drained WAL must count its accepted sessions
 #   real ENOSPC  (Linux, needs mount privileges; skipped otherwise) the
 #                WAL degraded-mode test re-run against an actually full
 #                filesystem: a size-capped tmpfs is filled with ballast
@@ -169,7 +170,7 @@ go test -race -count=1 -run "$disk_run" ./internal/wal ./internal/shard
 go test -race -count=20 -run TestCommitPipeline ./internal/wal # the committer's queue: absorb, barriers, the segment bound
 go test -race -count=20 -run 'TestSinkOrderUnderENOSPC|TestWireFrontRefusesUnpersisted' ./internal/query ./internal/shard # the one durable-ingest sink: recovered ≡ acknowledged
 go test -race -count=20 -run 'TestCoordinatorRebuildDuringCatchUp|TestCoordinatorLostResponse|TestBlockingPullStorm' ./internal/shard # the install order: publish first, catch up after, rebuild after the catch-up
-go test -race -count=20 -run 'TestServer|TestWireFront|TestCoordinatorProbeBackoff|TestNode' ./internal/honeypot ./internal/shard ./internal/daemon # the one accept loop: close and drain against sessions in flight; the puller's backoff while a shard is down; each node's one Close: recovered ≡ acknowledged, no goroutine left
+go test -race -count=20 -run 'TestServer|TestWireFront|TestCoordinatorProbeBackoff|TestNode' ./internal/honeypot ./internal/shard ./internal/daemon # the one accept loop: its Close against sessions in flight; the puller's backoff while a shard is down; each node's one Close: recovered ≡ acknowledged, no goroutine left
 go test -race -count=20 -run 'TestCutPartials|TestNewsWake|TestIngestAllocsWhilePulled' ./internal/query # a cut reads the rows Ingest writes: counters under the mutex, lists swapped, encoded after
 go test -race -count=3 -run 'TestSameSeedByteIdentical|TestWorkersByteIdentical|TestFaultsByteIdentical|TestGenerateDigestPinned|TestGenerateDeterministic' . ./internal/workload # the generator's planner appends plan shards while decorators read the finished ones
 
@@ -542,6 +543,16 @@ for pid in $lg_merge_pid $lg_serve_pid $lg0_pid $lg1_pid; do
 done
 expect_clean_drain "loadgen smoke" "$lg_merge_pid" "$tmp/lg-merge.log" \
     "$lg_serve_pid" "$tmp/lg-serve.log" "$lg0_pid" "$tmp/lg-s0.log" "$lg1_pid" "$tmp/lg-s1.log"
+
+# The batch report over what the wire fleet collected: shard 0's WAL,
+# read as a dataset, holds every session shard 0 accepted.
+"$tmp/analyze" -in "$tmp/lg-s0-wal" -pots 6 -seed 11 -tables summary >"$tmp/lg-analyze.txt"
+lg_sessions=$(awk '$1 == "dataset:" {print $2}' "$tmp/lg-analyze.txt")
+if [ "${lg_sessions:-?}" != "$acc0" ]; then
+    echo "loadgen smoke: analyze read ${lg_sessions:-?} sessions from shard 0's WAL, shard 0 accepted $acc0" >&2
+    cat "$tmp/lg-analyze.txt" >&2
+    exit 1
+fi
 
 echo "==> real-ENOSPC gate (WAL degraded mode on a size-capped tmpfs)"
 if [ "$(uname -s)" = "Linux" ] &&
