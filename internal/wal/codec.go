@@ -136,11 +136,11 @@ func encodeBatchV2(b *wire.Builder, tag uint64, recs []*honeypot.SessionRecord) 
 	}
 }
 
-// decodeBatchV2 decodes a v2 batch-frame body into one slab of records
-// and one slice of pointers into it, with every string field drawn
-// from in. intact is false for a body that does not decode cleanly to
-// its exact end.
-func decodeBatchV2(body []byte, in *interner) (Batch, bool) {
+// decodeBatchV2 decodes a v2 batch-frame body into records carved from
+// d's slabs, with every string field drawn from d's intern table.
+// intact is false for a body that does not decode cleanly to its exact
+// end.
+func decodeBatchV2(body []byte, d *decoder) (Batch, bool) {
 	r := wire.NewReader(body)
 	// Batch payloads legitimately exceed the SSH string cap (a 4096-
 	// record generation shard is over a megabyte); the frame CRC already
@@ -153,10 +153,11 @@ func decodeBatchV2(body []byte, in *interner) (Batch, bool) {
 	}
 	var recs []*honeypot.SessionRecord
 	if n > 0 {
-		slab := make([]honeypot.SessionRecord, n)
-		recs = make([]*honeypot.SessionRecord, n)
+		left := d.left(r)
+		slab := d.records.take(int(n), left, minRecordLen)
+		recs = d.ptrs.take(int(n), left, minRecordLen)
 		for i := range slab {
-			if !decodeRecord(r, in, &slab[i]) {
+			if !decodeRecord(r, d, &slab[i]) {
 				return Batch{}, false
 			}
 			recs[i] = &slab[i]
@@ -218,51 +219,52 @@ func encodeRecord(b *wire.Builder, r *honeypot.SessionRecord) {
 
 // decodeRecord reads one session record into rec, which must be zero.
 // Zero-length slices decode to nil, matching what a JSON round trip
-// under omitempty produces.
-func decodeRecord(r *wire.Reader, in *interner, rec *honeypot.SessionRecord) bool {
+// under omitempty produces. Each count is checked against the bytes
+// left at its element type's minimum encoded size before a slab is cut.
+func decodeRecord(r *wire.Reader, d *decoder, rec *honeypot.SessionRecord) bool {
 	rec.ID = r.Uint64()
 	rec.HoneypotID = int(int64(r.Uint64()))
 	rec.Protocol = honeypot.Protocol(r.Byte())
-	rec.ClientIP = in.text(r)
+	rec.ClientIP = d.text(r)
 	rec.ClientPort = int(int64(r.Uint64()))
 	rec.Start = decodeTime(r)
 	rec.End = decodeTime(r)
-	rec.ClientVersion = in.text(r)
+	rec.ClientVersion = d.text(r)
 	if n := r.Uint32(); r.Err() == nil && n > 0 {
-		if uint64(n)*9 > uint64(r.Remaining()) { // 2 empty strings + bool
+		if uint64(n)*minLoginLen > uint64(r.Remaining()) {
 			return false
 		}
-		rec.Logins = make([]honeypot.LoginAttempt, n)
+		rec.Logins = d.logins.take(int(n), d.left(r), minLoginLen)
 		for i := range rec.Logins {
-			rec.Logins[i] = honeypot.LoginAttempt{User: in.text(r), Password: in.text(r), Success: r.Bool()}
+			rec.Logins[i] = honeypot.LoginAttempt{User: d.text(r), Password: d.text(r), Success: r.Bool()}
 		}
 	}
 	if n := r.Uint32(); r.Err() == nil && n > 0 {
-		if uint64(n)*5 > uint64(r.Remaining()) {
+		if uint64(n)*minCommandLen > uint64(r.Remaining()) {
 			return false
 		}
-		rec.Commands = make([]honeypot.CommandRecord, n)
+		rec.Commands = d.commands.take(int(n), d.left(r), minCommandLen)
 		for i := range rec.Commands {
-			rec.Commands[i] = honeypot.CommandRecord{Input: in.text(r), Known: r.Bool()}
+			rec.Commands[i] = honeypot.CommandRecord{Input: d.text(r), Known: r.Bool()}
 		}
 	}
 	if n := r.Uint32(); r.Err() == nil && n > 0 {
-		if uint64(n)*4 > uint64(r.Remaining()) {
+		if uint64(n)*minURILen > uint64(r.Remaining()) {
 			return false
 		}
-		rec.URIs = make([]string, n)
+		rec.URIs = d.uris.take(int(n), d.left(r), minURILen)
 		for i := range rec.URIs {
-			rec.URIs[i] = in.text(r)
+			rec.URIs[i] = d.text(r)
 		}
 	}
 	if n := r.Uint32(); r.Err() == nil && n > 0 {
-		if uint64(n)*20 > uint64(r.Remaining()) {
+		if uint64(n)*minFileLen > uint64(r.Remaining()) {
 			return false
 		}
-		rec.Files = make([]honeypot.FileRecord, n)
+		rec.Files = d.files.take(int(n), d.left(r), minFileLen)
 		for i := range rec.Files {
 			rec.Files[i] = honeypot.FileRecord{
-				Path: in.text(r), Hash: in.text(r), Op: in.text(r),
+				Path: d.text(r), Hash: d.text(r), Op: d.text(r),
 				Size: int(int64(r.Uint64())),
 			}
 		}
@@ -272,6 +274,61 @@ func decodeRecord(r *wire.Reader, in *interner, rec *honeypot.SessionRecord) boo
 		rec.Transcript = append([]byte(nil), t...)
 	}
 	return r.Err() == nil
+}
+
+// The minimum encoded size of each repeated element: its fields with
+// every string empty.
+const (
+	minLoginLen   = 4 + 4 + 1     // user, password, success
+	minCommandLen = 4 + 1         // input, known
+	minURILen     = 4             // the URI
+	minFileLen    = 4 + 4 + 4 + 8 // path, hash, op, size
+)
+
+// maxChunk caps the elements one slab refill holds. 128 records of
+// about 240 B stay a small-object allocation under 32 KiB; larger
+// chunks go through the large-object path and its clearing.
+const maxChunk = 128
+
+// decoder is what a walker keeps between the batches it decodes: the
+// intern table and one slab per element type a record holds. Slabs
+// carry over from frame to frame and segment to segment, so a log of
+// one-record frames — what the wire front writes — costs one
+// allocation per type per chunk, not one per record.
+type decoder struct {
+	interner
+	rest int // segment bytes after the frame being decoded
+
+	records  slab[honeypot.SessionRecord]
+	ptrs     slab[*honeypot.SessionRecord]
+	logins   slab[honeypot.LoginAttempt]
+	commands slab[honeypot.CommandRecord]
+	uris     slab[string]
+	files    slab[honeypot.FileRecord]
+}
+
+// left is the segment bytes past r's read position: what any slice
+// still to be decoded from this segment can be encoded in.
+func (d *decoder) left(r *wire.Reader) int { return r.Remaining() + d.rest }
+
+// slab hands out consecutive runs of one backing array. Keeping any one
+// of them keeps the whole chunk alive.
+type slab[T any] struct {
+	free []T
+}
+
+// take returns n zeroed elements whose capacity is their length, so an
+// append by their owner copies instead of writing over the next run.
+// A slab too short for n is replaced by a chunk of max(n, min(maxChunk,
+// left/minLen)) elements: left bytes hold no more than left/minLen of
+// them, which keeps what a walk allocates in proportion to its input.
+func (s *slab[T]) take(n, left, minLen int) []T {
+	if n > len(s.free) {
+		s.free = make([]T, max(n, min(maxChunk, left/minLen)))
+	}
+	out := s.free[:n:n]
+	s.free = s.free[n:]
+	return out
 }
 
 // internSlots sizes the intern table. A direct-mapped table this small

@@ -17,6 +17,8 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+
+	"honeyfarm/internal/honeypot"
 )
 
 // image is segment 1 of a WAL directory and what every reader must make
@@ -238,10 +240,25 @@ func TestReadersAgree(t *testing.T) {
 
 const walCorpusDir = "testdata/fuzz/FuzzWALFrame"
 
+// oneRecordFrames is a healthy segment in the wire front's shape: 140
+// one-record batch frames, each record with a login. A walk uses up
+// its record and login slabs at the chunk cap and refills both; the
+// record slab's refill is cut to what the bytes left can hold.
+func oneRecordFrames(t *testing.T) []byte {
+	seg := metaFrame(t, 1)
+	for tag := uint64(1); tag <= 140; tag++ {
+		recs := mkRecords(tag, 1)
+		recs[0].Logins = []honeypot.LoginAttempt{{User: "root", Password: "1234"}}
+		seg = EncodeBatchFrame(seg, tag, recs)
+	}
+	return seg
+}
+
 // TestWALSeedCorpus keeps FuzzWALFrame's checked-in corpus equal to the
-// images above (-update rewrites it), so plain go test replays them.
+// images above and oneRecordFrames (-update rewrites it), so plain go
+// test replays them.
 func TestWALSeedCorpus(t *testing.T) {
-	seeds := map[string][]byte{}
+	seeds := map[string][]byte{"one-record-frames": oneRecordFrames(t)}
 	for _, im := range images(t) {
 		if !im.sealed { // the sealed rows repeat a segment image
 			seeds[im.name] = im.seg

@@ -2,8 +2,9 @@ package wal
 
 // What a recovery allocates, and what it must still get right while
 // allocating little: the scan reads every segment into one reused
-// buffer, decodes each batch into one slab, and interns every string
-// field, so a restart costs about what the recovered records keep.
+// buffer, carves records and their slices from chunked slabs shared
+// across frames, and interns every string field, so a restart costs
+// about what the recovered records keep.
 
 import (
 	"fmt"
@@ -12,6 +13,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -21,7 +23,7 @@ import (
 
 // The recovery budget per record, for Open and for an Iterator drain.
 const (
-	maxAllocsPerRec = 2
+	maxAllocsPerRec = 0.5
 	maxBytesPerRec  = 600
 )
 
@@ -108,13 +110,18 @@ func writeLog(tb testing.TB, dir string, segBytes int64, sizes []int) []Batch {
 	return out
 }
 
+// budgetBatches are the shapes of the logs the budget tests and
+// BenchmarkOpen recover: batches of 250, and one-record frames — what
+// the wire front's sink writes.
+var budgetBatches = []int{250, 1}
+
 // budgetLog writes the log the budget tests and BenchmarkOpen recover:
-// 6,000 records in batches of 250 over 128 KiB segments.
-func budgetLog(tb testing.TB, dir string) (records, segments int) {
+// 6,000 records in batches of the given size over 128 KiB segments.
+func budgetLog(tb testing.TB, dir string, batch int) (records, segments int) {
 	tb.Helper()
-	sizes := make([]int, 24)
+	sizes := make([]int, 6000/batch)
 	for i := range sizes {
-		sizes[i] = 250
+		sizes[i] = batch
 	}
 	writeLog(tb, dir, 128<<10, sizes)
 	segs, err := listSegments(iofault.OS, dir)
@@ -139,61 +146,135 @@ func allocsPerRec(records int, read func()) (allocs, bytes float64) {
 }
 
 // TestRecoverAllocBudget gates what Open allocates per recovered
-// record: the records it returns and little else.
+// record: the records it returns and little else, whether the log
+// holds large batches or one record per frame.
 func TestRecoverAllocBudget(t *testing.T) {
-	dir := t.TempDir()
-	records, segs := budgetLog(t, dir)
-	var got int
-	allocs, bytes := allocsPerRec(records, func() {
-		l, rec, err := Open(dir, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = rec.Records()
-		if err := l.Close(); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if got != records {
-		t.Fatalf("recovered %d records, want %d", got, records)
-	}
-	t.Logf("Open over %d segments: %.2f allocs and %.0f B per record", segs, allocs, bytes)
-	if allocs > maxAllocsPerRec || bytes > maxBytesPerRec {
-		t.Errorf("Open allocated %.2f objects and %.0f B per record, budget %d and %d B",
-			allocs, bytes, maxAllocsPerRec, maxBytesPerRec)
+	for _, batch := range budgetBatches {
+		t.Run(fmt.Sprintf("batch=%d", batch), func(t *testing.T) {
+			dir := t.TempDir()
+			records, segs := budgetLog(t, dir, batch)
+			var got int
+			allocs, bytes := allocsPerRec(records, func() {
+				l, rec, err := Open(dir, Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got = rec.Records()
+				if err := l.Close(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if got != records {
+				t.Fatalf("recovered %d records, want %d", got, records)
+			}
+			t.Logf("Open over %d segments: %.2f allocs and %.0f B per record", segs, allocs, bytes)
+			if allocs > maxAllocsPerRec || bytes > maxBytesPerRec {
+				t.Errorf("Open allocated %.2f objects and %.0f B per record, budget %.1f and %d B",
+					allocs, bytes, maxAllocsPerRec, maxBytesPerRec)
+			}
+		})
 	}
 }
 
-// TestIteratorAllocBudget holds a tailing drain of the same log to the
-// same budget: a refill reads into the buffer it already has.
+// TestIteratorAllocBudget holds a tailing drain of the same logs to the
+// same budget: a refill reads into the buffer it already has, and the
+// slabs carry over from one Next to the next.
 func TestIteratorAllocBudget(t *testing.T) {
-	dir := t.TempDir()
-	records, segs := budgetLog(t, dir)
-	var got int
-	allocs, bytes := allocsPerRec(records, func() {
-		it, err := NewIterator(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer it.Close()
-		for {
-			b, ok, err := it.Next()
+	for _, batch := range budgetBatches {
+		t.Run(fmt.Sprintf("batch=%d", batch), func(t *testing.T) {
+			dir := t.TempDir()
+			records, segs := budgetLog(t, dir, batch)
+			var got int
+			allocs, bytes := allocsPerRec(records, func() {
+				it, err := NewIterator(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer it.Close()
+				for {
+					b, ok, err := it.Next()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !ok {
+						return
+					}
+					got += len(b.Records)
+				}
+			})
+			if got != records {
+				t.Fatalf("drained %d records, want %d", got, records)
+			}
+			t.Logf("Iterator over %d segments: %.2f allocs and %.0f B per record", segs, allocs, bytes)
+			if allocs > maxAllocsPerRec || bytes > maxBytesPerRec {
+				t.Errorf("Iterator allocated %.2f objects and %.0f B per record, budget %.1f and %d B",
+					allocs, bytes, maxAllocsPerRec, maxBytesPerRec)
+			}
+		})
+	}
+}
+
+// TestSlabCarvesDoNotAlias appends to every slice of each recovered
+// record, and to each batch's record slice: the neighbour carved next
+// from the same chunk must read back byte for byte as before. Records
+// come from one 250-record frame and from consecutive one-record frames.
+func TestSlabCarvesDoNotAlias(t *testing.T) {
+	for _, batch := range budgetBatches {
+		t.Run(fmt.Sprintf("batch=%d", batch), func(t *testing.T) {
+			// Every record holds all four slices, so each carve has a
+			// neighbour in the same chunk.
+			appended := mixedRecords(1, 250)
+			for _, r := range appended {
+				r.Logins = append(r.Logins, honeypot.LoginAttempt{User: "u", Password: r.ClientIP})
+				// mixedRecords' records share one command list.
+				r.Commands = append(slices.Clip(r.Commands), honeypot.CommandRecord{Input: r.ClientIP})
+				r.URIs = append(r.URIs, "http://"+r.ClientIP+"/x")
+				r.Files = append(r.Files, honeypot.FileRecord{Path: "/tmp/" + r.ClientIP, Op: "create"})
+			}
+			dir := t.TempDir()
+			l, _, err := Open(dir, Options{Epoch: testEpoch})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !ok {
-				return
+			for i := 0; i < len(appended); i += batch {
+				if err := l.AppendTagged(uint64(i), appended[i:i+batch]); err != nil {
+					t.Fatal(err)
+				}
 			}
-			got += len(b.Records)
-		}
-	})
-	if got != records {
-		t.Fatalf("drained %d records, want %d", got, records)
-	}
-	t.Logf("Iterator over %d segments: %.2f allocs and %.0f B per record", segs, allocs, bytes)
-	if allocs > maxAllocsPerRec || bytes > maxBytesPerRec {
-		t.Errorf("Iterator allocated %.2f objects and %.0f B per record, budget %d and %d B",
-			allocs, bytes, maxAllocsPerRec, maxBytesPerRec)
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			l, rec, err := Open(dir, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			var recs []*honeypot.SessionRecord
+			for _, b := range rec.Batches {
+				recs = append(recs, b.Records...)
+			}
+			encoded := func(r *honeypot.SessionRecord) string {
+				return string(EncodeBatchFrame(nil, 0, []*honeypot.SessionRecord{r}))
+			}
+			for i := 0; i+1 < len(recs); i++ {
+				next := encoded(recs[i+1])
+				r := recs[i]
+				r.Logins = append(r.Logins, honeypot.LoginAttempt{User: "appended"})
+				r.Commands = append(r.Commands, honeypot.CommandRecord{Input: "appended"})
+				r.URIs = append(r.URIs, "appended")
+				r.Files = append(r.Files, honeypot.FileRecord{Path: "appended"})
+				if encoded(recs[i+1]) != next {
+					t.Fatalf("appending to record %d's slices changed record %d", i, i+1)
+				}
+			}
+			for i := 0; i+1 < len(rec.Batches); i++ {
+				next := rec.Batches[i+1].Records[0]
+				_ = append(rec.Batches[i].Records, nil)
+				if rec.Batches[i+1].Records[0] != next {
+					t.Fatalf("appending to batch %d's records changed batch %d", i, i+1)
+				}
+			}
+		})
 	}
 }
 
@@ -311,24 +392,28 @@ func TestVerifyLiveAppend(t *testing.T) {
 // BenchmarkOpen recovers a fixed multi-segment log: the recovery row of
 // the package, reported per record.
 func BenchmarkOpen(b *testing.B) {
-	dir := b.TempDir()
-	records, _ := budgetLog(b, dir)
-	b.ReportAllocs()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		l, _, err := Open(dir, Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := l.Close(); err != nil {
-			b.Fatal(err)
-		}
+	for _, batch := range budgetBatches {
+		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
+			dir := b.TempDir()
+			records, _ := budgetLog(b, dir, batch)
+			b.ReportAllocs()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				l, _, err := Open(dir, Options{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := l.Close(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			n := float64(records * b.N)
+			b.ReportMetric(n/b.Elapsed().Seconds(), "records/s")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/record")
+		})
 	}
-	b.StopTimer()
-	runtime.ReadMemStats(&after)
-	n := float64(records * b.N)
-	b.ReportMetric(n/b.Elapsed().Seconds(), "records/s")
-	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/record")
 }

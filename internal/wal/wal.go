@@ -71,6 +71,7 @@ import (
 	iofs "io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -163,7 +164,11 @@ func (o Options) withDefaults() Options {
 }
 
 // Batch is one recovered record batch. Tag carries the caller's label
-// (AppendTagged's; Append writes 0).
+// (AppendTagged's; Append writes 0). A reader's records share chunked
+// storage with their neighbours, within the batch and across batches:
+// each slice a record holds, and Records itself, has its length for a
+// capacity, so appending to one copies it, but keeping one record keeps
+// its whole chunk (up to 128 records) alive.
 type Batch struct {
 	Tag     uint64
 	Records []*honeypot.SessionRecord
@@ -252,7 +257,9 @@ type Recovery struct {
 	// Epoch is the store epoch recorded in the segments (or the Options
 	// epoch for a fresh directory).
 	Epoch time.Time
-	// Batches are the intact batch frames in append order.
+	// Batches are the intact batch frames in append order. Their
+	// records are carved from chunks shared across batches (see Batch):
+	// holding on to a few records holds their chunks.
 	Batches []Batch
 	// Gaps are the degraded-mode outage records found in the segments,
 	// in append order.
@@ -513,6 +520,7 @@ func readSegment(fsys iofault.FS, path string, buf []byte) ([]byte, error) {
 // stops, the frames before it count: what the damage means is the
 // caller's call.
 func scanSegment(w *walker, data []byte, seg *SegmentStat, rec *Recovery) error {
+	rec.Batches = slices.Grow(rec.Batches, frameCount(data))
 	// Each frame read advances GoodBytes by at least frameHeaderSize, so
 	// the scan is bounded by the segment length.
 	for seg.GoodBytes < int64(len(data)) {
@@ -540,6 +548,19 @@ func scanSegment(w *walker, data []byte, seg *SegmentStat, rec *Recovery) error 
 	return nil
 }
 
+// frameCount hops the length prefixes from the head of data and counts
+// the frames they chain through, checking no CRC: a bound on the
+// batches a walk of data can yield, so the scan grows Recovery.Batches
+// once per segment instead of doubling it frame by frame.
+func frameCount(data []byte) int {
+	count := 0
+	for n, ok := frameLen(data); ok; n, ok = frameLen(data) {
+		data = data[n:]
+		count++
+	}
+	return count
+}
+
 // stop is why a walker step read no frame.
 type stop int
 
@@ -562,25 +583,28 @@ type frame struct {
 // format, sequence and epoch match, then gap and batch frames. The scan
 // and the Iterator hand next the unread rest of the segment and decide
 // what a stop means; the walker holds no bytes and no policy, only the
-// strings it has decoded.
+// strings and slabs it decodes into.
 type walker struct {
 	name  string    // segment file name, for errors
 	seq   uint64    // sequence the meta frame must record
 	epoch time.Time // established epoch; a zero one adopts the meta frame's
 	meta  bool      // the leading meta frame has been read
-	strs  interner  // the strings batches decode to, shared across segments
+	dec   decoder   // interned strings and record slabs, shared across segments
 }
 
 // segment points the walker at the start of another segment, whose meta
-// frame comes next. The epoch and the interned strings carry over.
+// frame comes next. The epoch, the interned strings and the slabs carry
+// over.
 func (w *walker) segment(name string, seq uint64) {
 	w.name, w.seq, w.meta = name, seq, false
 }
 
 // next reads the frame at the head of buf and returns it with its
-// length, or the reason there is none. A stop leaves the walker as it
-// was, so the same bytes stop the same way and grown bytes can be
-// retried. err is decodeMeta's: corruption no reader tolerates.
+// length, or the reason there is none. A stop leaves the walker reading
+// as it did, so the same bytes stop the same way and grown bytes can be
+// retried; a batch that fails to decode may have used slab space, which
+// moves where later records are stored, not what they hold. err is
+// decodeMeta's: corruption no reader tolerates.
 func (w *walker) next(buf []byte) (f frame, n int, st stop, err error) {
 	if len(buf) == 0 {
 		return frame{}, 0, stopEnd, nil
@@ -598,7 +622,8 @@ func (w *walker) next(buf []byte) (f frame, n int, st stop, err error) {
 	case kind == kindGap:
 		f.gap, ok = decodeGap(body)
 	case kind == kindBatch:
-		f.batch, ok = decodeBatchV2(body, &w.strs)
+		w.dec.rest = len(buf) - n
+		f.batch, ok = decodeBatchV2(body, &w.dec)
 	}
 	if !ok {
 		return frame{}, 0, stopCorrupt, err
@@ -655,20 +680,29 @@ func decodeGap(body []byte) (g Gap, intact bool) {
 // start with one intact frame (short header, short payload, CRC
 // mismatch, or an implausible length).
 func nextFrame(data []byte) (kind byte, body []byte, n int, ok bool) {
-	if len(data) < frameHeaderSize {
+	n, ok = frameLen(data)
+	if !ok {
 		return 0, nil, 0, false
 	}
-	size := binary.LittleEndian.Uint32(data[0:4])
-	sum := binary.LittleEndian.Uint32(data[4:8])
-	if size == 0 || int64(size) > int64(len(data))-frameHeaderSize {
-		return 0, nil, 0, false
-	}
-	n = frameHeaderSize + int(size)
 	payload := data[frameHeaderSize:n]
-	if crc32.Checksum(payload, castagnoli) != sum {
+	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(data[4:8]) {
 		return 0, nil, 0, false
 	}
 	return payload[0], payload[1:], n, true
+}
+
+// frameLen reads the length prefix at the head of data and returns the
+// whole frame's length. ok is false for a short header, a zero length
+// or one that runs past data.
+func frameLen(data []byte) (n int, ok bool) {
+	if len(data) < frameHeaderSize {
+		return 0, false
+	}
+	size := binary.LittleEndian.Uint32(data[0:4])
+	if size == 0 || int64(size) > int64(len(data))-frameHeaderSize {
+		return 0, false
+	}
+	return frameHeaderSize + int(size), true
 }
 
 // Dir returns the WAL directory.
