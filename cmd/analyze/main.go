@@ -3,12 +3,14 @@
 //
 // Usage:
 //
-//	analyze [-in dataset.jsonl] [-seed 1] [-pots 221] [-stride 30] [-tables table1,figure15]
+//	analyze [-in dataset] [-seed 1] [-pots 221] [-stride 30] [-tables table1,figure15]
 //	analyze -in s0/ -pots 6
+//	analyze -cowrie -in cowrie.json
 //
-// A directory is read as a collector's write-ahead log, such as a
-// shard -wire node's -wal-dir: read only, and refused with a pointer
-// to fsck -repair where the collector itself would refuse to open it.
+// -in names a record log: a dataset cmd/honeyfarm wrote, or a
+// collector's write-ahead log such as a shard -wire node's -wal-dir. It
+// is read only, and refused with a pointer to fsck -repair where the
+// collector itself would refuse to open it.
 // The seed must match the one the dataset was generated with so the
 // rebuilt geography registry agrees with the recorded client IPs.
 // -tables restricts output to the named report sections (and skips the
@@ -51,8 +53,8 @@ func parseTables(arg string) ([]string, error) {
 }
 
 func main() {
-	in := flag.String("in", "dataset.jsonl", "input dataset: a JSONL file, or a WAL directory")
-	cowrie := flag.Bool("cowrie", false, "input is a Cowrie JSON event log instead of this repo's JSONL")
+	in := flag.String("in", "dataset", "input dataset: a record log (WAL) directory")
+	cowrie := flag.Bool("cowrie", false, "input is a Cowrie JSON event log file instead of a record log")
 	seed := flag.Int64("seed", 1, "registry seed used at generation time")
 	pots := flag.Int("pots", 221, "number of honeypots in the dataset")
 	stride := flag.Int("stride", 30, "time-series row stride in days")

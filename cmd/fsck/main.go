@@ -1,18 +1,14 @@
-// Command fsck verifies — and optionally repairs — the crash-safety
-// artifacts a honeyfarm run leaves behind:
-//
-//   - a directory argument is checked as a write-ahead log (see
-//     internal/wal): every segment is scanned frame by frame, CRCs are
-//     validated, and per-segment frame/record/byte statistics are
-//     printed. Damage is reported as TORN (a partially written frame:
-//     what a crash leaves, and what Open itself truncates at the tail of
-//     the final segment) or CORRUPT (a frame whose checksum holds and
-//     whose contents do not decode: never a crash, and refused by Open
-//     wherever it sits); -repair truncates either away, after which the
-//     log opens cleanly again.
-//   - a file argument is checked as a JSONL dataset: records are parsed
-//     strictly, and a torn trailing line (SIGKILL mid-save without
-//     atomic write) is reported. -repair rewrites the recovered prefix.
+// Command fsck verifies — and optionally repairs — record logs: a
+// collector's write-ahead log or a dataset cmd/honeyfarm wrote (see
+// internal/wal). Every segment is scanned frame by frame, CRCs are
+// validated, and per-segment frame/record/byte statistics are printed.
+// Damage is reported as TORN (a partially written frame: what a crash
+// leaves, and what Open itself truncates at the tail of the final
+// segment) or CORRUPT (a frame whose checksum holds and whose contents
+// do not decode: never a crash, and refused by Open wherever it sits);
+// -repair truncates either away, after which the log opens cleanly
+// again. A path that is not a directory is no log: it gets a one-line
+// verdict and exit 2, like an unreadable one.
 //
 // With more than one path — the normal shape for a sharded farm, one
 // WAL directory per collector — a per-path summary table follows the
@@ -37,7 +33,6 @@ import (
 
 	"honeyfarm/internal/atomicio"
 	"honeyfarm/internal/iofault"
-	"honeyfarm/internal/store"
 	"honeyfarm/internal/wal"
 )
 
@@ -48,7 +43,7 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 func run(args []string, out, errOut io.Writer) int {
 	flags := flag.NewFlagSet("fsck", flag.ContinueOnError)
 	flags.SetOutput(errOut)
-	repair := flags.Bool("repair", false, "truncate torn WAL segments / rewrite recoverable JSONL prefixes")
+	repair := flags.Bool("repair", false, "truncate damaged WAL segments to their intact prefix")
 	if flags.Parse(args) != nil || flags.NArg() == 0 {
 		fmt.Fprintln(errOut, "usage: fsck [-repair] path...")
 		return 2
@@ -57,18 +52,16 @@ func run(args []string, out, errOut io.Writer) int {
 	results := make([]result, 0, flags.NArg())
 	for _, path := range flags.Args() {
 		info, err := os.Stat(path)
+		if err == nil && !info.IsDir() {
+			err = fmt.Errorf("%s: not a WAL directory", path)
+		}
 		if err != nil {
 			fmt.Fprintf(errOut, "fsck: %v\n", err)
-			results = append(results, result{path: path, kind: "?", status: "unreadable"})
+			results = append(results, result{path: path, status: "unreadable"})
 			exit = 2
 			continue
 		}
-		var res result
-		if info.IsDir() {
-			res = checkWAL(out, path, *repair)
-		} else {
-			res = checkJSONL(out, path, *repair)
-		}
+		res := checkWAL(out, path, *repair)
 		results = append(results, res)
 		if !res.healthy && exit == 0 {
 			exit = 1
@@ -83,7 +76,6 @@ func run(args []string, out, errOut io.Writer) int {
 // result is one path's verdict, rendered into the fleet summary table.
 type result struct {
 	path    string
-	kind    string // "wal" or "jsonl"
 	records int
 	healthy bool
 	status  string // "ok", "repaired", "TORN", "unreadable", ...
@@ -93,10 +85,10 @@ type result struct {
 // (one WAL directory per shard is the expected fleet layout).
 func printSummary(out io.Writer, results []result) {
 	fmt.Fprintf(out, "\nsummary: %d path(s)\n", len(results))
-	fmt.Fprintf(out, "  %-32s %-6s %-9s %s\n", "path", "kind", "records", "status")
+	fmt.Fprintf(out, "  %-32s %-9s %s\n", "path", "records", "status")
 	unhealthy := 0
 	for _, r := range results {
-		fmt.Fprintf(out, "  %-32s %-6s %-9d %s\n", r.path, r.kind, r.records, r.status)
+		fmt.Fprintf(out, "  %-32s %-9d %s\n", r.path, r.records, r.status)
 		if !r.healthy {
 			unhealthy++
 		}
@@ -109,7 +101,7 @@ func printSummary(out io.Writer, results []result) {
 // checkWAL scans one WAL directory and reports per-segment statistics.
 // The result is healthy when the log is intact (possibly after repair).
 func checkWAL(out io.Writer, dir string, repair bool) result {
-	res := result{path: dir, kind: "wal"}
+	res := result{path: dir}
 	rec, err := wal.Verify(dir, time.Time{})
 	if err != nil {
 		fmt.Fprintf(out, "%s: unreadable WAL: %v\n", dir, err)
@@ -191,48 +183,4 @@ func printWAL(out io.Writer, dir string, rec *wal.Recovery) {
 	for _, name := range rec.OrphanedTmp {
 		fmt.Fprintf(out, "  orphaned tmp: %s\n", name)
 	}
-}
-
-// checkJSONL validates one JSONL dataset file, tolerating (and
-// reporting) a torn trailing line. The result is healthy when the file
-// is intact (possibly after repair).
-func checkJSONL(out io.Writer, path string, repair bool) result {
-	res := result{path: path, kind: "jsonl"}
-	f, err := os.Open(path)
-	if err != nil {
-		fmt.Fprintf(out, "%s: %v\n", path, err)
-		res.status = "unreadable"
-		return res
-	}
-	st, rep, err := store.ReadJSONLWith(f, store.ReadJSONLOptions{AllowTornTail: true})
-	f.Close()
-	if err != nil {
-		fmt.Fprintf(out, "%s: unrecoverable: %v\n", path, err)
-		res.status = "unrecoverable"
-		return res
-	}
-	res.records = rep.Records
-	if !rep.Truncated {
-		fmt.Fprintf(out, "%s: ok, %d records\n", path, rep.Records)
-		res.healthy = true
-		res.status = "ok"
-		return res
-	}
-	fmt.Fprintf(out, "%s: torn tail (%d trailing bytes); %d of %d records recoverable\n",
-		path, rep.TornBytes, rep.Records, rep.HeaderCount)
-	if !repair {
-		fmt.Fprintf(out, "%s: run with -repair to rewrite the recovered prefix\n", path)
-		res.status = fmt.Sprintf("TORN (%d bytes)", rep.TornBytes)
-		return res
-	}
-	if err := atomicio.WriteFile(path, st.WriteJSONL); err != nil {
-		fmt.Fprintf(out, "%s: repair failed: %v\n", path, err)
-		res.status = "repair failed"
-		return res
-	}
-	fmt.Fprintf(out, "%s: repaired; %d records survive\n", path, st.Len())
-	res.records = st.Len()
-	res.healthy = true
-	res.status = "repaired"
-	return res
 }

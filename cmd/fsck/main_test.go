@@ -150,3 +150,32 @@ func TestSummaryTable(t *testing.T) {
 		t.Errorf("exit %d with no path, want 2", code)
 	}
 }
+
+// TestFileIsNoLog: a file is not a record log. It gets a one-line
+// verdict and exit 2, the same as a path that does not exist, and is
+// left as it was, -repair or not.
+func TestFileIsNoLog(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "dataset.jsonl")
+	if err := os.WriteFile(file, []byte("{}\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	missing := filepath.Join(t.TempDir(), "missing")
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{file}, "not a WAL directory"},
+		{[]string{"-repair", file}, "not a WAL directory"},
+		{[]string{missing}, "no such file"},
+	} {
+		var out, errOut bytes.Buffer
+		code := run(tc.args, &out, &errOut)
+		verdict := errOut.String()
+		if code != 2 || out.Len() > 0 || strings.Count(verdict, "\n") != 1 || !strings.Contains(verdict, tc.want) {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q; want 2 and one line naming %q", tc.args, code, out.String(), verdict, tc.want)
+		}
+	}
+	if b, err := os.ReadFile(file); err != nil || string(b) != "{}\n" {
+		t.Errorf("fsck changed the file: %q, %v", b, err)
+	}
+}

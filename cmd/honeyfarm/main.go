@@ -1,11 +1,14 @@
 // Command honeyfarm generates a calibrated synthetic honeyfarm dataset —
 // the substitute for the paper's proprietary 402M-session collection —
-// and writes it as JSONL for later analysis with cmd/analyze.
+// and writes it as a record log, the format a collector's write-ahead
+// log has, for later analysis with cmd/analyze. -format cowrie writes a
+// Cowrie JSON event log instead.
 //
 // Usage:
 //
-//	honeyfarm [-sessions 400000] [-days 486] [-pots 221] [-seed 1] -out dataset.jsonl
-//	honeyfarm -scenario custom.json -out dataset.jsonl
+//	honeyfarm [-sessions 400000] [-days 486] [-pots 221] [-seed 1] -out dataset
+//	honeyfarm -scenario custom.json -out dataset
+//	honeyfarm -format cowrie -out cowrie.json
 //
 // A scenario file (see internal/scenario) can override the category
 // mix, protocol splits, spike schedule, and campaign generation. A key
@@ -39,13 +42,17 @@ func run(args []string, out, errOut io.Writer) int {
 	pots := flags.Int("pots", 221, "number of honeypots")
 	seed := flags.Int64("seed", 1, "generation seed")
 	scenarioPath := flags.String("scenario", "", "JSON scenario file overriding the paper's calibration")
-	outPath := flags.String("out", "dataset.jsonl", "output path ('-' for stdout; files are written atomically)")
-	format := flags.String("format", "jsonl", "output format: jsonl (this repo) or cowrie (cowrie.json events)")
+	outPath := flags.String("out", "dataset", "output path: a new directory for wal, a file or '-' (stdout) for cowrie; written atomically")
+	format := flags.String("format", "wal", "output format: wal (a record log, which analyze -in reads) or cowrie (cowrie.json events)")
 	if flags.Parse(args) != nil {
 		return 2
 	}
-	if *format != "jsonl" && *format != "cowrie" {
-		fmt.Fprintf(errOut, "honeyfarm: unknown -format %q (jsonl or cowrie)\n", *format)
+	if *format != "wal" && *format != "cowrie" {
+		fmt.Fprintf(errOut, "honeyfarm: unknown -format %q (wal or cowrie)\n", *format)
+		return 2
+	}
+	if *outPath == "-" && *format != "cowrie" {
+		fmt.Fprintln(errOut, "honeyfarm: -out - needs -format cowrie; a record log is a directory")
 		return 2
 	}
 	fail := func(format string, a ...any) int {
@@ -78,18 +85,20 @@ func run(args []string, out, errOut io.Writer) int {
 		}
 	}
 	d.Summary(errOut)
-	save := d.Save
-	if *format == "cowrie" {
-		save = d.ExportCowrie
+	var err error
+	switch {
+	case *format == "wal":
+		err = d.SaveWAL(*outPath)
+	case *outPath == "-":
+		err = d.ExportCowrie(out)
+	default:
+		err = atomicio.WriteFile(*outPath, d.ExportCowrie)
+	}
+	if err != nil {
+		return fail("writing dataset: %v", err)
 	}
 	if *outPath == "-" {
-		if err := save(out); err != nil {
-			return fail("writing dataset: %v", err)
-		}
 		return 0
-	}
-	if err := atomicio.WriteFile(*outPath, func(w io.Writer) error { return save(w) }); err != nil {
-		return fail("writing dataset: %v", err)
 	}
 	fmt.Fprintf(errOut, "wrote %d sessions to %s\n", d.Sessions(), *outPath)
 	return 0

@@ -10,17 +10,25 @@ import (
 )
 
 // generate runs the command with args, writing to a fresh -out, and
-// returns the dataset it wrote.
+// returns the segment files of the log it wrote, concatenated.
 func generate(t *testing.T, args ...string) []byte {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "d.jsonl")
+	dir := filepath.Join(t.TempDir(), "d")
 	var out, errOut bytes.Buffer
-	if code := run(append(args, "-out", path), &out, &errOut); code != 0 {
+	if code := run(append(args, "-out", dir), &out, &errOut); code != 0 {
 		t.Fatalf("honeyfarm %v: exit %d\n%s", args, code, errOut.String())
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("segments of %s: %v, %v", dir, segs, err)
+	}
+	var data []byte
+	for _, seg := range segs {
+		b, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data = append(data, b...)
 	}
 	return data
 }
@@ -62,15 +70,22 @@ func TestScenarioKeysTakeFlags(t *testing.T) {
 	}
 }
 
-// TestUnknownFormatRefusedFirst: a -format no writer knows is a usage
-// error, refused before the dataset is generated.
+// TestUnknownFormatRefusedFirst: a -format no writer knows, jsonl
+// included, and -out - for a record log are usage errors, refused
+// before the dataset is generated.
 func TestUnknownFormatRefusedFirst(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "d.out")
-	var out, errOut bytes.Buffer
-	if code := run([]string{"-format", "bogus", "-out", path}, &out, &errOut); code != 2 || strings.Contains(errOut.String(), "dataset:") {
-		t.Errorf("exit %d, want 2 before any generation:\n%s", code, errOut.String())
-	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Errorf("a refused run wrote %s: %v", path, err)
+	for _, args := range [][]string{{"-format", "bogus", "-out", path}, {"-format", "jsonl", "-out", path}, {"-out", "-"}} {
+		var out, errOut bytes.Buffer
+		code := run(args, &out, &errOut)
+		if msg := errOut.String(); code != 2 || strings.Contains(msg, "dataset:") || !strings.Contains(msg, "cowrie") {
+			t.Errorf("%v: exit %d, want 2 naming the formats before any generation:\n%s", args, code, msg)
+		}
+		if args[0] == "-format" && !strings.Contains(errOut.String(), "wal") {
+			t.Errorf("%v: the refusal does not name wal:\n%s", args, errOut.String())
+		}
+		if _, err := os.Stat(path); !os.IsNotExist(err) || out.Len() > 0 {
+			t.Errorf("%v: a refused run wrote %s (%v) or %d bytes to stdout", args, path, err, out.Len())
+		}
 	}
 }

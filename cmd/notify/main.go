@@ -7,7 +7,10 @@
 //
 // Usage:
 //
-//	notify [-in dataset.jsonl|wal-dir] [-seed 1] [-min 100] [-top 20]
+//	notify [-in dataset] [-seed 1] [-min 100] [-top 20]
+//
+// -in names a record log: a dataset cmd/honeyfarm wrote, or a
+// collector's write-ahead log.
 package main
 
 import (
@@ -20,7 +23,7 @@ import (
 )
 
 func main() {
-	in := flag.String("in", "dataset.jsonl", "input dataset: a JSONL file, or a WAL directory")
+	in := flag.String("in", "dataset", "input dataset: a record log (WAL) directory")
 	seed := flag.Int64("seed", 1, "registry seed used at generation time")
 	minSessions := flag.Int("min", 100, "minimum sessions for an AS to be notified")
 	top := flag.Int("top", 20, "number of reports to print")

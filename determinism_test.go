@@ -5,14 +5,35 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"testing"
 )
 
+// saved writes d with SaveWAL and returns the log's segment files,
+// concatenated in sequence order.
+func saved(t *testing.T, d *Dataset) []byte {
+	t.Helper()
+	dir := filepath.Join(t.TempDir(), "dataset")
+	if err := d.SaveWAL(dir); err != nil {
+		t.Fatal(err)
+	}
+	var raw []byte
+	for _, seg := range segments(t, dir) {
+		b, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw = append(raw, b...)
+	}
+	return raw
+}
+
 // TestSameSeedByteIdentical is the determinism regression test behind
 // the nondeterminism lint rule: generating a dataset twice from one seed
-// must yield byte-identical serialized output, identical classification
+// must yield byte-identical saved logs, identical classification
 // counts, and identical malware hash sets. Any global-rand or wall-clock
 // leak on the simulation path breaks this immediately.
 func TestSameSeedByteIdentical(t *testing.T) {
@@ -23,11 +44,7 @@ func TestSameSeedByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if err := d.Save(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes(), d
+		return saved(t, d), d
 	}
 	rawA, dsA := generate()
 	rawB, dsB := generate()
@@ -97,11 +114,7 @@ func TestWorkersByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if err := d.Save(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
+		return saved(t, d)
 	}
 
 	ref := generate(1)
@@ -146,11 +159,7 @@ func TestFaultsByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if err := d.Save(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes(), d
+		return saved(t, d), d
 	}
 
 	rawA, dsA := generate(base)
@@ -185,14 +194,13 @@ func TestFaultsByteIdentical(t *testing.T) {
 		t.Errorf("faulted run has %d sessions, fault-free %d; want strictly fewer",
 			dsA.Sessions(), dsClean.Sessions())
 	}
-	cleanLines := map[string]bool{}
-	for i, line := range bytes.Split(rawClean, []byte("\n")) {
-		if i > 0 { // line 0 is the header; its count differs by design
-			cleanLines[string(line)] = true
-		}
+	cleanRecs := map[string]bool{}
+	for _, r := range dsClean.Store.Records() {
+		b, _ := json.Marshal(r)
+		cleanRecs[string(b)] = true
 	}
-	for i, line := range bytes.Split(rawA, []byte("\n")) {
-		if i > 0 && len(line) > 0 && !cleanLines[string(line)] {
+	for i, r := range dsA.Store.Records() {
+		if b, _ := json.Marshal(r); !cleanRecs[string(b)] {
 			t.Fatalf("faulted record %d is not byte-identical to its fault-free counterpart", i)
 		}
 	}
@@ -225,12 +233,13 @@ func digestPinConfig() SimulateConfig {
 	return SimulateConfig{Seed: 5, TotalSessions: 100_000, NumPots: 221}
 }
 
-// TestGenerateDigestPinned pins the sha256 of Dataset.Save, and of the
-// fault report, for a dataset many plan shards long. The digests were
-// computed before the plan and decorate passes overlapped, so a
-// decorator that reads a shard before the planner finishes it, a shard
+// TestGenerateDigestPinned pins the sha256 of the segment files SaveWAL
+// writes, and of the fault report, for a dataset many plan shards long.
+// A decorator that reads a shard before the planner finishes it, a shard
 // stored out of order, or a fault count lost in a per-shard merge fails
-// here at every worker count.
+// here at every worker count. Serialised as the JSON Lines dump this
+// package once wrote, the records read back from each pinned log hash to
+// the digests pinned before the plan and decorate passes overlapped.
 func TestGenerateDigestPinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates six 100k-session datasets")
@@ -253,10 +262,10 @@ func TestGenerateDigestPinned(t *testing.T) {
 		save, reports string
 	}{
 		{"clean", nil,
-			"f7f36852e53c5cee612cf25310cee308721327e487dda0049302cfb26f42b924",
+			"eb9bddd96df3069b02162d43cf462e73a30dd03fb82c7df88a2b2ee1b23145ef",
 			"74234e98afe7498fb5daf1f36ac2d78acc339464f950703b8c019892f982b90b"}, // json "null"
 		{"faults", faulted(),
-			"c1c37da1912e7127c3d03ced12b6ebfecb1811044df82c26d40ef48020f8c7e9",
+			"c1a647e03e18027b1570dd891632c7a5528fc5a8d76f75bbd40795625ca930ec",
 			"7a7ca6c61f028026826b995d7ec8366e2ad13791728733ab343b483c1a461d98"},
 	} {
 		for _, workers := range []int{1, 2, runtime.GOMAXPROCS(0)} {
@@ -266,17 +275,13 @@ func TestGenerateDigestPinned(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			h := sha256.New()
-			if err := d.Save(h); err != nil {
-				t.Fatal(err)
-			}
 			rep, err := json.Marshal(d.Faults)
 			if err != nil {
 				t.Fatal(err)
 			}
-			save, reports := fmt.Sprintf("%x", h.Sum(nil)), fmt.Sprintf("%x", sha256.Sum256(rep))
+			save, reports := fmt.Sprintf("%x", sha256.Sum256(saved(t, d))), fmt.Sprintf("%x", sha256.Sum256(rep))
 			if save != tc.save || reports != tc.reports {
-				t.Errorf("%s, workers=%d: Save sha256 %s, fault report sha256 %s; pinned %s, %s",
+				t.Errorf("%s, workers=%d: segment sha256 %s, fault report sha256 %s; pinned %s, %s",
 					tc.name, workers, save, reports, tc.save, tc.reports)
 			}
 		}

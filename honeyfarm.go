@@ -10,25 +10,29 @@
 //
 //   - Simulate generates a calibrated session dataset at a chosen scale
 //     and wraps it in a Dataset with one method per paper artifact.
-//   - LoadDataset / (*Dataset).Save round-trip datasets as JSONL;
-//     LoadDatasetFile also reads a wire shard's write-ahead log.
+//   - (*Dataset).SaveWAL writes a dataset as a record log, the format a
+//     wire shard's write-ahead log has, and LoadDatasetFile reads either
+//     back.
 //
 // The wire-level collector — honeypots speaking real SSH and Telnet
 // into one durable sink — is a shard's wire front (cmd/shard -wire).
 package honeyfarm
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"time"
 
 	"honeyfarm/internal/analysis"
-	"honeyfarm/internal/atomicio"
 	"honeyfarm/internal/cowrielog"
 	"honeyfarm/internal/faults"
 	"honeyfarm/internal/geo"
 	"honeyfarm/internal/honeypot"
+	"honeyfarm/internal/iofault"
 	"honeyfarm/internal/stats"
 	"honeyfarm/internal/store"
 	"honeyfarm/internal/wal"
@@ -146,32 +150,6 @@ func NewDatasetFromResult(res *workload.Result, reg *Registry, numPots int) *Dat
 	}
 }
 
-// Save writes the dataset's sessions as JSONL.
-func (d *Dataset) Save(w io.Writer) error { return d.Store.WriteJSONL(w) }
-
-// SaveFile writes the dataset to a file, atomically: the JSONL goes to
-// a same-directory temporary file that is fsynced and renamed into
-// place, so a crash mid-save never leaves a truncated dataset at path.
-func (d *Dataset) SaveFile(path string) error {
-	return atomicio.WriteFile(path, d.Save)
-}
-
-// LoadDataset reads a JSONL dataset. The registry and seed must match
-// the ones the dataset was generated with for geography analyses to be
-// meaningful (the honeypot placement is re-derived from the seed).
-func LoadDataset(r io.Reader, reg *Registry, numPots int, seed int64) (*Dataset, error) {
-	st, err := store.ReadJSONL(r)
-	if err != nil {
-		return nil, err
-	}
-	d, err := emptyDataset(reg, numPots, seed)
-	if err != nil {
-		return nil, err
-	}
-	d.Store = st
-	return d, nil
-}
-
 // ExportCowrie writes the dataset as a Cowrie-format JSON event stream
 // (cowrie.json), for tools that consume real Cowrie logs.
 func (d *Dataset) ExportCowrie(w io.Writer) error {
@@ -215,23 +193,18 @@ func emptyDataset(reg *Registry, numPots int, seed int64) (*Dataset, error) {
 	}, nil
 }
 
-// LoadDatasetFile reads a dataset from path: a JSONL file or, when path
-// is a directory, a write-ahead log such as a shard's -wal-dir (the rule
-// cmd/fsck applies). See loadWAL for how a log is read.
+// LoadDatasetFile reads the record log in the directory path: a dataset
+// SaveWAL wrote, or a collector's -wal-dir. See loadWAL for how a log is
+// read.
 func LoadDatasetFile(path string, reg *Registry, numPots int, seed int64) (*Dataset, error) {
 	info, err := os.Stat(path)
 	if err != nil {
 		return nil, err
 	}
-	if info.IsDir() {
-		return loadWAL(path, reg, numPots, seed)
+	if !info.IsDir() {
+		return nil, fmt.Errorf("%s: not a WAL directory", path)
 	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return LoadDataset(f, reg, numPots, seed)
+	return loadWAL(path, reg, numPots, seed)
 }
 
 // loadWAL reads every intact batch of the WAL in dir, in log order, into
@@ -265,6 +238,66 @@ func loadWAL(dir string, reg *Registry, numPots int, seed int64) (*Dataset, erro
 	d.Store = store.New(epoch)
 	d.Store.AddBatch(recs)
 	return d, nil
+}
+
+// walBatch is the number of records SaveWAL puts in one batch frame.
+const walBatch = 1024
+
+// SaveWAL writes the dataset as a record log in dir, which must not
+// exist: the shard's own writer, wal.Log, with the default options and
+// the store's epoch, appending walBatch records at a time. A log cut at
+// a frame boundary reads as a smaller but complete dataset, so the save
+// is all or nothing: the log is written in the sibling directory
+// dir+".tmp" and renamed to dir only once it closed cleanly. A failed
+// append or close, or a log that degraded and recovered on the way
+// (which would leave a gap frame in it), fails the save and removes the
+// temporary directory.
+func (d *Dataset) SaveWAL(dir string) error {
+	return writeWAL(iofault.OS, dir, wal.Options{Epoch: d.Store.Epoch()}, d.Store.Records(), walBatch)
+}
+
+// writeWAL is SaveWAL over fsys, with the log options and batch size
+// as parameters.
+func writeWAL(fsys iofault.FS, dir string, opts wal.Options, recs []*SessionRecord, batch int) error {
+	tmp := dir + ".tmp"
+	for _, p := range []string{dir, tmp} {
+		if _, err := fsys.Stat(p); !errors.Is(err, fs.ErrNotExist) {
+			if err == nil {
+				err = fs.ErrExist
+			}
+			return fmt.Errorf("saving dataset: %s: %w", p, err)
+		}
+	}
+	opts.FS = fsys
+	l, _, err := wal.Open(tmp, opts)
+	if err == nil {
+		for off := 0; off < len(recs) && err == nil; off += batch {
+			err = l.Append(recs[off:min(off+batch, len(recs))])
+		}
+		err = errors.Join(err, l.Close())
+		if h := l.Health(); err == nil && h.Outages > 0 {
+			err = fmt.Errorf("wal: the log degraded %d time(s) during the save", h.Outages)
+		}
+	}
+	if err == nil {
+		err = fsys.Rename(tmp, dir)
+	}
+	if err != nil {
+		return errors.Join(fmt.Errorf("saving dataset to %s: %w", dir, err), removeDir(fsys, tmp))
+	}
+	return nil
+}
+
+// removeDir removes dir and the files in it.
+func removeDir(fsys iofault.FS, dir string) error {
+	entries, err := fsys.ReadDir(dir)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil
+	}
+	for _, e := range entries {
+		err = errors.Join(err, fsys.Remove(filepath.Join(dir, e.Name())))
+	}
+	return errors.Join(err, fsys.Remove(dir))
 }
 
 // Merge folds another dataset's sessions into this one — the federated-

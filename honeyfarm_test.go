@@ -2,14 +2,18 @@ package honeyfarm
 
 import (
 	"bytes"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
 	"honeyfarm/internal/analysis"
+	"honeyfarm/internal/iofault"
 	"honeyfarm/internal/wal"
 )
 
@@ -77,16 +81,23 @@ func TestDatasetArtifacts(t *testing.T) {
 	}
 }
 
-func TestSaveLoadRoundTrip(t *testing.T) {
-	d := testDataset(t)
-	var buf bytes.Buffer
-	if err := d.Save(&buf); err != nil {
+// roundTrip saves d with SaveWAL and loads the log back.
+func roundTrip(t *testing.T, d *Dataset, reg *Registry, seed int64) *Dataset {
+	t.Helper()
+	dir := filepath.Join(t.TempDir(), "dataset")
+	if err := d.SaveWAL(dir); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadDataset(&buf, d.Registry, d.NumPots, 7)
+	loaded, err := LoadDatasetFile(dir, reg, d.NumPots, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return loaded
+}
+
+func TestSaveLoadRoundTrip(t *testing.T) {
+	d := testDataset(t)
+	loaded := roundTrip(t, d, d.Registry, 7)
 	if loaded.Sessions() != d.Sessions() {
 		t.Fatalf("sessions: %d vs %d", loaded.Sessions(), d.Sessions())
 	}
@@ -263,14 +274,7 @@ func TestLoadedPlacementMatchesSimulate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if err := d.Save(&buf); err != nil {
-			t.Fatal(err)
-		}
-		loaded, err := LoadDataset(&buf, nil, pots, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
+		loaded := roundTrip(t, d, nil, 5)
 		if !slices.Equal(loaded.Deployments, d.Deployments) || len(d.Deployments) != pots {
 			t.Errorf("%d pots: loaded placement differs from the generated one (%d vs %d deployments)",
 				pots, len(loaded.Deployments), len(d.Deployments))
@@ -278,21 +282,12 @@ func TestLoadedPlacementMatchesSimulate(t *testing.T) {
 	}
 }
 
-// walOf writes recs to a fresh WAL in batches of batch records, over
-// segments of segBytes, and returns the directory.
+// walOf writes recs with SaveWAL's writer in batches of batch records,
+// over segments of segBytes, and returns the directory.
 func walOf(t *testing.T, epoch time.Time, recs []*SessionRecord, batch int, segBytes int64) string {
 	t.Helper()
-	dir := t.TempDir()
-	l, _, err := wal.Open(dir, wal.Options{Epoch: epoch, SegmentBytes: segBytes})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for off := 0; off < len(recs); off += batch {
-		if err := l.Append(recs[off:min(off+batch, len(recs))]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := l.Close(); err != nil {
+	dir := filepath.Join(t.TempDir(), "wal")
+	if err := writeWAL(iofault.OS, dir, wal.Options{Epoch: epoch, SegmentBytes: segBytes}, recs, batch); err != nil {
 		t.Fatal(err)
 	}
 	return dir
@@ -308,32 +303,141 @@ func segments(t *testing.T, dir string) []string {
 	return segs
 }
 
-// TestLoadDatasetFileReadsWAL: a directory is read as a WAL, and the
-// full report over it is byte for byte the report over the JSONL of the
-// same records.
+// TestLoadDatasetFileReadsWAL: the full report over the log SaveWAL
+// wrote, and over a log of the same records in small batches over
+// several segments, is byte for byte the report over the dataset
+// Simulate returned.
 func TestLoadDatasetFileReadsWAL(t *testing.T) {
 	d := testDataset(t)
-	jsonl := filepath.Join(t.TempDir(), "d.jsonl")
-	if err := d.SaveFile(jsonl); err != nil {
+	saved := filepath.Join(t.TempDir(), "dataset")
+	if err := d.SaveWAL(saved); err != nil {
 		t.Fatal(err)
 	}
-	dir := walOf(t, d.Store.Epoch(), d.Store.Records(), 500, 1<<20)
-	if n := len(segments(t, dir)); n < 2 {
+	small := walOf(t, d.Store.Epoch(), d.Store.Records(), 500, 1<<20)
+	if n := len(segments(t, small)); n < 2 {
 		t.Fatalf("the log has %d segment, want several", n)
 	}
-	var reports [2]bytes.Buffer
-	for i, path := range []string{jsonl, dir} {
-		loaded, err := LoadDatasetFile(path, d.Registry, d.NumPots, 7)
+	var want bytes.Buffer
+	d.WriteReport(&want, ReportOptions{})
+	for _, dir := range []string{saved, small} {
+		loaded, err := LoadDatasetFile(dir, d.Registry, d.NumPots, 7)
 		if err != nil {
-			t.Fatalf("%s: %v", path, err)
+			t.Fatalf("%s: %v", dir, err)
 		}
 		if loaded.Sessions() != d.Sessions() || !loaded.Store.Epoch().Equal(d.Store.Epoch()) {
-			t.Fatalf("%s: %d sessions from %v, want %d from %v", path, loaded.Sessions(), loaded.Store.Epoch(), d.Sessions(), d.Store.Epoch())
+			t.Fatalf("%s: %d sessions from %v, want %d from %v", dir, loaded.Sessions(), loaded.Store.Epoch(), d.Sessions(), d.Store.Epoch())
 		}
-		loaded.WriteReport(&reports[i], ReportOptions{})
+		var got bytes.Buffer
+		loaded.WriteReport(&got, ReportOptions{})
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("%s: the report over the log differs from the report over the dataset (%d and %d bytes)", dir, got.Len(), want.Len())
+		}
 	}
-	if !bytes.Equal(reports[0].Bytes(), reports[1].Bytes()) {
-		t.Errorf("the report over the WAL differs from the report over the JSONL (%d and %d bytes)", reports[1].Len(), reports[0].Len())
+}
+
+// failFS fails the calls of one kind (write, sync or rename) numbered
+// from from to from+count-1, counting from 1, with err.
+type failFS struct {
+	iofault.FS
+	kind        string
+	from, count int64
+	err         error
+	calls       atomic.Int64
+}
+
+func (f *failFS) fail(kind string) error {
+	if kind != f.kind {
+		return nil
+	}
+	if n := f.calls.Add(1); n >= f.from && n < f.from+f.count {
+		return f.err
+	}
+	return nil
+}
+
+func (f *failFS) OpenFile(name string, flag int, perm fs.FileMode) (iofault.File, error) {
+	file, err := f.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return failFile{file, f}, nil
+}
+
+func (f *failFS) Rename(oldpath, newpath string) error {
+	if err := f.fail("rename"); err != nil {
+		return err
+	}
+	return f.FS.Rename(oldpath, newpath)
+}
+
+type failFile struct {
+	iofault.File
+	fs *failFS
+}
+
+func (f failFile) Write(p []byte) (int, error) {
+	if err := f.fs.fail("write"); err != nil {
+		return 0, err
+	}
+	return f.File.Write(p)
+}
+
+func (f failFile) Sync() error {
+	if err := f.fs.fail("sync"); err != nil {
+		return err
+	}
+	return f.File.Sync()
+}
+
+// TestSaveWALFailures: a save that fails part way, or at the rename,
+// leaves neither the dataset directory nor the temporary one, and a
+// fsync that fails once and lets the log recover behind a gap frame is
+// a failed save too. A directory that exists is refused unchanged.
+func TestSaveWALFailures(t *testing.T) {
+	recs := testDataset(t).Store.Records()[:5000]
+	epoch := testDataset(t).Store.Epoch()
+	for _, tc := range []struct {
+		fsys *failFS
+		want string
+	}{
+		{&failFS{kind: "write", from: 3, count: 1 << 40, err: syscall.ENOSPC}, "append: no space left"},
+		{&failFS{kind: "sync", from: 2, count: 1 << 40, err: syscall.EIO}, "group commit fsync"},
+		{&failFS{kind: "sync", from: 2, count: 1, err: syscall.EIO}, "degraded 1 time(s)"},
+		{&failFS{kind: "rename", from: 1, count: 1, err: syscall.EIO}, "input/output error"},
+	} {
+		fsys := tc.fsys
+		fsys.FS = iofault.OS
+		dir := filepath.Join(t.TempDir(), "dataset")
+		err := writeWAL(fsys, dir, wal.Options{Epoch: epoch, RetryBackoff: time.Millisecond}, recs, 1000)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s fails from call %d: error %v, want one naming %q", fsys.kind, fsys.from, err, tc.want)
+		}
+		for _, p := range []string{dir, dir + ".tmp"} {
+			if _, serr := os.Stat(p); !os.IsNotExist(serr) {
+				t.Errorf("%s fails from call %d (%v): %s is left behind", fsys.kind, fsys.from, err, filepath.Base(p))
+			}
+		}
+	}
+
+	d := testDataset(t)
+	for _, existing := range []string{"dataset", "dataset.tmp"} {
+		dir := filepath.Join(t.TempDir(), "dataset")
+		mine := filepath.Join(filepath.Dir(dir), existing, "mine")
+		if err := os.MkdirAll(filepath.Dir(mine), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(mine, []byte("keep"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.SaveWAL(dir); err == nil {
+			t.Errorf("SaveWAL wrote over an existing %s", existing)
+		}
+		if b, err := os.ReadFile(mine); err != nil || string(b) != "keep" {
+			t.Errorf("SaveWAL changed %s/mine: %q, %v", existing, b, err)
+		}
+		if ents, _ := os.ReadDir(filepath.Dir(mine)); len(ents) != 1 {
+			t.Errorf("SaveWAL added to %s: %d entries", existing, len(ents))
+		}
 	}
 }
 

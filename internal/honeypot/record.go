@@ -99,7 +99,8 @@ type SessionRecord struct {
 	Termination   Termination     `json:"termination"`
 	// Transcript is a slot for the raw shell output sent to the client
 	// (Cowrie's TTY log). No collector writes it; it keeps its place in
-	// the WAL and JSONL layouts, which carry it when a record has one.
+	// the record log's layout and the record's JSON form, which carry it
+	// when a record has one.
 	Transcript []byte `json:"transcript,omitempty"`
 }
 

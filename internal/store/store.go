@@ -1,15 +1,13 @@
 // Package store implements the honeyfarm's central collector database:
-// a concurrency-safe, append-only store of session records with a JSONL
-// on-disk codec and day-bucketed time indexing. The paper's honeyfarm
-// shipped every session summary from 221 honeypots to one collector and
-// analyzed the data "in situ"; this package is that collector.
+// a concurrency-safe, append-only, in-memory store of session records
+// with day-bucketed time indexing. The paper's honeyfarm shipped every
+// session summary from 221 honeypots to one collector and analyzed the
+// data "in situ"; this package is that collector. On disk a dataset is a
+// record log (internal/wal), which the root package's
+// (*Dataset).SaveWAL writes and LoadDatasetFile reads.
 package store
 
 import (
-	"bufio"
-	"encoding/json"
-	"fmt"
-	"io"
 	"sync"
 	"time"
 
@@ -161,148 +159,4 @@ func (b *Builder) Seal() *Store {
 	s.scanned = len(recs)
 	b.shards = nil
 	return s
-}
-
-// jsonlHeader is the first line of a JSONL dump, carrying store metadata.
-type jsonlHeader struct {
-	Format string    `json:"format"`
-	Epoch  time.Time `json:"epoch"`
-	Count  int       `json:"count"`
-}
-
-const formatName = "honeyfarm-sessions-v1"
-
-// WriteJSONL streams the store as JSON Lines: a header line followed by
-// one record per line.
-func (s *Store) WriteJSONL(w io.Writer) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	bw := bufio.NewWriterSize(w, 1<<20)
-	enc := json.NewEncoder(bw)
-	if err := enc.Encode(jsonlHeader{Format: formatName, Epoch: s.epoch, Count: len(s.recs)}); err != nil {
-		return fmt.Errorf("store: writing header: %w", err)
-	}
-	for i, r := range s.recs {
-		if err := enc.Encode(r); err != nil {
-			return fmt.Errorf("store: writing record %d: %w", i, err)
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadJSONLOptions tunes ReadJSONLWith. The zero value is the strict
-// contract ReadJSONL enforces.
-type ReadJSONLOptions struct {
-	// AllowTornTail tolerates the crash artifact of an interrupted
-	// writer: a malformed final line is discarded and fewer records than
-	// the header promised are accepted, with both reported in the
-	// TruncationReport. Corruption anywhere else still errors.
-	AllowTornTail bool
-}
-
-// TruncationReport describes what tolerant JSONL reading recovered and
-// what it had to discard.
-type TruncationReport struct {
-	// Records is the number of records recovered; HeaderCount is what
-	// the header promised.
-	Records     int
-	HeaderCount int
-	// Torn reports that a malformed final line was discarded; TornBytes
-	// is its length.
-	Torn      bool
-	TornBytes int
-	// Truncated reports that fewer records were recovered than the
-	// header promised (a torn line, or whole lines lost at a newline
-	// boundary).
-	Truncated bool
-}
-
-// ReadJSONL loads a store previously written by WriteJSONL. The header
-// count is validated unconditionally against the records actually
-// decoded, so a truncated stream or a corrupted header — including one
-// claiming zero records when records follow — is always an error.
-func ReadJSONL(r io.Reader) (*Store, error) {
-	s, _, err := ReadJSONLWith(r, ReadJSONLOptions{})
-	return s, err
-}
-
-// ReadJSONLWith is ReadJSONL with an options struct: the strict default
-// behaves exactly like ReadJSONL, while AllowTornTail recovers the
-// intact prefix of a crash-truncated dump and reports the damage.
-func ReadJSONLWith(r io.Reader, opts ReadJSONLOptions) (*Store, TruncationReport, error) {
-	var rep TruncationReport
-	br := bufio.NewReaderSize(r, 1<<20)
-	hdrLine, err := readLine(br)
-	if err != nil && len(hdrLine) == 0 {
-		return nil, rep, fmt.Errorf("store: reading header: %w", err)
-	}
-	var hdr jsonlHeader
-	if err := json.Unmarshal(hdrLine, &hdr); err != nil {
-		return nil, rep, fmt.Errorf("store: reading header: %w", err)
-	}
-	if hdr.Format != formatName {
-		return nil, rep, fmt.Errorf("store: unknown format %q", hdr.Format)
-	}
-	if hdr.Count < 0 {
-		return nil, rep, fmt.Errorf("store: header promises negative record count %d", hdr.Count)
-	}
-	rep.HeaderCount = hdr.Count
-	s := New(hdr.Epoch)
-	// Cap the pre-allocation: a corrupted count must not translate into
-	// an attacker-sized allocation before the mismatch is detected.
-	capHint := hdr.Count
-	if capHint > 1<<20 {
-		capHint = 1 << 20
-	}
-	s.recs = make([]*honeypot.SessionRecord, 0, capHint)
-	for {
-		line, err := readLine(br)
-		if len(line) > 0 {
-			rec := new(honeypot.SessionRecord)
-			if uerr := json.Unmarshal(line, rec); uerr != nil {
-				// A malformed line with nothing after it is the torn tail
-				// of an interrupted write; anything earlier is corruption.
-				last := err == io.EOF || atEOF(br)
-				if opts.AllowTornTail && last {
-					rep.Torn = true
-					rep.TornBytes = len(line)
-					break
-				}
-				return nil, rep, fmt.Errorf("store: reading record %d: %w", len(s.recs), uerr)
-			}
-			s.recs = append(s.recs, rec)
-		}
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, rep, fmt.Errorf("store: reading record %d: %w", len(s.recs), err)
-		}
-	}
-	rep.Records = len(s.recs)
-	rep.Truncated = len(s.recs) < hdr.Count
-	if len(s.recs) > hdr.Count || (rep.Truncated && !opts.AllowTornTail) {
-		return nil, rep, fmt.Errorf("store: header promised %d records, found %d", hdr.Count, len(s.recs))
-	}
-	return s, rep, nil
-}
-
-// readLine reads one newline-terminated line, returning it without the
-// terminator. At EOF the final unterminated line (if any) is returned
-// alongside io.EOF.
-func readLine(br *bufio.Reader) ([]byte, error) {
-	line, err := br.ReadBytes('\n')
-	if n := len(line); n > 0 && line[n-1] == '\n' {
-		line = line[:n-1]
-	}
-	if err == nil && len(line) == 0 {
-		return nil, nil
-	}
-	return line, err
-}
-
-// atEOF reports whether the reader has no further bytes.
-func atEOF(br *bufio.Reader) bool {
-	_, err := br.Peek(1)
-	return err == io.EOF
 }

@@ -1,8 +1,6 @@
 package store
 
 import (
-	"bytes"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -54,102 +52,6 @@ func TestDayBuckets(t *testing.T) {
 	}
 	if d := s.Day(epoch.Add(-time.Hour)); d >= 0 {
 		t.Errorf("Day(before epoch) = %d, want negative", d)
-	}
-}
-
-func TestJSONLRoundTrip(t *testing.T) {
-	s := New(epoch)
-	r1 := rec(0, 3, "9.9.9.9")
-	r1.Logins = []honeypot.LoginAttempt{{User: "root", Password: "1234", Success: true}}
-	r1.Commands = []honeypot.CommandRecord{{Input: "uname -a", Known: true}}
-	r1.URIs = []string{"http://evil.example/x"}
-	r1.Files = []honeypot.FileRecord{{Path: "/tmp/x", Hash: "abc", Op: "create", Size: 10}}
-	r1.ClientVersion = "SSH-2.0-test"
-	s.Add(r1)
-	s.Add(rec(2, 4, "8.8.8.8"))
-
-	var buf bytes.Buffer
-	if err := s.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if lines := strings.Count(buf.String(), "\n"); lines != 3 {
-		t.Errorf("jsonl lines = %d, want 3 (header + 2 records)", lines)
-	}
-
-	loaded, err := ReadJSONL(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Len() != 2 || !loaded.Epoch().Equal(s.Epoch()) {
-		t.Fatalf("loaded len=%d epoch=%v", loaded.Len(), loaded.Epoch())
-	}
-	got := loaded.Records()[0]
-	if got.Logins[0].Password != "1234" || got.Commands[0].Input != "uname -a" ||
-		got.URIs[0] != "http://evil.example/x" || got.Files[0].Hash != "abc" {
-		t.Errorf("record fields lost: %+v", got)
-	}
-}
-
-func TestReadJSONLErrors(t *testing.T) {
-	if _, err := ReadJSONL(strings.NewReader("")); err == nil {
-		t.Error("empty input should fail")
-	}
-	if _, err := ReadJSONL(strings.NewReader(`{"format":"other"}` + "\n")); err == nil {
-		t.Error("wrong format should fail")
-	}
-	if _, err := ReadJSONL(strings.NewReader(`{"format":"honeyfarm-sessions-v1","count":5}` + "\n")); err == nil {
-		t.Error("count mismatch should fail")
-	}
-	if _, err := ReadJSONL(strings.NewReader(`{"format":"honeyfarm-sessions-v1","count":1}` + "\n" + "not-json\n")); err == nil {
-		t.Error("garbage record should fail")
-	}
-	if _, err := ReadJSONL(strings.NewReader(`{"format":"honeyfarm-sessions-v1","count":-3}` + "\n")); err == nil {
-		t.Error("negative count should fail")
-	}
-}
-
-// TestReadJSONLZeroCountHeader covers the corrupted-header case the old
-// `hdr.Count != 0` guard waved through: a header claiming zero records
-// followed by actual records must be rejected, not silently accepted.
-func TestReadJSONLZeroCountHeader(t *testing.T) {
-	s := New(epoch)
-	s.Add(rec(0, 1, "1.1.1.1"))
-	s.Add(rec(1, 2, "2.2.2.2"))
-	var buf bytes.Buffer
-	if err := s.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.SplitN(buf.String(), "\n", 2)
-	corrupted := strings.Replace(lines[0], `"count":2`, `"count":0`, 1) + "\n" + lines[1]
-	if corrupted == buf.String() {
-		t.Fatal("test setup: header rewrite did not change anything")
-	}
-	if _, err := ReadJSONL(strings.NewReader(corrupted)); err == nil {
-		t.Error("count:0 header with records present should fail")
-	}
-}
-
-// TestReadJSONLTruncated drops the last record line from a valid dump
-// and expects the count validation to catch the truncation.
-func TestReadJSONLTruncated(t *testing.T) {
-	s := New(epoch)
-	for i := 0; i < 3; i++ {
-		s.Add(rec(i, i, "3.3.3.3"))
-	}
-	var buf bytes.Buffer
-	if err := s.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.String()
-	cut := strings.LastIndex(strings.TrimSuffix(full, "\n"), "\n")
-	truncated := full[:cut+1]
-	if _, err := ReadJSONL(strings.NewReader(truncated)); err == nil {
-		t.Error("truncated stream should fail count validation")
-	}
-	// A partially-written final line (no trailing newline, cut mid-JSON)
-	// must also fail, via either decode error or count mismatch.
-	if _, err := ReadJSONL(strings.NewReader(full[:len(full)-10])); err == nil {
-		t.Error("mid-record truncation should fail")
 	}
 }
 
@@ -327,39 +229,5 @@ func BenchmarkAdd(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		s.Add(r)
-	}
-}
-
-func BenchmarkJSONLWrite(b *testing.B) {
-	s := New(epoch)
-	for i := 0; i < 10000; i++ {
-		s.Add(rec(i%480, i%221, "1.2.3.4"))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var buf bytes.Buffer
-		if err := s.WriteJSONL(&buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func TestJSONLPreservesTranscript(t *testing.T) {
-	s := New(epoch)
-	r := rec(0, 1, "1.1.1.1")
-	r.Transcript = []byte("root@svr04:~# uname -a\r\nLinux svr04\r\n\x00\xff binary ok")
-	s.Add(r)
-	var buf bytes.Buffer
-	if err := s.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := ReadJSONL(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := loaded.Records()[0].Transcript
-	if !bytes.Equal(got, r.Transcript) {
-		t.Errorf("transcript lost: %q vs %q", got, r.Transcript)
 	}
 }

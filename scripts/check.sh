@@ -23,8 +23,8 @@
 #                with each frame re-sealed: no panic, every step advances
 #                by a whole frame, allocation bounded by input length, a
 #                batch it yields survives a re-encode. FuzzCowrieImport
-#                and FuzzReadJSONL — the two file decoders — get it too:
-#                no panic, an error or a store. FuzzShellRun — every line
+#                — the Cowrie log decoder — gets it too: no panic, an
+#                error or a store. FuzzShellRun — every line
 #                an intruder types — gets it too: no panic in Parse,
 #                SplitSegments or Run on a fresh filesystem clone.
 #                FuzzReadPacket — the SSH packet reader every SSH byte
@@ -48,9 +48,9 @@
 #                must return 304, and SIGTERM must drain cleanly with
 #                zero leaked goroutines
 #   dataset smoke  the offline binaries: cmd/honeyfarm writes one dataset
-#                as JSONL and as a Cowrie export, fsck finds the JSONL
-#                healthy, cmd/analyze prints byte-identical tables from
-#                both, and cmd/notify prints a notification
+#                as a record log and as a Cowrie export, fsck finds the
+#                log healthy, cmd/analyze prints byte-identical tables
+#                from both, and cmd/notify prints a notification
 #   merge smoke  a 3-shard farm (cmd/shard, built with -race) feeds
 #                under a merge coordinator (cmd/merge); one shard is
 #                SIGKILLed mid-run — /v1/healthz must degrade to
@@ -148,7 +148,7 @@ go run ./cmd/lint -json ./... >"$tmp/lint.json" || {
 echo "==> go test -race ./..."
 go test -race ./...
 
-echo "==> fuzz smoke (FuzzDecodePartialsFrame, FuzzTelnetConn, FuzzWALFrame, FuzzCowrieImport, FuzzReadJSONL, FuzzShellRun, FuzzReadPacket, 10s each)"
+echo "==> fuzz smoke (FuzzDecodePartialsFrame, FuzzTelnetConn, FuzzWALFrame, FuzzCowrieImport, FuzzShellRun, FuzzReadPacket, 10s each)"
 go test ./internal/shard -run '^$' -fuzz FuzzDecodePartialsFrame -fuzztime 10s
 # The Telnet seeds are kilobytes long by design (a 1 KiB option storm, a
 # 5,000-byte line); at the default minimizer budget of 60 s per new input
@@ -156,7 +156,6 @@ go test ./internal/shard -run '^$' -fuzz FuzzDecodePartialsFrame -fuzztime 10s
 go test ./internal/telnet -run '^$' -fuzz FuzzTelnetConn -fuzztime 10s -fuzzminimizetime 1s
 go test ./internal/wal -run '^$' -fuzz FuzzWALFrame -fuzztime 10s -fuzzminimizetime 1s
 go test ./internal/cowrielog -run '^$' -fuzz FuzzCowrieImport -fuzztime 10s -fuzzminimizetime 1s
-go test ./internal/store -run '^$' -fuzz FuzzReadJSONL -fuzztime 10s -fuzzminimizetime 1s
 go test ./internal/shell -run '^$' -fuzz FuzzShellRun -fuzztime 10s -fuzzminimizetime 1s
 go test ./internal/sshwire -run '^$' -fuzz FuzzReadPacket -fuzztime 10s -fuzzminimizetime 1s
 
@@ -244,18 +243,18 @@ fi
 kill -TERM "$serve_pid"
 expect_clean_drain "serve smoke" "$serve_pid" "$tmp/serve.log"
 
-echo "==> dataset smoke (honeyfarm, fsck, analyze over JSONL and Cowrie, notify)"
+echo "==> dataset smoke (honeyfarm, fsck, analyze over a record log and Cowrie, notify)"
 go build -o "$tmp/honeyfarm" ./cmd/honeyfarm
 go build -o "$tmp/analyze" ./cmd/analyze
 go build -o "$tmp/notify" ./cmd/notify
-"$tmp/honeyfarm" -sessions 5000 -out "$tmp/ds.jsonl" >/dev/null
+"$tmp/honeyfarm" -sessions 5000 -out "$tmp/ds" >/dev/null
 "$tmp/honeyfarm" -sessions 5000 -format cowrie -out "$tmp/ds-cowrie.json" >/dev/null
-"$tmp/fsck" "$tmp/ds.jsonl" >"$tmp/ds-fsck.txt"
-grep -q ': ok, ' "$tmp/ds-fsck.txt"
-"$tmp/analyze" -in "$tmp/ds.jsonl" -tables table1,figure2 >"$tmp/ds-jsonl.txt"
+"$tmp/fsck" "$tmp/ds" >"$tmp/ds-fsck.txt"
+grep -q ' ok$' "$tmp/ds-fsck.txt"
+"$tmp/analyze" -in "$tmp/ds" -tables table1,figure2 >"$tmp/ds-wal.txt"
 "$tmp/analyze" -cowrie -in "$tmp/ds-cowrie.json" -tables table1,figure2 >"$tmp/ds-cowrie.txt"
-cmp "$tmp/ds-jsonl.txt" "$tmp/ds-cowrie.txt"
-"$tmp/notify" -in "$tmp/ds.jsonl" -min 1 -top 1 >"$tmp/ds-notify.txt"
+cmp "$tmp/ds-wal.txt" "$tmp/ds-cowrie.txt"
+"$tmp/notify" -in "$tmp/ds" -min 1 -top 1 >"$tmp/ds-notify.txt"
 grep -q -- '--- notification 1 ---' "$tmp/ds-notify.txt"
 
 echo "==> merge smoke (3 shards, SIGKILL+restart, byte-identical merge)"
