@@ -17,9 +17,11 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 
 	"honeyfarm"
@@ -58,6 +60,18 @@ func run(args []string, out, errOut io.Writer) int {
 	fail := func(format string, a ...any) int {
 		fmt.Fprintf(errOut, "honeyfarm: "+format+"\n", a...)
 		return 1
+	}
+	if *format == "wal" {
+		// SaveWAL refuses an existing target itself, and that check is
+		// the atomic one; this one refuses it before generating.
+		for _, p := range []string{*outPath, *outPath + ".tmp"} {
+			if _, err := os.Stat(p); !errors.Is(err, fs.ErrNotExist) {
+				if err == nil {
+					err = fs.ErrExist
+				}
+				return fail("-out: %s: %v", p, err)
+			}
+		}
 	}
 
 	var d *honeyfarm.Dataset

@@ -89,3 +89,30 @@ func TestUnknownFormatRefusedFirst(t *testing.T) {
 		}
 	}
 }
+
+// TestExistingOutRefusedFirst: an -out that already exists, or whose
+// temporary sibling does, is refused before the dataset is generated,
+// and what is there is left as it was.
+func TestExistingOutRefusedFirst(t *testing.T) {
+	for _, existing := range []string{"d", "d.tmp"} {
+		dir := filepath.Join(t.TempDir(), "d")
+		mine := filepath.Join(filepath.Dir(dir), existing, "mine")
+		if err := os.MkdirAll(filepath.Dir(mine), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(mine, []byte("keep"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var out, errOut bytes.Buffer
+		code := run([]string{"-sessions", "5000", "-out", dir}, &out, &errOut)
+		if msg := errOut.String(); code != 1 || strings.Contains(msg, "dataset:") || !strings.Contains(msg, "file already exists") {
+			t.Errorf("existing %s: exit %d, want 1 refusing it before any generation:\n%s", existing, code, msg)
+		}
+		if b, err := os.ReadFile(mine); err != nil || string(b) != "keep" {
+			t.Errorf("existing %s: %s/mine is now %q, %v", existing, existing, b, err)
+		}
+		if ents, _ := os.ReadDir(filepath.Dir(mine)); len(ents) != 1 {
+			t.Errorf("existing %s: it holds %d entries, want 1", existing, len(ents))
+		}
+	}
+}

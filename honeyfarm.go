@@ -275,8 +275,10 @@ func writeWAL(fsys iofault.FS, dir string, opts wal.Options, recs []*SessionReco
 			err = l.Append(recs[off:min(off+batch, len(recs))])
 		}
 		err = errors.Join(err, l.Close())
-		if h := l.Health(); err == nil && h.Outages > 0 {
-			err = fmt.Errorf("wal: the log degraded %d time(s) during the save", h.Outages)
+		// Whether an append lands while the log is still degraded is a
+		// matter of timing, so the outage count is named either way.
+		if h := l.Health(); h.Outages > 0 {
+			err = errors.Join(err, fmt.Errorf("wal: the log degraded %d time(s) during the save", h.Outages))
 		}
 	}
 	if err == nil {

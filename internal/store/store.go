@@ -15,7 +15,7 @@ import (
 )
 
 // Store collects session records. The zero value is not usable; create
-// with New or Builder.Seal. All methods are safe for concurrent use.
+// with New. All methods are safe for concurrent use.
 type Store struct {
 	mu    sync.RWMutex
 	recs  []*honeypot.SessionRecord
@@ -106,57 +106,4 @@ func (s *Store) NumDays() int {
 	}
 	s.scanned = len(s.recs)
 	return s.maxDay + 1
-}
-
-// Builder assembles a Store from per-shard buffers filled concurrently.
-// Each shard index is owned by exactly one writer at a time, so shard
-// fills need no locking; Seal concatenates the shards in index order,
-// making the final record order a pure function of the shard contents —
-// independent of how many goroutines filled them or in what order they
-// finished. This is the collector-side half of the deterministic
-// parallel generation pipeline.
-type Builder struct {
-	epoch  time.Time
-	shards [][]*honeypot.SessionRecord
-}
-
-// NewBuilder creates a builder with the given shard count. The epoch is
-// normalized exactly as New does.
-func NewBuilder(epoch time.Time, shards int) *Builder {
-	return &Builder{
-		epoch:  NormalizeEpoch(epoch),
-		shards: make([][]*honeypot.SessionRecord, shards),
-	}
-}
-
-// Shards returns the builder's shard count.
-func (b *Builder) Shards() int { return len(b.shards) }
-
-// SetShard installs shard i's records. Safe for concurrent use across
-// distinct shard indexes; the caller must ensure a single writer per
-// index.
-func (b *Builder) SetShard(i int, recs []*honeypot.SessionRecord) {
-	b.shards[i] = recs
-}
-
-// Seal merges the shards in index order into a Store and pre-computes
-// its day index. The builder must not be reused after Seal.
-func (b *Builder) Seal() *Store {
-	total := 0
-	for _, sh := range b.shards {
-		total += len(sh)
-	}
-	recs := make([]*honeypot.SessionRecord, 0, total)
-	for _, sh := range b.shards {
-		recs = append(recs, sh...)
-	}
-	s := &Store{epoch: b.epoch, recs: recs, maxDay: -1}
-	for _, r := range recs {
-		if d := s.Day(r.Start); d > s.maxDay {
-			s.maxDay = d
-		}
-	}
-	s.scanned = len(recs)
-	b.shards = nil
-	return s
 }

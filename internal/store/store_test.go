@@ -106,58 +106,6 @@ func TestNumDaysIncremental(t *testing.T) {
 	}
 }
 
-// TestBuilderSeal verifies shard-order concatenation and that the sealed
-// store's day index matches a sequentially-built store.
-func TestBuilderSeal(t *testing.T) {
-	b := NewBuilder(epoch, 3)
-	if b.Shards() != 3 {
-		t.Fatalf("Shards = %d", b.Shards())
-	}
-	// Fill shards out of order, as concurrent workers would.
-	b.SetShard(2, []*honeypot.SessionRecord{rec(7, 30, "3.3.3.3")})
-	b.SetShard(0, []*honeypot.SessionRecord{rec(0, 10, "1.1.1.1"), rec(1, 11, "1.1.1.2")})
-	b.SetShard(1, []*honeypot.SessionRecord{rec(3, 20, "2.2.2.2")})
-	s := b.Seal()
-	if s.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", s.Len())
-	}
-	wantPots := []int{10, 11, 20, 30}
-	for i, r := range s.Records() {
-		if r.HoneypotID != wantPots[i] {
-			t.Errorf("record %d pot = %d, want %d (shard-order merge broken)", i, r.HoneypotID, wantPots[i])
-		}
-	}
-	if s.NumDays() != 8 {
-		t.Errorf("NumDays = %d, want 8", s.NumDays())
-	}
-	// Appending after seal must still be reflected (cache folds the tail).
-	s.Add(rec(12, 40, "4.4.4.4"))
-	if s.NumDays() != 13 {
-		t.Errorf("NumDays after post-seal add = %d, want 13", s.NumDays())
-	}
-}
-
-func TestConcurrentBuilderShards(t *testing.T) {
-	const shards = 16
-	b := NewBuilder(epoch, shards)
-	var wg sync.WaitGroup
-	for i := 0; i < shards; i++ {
-		wg.Add(1)
-		go func(n int) {
-			defer wg.Done()
-			var recs []*honeypot.SessionRecord
-			for j := 0; j < 50; j++ {
-				recs = append(recs, rec(j%10, n, "1.2.3.4"))
-			}
-			b.SetShard(n, recs)
-		}(i)
-	}
-	wg.Wait()
-	if got := b.Seal().Len(); got != shards*50 {
-		t.Errorf("sealed Len = %d, want %d", got, shards*50)
-	}
-}
-
 // TestConcurrentAddBatchAndRecords hammers writers against readers so
 // `go test -race` exercises the AddBatch/Records/NumDays lock protocol.
 func TestConcurrentAddBatchAndRecords(t *testing.T) {

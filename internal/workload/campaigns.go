@@ -35,8 +35,8 @@ type campaign struct {
 	ips        []string
 	pots       []int
 	commands   []honeypot.CommandRecord
-	uri        string
-	filePath   string // dropped-file path, precomputed from label
+	uris       []string // the download URI, if any, as a slice its records share
+	filePath   string   // dropped-file path, precomputed from label
 	user       string
 	password   string
 	telnetBias float64 // fraction of sessions over telnet
@@ -74,7 +74,7 @@ func (g *generator) buildCampaigns() []*campaign {
 				n = len(cluster)
 			}
 			c.pots = cluster[:n]
-			if c.uri != "" {
+			if c.uris != nil {
 				g.buildLocality(c) // re-index over the pinned subset
 			}
 		}
@@ -154,7 +154,7 @@ func (g *generator) scaleArchetype(a malware.Archetype, sessScale float64) *camp
 	}
 	if a.URI {
 		c.category = analysis.CmdURI
-		c.uri = fmt.Sprintf("http://load.%s.example/bins/payload", strings.ToLower(a.Label))
+		c.uris = []string{fmt.Sprintf("http://load.%s.example/bins/payload", strings.ToLower(a.Label))}
 		g.buildLocality(c)
 	}
 	if a.Tag == malware.TagMirai {
@@ -205,7 +205,7 @@ func (g *generator) midTierCampaign(i int) *campaign {
 	}
 	if uri {
 		c.category = analysis.CmdURI
-		c.uri = fmt.Sprintf("http://cdn-%d.example/drop", i)
+		c.uris = []string{fmt.Sprintf("http://cdn-%d.example/drop", i)}
 		g.buildLocality(c)
 	}
 	return c
@@ -404,7 +404,7 @@ func (g *generator) planCampaign(c *campaign) {
 func (g *generator) campaignSessionPot(c *campaign, ip string) int {
 	pot := campaignPot(c, ip, g.rng)
 	// URI campaign bots prefer honeypots near home (Figure 16(b)).
-	if c.uri != "" && c.potsByCountry != nil && g.rng.Float64() < 0.6 {
+	if c.uris != nil && c.potsByCountry != nil && g.rng.Float64() < 0.6 {
 		if a, err := netip.ParseAddr(ip); err == nil {
 			if loc, ok := g.cfg.Registry.LookupAddr(a); ok {
 				if pots := c.potsByCountry[loc.Country]; len(pots) > 0 && g.rng.Float64() < 0.5 {
@@ -423,28 +423,24 @@ func (g *generator) campaignSessionPot(c *campaign, ip string) int {
 	return pot
 }
 
-// decorateCampaignFail builds the brute-force session preceding a
+// decorateCampaignFail fills rec as the brute-force session preceding a
 // campaign intrusion: same client, same honeypot, minutes earlier,
 // failed logins. p.start is the paired intrusion's start.
-func decorateCampaignFail(rng *rand.Rand, p *planned, id uint64) *honeypot.SessionRecord {
+func decorateCampaignFail(rng *rand.Rand, p *planned, rec *honeypot.SessionRecord, sl *slabs) {
 	start := p.start.Add(-time.Duration(30+rng.Intn(600)) * time.Second)
-	rec := &honeypot.SessionRecord{
-		ID:            id,
-		HoneypotID:    p.pot,
-		Protocol:      honeypot.SSH,
-		ClientIP:      p.ip,
-		ClientPort:    1024 + rng.Intn(60000),
-		Start:         start,
-		ClientVersion: clientVersions[rng.Intn(len(clientVersions))],
-		Logins:        failedLogins(rng),
-		Termination:   honeypot.TermClient,
-	}
+	rec.HoneypotID = p.pot
+	rec.Protocol = honeypot.SSH
+	rec.ClientIP = p.ip
+	rec.ClientPort = 1024 + rng.Intn(60000)
+	rec.Start = start
+	rec.ClientVersion = clientVersions[rng.Intn(len(clientVersions))]
+	rec.Logins = failedLogins(rng, &sl.logins)
+	rec.Termination = honeypot.TermClient
 	rec.End = start.Add(time.Duration(3+rng.Intn(20)) * time.Second)
-	return rec
 }
 
-// decorateCampaign builds one campaign intrusion record.
-func (g *generator) decorateCampaign(rng *rand.Rand, p *planned, id uint64) *honeypot.SessionRecord {
+// decorateCampaign fills rec as one campaign intrusion record.
+func (g *generator) decorateCampaign(rng *rand.Rand, p *planned, rec *honeypot.SessionRecord, sl *slabs) {
 	c := p.camp
 	proto := honeypot.SSH
 	if rng.Float64() < c.telnetBias {
@@ -454,33 +450,29 @@ func (g *generator) decorateCampaign(rng *rand.Rand, p *planned, id uint64) *hon
 	if user == "" {
 		user, pw = "root", topPasswords[rng.Intn(len(topPasswords))]
 	}
-	rec := &honeypot.SessionRecord{
-		ID:         id,
-		HoneypotID: p.pot,
-		Protocol:   proto,
-		ClientIP:   p.ip,
-		ClientPort: 1024 + rng.Intn(60000),
-		Start:      p.start,
-		Logins:     []honeypot.LoginAttempt{{User: user, Password: pw, Success: true}},
-		Commands:   c.commands,
-		Files: []honeypot.FileRecord{{
-			Path: c.filePath, Hash: c.hash, Op: "create", Size: 1024,
-		}},
-		Termination: honeypot.TermExit,
-	}
+	rec.HoneypotID = p.pot
+	rec.Protocol = proto
+	rec.ClientIP = p.ip
+	rec.ClientPort = 1024 + rng.Intn(60000)
+	rec.Start = p.start
+	rec.Logins = sl.logins.take(1)
+	rec.Logins[0] = honeypot.LoginAttempt{User: user, Password: pw, Success: true}
+	rec.Commands = c.commands
+	rec.Files = sl.files.take(1)
+	rec.Files[0] = honeypot.FileRecord{Path: c.filePath, Hash: c.hash, Op: "create", Size: 1024}
+	rec.Termination = honeypot.TermExit
 	if proto == honeypot.SSH {
 		rec.ClientVersion = clientVersions[rng.Intn(len(clientVersions))]
 	}
 	dur := time.Duration((15 + rng.ExpFloat64()*40) * float64(time.Second))
-	if c.uri != "" {
-		rec.URIs = []string{c.uri}
+	if c.uris != nil {
+		rec.URIs = c.uris
 		if rng.Float64() < 0.15 {
 			dur = 180*time.Second + time.Duration(rng.ExpFloat64()*float64(100*time.Second))
 		}
 	}
-	if dur > 178*time.Second && c.uri == "" {
+	if dur > 178*time.Second && c.uris == nil {
 		dur = 178 * time.Second
 	}
 	rec.End = p.start.Add(dur)
-	return rec
 }

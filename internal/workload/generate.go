@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"sync"
 	"time"
+	"unsafe"
 
 	"honeyfarm/internal/analysis"
 	"honeyfarm/internal/faults"
@@ -533,7 +534,7 @@ const decorateShardSize = 4096
 type planShard struct {
 	index   int
 	entries []planned // nil once decorated
-	recs    []*honeypot.SessionRecord
+	recs    []honeypot.SessionRecord
 }
 
 // shardSeed derives shard i's rand seed from the root seed with a
@@ -591,8 +592,9 @@ func (g *generator) pipeline(plan func()) (*store.Store, *faults.Report) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var sl slabs
 			for sh := range work {
-				lost := g.decorateShard(sh)
+				lost := g.decorateShard(sh, &sl)
 				if lost != nil {
 					mu.Lock()
 					report.AddDrops(lost)
@@ -606,12 +608,20 @@ func (g *generator) pipeline(plan func()) (*store.Store, *faults.Report) {
 	g.flush()
 	close(work)
 	wg.Wait()
-	b := store.NewBuilder(g.cfg.Epoch, len(g.shards))
-	for i, sh := range g.shards {
-		b.SetShard(i, sh.recs)
+	total := 0
+	for _, sh := range g.shards {
+		total += len(sh.recs)
+	}
+	recs := make([]*honeypot.SessionRecord, 0, total)
+	for _, sh := range g.shards {
+		for i := range sh.recs {
+			recs = append(recs, &sh.recs[i])
+		}
 	}
 	g.shards = nil
-	return b.Seal(), report
+	st := store.New(g.cfg.Epoch)
+	st.AddBatch(recs)
+	return st, report
 }
 
 // decorateShard turns a plan shard into its surviving records, drawn
@@ -619,58 +629,104 @@ func (g *generator) pipeline(plan func()) (*store.Store, *faults.Report) {
 // Record IDs are the 1-based plan indexes, so they are stable under any
 // worker count.
 //
+// The records are written in place into one slab of len(entries)
+// records, and their logins and files are carved from sl, the
+// decorating worker's slabs; see slab. Keeping one generated record
+// therefore keeps its shard's record slab and the chunks its slices
+// came from. Every consumer keeps the whole store anyway.
+//
 // The fault plan culls an entry when its pot is inside an outage window
 // or the DropsSession share standing in for refused/reset/stalled
 // connections takes it. That decision depends only on (plan seed, plan
 // index, pot, day) — never on the planning RNG — and a culled entry is
-// still decorated and discarded, keeping the shard's rand stream, and
-// therefore every surviving record, byte-identical to the fault-free
-// run. The returned report holds the shard's drop counts; nil when no
-// fault plan is active.
-func (g *generator) decorateShard(sh *planShard) *faults.Report {
+// still decorated, keeping the shard's rand stream, and therefore every
+// surviving record, byte-identical to the fault-free run. Its slot is
+// then zeroed and reused for the next entry. The returned report holds
+// the shard's drop counts; nil when no fault plan is active.
+func (g *generator) decorateShard(sh *planShard, sl *slabs) *faults.Report {
 	plan := g.cfg.Faults
 	var lost *faults.Report
 	if plan.Active() {
 		lost = faults.NewReport(nil, g.cfg.NumPots, 0)
 	}
 	rng := rand.New(rand.NewSource(shardSeed(g.cfg.Seed, sh.index)))
-	recs := make([]*honeypot.SessionRecord, 0, len(sh.entries))
+	recs := make([]honeypot.SessionRecord, len(sh.entries))
+	n := 0
 	lo := sh.index * decorateShardSize
 	for j := range sh.entries {
-		p, i := &sh.entries[j], lo+j
-		rec := g.decorateOne(rng, p, uint64(i)+1)
+		p, i, rec := &sh.entries[j], lo+j, &recs[n]
+		rec.ID = uint64(i) + 1
+		g.decorateOne(rng, p, rec, sl)
 		if lost != nil {
 			if plan.PotDown(p.pot, p.day) {
 				lost.AddDowntimeDrop(p.pot)
+				*rec = honeypot.SessionRecord{}
 				continue
 			}
 			if plan.DropsSession(uint64(i)) {
 				lost.AddConnDrop(p.pot)
+				*rec = honeypot.SessionRecord{}
 				continue
 			}
 		}
-		recs = append(recs, rec)
+		n++
 	}
 	select {
 	case g.free <- sh.entries[:0]:
 	default:
 	}
-	sh.entries, sh.recs = nil, recs
+	sh.entries, sh.recs = nil, recs[:n]
 	return lost
 }
 
-// decorateOne turns one planned session into a full record, drawing all
-// per-record noise from the shard stream.
-func (g *generator) decorateOne(rng *rand.Rand, p *planned, id uint64) *honeypot.SessionRecord {
+// slabBytes is the size of one slab refill: 32 KiB, the largest
+// small-object allocation, so a refill skips the large-object path.
+const slabBytes = 32 << 10
+
+// slab hands out consecutive runs of one backing array, so the short
+// slices of many records cost one allocation per chunk instead of one
+// per record. Keeping any one run keeps the whole chunk alive.
+type slab[T any] struct {
+	free []T
+}
+
+// take returns n zeroed elements whose capacity is their length, so an
+// append by their record copies instead of writing over the next run.
+// A slab too short for n is replaced by a chunk of slabBytes' worth of
+// elements (n if that is more).
+func (s *slab[T]) take(n int) []T {
+	if n > len(s.free) {
+		var zero T
+		s.free = make([]T, max(n, slabBytes/int(unsafe.Sizeof(zero))))
+	}
+	out := s.free[:n:n]
+	s.free = s.free[n:]
+	return out
+}
+
+// slabs are what one decorating worker carves record slices from. They
+// carry over from one shard to the next, so a shard does not end on a
+// partly used chunk of its own.
+type slabs struct {
+	logins slab[honeypot.LoginAttempt]
+	files  slab[honeypot.FileRecord]
+}
+
+// decorateOne fills rec, whose ID is set, from one planned session,
+// drawing all per-record noise from the shard stream. The decorators
+// set rec's fields one at a time: rec is a zeroed slab slot, and
+// assigning a whole SessionRecord would copy it behind a bulk write
+// barrier.
+func (g *generator) decorateOne(rng *rand.Rand, p *planned, rec *honeypot.SessionRecord, sl *slabs) {
 	switch p.kind {
 	case kindCompanion:
-		return g.decorateCompanion(rng, p, id)
+		g.decorateCompanion(rng, p, rec, sl)
 	case kindCampaign:
-		return g.decorateCampaign(rng, p, id)
+		g.decorateCampaign(rng, p, rec, sl)
 	case kindCampaignFail:
-		return decorateCampaignFail(rng, p, id)
+		decorateCampaignFail(rng, p, rec, sl)
 	default:
-		return g.decorateGeneric(rng, p, id)
+		g.decorateGeneric(rng, p, rec, sl)
 	}
 }
 
@@ -680,22 +736,30 @@ func (g *generator) dayStart(rng *rand.Rand, day int) time.Time {
 		time.Duration(rng.Int63n(int64(24*time.Hour))))
 }
 
-// decorateGeneric builds one generic session record of category p.cat.
-func (g *generator) decorateGeneric(rng *rand.Rand, p *planned, id uint64) *honeypot.SessionRecord {
+// payloadURIs are the generic CMD+URI sessions' download URIs, each a
+// one-element slice shared by every record that fetched it, as the
+// command templates are.
+var payloadURIs = func() [][]string {
+	uris := make([][]string, 500)
+	for i := range uris {
+		uris[i] = []string{fmt.Sprintf("http://dl-%d.example/payload", i)}
+	}
+	return uris
+}()
+
+// decorateGeneric fills rec as one generic session of category p.cat.
+func (g *generator) decorateGeneric(rng *rand.Rand, p *planned, rec *honeypot.SessionRecord, sl *slabs) {
 	c := p.cat
 	proto := honeypot.Telnet
 	if rng.Float64() < g.sshShares[c] {
 		proto = honeypot.SSH
 	}
 	start := g.dayStart(rng, p.day)
-	rec := &honeypot.SessionRecord{
-		ID:         id,
-		HoneypotID: p.pot,
-		Protocol:   proto,
-		ClientIP:   p.ip,
-		ClientPort: 1024 + rng.Intn(60000),
-		Start:      start,
-	}
+	rec.HoneypotID = p.pot
+	rec.Protocol = proto
+	rec.ClientIP = p.ip
+	rec.ClientPort = 1024 + rng.Intn(60000)
+	rec.Start = start
 	if proto == honeypot.SSH {
 		rec.ClientVersion = clientVersions[rng.Intn(len(clientVersions))]
 	}
@@ -704,7 +768,7 @@ func (g *generator) decorateGeneric(rng *rand.Rand, p *planned, id uint64) *hone
 	case analysis.NoCred:
 		dur, rec.Termination = noCredEnding(rng)
 	case analysis.FailLog:
-		rec.Logins = failedLogins(rng)
+		rec.Logins = failedLogins(rng, &sl.logins)
 		if len(rec.Logins) >= 3 {
 			rec.Termination = honeypot.TermAuthFailure
 		} else {
@@ -715,7 +779,7 @@ func (g *generator) decorateGeneric(rng *rand.Rand, p *planned, id uint64) *hone
 			dur = 59 * time.Second
 		}
 	case analysis.NoCmd:
-		rec.Logins = successfulLogin(rng)
+		rec.Logins = successfulLogin(rng, &sl.logins)
 		if rng.Float64() < 0.92 {
 			// >90% of NO_CMD sessions end in the 3-minute timeout.
 			rec.Termination = honeypot.TermTimeout
@@ -725,10 +789,10 @@ func (g *generator) decorateGeneric(rng *rand.Rand, p *planned, id uint64) *hone
 			dur = time.Duration(10+rng.Intn(160)) * time.Second
 		}
 	case analysis.Cmd:
-		rec.Logins = successfulLogin(rng)
+		rec.Logins = successfulLogin(rng, &sl.logins)
 		rec.Commands = genericCommands(rng)
 		if len(p.hashes) > 0 {
-			rec.Files = fileRecords(rng, p.hashes)
+			rec.Files = fileRecords(rng, p.hashes, &sl.files)
 		}
 		if rng.Float64() < 0.12 {
 			rec.Termination = honeypot.TermTimeout
@@ -741,10 +805,10 @@ func (g *generator) decorateGeneric(rng *rand.Rand, p *planned, id uint64) *hone
 			}
 		}
 	case analysis.CmdURI:
-		rec.Logins = successfulLogin(rng)
+		rec.Logins = successfulLogin(rng, &sl.logins)
 		rec.Commands = downloadCommands
-		rec.URIs = []string{fmt.Sprintf("http://dl-%d.example/payload", rng.Intn(500))}
-		rec.Files = fileRecords(rng, p.hashes)
+		rec.URIs = payloadURIs[rng.Intn(len(payloadURIs))]
+		rec.Files = fileRecords(rng, p.hashes, &sl.files)
 		dur = time.Duration((30 + rng.ExpFloat64()*60) * float64(time.Second))
 		if rng.Float64() < 0.15 {
 			// URI retrieval resets the timeout: these sessions exceed the
@@ -754,31 +818,27 @@ func (g *generator) decorateGeneric(rng *rand.Rand, p *planned, id uint64) *hone
 		rec.Termination = honeypot.TermExit
 	}
 	rec.End = start.Add(dur)
-	return rec
 }
 
-// decorateCompanion builds the credential-guessing session an ephemeral
-// scanner runs right after its port probe.
-func (g *generator) decorateCompanion(rng *rand.Rand, p *planned, id uint64) *honeypot.SessionRecord {
+// decorateCompanion fills rec as the credential-guessing session an
+// ephemeral scanner runs right after its port probe.
+func (g *generator) decorateCompanion(rng *rand.Rand, p *planned, rec *honeypot.SessionRecord, sl *slabs) {
 	start := g.dayStart(rng, p.day)
-	rec := &honeypot.SessionRecord{
-		ID:            id,
-		HoneypotID:    p.pot,
-		Protocol:      honeypot.SSH,
-		ClientIP:      p.ip,
-		ClientPort:    1024 + rng.Intn(60000),
-		Start:         start,
-		ClientVersion: clientVersions[rng.Intn(len(clientVersions))],
-		Logins:        failedLogins(rng),
-		Termination:   honeypot.TermClient,
-	}
+	rec.HoneypotID = p.pot
+	rec.Protocol = honeypot.SSH
+	rec.ClientIP = p.ip
+	rec.ClientPort = 1024 + rng.Intn(60000)
+	rec.Start = start
+	rec.ClientVersion = clientVersions[rng.Intn(len(clientVersions))]
+	rec.Logins = failedLogins(rng, &sl.logins)
+	rec.Termination = honeypot.TermClient
 	rec.End = start.Add(time.Duration(3+rng.Intn(25)) * time.Second)
-	return rec
 }
 
-// fileRecords materializes planned file hashes as file records.
-func fileRecords(rng *rand.Rand, hashes []string) []honeypot.FileRecord {
-	out := make([]honeypot.FileRecord, len(hashes))
+// fileRecords materializes planned file hashes as file records carved
+// from files.
+func fileRecords(rng *rand.Rand, hashes []string, files *slab[honeypot.FileRecord]) []honeypot.FileRecord {
+	out := files.take(len(hashes))
 	for i, h := range hashes {
 		out[i] = honeypot.FileRecord{
 			Path: "/var/tmp/.x", Hash: h, Op: "create", Size: 64 + rng.Intn(4096),
@@ -828,13 +888,16 @@ var failUsers = []string{"nproc", "admin", "user", "test", "ubuntu", "oracle", "
 
 // successfulLogin draws the credential list of a logged-in session:
 // possibly failed attempts first, then a success with a Table 2-shaped
-// password (Zipf over the top list plus a random tail).
-func successfulLogin(rng *rand.Rand) []honeypot.LoginAttempt {
-	var out []honeypot.LoginAttempt
-	for rng.Float64() < 0.25 && len(out) < 2 {
-		out = append(out, honeypot.LoginAttempt{
+// password (Zipf over the top list plus a random tail). The attempts
+// are drawn into a stack buffer, then copied into a run of logins.
+func successfulLogin(rng *rand.Rand, logins *slab[honeypot.LoginAttempt]) []honeypot.LoginAttempt {
+	var buf [3]honeypot.LoginAttempt
+	n := 0
+	for rng.Float64() < 0.25 && n < 2 {
+		buf[n] = honeypot.LoginAttempt{
 			User: "root", Password: extraPasswords[rng.Intn(len(extraPasswords))],
-		})
+		}
+		n++
 	}
 	var pw string
 	if rng.Float64() < 0.8 {
@@ -847,22 +910,25 @@ func successfulLogin(rng *rand.Rand) []honeypot.LoginAttempt {
 	} else {
 		pw = extraPasswords[rng.Intn(len(extraPasswords))]
 	}
-	return append(out, honeypot.LoginAttempt{User: "root", Password: pw, Success: true})
+	buf[n] = honeypot.LoginAttempt{User: "root", Password: pw, Success: true}
+	n++
+	out := logins.take(n)
+	copy(out, buf[:n])
+	return out
 }
 
-// failedLogins draws a FAIL_LOG session's attempts: wrong usernames or
-// root:root, one to three tries.
-func failedLogins(rng *rand.Rand) []honeypot.LoginAttempt {
-	n := 1 + rng.Intn(3)
-	out := make([]honeypot.LoginAttempt, 0, n)
-	for i := 0; i < n; i++ {
+// failedLogins draws a FAIL_LOG session's attempts, carved from logins:
+// wrong usernames or root:root, one to three tries.
+func failedLogins(rng *rand.Rand, logins *slab[honeypot.LoginAttempt]) []honeypot.LoginAttempt {
+	out := logins.take(1 + rng.Intn(3))
+	for i := range out {
 		if rng.Float64() < 0.35 {
-			out = append(out, honeypot.LoginAttempt{User: "root", Password: "root"})
+			out[i] = honeypot.LoginAttempt{User: "root", Password: "root"}
 		} else {
-			out = append(out, honeypot.LoginAttempt{
+			out[i] = honeypot.LoginAttempt{
 				User:     failUsers[rng.Intn(len(failUsers))],
 				Password: extraPasswords[rng.Intn(len(extraPasswords))],
-			})
+			}
 		}
 	}
 	return out
