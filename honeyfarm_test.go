@@ -2,6 +2,7 @@ package honeyfarm
 
 import (
 	"bytes"
+	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -513,5 +514,97 @@ func TestLoadDatasetFileWALDamage(t *testing.T) {
 				_ = l.Close()
 			}
 		})
+	}
+}
+
+// TestLoadDatasetFileLiveLog: a log that a writer is appending to and
+// rotating reads as a dataset at any moment. Every read succeeds and
+// holds a batch-aligned prefix of the appended records, no shorter than
+// what Append had returned before the read began; once the log is
+// closed, a read holds every record.
+func TestLoadDatasetFileLiveLog(t *testing.T) {
+	d := testDataset(t)
+	const batch = 40
+	recs := d.Store.Records()[:1200]
+	dir := filepath.Join(t.TempDir(), "wal")
+	l, _, err := wal.Open(dir, wal.Options{Epoch: d.Store.Epoch(), SegmentBytes: 8 << 10, SyncEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	load := func() (int, error) {
+		loaded, err := LoadDatasetFile(dir, d.Registry, d.NumPots, 7)
+		if err != nil {
+			return 0, err
+		}
+		got := loaded.Store.Records()
+		for i, r := range got {
+			if i >= len(recs) || r.ID != recs[i].ID {
+				return 0, fmt.Errorf("record %d of %d is session %d, not the %d-th appended", i, len(got), r.ID, i)
+			}
+		}
+		return len(got), nil
+	}
+
+	var appended atomic.Int64 // records Append has returned
+	began := make(chan struct{}, 1)
+	done := make(chan struct{})
+	readErr := make(chan error, 1)
+	go func() {
+		reads, last := 0, 0
+		for {
+			select {
+			case <-done:
+				t.Logf("%d reads during the appends", reads)
+				readErr <- nil
+				return
+			default:
+			}
+			floor := int(appended.Load())
+			select {
+			case began <- struct{}{}:
+			default:
+			}
+			n, err := load()
+			reads++
+			switch {
+			case err != nil:
+				readErr <- fmt.Errorf("read %d: %w", reads, err)
+				return
+			case n%batch != 0 || n < floor || n < last:
+				readErr <- fmt.Errorf("read %d holds %d records: want a multiple of %d, at least %d appended before it began and the %d of the read before", reads, n, batch, floor, last)
+				return
+			}
+			last = n
+		}
+	}()
+	// After each append the writer waits for a read to begin, so that
+	// the next append, and the rotation it may make, overlaps that read.
+	for i := 0; i < len(recs); i += batch {
+		select {
+		case <-began: // a read that began before this append
+		default:
+		}
+		if err := l.Append(recs[i : i+batch]); err != nil {
+			t.Fatal(err)
+		}
+		appended.Store(int64(i + batch))
+		select {
+		case <-began:
+		case err := <-readErr:
+			t.Fatal(err)
+		}
+	}
+	close(done)
+	if err := <-readErr; err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(segments(t, dir)); n < 4 {
+		t.Fatalf("the log has %d segments, want several rotations", n)
+	}
+	if n, err := load(); err != nil || n != len(recs) {
+		t.Fatalf("read after Close: %d records, %v; want all %d", n, err, len(recs))
 	}
 }

@@ -21,15 +21,13 @@ type AbuseReport struct {
 	IntrusionSessions int
 	// Hashes is the number of distinct malware hashes dropped from the AS.
 	Hashes int
-	// ExampleIPs lists up to three of the AS's most active clients.
-	ExampleIPs []string
 }
 
 // ComputeAbuseReports builds per-AS reports, sorted by intrusion
 // sessions descending. minSessions filters out incidental ASes.
 func ComputeAbuseReports(s *store.Store, reg *geo.Registry, minSessions int) []AbuseReport {
 	type acc struct {
-		ips        map[string]int
+		ips        map[string]struct{}
 		sessions   int
 		intrusions int
 		hashes     map[string]struct{}
@@ -45,12 +43,12 @@ func ComputeAbuseReports(s *store.Store, reg *geo.Registry, minSessions int) []A
 		a := byAS[loc.ASN]
 		if a == nil {
 			a = &acc{
-				ips: make(map[string]int), hashes: make(map[string]struct{}),
+				ips: make(map[string]struct{}), hashes: make(map[string]struct{}),
 				country: loc.Country, typ: loc.Type,
 			}
 			byAS[loc.ASN] = a
 		}
-		a.ips[r.ClientIP]++
+		a.ips[r.ClientIP] = struct{}{}
 		a.sessions++
 		if BehaviorOf(Classify(r)) == Intrusion {
 			a.intrusions++
@@ -64,29 +62,11 @@ func ComputeAbuseReports(s *store.Store, reg *geo.Registry, minSessions int) []A
 		if a.sessions < minSessions {
 			continue
 		}
-		rep := AbuseReport{
+		out = append(out, AbuseReport{
 			ASN: asn, Country: a.country, Type: a.typ,
 			ClientIPs: len(a.ips), Sessions: a.sessions,
 			IntrusionSessions: a.intrusions, Hashes: len(a.hashes),
-		}
-		type ipCount struct {
-			ip string
-			n  int
-		}
-		tops := make([]ipCount, 0, len(a.ips))
-		for ip, n := range a.ips {
-			tops = append(tops, ipCount{ip, n})
-		}
-		sort.Slice(tops, func(i, j int) bool {
-			if tops[i].n != tops[j].n {
-				return tops[i].n > tops[j].n
-			}
-			return tops[i].ip < tops[j].ip
 		})
-		for i := 0; i < 3 && i < len(tops); i++ {
-			rep.ExampleIPs = append(rep.ExampleIPs, tops[i].ip)
-		}
-		out = append(out, rep)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].IntrusionSessions != out[j].IntrusionSessions {

@@ -141,9 +141,6 @@ func TestAbuseReports(t *testing.T) {
 	if top.ClientIPs != 2 || top.Sessions != 3 || top.IntrusionSessions != 3 || top.Hashes != 2 {
 		t.Errorf("top = %+v", top)
 	}
-	if len(top.ExampleIPs) == 0 || top.ExampleIPs[0] != ip1a {
-		t.Errorf("examples = %v", top.ExampleIPs)
-	}
 	// minSessions filters the scan-only AS.
 	filtered := ComputeAbuseReports(s, reg, 2)
 	if len(filtered) != 1 {

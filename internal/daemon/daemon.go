@@ -1,12 +1,11 @@
-// Package daemon is the process lifecycle cmd/serve, cmd/shard and
-// cmd/merge share: Start, then OpenShard, OpenFollower or
-// OpenCoordinator, then Run, which waits for a signal, calls the node's
-// one Close (its ordered stop) and CheckLeaks. Every step returns its
-// error, so a failed drain still reaches the stop steps behind it.
+// Package daemon is the process lifecycle cmd/shard and cmd/merge
+// share: Start, then OpenShard or OpenCoordinator, then Run, which
+// waits for a signal, calls the node's one Close (its ordered stop) and
+// CheckLeaks. Every step returns its error, so a failed drain still
+// reaches the stop steps behind it.
 package daemon
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"flag"
@@ -14,7 +13,6 @@ import (
 	"log"
 	"net"
 	"net/http"
-	_ "net/http/pprof" // registers /debug/pprof/ on DefaultServeMux; mounted only behind serve's -pprof
 	"os"
 	"os/signal"
 	"runtime"
@@ -85,15 +83,14 @@ func Mux(component string, reg *metrics.Registry, root http.Handler) *http.Serve
 // what runs behind it. Each Open fills the fields of its kind and
 // leaves the others nil.
 type Node struct {
-	Engine   *query.Engine      // shard, serve
-	Front    *shard.WireFront   // shard under -wire
-	Follower *query.Follower    // serve
-	Coord    *shard.Coordinator // merge
-	ln       net.Listener
-	srv      *http.Server
-	done     chan struct{} // closed once Serve has returned err
-	err      error
-	close    func(context.Context) error // the kind's ordered stop
+	Engine *query.Engine      // shard
+	Front  *shard.WireFront   // shard under -wire
+	Coord  *shard.Coordinator // merge
+	ln     net.Listener
+	srv    *http.Server
+	done   chan struct{} // closed once Serve has returned err
+	err    error
+	close  func(context.Context) error // the kind's ordered stop
 }
 
 // listen binds addr, writes the bound address and a newline to addrFile
@@ -277,42 +274,6 @@ func OpenShard(cfg ShardConfig, part []*honeypot.SessionRecord, reg *honeyfarm.R
 	api := query.NewServer(query.ServerConfig{Source: eng, WALHealth: wlog.Health})
 	mux := Mux("shard", shard.BuildCollectorRegistry(eng, wlog.Health, n.Front, api, cfg.Pots), api.Handler())
 	mux.Handle("/shard/", shard.NewHandler(eng))
-	return n.listen(cfg.Addr, cfg.AddrFile, mux)
-}
-
-// FollowerConfig is cmd/serve's flags.
-type FollowerConfig struct {
-	Addr, AddrFile, WALDir, Epoch    string // Epoch: YYYY-MM-DD, "" for honeyfarm.DefaultEpoch
-	Pots, SnapshotEvery, MaxInflight int
-	Seed                             int64
-	Poll                             time.Duration
-	Pprof                            bool
-}
-
-// OpenFollower starts tailing the WAL in cfg.WALDir into a fresh engine
-// and serves the query API over it.
-func OpenFollower(cfg FollowerConfig) (*Node, error) {
-	if cfg.Pots < 1 {
-		return nil, fmt.Errorf("want -pots >= 1, have %d", cfg.Pots)
-	}
-	epoch, err := time.Parse(time.DateOnly, cmp.Or(cfg.Epoch, honeyfarm.DefaultEpoch.Format(time.DateOnly)))
-	if err != nil {
-		return nil, fmt.Errorf("parsing -epoch: %w", err)
-	}
-	eng := query.New(query.Config{Epoch: epoch, NumPots: cfg.Pots, Registry: honeyfarm.NewRegistry(cfg.Seed), SnapshotEvery: cfg.SnapshotEvery})
-	f, err := query.NewFollower(eng, cfg.WALDir, cfg.Poll)
-	if err != nil {
-		return nil, err
-	}
-	f.Start()
-	api := query.NewServer(query.ServerConfig{Source: eng, Follower: f, MaxInflight: cfg.MaxInflight})
-	mux := Mux("serve", query.BuildServeRegistry(eng, f, api, cfg.Pots), api.Handler())
-	if cfg.Pprof {
-		// Off by default: the API is cacheable public data, a heap profile is not.
-		mux.Handle("/debug/pprof/", http.DefaultServeMux)
-	}
-	n := &Node{Engine: eng, Follower: f}
-	n.close = func(ctx context.Context) error { return errors.Join(n.Drain(ctx), f.Stop()) }
 	return n.listen(cfg.Addr, cfg.AddrFile, mux)
 }
 

@@ -400,8 +400,7 @@ func TestNodeRefusesAnotherPartition(t *testing.T) {
 
 // TestNodeRejectsBadShardConfig: a batch that cannot advance the feeder,
 // a partition that does not exist or a farm without pots is refused
-// before anything opens, by a shard with or without -wire and by a
-// follower.
+// before anything opens, by a shard with or without -wire.
 func TestNodeRejectsBadShardConfig(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "wal")
 	for _, bad := range []func(*ShardConfig){
@@ -423,11 +422,6 @@ func TestNodeRejectsBadShardConfig(t *testing.T) {
 			t.Errorf("%+v opened", cfg)
 		}
 	}
-	for _, pots := range []int{0, -1} {
-		if _, err := OpenFollower(FollowerConfig{Addr: "127.0.0.1:0", WALDir: dir, Pots: pots, Poll: time.Millisecond}); err == nil {
-			t.Errorf("a follower with -pots %d opened", pots)
-		}
-	}
 	if _, err := os.Stat(dir); !os.IsNotExist(err) {
 		t.Fatalf("a refused config created its WAL directory: %v", err)
 	}
@@ -435,7 +429,7 @@ func TestNodeRejectsBadShardConfig(t *testing.T) {
 
 // TestNodeUnboundCloses: a node that cannot bind its address closes
 // what it opened before it returns the error — the shard's feeder and
-// WAL, the follower, the coordinator's pullers — and a shard's
+// WAL, the coordinator's pullers — and a shard's
 // directory opens again at once.
 func TestNodeUnboundCloses(t *testing.T) {
 	taken, err := net.Listen("tcp", "127.0.0.1:0")
@@ -449,9 +443,6 @@ func TestNodeUnboundCloses(t *testing.T) {
 	if _, err := OpenShard(cfg, records(t), honeyfarm.NewRegistry(1)); err == nil {
 		t.Fatal("OpenShard on a taken address returned no error")
 	}
-	if _, err := OpenFollower(FollowerConfig{Addr: cfg.Addr, WALDir: cfg.WALDir, Pots: fixturePots, Poll: time.Millisecond}); err == nil {
-		t.Fatal("OpenFollower on a taken address returned no error")
-	}
 	if _, err := OpenCoordinator(CoordinatorConfig{Addr: cfg.Addr, Shards: []string{"http://" + cfg.Addr}, Pots: fixturePots}); err == nil {
 		t.Fatal("OpenCoordinator on a taken address returned no error")
 	}
@@ -462,19 +453,14 @@ func TestNodeUnboundCloses(t *testing.T) {
 	closeNode(t, proc, openShard(t, cfg, records(t)), 5*time.Second)
 }
 
-// TestNodeFleet: a follower tailing a shard's WAL and a coordinator
-// pulling the shard both reach the shard's sequence, and each node's
-// Close takes the goroutine count back to what it was before it opened.
+// TestNodeFleet: a coordinator pulling a shard reaches the shard's
+// sequence, and each node's Close takes the goroutine count back to
+// what it was before it opened.
 func TestNodeFleet(t *testing.T) {
 	recs := records(t)
 	procS := Start("shard")
 	cfg := shardConfig(t.TempDir(), 0)
 	s := openShard(t, cfg, recs)
-	procF := Start("serve")
-	f, err := OpenFollower(FollowerConfig{Addr: "127.0.0.1:0", WALDir: cfg.WALDir, Pots: fixturePots, Seed: 1, Poll: 5 * time.Millisecond, MaxInflight: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
 	procC := Start("merge")
 	c, err := OpenCoordinator(CoordinatorConfig{Addr: "127.0.0.1:0", Shards: []string{"http://" + s.Addr().String()}, Pots: fixturePots, PullEvery: 20 * time.Millisecond, FailAfter: 3, MaxInflight: 4})
 	if err != nil {
@@ -482,10 +468,8 @@ func TestNodeFleet(t *testing.T) {
 	}
 	all := uint64(len(recs))
 	waitFor(t, "the feed to finish", func() bool { return s.Engine.Seq() == all })
-	waitFor(t, "the follower to catch up", func() bool { return f.Engine.Seq() == all })
 	waitFor(t, "the coordinator to catch up", func() bool { return c.Coord.Snapshot().Seq == all })
 
 	closeNode(t, procC, c, 5*time.Second) // the coordinator before the shard it pulls
-	closeNode(t, procF, f, 5*time.Second)
 	closeNode(t, procS, s, 5*time.Second)
 }

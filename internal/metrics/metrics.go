@@ -1,6 +1,5 @@
 // Package metrics is a stdlib-only Prometheus text-format registry:
-// the operational metrics plane of every daemon (cmd/serve, cmd/shard,
-// cmd/merge).
+// the operational metrics plane of every daemon (cmd/shard, cmd/merge).
 //
 // Three things distinguish it from the usual client library:
 //

@@ -38,7 +38,7 @@ func fill(t testing.TB, r *Registry) {
 	r.CounterFunc("test_sessions_total", "Sessions accepted.", nil, func() float64 { return float64(c.Value()) })
 	r.CounterFunc("test_pot_sessions_total", "Sessions per pot.", Labels{"pot": "0"}, constant(7))
 	r.CounterFunc("test_pot_sessions_total", "Sessions per pot.", Labels{"pot": "1"}, constant(3))
-	r.GaugeFunc("test_lag_records", "Follower lag.", nil, constant(10))
+	r.GaugeFunc("test_lag_records", "Seal lag.", nil, constant(10))
 	r.GaugeFunc("test_snapshot_seq", "Sealed snapshot sequence.", nil, constant(80))
 	r.CounterFunc("test_ingested_total", "Ingested records.", Labels{"shard": "1", "role": "collector"}, constant(1234))
 	h := histogram(t, stats.LogBuckets(0.001, 10, 4), 0.0005, 0.002, 0.2, 0.2, 99)

@@ -17,7 +17,6 @@ import (
 	"honeyfarm/internal/honeypot"
 	"honeyfarm/internal/query"
 	"honeyfarm/internal/store"
-	"honeyfarm/internal/wal"
 )
 
 // batchSnapshot runs the batch pipeline (internal/analysis over a
@@ -261,111 +260,4 @@ func overlap[T any](a, b []T) bool {
 	size := unsafe.Sizeof(a[0])
 	a0, b0 := uintptr(unsafe.Pointer(&a[0])), uintptr(unsafe.Pointer(&b[0]))
 	return a0 < b0+uintptr(len(b))*size && b0 < a0+uintptr(len(a))*size
-}
-
-// waitUntil polls cond (bounded) with a short sleep; fails the test on
-// timeout.
-func waitUntil(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	for i := 0; i < 2000; i++ {
-		if cond() {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	t.Fatalf("timed out waiting for %s", what)
-}
-
-// TestFollowerTailsWAL drives the full tail path: durable batches
-// already in the WAL are drained first, then batches appended while the
-// follower runs; the resulting snapshot equals a direct-ingest engine's.
-func TestFollowerTailsWAL(t *testing.T) {
-	const numPots = 7
-	d, err := honeyfarm.Simulate(honeyfarm.SimulateConfig{
-		Seed: 9, TotalSessions: 900, Days: 15, NumPots: numPots,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs := d.Store.Records()
-	dir := t.TempDir()
-	// Tiny segments so the tail crosses sealed-segment boundaries.
-	l, _, err := wal.Open(dir, wal.Options{Epoch: honeyfarm.DefaultEpoch, SegmentBytes: 8 << 10, SyncEvery: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	half := len(recs) / 2
-	for i := 0; i < half; i += 60 {
-		j := i + 60
-		if j > half {
-			j = half
-		}
-		if err := l.Append(recs[i:j]); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	mk := func() *query.Engine {
-		return query.New(query.Config{Epoch: honeyfarm.DefaultEpoch, NumPots: numPots, Registry: d.Registry})
-	}
-	eng := mk()
-	f, err := query.NewFollower(eng, dir, 2*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Start()
-	waitUntil(t, "pre-existing batches", func() bool { return eng.Snapshot().Seq == uint64(half) })
-
-	for i := half; i < len(recs); i += 60 {
-		j := i + 60
-		if j > len(recs) {
-			j = len(recs)
-		}
-		if err := l.Append(recs[i:j]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	waitUntil(t, "live-appended batches", func() bool { return eng.Snapshot().Seq == uint64(len(recs)) })
-	if err := f.Stop(); err != nil {
-		t.Fatal(err)
-	}
-
-	direct := mk()
-	direct.Ingest(recs)
-	if !bytes.Equal(mustJSON(t, eng.Snapshot()), mustJSON(t, direct.Seal())) {
-		t.Fatal("followed snapshot diverges from direct ingest")
-	}
-}
-
-// TestFollowerEpochMismatch: a WAL recorded under a different epoch
-// must surface as a follower error, not silently mis-bucketed days.
-func TestFollowerEpochMismatch(t *testing.T) {
-	dir := t.TempDir()
-	other := time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC)
-	l, _, err := wal.Open(dir, wal.Options{Epoch: other, SyncEvery: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Append([]*honeypot.SessionRecord{{ID: 1, Start: other, End: other}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	eng := query.New(query.Config{Epoch: honeyfarm.DefaultEpoch, NumPots: 1})
-	f, err := query.NewFollower(eng, dir, 2*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Start()
-	waitUntil(t, "epoch mismatch error", func() bool { return f.Err() != nil })
-	if err := f.Stop(); err == nil {
-		t.Fatal("Stop returned nil after an epoch mismatch")
-	}
-	if eng.Snapshot().Seq != 0 {
-		t.Fatalf("mismatched-epoch records were ingested (seq %d)", eng.Snapshot().Seq)
-	}
 }

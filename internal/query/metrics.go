@@ -1,9 +1,9 @@
 package query
 
 // The /metrics side of the serving layer: registration helpers that
-// export an engine/follower/server triple into a metrics.Registry.
-// Each helper is separately callable because the three node shapes
-// mount different subsets — cmd/serve has a follower, cmd/shard has
+// export a source, an engine, a WAL writer and a server into a
+// metrics.Registry. Each helper is separately callable because the two
+// node shapes mount different subsets — cmd/shard has the engine and
 // the WAL writer in-process, cmd/merge has neither — while the metric
 // names stay identical across the fleet. All values are read through
 // funcs at scrape time, so registration costs nothing on the ingest or
@@ -65,34 +65,6 @@ func RegisterEngineMetrics(reg *metrics.Registry, eng *Engine) {
 		nil, func() float64 { return float64(eng.PendingEntries()) })
 }
 
-// RegisterFollowerMetrics exports the WAL tail position and gap losses
-// of a follower-fed node (cmd/serve).
-func RegisterFollowerMetrics(reg *metrics.Registry, f *Follower) {
-	reg.GaugeFunc("honeyfarm_wal_segment",
-		"WAL segment the follower tail has reached.",
-		nil, func() float64 { seg, _ := f.Position(); return float64(seg) })
-	reg.GaugeFunc("honeyfarm_wal_offset_bytes",
-		"Byte offset of the follower tail within its segment.",
-		nil, func() float64 { _, off := f.Position(); return float64(off) })
-	reg.CounterFunc("honeyfarm_wal_gap_records_total",
-		"Records lost to degraded-writer outages, from the gap frames the tail crossed.",
-		nil, func() float64 {
-			n := 0
-			for _, g := range f.WALGaps() {
-				n += g.Records
-			}
-			return float64(n)
-		})
-	reg.GaugeFunc("honeyfarm_follower_degraded",
-		"1 once the follower hit a terminal tail error, else 0.",
-		nil, func() float64 {
-			if f.Err() != nil {
-				return 1
-			}
-			return 0
-		})
-}
-
 // RegisterWALHealthMetrics exports the in-process WAL writer's
 // append/fsync/drop accounting (cmd/shard, or any node owning the
 // writer).
@@ -152,19 +124,4 @@ func RegisterServeMetrics(reg *metrics.Registry, s *Server) {
 	reg.CounterFunc("honeyfarm_serve_rejected_total",
 		"Requests shed with 503 by the bounded in-flight semaphore.",
 		nil, func() float64 { return float64(s.Metrics().Rejected) })
-}
-
-// BuildServeRegistry assembles the full cmd/serve metric set: source +
-// engine + serve rows, plus the follower rows when f is non-nil. This
-// is exactly what cmd/serve mounts at /metrics, so the golden test
-// over it pins the binary's exposition.
-func BuildServeRegistry(eng *Engine, f *Follower, srv *Server, numPots int) *metrics.Registry {
-	reg := metrics.NewRegistry()
-	RegisterSourceMetrics(reg, eng, numPots)
-	RegisterEngineMetrics(reg, eng)
-	if f != nil {
-		RegisterFollowerMetrics(reg, f)
-	}
-	RegisterServeMetrics(reg, srv)
-	return reg
 }

@@ -1,9 +1,9 @@
 package query_test
 
-// Golden and determinism tests over the cmd/serve metric surface:
-// BuildServeRegistry is exactly what the binary mounts at /metrics, so
-// the golden here pins the exposition names, help strings, and the
-// values produced by the deterministic fixture dataset.
+// Golden and determinism tests over the query package's metric rows:
+// source, engine and serve rows in the order a collector registers
+// them, so the golden here pins the exposition names, help strings, and
+// the values produced by the deterministic fixture dataset.
 
 import (
 	"io"
@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"honeyfarm"
+	"honeyfarm/internal/metrics"
 	"honeyfarm/internal/query"
 	"honeyfarm/internal/wal"
 )
@@ -39,10 +40,20 @@ func metricsEngine(t *testing.T) *query.Engine {
 	return eng
 }
 
+// serveRegistry registers the source, engine and serve rows over eng
+// and srv.
+func serveRegistry(eng *query.Engine, srv *query.Server) *metrics.Registry {
+	reg := metrics.NewRegistry()
+	query.RegisterSourceMetrics(reg, eng, 4)
+	query.RegisterEngineMetrics(reg, eng)
+	query.RegisterServeMetrics(reg, srv)
+	return reg
+}
+
 func TestServeMetricsGolden(t *testing.T) {
 	eng := metricsEngine(t)
 	srv := query.NewServer(query.ServerConfig{Source: eng})
-	reg := query.BuildServeRegistry(eng, nil, srv, 4)
+	reg := serveRegistry(eng, srv)
 	got := reg.Render()
 
 	golden := filepath.Join("testdata", "metrics.golden.txt")
@@ -64,8 +75,8 @@ func TestServeMetricsGolden(t *testing.T) {
 // function of the observed events: two registries over two identically
 // fed engines render byte-identically, repeatedly.
 func TestServeMetricsDeterministic(t *testing.T) {
-	r1 := query.BuildServeRegistry(metricsEngine(t), nil, query.NewServer(query.ServerConfig{}), 4)
-	r2 := query.BuildServeRegistry(metricsEngine(t), nil, query.NewServer(query.ServerConfig{}), 4)
+	r1 := serveRegistry(metricsEngine(t), query.NewServer(query.ServerConfig{}))
+	r2 := serveRegistry(metricsEngine(t), query.NewServer(query.ServerConfig{}))
 	a, b := r1.Render(), r2.Render()
 	if string(a) != string(b) {
 		t.Fatal("identical event streams rendered differently")
@@ -75,13 +86,12 @@ func TestServeMetricsDeterministic(t *testing.T) {
 	}
 }
 
-// TestServeMetricsEndpoint mounts the registry the way cmd/serve does
-// and checks the wire behavior plus the WAL-health rows a collector
-// adds.
+// TestServeMetricsEndpoint mounts the registry over HTTP and checks
+// the wire behavior plus the WAL-health rows a collector adds.
 func TestServeMetricsEndpoint(t *testing.T) {
 	eng := metricsEngine(t)
 	srv := query.NewServer(query.ServerConfig{Source: eng})
-	reg := query.BuildServeRegistry(eng, nil, srv, 4)
+	reg := serveRegistry(eng, srv)
 	query.RegisterWALHealthMetrics(reg, func() wal.Health {
 		return wal.Health{Appends: 3, AppendedRecords: int(eng.Seq()), Fsyncs: 5}
 	})

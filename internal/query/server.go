@@ -67,11 +67,8 @@ type ShardStatus struct {
 type ServerConfig struct {
 	// Source supplies snapshots. Required.
 	Source Source
-	// Follower, when the engine is fed by a WAL tail, surfaces its
-	// position and terminal error in /v1/healthz. Optional.
-	Follower *Follower
-	// WALHealth, when the serving process also owns the WAL writer,
-	// supplies its degraded-mode snapshot for /v1/healthz: a degraded
+	// WALHealth, when the serving process owns the WAL writer (a
+	// collector shard), supplies its degraded-mode snapshot for /v1/healthz: a degraded
 	// writer turns the status to "degraded:wal" (HTTP 503) and its
 	// count-and-drop losses appear as wal_dropped_records. Optional.
 	WALHealth func() wal.Health
@@ -88,7 +85,6 @@ type ServerConfig struct {
 // Server renders a Source's snapshots over HTTP.
 type Server struct {
 	source    Source
-	follower  *Follower
 	walHealth func() wal.Health
 	shards    func() []ShardStatus
 	sem       chan struct{}
@@ -124,7 +120,6 @@ func NewServer(cfg ServerConfig) *Server {
 	}
 	return &Server{
 		source:    cfg.Source,
-		follower:  cfg.Follower,
 		walHealth: cfg.WALHealth,
 		shards:    cfg.Shards,
 		sem:       make(chan struct{}, cfg.MaxInflight),
@@ -205,19 +200,15 @@ type healthzResponse struct {
 	IngestedSeq uint64 `json:"ingested_seq"`
 	SnapshotSeq uint64 `json:"snapshot_seq"`
 	Days        int    `json:"days"`
-	WALSegment  uint64 `json:"wal_segment,omitempty"`
-	WALOffset   int64  `json:"wal_offset,omitempty"`
 	// WALDroppedRecords and WALDropReason carry the WAL's count-and-drop
 	// loss accounting: records the writer refused while degraded, from
-	// the writer's Health snapshot (WALHealth) or the gap frames the
-	// follower's tail has crossed. Both omitted when nothing was lost,
-	// keeping healthy responses byte-stable.
+	// the writer's Health snapshot (WALHealth). Both omitted when nothing
+	// was lost, keeping healthy responses byte-stable.
 	WALDroppedRecords int    `json:"wal_dropped_records,omitempty"`
 	WALDropReason     string `json:"wal_drop_reason,omitempty"`
 	// Shards is the merge coordinator's per-shard staleness table; only
 	// present on merge nodes.
 	Shards []ShardStatus `json:"shards,omitempty"`
-	Error  string        `json:"error,omitempty"`
 }
 
 // limitParam parses ?limit= clamped to [0, max]; absent selects max.
@@ -356,8 +347,8 @@ func etagMatches(header, etag string) bool {
 }
 
 // serveHealthz reports liveness: never cached, never gated on the
-// render semaphore, and degraded (HTTP 503) once the follower hit a
-// terminal error.
+// render semaphore, and degraded (HTTP 503) while the WAL writer is
+// degraded or a merged shard is down.
 func (s *Server) serveHealthz(w http.ResponseWriter, r *http.Request) {
 	snap := s.source.Snapshot()
 	resp := healthzResponse{
@@ -366,27 +357,9 @@ func (s *Server) serveHealthz(w http.ResponseWriter, r *http.Request) {
 		SnapshotSeq: snap.Seq,
 		Days:        snap.Days,
 	}
-	if s.follower != nil {
-		resp.WALSegment, resp.WALOffset = s.follower.Position()
-		// Gap frames are the degraded writer's outage records; the last
-		// one's reason labels the losses.
-		for _, g := range s.follower.WALGaps() {
-			resp.WALDroppedRecords += g.Records
-			resp.WALDropReason = g.Reason
-		}
-		if err := s.follower.Err(); err != nil {
-			resp.Status = "degraded"
-			resp.Error = err.Error()
-		}
-	}
 	if s.walHealth != nil {
-		// The in-process writer's view is authoritative: it sees drops the
-		// tail has not crossed yet (an open outage has no gap frame until
-		// recovery writes one).
 		h := s.walHealth()
-		if h.DroppedRecords > 0 {
-			resp.WALDroppedRecords = h.DroppedRecords
-		}
+		resp.WALDroppedRecords = h.DroppedRecords
 		if h.Degraded {
 			resp.Status = "degraded:wal"
 			resp.WALDropReason = h.Reason

@@ -218,9 +218,9 @@ func TestConcurrentReads(t *testing.T) {
 
 // TestHealthzDegradedWAL pins the degraded-disk health contract: an
 // in-process writer inside an outage flips /v1/healthz to
-// "degraded:wal" (HTTP 503) with its count-and-drop accounting, and a
-// follower that crossed the recovery gap frame surfaces the same
-// losses from the read side while itself staying "ok".
+// "degraded:wal" (HTTP 503) with its count-and-drop accounting, and
+// once the writer heals the status is "ok" again with the losses still
+// counted.
 func TestHealthzDegradedWAL(t *testing.T) {
 	dir := t.TempDir()
 	fsys, err := iofault.New(iofault.OS, iofault.Plan{})
@@ -292,26 +292,6 @@ func TestHealthzDegradedWAL(t *testing.T) {
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
-	}
-
-	// Read side: a follower crossing the gap frame reports the writer's
-	// losses without being degraded itself.
-	eng2 := query.New(query.Config{Epoch: honeyfarm.DefaultEpoch, NumPots: 1})
-	f, err := query.NewFollower(eng2, dir, 2*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Start()
-	defer f.Stop()
-	waitUntil(t, "records tailed", func() bool { return eng2.Snapshot().Seq == 2 })
-	srv2 := httptest.NewServer(query.NewServer(query.ServerConfig{Source: eng2, Follower: f}).Handler())
-	defer srv2.Close()
-	resp, h = healthz(srv2)
-	if resp.StatusCode != http.StatusOK || h.Status != "ok" {
-		t.Fatalf("follower healthz = %d %+v, want 200 ok", resp.StatusCode, h)
-	}
-	if h.Dropped != 1 || h.Reason != "append: eio" {
-		t.Fatalf("follower healthz = %+v, want 1 dropped record via append: eio", h)
 	}
 }
 

@@ -601,7 +601,7 @@ func TestENOSPCWindowRecovers(t *testing.T) {
 		t.Fatal("post-outage WAL fails Verify")
 	}
 
-	// The iterator surfaces the same gap to a tailing follower.
+	// The iterator surfaces the same gap to a reader.
 	it, err := NewIterator(dir)
 	if err != nil {
 		t.Fatal(err)

@@ -1,7 +1,8 @@
 package wal
 
-// Iterator is the tailing read policy over a WAL directory: the query
-// engine's follower uses it to read a log that is still being written.
+// Iterator is the tailing read policy over a WAL directory: the dataset
+// loader (honeyfarm.LoadDatasetFile) reads a log through it, also one
+// that a collector is still writing.
 // It steps the same walker as the recovery scan (wal.go), so the two
 // agree on what a frame is; unlike scan, which reads whole segments at
 // once, an Iterator holds a byte position and yields one batch per call,
@@ -22,7 +23,7 @@ package wal
 // degrades seals its segment at the last frame-aligned size before the
 // probe creates a successor, and the successor opens with a gap frame.
 // The iterator collects gap frames into Gaps() as it crosses them, so
-// a tailing follower can account for dropped records in real time.
+// a reader can account for the records the writer dropped.
 
 import (
 	"errors"
@@ -81,11 +82,19 @@ func (it *Iterator) Next() (Batch, bool, error) {
 			}
 		}
 		f, n, st, err := it.w.next(it.buf)
+		sealed := false
 		if st == stopEnd || st == stopTorn {
-			// Re-read the unconsumed tail: a frame may have completed since
-			// the last poll. Reading from it.off (not extending buf) also
+			// Probe for a successor first, then re-read the unconsumed
+			// tail: a frame may have completed since the last poll. A
+			// segment is sealed before its successor exists, so once the
+			// probe sees one, the re-read holds the segment's last bytes;
+			// probing after the read would skip frames the writer appended
+			// in between. Reading from it.off (not extending buf) also
 			// recovers if a restarted writer truncated a torn tail we had
 			// buffered — consumed offsets are always ≤ the truncation point.
+			if sealed, err = it.successorExists(); err != nil {
+				return Batch{}, false, err
+			}
 			if err := it.refill(); err != nil {
 				return Batch{}, false, err
 			}
@@ -97,10 +106,6 @@ func (it *Iterator) Next() (Batch, bool, error) {
 		case st == stopCorrupt:
 			return Batch{}, false, &damageError{it.w.name, it.off, true}
 		case st != stopNone:
-			sealed, err := it.successorExists()
-			if err != nil {
-				return Batch{}, false, err
-			}
 			if !sealed {
 				return Batch{}, false, nil // pending tail: caught up for now
 			}
@@ -202,8 +207,8 @@ func (it *Iterator) Pos() (seq uint64, off int64) {
 }
 
 // Gaps returns a copy of the degraded-mode outage records the cursor
-// has crossed so far, in log order. A tailing follower polls this
-// after draining to account for records the writer dropped.
+// has crossed so far, in log order: what a reader polls after
+// draining to account for records the writer dropped.
 func (it *Iterator) Gaps() []Gap {
 	if len(it.gaps) == 0 {
 		return nil

@@ -55,10 +55,10 @@
 // dropped (ErrDegraded), and every ProbeEvery-th append probes for
 // recovery by rolling a fresh segment. A successful probe first writes
 // a gap frame recording the outage (reason, dropped batch/record
-// counts), so readers — fsck, and the query follower's accounting —
-// see the hole instead of inferring it. Health() exposes the state
-// machine's position; a failing disk degrades durability, never the
-// in-memory dataset (store.Store keeps everything it accepted).
+// counts), so readers — fsck, and the Iterator's Gaps — see the hole
+// instead of inferring it. Health() exposes the state machine's
+// position; a failing disk degrades durability, never the in-memory
+// dataset (store.Store keeps everything it accepted).
 package wal
 
 import (

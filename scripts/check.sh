@@ -40,17 +40,11 @@
 #                ENOSPC outage window at both the WAL and the live wire
 #                front — degraded mode must count-and-drop, recover on a
 #                fresh segment, and leak nothing
-#   serve smoke  cmd/serve (built with -race) tails the WAL of a
-#                cmd/shard run fed to completion and drained; fsck must
-#                find that WAL healthy, every /v1 endpoint must answer
-#                200, the -pprof mux must
-#                answer under /debug/pprof/, If-None-Match revalidation
-#                must return 304, and SIGTERM must drain cleanly with
-#                zero leaked goroutines
 #   dataset smoke  the offline binaries: cmd/honeyfarm writes one dataset
 #                as a record log and as a Cowrie export, fsck finds the
 #                log healthy, cmd/analyze prints byte-identical tables
-#                from both, and cmd/notify prints a notification
+#                from both, and its extensions block prints the per-AS
+#                notification table
 #   merge smoke  a 3-shard farm (cmd/shard, built with -race) feeds
 #                under a merge coordinator (cmd/merge); one shard is
 #                SIGKILLed mid-run — /v1/healthz must degrade to
@@ -64,14 +58,16 @@
 #                rebuilt if its WAL held more than had been merged —
 #                and every process must drain leak-free
 #   loadgen smoke  a 2-shard wire fleet (cmd/shard -wire, built with
-#                -race) behind a merge node and a WAL-tailing serve is
-#                driven by cmd/loadgen's open-loop schedule; the
-#                driver's completed-session count must reconcile exactly
-#                with the fleet's /metrics counters, the serve node must
-#                converge to shard 0's accepted count, the same seed
-#                must produce a byte-identical plan twice, every
-#                process must drain leak-free, and cmd/analyze over
-#                shard 0's drained WAL must count its accepted sessions
+#                -race) behind a merge node is driven by cmd/loadgen's
+#                open-loop schedule; the driver's completed-session
+#                count must reconcile exactly with the fleet's /metrics
+#                counters, the same seed must produce a byte-identical
+#                plan twice; shard 0, quiescent once reconciled, must
+#                answer healthz "ok" and 200 on every /v1 table, with an
+#                ETag on /v1/summary that If-None-Match revalidates to
+#                304; every process must drain leak-free, and
+#                cmd/analyze over shard 0's drained WAL must count its
+#                accepted sessions
 #   real ENOSPC  (Linux, needs mount privileges; skipped otherwise) the
 #                WAL degraded-mode test re-run against an actually full
 #                filesystem: a size-capped tmpfs is filled with ballast
@@ -102,8 +98,8 @@ poll_file() {
     done
 }
 
-# The /v1 table endpoints every node kind serves; the serve smoke checks
-# /v1/healthz beside them, the merge smoke compares them byte for byte.
+# The /v1 table endpoints every node kind serves; the merge smoke compares
+# them byte for byte, the loadgen smoke checks them on a wire shard.
 v1_tables="summary pots clients countries"
 
 # expect_clean_drain <label> <pid> <log> [<pid> <log>]...: every process,
@@ -173,80 +169,10 @@ go test -race -count=20 -run 'TestServer|TestWireFront|TestCoordinatorProbeBacko
 go test -race -count=20 -run 'TestCutPartials|TestNewsWake|TestIngestAllocsWhilePulled' ./internal/query # a cut reads the rows Ingest writes: counters under the mutex, lists swapped, encoded after
 go test -race -count=3 -run 'TestSameSeedByteIdentical|TestWorkersByteIdentical|TestFaultsByteIdentical|TestGenerateDigestPinned|TestGenerateDeterministic' . ./internal/workload # the generator's planner appends plan shards while decorators read the finished ones
 
-echo "==> serve smoke (WAL tail, ETag revalidation, SIGTERM drain)"
-go build -race -o "$tmp/serve" ./cmd/serve
-go build -race -o "$tmp/shard" ./cmd/shard
-go build -o "$tmp/fsck" ./cmd/fsck
-# The WAL to tail: one shard owning every pot, fed to completion and
-# drained, so the log is whole and closed before serve opens it.
-"$tmp/shard" -sessions 20000 -seed 3 -pace 1ms -wal-dir "$tmp/servewal" \
-    -addr 127.0.0.1:0 >"$tmp/servewal.log" 2>&1 &
-servewal_pid=$!
-i=0
-until grep -q "feed complete" "$tmp/servewal.log"; do
-    i=$((i + 1))
-    if [ "$i" -gt 600 ]; then
-        echo "serve smoke: shard never finished feeding" >&2
-        cat "$tmp/servewal.log" >&2
-        exit 1
-    fi
-    sleep 0.1 2>/dev/null || sleep 1
-done
-kill -TERM "$servewal_pid"
-expect_clean_drain "serve smoke" "$servewal_pid" "$tmp/servewal.log"
-"$tmp/fsck" "$tmp/servewal" >/dev/null
-"$tmp/serve" -wal-dir "$tmp/servewal" -seed 3 -addr 127.0.0.1:0 -addr-file "$tmp/addr" -poll 50ms -pprof \
-    >"$tmp/serve.log" 2>&1 &
-serve_pid=$!
-poll_file "$tmp/addr" "serve"
-addr=$(cat "$tmp/addr")
-# Wait for the tailer to catch up: the WAL is complete, so once the
-# snapshot is non-empty and healthz stops changing, the view is stable
-# and the ETag below cannot rotate between the two requests.
-prev=""
-i=0
-while :; do
-    cur=$(curl -fsS "http://$addr/v1/healthz")
-    case "$cur" in
-    *'"status":"ok"'*) ;;
-    *)
-        echo "serve smoke: unhealthy: $cur" >&2
-        exit 1
-        ;;
-    esac
-    if [ -n "$prev" ] && [ "$cur" = "$prev" ] && ! printf '%s' "$cur" | grep -q '"snapshot_seq":0,'; then
-        break
-    fi
-    prev=$cur
-    i=$((i + 1))
-    if [ "$i" -gt 100 ]; then
-        echo "serve smoke: tailer never caught up: $cur" >&2
-        exit 1
-    fi
-    sleep 0.2 2>/dev/null || sleep 1
-done
-for ep in $v1_tables healthz; do
-    curl -fsS "http://$addr/v1/$ep" >/dev/null
-done
-# -pprof mounts the profiling mux beside the API on the same listener.
-curl -fsS "http://$addr/debug/pprof/cmdline" >/dev/null
-etag=$(curl -fsSI "http://$addr/v1/summary" | tr -d '\r' | awk 'tolower($1) == "etag:" {print $2}')
-if [ -z "$etag" ]; then
-    echo "serve smoke: /v1/summary carries no ETag" >&2
-    exit 1
-fi
-code=$(curl -s -o /dev/null -w '%{http_code}' -H "If-None-Match: $etag" "http://$addr/v1/summary")
-if [ "$code" != "304" ]; then
-    echo "serve smoke: revalidation returned $code, want 304" >&2
-    exit 1
-fi
-kill -TERM "$serve_pid"
-expect_clean_drain "serve smoke" "$serve_pid" "$tmp/serve.log"
-
-echo "==> dataset smoke (honeyfarm, fsck, analyze over a record log and Cowrie, notify)"
+echo "==> dataset smoke (honeyfarm, fsck, analyze over a record log and Cowrie)"
 go build -o "$tmp/honeyfarm" ./cmd/honeyfarm
 go build -o "$tmp/analyze" ./cmd/analyze
-go build -o "$tmp/notify" ./cmd/notify
+go build -o "$tmp/fsck" ./cmd/fsck
 "$tmp/honeyfarm" -sessions 5000 -out "$tmp/ds" >/dev/null
 "$tmp/honeyfarm" -sessions 5000 -format cowrie -out "$tmp/ds-cowrie.json" >/dev/null
 "$tmp/fsck" "$tmp/ds" >"$tmp/ds-fsck.txt"
@@ -254,10 +180,11 @@ grep -q ' ok$' "$tmp/ds-fsck.txt"
 "$tmp/analyze" -in "$tmp/ds" -tables table1,figure2 >"$tmp/ds-wal.txt"
 "$tmp/analyze" -cowrie -in "$tmp/ds-cowrie.json" -tables table1,figure2 >"$tmp/ds-cowrie.txt"
 cmp "$tmp/ds-wal.txt" "$tmp/ds-cowrie.txt"
-"$tmp/notify" -in "$tmp/ds" -min 1 -top 1 >"$tmp/ds-notify.txt"
-grep -q -- '--- notification 1 ---' "$tmp/ds-notify.txt"
+"$tmp/analyze" -in "$tmp/ds" -tables extensions >"$tmp/ds-extensions.txt"
+grep -q 'notification (Conclusion)' "$tmp/ds-extensions.txt"
 
 echo "==> merge smoke (3 shards, SIGKILL+restart, byte-identical merge)"
+go build -race -o "$tmp/shard" ./cmd/shard
 go build -race -o "$tmp/merge" ./cmd/merge
 shard_args="-sessions 20000 -seed 5 -pots 97 -workers 2 -batch 100 -pace 40ms"
 
@@ -452,20 +379,14 @@ done
 lg_s0=$(cat "$tmp/lg-s0-addr")
 lg_s1=$(cat "$tmp/lg-s1-addr")
 
-# A merge node over both shards and a serve node tailing shard 0's WAL:
-# the full deployment every accepted wire session must flow through.
+# A merge node over both shards: the full deployment every accepted wire
+# session must flow through.
 "$tmp/merge" -shards "http://$lg_s0,http://$lg_s1" -pots 6 -pull-every 50ms \
     -addr 127.0.0.1:0 -addr-file "$tmp/lg-merge-addr" \
     >"$tmp/lg-merge.log" 2>&1 &
 lg_merge_pid=$!
-"$tmp/serve" -wal-dir "$tmp/lg-s0-wal" -pots 6 -seed 11 -poll 50ms \
-    -addr 127.0.0.1:0 -addr-file "$tmp/lg-serve-addr" \
-    >"$tmp/lg-serve.log" 2>&1 &
-lg_serve_pid=$!
 poll_file "$tmp/lg-merge-addr" "loadgen merge"
-poll_file "$tmp/lg-serve-addr" "loadgen serve"
 lg_merge=$(cat "$tmp/lg-merge-addr")
-lg_serve=$(cat "$tmp/lg-serve-addr")
 
 # Same seed, same targets: the emitted plan must be byte-identical.
 lg_args="-seed 11 -rate 40 -duration 3s -targets $tmp/lg-s0.pots,$tmp/lg-s1.pots"
@@ -484,29 +405,36 @@ grep -q '"match": true' "$tmp/lg-report.json" || {
     exit 1
 }
 
-# The serve node tails shard 0's WAL: it must converge to exactly the
-# sessions shard 0 accepted (counted at its own /metrics).
+# What shard 0 accepted: its WAL, read after the drain, must hold as many.
 acc0=$(curl -fsS "http://$lg_s0/metrics" |
     awk '$1 == "honeyfarm_wire_sessions_accepted_total" {print $2}')
 if [ -z "$acc0" ] || [ "$acc0" -lt 1 ]; then
     echo "loadgen smoke: shard 0 accepted no sessions (${acc0:-?})" >&2
     exit 1
 fi
-i=0
-while :; do
-    got=$(curl -fsS "http://$lg_serve/metrics" |
-        awk '$1 == "honeyfarm_ingested_records_total" {print $2}')
-    if [ "${got:-0}" -eq "$acc0" ]; then
-        break
-    fi
-    i=$((i + 1))
-    if [ "$i" -gt 100 ]; then
-        echo "loadgen smoke: serve ingested ${got:-?}, shard 0 accepted $acc0" >&2
-        cat "$tmp/lg-serve.log" >&2
-        exit 1
-    fi
-    sleep 0.1 2>/dev/null || sleep 1
+# Shard 0's query API, now that nothing more arrives: its snapshot stays
+# put, so the ETag cannot rotate between the two requests below.
+case "$(curl -fsS "http://$lg_s0/v1/healthz")" in
+*'"status":"ok"'*) ;;
+*)
+    echo "loadgen smoke: shard 0 unhealthy: $(curl -sS "http://$lg_s0/v1/healthz")" >&2
+    exit 1
+    ;;
+esac
+for ep in $v1_tables; do
+    curl -fsS "http://$lg_s0/v1/$ep" >/dev/null
 done
+etag=$(curl -fsSI "http://$lg_s0/v1/summary" | tr -d '\r' | awk 'tolower($1) == "etag:" {print $2}')
+if [ -z "$etag" ]; then
+    echo "loadgen smoke: shard 0's /v1/summary carries no ETag" >&2
+    exit 1
+fi
+code=$(curl -s -o /dev/null -w '%{http_code}' -H "If-None-Match: $etag" "http://$lg_s0/v1/summary")
+if [ "$code" != "304" ]; then
+    echo "loadgen smoke: revalidation returned $code, want 304" >&2
+    exit 1
+fi
+
 # The merge node's /metrics must carry both shards as up, and its
 # merged sequence (Σ shard seqs) must converge to the total accepted
 # across the fleet — closing the loadgen → shards → merge count chain.
@@ -537,11 +465,11 @@ while :; do
 done
 
 # Drain the whole fleet.
-for pid in $lg_merge_pid $lg_serve_pid $lg0_pid $lg1_pid; do
+for pid in $lg_merge_pid $lg0_pid $lg1_pid; do
     kill -TERM "$pid" 2>/dev/null || true
 done
 expect_clean_drain "loadgen smoke" "$lg_merge_pid" "$tmp/lg-merge.log" \
-    "$lg_serve_pid" "$tmp/lg-serve.log" "$lg0_pid" "$tmp/lg-s0.log" "$lg1_pid" "$tmp/lg-s1.log"
+    "$lg0_pid" "$tmp/lg-s0.log" "$lg1_pid" "$tmp/lg-s1.log"
 
 # The batch report over what the wire fleet collected: shard 0's WAL,
 # read as a dataset, holds every session shard 0 accepted.
