@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
-	"os"
 	"path/filepath"
 	"time"
 
@@ -109,6 +108,9 @@ type Dataset struct {
 	// was generated under one; nil for fault-free or loaded datasets.
 	Faults *FaultReport
 	tagger analysis.Tagger
+	// gaps are the outages a loaded log records: appends its writer
+	// counted and dropped while the disk failed (see wal.Gap).
+	gaps []wal.Gap
 
 	perPot  []analysis.PerHoneypot // lazily computed
 	hashes  []analysis.HashStat
@@ -193,50 +195,28 @@ func emptyDataset(reg *Registry, numPots int, seed int64) (*Dataset, error) {
 	}, nil
 }
 
-// LoadDatasetFile reads the record log in the directory path: a dataset
-// SaveWAL wrote, or a collector's -wal-dir. See loadWAL for how a log is
-// read.
-func LoadDatasetFile(path string, reg *Registry, numPots int, seed int64) (*Dataset, error) {
-	info, err := os.Stat(path)
-	if err != nil {
-		return nil, err
-	}
-	if !info.IsDir() {
-		return nil, fmt.Errorf("%s: not a WAL directory", path)
-	}
-	return loadWAL(path, reg, numPots, seed)
-}
-
-// loadWAL reads every intact batch of the WAL in dir, in log order, into
-// a store whose days count from the log's epoch. It writes nothing: a
+// LoadDatasetFile reads the record log in the directory path — a
+// dataset SaveWAL wrote, or a collector's -wal-dir — through wal.Read,
+// in log order, into a store whose days count from the log's epoch. It
+// writes nothing, so it may read a log a collector is still writing: a
 // torn tail on the final segment, which wal.Open would truncate, is left
 // on disk unread, and stale temporary files stay where they are. The
 // damage wal.Open refuses is refused here too; the error says to run
-// fsck -repair.
-func loadWAL(dir string, reg *Registry, numPots int, seed int64) (*Dataset, error) {
-	it, err := wal.NewIterator(dir)
+// fsck -repair. The outages the log records are kept for Summary.
+func LoadDatasetFile(path string, reg *Registry, numPots int, seed int64) (*Dataset, error) {
+	rec, err := wal.Read(path)
 	if err != nil {
 		return nil, err
-	}
-	defer it.Close() // read only
-	var recs []*SessionRecord
-	b, ok, err := it.Next()
-	for ; ok; b, ok, err = it.Next() {
-		recs = append(recs, b.Records...)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", dir, err)
-	}
-	epoch, ok := it.Epoch()
-	if !ok {
-		return nil, fmt.Errorf("wal: directory %s has no segment with an intact meta frame", dir)
 	}
 	d, err := emptyDataset(reg, numPots, seed)
 	if err != nil {
 		return nil, err
 	}
-	d.Store = store.New(epoch)
-	d.Store.AddBatch(recs)
+	d.Store = store.New(rec.Epoch)
+	for _, b := range rec.Batches {
+		d.Store.AddBatch(b.Records)
+	}
+	d.gaps = rec.Gaps
 	return d, nil
 }
 
@@ -508,11 +488,19 @@ func (d *Dataset) AbuseReports(minSessions int) []analysis.AbuseReport {
 	return analysis.ComputeAbuseReports(d.Store, d.Registry, minSessions)
 }
 
-// Summary prints a one-paragraph dataset overview.
+// Summary prints a one-paragraph dataset overview. A loaded log that
+// records outages adds a line naming them and the records they dropped.
 func (d *Dataset) Summary(w io.Writer) {
 	cs := d.CategoryShares()
 	clients := d.ClientStats(-1)
 	hs := d.HashStats()
 	fmt.Fprintf(w, "dataset: %d sessions over %d days, %d honeypots, %d client IPs, %d unique hashes (SSH %.1f%%)\n",
 		cs.Total, d.Days(), d.NumPots, len(clients), len(hs), 100*cs.SSHTotal)
+	if len(d.gaps) > 0 {
+		records := 0
+		for _, g := range d.gaps {
+			records += g.Records
+		}
+		fmt.Fprintf(w, "log gaps: %d outage(s) of the collector's disk dropped %d records, which no table counts\n", len(d.gaps), records)
+	}
 }

@@ -2,6 +2,7 @@ package honeyfarm
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io/fs"
 	"os"
@@ -606,5 +607,74 @@ func TestLoadDatasetFileLiveLog(t *testing.T) {
 	}
 	if n, err := load(); err != nil || n != len(recs) {
 		t.Fatalf("read after Close: %d records, %v; want all %d", n, err, len(recs))
+	}
+}
+
+// TestLoadDatasetFileNamesGaps: a log whose writer ran out of disk and
+// recovered holds a gap frame; the dataset read from it holds the
+// records the writer kept, and the report's summary names the outage and
+// exactly the records the writer dropped.
+func TestLoadDatasetFileNamesGaps(t *testing.T) {
+	d := testDataset(t)
+	const batch = 10
+	recs := d.Store.Records()[:200]
+	dir := filepath.Join(t.TempDir(), "wal")
+	inj, err := iofault.New(iofault.OS, iofault.Plan{Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, _, err := wal.Open(dir, wal.Options{
+		Epoch: d.Store.Epoch(), SyncEvery: 1 << 20, FS: inj,
+		RetryAttempts: 2, RetryBackoff: time.Millisecond, ProbeEvery: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := 0
+	appendBatch := func() error {
+		next += batch
+		return l.Append(recs[next-batch : next])
+	}
+	for i := 0; i < 3; i++ {
+		if err := appendBatch(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	inj.Break(syscall.ENOSPC)
+	for i := 0; i < 5; i++ {
+		if err := appendBatch(); !errors.Is(err, wal.ErrDegraded) {
+			t.Fatalf("append during the outage: %v, want ErrDegraded", err)
+		}
+	}
+	inj.Heal()
+	for l.Health().Degraded {
+		if next+batch > len(recs) {
+			t.Fatal("the log never recovered")
+		}
+		_ = appendBatch() // a probe slot recovers; the appends before it are dropped
+	}
+	if err := appendBatch(); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	h := l.Health()
+	if h.Outages != 1 || h.DroppedRecords == 0 {
+		t.Fatalf("writer health %+v, want one outage that dropped records", h)
+	}
+
+	loaded, err := LoadDatasetFile(dir, d.Registry, d.NumPots, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := loaded.Sessions(), next-h.DroppedRecords; got != want {
+		t.Errorf("loaded %d sessions, want the %d the writer kept", got, want)
+	}
+	var out bytes.Buffer
+	loaded.WriteReport(&out, ReportOptions{Tables: []string{"summary"}})
+	want := fmt.Sprintf("log gaps: 1 outage(s) of the collector's disk dropped %d records", h.DroppedRecords)
+	if !strings.Contains(out.String(), want) {
+		t.Errorf("summary does not name the writer's %d dropped records:\n%s", h.DroppedRecords, out.String())
 	}
 }

@@ -315,7 +315,6 @@ type injectorFile struct {
 }
 
 func (g *injectorFile) Read(p []byte) (int, error)                { return g.f.Read(p) }
-func (g *injectorFile) ReadAt(p []byte, off int64) (int, error)   { return g.f.ReadAt(p, off) }
 func (g *injectorFile) Seek(off int64, whence int) (int64, error) { return g.f.Seek(off, whence) }
 func (g *injectorFile) Close() error                              { return g.f.Close() }
 func (g *injectorFile) Name() string                              { return g.f.Name() }
@@ -370,12 +369,11 @@ type blackholeFile struct {
 	off  int64
 }
 
-func (b *blackholeFile) Read(p []byte) (int, error)              { return 0, io.EOF }
-func (b *blackholeFile) ReadAt(p []byte, off int64) (int, error) { return 0, io.EOF }
-func (b *blackholeFile) Close() error                            { return nil }
-func (b *blackholeFile) Name() string                            { return b.name }
-func (b *blackholeFile) Sync() error                             { return nil }
-func (b *blackholeFile) Truncate(size int64) error               { return nil }
+func (b *blackholeFile) Read(p []byte) (int, error) { return 0, io.EOF }
+func (b *blackholeFile) Close() error               { return nil }
+func (b *blackholeFile) Name() string               { return b.name }
+func (b *blackholeFile) Sync() error                { return nil }
+func (b *blackholeFile) Truncate(size int64) error  { return nil }
 
 func (b *blackholeFile) Write(p []byte) (int, error) {
 	b.off += int64(len(p))

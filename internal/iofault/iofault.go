@@ -34,12 +34,11 @@ import (
 )
 
 // File is the per-handle surface the durability layer uses: sequential
-// writes, positional reads for tailing, fsync, and the truncate the WAL
-// needs to roll back a partially written frame.
+// reads and writes, fsync, and the truncate the WAL needs to roll back a
+// partially written frame.
 type File interface {
 	io.Reader
 	io.Writer
-	io.ReaderAt
 	io.Seeker
 	io.Closer
 	// Name returns the path the file was opened with.

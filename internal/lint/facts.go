@@ -152,7 +152,7 @@ func sourceFacts(key string) FuncFacts {
 	// fsync reach propagate through code that writes via iofault.FS
 	// exactly as it did when it called *os.File directly. OpenFile is
 	// deliberately unseeded — it is also the read path, and tainting it
-	// would mark pure readers (the WAL iterator, the dataset loader) as
+	// would mark pure readers (wal.Read, wal.Verify, the dataset loader) as
 	// durable writers.
 	switch {
 	case strings.HasSuffix(key, "/iofault.File).Sync"):

@@ -601,27 +601,15 @@ func TestENOSPCWindowRecovers(t *testing.T) {
 		t.Fatal("post-outage WAL fails Verify")
 	}
 
-	// The iterator surfaces the same gap to a reader.
-	it, err := NewIterator(dir)
+	// Read, the dataset loader's reader, surfaces the same gap.
+	r, err := Read(dir)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("Read: %v", err)
 	}
-	defer it.Close()
-	n := 0
-	for {
-		_, ok, err := it.Next()
-		if err != nil {
-			t.Fatalf("iterator: %v", err)
-		}
-		if !ok {
-			break
-		}
-		n++
+	if len(r.Batches) != len(acked) {
+		t.Fatalf("Read returned %d batches, want %d", len(r.Batches), len(acked))
 	}
-	if n != len(acked) {
-		t.Fatalf("iterator yielded %d batches, want %d", n, len(acked))
-	}
-	if gaps := it.Gaps(); len(gaps) != 1 || gaps[0].Records != wantDropped {
-		t.Fatalf("iterator gaps %+v, want the outage record", gaps)
+	if len(r.Gaps) != 1 || r.Gaps[0].Records != wantDropped {
+		t.Fatalf("Read gaps %+v, want the outage record", r.Gaps)
 	}
 }

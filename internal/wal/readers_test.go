@@ -1,11 +1,12 @@
 package wal
 
 // One table of segment byte images, read three ways. Open, Verify and
-// the Iterator step the same walker, so this is not a cross-check of two
-// decoders: it pins that the three policies around the walker report the
-// same frames, the same stop offset and the same torn/corrupt verdict,
-// and that Open refuses what it must without touching the disk. The
-// images double as FuzzWALFrame's checked-in seeds.
+// Read all run the one recovery scan, so this is not a cross-check of
+// decoders: it pins that the scan's two modes report the same frames, the
+// same stop offset and the same torn/corrupt verdict, that Read makes
+// Open's reading and Open's refusals without Open's writes, and that Open
+// refuses what it must without touching the disk. The images double as
+// FuzzWALFrame's checked-in seeds.
 
 import (
 	"bytes"
@@ -128,45 +129,13 @@ func damaged(t *testing.T, err error) (off int64, class string) {
 	return d.off, "torn"
 }
 
-// tailed drains an Iterator and reports what it made of segment 1.
-func tailed(t *testing.T, dir string, segLen int) (reading, []uint64) {
-	t.Helper()
-	it, err := NewIterator(dir)
-	if err != nil {
-		t.Fatal(err)
+// tags lists the recovery's batch tags in log order.
+func tags(rec *Recovery) []uint64 {
+	var out []uint64
+	for _, b := range rec.Batches {
+		out = append(out, b.Tag)
 	}
-	defer it.Close()
-	got := reading{class: "ok"}
-	var beyond []uint64 // tags read past segment 1
-	for {
-		b, ok, err := it.Next()
-		seq, off := it.Pos()
-		if err != nil {
-			if _, _, again := it.Next(); again == nil || again.Error() != err.Error() {
-				t.Errorf("iterator error is not permanent: %v, then %v", err, again)
-			}
-			got.off, got.class = damaged(t, err)
-			break
-		}
-		if !ok {
-			// Caught up. Past the seal, segment 1 was read to its end; on
-			// it and short of its end, the rest is a pending tail — the
-			// iterator's reading of a torn frame.
-			if got.off = off; seq > 1 {
-				got.off = int64(segLen)
-			} else if off < int64(segLen) {
-				got.class = "torn"
-			}
-			break
-		}
-		if seq == 1 {
-			got.tags = append(got.tags, b.Tag)
-		} else {
-			beyond = append(beyond, b.Tag)
-		}
-	}
-	got.gaps = len(it.Gaps())
-	return got, beyond
+	return out
 }
 
 func TestReadersAgree(t *testing.T) {
@@ -186,14 +155,30 @@ func TestReadersAgree(t *testing.T) {
 				t.Errorf("Verify: Healthy() = %v for a %s image", rec.Healthy(), im.want.class)
 			}
 
-			got, beyond := tailed(t, dir, len(im.seg))
-			if !reflect.DeepEqual(got, im.want) {
-				t.Errorf("Iterator read %+v, want %+v", got, im.want)
+			read, err := Read(dir)
+			switch {
+			case im.refused():
+				if err == nil {
+					t.Fatalf("Read accepted a %s image (sealed=%v)", im.want.class, im.sealed)
+				}
+				if off, class := damaged(t, err); off != im.want.off || class != im.want.class {
+					t.Errorf("Read refused a %s frame at %d, want %s at %d", class, off, im.want.class, im.want.off)
+				}
+			case im.want.off == 0 && !im.sealed:
+				// The only segment has no intact meta frame, so the log
+				// records no epoch, and Read takes none from a caller.
+				if err == nil {
+					t.Errorf("Read accepted a log with no epoch: %d batches", len(read.Batches))
+				}
+				read = nil
+			case err != nil:
+				t.Fatalf("Read: %v", err)
+			default:
+				if got := scanned(read); !reflect.DeepEqual(got, im.want) {
+					t.Errorf("Read read %+v, want %+v", got, im.want)
+				}
 			}
-			if crossed := len(beyond) > 0; crossed != (im.sealed && im.want.class == "ok") {
-				t.Errorf("Iterator read %v past segment 1 of a %s image (sealed=%v)", beyond, im.want.class, im.sealed)
-			}
-			sameDirState(t, dirState(t, dir), before, "after Verify and Iterator")
+			sameDirState(t, dirState(t, dir), before, "after Verify and Read")
 
 			l, rec, err := Open(dir, Options{Epoch: testEpoch})
 			if im.refused() {
@@ -224,6 +209,9 @@ func TestReadersAgree(t *testing.T) {
 				}
 				if got := scanned(rec); !reflect.DeepEqual(got, im.want) {
 					t.Errorf("Open read %+v, want %+v", got, im.want)
+				}
+				if read != nil && (!reflect.DeepEqual(tags(read), tags(rec)) || !read.Epoch.Equal(rec.Epoch)) {
+					t.Errorf("Read read batches %v from %v, Open %v from %v", tags(read), read.Epoch, tags(rec), rec.Epoch)
 				}
 			}
 			if err := l.Close(); err != nil {

@@ -21,7 +21,7 @@ import (
 	"honeyfarm/internal/iofault"
 )
 
-// The recovery budget per record, for Open and for an Iterator drain.
+// The recovery budget per record, for Open and for Read.
 const (
 	maxAllocsPerRec = 0.5
 	maxBytesPerRec  = 600
@@ -145,70 +145,43 @@ func allocsPerRec(records int, read func()) (allocs, bytes float64) {
 	return float64(after.Mallocs-before.Mallocs) / n, float64(after.TotalAlloc-before.TotalAlloc) / n
 }
 
-// TestRecoverAllocBudget gates what Open allocates per recovered
-// record: the records it returns and little else, whether the log
-// holds large batches or one record per frame.
+// TestRecoverAllocBudget gates what Open and Read allocate per
+// recovered record: the records they return and little else, whether
+// the log holds large batches or one record per frame.
 func TestRecoverAllocBudget(t *testing.T) {
 	for _, batch := range budgetBatches {
 		t.Run(fmt.Sprintf("batch=%d", batch), func(t *testing.T) {
 			dir := t.TempDir()
 			records, segs := budgetLog(t, dir, batch)
-			var got int
-			allocs, bytes := allocsPerRec(records, func() {
-				l, rec, err := Open(dir, Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				got = rec.Records()
-				if err := l.Close(); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if got != records {
-				t.Fatalf("recovered %d records, want %d", got, records)
-			}
-			t.Logf("Open over %d segments: %.2f allocs and %.0f B per record", segs, allocs, bytes)
-			if allocs > maxAllocsPerRec || bytes > maxBytesPerRec {
-				t.Errorf("Open allocated %.2f objects and %.0f B per record, budget %.1f and %d B",
-					allocs, bytes, maxAllocsPerRec, maxBytesPerRec)
-			}
-		})
-	}
-}
-
-// TestIteratorAllocBudget holds a tailing drain of the same logs to the
-// same budget: a refill reads into the buffer it already has, and the
-// slabs carry over from one Next to the next.
-func TestIteratorAllocBudget(t *testing.T) {
-	for _, batch := range budgetBatches {
-		t.Run(fmt.Sprintf("batch=%d", batch), func(t *testing.T) {
-			dir := t.TempDir()
-			records, segs := budgetLog(t, dir, batch)
-			var got int
-			allocs, bytes := allocsPerRec(records, func() {
-				it, err := NewIterator(dir)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer it.Close()
-				for {
-					b, ok, err := it.Next()
+			for _, r := range []struct {
+				name string
+				read func() (*Recovery, error)
+			}{
+				{"Open", func() (*Recovery, error) {
+					l, rec, err := Open(dir, Options{})
+					if err != nil {
+						return nil, err
+					}
+					return rec, l.Close()
+				}},
+				{"Read", func() (*Recovery, error) { return Read(dir) }},
+			} {
+				var got int
+				allocs, bytes := allocsPerRec(records, func() {
+					rec, err := r.read()
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !ok {
-						return
-					}
-					got += len(b.Records)
+					got = rec.Records()
+				})
+				if got != records {
+					t.Fatalf("%s recovered %d records, want %d", r.name, got, records)
 				}
-			})
-			if got != records {
-				t.Fatalf("drained %d records, want %d", got, records)
-			}
-			t.Logf("Iterator over %d segments: %.2f allocs and %.0f B per record", segs, allocs, bytes)
-			if allocs > maxAllocsPerRec || bytes > maxBytesPerRec {
-				t.Errorf("Iterator allocated %.2f objects and %.0f B per record, budget %.1f and %d B",
-					allocs, bytes, maxAllocsPerRec, maxBytesPerRec)
+				t.Logf("%s over %d segments: %.2f allocs and %.0f B per record", r.name, segs, allocs, bytes)
+				if allocs > maxAllocsPerRec || bytes > maxBytesPerRec {
+					t.Errorf("%s allocated %.2f objects and %.0f B per record, budget %.1f and %d B",
+						r.name, allocs, bytes, maxAllocsPerRec, maxBytesPerRec)
+				}
 			}
 		})
 	}

@@ -10,6 +10,18 @@ import (
 	"honeyfarm/internal/iofault"
 )
 
+// Read reads a WAL directory the way Open recovers it, and writes
+// nothing: it refuses the damage Open refuses, leaves a torn tail on the
+// final segment unread rather than truncating it, and leaves stale *.tmp
+// files in place. The epoch is the one the meta frames record. A writer
+// may be appending to the directory meanwhile: a segment is sealed
+// before its successor exists, so every listed segment but the last is
+// whole, and reading each up to its listed size yields a batch-aligned
+// prefix of the log.
+func Read(dir string) (*Recovery, error) {
+	return scan(iofault.OS, dir, time.Time{}, true)
+}
+
 // Verify scans a WAL directory read-only and reports per-segment frame
 // and checksum statistics without modifying anything — orphaned *.tmp
 // files are listed in the recovery, not swept. Unlike Open it tolerates

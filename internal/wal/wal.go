@@ -18,9 +18,9 @@
 // The meta frame's body is JSON and its Format field names the one
 // format there is, "honeyfarm-wal-v2": batch bodies in the binary record
 // codec (codec.go). A segment declaring anything else is refused by
-// every reader (Open, Verify, Repair, Iterator, fsck) — read as
-// corruption, not as a tear. Gap frames (JSON, like the meta frame)
-// record degraded-mode outages; see below.
+// every reader (Open, Read, Verify, Repair, fsck) — read as corruption,
+// not as a tear. Gap frames (JSON, like the meta frame) record
+// degraded-mode outages; see below.
 //
 // Appends go to the highest segment; when it exceeds the configured
 // byte threshold it is fsynced, closed, and a new segment is opened.
@@ -55,10 +55,10 @@
 // dropped (ErrDegraded), and every ProbeEvery-th append probes for
 // recovery by rolling a fresh segment. A successful probe first writes
 // a gap frame recording the outage (reason, dropped batch/record
-// counts), so readers — fsck, and the Iterator's Gaps — see the hole
-// instead of inferring it. Health() exposes the state machine's
-// position; a failing disk degrades durability, never the in-memory
-// dataset (store.Store keeps everything it accepted).
+// counts), so readers — fsck, and Recovery.Gaps — see the hole instead
+// of inferring it. Health() exposes the state machine's position; a
+// failing disk degrades durability, never the in-memory dataset
+// (store.Store keeps everything it accepted).
 package wal
 
 import (
@@ -451,12 +451,14 @@ func Open(dir string, opts Options) (*Log, *Recovery, error) {
 	return l, rec, nil
 }
 
-// scan reads every segment and walks its frames. truncating selects
-// Open semantics (only a torn tail on the final segment is tolerated);
-// Verify and Repair pass false to collect stats for every kind of
-// damage. One buffer, sized once to the longest listed segment, holds
-// each segment in turn and one walker steps them all, so what the scan
-// allocates beyond that buffer is what the recovery keeps.
+// scan reads every segment and walks its frames: the one read policy
+// behind Open, Read, Verify and Repair, and it writes nothing itself.
+// truncating selects Open's refusal rule (only a torn tail on the final
+// segment is tolerated), which Read shares; Verify and Repair pass false
+// to collect stats for every kind of damage. One buffer, sized once to
+// the longest listed segment, holds each segment in turn and one walker
+// steps them all, so what the scan allocates beyond that buffer is what
+// the recovery keeps.
 func scan(fsys iofault.FS, dir string, epoch time.Time, truncating bool) (*Recovery, error) {
 	segs, err := listSegments(fsys, dir)
 	if err != nil {
@@ -489,11 +491,11 @@ func scan(fsys iofault.FS, dir string, epoch time.Time, truncating bool) (*Recov
 	if tmps, terr := atomicio.StaleTmp(fsys, dir); terr == nil {
 		rec.OrphanedTmp = tmps
 	}
-	// An epoch is established by Options.Epoch or any intact meta frame;
+	// An epoch is established by the caller or by any intact meta frame;
 	// without either (fresh directory, or every meta frame torn) the log
 	// cannot replay into a store.
 	if rec.Epoch.IsZero() {
-		return nil, fmt.Errorf("wal: directory %s has no recoverable epoch; supply Options.Epoch", dir)
+		return nil, fmt.Errorf("wal: directory %s has no segment with an intact meta frame to take the epoch from", dir)
 	}
 	return rec, nil
 }
@@ -581,9 +583,9 @@ type frame struct {
 
 // walker is the one reader of a segment's layout: a meta frame whose
 // format, sequence and epoch match, then gap and batch frames. The scan
-// and the Iterator hand next the unread rest of the segment and decide
-// what a stop means; the walker holds no bytes and no policy, only the
-// strings and slabs it decodes into.
+// hands next the unread rest of the segment and decides what a stop
+// means; the walker holds no bytes and no policy, only the strings and
+// slabs it decodes into.
 type walker struct {
 	name  string    // segment file name, for errors
 	seq   uint64    // sequence the meta frame must record
