@@ -145,43 +145,59 @@ func allocsPerRec(records int, read func()) (allocs, bytes float64) {
 	return float64(after.Mallocs-before.Mallocs) / n, float64(after.TotalAlloc-before.TotalAlloc) / n
 }
 
-// TestRecoverAllocBudget gates what Open and Read allocate per
-// recovered record: the records they return and little else, whether
-// the log holds large batches or one record per frame.
+// TestRecoverAllocBudget gates what Open allocates per recovered
+// record: the records it returns and little else, whether the log
+// holds large batches or one record per frame.
 func TestRecoverAllocBudget(t *testing.T) {
 	for _, batch := range budgetBatches {
 		t.Run(fmt.Sprintf("batch=%d", batch), func(t *testing.T) {
 			dir := t.TempDir()
 			records, segs := budgetLog(t, dir, batch)
-			for _, r := range []struct {
-				name string
-				read func() (*Recovery, error)
-			}{
-				{"Open", func() (*Recovery, error) {
-					l, rec, err := Open(dir, Options{})
-					if err != nil {
-						return nil, err
-					}
-					return rec, l.Close()
-				}},
-				{"Read", func() (*Recovery, error) { return Read(dir) }},
-			} {
-				var got int
-				allocs, bytes := allocsPerRec(records, func() {
-					rec, err := r.read()
-					if err != nil {
-						t.Fatal(err)
-					}
-					got = rec.Records()
-				})
-				if got != records {
-					t.Fatalf("%s recovered %d records, want %d", r.name, got, records)
+			var got int
+			allocs, bytes := allocsPerRec(records, func() {
+				l, rec, err := Open(dir, Options{})
+				if err != nil {
+					t.Fatal(err)
 				}
-				t.Logf("%s over %d segments: %.2f allocs and %.0f B per record", r.name, segs, allocs, bytes)
-				if allocs > maxAllocsPerRec || bytes > maxBytesPerRec {
-					t.Errorf("%s allocated %.2f objects and %.0f B per record, budget %.1f and %d B",
-						r.name, allocs, bytes, maxAllocsPerRec, maxBytesPerRec)
+				got = rec.Records()
+				if err := l.Close(); err != nil {
+					t.Fatal(err)
 				}
+			})
+			if got != records {
+				t.Fatalf("recovered %d records, want %d", got, records)
+			}
+			t.Logf("Open over %d segments: %.2f allocs and %.0f B per record", segs, allocs, bytes)
+			if allocs > maxAllocsPerRec || bytes > maxBytesPerRec {
+				t.Errorf("Open allocated %.2f objects and %.0f B per record, budget %.1f and %d B",
+					allocs, bytes, maxAllocsPerRec, maxBytesPerRec)
+			}
+		})
+	}
+}
+
+// TestIteratorAllocBudget holds a read-only drain of the same logs
+// through Read, the reader behind analyze -in, to the same budget.
+func TestIteratorAllocBudget(t *testing.T) {
+	for _, batch := range budgetBatches {
+		t.Run(fmt.Sprintf("batch=%d", batch), func(t *testing.T) {
+			dir := t.TempDir()
+			records, segs := budgetLog(t, dir, batch)
+			var got int
+			allocs, bytes := allocsPerRec(records, func() {
+				rec, err := Read(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got = rec.Records()
+			})
+			if got != records {
+				t.Fatalf("read %d records, want %d", got, records)
+			}
+			t.Logf("Read over %d segments: %.2f allocs and %.0f B per record", segs, allocs, bytes)
+			if allocs > maxAllocsPerRec || bytes > maxBytesPerRec {
+				t.Errorf("Read allocated %.2f objects and %.0f B per record, budget %.1f and %d B",
+					allocs, bytes, maxAllocsPerRec, maxBytesPerRec)
 			}
 		})
 	}
