@@ -118,17 +118,9 @@ type Config struct {
 const DefaultASTotal = 17700
 
 // NewRegistry builds the synthetic Internet. The same Config always yields
-// the identical registry; all randomness derives from cfg.Seed. See
-// NewRegistryRand to thread a caller-owned source.
+// the identical registry; all randomness derives from cfg.Seed.
 func NewRegistry(cfg Config) *Registry {
-	return NewRegistryRand(rand.New(rand.NewSource(cfg.Seed)), cfg)
-}
-
-// NewRegistryRand is NewRegistry with an explicit, caller-seeded random
-// source — the form the determinism contract prefers, since it makes
-// the entire draw sequence visible at the call site. cfg.Seed is
-// ignored.
-func NewRegistryRand(rng *rand.Rand, cfg Config) *Registry {
+	rng := rand.New(rand.NewSource(cfg.Seed))
 	r := &Registry{
 		countries: append([]Country(nil), worldCountries...),
 		byCode:    make(map[string]int, len(worldCountries)),

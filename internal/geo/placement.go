@@ -29,15 +29,9 @@ type PlacementConfig struct {
 // few countries (the paper notes the US and Singapore host multiple
 // honeypots while most countries host a single one). Exactly cfg.NumASes
 // distinct ASes are used across the farm. All randomness derives from
-// cfg.Seed; see PlaceRand to thread a caller-owned source.
+// cfg.Seed.
 func Place(cfg PlacementConfig) ([]Deployment, error) {
-	return PlaceRand(rand.New(rand.NewSource(cfg.Seed)), cfg)
-}
-
-// PlaceRand is Place with an explicit, caller-seeded random source —
-// the form the determinism contract prefers, since it makes the entire
-// draw sequence visible at the call site. cfg.Seed is ignored.
-func PlaceRand(rng *rand.Rand, cfg PlacementConfig) ([]Deployment, error) {
+	rng := rand.New(rand.NewSource(cfg.Seed))
 	if cfg.Registry == nil {
 		return nil, fmt.Errorf("geo: placement requires a registry")
 	}

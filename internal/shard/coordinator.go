@@ -4,7 +4,7 @@ package shard
 // of it outstanding, which the shard parks until it has news, and folds
 // what each pull brings — normally the delta since the previous one —
 // into one long-lived merged bundle, publishes that as the global
-// snapshot, and only then folds it into the shard's own bundle.
+// snapshot, and only then keeps the frame.
 // The puller is also the shard's supervisor: FailAfter consecutive
 // failures mark the shard down, the loop then spaces its pulls on the
 // capped-exponential faults.Backoff instead of PullEvery, and
@@ -22,12 +22,11 @@ package shard
 //     every record it ever covered. The staleness is surfaced per shard
 //     (ShardStatuses → /v1/healthz "degraded:shard"), never hidden.
 //
-// Accumulator Merge adopts entries by reference, so a frame is decoded
-// once per bundle it is folded into: the shard's and the merged one
-// share nothing. The per-shard bundles exist for the one case a fold
-// cannot express — a full frame replacing state already merged — where
-// the merged bundle is rebuilt from copies of them; that is the only
-// reader that waits for a shard's bundle to catch up.
+// The merged bundle is the one decoded state: each frame is decoded
+// once, into it. Per shard the coordinator keeps bytes, the last full
+// frame and the deltas since, for the one case a fold cannot express —
+// a full frame replacing merged state — where every shard's held frames
+// are decoded into a fresh merged bundle.
 
 import (
 	"context"
@@ -45,7 +44,6 @@ import (
 	"honeyfarm/internal/query"
 	"honeyfarm/internal/stats"
 	"honeyfarm/internal/store"
-	"honeyfarm/internal/wire"
 )
 
 // Config parameterizes a Coordinator.
@@ -85,14 +83,12 @@ type Config struct {
 type shardState struct {
 	url string
 	up  bool
-	// parts is the bundle of the shard's first seq records once partsMu
-	// is free: what the merged bundle holds of this shard, kept apart so
-	// the merged one can be rebuilt. An install takes partsMu under
-	// mergeMu and folds the frame into parts after releasing mergeMu.
-	partsMu sync.Mutex
-	parts   *analysis.Partials
-	seq     uint64
-	days    int
+	// frames holds what the merged bundle holds of the shard: its last
+	// accepted full frame, then each delta installed since. Only the
+	// shard's puller writes it, under mergeMu; a frame is never written.
+	frames [][]byte
+	seq    uint64
+	days   int
 	// resync makes the next pull ask for the full frame: the last delta
 	// did not continue from seq.
 	resync   bool
@@ -117,11 +113,11 @@ type Coordinator struct {
 	client *http.Client
 
 	// mergeMu serializes installs: the merged bundle, the published
-	// snapshot and each shard's seq, days and hand-off to partsMu. It is
-	// taken before mu and partsMu, never under them.
+	// snapshot and each shard's frames, seq and days. It is taken before
+	// mu, never under it.
 	mergeMu  sync.Mutex
-	merged   *analysis.Partials // the fold of every shards[i].parts
-	rebuilds atomic.Uint64      // times merged was rebuilt from the shard bundles
+	merged   *analysis.Partials // the fold of every shards[i].frames
+	rebuilds atomic.Uint64      // times merged was rebuilt from the held frames
 
 	mu      sync.Mutex
 	shards  []shardState
@@ -171,7 +167,7 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	c.ctx, c.cancel = context.WithCancel(context.Background())
 	for i, url := range cfg.Shards {
-		c.shards[i] = shardState{url: url, up: true, parts: c.emptyBundle()}
+		c.shards[i] = shardState{url: url, up: true}
 	}
 	c.merged = c.emptyBundle()
 	c.publishLocked() // nothing runs yet that could race it
@@ -344,15 +340,15 @@ func (c *Coordinator) PullStatsAll() []PullStats {
 }
 
 // MergeRebuilds returns how many times the merged bundle was rebuilt
-// from the per-shard ones — once per full frame that replaced a shard's
+// from the held frames — once per full frame that replaced a shard's
 // installed state.
 func (c *Coordinator) MergeRebuilds() uint64 { return c.rebuilds.Load() }
 
 // PullLatency returns a merged copy of the successful-pull latency
 // histogram: from the response's headers to the merged snapshot that
 // covers the frame published — transfer, decode, merge and materialize,
-// what a /v1 reader waits for; not the wait for news before, nor the
-// shard's own bundle catching up after.
+// what a /v1 reader waits for; not the wait for news before, nor a
+// compaction after.
 func (c *Coordinator) PullLatency() *stats.Histogram {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -396,15 +392,11 @@ func (c *Coordinator) fetch(url string, since uint64) (frame []byte, t0 time.Tim
 
 // install validates the frame, applies it to shard i (foldLocked),
 // counts the pull and, if the frame advanced the shard, publishes the
-// merged snapshot at once.
-// Only then does a frame that continues the shard reach its own bundle,
-// under partsMu, which mergeMu hands over to: the next publish does not
-// wait for this catch-up, the next install of the shard and any rebuild
-// do. A
-// successful pull's latency runs from t0 (the response's headers, the
-// end of any wait at the shard) to that publish, and is observed only
-// with a clock (Config.Now), so clockless deterministic runs render an
-// empty histogram. full reports an accepted full frame.
+// merged snapshot at once, and only then compacts the shard's frames.
+// A successful pull's latency runs from t0 (the response's headers, the
+// end of any wait at the shard) to that publish, observed only with a
+// clock (Config.Now): clockless deterministic runs render an empty
+// histogram. full reports an accepted full frame.
 func (c *Coordinator) install(i int, frame []byte, t0 time.Time) (full, advanced bool, err error) {
 	from, seq, days, parts, err := decodeFrame(frame)
 	if err == nil && parts.NumPots() != c.cfg.NumPots {
@@ -417,10 +409,8 @@ func (c *Coordinator) install(i int, frame []byte, t0 time.Time) (full, advanced
 		c.countPull(i, len(frame), false, false, err)
 		return false, false, err
 	}
-	st := &c.shards[i]
 	c.mergeMu.Lock()
-	continues := from == st.seq
-	advanced, err = c.foldLocked(i, from, seq, days, parts)
+	advanced, err = c.foldLocked(i, frame, from, seq, days, parts)
 	c.countPull(i, len(frame), from == 0 && err == nil, advanced, err)
 	if advanced {
 		c.publishLocked()
@@ -430,31 +420,22 @@ func (c *Coordinator) install(i int, frame []byte, t0 time.Time) (full, advanced
 		c.pullLat.Observe(c.cfg.Now().Sub(t0).Seconds())
 		c.mu.Unlock()
 	}
-	if !continues || !advanced {
-		c.mergeMu.Unlock()
-		return from == 0 && err == nil, advanced, err
-	}
-	st.partsMu.Lock()
-	defer st.partsMu.Unlock()
+	held := c.shards[i].frames
 	c.mergeMu.Unlock()
-	_, _, _, again, err := decodeFrame(frame)
-	if err == nil {
-		err = st.parts.Merge(again)
+	if advanced {
+		c.compact(i, held, seq, days) // the frame installed its seq and days
 	}
-	if err != nil {
-		panic("shard: a frame merged once does not merge again: " + err.Error())
-	}
-	return from == 0, true, nil
+	return from == 0 && err == nil, advanced, err
 }
 
 // foldLocked applies a validated frame — parts, the bundle of the
 // records in (from, seq] — to shard i:
 //
 //   - from is the installed seq — a delta, or any frame for a shard
-//     with nothing installed: parts is merged into the merged bundle if
-//     seq advances, and install folds the frame into the shard's.
+//     with nothing installed: if seq advances, parts is merged into the
+//     merged bundle and the frame is appended to the shard's.
 //   - a full frame past the installed seq (a restarted shard caught up,
-//     or the shard fell back to full) replaces the shard's bundle, and
+//     or the shard fell back to full) replaces the shard's frames, and
 //     the merged bundle is rebuilt.
 //   - a full frame at or behind the installed seq is the shard replaying
 //     its WAL after a restart: the pull still counts as healthy contact,
@@ -462,9 +443,9 @@ func (c *Coordinator) install(i int, frame []byte, t0 time.Time) (full, advanced
 //   - a delta from anywhere else is a failed pull, and the next one asks
 //     for the full frame.
 //
-// Caller holds mergeMu, under which alone a shard's seq and days
-// change.
-func (c *Coordinator) foldLocked(i int, from, seq uint64, days int, parts *analysis.Partials) (advanced bool, err error) {
+// Caller holds mergeMu, under which alone a shard's frames, seq and
+// days change.
+func (c *Coordinator) foldLocked(i int, frame []byte, from, seq uint64, days int, parts *analysis.Partials) (advanced bool, err error) {
 	st := &c.shards[i]
 	advanced = seq > st.seq
 	switch {
@@ -473,12 +454,11 @@ func (c *Coordinator) foldLocked(i int, from, seq uint64, days int, parts *analy
 			if err := c.merged.Merge(parts); err != nil {
 				return false, err // unreachable: install validated the shape
 			}
+			st.frames = append(st.frames, frame)
 		}
 	case from == 0:
 		if advanced {
-			st.partsMu.Lock()
-			st.parts = parts
-			st.partsMu.Unlock()
+			st.frames = [][]byte{frame}
 			c.rebuildLocked()
 		}
 	default:
@@ -504,31 +484,50 @@ func (c *Coordinator) foldLocked(i int, from, seq uint64, days int, parts *analy
 	return advanced, nil
 }
 
-// rebuildLocked replaces the merged bundle with the fold of a copy
-// (encode→decode: Merge adopts its source) of every shard's bundle,
-// each read under its partsMu, so after any catch-up still in flight.
-// Caller holds mergeMu.
+// rebuildLocked replaces the merged bundle with a fresh one decoded
+// from every shard's held frames. Caller holds mergeMu.
 func (c *Coordinator) rebuildLocked() {
 	dest := c.emptyBundle()
-	b := new(wire.Builder) // Encode sizes it
 	for i := range c.shards {
-		st := &c.shards[i]
-		b.Reset()
-		st.partsMu.Lock()
-		st.parts.Encode(b)
-		st.partsMu.Unlock()
-		r := wire.NewReader(b.Bytes())
-		r.SetMaxStringLen(b.Len())
-		cp, err := analysis.DecodePartials(r)
-		if err != nil {
-			panic("shard: installed bundle does not round-trip: " + err.Error())
-		}
-		if err := dest.Merge(cp); err != nil {
-			panic("shard: installed bundle changed shape: " + err.Error())
-		}
+		foldFrames(dest, c.shards[i].frames)
 	}
 	c.merged = dest
 	c.rebuilds.Add(1)
+}
+
+// compact folds shard i's held frames, which reach seq and days, into
+// one full frame once their deltas outgrow the full frame they follow:
+// decoded and encoded off mergeMu, swapped in under it for the prefix
+// folded. The puller is the one writer of its shard's frames.
+func (c *Coordinator) compact(i int, held [][]byte, seq uint64, days int) {
+	n := 0
+	for _, f := range held[1:] {
+		n += len(f)
+	}
+	if n <= len(held[0]) {
+		return
+	}
+	b := newFrameBuilder()
+	foldFrames(c.emptyBundle(), held).Encode(b)
+	frame := sealFrame(b, 0, seq, days)
+	c.mergeMu.Lock()
+	c.shards[i].frames = append([][]byte{frame}, c.shards[i].frames[len(held):]...)
+	c.mergeMu.Unlock()
+}
+
+// foldFrames decodes installed frames into dest and returns it; one
+// that no longer decodes or merges is a bug.
+func foldFrames(dest *analysis.Partials, frames [][]byte) *analysis.Partials {
+	for _, f := range frames {
+		_, _, _, parts, err := decodeFrame(f)
+		if err == nil {
+			err = dest.Merge(parts)
+		}
+		if err != nil {
+			panic("shard: an installed frame does not merge again: " + err.Error())
+		}
+	}
+	return dest
 }
 
 // noteFailure counts one failed pull; FailAfter consecutive failures

@@ -18,3 +18,11 @@ func (c *Coordinator) Install(i int, frame []byte) error {
 	_, _, err := c.install(i, frame, time.Time{})
 	return err
 }
+
+// HeldFrames returns the frames the coordinator keeps for shard i: its
+// last full frame, then the deltas installed since.
+func (c *Coordinator) HeldFrames(i int) [][]byte {
+	c.mergeMu.Lock()
+	defer c.mergeMu.Unlock()
+	return c.shards[i].frames
+}

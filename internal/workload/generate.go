@@ -183,17 +183,10 @@ type generator struct {
 }
 
 // Generate produces a calibrated synthetic dataset. All randomness
-// derives from cfg.Seed; see GenerateRand to thread a caller-owned
-// source for the session stream.
-func Generate(cfg Config) (*Result, error) {
-	return GenerateRand(rand.New(rand.NewSource(cfg.Seed)), cfg)
-}
-
-// GenerateRand is Generate with an explicit, caller-seeded random
-// source driving the planning pass — the form the determinism contract
-// prefers. cfg.Seed still anchors the derived sub-streams that must
-// stay aligned with the farm: honeypot placement, the per-honeypot
-// weight permutations, and the per-shard decoration streams.
+// derives from cfg.Seed: the planning pass draws from one stream seeded
+// by it, and it anchors the derived sub-streams that must stay aligned
+// with the farm: honeypot placement, the per-honeypot weight
+// permutations, and the per-shard decoration streams.
 //
 // Generation runs as a pipeline of two passes. A sequential planning
 // pass walks the calibrated schedule and resolves every decision that
@@ -208,7 +201,8 @@ func Generate(cfg Config) (*Result, error) {
 // hold plan entries. The shards then fill the store in index
 // order, so the serialized dataset is byte-identical for any worker
 // count, including 1.
-func GenerateRand(rng *rand.Rand, cfg Config) (*Result, error) {
+func Generate(cfg Config) (*Result, error) {
+	rng := rand.New(rand.NewSource(cfg.Seed))
 	if cfg.Registry == nil {
 		return nil, fmt.Errorf("workload: Config.Registry is required")
 	}

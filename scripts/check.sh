@@ -165,7 +165,7 @@ go test -race -count=1 -run "$disk_run" ./internal/wal ./internal/shard
 go test -race -count=20 -run TestCommitPipeline ./internal/wal # the committer's queue: absorb, barriers, the segment bound
 go test -race -count=20 -run 'TestLoadDatasetFileLiveLog|TestReadersAgree' . ./internal/wal # the one read policy, the recovery scan: a read during rotation is a batch-aligned prefix, and Read refuses what Open refuses without writing
 go test -race -count=20 -run 'TestSinkOrderUnderENOSPC|TestWireFrontRefusesUnpersisted' ./internal/query ./internal/shard # the one durable-ingest sink: recovered ≡ acknowledged
-go test -race -count=20 -run 'TestCoordinatorRebuildDuringCatchUp|TestCoordinatorLostResponse|TestBlockingPullStorm' ./internal/shard # the install order: publish first, catch up after, rebuild after the catch-up
+go test -race -count=20 -run 'TestCoordinatorRebuildDuringCatchUp|TestCoordinatorCompactsFrames|TestCoordinatorLostResponse|TestBlockingPullStorm' ./internal/shard # the install order: publish first, then append the frame; compact a shard's frames off mergeMu; rebuild from the held frames
 go test -race -count=20 -run 'TestServer|TestWireFront|TestCoordinatorProbeBackoff|TestNode' ./internal/honeypot ./internal/shard ./internal/daemon # the one accept loop: its Close against sessions in flight; the puller's backoff while a shard is down; each node's one Close: recovered ≡ acknowledged, no goroutine left
 go test -race -count=20 -run 'TestCutPartials|TestNewsWake|TestIngestAllocsWhilePulled' ./internal/query # a cut reads the rows Ingest writes: counters under the mutex, lists swapped, encoded after
 go test -race -count=3 -run 'TestSameSeedByteIdentical|TestWorkersByteIdentical|TestFaultsByteIdentical|TestGenerateDigestPinned|TestGenerateDeterministic' . ./internal/workload # the generator's planner appends plan shards while decorators read the finished ones
