@@ -15,13 +15,15 @@
 // rebuilt geography registry agrees with the recorded client IPs.
 // -tables restricts output to the named report sections (and skips the
 // reduces the selection does not need); each selected block is
-// byte-identical to its block in the full report.
+// byte-identical to its block in the full report. -pots must cover
+// every pot the dataset holds: a record of a pot at or past it is
+// refused, naming the pot, rather than left out of the per-pot tables.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 	"strings"
 
@@ -52,18 +54,35 @@ func parseTables(arg string) ([]string, error) {
 	return tables, nil
 }
 
-func main() {
-	in := flag.String("in", "dataset", "input dataset: a record log (WAL) directory")
-	cowrie := flag.Bool("cowrie", false, "input is a Cowrie JSON event log file instead of a record log")
-	seed := flag.Int64("seed", 1, "registry seed used at generation time")
-	pots := flag.Int("pots", 221, "number of honeypots in the dataset")
-	stride := flag.Int("stride", 30, "time-series row stride in days")
-	tablesArg := flag.String("tables", "", "comma-separated report sections to render (default: all)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
+// run is main without the process: it prints the report args ask for
+// on out, reports errors on errOut and returns the exit status.
+func run(args []string, out, errOut io.Writer) int {
+	flags := flag.NewFlagSet("analyze", flag.ContinueOnError)
+	flags.SetOutput(errOut)
+	in := flags.String("in", "dataset", "input dataset: a record log (WAL) directory")
+	cowrie := flags.Bool("cowrie", false, "input is a Cowrie JSON event log file instead of a record log")
+	seed := flags.Int64("seed", 1, "registry seed used at generation time")
+	pots := flags.Int("pots", 221, "number of honeypots in the dataset; a record of a pot at or past it is refused")
+	stride := flags.Int("stride", 30, "time-series row stride in days")
+	tablesArg := flags.String("tables", "", "comma-separated report sections to render (default: all)")
+	if flags.Parse(args) != nil {
+		return 2
+	}
+	usage := func(format string, a ...any) int {
+		fmt.Fprintf(errOut, "analyze: "+format+"\n", a...)
+		return 2
+	}
+	if *pots < 1 {
+		return usage("-pots %d: want at least 1", *pots)
+	}
+	if *stride < 1 {
+		return usage("-stride %d: want at least 1", *stride)
+	}
 	tables, err := parseTables(*tablesArg)
 	if err != nil {
-		log.Fatalf("-tables: %v", err)
+		return usage("-tables: %v", err)
 	}
 
 	reg := honeyfarm.NewRegistry(*seed)
@@ -71,15 +90,34 @@ func main() {
 	if *cowrie {
 		f, ferr := os.Open(*in)
 		if ferr != nil {
-			log.Fatalf("opening log: %v", ferr)
+			fmt.Fprintf(errOut, "analyze: opening log: %v\n", ferr)
+			return 1
 		}
 		defer f.Close()
 		d, err = honeyfarm.LoadCowrie(f, reg, *pots, *seed)
 	} else {
 		d, err = honeyfarm.LoadDatasetFile(*in, reg, *pots, *seed)
 	}
-	if err != nil {
-		log.Fatalf("loading dataset: %v", err)
+	if err == nil {
+		err = checkPots(d.Store.Records(), *pots)
 	}
-	d.WriteReport(os.Stdout, honeyfarm.ReportOptions{SeriesStride: *stride, Tables: tables})
+	if err != nil {
+		fmt.Fprintf(errOut, "analyze: loading dataset: %v\n", err)
+		return 1
+	}
+	d.WriteReport(out, honeyfarm.ReportOptions{SeriesStride: *stride, Tables: tables})
+	return 0
+}
+
+// checkPots refuses a record of a pot outside 0..pots-1. The per-pot
+// tables have one row for each pot below -pots, so such a record would
+// count in the farm's totals and be left out of every per-pot table
+// without a word.
+func checkPots(recs []*honeyfarm.SessionRecord, pots int) error {
+	for _, r := range recs {
+		if r.HoneypotID < 0 || r.HoneypotID >= pots {
+			return fmt.Errorf("record %d is of pot %d; -pots %d covers pots 0 to %d", r.ID, r.HoneypotID, pots, pots-1)
+		}
+	}
+	return nil
 }

@@ -49,6 +49,15 @@ func run(args []string, out, errOut io.Writer) int {
 	if flags.Parse(args) != nil {
 		return 2
 	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"sessions", *sessions}, {"days", *days}, {"pots", *pots}} {
+		if f.v < 1 {
+			fmt.Fprintf(errOut, "honeyfarm: -%s %d: want at least 1\n", f.name, f.v)
+			return 2
+		}
+	}
 	if *format != "wal" && *format != "cowrie" {
 		fmt.Fprintf(errOut, "honeyfarm: unknown -format %q (wal or cowrie)\n", *format)
 		return 2

@@ -90,6 +90,23 @@ func TestUnknownFormatRefusedFirst(t *testing.T) {
 	}
 }
 
+// TestNonPositiveSizesRefusedFirst: a -sessions, -days or -pots below
+// one is a usage error naming the flag, refused before the dataset is
+// generated, not a default generated in its place.
+func TestNonPositiveSizesRefusedFirst(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "d")
+	for _, args := range [][]string{{"-sessions", "0"}, {"-sessions", "-1"}, {"-days", "0"}, {"-pots", "0"}, {"-pots", "-3"}} {
+		var out, errOut bytes.Buffer
+		code := run(append(args, "-out", path), &out, &errOut)
+		if msg := errOut.String(); code != 2 || strings.Contains(msg, "dataset:") || !strings.Contains(msg, args[0]+" "+args[1]) {
+			t.Errorf("%v: exit %d, want 2 naming %s before any generation:\n%s", args, code, args[0], msg)
+		}
+		if _, err := os.Stat(path); !os.IsNotExist(err) || out.Len() > 0 {
+			t.Errorf("%v: a refused run wrote %s (%v) or %d bytes to stdout", args, path, err, out.Len())
+		}
+	}
+}
+
 // TestExistingOutRefusedFirst: an -out that already exists, or whose
 // temporary sibling does, is refused before the dataset is generated,
 // and what is there is left as it was.

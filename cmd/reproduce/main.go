@@ -17,7 +17,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log"
 	"os"
 	"strings"
 
@@ -27,26 +26,47 @@ import (
 	"honeyfarm/internal/stats"
 )
 
-func main() {
-	sessions := flag.Int("sessions", 400_000, "sessions to generate")
-	seed := flag.Int64("seed", 1, "generation seed")
-	out := flag.String("out", "", "report path (default stdout; written atomically)")
-	workers := flag.Int("workers", 0, "generation workers (0 = GOMAXPROCS); output is identical for any value")
-	faultsArg := flag.String("faults", "", "fault plan: path to a JSON file, or inline JSON starting with '{' (deterministic per seed)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main without the process: it writes the report args ask for
+// to its -out (out when there is none), reports on errOut and returns
+// the exit status.
+func run(args []string, out, errOut io.Writer) int {
+	flags := flag.NewFlagSet("reproduce", flag.ContinueOnError)
+	flags.SetOutput(errOut)
+	sessions := flags.Int("sessions", 400_000, "sessions to generate")
+	seed := flags.Int64("seed", 1, "generation seed")
+	outPath := flags.String("out", "", "report path (default stdout; written atomically)")
+	workers := flags.Int("workers", 0, "generation workers (0 = GOMAXPROCS); output is identical for any value")
+	faultsArg := flags.String("faults", "", "fault plan: path to a JSON file, or inline JSON starting with '{' (deterministic per seed)")
+	if flags.Parse(args) != nil {
+		return 2
+	}
+	if *sessions < 1 {
+		fmt.Fprintf(errOut, "reproduce: -sessions %d: want at least 1\n", *sessions)
+		return 2
+	}
+	if *workers < 0 {
+		fmt.Fprintf(errOut, "reproduce: -workers %d: want 0 (GOMAXPROCS) or more\n", *workers)
+		return 2
+	}
+	fail := func(format string, a ...any) int {
+		fmt.Fprintf(errOut, "reproduce: "+format+"\n", a...)
+		return 1
+	}
 
 	plan, err := loadFaultPlan(*faultsArg, *seed)
 	if err != nil {
-		log.Fatalf("fault plan: %v", err)
+		return fail("fault plan: %v", err)
 	}
 
-	fmt.Fprintf(os.Stderr, "generating %d sessions (scale 1/%d of the paper)...\n",
-		*sessions, 402_000_000/max(1, *sessions))
+	fmt.Fprintf(errOut, "generating %d sessions (scale 1/%d of the paper)...\n",
+		*sessions, 402_000_000 / *sessions)
 	d, err := honeyfarm.Simulate(honeyfarm.SimulateConfig{
 		Seed: *seed, TotalSessions: *sessions, Workers: *workers, Faults: plan,
 	})
 	if err != nil {
-		log.Fatalf("simulate: %v", err)
+		return fail("simulate: %v", err)
 	}
 
 	render := func(w io.Writer) error {
@@ -58,15 +78,15 @@ func main() {
 		d.WriteReport(w, honeyfarm.ReportOptions{})
 		return nil
 	}
-	if *out == "" {
-		if err := render(os.Stdout); err != nil {
-			log.Fatalf("writing report: %v", err)
-		}
-		return
+	if *outPath == "" {
+		err = render(out)
+	} else {
+		err = atomicio.WriteFile(*outPath, render)
 	}
-	if err := atomicio.WriteFile(*out, render); err != nil {
-		log.Fatalf("writing report: %v", err)
+	if err != nil {
+		return fail("writing report: %v", err)
 	}
+	return 0
 }
 
 // loadFaultPlan parses the -faults argument: empty means no plan, a

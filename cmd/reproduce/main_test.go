@@ -44,6 +44,22 @@ func TestComparisonGolden(t *testing.T) {
 	}
 }
 
+// TestBadSizesRefusedFirst: a -sessions below one or a negative
+// -workers is a usage error naming the flag, refused before anything is
+// generated, not a default generated in its place.
+func TestBadSizesRefusedFirst(t *testing.T) {
+	for _, args := range [][]string{{"-sessions", "0"}, {"-sessions", "-5"}, {"-workers", "-1"}} {
+		var out, errOut bytes.Buffer
+		code := run(args, &out, &errOut)
+		if msg := errOut.String(); code != 2 || strings.Contains(msg, "generating") || !strings.Contains(msg, args[0]+" "+args[1]) {
+			t.Errorf("%v: exit %d, want 2 naming %s before any generation:\n%s", args, code, args[0], msg)
+		}
+		if out.Len() > 0 {
+			t.Errorf("%v: a refused run wrote %d bytes of report", args, out.Len())
+		}
+	}
+}
+
 // TestLoadFaultPlanRefusesUnknownKeys: a -faults key the plan does not
 // have — a typo, or a knob that no longer exists — is refused by name
 // instead of running the reproduction without the fault asked for.

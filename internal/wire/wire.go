@@ -189,6 +189,10 @@ func (r *Reader) SetErrf(format string, args ...any) {
 // Remaining returns the number of unread bytes.
 func (r *Reader) Remaining() int { return len(r.buf) - r.pos }
 
+// Rest returns the unread bytes without consuming them. The returned
+// slice aliases the reader's buffer.
+func (r *Reader) Rest() []byte { return r.buf[r.pos:] }
+
 func (r *Reader) fail(err error) {
 	if r.err == nil {
 		r.err = err
